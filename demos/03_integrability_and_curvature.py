@@ -13,9 +13,8 @@ from paracomplex.curv import (
     decompose,
     duality_verdict,
     flat_metric,
-    levi_civita,
+    metric_jet,
     ppwave_metric,
-    riemann,
     sectional_constant_check,
     theorem_verdict,
 )
@@ -36,11 +35,11 @@ rep = integrability_report("pi", pi)
 print("pi = d1^d2 + x1 d3^d4 Poisson:", rep.integrable,
       "| witness:", rep.witness)
 
-# Constant curvature: the operator is (s/12) Id with s = 12c.
+# Constant curvature: the operator is (s/12) Id with s = 12c.  Curvature is
+# evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric.
 m = constcurv_metric(1)
-rm = riemann(levi_civita(m.g))
 origin = (Fraction(0),) * 4
-op = curvature_operator(rm, m.g, origin)
+op = curvature_operator(metric_jet(m.g), origin)
 print("\nconstcurv:1 at origin: s =", op.s,
       "| sectional constant =", sectional_constant_check(op))
 dec = decompose(op, m.onb_at(origin))
@@ -48,8 +47,7 @@ print("traceless-Ricci part zero:", all(not c for row in dec.b_part for c in row
 
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
 w = ppwave_metric(rf("x2^2"))
-rw = riemann(levi_civita(w.g))
-opw = curvature_operator(rw, w.g, origin)
+opw = curvature_operator(metric_jet(w.g), origin)
 print("\nppwave duality:", duality_verdict(opw, w.onb_at(origin)))
 
 # Theorem verdicts per fiber component (seeded, deterministic).

@@ -16,24 +16,21 @@ from fractions import Fraction
 
 from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.gpx import gen_metric, is_compatible, validate_gen_para
-from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_to_strings
+from paracomplex.linalg import Bilinear, DimNot4, Endo, SingularMatrix, mat_eval, mat_to_strings
 from paracomplex.para import validate_para
 from paracomplex.patch import BiVectorField, KForm, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.curv import (
     DEFAULT_POINTS,
+    VARS4,
     DegenerateMetric,
-    DimNot4,
     curvature_operator,
     decompose,
     duality_verdict,
-    levi_civita,
+    metric_jet,
     parse_metric_id,
-    riemann,
     sectional_constant_check,
     theorem_verdict,
 )
-
-VARS4 = ["x1", "x2", "x3", "x4"]
 
 
 class InputError(ValueError):
@@ -173,10 +170,6 @@ def _descriptor_structure(desc: dict):
     raise InputError(f"unknown structure kind {kind!r}")
 
 
-def _eval_mat(mat, point):
-    return [[c.eval_at(point) for c in row] for row in mat]
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -194,7 +187,7 @@ def cmd_validate(args) -> tuple[dict, int]:
         try:
             if kind == "assembled":
                 g_mat, th_mat, k1_mat, k2_mat = (
-                    _eval_mat(m, p) for m in data)
+                    mat_eval(m, p) for m in data)
                 g = Bilinear(g_mat)
                 k1, k2 = Endo(k1_mat), Endo(k2_mat)
                 rep1 = validate_para(g, k1)
@@ -290,9 +283,7 @@ def cmd_curvature(args) -> tuple[dict, int]:
     model = parse_metric_id(args.metric)
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
-    lc = levi_civita(model.g)
-    rm = riemann(lc)
-    op = curvature_operator(rm, model.g, point)
+    op = curvature_operator(metric_jet(model.g), point)
     onb = model.onb_at(point, orientation)
     dec = decompose(op, onb)
     verdict = duality_verdict(op, onb)

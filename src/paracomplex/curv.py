@@ -15,7 +15,9 @@ the test suite pins these signs.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +33,17 @@ from paracomplex.gpx import (
 )
 from paracomplex.linalg import (
     Bilinear,
+    DimNot4,
     Endo,
     TwoVector,
     basis_vec,
     hodge_star,
+    j_structures,
     lambda2_inner,
+    mat_add,
     mat_det,
     mat_eq,
+    mat_eval,
     mat_from_columns,
     mat_identity,
     mat_inv,
@@ -65,10 +71,6 @@ class DegenerateMetric(ValueError):
     """The metric field is degenerate (or no rational orthonormal basis exists)."""
 
 
-class DimNot4(ValueError):
-    """The decomposition machinery requires a 4-dimensional patch."""
-
-
 # -- metric models -------------------------------------------------------------
 
 
@@ -83,11 +85,11 @@ class MetricModel:
     onb: list | None = None  # columns: four RatFunc vectors
 
     def g_at(self, point) -> Bilinear:
-        return Bilinear([[c.eval_at(point) for c in row] for row in self.g])
+        return Bilinear(mat_eval(self.g, point))
 
     def onb_at(self, point, orientation: int = +1) -> list:
         if self.onb is not None:
-            cols = [[c.eval_at(point) for c in col] for col in self.onb]
+            cols = mat_eval(self.onb, point)
         else:
             cols = onb_search(self.g_at(point))
         if mat_det(mat_from_columns(cols)) < 0:
@@ -156,12 +158,7 @@ def _is_square(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
     num, den = q.numerator, q.denominator
-    rn = int(num ** Fraction(1, 2)) if num else 0
-    while rn * rn < num:
-        rn += 1
-    rd = int(den ** Fraction(1, 2))
-    while rd * rd < den:
-        rd += 1
+    rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
@@ -221,20 +218,6 @@ class TorsionTensor:
 
     nvars: int
     t: list
-
-    def apply(self, x: list, y: list, point=None) -> list:
-        n = self.nvars
-        comps = []
-        for k in range(n):
-            total = RatFunc.zero(n) if point is None else Fraction(0)
-            for i in range(n):
-                for j in range(n):
-                    c = self.t[i][j][k]
-                    if point is not None:
-                        c = c.eval_at(point)
-                    total = total + x[i] * y[j] * c
-            comps.append(total)
-        return comps
 
 
 def levi_civita(g: list) -> Connection:
@@ -297,35 +280,59 @@ def metricity_residual(conn: Connection, g: list) -> bool:
 # -- curvature ---------------------------------------------------------------------
 
 
-@dataclass
-class RiemannTensor:
-    """r[i][j][k][l]: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the convention
-    R(X, Y) = D_{[X,Y]} - [D_X, D_Y]."""
-
-    nvars: int
-    r: list
-
-
-def riemann(conn: Connection) -> RiemannTensor:
-    n = conn.nvars
-    g = conn.gamma
-    r = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def _sym(n: int, entry) -> list:
+    """Symmetric n x n matrix with entry(i, j) computed once, for i <= j."""
+    m = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry(i, j)
+    return m
+
+
+def metric_jet(g: list) -> tuple:
+    """The 2-jet (g, dg, ddg) of a symmetric metric field, with
+    dg[m][i][j] = d_m g_ij and ddg[m][p][i][j] = d_m d_p g_ij; each distinct
+    entry is differentiated once."""
+    n = len(g)
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("the metric field is not symmetric")
+    dg = [_sym(n, lambda i, j: g[i][j].partial(m)) for m in range(n)]
+    return g, dg, _sym(n, lambda m, p: _sym(n, lambda i, j: dg[m][i][j].partial(p)))
+
+
+def riemann_at(jet: tuple, point) -> list:
+    """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
+    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the evaluated jet.
+    With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels are
+    G^k_ij = g^kl G_l,ij, and d(g^-1) = -g^-1 (dg) g^-1 gives
+    d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij)."""
+    g, dg, ddg = jet
+    n = len(g)
+    ns = range(n)
+    g_at = _sym(n, lambda i, j: g[i][j].eval_at(point))
+    d = [_sym(n, lambda i, j: dg[m][i][j].eval_at(point)) for m in ns]
+    dd = _sym(n, lambda m, p: _sym(n, lambda i, j: ddg[m][p][i][j].eval_at(point)))
+    try:
+        ginv = mat_inv(g_at)
+    except ZeroDivisionError as exc:
+        raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})") from exc
+    half = Fraction(1, 2)
+    gam = [_sym(n, lambda i, j: half * sum(
+        ginv[k][l] * (d[i][l][j] + d[j][l][i] - d[l][i][j]) for l in ns)) for k in ns]
+    gdgam = [[_sym(n, lambda i, j: half * (dd[m][i][l][j] + dd[m][j][l][i] - dd[m][l][i][j])
+                 - sum(d[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
+    dgam = [[_sym(n, lambda i, j: sum(ginv[k][l] * gdgam[m][l][i][j] for l in ns))
+             for k in ns] for m in ns]
+    r = [[[[Fraction(0)] * n for _ in ns] for _ in ns] for _ in ns]
+    for i in ns:
+        for j in range(i + 1, n):
+            for k in ns:
+                for l in ns:
                     # -(d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
-                    total = g[j][k][l].partial(i) - g[i][k][l].partial(j)
-                    for m in range(n):
-                        total = total + g[i][m][l] * g[j][k][m]
-                        total = total - g[j][m][l] * g[i][k][m]
-                    r[i][j][k][l] = -total
-    return RiemannTensor(n, r)
-
-
-def riemann_at(rm: RiemannTensor, point) -> list:
-    return [[[[c.eval_at(point) for c in row3] for row3 in row2] for row2 in row1]
-            for row1 in rm.r]
+                    v = dgam[j][l][i][k] - dgam[i][l][j][k] - sum(
+                        gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns)
+                    r[i][j][k][l], r[j][i][k][l] = v, -v
+    return r
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:
@@ -344,19 +351,6 @@ def curvature_endo(r_at: list, x: list, y: list) -> Endo:
     return Endo(mat)
 
 
-def ricci_tensor_field(rm: RiemannTensor) -> list:
-    """Ricci(X, Y) = trace(Z -> R(X, Z) Y) as a RatFunc matrix."""
-    n = rm.nvars
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            total = RatFunc.zero(n)
-            for k in range(n):
-                total = total + rm.r[i][k][j][k]
-            out[i][j] = total
-    return out
-
-
 @dataclass
 class CurvOperator:
     """Curvature operator on the wedge basis {e_i ^ e_j} (i < j) at a point,
@@ -370,8 +364,7 @@ class CurvOperator:
     s: Fraction
 
     def apply_2vector(self, a: TwoVector) -> TwoVector:
-        coords = [a.get(i, j) for (i, j) in WEDGE4]
-        image = mat_vec(self.mat, coords)
+        image = mat_vec(self.mat, _two_vector_coords(a))
         out = TwoVector(4)
         for c, (i, j) in zip(image, WEDGE4):
             if c:
@@ -384,12 +377,13 @@ def lambda2_gram(g_at: Bilinear) -> list:
              for q in WEDGE4] for p in WEDGE4]
 
 
-def curvature_operator(rm: RiemannTensor, g: list, point) -> CurvOperator:
-    """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T)."""
-    if rm.nvars != 4:
+def curvature_operator(jet: tuple, point) -> CurvOperator:
+    """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T), and
+    Ricci(X, Y) = trace(Z -> R(X, Z) Y), g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
+    if len(jet[0]) != 4:
         raise DimNot4("curvature operator decomposition requires dim 4")
-    r_at = riemann_at(rm, point)
-    g_at = Bilinear([[c.eval_at(point) for c in row] for row in g])
+    r_at = riemann_at(jet, point)
+    g_at = Bilinear(mat_eval(jet[0], point))
     q = [[Fraction(0)] * 6 for _ in range(6)]
     for a, (i, j) in enumerate(WEDGE4):
         for b, (k, l) in enumerate(WEDGE4):
@@ -401,24 +395,11 @@ def curvature_operator(rm: RiemannTensor, g: list, point) -> CurvOperator:
             q[a][b] = total
     gram = lambda2_gram(g_at)
     mat = mat_mul(mat_inv(gram), transpose(q))
-    ric = ricci_at(rm, g, point)
+    ric = Bilinear([[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)]
+                    for i in range(4)])
     rho = Endo(mat_mul(mat_inv(g_at.mat), ric.mat))
     s = sum(rho.mat[i][i] for i in range(4))
     return CurvOperator(mat, g_at, tuple(point), ric, rho, s)
-
-
-def ricci_at(rm: RiemannTensor, g: list, point) -> Bilinear:
-    ric_field = ricci_tensor_field(rm)
-    return Bilinear([[c.eval_at(point) for c in row] for row in ric_field])
-
-
-def ricci_scalar(rm: RiemannTensor, g: list, point) -> tuple[Endo, Bilinear, Fraction]:
-    """(rho, Ricci, s) at the point: g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
-    ric = ricci_at(rm, g, point)
-    g_at = Bilinear([[c.eval_at(point) for c in row] for row in g])
-    rho = Endo(mat_mul(mat_inv(g_at.mat), ric.mat))
-    s = sum(rho.mat[i][i] for i in range(4))
-    return rho, ric, s
 
 
 # -- decomposition -----------------------------------------------------------------------
@@ -434,10 +415,7 @@ class CurvDecomposition:
     w_minus: list
 
     def parts_sum(self) -> list:
-        total = mat_scale(Fraction(1), self.s_part)
-        for part in (self.b_part, self.w_part):
-            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, part)]
-        return total
+        return mat_add(mat_add(self.s_part, self.b_part), self.w_part)
 
 
 def _two_vector_coords(a: TwoVector) -> list:
@@ -469,10 +447,8 @@ def decompose(op: CurvOperator, onb: list) -> CurvDecomposition:
     b_part = mat_from_columns(b_cols)
     w_part = mat_sub(mat_sub(op.mat, s_part), b_part)
     star = star_matrix(onb)
-    p_plus = mat_scale(half, [[x + y for x, y in zip(r1, r2)]
-                              for r1, r2 in zip(mat_identity(6), star)])
-    p_minus = mat_scale(half, [[x - y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(mat_identity(6), star)])
+    p_plus = mat_scale(half, mat_add(mat_identity(6), star))
+    p_minus = mat_scale(half, mat_sub(mat_identity(6), star))
     w_plus = mat_mul(p_plus, mat_mul(w_part, p_plus))
     w_minus = mat_mul(p_minus, mat_mul(w_part, p_minus))
     return CurvDecomposition(op.s, s_part, b_part, w_part, w_plus, w_minus)
@@ -641,29 +617,22 @@ def _covector_alpha_iota(t_at: list, alpha: list, y: list) -> list:
     return out
 
 
+def _dth_full(dth_at: dict) -> dict:
+    """dTheta(i, j, l) on every ordering of the evaluated 3-form components."""
+    full = {}
+    for (a, b, c), v in dth_at.items():
+        for key in ((a, b, c), (b, c, a), (c, a, b)):
+            full[key] = v
+        for key in ((b, a, c), (a, c, b), (c, b, a)):
+            full[key] = -v
+    return full
+
+
 def _dtheta_covector(dth_at: dict, x: list, y: list) -> list:
     """The 1-form Z -> dTheta(X, Y, Z) from evaluated 3-form components."""
-    n = 4
-    out = [Fraction(0)] * n
-    for z in range(n):
-        total = Fraction(0)
-        for (idx, c) in dth_at.items():
-            for pa, pb, pc in itertools.permutations(range(3)):
-                sign = _perm_sign((pa, pb, pc))
-                vecs = (x, y, [Fraction(1) if t == z else Fraction(0) for t in range(n)])
-                total += sign * c * vecs[pa][idx[0]] * vecs[pb][idx[1]] * vecs[pc][idx[2]]
-        out[z] = total
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    lst = list(perm)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return sign
+    full = _dth_full(dth_at)
+    return [sum(x[i] * y[j] * full.get((i, j, z), 0) for i in range(4) for j in range(4))
+            for z in range(4)]
 
 
 def np_residual_terms(g_at: Bilinear, t_at: list, dth_at: dict,
@@ -698,16 +667,23 @@ def np_residual_terms(g_at: Bilinear, t_at: list, dth_at: dict,
     return n_p, cond_rhs
 
 
+def torsion_at(g_at: Bilinear, dth_at: dict) -> list:
+    """t[i][j][k] = sum_l g^kl dTheta(i, j, l), the torsion of
+    hitchin_connection at a point; the symmetric Levi-Civita part cancels."""
+    n = g_at.dim
+    full = _dth_full(dth_at)
+    ginv = mat_inv(g_at.mat)
+    return [[[sum(ginv[k][l] * full.get((i, j, l), 0) for l in range(n))
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
 def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
                            a: GenVector, b: GenVector, point) -> GenVector:
     """N_P(A, B) minus the right-hand side of the obstruction identity;
     identically zero at the point for all inputs iff dTheta vanishes there."""
-    _, torsion = hitchin_connection(g, theta)
-    t_at = [[[c.eval_at(point) for c in row2] for row2 in row1] for row1 in torsion.t]
-    dth = ext_deriv(theta)
-    dth_at = {idx: c.eval_at(point) for idx, c in dth.comps.items()}
-    g_at = Bilinear([[c.eval_at(point) for c in row] for row in g])
-    n_p, cond_rhs = np_residual_terms(g_at, t_at, dth_at, s1, s2, a, b)
+    dth_at = {idx: c.eval_at(point) for idx, c in ext_deriv(theta).comps.items()}
+    g_at = Bilinear(mat_eval(g, point))
+    n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at, s1, s2, a, b)
     return n_p - cond_rhs
 
 
@@ -772,20 +748,20 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
         evidence["d_theta_witness"] = {
             f"{i+1},{j+1},{k+1}": c.to_str() for (i, j, k), c in sorted(dth.comps.items())
         }
-        witness = _np_witness_search(model, theta, points, rng)
+        witness = _np_witness_search(model, dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
-    lc = levi_civita(model.g)
-    rm = riemann(lc)
+    jet = metric_jet(model.g)
     ricci_ok = True
     w_plus_ok = True
     w_minus_ok = True
     sectional: list = []
     per_point = []
     for p in points:
-        op = curvature_operator(rm, model.g, p)
+        op = curvature_operator(jet, p)
         onb = model.onb_at(p)
-        per_point.append((op, onb))
+        # the J-triple of each orientation, computed once per point
+        per_point.append((op, onb, functools.cache(functools.partial(j_structures, op.g_at, onb))))
         dec = decompose(op, onb)
         if not mat_is_zero(op.ricci.mat):
             ricci_ok = False
@@ -812,9 +788,9 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     orient2 = +1 if component[1] == "+" else -1
     for t in range(jklr_samples):
         p = points[t % len(points)]
-        op, onb = per_point[t % len(points)]
-        k1 = random_compatible_structure(op.g_at, onb, rng, orient1)
-        k2 = random_compatible_structure(op.g_at, onb, rng, orient2)
+        op, onb, js = per_point[t % len(points)]
+        k1 = random_compatible_structure(op.g_at, onb, rng, orient1, js(orient1))
+        k2 = random_compatible_structure(op.g_at, onb, rng, orient2, js(orient2))
         j, l, r = (rng.randint(1, 2) for _ in range(3))
         args = [rnd_vec(rng) for _ in range(4)]
         res = jklr_residual(op, k1, k2, j, l, r, *args)
@@ -829,21 +805,23 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
-def _np_witness_search(model: MetricModel, theta: KForm, points, rng,
+def _np_witness_search(model: MetricModel, dth: KForm, points, rng,
                        attempts: int = 60):
-    """Bounded seeded search for a nonzero horizontal obstruction residual."""
-    _, torsion = hitchin_connection(model.g, theta)
-    dth = ext_deriv(theta)
+    """Bounded seeded search for a nonzero horizontal obstruction residual,
+    given the 3-form dTheta."""
     for p in points:
-        t_at = [[[c.eval_at(p) for c in row2] for row2 in row1] for row1 in torsion.t]
         dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
         if all(v == 0 for v in dth_at.values()):
             continue
         g_at = model.g_at(p)
+        t_at = torsion_at(g_at, dth_at)
         onb = model.onb_at(p)
+        js = functools.cache(functools.partial(j_structures, g_at, onb))
         for _ in range(attempts):
-            s1 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
-            s2 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
+            o1 = +1 if rng.random() < 0.5 else -1
+            s1 = random_compatible_structure(g_at, onb, rng, o1, js(o1))
+            o2 = +1 if rng.random() < 0.5 else -1
+            s2 = random_compatible_structure(g_at, onb, rng, o2, js(o2))
             a = GenVector(rnd_vec(rng), rnd_vec(rng))
             b = GenVector(rnd_vec(rng), rnd_vec(rng))
             n_p, cond_rhs = np_residual_terms(g_at, t_at, dth_at, s1, s2, a, b)

@@ -22,7 +22,8 @@ class NotSymmetric(ValueError):
 
 
 class DimNot4(ValueError):
-    """Hodge-star machinery requires dimension 4."""
+    """The Hodge star, the curvature decomposition and the theorem verdicts
+    require dimension 4."""
 
 
 class SingularMatrix(ZeroDivisionError):
@@ -134,6 +135,11 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
+
+
+def mat_eval(a: Mat, point) -> Mat:
+    """Values at the point of a matrix of RatFuncs."""
+    return [[c.eval_at(point) for c in row] for row in a]
 
 
 def mat_from_columns(cols: Sequence[Vec]) -> Mat:

@@ -280,15 +280,20 @@ def hyperboloid_coords(g: Bilinear, onb: list, k: Endo) -> tuple:
     )
 
 
-def random_compatible_structure(g: Bilinear, onb: list, rng, orientation: int = +1) -> Endo:
+def random_compatible_structure(g: Bilinear, onb: list, rng, orientation: int = +1,
+                                js: list | None = None) -> Endo:
     """Random g-compatible paracomplex structure of the given orientation in
     dim 4, via a rational parametrization of the hyperboloid
-    -y1^2 + y2^2 + y3^2 = 1: lines through the rational point (y2, y3) = (1, t)."""
+    -y1^2 + y2^2 + y3^2 = 1: lines through the rational point (y2, y3) = (1, t).
+    A caller drawing many structures at one point passes the J-triple
+    j_structures(g, onb, orientation) as js; the draws from rng are the same."""
     t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     m = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     s = -2 * (1 + m * t) / (1 + m * m)
     y1, y2, y3 = t, 1 + s, t + m * s
-    j1, j2, j3 = j_structures(g, onb, +1 if orientation > 0 else -1)
+    if js is None:
+        js = j_structures(g, onb, +1 if orientation > 0 else -1)
+    j1, j2, j3 = js
     return j1.scale(y1) + j2.scale(y2) + j3.scale(y3)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import mat_eq, mat_inv
+from paracomplex.linalg import mat_eq, mat_eval, mat_inv
 
 
 class WrongDegree(ValueError):
@@ -387,10 +387,7 @@ class PatchGenStructure:
     def eval_at(self, point):
         from paracomplex.gpx import GenEndo
 
-        def ev(m):
-            return [[c.eval_at(point) for c in row] for row in m]
-
-        return GenEndo(ev(self.a), ev(self.b), ev(self.c), ev(self.d))
+        return GenEndo(*(mat_eval(m, point) for m in (self.a, self.b, self.c, self.d)))
 
 
 def _zero_mat(n):

@@ -159,6 +159,32 @@ def test_curvature_pole_exit_2(capsys):
     assert code == 2
 
 
+def test_curvature_conformal_pole_exit_2(capsys):
+    # phi = 1 + (x1^2 + x2^2 - x3^2 - x4^2) / 4 vanishes at (0, 0, 2, 0)
+    assert main(["curvature", "constcurv:1", "--point", "0,0,2,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "denominator factor vanishes" in captured.err
+
+
+def test_curvature_file_metric_singular_at_point_exit_2(tmp_path, capsys):
+    payload = {"g": [["x1", "0", "0", "0"], ["0", "1", "0", "0"],
+                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]}
+    path = write_desc(tmp_path, "singular.json", payload)
+    code, _ = run_cli(capsys, "curvature", f"file:{path}", "--point", "1,0,0,0")
+    assert code == 0
+    assert main(["curvature", f"file:{path}", "--point", "0,1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degenerate" in captured.err
+
+
+def test_curvature_asymmetric_file_metric_exit_2(tmp_path, capsys):
+    payload = {"g": [["1", "x2", "0", "0"], ["0", "1", "0", "0"],
+                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]}
+    path = write_desc(tmp_path, "asymmetric.json", payload)
+    code, out = run_cli(capsys, "curvature", f"file:{path}", "--point", "1,0,0,0")
+    assert code == 2 and out == ""
+
+
 # -- theorem -----------------------------------------------------------------------
 
 

@@ -3,10 +3,11 @@ residuals, and the pointwise twistor/reflector Nijenhuis evaluators."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from paracomplex.exact import RatFunc, parse_ratfunc
+from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.gpx import GenVector, gen_metric, gen_pairing, vertical_endo
 from paracomplex.linalg import (
     Bilinear,
@@ -30,6 +31,7 @@ from paracomplex.para import (
 )
 from paracomplex.patch import KForm, ext_deriv
 from paracomplex.curv import (
+    DEFAULT_POINTS,
     Connection,
     DegenerateMetric,
     MetricModel,
@@ -44,6 +46,7 @@ from paracomplex.curv import (
     jklr_residual,
     levi_civita,
     metric_from_strings,
+    metric_jet,
     metricity_residual,
     np_residual_terms,
     omega_eps,
@@ -52,17 +55,16 @@ from paracomplex.curv import (
     ppwave_metric,
     reflector_mixed_nijenhuis,
     reflector_nijenhuis,
-    ricci_scalar,
-    ricci_tensor_field,
-    riemann,
     riemann_at,
     sectional_constant_check,
     star_matrix,
     theorem_verdict,
+    torsion_at,
     twistor_mixed_nijenhuis,
     twistor_vertical_nijenhuis,
     vertical_pair_basis,
     _dtheta_covector,
+    _is_square,
 )
 
 V = ["x1", "x2", "x3", "x4"]
@@ -97,6 +99,23 @@ def perturbed_metric() -> MetricModel:
         [z, z, z, RatFunc.one(4) / q4],
     ]
     return MetricModel("perturbed", 4, g, onb)
+
+
+def riemann_oracle(conn: Connection) -> list:
+    """Symbolic r[i][j][k][l] of a connection, R(d_i, d_j) d_k = r[i][j][k][l] d_l
+    in the convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y]: the reference that the
+    pointwise riemann_at is checked against."""
+    n = conn.nvars
+    g = conn.gamma
+    r = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, l in product(range(n), repeat=4):
+        # -(d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
+        total = g[j][k][l].partial(i) - g[i][k][l].partial(j)
+        for m in range(n):
+            total = total + g[i][m][l] * g[j][k][m]
+            total = total - g[j][m][l] * g[i][k][m]
+        r[i][j][k][l] = -total
+    return r
 
 
 # -- Levi-Civita -------------------------------------------------------------
@@ -202,17 +221,88 @@ def test_hitchin_metricity_random_theta():
 
 
 def test_riemann_flat_zero():
-    rm = riemann(levi_civita(flat_metric().g))
-    assert all(c.is_zero() for a in rm.r for b in a for cc in b for c in cc)
+    r = riemann_oracle(levi_civita(flat_metric().g))
+    assert all(c.is_zero() for a in r for b in a for cc in b for c in cc)
 
 
 def test_riemann_antisymmetry():
-    rm = riemann(levi_civita(constcurv_metric(1).g))
+    r = riemann_oracle(levi_civita(constcurv_metric(1).g))
     for i in range(4):
         for j in range(4):
             for k in range(4):
                 for l in range(4):
-                    assert rm.r[i][j][k][l] == -(rm.r[j][i][k][l])
+                    assert r[i][j][k][l] == -(r[j][i][k][l])
+
+
+def unipotent_congruence(diag: list, seed: int) -> list:
+    """J^T diag(d) J for the Jacobian J of a seeded polynomial map with
+    unipotent Jacobian: a dense metric, and for d = (1, 1, -1, -1) the
+    pullback of the flat metric, whose curvature vanishes identically."""
+    rng = random.Random(seed)
+    c = [rng.choice([-2, -1, 1, 2]) for _ in range(4)]
+    phi = [rf("x1"), rf(f"x2 + {c[0]}*x1^2"), rf(f"x3 + {c[1]}*x1*x2"),
+           rf(f"x4 + {c[2]}*x2 + {c[3]}*x1")]
+    jac = [[f.partial(j) for j in range(4)] for f in phi]
+    z = RatFunc.zero(4)
+    return [[sum((jac[i][a] * jac[i][b] * diag[i] for i in range(4)), z)
+             for b in range(4)] for a in range(4)]
+
+
+def square_diagonal_metric(seed: int) -> list:
+    """diag(q1^2, q2^2, -q3^2, -q4^2) with seeded affine q_i in x1, x2."""
+    rng = random.Random(seed)
+    qs = []
+    for _ in range(4):
+        coeffs = [Fraction(rng.randint(-1, 1), rng.randint(2, 4)) for _ in range(2)]
+        qs.append(rf(f"1 + {coeffs[0]}*x1 + {coeffs[1]}*x2"))
+    signs = [1, 1, -1, -1]
+    z = RatFunc.zero(4)
+    return [[qs[i] * qs[i] * signs[i] if i == j else z for j in range(4)] for i in range(4)]
+
+
+def test_riemann_at_equals_symbolic_oracle():
+    """The pointwise 2-jet curvature equals the symbolic tensor evaluated at
+    the point, entry by entry and exactly; where the oracle hits a pole the
+    jet route refuses the point too."""
+    rng = random.Random(2409)
+    points = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS] + [
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
+        for _ in range(2)]
+    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(Fraction(-2, 3)).g,
+               ppwave_metric(rf("x1*x2^3")).g,
+               ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g,
+               unipotent_congruence([1, 1, -1, -1], 7), square_diagonal_metric(105),
+               unipotent_congruence([perturbed_metric().g[i][i] for i in range(4)], 8)]
+    compared = 0
+    for g in metrics:
+        oracle = riemann_oracle(levi_civita(g))
+        jet = metric_jet(g)
+        for p in points:
+            try:
+                want = [[[[c.eval_at(p) for c in d] for d in b] for b in a] for a in oracle]
+            except PoleAtPoint:
+                with pytest.raises((PoleAtPoint, DegenerateMetric)):
+                    riemann_at(jet, p)
+                continue
+            assert riemann_at(jet, p) == want
+            compared += 1
+    assert compared >= 7 * len(points)
+
+
+def test_riemann_at_refuses_degenerate_point():
+    g = [row[:] for row in flat_metric().g]
+    g[0][0] = rf("x1")
+    jet = metric_jet(g)
+    assert riemann_at(jet, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    with pytest.raises(DegenerateMetric):
+        riemann_at(jet, ORIGIN)
+
+
+def test_metric_jet_rejects_asymmetric_metric():
+    g = [row[:] for row in flat_metric().g]
+    g[0][1] = rf("x1")
+    with pytest.raises(ValueError):
+        metric_jet(g)
 
 
 def test_sign_pinning_sectional_oracle():
@@ -220,12 +310,12 @@ def test_sign_pinning_sectional_oracle():
     rational points (standard convention R_std = -R_paper); pins every
     downstream sign before fixtures freeze."""
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     pts = [ORIGIN,
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
     for p in pts:
-        r_at = riemann_at(rm, p)
+        r_at = riemann_at(jet, p)
         g_at = m.g_at(p)
         for (i, j) in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             num = -sum(r_at[i][j][j][l] * g_at.mat[l][i] for l in range(4))
@@ -235,8 +325,8 @@ def test_sign_pinning_sectional_oracle():
 
 def test_constant_curvature_operator_is_identity():
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
-    op = curvature_operator(rm, m.g, ORIGIN)
+    jet = metric_jet(m.g)
+    op = curvature_operator(jet, ORIGIN)
     assert mat_eq(op.mat, mat_identity(6))
     assert op.s == 12
     assert sectional_constant_check(op) == 1
@@ -244,15 +334,16 @@ def test_constant_curvature_operator_is_identity():
 
 def test_ricci_values():
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        rho, ric, s = ricci_scalar(rm, m.g, p)
+        op = curvature_operator(jet, p)
+        ric, s = op.ricci, op.s
         g_at = m.g_at(p)
         assert s == 12
         assert mat_eq(ric.mat, mat_scale(Fraction(3), g_at.mat))
         assert ric.is_symmetric()
-    flat_rm = riemann(levi_civita(flat_metric().g))
-    rho, ric, s = ricci_scalar(flat_rm, flat_metric().g, ORIGIN)
+    op = curvature_operator(metric_jet(flat_metric().g), ORIGIN)
+    ric, s = op.ricci, op.s
     assert s == 0 and mat_is_zero(ric.mat)
 
 
@@ -260,9 +351,9 @@ def test_curvature_operator_self_adjoint():
     from paracomplex.curv import lambda2_gram
 
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    op = curvature_operator(rm, m.g, p)
+    op = curvature_operator(jet, p)
     gram = lambda2_gram(op.g_at)
     # self-adjoint w.r.t. the Lambda^2 pairing: gram * M symmetric
     gm = mat_mul(gram, op.mat)
@@ -274,8 +365,8 @@ def test_curvature_operator_self_adjoint():
 
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
-    op = curvature_operator(rm, m.g, ORIGIN)
+    jet = metric_jet(m.g)
+    op = curvature_operator(jet, ORIGIN)
     dec = decompose(op, m.onb_at(ORIGIN))
     assert mat_is_zero(dec.b_part)
     assert mat_is_zero(dec.w_part)
@@ -284,9 +375,9 @@ def test_decompose_constant_curvature():
 
 def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(rm, m.g, p)
+    op = curvature_operator(jet, p)
     dec = decompose(op, m.onb_at(p))
     assert mat_eq(dec.parts_sum(), op.mat)
     assert not mat_is_zero(dec.b_part)
@@ -294,9 +385,9 @@ def test_decompose_parts_resum_perturbed():
 
 def test_b_part_swaps_chirality():
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(rm, m.g, p)
+    op = curvature_operator(jet, p)
     onb = m.onb_at(p)
     dec = decompose(op, onb)
     star = star_matrix(onb)
@@ -312,23 +403,24 @@ def test_b_part_swaps_chirality():
 
 def test_duality_verdicts():
     flat = flat_metric()
-    rm = riemann(levi_civita(flat.g))
-    op = curvature_operator(rm, flat.g, ORIGIN)
+    jet = metric_jet(flat.g)
+    op = curvature_operator(jet, ORIGIN)
     v = duality_verdict(op, flat.onb_at(ORIGIN))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
-    rm = riemann(levi_civita(cc.g))
-    op = curvature_operator(rm, cc.g, ORIGIN)
+    jet = metric_jet(cc.g)
+    op = curvature_operator(jet, ORIGIN)
     v = duality_verdict(op, cc.onb_at(ORIGIN))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
 def test_ppwave_duality_and_orientation_reversal():
     m = ppwave_metric(rf("x2^2"))
-    rm = riemann(levi_civita(m.g))
-    assert all(c.is_zero() for row in ricci_tensor_field(rm) for c in row)
-    op = curvature_operator(rm, m.g, ORIGIN)
+    r = riemann_oracle(levi_civita(m.g))
+    assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
+               for i in range(4) for j in range(4))
+    op = curvature_operator(metric_jet(m.g), ORIGIN)
     v = duality_verdict(op, m.onb_at(ORIGIN))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
     v_rev = duality_verdict(op, m.onb_at(ORIGIN, orientation=-1))
@@ -337,12 +429,12 @@ def test_ppwave_duality_and_orientation_reversal():
 
 def test_sectional_constant_absent_for_perturbed():
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(rm, m.g, p)
+    op = curvature_operator(jet, p)
     assert sectional_constant_check(op) is None
     flat = flat_metric()
-    op0 = curvature_operator(riemann(levi_civita(flat.g)), flat.g, ORIGIN)
+    op0 = curvature_operator(metric_jet(flat.g), ORIGIN)
     assert sectional_constant_check(op0) == 0
 
 
@@ -352,8 +444,8 @@ def test_sectional_constant_absent_for_perturbed():
 def test_jklr_flat_always_zero():
     rng = random.Random(42)
     m = flat_metric()
-    rm = riemann(levi_civita(m.g))
-    op = curvature_operator(rm, m.g, ORIGIN)
+    jet = metric_jet(m.g)
+    op = curvature_operator(jet, ORIGIN)
     onb = m.onb_at(ORIGIN)
     for _ in range(10):
         k1 = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -366,9 +458,9 @@ def test_jklr_flat_always_zero():
 def test_jklr_constant_curvature_mixed_orientations():
     rng = random.Random(43)
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(rm, m.g, p)
+        op = curvature_operator(jet, p)
         onb = m.onb_at(p)
         for _ in range(10):
             k1 = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -385,8 +477,8 @@ def test_jklr_diagonal_matches_duality_verdict():
     rng = random.Random(53)
 
     def diag_samples_all_zero(model, p, n=15):
-        rm = riemann(levi_civita(model.g))
-        op = curvature_operator(rm, model.g, p)
+        jet = metric_jet(model.g)
+        op = curvature_operator(jet, p)
         onb = model.onb_at(p)
         for _ in range(n):
             k = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -398,15 +490,15 @@ def test_jklr_diagonal_matches_duality_verdict():
 
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
-        rm = riemann(levi_civita(model.g))
-        op = curvature_operator(rm, model.g, p)
+        jet = metric_jet(model.g)
+        op = curvature_operator(jet, p)
         verdict = duality_verdict(op, model.onb_at(p))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    rm = riemann(levi_civita(m.g))
-    op = curvature_operator(rm, m.g, p)
+    jet = metric_jet(m.g)
+    op = curvature_operator(jet, p)
     assert not duality_verdict(op, m.onb_at(p))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
@@ -414,9 +506,9 @@ def test_jklr_diagonal_matches_duality_verdict():
 def test_jklr_perturbed_nonzero_witness():
     rng = random.Random(44)
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(rm, m.g, p)
+    op = curvature_operator(jet, p)
     onb = m.onb_at(p)
     found = False
     for _ in range(60):
@@ -435,8 +527,8 @@ def test_jklr_perturbed_nonzero_witness():
 
 def test_reflector_nijenhuis_flat_zero():
     m = flat_metric()
-    rm = riemann(levi_civita(m.g))
-    r_at = riemann_at(rm, ORIGIN)
+    jet = metric_jet(m.g)
+    r_at = riemann_at(jet, ORIGIN)
     q = standard_para_structure(2)
     x, y = basis_vec(0, 4), basis_vec(1, 4)
     assert reflector_nijenhuis(r_at, q, x, y, 1).is_zero()
@@ -460,9 +552,9 @@ def test_reflector_mixed_term():
 def test_reflector_nijenhuis_output_vertical():
     rng = random.Random(46)
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    r_at = riemann_at(rm, p)
+    r_at = riemann_at(jet, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     q = random_compatible_structure(g_at, onb, rng, +1)
@@ -551,8 +643,8 @@ def test_twistor_vertical_flat_eps1_zero():
     g, e, k_std, u = corollary_setup()
     kpair = (k_std, k_std)
     m = flat_metric()
-    rm = riemann(levi_civita(m.g))
-    r_at = riemann_at(rm, ORIGIN)
+    jet = metric_jet(m.g)
+    r_at = riemann_at(jet, ORIGIN)
     basis = vertical_pair_basis(g, kpair)
     a = GenVector(basis_vec(0, 4), [Fraction(0)] * 4)
     b = GenVector(basis_vec(1, 4), [Fraction(0)] * 4)
@@ -568,9 +660,9 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
     level of the Nijenhuis formula rather than the pairing residual."""
     rng = random.Random(54)
     m = constcurv_metric(1)
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    r_at = riemann_at(rm, p)
+    r_at = riemann_at(jet, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
@@ -602,9 +694,9 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
 def test_twistor_vertical_output_vertical():
     rng = random.Random(49)
     m = perturbed_metric()
-    rm = riemann(levi_civita(m.g))
+    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    r_at = riemann_at(rm, p)
+    r_at = riemann_at(jet, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     k1 = random_compatible_structure(g_at, onb, rng, +1)
@@ -658,6 +750,17 @@ def test_np_residual_witness_for_nonclosed_theta():
             found = True
             break
     assert found
+
+
+def test_torsion_at_equals_hitchin_torsion():
+    theta = form2({(0, 1): "x3*x4", (1, 2): "x1^2", (0, 3): "x2/2"})
+    m = perturbed_metric()
+    _, torsion = hitchin_connection(m.g, theta)
+    dth = ext_deriv(theta)
+    for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
+        dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
+        want = [[[c.eval_at(p) for c in r2] for r2 in r1] for r1 in torsion.t]
+        assert torsion_at(m.g_at(p), dth_at) == want
 
 
 def test_cond_two_forms_specialization():
@@ -750,6 +853,16 @@ def test_parse_metric_ids(tmp_path):
     }))
     m = parse_metric_id(f"file:{path}")
     assert m.g_at(ORIGIN).mat[0][0] == 1
+
+
+def test_is_square_beyond_float_range():
+    root = Fraction(10 ** 201 + 7, 3)
+    assert len(str(root.numerator ** 2)) > 400
+    assert _is_square(root * root) == root
+    assert _is_square(Fraction(10 ** 400)) == 10 ** 200
+    assert _is_square(2 * root * root) is None
+    assert _is_square(Fraction(-4)) is None
+    assert _is_square(Fraction(9, 4)) == Fraction(3, 2)
 
 
 def test_onb_search_null_frame():
