@@ -15,14 +15,13 @@ import sys
 from fractions import Fraction
 
 from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import gen_metric, is_compatible, validate_gen_para
-from paracomplex.linalg import Bilinear, DimNot4, Endo, SingularMatrix, mat_eval, mat_to_strings
+from paracomplex.gpx import assemble, gen_metric, is_compatible, validate_gen_para
+from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_to_strings
 from paracomplex.para import validate_para
-from paracomplex.patch import BiVectorField, KForm, gen_nijenhuis_frame_sweep, integrability_report
+from paracomplex.patch import STRUCTURES, BiVectorField, KForm, integrability_report
 from paracomplex.curv import (
     DEFAULT_POINTS,
     VARS4,
-    DegenerateMetric,
     curvature_operator,
     decompose,
     duality_verdict,
@@ -178,8 +177,6 @@ def cmd_validate(args) -> tuple[dict, int]:
     kind, data, variables = _descriptor_structure(desc)
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=5)
-    from paracomplex.patch import patch_omega, patch_pi, patch_product, patch_trivial
-
     results = []
     all_ok = True
     for p in points:
@@ -196,8 +193,6 @@ def cmd_validate(args) -> tuple[dict, int]:
                 entry["k2"] = rep2.checks
                 ok = rep1.ok and rep2.ok
                 if ok:
-                    from paracomplex.gpx import assemble
-
                     k = assemble(g, Bilinear(th_mat), k1, k2)
                     rep = validate_gen_para(k)
                     compat = is_compatible(k, gen_metric(g, Bilinear(th_mat)))
@@ -205,21 +200,10 @@ def cmd_validate(args) -> tuple[dict, int]:
                     entry["compatible"] = compat
                     ok = rep.ok and compat
             else:
-                if kind == "trivial":
-                    structure = patch_trivial(data)
-                elif kind == "omega":
-                    structure = patch_omega(data)
-                elif kind == "pi":
-                    structure = patch_pi(data)
-                else:
-                    structure = patch_product(data)
-                rep = validate_gen_para(structure.eval_at(p))
+                rep = validate_gen_para(STRUCTURES[kind](data).eval_at(p))
                 entry["structure"] = rep.checks
                 ok = rep.ok
-        except (PoleAtPoint, SingularMatrix, ZeroDivisionError) as exc:
-            entry["error"] = str(exc)
-            ok = False
-        except ValueError as exc:
+        except (ValueError, PoleAtPoint, ZeroDivisionError) as exc:
             entry["error"] = str(exc)
             ok = False
         entry["ok"] = ok
@@ -237,23 +221,12 @@ def cmd_integrability(args) -> tuple[dict, int]:
         raise InputError("integrability reports cover kinds trivial/omega/pi/product")
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=3)
-    rep = integrability_report(kind, data, nvars=nvars)
-    from paracomplex.patch import patch_omega, patch_pi, patch_product, patch_trivial
-
-    if kind == "trivial":
-        structure = patch_trivial(nvars)
-    elif kind == "omega":
-        structure = patch_omega(data)
-    elif kind == "pi":
-        structure = patch_pi(data)
-    else:
-        structure = patch_product(data)
-    _, witnesses = gen_nijenhuis_frame_sweep(structure)
+    rep = integrability_report(kind, data)
     samples = []
     for p in points:
         nonzero_pairs = 0
         sample_value = None
-        for (pair, section) in sorted(witnesses.items()):
+        for (pair, section) in sorted(rep.sweep_witnesses.items()):
             try:
                 value = section.eval_at(p)
             except PoleAtPoint:
@@ -447,11 +420,7 @@ def main(argv=None) -> int:
         args.component = _COMPONENT_ALIASES[args.component]
     try:
         report, code = COMMANDS[args.command](args)
-    except (InputError, ParseError, PoleAtPoint, DegenerateMetric, DimNot4,
-            SingularMatrix) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (ValueError, PoleAtPoint, SingularMatrix) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(emit(report, args.format))

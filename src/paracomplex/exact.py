@@ -254,18 +254,6 @@ class Poly:
             total += v
         return total
 
-    def subs_vars(self, images: Sequence[Poly]) -> Poly:
-        """Substitute polynomial images for each variable."""
-        nv = images[0].nvars if images else self.nvars
-        out = Poly.zero(nv)
-        for e, c in self.terms.items():
-            term = Poly.const(nv, c)
-            for img, k in zip(images, e):
-                if k:
-                    term = term * img ** k
-            out = out + term
-        return out
-
     # -- display -----------------------------------------------------------
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
@@ -324,10 +312,6 @@ class RatFunc:
         self._normalize()
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: Poly) -> RatFunc:
-        return RatFunc(p)
 
     @staticmethod
     def const(nvars: int, value: Scalar) -> RatFunc:
@@ -528,9 +512,6 @@ class RatFunc:
             value /= p.eval_at(point) ** m
         return value
 
-    def has_pole_at(self, point: Sequence[Fraction]) -> bool:
-        return any(p.eval_at(point) == 0 for p, _ in self.factors.values())
-
     # -- display ---------------------------------------------------------------
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
@@ -548,21 +529,6 @@ class RatFunc:
 
 
 # -- module-level operations ------------------------------------------------------
-
-
-def eval_ratfunc(f: RatFunc, point: Sequence[Fraction]) -> Fraction:
-    """Exact value of f at the point; raises PoleAtPoint on a vanishing denominator."""
-    return f.eval_at(point)
-
-
-def partial(f: RatFunc, i: int) -> RatFunc:
-    """Exact quotient-rule partial derivative of f w.r.t. variable i."""
-    return f.partial(i)
-
-
-def rf_equal(f: RatFunc, g: RatFunc) -> bool:
-    """True iff num(f)*den(g) == num(g)*den(f) as polynomials."""
-    return f == g
 
 
 def as_point(values: Iterable, nvars: int | None = None) -> tuple[Fraction, ...]:
@@ -675,10 +641,3 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
     if toks.peek() is not None:
         raise ParseError(f"trailing input at token {toks.peek()!r}")
     return value
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc

@@ -100,11 +100,6 @@ class GenVector:
         return list(self.x) + list(self.alpha)
 
     @staticmethod
-    def from_stacked(v: list) -> GenVector:
-        n = len(v) // 2
-        return GenVector(list(v[:n]), list(v[n:]))
-
-    @staticmethod
     def vector(v: list) -> GenVector:
         return GenVector(list(v), [zero_like(v[0])] * len(v))
 

@@ -45,6 +45,18 @@ def _sample(m: Mat):
     return m[0][0]
 
 
+def sparse_add(comps: dict, key, value) -> None:
+    """comps[key] += value in a dict of nonzero components; a zero sum drops key."""
+    if not value:
+        return
+    if key in comps:
+        value = comps[key] + value
+    if value:
+        comps[key] = value
+    else:
+        del comps[key]
+
+
 # -- vectors ----------------------------------------------------------------
 
 
@@ -56,12 +68,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 def vec_scale(c, u: Vec) -> Vec:
     return [c * a for a in u]
-
-def vec_neg(u: Vec) -> Vec:
-    return [-a for a in u]
-
-def vec_is_zero(u: Vec) -> bool:
-    return all(not a for a in u)
 
 def vec_eq(u: Vec, v: Vec) -> bool:
     return all(a == b for a, b in zip(u, v))
@@ -371,12 +377,7 @@ class TwoVector:
                     continue
                 if i > j:
                     i, j, c = j, i, -c
-                cur = self.comps.get((i, j))
-                c = c if cur is None else cur + c
-                if c:
-                    self.comps[(i, j)] = c
-                else:
-                    self.comps.pop((i, j), None)
+                sparse_add(self.comps, (i, j), c)
 
     @staticmethod
     def wedge(u: Vec, v: Vec) -> TwoVector:
@@ -404,12 +405,7 @@ class TwoVector:
     def __add__(self, other: TwoVector) -> TwoVector:
         comps = dict(self.comps)
         for k, c in other.comps.items():
-            s = comps.get(k)
-            s = c if s is None else s + c
-            if s:
-                comps[k] = s
-            else:
-                comps.pop(k, None)
+            sparse_add(comps, k, c)
         return TwoVector(self.dim, comps)
 
     def __sub__(self, other: TwoVector) -> TwoVector:
@@ -526,19 +522,6 @@ _STAR_RULES = {
     (0, 3): ((1, 2), -1),
     (1, 2): ((0, 3), -1),
 }
-
-
-def check_onb(g: Bilinear, onb: Sequence[Vec]) -> bool:
-    """Orthonormal with norms (1, 1, -1, -1) under g."""
-    if len(onb) != 4:
-        return False
-    want = [1, 1, -1, -1]
-    for i in range(4):
-        for j in range(4):
-            expect = want[i] if i == j else 0
-            if g.apply(onb[i], onb[j]) != expect:
-                return False
-    return True
 
 
 def hodge_star(onb: Sequence[Vec], a: TwoVector) -> TwoVector:

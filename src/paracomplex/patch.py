@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import mat_eq, mat_eval, mat_inv
+from paracomplex.linalg import mat_eq, mat_eval, mat_inv, mat_mul, sparse_add
 
 
 class WrongDegree(ValueError):
@@ -93,13 +93,7 @@ class KForm:
                 if sorted_sign is None:
                     continue
                 key, sign = sorted_sign
-                value = c if sign > 0 else -c
-                cur = self.comps.get(key)
-                value = value if cur is None else cur + value
-                if value.is_zero():
-                    self.comps.pop(key, None)
-                else:
-                    self.comps[key] = value
+                sparse_add(self.comps, key, c if sign > 0 else -c)
 
     @staticmethod
     def zero(nvars: int, degree: int) -> KForm:
@@ -128,12 +122,7 @@ class KForm:
             raise WrongDegree("cannot add forms of different degree")
         comps = dict(self.comps)
         for k, c in other.comps.items():
-            cur = comps.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                comps.pop(k, None)
-            else:
-                comps[k] = s
+            sparse_add(comps, k, c)
         out = KForm(self.nvars, self.degree)
         out.comps = comps
         return out
@@ -185,13 +174,7 @@ class KForm:
                 if sorted_sign is None:
                     continue
                 key, sign = sorted_sign
-                term = c1 * c2 if sign > 0 else -(c1 * c2)
-                cur = out.comps.get(key)
-                term = term if cur is None else cur + term
-                if term.is_zero():
-                    out.comps.pop(key, None)
-                else:
-                    out.comps[key] = term
+                sparse_add(out.comps, key, c1 * c2 if sign > 0 else -(c1 * c2))
         return out
 
     def __repr__(self):
@@ -210,12 +193,7 @@ class BiVectorField:
                     continue
                 if i > j:
                     i, j, c = j, i, -c
-                cur = self.comps.get((i, j))
-                c = c if cur is None else cur + c
-                if c.is_zero():
-                    self.comps.pop((i, j), None)
-                else:
-                    self.comps[(i, j)] = c
+                sparse_add(self.comps, (i, j), c)
 
     def get(self, i: int, j: int) -> RatFunc:
         if i == j:
@@ -288,20 +266,12 @@ def ext_deriv(omega: KForm) -> KForm:
     out = KForm(n, omega.degree + 1)
     for idx, c in omega.comps.items():
         for i in range(n):
-            dc = c.partial(i)
-            if dc.is_zero():
-                continue
             sorted_sign = _sort_index((i,) + idx)
             if sorted_sign is None:
                 continue
             key, sign = sorted_sign
-            term = dc if sign > 0 else -dc
-            cur = out.comps.get(key)
-            term = term if cur is None else cur + term
-            if term.is_zero():
-                out.comps.pop(key, None)
-            else:
-                out.comps[key] = term
+            dc = c.partial(i)
+            sparse_add(out.comps, key, dc if sign > 0 else -dc)
     return out
 
 
@@ -313,18 +283,8 @@ def interior(x: VField, omega: KForm) -> KForm:
     out = KForm(n, omega.degree - 1)
     for idx, c in omega.comps.items():
         for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
             term = c * x.components[i]
-            if pos % 2:
-                term = -term
-            if term.is_zero():
-                continue
-            cur = out.comps.get(rest)
-            term = term if cur is None else cur + term
-            if term.is_zero():
-                out.comps.pop(rest, None)
-            else:
-                out.comps[rest] = term
+            sparse_add(out.comps, idx[:pos] + idx[pos + 1:], -term if pos % 2 else term)
     return out
 
 
@@ -436,13 +396,15 @@ def patch_pi(pi: BiVectorField) -> PatchGenStructure:
 def patch_product(p: list) -> PatchGenStructure:
     """K_P(X + a) = P X - P* a for a field of product structures."""
     n = len(p)
-    from paracomplex.linalg import mat_mul
-
     if not mat_eq(mat_mul(p, p), _identity_mat(n)):
         raise ValueError("P^2 != Id as a rational-function identity")
     pt = [[p[j][i] for j in range(n)] for i in range(n)]
     return PatchGenStructure(p, _zero_mat(n), _zero_mat(n),
                              [[-c for c in row] for row in pt], kind="product")
+
+
+STRUCTURES = {"trivial": patch_trivial, "omega": patch_omega, "pi": patch_pi,
+              "product": patch_product}
 
 
 # -- Nijenhuis tensors -----------------------------------------------------------------
@@ -536,50 +498,37 @@ class IntegrabilityReport:
     integrable: bool
     criterion: str
     witness: dict | None
-    frame_sweep_zero: bool
+    sweep_witnesses: dict  # frame pair -> nonzero generalized Nijenhuis section
 
 
-def integrability_report(kind: str, data, nvars: int | None = None) -> IntegrabilityReport:
-    """Closed-form integrability criterion per structure kind, plus the
+def integrability_report(kind: str, data) -> IntegrabilityReport:
+    """Closed-form integrability criterion per structure kind, plus one
     generalized-Nijenhuis frame-pair sweep (exact identity check)."""
+    if kind not in STRUCTURES:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    _, sweep = gen_nijenhuis_frame_sweep(STRUCTURES[kind](data))
+    witness = None
     if kind == "trivial":
-        k = patch_trivial(nvars if nvars is not None else data)
-        sweep, _ = gen_nijenhuis_frame_sweep(k)
-        return IntegrabilityReport(kind, True, "trivial", None, sweep)
-    if kind == "omega":
+        criterion = "trivial"
+    elif kind == "omega":
+        criterion = "d_omega_zero"
         domega = ext_deriv(data)
-        k = patch_omega(data)
-        sweep, _ = gen_nijenhuis_frame_sweep(k)
-        witness = None
         if not domega.is_zero():
-            idx, c = next(iter(sorted(domega.comps.items())))
+            idx, c = min(domega.comps.items())
             witness = {"d_omega_component": [i + 1 for i in idx], "value": c.to_str()}
-        return IntegrabilityReport(kind, domega.is_zero(), "d_omega_zero", witness, sweep)
-    if kind == "pi":
+    elif kind == "pi":
+        criterion = "pi_poisson"
         jac = poisson_jacobiator(data)
-        k = patch_pi(data)
-        sweep, _ = gen_nijenhuis_frame_sweep(k)
-        witness = None
         if jac:
-            (idx, c) = next(iter(sorted(jac.items())))
+            idx, c = min(jac.items())
             witness = {"jacobiator_triple": [i + 1 for i in idx], "value": c.to_str()}
-        return IntegrabilityReport(kind, not jac, "pi_poisson", witness, sweep)
-    if kind == "product":
+    else:
+        criterion = "p_nijenhuis_zero"
         n = len(data)
-        k = patch_product(data)
-        sweep, _ = gen_nijenhuis_frame_sweep(k)
-        witness = None
-        integrable = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                nij = classical_nijenhuis(data, VField.coordinate(i, n),
-                                          VField.coordinate(j, n))
-                if not nij.is_zero():
-                    integrable = False
-                    witness = {"frame_pair": [i + 1, j + 1],
-                               "value": [c.to_str() for c in nij.components]}
-                    break
-            if not integrable:
+        for i, j in itertools.combinations(range(n), 2):
+            nij = classical_nijenhuis(data, VField.coordinate(i, n), VField.coordinate(j, n))
+            if not nij.is_zero():
+                witness = {"frame_pair": [i + 1, j + 1],
+                           "value": [c.to_str() for c in nij.components]}
                 break
-        return IntegrabilityReport(kind, integrable, "p_nijenhuis_zero", witness, sweep)
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return IntegrabilityReport(kind, witness is None, criterion, witness, sweep)

@@ -98,6 +98,33 @@ def test_integrability_trivial(tmp_path, capsys):
     assert json.loads(out)["integrable"]
 
 
+@pytest.mark.parametrize("payload,code", [
+    ({"kind": "trivial"}, 0),
+    ({"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}}, 1),
+    ({"kind": "pi", "pi": {"1,2": "1"}}, 0),
+    ({"kind": "product", "P": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]}, 0),
+], ids=["trivial", "omega", "pi", "product"])
+def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payload, code):
+    import paracomplex.patch as patch
+
+    original = patch.gen_nijenhuis_frame_sweep
+    calls = []
+
+    def counting(k):
+        calls.append(k.kind)
+        return original(k)
+
+    # replace the sweep in every module that holds it, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paracomplex") and getattr(module, "gen_nijenhuis_frame_sweep",
+                                                      None) is original:
+            monkeypatch.setattr(module, "gen_nijenhuis_frame_sweep", counting)
+    path = write_desc(tmp_path, "desc.json", payload)
+    assert run_cli(capsys, "integrability", path)[0] == code
+    assert calls == [payload["kind"]]
+
+
 # -- curvature --------------------------------------------------------------------
 
 

@@ -11,10 +11,7 @@ from paracomplex.exact import (
     Poly,
     RatFunc,
     as_point,
-    eval_ratfunc,
     parse_ratfunc,
-    partial,
-    rf_equal,
 )
 
 VARS4 = ["x1", "x2", "x3", "x4"]
@@ -30,19 +27,19 @@ def rf(text, variables=VARS2):
 
 def test_eval_basic_quotient():
     f = rf("x1^2/(1+x2)")
-    assert eval_ratfunc(f, as_point([3, 1])) == Fraction(9, 2)
+    assert f.eval_at(as_point([3, 1])) == Fraction(9, 2)
 
 
 def test_eval_constant():
     f = rf("5")
     for p in ([0, 0], [7, -2], [Fraction(1, 3), 4]):
-        assert eval_ratfunc(f, as_point(p)) == 5
+        assert f.eval_at(as_point(p)) == 5
 
 
 def test_eval_pole_raises():
     f = rf("1/x1")
     with pytest.raises(PoleAtPoint):
-        eval_ratfunc(f, as_point([0, 5]))
+        f.eval_at(as_point([0, 5]))
 
 
 # -- partial --------------------------------------------------------------
@@ -50,13 +47,13 @@ def test_eval_pole_raises():
 
 def test_partial_monomial():
     f = rf("x1*x2")
-    assert rf_equal(partial(f, 0), rf("x2"))
+    assert f.partial(0) == rf("x2")
 
 
 def test_partial_constant_is_zero():
     f = rf("7")
-    assert partial(f, 0).is_zero()
-    assert partial(f, 1).is_zero()
+    assert f.partial(0).is_zero()
+    assert f.partial(1).is_zero()
 
 
 def central_difference(f, point, i, h):
@@ -71,8 +68,8 @@ def central_difference(f, point, i, h):
 def test_partial_quotient_rule_against_finite_differences():
     f = rf("x1/x2")
     expected = rf("-x1/x2^2")
-    d = partial(f, 1)
-    assert rf_equal(d, expected)
+    d = f.partial(1)
+    assert d == expected
     # cross-check the derivative against central differences at 3 points
     h = Fraction(1, 64)
     for point in (as_point([3, 2]), as_point([1, -1]), as_point([Fraction(1, 2), 5])):
@@ -81,19 +78,19 @@ def test_partial_quotient_rule_against_finite_differences():
         assert abs(fd - exact) <= 4 * h * h * max(1, abs(exact))
 
 
-# -- rf_equal -------------------------------------------------------------
+# -- equality -----------------------------------------------------------
 
 
 def test_rf_equal_cancellation():
-    assert rf_equal(rf("x1/x1"), rf("1"))
+    assert rf("x1/x1") == rf("1")
 
 
 def test_rf_equal_difference_of_squares():
-    assert rf_equal(rf("(x1^2-x2^2)/(x1-x2)"), rf("x1+x2"))
+    assert rf("(x1^2-x2^2)/(x1-x2)") == rf("x1+x2")
 
 
 def test_rf_not_equal():
-    assert not rf_equal(rf("x1"), rf("x2"))
+    assert rf("x1") != rf("x2")
 
 
 # -- arithmetic laws ------------------------------------------------------
@@ -126,7 +123,7 @@ def test_poly_distributivity(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_partials_commute(p):
     f = RatFunc(p) / rf("1+x1^2")
-    assert rf_equal(f.partial(0).partial(1), f.partial(1).partial(0))
+    assert f.partial(0).partial(1) == f.partial(1).partial(0)
 
 
 @given(poly_strategy(), poly_strategy().filter(lambda p: not p.is_zero()))
@@ -134,7 +131,7 @@ def test_partials_commute(p):
 def test_ratfunc_add_sub_roundtrip(n, d):
     a = RatFunc.quotient(n, d)
     b = rf("(1+x1)/(2+x2^2)")
-    assert rf_equal((a + b) - b, a)
+    assert (a + b) - b == a
 
 
 @given(poly_strategy().filter(lambda p: not p.is_zero()),
@@ -170,17 +167,17 @@ def test_parse_rejects_trailing_tokens():
 
 
 def test_parse_whitespace_insignificant():
-    assert rf_equal(rf(" x1 ^ 2 + 3 * x2 "), rf("x1^2+3*x2"))
+    assert rf(" x1 ^ 2 + 3 * x2 ") == rf("x1^2+3*x2")
 
 
 def test_to_str_round_trip():
     f = rf("(x1^2 - x2/3 + 7)/(x1*x2 - 5)")
     again = parse_ratfunc(f.to_str(VARS2), VARS2)
-    assert rf_equal(f, again)
+    assert f == again
 
 
 def test_factored_denominator_cancels_powers():
     # (x1+1)^3 / (x1+1)^2 normalizes to a polynomial
     f = rf("(x1+1)^3") / rf("(x1+1)^2")
     assert not f.factors
-    assert rf_equal(f, rf("x1+1"))
+    assert f == rf("x1+1")

@@ -279,22 +279,22 @@ def test_b_residual_random_sweep():
 
 def test_report_trivial():
     rep = integrability_report("trivial", N)
-    assert rep.integrable and rep.frame_sweep_zero
+    assert rep.integrable and rep.sweep_witnesses == {}
 
 
 def test_report_omega_cases():
     good = integrability_report("omega", form2({(0, 1): "1", (2, 3): "1"}))
-    assert good.integrable and good.frame_sweep_zero and good.witness is None
+    assert good.integrable and good.sweep_witnesses == {} and good.witness is None
     bad = integrability_report("omega", form2({(0, 1): "1", (2, 3): "x1"}))
-    assert not bad.integrable and not bad.frame_sweep_zero
+    assert not bad.integrable and bad.sweep_witnesses
     assert bad.witness is not None and bad.witness["d_omega_component"] == [1, 3, 4]
 
 
 def test_report_pi_cases():
     good = integrability_report("pi", BiVectorField(N, {(0, 1): rf("1")}))
-    assert good.integrable and good.frame_sweep_zero
+    assert good.integrable and good.sweep_witnesses == {}
     bad = integrability_report("pi", BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")}))
-    assert not bad.integrable and not bad.frame_sweep_zero
+    assert not bad.integrable and bad.sweep_witnesses
     assert bad.witness["jacobiator_triple"] == [2, 3, 4]
 
 
@@ -303,12 +303,12 @@ def test_report_product_cases():
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     good = integrability_report("product", p_int)
-    assert good.integrable and good.frame_sweep_zero
+    assert good.integrable and good.sweep_witnesses == {}
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     bad = integrability_report("product", p_bad)
-    assert not bad.integrable and not bad.frame_sweep_zero
+    assert not bad.integrable and bad.sweep_witnesses
 
 
 def test_report_agreement_criterion_vs_sweep():
@@ -320,7 +320,7 @@ def test_report_agreement_criterion_vs_sweep():
     ]
     for kind, data in cases:
         rep = integrability_report(kind, data)
-        assert rep.integrable == rep.frame_sweep_zero
+        assert rep.integrable == (not rep.sweep_witnesses)
 
 
 def test_nijenhuis_tensoriality_for_courant_version():

@@ -1,17 +1,32 @@
-"""Report bytes of `curvature` and `theorem` pinned by SHA-256 of stdout.
+"""Report bytes of every command pinned by SHA-256 of stdout.
 
-The digests were recorded before curvature moved from the symbolic Riemann
-tensor to the pointwise 2-jet evaluation; every value is an exact rational,
-so a change of engine must leave each report byte for byte the same.  The
-commands cover catalog metrics, both orientations, a --points list, the
-text format, and non-closed Theta with an np_residual_witness.
+The `curvature` and `theorem` digests were recorded before curvature moved
+from the symbolic Riemann tensor to the pointwise 2-jet evaluation; every
+value is an exact rational, so a change of engine must leave each report byte
+for byte the same.  The commands cover catalog metrics, both orientations, a
+--points list, the text format, and non-closed Theta with an
+np_residual_witness.
+
+The `validate` and `integrability` digests were recorded before the structure
+kinds got one dispatch table and one frame sweep per run.  A dict in argv is a
+structure descriptor, written to a file whose path takes its place; no report
+contains that path.  They cover trivial, closed and non-closed omega (one with
+a pole at a sample point), a degenerate omega, Poisson and non-Poisson pi,
+integrable and non-integrable P, a P with P^2 != Id, and `assembled`.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from paracomplex.cli import main
+
+P_INT = [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]]
+P_BAD = [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]]
+P_TWO = [["2", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "2"]]
+G = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+K_STD = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
 
 PINNED = [
     (['curvature', 'constcurv:1', '--point', '0,0,0,0'],
@@ -36,10 +51,49 @@ PINNED = [
      1, "072e2816b7e499705660c7d394e40e717a92c7e77b821cf7a88c8f765b9d57bb"),
     (['theorem', 'constcurv:-2/3', '--component', 'mp', '--points', '1,0,0,0;0,1/2,1,0', '--samples', '30'],
      0, "58e3b9aa57a5d6300289f9039ba138ec79c6aca32aaac810004f6b4e6560a2ca"),
+    (['validate', {'kind': 'trivial'}],
+     0, "44995c4b46e9f007e91a1e34cc4a2cad09b1cfb788dd8b70b413b40b90507b28"),
+    (['integrability', {'kind': 'trivial'}],
+     0, "d64e0b36f012c85b475125505e0432339786c5cb7b6fb0ff4a6e7e59e3c26cb2"),
+    (['validate', {'kind': 'omega', 'omega': {'1,2': '1', '3,4': '1'}}, '--points', '0,0,0,0;1,-2,1/3,5'],
+     0, "478d785889ecea8835e372e37e152ff1d134a2e9633b275d58d78cbf923701fe"),
+    (['integrability', {'kind': 'omega', 'omega': {'1,2': '1', '3,4': '1'}}],
+     0, "dbea71455bb06fb83f2bc891a23aee3c6c21f3dda2db0a01a295a8a3947db051"),
+    (['integrability', {'kind': 'omega', 'omega': {'1,2': '1', '3,4': 'x1'}}],
+     1, "e3a6f090483b80079f2fbfb22b8ae8bfacda14e69b052242bb8a7a2acf686653"),
+    (['integrability', {'kind': 'omega', 'omega': {'1,2': 'x2', '1,3': 'x4', '3,4': '1/x1'}}, '--points', '0,1,1,1;1,1,1,1;2,-1,3,1/2'],
+     1, "7bc9edc9f15af58ca04acbe6c70765036e599b5de0e1bb15d54d8c7796145ac7"),
+    (['validate', {'kind': 'omega', 'omega': {'1,2': '1'}}, '--point', '1,1,1,1'],
+     1, "0e9df3e854e0e05c0b8de96078aea1bf242a1c920b8a55bc816e2a1c69fc1599"),
+    (['validate', {'kind': 'omega', 'omega': {'1,2': '1/x1', '3,4': '1'}}, '--points', '0,0,0,0;1,1,1,1'],
+     1, "36dcd5e98b00e0eb7fab2e6d1df2f84349f1935947f2962071ae1f60fe24f7a4"),
+    (['integrability', {'kind': 'pi', 'pi': {'1,2': '1'}}],
+     0, "6c87084ff48cfceba733e7db05176df30227232546c527da4721b2513918e07f"),
+    (['integrability', {'kind': 'pi', 'pi': {'1,2': '1', '3,4': 'x1'}}, '--format', 'text'],
+     1, "20b883927a1a28ac9bf1b5e698708bfb06cd46ee6fd0a984516c982b1e014319"),
+    (['integrability', {'kind': 'product', 'P': P_INT}],
+     0, "aad725af312adcfd2ea3cbdcd93a7968cc76d52b4ce40eeec637d49936fcf850"),
+    (['integrability', {'kind': 'product', 'P': P_BAD}],
+     1, "5b620b8aae970f01b5384d405025d2a357894e4d23937446f9fca4da10e67ecb"),
+    (['validate', {'kind': 'product', 'P': P_BAD}],
+     0, "3c54fa0807cb960874dad659396e4f652579bbac163b1950ce81c285daac439c"),
+    (['validate', {'kind': 'product', 'P': P_TWO}, '--point', '0,0,0,0'],
+     1, "c9e99df2122ba277d8b832b6822c4d3c6f61e726a43c3bae2400fcbc8c121798"),
+    (['validate', {'kind': 'assembled', 'g': G, 'theta': {'1,2': '3'}, 'k1': K_STD, 'k2': K_STD}],
+     0, "bbf7643221169f19ae7ee2d91e444cae5fc4c12a8defdebf4776f845c9993fa0"),
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", PINNED, ids=[" ".join(a) for a, _, _ in PINNED])
-def test_report_bytes_pinned(capsys, argv, code, digest):
-    assert main(list(argv)) == code
+def _label(arg):
+    return arg if isinstance(arg, str) else json.dumps(arg, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED,
+                         ids=[" ".join(map(_label, a)) for a, _, _ in PINNED])
+def test_report_bytes_pinned(capsys, tmp_path, argv, code, digest):
+    descriptor = tmp_path / "descriptor.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            descriptor.write_text(json.dumps(arg))
+    assert main([str(descriptor) if isinstance(a, dict) else a for a in argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
