@@ -13,11 +13,13 @@ from paracomplex.gpx import (
     b_conjugate,
     check_pi_conditions,
     classify_component,
-    construct_example,
     extract_pair,
     gen_metric,
     gen_pairing,
     is_compatible,
+    pi_structure,
+    product_structure,
+    trivial_structure,
     validate_gen_para,
 )
 from paracomplex.linalg import Bilinear, TwoVector, basis_vec, mat_identity, mat_mul
@@ -28,16 +30,15 @@ k_std = standard_para_structure(2)
 onb = [basis_vec(i, 4) for i in range(4)]
 
 # The four example constructors all produce pairing-skew involutions.
-for kind, data in [("trivial", 4), ("product", k_std),
-                   ("pi", TwoVector.basis(0, 1, 4))]:
-    k = construct_example(kind, data)
+for kind, k in [("trivial", trivial_structure(4)), ("product", product_structure(k_std)),
+                ("pi", pi_structure(TwoVector.basis(0, 1, 4)))]:
     print(f"{kind:8s} valid: {validate_gen_para(k).ok}")
 
 # The trivial structure is never compatible with a generalized metric,
 # the product structure is compatible with the graph of g.
 e = gen_metric(g, Bilinear([[Fraction(0)] * 4 for _ in range(4)]))
-print("\ntrivial compatible with E:", is_compatible(construct_example("trivial", 4), e))
-print("K_P compatible with E:", is_compatible(construct_example("product", k_std), e))
+print("\ntrivial compatible with E:", is_compatible(trivial_structure(4), e))
+print("K_P compatible with E:", is_compatible(product_structure(k_std), e))
 
 # Assembly from (g, Theta, K1, K2) and extraction back - an exact bijection.
 rng = random.Random(7)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import assemble, gen_metric, is_compatible, validate_gen_para
+from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_to_strings
 from paracomplex.para import validate_para
 from paracomplex.patch import STRUCTURES, BiVectorField, KForm, integrability_report
@@ -171,18 +171,30 @@ def _descriptor_structure(desc: dict):
 
 # -- commands -------------------------------------------------------------------
 
+# failures that `validate` reports per point (exit 1) rather than as bad input
+_POINT_ERRORS = (ValueError, PoleAtPoint, ZeroDivisionError)
+
 
 def cmd_validate(args) -> tuple[dict, int]:
     desc = load_descriptor(args.descriptor)
     kind, data, variables = _descriptor_structure(desc)
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=5)
+    k_mat = error = None
+    if kind != "assembled":
+        try:
+            k_mat = STRUCTURES[kind](data).as_matrix()
+        except _POINT_ERRORS as exc:
+            error = str(exc)  # reported at every point
     results = []
     all_ok = True
     for p in points:
         entry: dict = {"point": [str(c) for c in p]}
         try:
-            if kind == "assembled":
+            if error is not None:
+                entry["error"] = error
+                ok = False
+            elif kind == "assembled":
                 g_mat, th_mat, k1_mat, k2_mat = (
                     mat_eval(m, p) for m in data)
                 g = Bilinear(g_mat)
@@ -200,10 +212,10 @@ def cmd_validate(args) -> tuple[dict, int]:
                     entry["compatible"] = compat
                     ok = rep.ok and compat
             else:
-                rep = validate_gen_para(STRUCTURES[kind](data).eval_at(p))
+                rep = validate_gen_para(GenEndo.from_matrix(mat_eval(k_mat, p)))
                 entry["structure"] = rep.checks
                 ok = rep.ok
-        except (ValueError, PoleAtPoint, ZeroDivisionError) as exc:
+        except _POINT_ERRORS as exc:
             entry["error"] = str(exc)
             ok = False
         entry["ok"] = ok

@@ -506,7 +506,8 @@ class RatFunc:
         for p, m in self.factors.values():
             v = p.eval_at(point)
             if v == 0:
-                raise PoleAtPoint(f"denominator factor vanishes at {tuple(point)}")
+                raise PoleAtPoint(
+                    f"denominator factor vanishes at ({', '.join(map(str, point))})")
         value = self.num.eval_at(point)
         for p, m in self.factors.values():
             value /= p.eval_at(point) ** m

@@ -193,6 +193,8 @@ def pairing_matrix(n: int, like=Fraction(1)) -> list:
 
 
 # -- constructors ----------------------------------------------------------------
+# Each builds its blocks in the scalar type of its data: Fractions at a point,
+# RatFuncs on a coordinate patch (patch.STRUCTURES).
 
 
 def trivial_structure(n: int, like=Fraction(1)) -> GenEndo:
@@ -209,18 +211,20 @@ def omega_structure(omega: Bilinear) -> GenEndo:
     try:
         omega_inv = mat_inv(omega_map)
     except ZeroDivisionError as exc:
-        raise DegenerateOmega("omega is degenerate") from exc
+        raise DegenerateOmega("omega field is degenerate") from exc
     n = omega.dim
     like = omega.mat[0][0]
     return GenEndo(mat_zero(n, like=like), omega_inv, omega_map, mat_zero(n, like=like))
 
 
-def pi_structure(pi: TwoVector) -> GenEndo:
-    """K(X + alpha) = (X - i_alpha pi) - alpha."""
+def pi_structure(pi) -> GenEndo:
+    """K(X + alpha) = (X - i_alpha pi) - alpha for a TwoVector or a bivector field."""
     n = pi.dim
+    like = pi.get(0, 0)
     full = [[pi.get(i, j) for j in range(n)] for i in range(n)]
     # (i_alpha pi)^l = sum_k alpha_k pi^{kl}, so the T* -> T block is +pi
-    return GenEndo(mat_identity(n), full, mat_zero(n), mat_neg(mat_identity(n)))
+    return GenEndo(mat_identity(n, like), full, mat_zero(n, like=like),
+                   mat_neg(mat_identity(n, like)))
 
 
 def product_structure(p: Endo) -> GenEndo:
@@ -228,24 +232,11 @@ def product_structure(p: Endo) -> GenEndo:
     n = p.dim
     ident = mat_identity(n, like=p.mat[0][0])
     if not mat_eq(mat_mul(p.mat, p.mat), ident):
-        raise NotProductStructure("P^2 != Id")
+        raise NotProductStructure("P^2 != Id as a rational-function identity")
     if mat_eq(p.mat, ident) or mat_eq(p.mat, mat_neg(ident)):
         raise NotProductStructure("P = +-Id")
     z = mat_zero(n, like=p.mat[0][0])
     return GenEndo(p.mat, z, z, mat_neg(transpose(p.mat)))
-
-
-def construct_example(kind: str, data) -> GenEndo:
-    """Dispatch on {trivial, omega, pi, product}; output passes validate_gen_para."""
-    if kind == "trivial":
-        return trivial_structure(data)
-    if kind == "omega":
-        return omega_structure(data)
-    if kind == "pi":
-        return pi_structure(data)
-    if kind == "product":
-        return product_structure(data)
-    raise ValueError(f"unknown structure kind {kind!r}")
 
 
 def validate_gen_para(k: GenEndo) -> ValidationReport:
@@ -414,7 +405,7 @@ def check_omega_compat(omega: Bilinear, g: Bilinear, theta: Bilinear):
     try:
         omega_inv = mat_inv(omega_map)
     except ZeroDivisionError as exc:
-        raise DegenerateOmega("omega is degenerate") from exc
+        raise DegenerateOmega("omega field is degenerate") from exc
     l_mat = mat_mul(omega_inv, mat_add(g.map_mat(), theta.map_mat()))
     ident = mat_identity(len(l_mat), like=l_mat[0][0])
     if not mat_eq(mat_mul(l_mat, l_mat), ident):

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import mat_eq, mat_eval, mat_inv, mat_mul, sparse_add
+from paracomplex.gpx import (
+    GenEndo,
+    GenVector,
+    omega_structure,
+    pi_structure,
+    product_structure,
+    trivial_structure,
+)
+from paracomplex.linalg import Bilinear, Endo, sparse_add
 
 
 class WrongDegree(ValueError):
@@ -184,8 +192,8 @@ class KForm:
 class BiVectorField:
     """Field of 2-vectors; components pi^{ij} on i < j."""
 
-    def __init__(self, nvars: int, comps: dict | None = None):
-        self.nvars = nvars
+    def __init__(self, dim: int, comps: dict | None = None):
+        self.dim = dim
         self.comps: dict[tuple[int, int], RatFunc] = {}
         if comps:
             for (i, j), c in comps.items():
@@ -197,14 +205,11 @@ class BiVectorField:
 
     def get(self, i: int, j: int) -> RatFunc:
         if i == j:
-            return RatFunc.zero(self.nvars)
+            return RatFunc.zero(self.dim)
         if i < j:
-            return self.comps.get((i, j), RatFunc.zero(self.nvars))
+            return self.comps.get((i, j), RatFunc.zero(self.dim))
         c = self.comps.get((j, i))
-        return RatFunc.zero(self.nvars) if c is None else -c
-
-    def full_matrix(self) -> list:
-        return [[self.get(i, j) for j in range(self.nvars)] for i in range(self.nvars)]
+        return RatFunc.zero(self.dim) if c is None else -c
 
 
 @dataclass
@@ -237,9 +242,7 @@ class GenSection:
     def form(alpha: KForm) -> GenSection:
         return GenSection(VField.zero(alpha.nvars), alpha)
 
-    def eval_at(self, point):
-        from paracomplex.gpx import GenVector
-
+    def eval_at(self, point) -> GenVector:
         return GenVector(self.x.eval_at(point),
                          [self.alpha.get((i,)).eval_at(point) for i in range(self.x.nvars)])
 
@@ -319,102 +322,41 @@ def courant_jacobiator(a: GenSection, b: GenSection, c: GenSection) -> GenSectio
             + courant_bracket(courant_bracket(c, a), b))
 
 
-# -- pointwise generalized structures as fields --------------------------------------
+# -- generalized structures on the patch --------------------------------------------
 
 
-class PatchGenStructure:
-    """Generalized almost paracomplex structure on the patch, four RatFunc
-    blocks a: T->T, b: T*->T, c: T->T*, d: T*->T*."""
-
-    def __init__(self, a, b, c, d, kind: str = "custom"):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.kind = kind
-        self.nvars = len(a)
-
-    def apply(self, s: GenSection) -> GenSection:
-        n = self.nvars
-        alpha_vec = [s.alpha.get((i,)) for i in range(n)]
-        x = [sum((self.a[i][j] * s.x.components[j] for j in range(1, n)),
-                 start=self.a[i][0] * s.x.components[0]) for i in range(n)]
-        x = [xi + sum((self.b[i][j] * alpha_vec[j] for j in range(1, n)),
-                      start=self.b[i][0] * alpha_vec[0]) for i, xi in enumerate(x)]
-        al = [sum((self.c[i][j] * s.x.components[j] for j in range(1, n)),
-                  start=self.c[i][0] * s.x.components[0]) for i in range(n)]
-        al = [ai + sum((self.d[i][j] * alpha_vec[j] for j in range(1, n)),
-                       start=self.d[i][0] * alpha_vec[0]) for i, ai in enumerate(al)]
-        return GenSection(VField(x), KForm(n, 1, {(i,): c for i, c in enumerate(al)}))
-
-    def eval_at(self, point):
-        from paracomplex.gpx import GenEndo
-
-        return GenEndo(*(mat_eval(m, point) for m in (self.a, self.b, self.c, self.d)))
-
-
-def _zero_mat(n):
-    return [[RatFunc.zero(n) for _ in range(n)] for _ in range(n)]
-
-
-def _identity_mat(n):
-    m = _zero_mat(n)
-    for i in range(n):
-        m[i][i] = RatFunc.one(n)
-    return m
-
-
-def patch_trivial(nvars: int) -> PatchGenStructure:
-    ident = _identity_mat(nvars)
-    return PatchGenStructure(ident, _zero_mat(nvars), _zero_mat(nvars),
-                             [[-c for c in row] for row in _identity_mat(nvars)],
-                             kind="trivial")
-
-
-def patch_omega(omega: KForm) -> PatchGenStructure:
-    """K_omega(X + a) = omega^{-1}(a) + omega(X) for a nondegenerate 2-form field."""
+def _omega_structure(omega: KForm) -> GenEndo:
+    """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
     if omega.degree != 2:
         raise WrongDegree("omega must be a 2-form")
     n = omega.nvars
-    full = [[omega.get((i, j)) for j in range(n)] for i in range(n)]
-    omega_map = [[full[j][i] for j in range(n)] for i in range(n)]  # transpose
-    try:
-        omega_inv = mat_inv(omega_map)
-    except ZeroDivisionError as exc:
-        from paracomplex.gpx import DegenerateOmega
-
-        raise DegenerateOmega("omega field is degenerate") from exc
-    return PatchGenStructure(_zero_mat(n), omega_inv, omega_map, _zero_mat(n),
-                             kind="omega")
+    return omega_structure(Bilinear([[omega.get((i, j)) for j in range(n)] for i in range(n)]))
 
 
-def patch_pi(pi: BiVectorField) -> PatchGenStructure:
-    """K_pi(X + a) = (X - i_a pi) - a."""
-    n = pi.nvars
-    return PatchGenStructure(_identity_mat(n), pi.full_matrix(), _zero_mat(n),
-                             [[-c for c in row] for row in _identity_mat(n)],
-                             kind="pi")
-
-
-def patch_product(p: list) -> PatchGenStructure:
-    """K_P(X + a) = P X - P* a for a field of product structures."""
-    n = len(p)
-    if not mat_eq(mat_mul(p, p), _identity_mat(n)):
-        raise ValueError("P^2 != Id as a rational-function identity")
-    pt = [[p[j][i] for j in range(n)] for i in range(n)]
-    return PatchGenStructure(p, _zero_mat(n), _zero_mat(n),
-                             [[-c for c in row] for row in pt], kind="product")
-
-
-STRUCTURES = {"trivial": patch_trivial, "omega": patch_omega, "pi": patch_pi,
-              "product": patch_product}
+# descriptor kind -> the gpx constructor applied to that kind's patch data
+STRUCTURES = {
+    "trivial": lambda nvars: trivial_structure(nvars, RatFunc.one(nvars)),
+    "omega": _omega_structure,
+    "pi": pi_structure,
+    "product": lambda p: product_structure(Endo(p)),
+}
 
 
 # -- Nijenhuis tensors -----------------------------------------------------------------
 
 
-def gen_nijenhuis(k: PatchGenStructure, a: GenSection, b: GenSection) -> GenSection:
+def _apply(k: GenEndo, s: GenSection) -> GenSection:
+    """K(s) for a structure K with RatFunc entries, through GenEndo.apply."""
+    n = k.dim
+    v = k.apply(GenVector(s.x.components, [s.alpha.get((i,)) for i in range(n)]))
+    return GenSection(VField(v.x), KForm(n, 1, {(i,): c for i, c in enumerate(v.alpha)}))
+
+
+def gen_nijenhuis(k: GenEndo, a: GenSection, b: GenSection) -> GenSection:
     """N(A, B) = [A,B] + [KA, KB] - K[KA, B] - K[A, KB] (Courant brackets)."""
-    ka, kb = k.apply(a), k.apply(b)
+    ka, kb = _apply(k, a), _apply(k, b)
     return (courant_bracket(a, b) + courant_bracket(ka, kb)
-            - k.apply(courant_bracket(ka, b)) - k.apply(courant_bracket(a, kb)))
+            - _apply(k, courant_bracket(ka, b)) - _apply(k, courant_bracket(a, kb)))
 
 
 def classical_nijenhuis(p: list, x: VField, y: VField) -> VField:
@@ -435,10 +377,10 @@ def frame_sections(nvars: int) -> list[GenSection]:
     return out
 
 
-def gen_nijenhuis_frame_sweep(k: PatchGenStructure):
+def gen_nijenhuis_frame_sweep(k: GenEndo):
     """Evaluate N on all frame-section pairs; returns (all_zero, witnesses)
     where witnesses maps pair indices to the nonzero section."""
-    frames = frame_sections(k.nvars)
+    frames = frame_sections(k.dim)
     witnesses = {}
     for i in range(len(frames)):
         for j in range(i + 1, len(frames)):
@@ -454,7 +396,7 @@ def gen_nijenhuis_frame_sweep(k: PatchGenStructure):
 def poisson_jacobiator(pi: BiVectorField) -> dict:
     """Jacobiator components sum_l (pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki}
     + pi^{lk} d_l pi^{ij}) for i < j < k; empty dict iff Poisson."""
-    n = pi.nvars
+    n = pi.dim
     out = {}
     for i, j, k in itertools.combinations(range(n), 3):
         total = RatFunc.zero(n)

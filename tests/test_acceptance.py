@@ -70,10 +70,6 @@ from paracomplex.patch import (
     gen_nijenhuis_frame_sweep,
     integrability_report,
     is_poisson,
-    patch_omega,
-    patch_pi,
-    patch_product,
-    patch_trivial,
 )
 from paracomplex.curv import twistor_mixed_nijenhuis
 

@@ -67,6 +67,40 @@ def test_validate_assembled(tmp_path, capsys):
     assert all(entry["compatible"] for entry in report["points"])
 
 
+@pytest.mark.parametrize("sign", ["1", "-1"])
+def test_product_plus_minus_identity_is_rejected(tmp_path, capsys, sign):
+    p = [[sign if i == j else "0" for j in range(4)] for i in range(4)]
+    path = write_desc(tmp_path, "pid.json", {"kind": "product", "P": p})
+    code, out = run_cli(capsys, "validate", path, "--points", "0,0,0,0;1,2,3,4;1/2,0,-1,5")
+    assert code == 1
+    points = json.loads(out)["points"]
+    assert len(points) == 3
+    assert all(entry["error"] == "P = +-Id" and not entry["ok"] for entry in points)
+    assert main(["integrability", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "P = +-Id" in captured.err
+
+
+def test_validate_builds_the_structure_once(tmp_path, capsys, monkeypatch):
+    import paracomplex.linalg as linalg
+
+    original = linalg.mat_inv
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paracomplex") and getattr(module, "mat_inv", None) is original:
+            monkeypatch.setattr(module, "mat_inv", counting)
+    path = write_desc(tmp_path, "omega.json", {
+        "kind": "omega", "omega": {"1,2": "1 + x3^2", "3,4": "x1", "1,3": "x2*x4"}})
+    code, out = run_cli(capsys, "validate", path, "--points", "1,0,0,0;1,1,1,1;2,-1,3,1/2")
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+    assert calls == [4]  # one symbolic inversion of omega, not one per point
+
+
 # -- integrability ---------------------------------------------------------------
 
 
@@ -112,7 +146,7 @@ def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payl
     calls = []
 
     def counting(k):
-        calls.append(k.kind)
+        calls.append(payload["kind"])  # the structure itself carries no kind
         return original(k)
 
     # replace the sweep in every module that holds it, so no caller escapes the count

@@ -38,7 +38,7 @@ def test_eval_constant():
 
 def test_eval_pole_raises():
     f = rf("1/x1")
-    with pytest.raises(PoleAtPoint):
+    with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(0, 5\)$"):
         f.eval_at(as_point([0, 5]))
 
 

@@ -34,14 +34,15 @@ from paracomplex.gpx import (
     check_pi_conditions,
     check_product_compat,
     classify_component,
-    construct_example,
     extract_pair,
     gen_metric,
     gen_pairing,
     hat_metric_equiv,
     is_compatible,
+    omega_structure,
     p_epsilon,
     pi_structure,
+    product_structure,
     s_ij_endo,
     split_components,
     trivial_structure,
@@ -130,7 +131,7 @@ def test_pairing_signature_on_full_frame():
 
 
 def test_trivial_structure_valid():
-    k = construct_example("trivial", 4)
+    k = trivial_structure(4)
     assert validate_gen_para(k).ok
     a = GenVector([Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(3), Fraction(0), Fraction(1), Fraction(0)])
@@ -139,7 +140,7 @@ def test_trivial_structure_valid():
 
 
 def test_product_structure_example():
-    k = construct_example("product", K_STD)
+    k = product_structure(K_STD)
     assert validate_gen_para(k).ok
     img = k.apply(GenVector.covector(basis_vec(2, 4)))
     # K_P(0 + e3*) = -P* e3* = -e1*
@@ -147,7 +148,7 @@ def test_product_structure_example():
 
 
 def test_pi_structure_example():
-    k = construct_example("pi", TwoVector.basis(0, 1, 4))
+    k = pi_structure(TwoVector.basis(0, 1, 4))
     assert validate_gen_para(k).ok
     img = k.apply(GenVector.covector(basis_vec(0, 4)))
     # K_pi(0 + e1*) = -i_{e1*} pi - e1* with i_{e1*}(e1 ^ e2) = e2
@@ -159,20 +160,20 @@ def test_pi_structure_example():
 def test_omega_structure_valid():
     omega = Bilinear([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     omega = Bilinear([[Fraction(x) for x in row] for row in omega.mat])
-    k = construct_example("omega", omega)
+    k = omega_structure(omega)
     assert validate_gen_para(k).ok
 
 
 def test_product_structure_rejects_non_involution():
     bad = Endo([[Fraction(2) if i == j else Fraction(0) for j in range(4)] for i in range(4)])
     with pytest.raises(NotProductStructure):
-        construct_example("product", bad)
+        product_structure(bad)
 
 
 def test_validate_rejects_complex_type_square():
     # block structure squaring to -Id is not a generalized paracomplex structure
     omega = Bilinear.diag([0, 0, 0, 0])
-    j = construct_example("trivial", 4)
+    j = trivial_structure(4)
     j.b = mat_identity(4)
     j.c = [[-x for x in row] for row in mat_identity(4)]
     j.a = [[Fraction(0)] * 4 for _ in range(4)]
@@ -230,14 +231,14 @@ def test_b_transform_preserves_pairing():
 
 def test_b_conjugate_stays_valid():
     rng = random.Random(7)
-    k = construct_example("product", K_STD)
+    k = product_structure(K_STD)
     for _ in range(5):
         b = rnd_antisym(rng)
         assert validate_gen_para(b_conjugate(b, k)).ok
 
 
 def test_b_conjugate_zero_and_involution():
-    k = construct_example("trivial", 4)
+    k = trivial_structure(4)
     assert b_conjugate(THETA0, k) == k
     rng = random.Random(8)
     b = rnd_antisym(rng)
@@ -324,13 +325,13 @@ def test_product_with_adapted_theta_compatible():
     theta = theta_from_p(G, K_STD)
     assert theta.is_antisymmetric()
     e = gen_metric(G, theta)
-    k = construct_example("product", K_STD)
+    k = product_structure(K_STD)
     assert is_compatible(k, e)
 
 
 def test_trivial_never_compatible():
     rng = random.Random(12)
-    k = construct_example("trivial", 4)
+    k = trivial_structure(4)
     for _ in range(5):
         g, _ = rnd_neutral_metric(rng)
         theta = rnd_antisym(rng)
@@ -343,7 +344,7 @@ def test_omega_darboux_compatible():
     omega = Bilinear([[Fraction(x) for x in row] for row in omega.mat])
     g = Bilinear([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     g = Bilinear([[Fraction(x) for x in row] for row in g.mat])
-    k = construct_example("omega", omega)
+    k = omega_structure(omega)
     assert is_compatible(k, gen_metric(g, THETA0))
 
 
@@ -353,14 +354,14 @@ def test_omega_darboux_compatible():
 def test_extract_product_structure():
     theta = theta_from_p(G, K_STD)
     e = gen_metric(G, theta)
-    k = construct_example("product", K_STD)
+    k = product_structure(K_STD)
     k1, k2 = extract_pair(k, e)
     assert k1 == K_STD and k2 == K_STD
 
 
 def test_extract_product_theta_zero():
     e = gen_metric(G, THETA0)
-    k = construct_example("product", K_STD)
+    k = product_structure(K_STD)
     k1, k2 = extract_pair(k, e)
     assert k1 == K_STD and k2 == K_STD
 
@@ -368,19 +369,19 @@ def test_extract_product_theta_zero():
 def test_extract_requires_compatibility():
     e = gen_metric(G, THETA0)
     with pytest.raises(NotCompatible):
-        extract_pair(construct_example("trivial", 4), e)
+        extract_pair(trivial_structure(4), e)
 
 
 def test_assemble_theta_zero_reduces_to_product():
     k = assemble(G, THETA0, K_STD, K_STD)
-    assert k == construct_example("product", K_STD)
+    assert k == product_structure(K_STD)
 
 
 def test_assemble_equals_b_conjugated_product():
     rng = random.Random(13)
     theta = rnd_antisym(rng)
     k = assemble(G, theta, K_STD, K_STD)
-    assert k == b_conjugate(theta, construct_example("product", K_STD))
+    assert k == b_conjugate(theta, product_structure(K_STD))
 
 
 def test_extract_inverts_assemble_randomized():
@@ -491,7 +492,7 @@ def test_omega_converse_construction():
         ok, witness = check_omega_compat(omega, g, theta)
         assert ok and witness == Endo(l.mat)
         e = gen_metric(g, theta)
-        kw = construct_example("omega", omega)
+        kw = omega_structure(omega)
         assert is_compatible(kw, e)
         k1, _ = extract_pair(kw, e)
         assert k1 == Endo(l.mat)
@@ -530,7 +531,7 @@ def test_check_omega_compat_agrees_with_is_compatible():
         g, _ = rnd_neutral_metric(rng)
         theta = rnd_antisym(rng)
         ok, _ = check_omega_compat(omega, g, theta)
-        kw = construct_example("omega", omega)
+        kw = omega_structure(omega)
         assert ok == is_compatible(kw, gen_metric(g, theta))
         agreements += 1
     assert agreements >= 15
@@ -597,10 +598,10 @@ def test_check_product_compat():
 
 
 def test_hat_metric_equivalence():
-    k_good = construct_example("product", K_STD)
+    k_good = product_structure(K_STD)
     assert hat_metric_equiv(k_good, G)
     assert is_compatible(k_good, gen_metric(G, THETA0))
-    k_triv = construct_example("trivial", 4)
+    k_triv = trivial_structure(4)
     assert not hat_metric_equiv(k_triv, G)
     assert not is_compatible(k_triv, gen_metric(G, THETA0))
 

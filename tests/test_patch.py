@@ -7,12 +7,20 @@ from fractions import Fraction
 import pytest
 
 from paracomplex.exact import RatFunc, parse_ratfunc
-from paracomplex.linalg import mat_eq, mat_mul
+from paracomplex.gpx import (
+    GenEndo,
+    omega_structure,
+    pi_structure,
+    product_structure,
+    trivial_structure,
+)
+from paracomplex.linalg import Bilinear, Endo, TwoVector, mat_eq, mat_eval, mat_mul
 from paracomplex.patch import (
     BiVectorField,
     GenSection,
     IntegrabilityReport,
     KForm,
+    STRUCTURES,
     VField,
     b_bracket_residual,
     b_transform_section,
@@ -29,10 +37,6 @@ from paracomplex.patch import (
     is_poisson,
     lie_bracket,
     lie_deriv,
-    patch_omega,
-    patch_pi,
-    patch_product,
-    patch_trivial,
     poisson_jacobiator,
 )
 
@@ -174,19 +178,19 @@ def test_courant_jacobiator_witness():
 
 
 def test_trivial_structure_integrable():
-    ok, witnesses = gen_nijenhuis_frame_sweep(patch_trivial(N))
+    ok, witnesses = gen_nijenhuis_frame_sweep(STRUCTURES["trivial"](N))
     assert ok and not witnesses
 
 
 def test_omega_closed_integrable():
     omega = form2({(0, 1): "1", (2, 3): "1"})
-    ok, _ = gen_nijenhuis_frame_sweep(patch_omega(omega))
+    ok, _ = gen_nijenhuis_frame_sweep(STRUCTURES["omega"](omega))
     assert ok
 
 
 def test_omega_nonclosed_not_integrable():
     omega = form2({(0, 1): "1", (2, 3): "x1"})
-    ok, witnesses = gen_nijenhuis_frame_sweep(patch_omega(omega))
+    ok, witnesses = gen_nijenhuis_frame_sweep(STRUCTURES["omega"](omega))
     assert not ok
     # evaluate one witness at a point with x1 = 1: nonzero there
     (pair, section) = next(iter(sorted(witnesses.items())))
@@ -198,13 +202,13 @@ def test_gen_nijenhuis_matches_classical_for_product():
     p_int = [[rf(c) for c in row] for row in
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    k = patch_product(p_int)
+    k = STRUCTURES["product"](p_int)
     ok, _ = gen_nijenhuis_frame_sweep(k)
     assert ok
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    k_bad = patch_product(p_bad)
+    k_bad = STRUCTURES["product"](p_bad)
     ok_bad, _ = gen_nijenhuis_frame_sweep(k_bad)
     assert not ok_bad
     nij = classical_nijenhuis(p_bad, VField.coordinate(0, N), VField.coordinate(2, N))
@@ -327,7 +331,7 @@ def test_nijenhuis_tensoriality_for_courant_version():
     # function-rescaled sections: the frame-pair decision procedure relies on
     # N being tensorial; brute-force check on a rescaled pair
     omega = form2({(0, 1): "1", (2, 3): "x1"})
-    k = patch_omega(omega)
+    k = STRUCTURES["omega"](omega)
     f = rf("1 + x2^2")
     a = GenSection.vector(VField.coordinate(0, N))
     b = GenSection.vector(VField.coordinate(2, N))
@@ -336,3 +340,36 @@ def test_nijenhuis_tensoriality_for_courant_version():
     rhs = gen_nijenhuis(k, a, b)
     assert lhs.x == rhs.x.scale(f)
     assert lhs.alpha == rhs.alpha.scale(f)
+
+
+# -- one constructor per kind, over Q and over rational functions ----------------
+
+
+def test_patch_structures_evaluate_to_the_pointwise_constructors():
+    """STRUCTURES[kind](data) at a point equals the gpx constructor applied to
+    the data at that point."""
+    omega = form2({(0, 1): "1 + x3^2", (2, 3): "1 + x1^2", (0, 2): "x2", (1, 3): "x4/2"})
+    pi = BiVectorField(N, {(0, 1): rf("x3"), (1, 3): rf("x2*x4 - 1"), (2, 3): rf("1")})
+    p_mat = [[rf(c) for c in row] for row in
+             [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
+              ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
+    data = {"trivial": N, "omega": omega, "pi": pi, "product": p_mat}
+    symbolic = {kind: STRUCTURES[kind](d) for kind, d in data.items()}
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(6):
+        pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(N)]
+        if (1 + pt[2] ** 2) * (1 + pt[0] ** 2) == pt[1] * pt[3] / 2:
+            continue  # the Pfaffian of omega vanishes there
+        pointwise = {
+            "trivial": trivial_structure(N),
+            "omega": omega_structure(Bilinear(
+                [[omega.get((i, j)).eval_at(pt) for j in range(N)] for i in range(N)])),
+            "pi": pi_structure(TwoVector(N, {k: c.eval_at(pt) for k, c in pi.comps.items()})),
+            "product": product_structure(Endo(mat_eval(p_mat, pt))),
+        }
+        for kind, expected in pointwise.items():
+            k = GenEndo.from_matrix(mat_eval(symbolic[kind].as_matrix(), pt))
+            assert k == expected, (kind, pt)
+        checked += 1
+    assert checked >= 4
