@@ -48,7 +48,7 @@ print("traceless-Ricci part zero:", all(not c for row in dec.b_part for c in row
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
 w = ppwave_metric(rf("x2^2"))
 opw = curvature_operator(metric_jet(w.g), origin)
-print("\nppwave duality:", duality_verdict(opw, w.onb_at(origin)))
+print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin))))
 
 # Theorem verdicts per fiber component (seeded, deterministic).
 for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave")):

@@ -124,6 +124,8 @@ def _component_map_to_matrix(data, variables, antisym=True):
                 i, j = (int(p) - 1 for p in key.split(","))
             except ValueError as exc:
                 raise InputError(f"bad component key {key!r}") from exc
+            if not (0 <= i < nvars and 0 <= j < nvars):
+                raise InputError(f"component key {key!r} is outside 1..{nvars}")
             value = parse_ratfunc(expr, variables)
             mat[i][j] = mat[i][j] + value
             if antisym:
@@ -269,9 +271,8 @@ def cmd_curvature(args) -> tuple[dict, int]:
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
     op = curvature_operator(metric_jet(model.g), point)
-    onb = model.onb_at(point, orientation)
-    dec = decompose(op, onb)
-    verdict = duality_verdict(op, onb)
+    dec = decompose(op, model.onb_at(point, orientation))
+    verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
     report = {
         "schema": 1,

@@ -454,9 +454,8 @@ def decompose(op: CurvOperator, onb: list) -> CurvDecomposition:
     return CurvDecomposition(op.s, s_part, b_part, w_part, w_plus, w_minus)
 
 
-def duality_verdict(op: CurvOperator, onb: list) -> dict:
+def duality_verdict(dec: CurvDecomposition) -> dict:
     """Self-dual: W_- = 0; anti-self-dual: W_+ = 0; conformally flat: W = 0."""
-    dec = decompose(op, onb)
     return {
         "self_dual": mat_is_zero(dec.w_minus),
         "anti_self_dual": mat_is_zero(dec.w_plus),

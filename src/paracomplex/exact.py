@@ -404,6 +404,10 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return o
         # common denominator: lcm of the factored forms
         merged: dict[tuple, tuple[Poly, int]] = {}
         for k, (p, m) in self.factors.items():

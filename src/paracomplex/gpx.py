@@ -21,6 +21,7 @@ from paracomplex.linalg import (
     basis_vec,
     mat_add,
     mat_eq,
+    mat_eval,
     mat_from_columns,
     mat_identity,
     mat_inv,
@@ -114,6 +115,10 @@ class GenVector:
         return (isinstance(other, GenVector)
                 and vec_eq(self.x, other.x) and vec_eq(self.alpha, other.alpha))
 
+    def eval_at(self, point) -> GenVector:
+        """Values at the point of a section with RatFunc entries."""
+        return GenVector(*mat_eval([self.x, self.alpha], point))
+
 
 class GenEndo:
     """Endomorphism of T + T* in blocks a: T->T, b: T*->T, c: T->T*, d: T*->T*."""
@@ -166,9 +171,6 @@ class GenEndo:
 
     def __repr__(self):
         return f"GenEndo(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-
-GenParaStructure = GenEndo  # involutive, pairing-skew, equal eigenranks
 
 
 # -- canonical pairing ---------------------------------------------------------

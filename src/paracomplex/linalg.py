@@ -3,7 +3,7 @@
 Matrices are dense lists of lists whose entries are Fractions (pointwise
 work) or RatFuncs (coordinate-patch work); both support +, -, *, / and a
 truthiness zero test, which is all the elimination routines need.
-Dimensions stay at most 8, so no effort is spent on sparsity.
+Dimensions stay at most 8, so storage is dense; `mat_vec` skips zero products.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     for row in a:
         s = row[0] * v[0]
         for x, y in zip(row[1:], v[1:]):
-            s = s + x * y
+            if x and y:
+                s = s + x * y
         out.append(s)
     return out
 

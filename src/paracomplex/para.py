@@ -37,9 +37,6 @@ from paracomplex.linalg import (
     vec_sub,
 )
 
-ParaStructure = Endo  # K with K^2 = Id, equal eigenranks, g-skew when paired with g
-
-
 class DegenerateInput(ValueError):
     """The basis induction could not find a suitable vector over Q."""
 

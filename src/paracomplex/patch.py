@@ -1,11 +1,11 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
-coefficients: vector fields, differential forms, bivector fields, the Courant
-bracket, and the classical and generalized Nijenhuis tensors.
+coefficients: differential forms, bivector fields, the Courant bracket on
+1-jets, and the classical and generalized Nijenhuis tensors.
 
-Sign conventions.  The interior product is the antiderivation with
-i_X dx^i = X^i; the double contraction of a 3-form is
-(i_X i_Y w)(Z) = w(Y, X, Z).  The Courant bracket is
-[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
+A vector field is the list of its components, and a section X + alpha of
+T + T* is a `gpx.GenVector` with RatFunc entries.  Sign conventions: the double
+contraction of a 3-form is (i_X i_Y w)(Z) = w(Y, X, Z), and the Courant bracket
+is [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from paracomplex.exact import RatFunc
 from paracomplex.gpx import (
     GenEndo,
     GenVector,
+    b_transform,
     omega_structure,
     pi_structure,
     product_structure,
     trivial_structure,
 )
-from paracomplex.linalg import Bilinear, Endo, sparse_add
+from paracomplex.linalg import Bilinear, Endo, basis_vec, mat_zero, sparse_add, zero_like
 
 
 class WrongDegree(ValueError):
@@ -44,49 +45,6 @@ def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     return tuple(lst), sign
 
 
-class VField:
-    """Vector field: one RatFunc component per coordinate."""
-
-    def __init__(self, components: list[RatFunc]):
-        self.components = list(components)
-        self.nvars = len(components)
-
-    @staticmethod
-    def zero(nvars: int) -> VField:
-        return VField([RatFunc.zero(nvars) for _ in range(nvars)])
-
-    @staticmethod
-    def coordinate(i: int, nvars: int) -> VField:
-        comps = [RatFunc.zero(nvars) for _ in range(nvars)]
-        comps[i] = RatFunc.one(nvars)
-        return VField(comps)
-
-    def __add__(self, other: VField) -> VField:
-        return VField([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other: VField) -> VField:
-        return VField([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self) -> VField:
-        return VField([-a for a in self.components])
-
-    def scale(self, f) -> VField:
-        return VField([f * a for a in self.components])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, VField) and all(
-            a == b for a, b in zip(self.components, other.components))
-
-    def eval_at(self, point) -> list[Fraction]:
-        return [c.eval_at(point) for c in self.components]
-
-    def __repr__(self):
-        return f"VField({[c.to_str() for c in self.components]})"
-
-
 class KForm:
     """Differential k-form; components stored on strictly increasing index
     tuples (the empty tuple for functions)."""
@@ -102,18 +60,6 @@ class KForm:
                     continue
                 key, sign = sorted_sign
                 sparse_add(self.comps, key, c if sign > 0 else -c)
-
-    @staticmethod
-    def zero(nvars: int, degree: int) -> KForm:
-        return KForm(nvars, degree)
-
-    @staticmethod
-    def function(f: RatFunc) -> KForm:
-        return KForm(f.nvars, 0, {(): f})
-
-    @staticmethod
-    def dx(i: int, nvars: int) -> KForm:
-        return KForm(nvars, 1, {(i,): RatFunc.one(nvars)})
 
     def get(self, idx: tuple[int, ...]) -> RatFunc:
         sorted_sign = _sort_index(tuple(idx))
@@ -138,9 +84,6 @@ class KForm:
     def __sub__(self, other: KForm) -> KForm:
         return self + other.scale(Fraction(-1))
 
-    def __neg__(self) -> KForm:
-        return self.scale(Fraction(-1))
-
     def scale(self, f) -> KForm:
         out = KForm(self.nvars, self.degree)
         for k, c in self.comps.items():
@@ -157,33 +100,6 @@ class KForm:
             return NotImplemented
         keys = set(self.comps) | set(other.comps)
         return all(self.get(k) == other.get(k) for k in keys)
-
-    def apply(self, vectors: list[VField]) -> RatFunc:
-        """Full antisymmetric evaluation on k vector fields."""
-        if len(vectors) != self.degree:
-            raise WrongDegree(f"expected {self.degree} vectors")
-        total = RatFunc.zero(self.nvars)
-        if self.degree == 0:
-            return self.comps.get((), total)
-        for idx, c in self.comps.items():
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _sort_index(perm)[1]
-                term = c if sign > 0 else -c
-                for a, b in enumerate(perm):
-                    term = term * vectors[b].components[idx[a]]
-                total = total + term
-        return total
-
-    def wedge(self, other: KForm) -> KForm:
-        out = KForm(self.nvars, self.degree + other.degree)
-        for i1, c1 in self.comps.items():
-            for i2, c2 in other.comps.items():
-                sorted_sign = _sort_index(i1 + i2)
-                if sorted_sign is None:
-                    continue
-                key, sign = sorted_sign
-                sparse_add(out.comps, key, c1 * c2 if sign > 0 else -(c1 * c2))
-        return out
 
     def __repr__(self):
         return f"KForm(deg={self.degree}, {{{', '.join(f'{k}: {c.to_str()}' for k, c in sorted(self.comps.items()))}}})"
@@ -212,55 +128,10 @@ class BiVectorField:
         return RatFunc.zero(self.dim) if c is None else -c
 
 
-@dataclass
-class GenSection:
-    """Section X + alpha of the double bundle over the patch."""
-
-    x: VField
-    alpha: KForm  # degree 1
-
-    def __add__(self, other: GenSection) -> GenSection:
-        return GenSection(self.x + other.x, self.alpha + other.alpha)
-
-    def __sub__(self, other: GenSection) -> GenSection:
-        return GenSection(self.x - other.x, self.alpha - other.alpha)
-
-    def __neg__(self) -> GenSection:
-        return GenSection(-self.x, -self.alpha)
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.alpha.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, GenSection) and self.x == other.x and self.alpha == other.alpha
-
-    @staticmethod
-    def vector(x: VField) -> GenSection:
-        return GenSection(x, KForm.zero(x.nvars, 1))
-
-    @staticmethod
-    def form(alpha: KForm) -> GenSection:
-        return GenSection(VField.zero(alpha.nvars), alpha)
-
-    def eval_at(self, point) -> GenVector:
-        return GenVector(self.x.eval_at(point),
-                         [self.alpha.get((i,)).eval_at(point) for i in range(self.x.nvars)])
+GenSection = GenVector  # the name perfbench/tracer.py imports
 
 
-# -- calculus ---------------------------------------------------------------------
-
-
-def lie_bracket(x: VField, y: VField) -> VField:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
-    n = x.nvars
-    comps = []
-    for i in range(n):
-        total = RatFunc.zero(n)
-        for j in range(n):
-            total = total + x.components[j] * y.components[i].partial(j)
-            total = total - y.components[j] * x.components[i].partial(j)
-        comps.append(total)
-    return VField(comps)
+# -- exterior calculus ------------------------------------------------------------
 
 
 def ext_deriv(omega: KForm) -> KForm:
@@ -278,45 +149,82 @@ def ext_deriv(omega: KForm) -> KForm:
     return out
 
 
-def interior(x: VField, omega: KForm) -> KForm:
-    """i_X omega; the antiderivation with i_X dx^i = X^i."""
-    n = omega.nvars
-    if omega.degree == 0:
-        return KForm.zero(n, 0)
-    out = KForm(n, omega.degree - 1)
-    for idx, c in omega.comps.items():
-        for pos, i in enumerate(idx):
-            term = c * x.components[i]
-            sparse_add(out.comps, idx[:pos] + idx[pos + 1:], -term if pos % 2 else term)
+def double_contract(omega3: KForm, x: list, y: list) -> list:
+    """i_X i_Y omega for a 3-form: the 1-form Z -> omega(Y, X, Z), in components."""
+    out = [RatFunc.zero(omega3.nvars)] * omega3.nvars
+    for idx, c in omega3.comps.items():
+        for perm in itertools.permutations(idx):
+            i, j, k = perm
+            if y[i] and x[j]:
+                term = c * y[i] * x[j]
+                out[k] = out[k] + (term if _sort_index(perm)[1] > 0 else -term)
     return out
 
 
-def lie_deriv(x: VField, omega: KForm) -> KForm:
-    """Cartan formula L_X = d i_X + i_X d."""
-    return ext_deriv(interior(x, omega)) + interior(x, ext_deriv(omega))
+def _bilinear(form: KForm) -> Bilinear:
+    """The full matrix form(d_i, d_j) of a 2-form."""
+    n = form.nvars
+    return Bilinear([[form.get((i, j)) for j in range(n)] for i in range(n)])
 
 
-def double_contract(omega3: KForm, x: VField, y: VField) -> KForm:
-    """i_X i_Y omega for a 3-form: the 1-form Z -> omega(Y, X, Z)."""
-    return interior(x, interior(y, omega3))
+# -- 1-jets and the Courant bracket ---------------------------------------------------
 
 
-# -- Courant bracket ---------------------------------------------------------------
+def _partial(c: RatFunc, i: int) -> RatFunc:
+    """d_i c; a constant gives zero without a RatFunc.partial call."""
+    return RatFunc.zero(c.nvars) if c.is_const() else c.partial(i)
 
 
-def courant_bracket(a: GenSection, b: GenSection) -> GenSection:
+def _section_jet(s: GenVector) -> list[GenVector]:
+    """The first partials [d_1 s, ..., d_n s] of a section."""
+    return [GenVector([_partial(c, i) for c in s.x], [_partial(c, i) for c in s.alpha])
+            for i in range(len(s.x))]
+
+
+def endo_jet(k: GenEndo) -> list[GenEndo]:
+    """The first partials [d_1 K, ..., d_n K]; each nonconstant entry of K is
+    differentiated once per coordinate."""
+    m = k.as_matrix()
+    return [GenEndo.from_matrix([[_partial(c, i) for c in row] for row in m])
+            for i in range(k.dim)]
+
+
+def _dot(us: list, vs: list, total):
+    """total + sum of u * v, skipping zero factors."""
+    for u, v in zip(us, vs):
+        if u and v:
+            total = total + u * v
+    return total
+
+
+def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
+    """The Courant bracket [A, B] of A = X + alpha and B = Y + beta from their
+    1-jets: the values a, b and the partials da[i] = d_i A, db[i] = d_i B.  The
+    entries are RatFuncs, or Fractions for jets evaluated at a point:
+
+        [X,Y]^k = X^i d_i Y^k - Y^i d_i X^k
+        form_k  = X^i d_i beta_k + beta_i d_k X^i - Y^i d_i alpha_k - alpha_i d_k Y^i
+                  - d_k(X^i beta_i - Y^i alpha_i) / 2
+    """
+    x, alpha, y, beta = a.x, a.alpha, b.x, b.alpha
+    zero = zero_like(x[0])
+    vec, form = [], []
+    for k in range(len(x)):
+        vec.append(_dot(x, [d.x[k] for d in db], zero) - _dot(y, [d.x[k] for d in da], zero))
+        lie = _dot(x, [d.alpha[k] for d in db], zero) - _dot(y, [d.alpha[k] for d in da], zero)
+        # beta_i d_k X^i - alpha_i d_k Y^i less half of d_k(X^i beta_i - Y^i alpha_i)
+        sym = (_dot(beta, da[k].x, zero) - _dot(x, db[k].alpha, zero)
+               - _dot(alpha, db[k].x, zero) + _dot(y, da[k].alpha, zero))
+        form.append(lie + sym * Fraction(1, 2) if sym else lie)
+    return GenVector(vec, form)
+
+
+def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
     """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2."""
-    x, alpha = a.x, a.alpha
-    y, beta = b.x, b.alpha
-    vec = lie_bracket(x, y)
-    form = lie_deriv(x, beta) - lie_deriv(y, alpha)
-    ix_beta = interior(x, beta)
-    iy_alpha = interior(y, alpha)
-    half_d = ext_deriv(ix_beta - iy_alpha).scale(Fraction(1, 2))
-    return GenSection(vec, form - half_d)
+    return courant_on_jets(a, _section_jet(a), b, _section_jet(b))
 
 
-def courant_jacobiator(a: GenSection, b: GenSection, c: GenSection) -> GenSection:
+def courant_jacobiator(a: GenVector, b: GenVector, c: GenVector) -> GenVector:
     return (courant_bracket(courant_bracket(a, b), c)
             + courant_bracket(courant_bracket(b, c), a)
             + courant_bracket(courant_bracket(c, a), b))
@@ -329,8 +237,7 @@ def _omega_structure(omega: KForm) -> GenEndo:
     """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
     if omega.degree != 2:
         raise WrongDegree("omega must be a 2-form")
-    n = omega.nvars
-    return omega_structure(Bilinear([[omega.get((i, j)) for j in range(n)] for i in range(n)]))
+    return omega_structure(_bilinear(omega))
 
 
 # descriptor kind -> the gpx constructor applied to that kind's patch data
@@ -345,46 +252,50 @@ STRUCTURES = {
 # -- Nijenhuis tensors -----------------------------------------------------------------
 
 
-def _apply(k: GenEndo, s: GenSection) -> GenSection:
-    """K(s) for a structure K with RatFunc entries, through GenEndo.apply."""
-    n = k.dim
-    v = k.apply(GenVector(s.x.components, [s.alpha.get((i,)) for i in range(n)]))
-    return GenSection(VField(v.x), KForm(n, 1, {(i,): c for i, c in enumerate(v.alpha)}))
+def _jets(k: GenEndo, dk: list, a: GenVector, da: list) -> tuple:
+    """(A, dA, KA, d(KA)) with d_i(KA) = (d_i K) A + K d_i A."""
+    return a, da, k.apply(a), [dki.apply(a) + k.apply(dai) for dki, dai in zip(dk, da)]
 
 
-def gen_nijenhuis(k: GenEndo, a: GenSection, b: GenSection) -> GenSection:
+def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
+    a, da, ka, dka = ja
+    b, db, kb, dkb = jb
+    return (courant_on_jets(a, da, b, db) + courant_on_jets(ka, dka, kb, dkb)
+            - k.apply(courant_on_jets(ka, dka, b, db)) - k.apply(courant_on_jets(a, da, kb, dkb)))
+
+
+def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
     """N(A, B) = [A,B] + [KA, KB] - K[KA, B] - K[A, KB] (Courant brackets)."""
-    ka, kb = _apply(k, a), _apply(k, b)
-    return (courant_bracket(a, b) + courant_bracket(ka, kb)
-            - _apply(k, courant_bracket(ka, b)) - _apply(k, courant_bracket(a, kb)))
+    dk = endo_jet(k)
+    return _nijenhuis(k, _jets(k, dk, a, _section_jet(a)), _jets(k, dk, b, _section_jet(b)))
 
 
-def classical_nijenhuis(p: list, x: VField, y: VField) -> VField:
-    """N(X, Y) = [X,Y] + [PX, PY] - P[PX, Y] - P[X, PY] for an endo field P."""
-    def apply_p(v: VField) -> VField:
-        return VField([sum((p[i][j] * v.components[j] for j in range(1, len(p))),
-                           start=p[i][0] * v.components[0]) for i in range(len(p))])
-
-    px, py = apply_p(x), apply_p(y)
-    return (lie_bracket(x, y) + lie_bracket(px, py)
-            - apply_p(lie_bracket(px, y)) - apply_p(lie_bracket(x, py)))
+def classical_nijenhuis(p: list, x: list, y: list) -> list:
+    """N(X, Y) = [X,Y] + [PX, PY] - P[PX, Y] - P[X, PY] for an endo field P: the
+    vector part of the generalized N of the endomorphism P + 0 of T + T*."""
+    z = mat_zero(len(p), like=p[0][0])
+    return gen_nijenhuis(GenEndo(p, z, z, z), GenVector.vector(x), GenVector.vector(y)).x
 
 
-def frame_sections(nvars: int) -> list[GenSection]:
-    """The 4n coordinate-frame sections (d_i + 0) and (0 + dx^j)."""
-    out = [GenSection.vector(VField.coordinate(i, nvars)) for i in range(nvars)]
-    out += [GenSection.form(KForm.dx(i, nvars)) for i in range(nvars)]
-    return out
+def frame_sections(nvars: int) -> list[GenVector]:
+    """The 2n coordinate-frame sections (d_i + 0) and (0 + dx^j)."""
+    frames = []
+    for a in range(2 * nvars):
+        e = basis_vec(a, 2 * nvars, like=RatFunc.one(nvars))
+        frames.append(GenVector(e[:nvars], e[nvars:]))
+    return frames
 
 
 def gen_nijenhuis_frame_sweep(k: GenEndo):
     """Evaluate N on all frame-section pairs; returns (all_zero, witnesses)
-    where witnesses maps pair indices to the nonzero section."""
-    frames = frame_sections(k.dim)
+    where witnesses maps pair indices to the nonzero section.  The frames are
+    constant, so the jet of K e_a is column a of K and of d K."""
+    dk = endo_jet(k)
+    jets = [_jets(k, dk, e, _section_jet(e)) for e in frame_sections(k.dim)]
     witnesses = {}
-    for i in range(len(frames)):
-        for j in range(i + 1, len(frames)):
-            n = gen_nijenhuis(k, frames[i], frames[j])
+    for i in range(len(jets)):
+        for j in range(i + 1, len(jets)):
+            n = _nijenhuis(k, jets[i], jets[j])
             if not n.is_zero():
                 witnesses[(i, j)] = n
     return not witnesses, witnesses
@@ -416,19 +327,14 @@ def is_poisson(pi: BiVectorField) -> bool:
 # -- B-transform bracket law -------------------------------------------------------------
 
 
-def b_transform_section(theta: KForm, a: GenSection) -> GenSection:
-    """e^Theta: X + a -> X + a + i_X Theta."""
-    return GenSection(a.x, a.alpha + interior(a.x, theta))
-
-
-def b_bracket_residual(theta: KForm, a: GenSection, b: GenSection) -> GenSection:
+def b_bracket_residual(theta: KForm, a: GenVector, b: GenVector) -> GenVector:
     """[e^T A, e^T B] - (e^T [A,B] - i_X i_Y dTheta); identically zero."""
     if theta.degree != 2:
         raise WrongDegree("Theta must be a 2-form")
-    lhs = courant_bracket(b_transform_section(theta, a), b_transform_section(theta, b))
+    t = _bilinear(theta)
+    lhs = courant_bracket(b_transform(t, a), b_transform(t, b))
     correction = double_contract(ext_deriv(theta), a.x, b.x)
-    rhs = b_transform_section(theta, courant_bracket(a, b)) - GenSection.form(correction)
-    return lhs - rhs
+    return lhs - b_transform(t, courant_bracket(a, b)) + GenVector.covector(correction)
 
 
 # -- integrability dispatch ----------------------------------------------------------------
@@ -467,10 +373,10 @@ def integrability_report(kind: str, data) -> IntegrabilityReport:
     else:
         criterion = "p_nijenhuis_zero"
         n = len(data)
+        one = RatFunc.one(n)
         for i, j in itertools.combinations(range(n), 2):
-            nij = classical_nijenhuis(data, VField.coordinate(i, n), VField.coordinate(j, n))
-            if not nij.is_zero():
-                witness = {"frame_pair": [i + 1, j + 1],
-                           "value": [c.to_str() for c in nij.components]}
+            nij = classical_nijenhuis(data, basis_vec(i, n, one), basis_vec(j, n, one))
+            if any(nij):
+                witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str() for c in nij]}
                 break
     return IntegrabilityReport(kind, witness is None, criterion, witness, sweep)

@@ -61,9 +61,7 @@ from paracomplex.para import (
 )
 from paracomplex.patch import (
     BiVectorField,
-    GenSection,
     KForm,
-    VField,
     b_bracket_residual,
     classical_nijenhuis,
     ext_deriv,
@@ -122,9 +120,9 @@ def rnd_poly(rng, deg):
 
 
 def rnd_section(rng, deg):
-    x = VField([rnd_poly(rng, deg) for _ in range(4)])
-    alpha = KForm(4, 1, {(i,): rnd_poly(rng, deg) for i in range(4)})
-    return GenSection(x, alpha)
+    x = [rnd_poly(rng, deg) for _ in range(4)]
+    alpha = [rnd_poly(rng, deg) for _ in range(4)]
+    return GenVector(x, alpha)
 
 
 # -- criterion 1: extraction inverts assembly --------------------------------------
@@ -191,10 +189,9 @@ def test_acceptance_3_integrability_dichotomies():
     # closed-form criteria agree with their oracles
     assert ext_deriv(omega_flat).is_zero() and not ext_deriv(omega_bad).is_zero()
     assert is_poisson(pi_const) and not is_poisson(pi_bad)
-    assert classical_nijenhuis(p_int, VField.coordinate(0, 4),
-                               VField.coordinate(2, 4)).is_zero()
-    assert not classical_nijenhuis(p_bad, VField.coordinate(0, 4),
-                                   VField.coordinate(2, 4)).is_zero()
+    d1, d3 = (basis_vec(i, 4, RatFunc.one(4)) for i in (0, 2))
+    assert not any(classical_nijenhuis(p_int, d1, d3))
+    assert any(classical_nijenhuis(p_bad, d1, d3))
     report(3, "all six integrability dichotomies match the frame-pair sweep")
 
 

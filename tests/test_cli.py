@@ -51,6 +51,17 @@ def test_validate_malformed_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+@pytest.mark.parametrize("kind,key", [("omega", "0,2"), ("omega", "1,5"), ("pi", "5,1")])
+def test_component_key_outside_range_exit_2(tmp_path, capsys, command, kind, key):
+    path = write_desc(tmp_path, "desc.json",
+                      {"kind": kind, kind: {"1,2": "1", "3,4": "1", key: "x1"}})
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: component key {key!r} is outside 1..4\n"
+
+
 def test_validate_assembled(tmp_path, capsys):
     k_std = [["0", "0", "1", "0"], ["0", "0", "0", "1"],
              ["1", "0", "0", "0"], ["0", "1", "0", "0"]]

@@ -405,13 +405,13 @@ def test_duality_verdicts():
     flat = flat_metric()
     jet = metric_jet(flat.g)
     op = curvature_operator(jet, ORIGIN)
-    v = duality_verdict(op, flat.onb_at(ORIGIN))
+    v = duality_verdict(decompose(op, flat.onb_at(ORIGIN)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
     jet = metric_jet(cc.g)
     op = curvature_operator(jet, ORIGIN)
-    v = duality_verdict(op, cc.onb_at(ORIGIN))
+    v = duality_verdict(decompose(op, cc.onb_at(ORIGIN)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
@@ -421,9 +421,9 @@ def test_ppwave_duality_and_orientation_reversal():
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
     op = curvature_operator(metric_jet(m.g), ORIGIN)
-    v = duality_verdict(op, m.onb_at(ORIGIN))
+    v = duality_verdict(decompose(op, m.onb_at(ORIGIN)))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
-    v_rev = duality_verdict(op, m.onb_at(ORIGIN, orientation=-1))
+    v_rev = duality_verdict(decompose(op, m.onb_at(ORIGIN, orientation=-1)))
     assert v_rev["self_dual"] and not v_rev["anti_self_dual"]
 
 
@@ -492,14 +492,14 @@ def test_jklr_diagonal_matches_duality_verdict():
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
         jet = metric_jet(model.g)
         op = curvature_operator(jet, p)
-        verdict = duality_verdict(op, model.onb_at(p))
+        verdict = duality_verdict(decompose(op, model.onb_at(p)))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     jet = metric_jet(m.g)
     op = curvature_operator(jet, p)
-    assert not duality_verdict(op, m.onb_at(p))["anti_self_dual"]
+    assert not duality_verdict(decompose(op, m.onb_at(p)))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
 

@@ -181,3 +181,20 @@ def test_factored_denominator_cancels_powers():
     f = rf("(x1+1)^3") / rf("(x1+1)^2")
     assert not f.factors
     assert f == rf("x1+1")
+
+
+def test_adding_zero_multiplies_no_polynomials(monkeypatch):
+    f = rf("x1/(1 + x2^2)")
+    zero = RatFunc.zero(2)
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    sums = [f + zero, zero + f, f - zero, f + 0, 0 + f]
+    assert calls == []
+    for s in sums:
+        assert s.num == f.num and s.factors == f.factors

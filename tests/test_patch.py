@@ -9,34 +9,41 @@ import pytest
 from paracomplex.exact import RatFunc, parse_ratfunc
 from paracomplex.gpx import (
     GenEndo,
+    GenVector,
     omega_structure,
     pi_structure,
     product_structure,
     trivial_structure,
 )
-from paracomplex.linalg import Bilinear, Endo, TwoVector, mat_eq, mat_eval, mat_mul
+from paracomplex.linalg import (
+    Bilinear,
+    Endo,
+    TwoVector,
+    basis_vec,
+    mat_eq,
+    mat_eval,
+    mat_mul,
+    sparse_add,
+    vec_add,
+    vec_scale,
+)
 from paracomplex.patch import (
     BiVectorField,
-    GenSection,
     IntegrabilityReport,
     KForm,
     STRUCTURES,
-    VField,
     b_bracket_residual,
-    b_transform_section,
     classical_nijenhuis,
     courant_bracket,
     courant_jacobiator,
+    courant_on_jets,
     double_contract,
     ext_deriv,
     frame_sections,
     gen_nijenhuis,
     gen_nijenhuis_frame_sweep,
     integrability_report,
-    interior,
     is_poisson,
-    lie_bracket,
-    lie_deriv,
     poisson_jacobiator,
 )
 
@@ -49,11 +56,20 @@ def rf(s):
 
 
 def vf(*exprs):
-    return VField([rf(s) for s in exprs])
+    return [rf(s) for s in exprs]
+
+
+def coord(i):
+    return basis_vec(i, N, RatFunc.one(N))
 
 
 def form1(comps):
     return KForm(N, 1, {(i,): rf(s) for i, s in comps.items()})
+
+
+def comps1(form):
+    """The component list of a 1-form."""
+    return [form.get((i,)) for i in range(N)]
 
 
 def form2(comps):
@@ -75,25 +91,69 @@ def rnd_poly_field(rng, deg=2):
             for e, c in terms) or "0"
         return rf(s)
 
-    return VField([rnd_poly() for _ in range(N)])
+    return [rnd_poly() for _ in range(N)]
 
 
 def rnd_section(rng, deg=2):
     x = rnd_poly_field(rng, deg)
-    alpha = KForm(N, 1, {(i,): rnd_poly_field(rng, deg).components[0] for i in range(N)})
-    return GenSection(x, alpha)
+    alpha = [rnd_poly_field(rng, deg)[0] for _ in range(N)]
+    return GenVector(x, alpha)
+
+
+# -- the Cartan-formula Courant bracket: the oracle for courant_bracket --------------
+
+
+def lie_bracket(x, y):
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    comps = []
+    for i in range(N):
+        total = RatFunc.zero(N)
+        for j in range(N):
+            total = total + x[j] * y[i].partial(j)
+            total = total - y[j] * x[i].partial(j)
+        comps.append(total)
+    return comps
+
+
+def interior(x, omega):
+    """i_X omega; the antiderivation with i_X dx^i = X^i."""
+    out = KForm(N, max(omega.degree - 1, 0))
+    for idx, c in omega.comps.items():
+        for pos, i in enumerate(idx):
+            term = c * x[i]
+            sparse_add(out.comps, idx[:pos] + idx[pos + 1:], -term if pos % 2 else term)
+    return out
+
+
+def courant_oracle(a, b):
+    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2 with the Cartan
+    formula L_X = d i_X + i_X d."""
+    def lie_deriv(x, omega):
+        return ext_deriv(interior(x, omega)) + interior(x, ext_deriv(omega))
+
+    alpha = KForm(N, 1, {(i,): c for i, c in enumerate(a.alpha)})
+    beta = KForm(N, 1, {(i,): c for i, c in enumerate(b.alpha)})
+    half_d = ext_deriv(interior(a.x, beta) - interior(b.x, alpha)).scale(Fraction(1, 2))
+    form = lie_deriv(a.x, beta) - lie_deriv(b.x, alpha) - half_d
+    return GenVector(lie_bracket(a.x, b.x), comps1(form))
+
+
+def oracle_nijenhuis(k, a, b):
+    ka, kb = k.apply(a), k.apply(b)
+    return (courant_oracle(a, b) + courant_oracle(ka, kb)
+            - k.apply(courant_oracle(ka, b)) - k.apply(courant_oracle(a, kb)))
 
 
 # -- Lie bracket --------------------------------------------------------------
 
 
 def test_lie_bracket_constants():
-    assert lie_bracket(VField.coordinate(0, N), VField.coordinate(1, N)).is_zero()
+    assert not any(lie_bracket(coord(0), coord(1)))
 
 
 def test_lie_bracket_formula():
     x = vf("x2", "0", "0", "0")
-    y = VField.coordinate(1, N)
+    y = coord(1)
     assert lie_bracket(x, y) == vf("-1", "0", "0", "0")
 
 
@@ -101,10 +161,10 @@ def test_lie_bracket_jacobi():
     rng = random.Random(31)
     for _ in range(3):
         x, y, z = (rnd_poly_field(rng) for _ in range(3))
-        jac = (lie_bracket(lie_bracket(x, y), z)
-               + lie_bracket(lie_bracket(y, z), x)
-               + lie_bracket(lie_bracket(z, x), y))
-        assert jac.is_zero()
+        jac = vec_add(vec_add(lie_bracket(lie_bracket(x, y), z),
+                              lie_bracket(lie_bracket(y, z), x)),
+                      lie_bracket(lie_bracket(z, x), y))
+        assert not any(jac)
 
 
 # -- exterior derivative --------------------------------------------------------
@@ -123,7 +183,7 @@ def test_ext_deriv_constant_2form():
 def test_ext_deriv_squared_zero():
     rng = random.Random(32)
     for _ in range(4):
-        alpha = KForm(N, 1, {(i,): rnd_poly_field(rng).components[0] for i in range(N)})
+        alpha = KForm(N, 1, {(i,): rnd_poly_field(rng)[0] for i in range(N)})
         assert ext_deriv(ext_deriv(alpha)).is_zero()
 
 
@@ -141,18 +201,18 @@ def test_courant_restricts_to_lie():
     rng = random.Random(33)
     for _ in range(3):
         x, y = rnd_poly_field(rng), rnd_poly_field(rng)
-        br = courant_bracket(GenSection.vector(x), GenSection.vector(y))
+        br = courant_bracket(GenVector.vector(x), GenVector.vector(y))
         assert br.x == lie_bracket(x, y)
-        assert br.alpha.is_zero()
+        assert not any(br.alpha)
 
 
 def test_courant_mixed_example():
     # [d1 + 0, 0 + x1 dx1] = 0 + dx1/2
-    a = GenSection.vector(VField.coordinate(0, N))
-    b = GenSection.form(form1({0: "x1"}))
+    a = GenVector.vector(coord(0))
+    b = GenVector.covector(comps1(form1({0: "x1"})))
     br = courant_bracket(a, b)
-    assert br.x.is_zero()
-    assert br.alpha == form1({0: "1/2"})
+    assert not any(br.x)
+    assert br.alpha == comps1(form1({0: "1/2"}))
 
 
 def test_courant_skew_symmetric():
@@ -166,12 +226,12 @@ def test_courant_skew_symmetric():
 
 def test_courant_jacobiator_witness():
     # frozen regression fixture: a nonzero Jacobiator triple
-    a = GenSection.vector(vf("x2", "0", "0", "0"))
-    b = GenSection.form(form1({1: "x1"}))
-    c = GenSection.vector(VField.coordinate(1, N))
+    a = GenVector.vector(vf("x2", "0", "0", "0"))
+    b = GenVector.covector(comps1(form1({1: "x1"})))
+    c = GenVector.vector(coord(1))
     jac = courant_jacobiator(a, b, c)
-    assert jac.x.is_zero()
-    assert jac.alpha == form1({1: "1/4"})
+    assert not any(jac.x)
+    assert jac.alpha == comps1(form1({1: "1/4"}))
 
 
 # -- generalized Nijenhuis -----------------------------------------------------------
@@ -211,7 +271,7 @@ def test_gen_nijenhuis_matches_classical_for_product():
     k_bad = STRUCTURES["product"](p_bad)
     ok_bad, _ = gen_nijenhuis_frame_sweep(k_bad)
     assert not ok_bad
-    nij = classical_nijenhuis(p_bad, VField.coordinate(0, N), VField.coordinate(2, N))
+    nij = classical_nijenhuis(p_bad, coord(0), coord(2))
     assert nij == vf("1", "0", "0", "0")
 
 
@@ -222,8 +282,8 @@ def test_classical_nijenhuis_tensorial():
           ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     f = rf("x2^2 - 3*x4")
     x, y = rnd_poly_field(rng), rnd_poly_field(rng)
-    lhs = classical_nijenhuis(p, x.scale(f), y)
-    rhs = classical_nijenhuis(p, x, y).scale(f)
+    lhs = classical_nijenhuis(p, vec_scale(f, x), y)
+    rhs = vec_scale(f, classical_nijenhuis(p, x, y))
     assert lhs == rhs
 
 
@@ -262,17 +322,17 @@ def test_b_residual_closed_theta():
 
 def test_b_residual_with_exact_correction():
     theta = form2({(1, 2): "x1"})  # x1 dx2 ^ dx3
-    a = GenSection.vector(VField.coordinate(1, N))
-    b = GenSection.vector(VField.coordinate(2, N))
+    a = GenVector.vector(coord(1))
+    b = GenVector.vector(coord(2))
     assert b_bracket_residual(theta, a, b).is_zero()
     correction = double_contract(ext_deriv(theta), a.x, b.x)
-    assert correction == form1({0: "-1"})
+    assert correction == comps1(form1({0: "-1"}))
 
 
 def test_b_residual_random_sweep():
     rng = random.Random(37)
     for _ in range(12):
-        theta = KForm(N, 2, {(i, j): rnd_poly_field(rng, deg=3).components[0]
+        theta = KForm(N, 2, {(i, j): rnd_poly_field(rng, deg=3)[0]
                              for i in range(N) for j in range(i + 1, N)})
         a, b = rnd_section(rng, deg=3), rnd_section(rng, deg=3)
         assert b_bracket_residual(theta, a, b).is_zero()
@@ -333,13 +393,13 @@ def test_nijenhuis_tensoriality_for_courant_version():
     omega = form2({(0, 1): "1", (2, 3): "x1"})
     k = STRUCTURES["omega"](omega)
     f = rf("1 + x2^2")
-    a = GenSection.vector(VField.coordinate(0, N))
-    b = GenSection.vector(VField.coordinate(2, N))
-    scaled = GenSection(a.x.scale(f), a.alpha.scale(f))
+    a = GenVector.vector(coord(0))
+    b = GenVector.vector(coord(2))
+    scaled = a.scale(f)
     lhs = gen_nijenhuis(k, scaled, b)
     rhs = gen_nijenhuis(k, a, b)
-    assert lhs.x == rhs.x.scale(f)
-    assert lhs.alpha == rhs.alpha.scale(f)
+    assert lhs.x == rhs.scale(f).x
+    assert lhs.alpha == rhs.scale(f).alpha
 
 
 # -- one constructor per kind, over Q and over rational functions ----------------
@@ -373,3 +433,80 @@ def test_patch_structures_evaluate_to_the_pointwise_constructors():
             assert k == expected, (kind, pt)
         checked += 1
     assert checked >= 4
+
+
+# -- the Courant bracket on 1-jets against the Cartan-formula oracle ---------------
+
+
+DENOMINATORS = ["1 + x1^2", "x2 + 3", "1 + x3*x4", "2 + x4^2 + x1"]
+
+
+def rnd_rational_section(rng):
+    """A linear section with two entries divided by a nonconstant polynomial."""
+    s = rnd_section(rng, deg=1)
+    entries = s.x + s.alpha
+    for slot in rng.sample(range(2 * N), 2):
+        entries[slot] = entries[slot] / rf(rng.choice(DENOMINATORS))
+    return GenVector(entries[:N], entries[N:])
+
+
+def test_courant_bracket_matches_the_cartan_oracle():
+    rng = random.Random(71)
+    pairs = [(rnd_section(rng), rnd_section(rng)) for _ in range(5)]
+    pairs += [(rnd_rational_section(rng), rnd_rational_section(rng)) for _ in range(5)]
+    for a, b in pairs:
+        assert courant_bracket(a, b) == courant_oracle(a, b)
+    assert any(c.factors for a, _ in pairs for c in a.x + a.alpha)
+    # the same bracket on jets evaluated in Q at a point
+    pt = [Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(1, 3)]
+
+    def jet_at(s):
+        return [GenVector([c.partial(i) for c in s.x], [c.partial(i) for c in s.alpha]).eval_at(pt)
+                for i in range(N)]
+
+    for a, b in pairs[:3]:
+        at = courant_on_jets(a.eval_at(pt), jet_at(a), b.eval_at(pt), jet_at(b))
+        assert at == courant_bracket(a, b).eval_at(pt)
+
+
+SWEEP_FIXTURES = {
+    "omega": form2({(0, 1): "1 + x3^2", (2, 3): "x1", (0, 2): "x2*x4", (1, 3): "x3"}),
+    "pi": BiVectorField(N, {(0, 1): rf("x3"), (0, 2): rf("x2*x4"), (1, 3): rf("x1^2"),
+                            (2, 3): rf("1/(1 + x2^2)")}),
+    "product": [[rf(c) for c in row] for row in
+                [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
+                 ["0", "0", "0", "1"], ["0", "0", "1", "0"]]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_FIXTURES))
+def test_sweep_witnesses_equal_the_oracle_nijenhuis(kind):
+    k = STRUCTURES[kind](SWEEP_FIXTURES[kind])
+    frames = frame_sections(N)
+    expected = {}
+    for i in range(len(frames)):
+        for j in range(i + 1, len(frames)):
+            n = oracle_nijenhuis(k, frames[i], frames[j])
+            if not n.is_zero():
+                expected[(i, j)] = n
+    ok, witnesses = gen_nijenhuis_frame_sweep(k)
+    assert not ok and expected
+    assert sorted(witnesses) == sorted(expected)
+    for pair, n in expected.items():
+        assert witnesses[pair] == n, pair
+
+
+def test_frame_sweep_differentiates_each_entry_of_k_once(monkeypatch):
+    k = STRUCTURES["omega"](SWEEP_FIXTURES["omega"])
+    nonconstant = sum(not c.is_const() for row in k.as_matrix() for c in row)
+    calls = []
+    original = RatFunc.partial
+
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(RatFunc, "partial", counting)
+    ok, _ = gen_nijenhuis_frame_sweep(k)
+    assert not ok and nonconstant
+    assert len(calls) <= 4 * nonconstant
