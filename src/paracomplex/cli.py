@@ -116,7 +116,12 @@ def _component_map_to_matrix(data, variables, antisym=True):
     if isinstance(data, list):
         if len(data) != nvars or any(len(row) != nvars for row in data):
             raise InputError("matrix has the wrong shape")
-        return [[parse_ratfunc(s, variables) for s in row] for row in data]
+        mat = [[parse_ratfunc(s, variables) for s in row] for row in data]
+        for i in range(nvars if antisym else 0):
+            for j in range(i, nvars):
+                if not (mat[i][j] + mat[j][i]).is_zero():
+                    raise InputError(f"matrix is not antisymmetric at ({i + 1},{j + 1})")
+        return mat
     if isinstance(data, dict):
         mat = [[RatFunc.zero(nvars) for _ in range(nvars)] for _ in range(nvars)]
         for key, expr in data.items():
@@ -126,6 +131,8 @@ def _component_map_to_matrix(data, variables, antisym=True):
                 raise InputError(f"bad component key {key!r}") from exc
             if not (0 <= i < nvars and 0 <= j < nvars):
                 raise InputError(f"component key {key!r} is outside 1..{nvars}")
+            if antisym and i == j:
+                raise InputError(f"component key {key!r} is diagonal")
             value = parse_ratfunc(expr, variables)
             mat[i][j] = mat[i][j] + value
             if antisym:
@@ -294,6 +301,8 @@ def cmd_curvature(args) -> tuple[dict, int]:
 
 
 def cmd_theorem(args) -> tuple[dict, int]:
+    if args.samples < 0:
+        raise InputError(f"--samples must be at least 0, got {args.samples}")
     model = parse_metric_id(args.metric)
     theta = parse_theta_expr(args.theta) if args.theta else KForm(model.nvars, 2)
     points = parse_points_arg(args.points, model.nvars) if args.points else None

@@ -51,11 +51,11 @@ from paracomplex.linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_vec,
     mat_zero,
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
     wedge_pairs,
 )
 from paracomplex.para import (
@@ -354,22 +354,16 @@ def curvature_endo(r_at: list, x: list, y: list) -> Endo:
 @dataclass
 class CurvOperator:
     """Curvature operator on the wedge basis {e_i ^ e_j} (i < j) at a point,
-    with the point metric and Ricci data needed by the decomposition."""
+    with its lowered form lowered[a][b] = g(R(e_a), e_b), and the point
+    metric and Ricci data needed by the decomposition."""
 
     mat: list  # 6x6 Fractions
+    lowered: list  # 6x6 Fractions, lowered = mat^T Gram
     g_at: Bilinear
     point: tuple
     ricci: Bilinear
     rho: Endo
     s: Fraction
-
-    def apply_2vector(self, a: TwoVector) -> TwoVector:
-        image = mat_vec(self.mat, _two_vector_coords(a))
-        out = TwoVector(4)
-        for c, (i, j) in zip(image, WEDGE4):
-            if c:
-                out = out + TwoVector.basis(i, j, 4).scale(c)
-        return out
 
 
 def lambda2_gram(g_at: Bilinear) -> list:
@@ -399,7 +393,7 @@ def curvature_operator(jet: tuple, point) -> CurvOperator:
                     for i in range(4)])
     rho = Endo(mat_mul(mat_inv(g_at.mat), ric.mat))
     s = sum(rho.mat[i][i] for i in range(4))
-    return CurvOperator(mat, g_at, tuple(point), ric, rho, s)
+    return CurvOperator(mat, q, g_at, tuple(point), ric, rho, s)
 
 
 # -- decomposition -----------------------------------------------------------------------
@@ -475,21 +469,35 @@ def sectional_constant_check(op: CurvOperator) -> Fraction | None:
 # -- the (j, l, r) residual -----------------------------------------------------------------
 
 
+def _wedge_coords(pairs: list, u: list, v: list) -> dict:
+    """Coordinates of u ^ v on the given (index, (i, j)) wedge pairs."""
+    return {a: u[i] * v[j] - u[j] * v[i] for a, (i, j) in pairs}
+
+
 def jklr_residual(op: CurvOperator, k1: Endo, k2: Endo, j: int, l: int, r: int,
                   x: list, y: list, z: list, u: list) -> Fraction:
     """g(R(X^Y + K_j X ^ K_l Y), Z^U + K_r Z ^ K_r U)
     + g(R(K_j X ^ Y + X ^ K_l Y), K_r Z ^ U + Z ^ K_r U); the displayed
-    curvature identity holds iff this vanishes."""
+    curvature identity holds iff this vanishes.
+
+    The two first arguments are A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y), and
+    the two second ones B1 +- B2 likewise, so the residual is
+    [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2.  On wedge
+    coordinates g(R(A), B) = a^T q b for the lowered operator q, summed over
+    the nonzero entries of q."""
+    terms = [(a, b, c) for a, row in enumerate(op.lowered) for b, c in enumerate(row) if c]
+    if not terms:
+        return Fraction(0)
+    rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
+    cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
     ks = {1: k1, 2: k2}
-    kj, kl, kr = ks[j], ks[l], ks[r]
-    g_at = op.g_at
-    a1 = TwoVector.wedge(x, y) + TwoVector.wedge(kj.apply(x), kl.apply(y))
-    b1 = TwoVector.wedge(z, u) + TwoVector.wedge(kr.apply(z), kr.apply(u))
-    a2 = TwoVector.wedge(kj.apply(x), y) + TwoVector.wedge(x, kl.apply(y))
-    b2 = TwoVector.wedge(kr.apply(z), u) + TwoVector.wedge(z, kr.apply(u))
-    lhs = lambda2_inner(g_at, op.apply_2vector(a1), b1)
-    rhs = lambda2_inner(g_at, op.apply_2vector(a2), b2)
-    return lhs + rhs
+    kx, ky = ks[j].apply(x), ks[l].apply(y)
+    kz, ku = ks[r].apply(z), ks[r].apply(u)
+    a_sum = _wedge_coords(rows, vec_add(x, kx), vec_add(y, ky))
+    a_diff = _wedge_coords(rows, vec_sub(x, kx), vec_sub(y, ky))
+    b_sum = _wedge_coords(cols, vec_add(z, kz), vec_add(u, ku))
+    b_diff = _wedge_coords(cols, vec_sub(z, kz), vec_sub(u, ku))
+    return sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b]) for a, b, c in terms) / 2
 
 
 # -- reflector-space Nijenhuis evaluators ------------------------------------------------------

@@ -507,15 +507,17 @@ class RatFunc:
         return RatFunc(top, new_factors)
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
+        value = self.num.eval_at(point)
+        if not self.factors:
+            return value
+        den = Fraction(1)
         for p, m in self.factors.values():
             v = p.eval_at(point)
             if v == 0:
                 raise PoleAtPoint(
                     f"denominator factor vanishes at ({', '.join(map(str, point))})")
-        value = self.num.eval_at(point)
-        for p, m in self.factors.values():
-            value /= p.eval_at(point) ** m
-        return value
+            den *= v ** m
+        return value / den
 
     # -- display ---------------------------------------------------------------
 

@@ -290,8 +290,13 @@ def random_compatible_structure(g: Bilinear, onb: list, rng, orientation: int = 
     y1, y2, y3 = t, 1 + s, t + m * s
     if js is None:
         js = j_structures(g, onb, +1 if orientation > 0 else -1)
-    j1, j2, j3 = js
-    return j1.scale(y1) + j2.scale(y2) + j3.scale(y3)
+    mat = [[Fraction(0)] * len(row) for row in js[0].mat]
+    for y, jm in zip((y1, y2, y3), js):
+        for out, row in zip(mat, jm.mat):
+            for c, e in enumerate(row):
+                if e:
+                    out[c] += y * e
+    return Endo(mat)
 
 
 def standard_para_structure(n: int) -> Endo:

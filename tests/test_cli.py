@@ -62,6 +62,41 @@ def test_component_key_outside_range_exit_2(tmp_path, capsys, command, kind, key
     assert captured.err == f"error: component key {key!r} is outside 1..4\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+@pytest.mark.parametrize("kind,key", [("omega", "1,1"), ("pi", "4,4")])
+def test_diagonal_component_key_of_a_two_form_or_bivector_exit_2(tmp_path, capsys,
+                                                                   command, kind, key):
+    path = write_desc(tmp_path, "desc.json",
+                      {"kind": kind, kind: {"1,2": "1", "3,4": "1", key: "x1"}})
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: component key {key!r} is diagonal\n"
+
+
+@pytest.mark.parametrize("kind", ["omega", "pi"])
+@pytest.mark.parametrize("entry,where", [((0, 0), "(1,1)"), ((1, 0), "(1,2)")])
+def test_full_matrix_of_a_two_form_or_bivector_must_be_antisymmetric(tmp_path, capsys,
+                                                                     kind, entry, where):
+    mat = [["0", "1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]
+    path = write_desc(tmp_path, "ok.json", {"kind": kind, kind: mat})
+    assert main(["integrability", path]) == 0
+    capsys.readouterr()
+    mat[entry[0]][entry[1]] = "x1"
+    path = write_desc(tmp_path, "bad.json", {"kind": kind, kind: mat})
+    code = main(["integrability", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: matrix is not antisymmetric at {where}\n"
+
+
+def test_diagonal_component_keys_of_p_are_entries(tmp_path, capsys):
+    path = write_desc(tmp_path, "p.json", {"kind": "product", "P": {
+        "1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}})
+    code, out = run_cli(capsys, "integrability", path)
+    assert code == 0 and json.loads(out)["integrable"]
+
+
 def test_validate_assembled(tmp_path, capsys):
     k_std = [["0", "0", "1", "0"], ["0", "0", "0", "1"],
              ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
@@ -308,6 +343,39 @@ def test_theorem_bad_point_exit_2(capsys):
     code, _ = run_cli(capsys, "theorem", "flat", "--component", "++",
                       "--points", "0,0,0")
     assert code == 2
+
+
+def test_theorem_negative_samples_exit_2(capsys):
+    code = main(["theorem", "flat", "--component", "++", "--samples", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --samples must be at least 0, got -5\n"
+    code, out = run_cli(capsys, "theorem", "flat", "--component", "++", "--samples", "0")
+    assert code == 0
+    assert json.loads(out)["evidence"]["jklr"] == {"samples": 0, "nonzero": 0}
+
+
+def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
+    """The (j,l,r) samples contract wedge coordinates with the lowered
+    operator: the Lambda^2 inner product runs only for the 36 Gram entries
+    at each point, however many samples are drawn."""
+    import paracomplex.curv
+    import paracomplex.linalg
+
+    calls = []
+    original = paracomplex.linalg.lambda2_inner
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(paracomplex.linalg, "lambda2_inner", counting)
+    monkeypatch.setattr(paracomplex.curv, "lambda2_inner", counting)
+    code, out = run_cli(capsys, "theorem", "constcurv:-1/2", "--component=--",
+                        "--samples", "300")
+    report = json.loads(out)
+    assert code == 1 and report["evidence"]["jklr"]["nonzero"] > 0
+    assert 0 < len(calls) <= 36 * len(report["evidence"]["points"])
 
 
 # -- theta grammar -------------------------------------------------------------------

@@ -14,13 +14,16 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
+    lambda2_inner,
     mat_eq,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_scale,
     mat_sub,
+    mat_vec,
     mat_zero,
+    wedge_pairs,
 )
 from paracomplex.para import (
     hyperboloid_structure,
@@ -56,6 +59,7 @@ from paracomplex.curv import (
     reflector_mixed_nijenhuis,
     reflector_nijenhuis,
     riemann_at,
+    rnd_vec,
     sectional_constant_check,
     star_matrix,
     theorem_verdict,
@@ -520,6 +524,83 @@ def test_jklr_perturbed_nonzero_witness():
             found = True
             break
     assert found
+
+
+WEDGE4 = wedge_pairs(4)
+COUNTEREXAMPLE = "x1*(x1-1)*(x2^3+x2^2)/2"
+SHEAR_PHI = "1 - (x1^2 + (x1+x2)^2 - (2*x1-x2+x3)^2 - (x1+x2-x3+x4)^2)/8"
+
+
+def sheared_constcurv() -> MetricModel:
+    """constcurv:-1/2 pulled back by the unitriangular linear map
+    y = (x1, x1+x2, 2x1-x2+x3, x1+x2-x3+x4), read from strings as a file:
+    metric is: every entry of g is nonzero, and the frame is phi S^-1."""
+    g = [[-3, 2, -1, -1], [2, -1, 2, -1], [-1, 2, -2, 1], [-1, -1, 1, -1]]
+    onb = [[1, -1, -3, -3], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return metric_from_strings([[f"{v}/({SHEAR_PHI})^2" for v in row] for row in g], V,
+                               [[f"{v}*({SHEAR_PHI})" for v in col] for col in onb])
+
+
+def jklr_models() -> list:
+    return [flat_metric(), constcurv_metric(1), constcurv_metric(Fraction(-2, 3)),
+            ppwave_metric(rf("x2^2")), ppwave_metric(rf(COUNTEREXAMPLE)),
+            perturbed_metric(), sheared_constcurv()]
+
+
+# regular for every model above; the counterexample's d^2 f/dx2^2 is nonzero at the last two
+JKLR_POINTS = [ORIGIN, (Fraction(2), Fraction(1), Fraction(0), Fraction(0)),
+               (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(0))]
+
+
+def r_of(op, a: TwoVector) -> TwoVector:
+    """R(a) for a 2-vector a, through the operator matrix on the wedge basis."""
+    image = mat_vec(op.mat, [a.get(i, k) for (i, k) in WEDGE4])
+    return TwoVector(4, {pair: c for pair, c in zip(WEDGE4, image) if c})
+
+
+def jklr_oracle(op, k1, k2, j, l, r, x, y, z, u):
+    """The (j,l,r) residual as g(R(A1), B1) + g(R(A2), B2) with 2-vectors
+    paired by the induced inner product on Lambda^2."""
+    ks = {1: k1, 2: k2}
+    kj, kl, kr = ks[j], ks[l], ks[r]
+    w = TwoVector.wedge
+    a1 = w(x, y) + w(kj.apply(x), kl.apply(y))
+    b1 = w(z, u) + w(kr.apply(z), kr.apply(u))
+    a2 = w(kj.apply(x), y) + w(x, kl.apply(y))
+    b2 = w(kr.apply(z), u) + w(z, kr.apply(u))
+    return lambda2_inner(op.g_at, r_of(op, a1), b1) + lambda2_inner(op.g_at, r_of(op, a2), b2)
+
+
+def test_jklr_residual_equals_the_lambda2_oracle():
+    rng = random.Random(2411)
+    nonzero_models = 0
+    for model in jklr_models():
+        jet = metric_jet(model.g)
+        nonzero = 0
+        for p in JKLR_POINTS:
+            op = curvature_operator(jet, p)
+            onb = model.onb_at(p)
+            for _ in range(14):
+                k1 = random_compatible_structure(op.g_at, onb, rng, rng.choice((1, -1)))
+                k2 = random_compatible_structure(op.g_at, onb, rng, rng.choice((1, -1)))
+                j, l, r = (rng.randint(1, 2) for _ in range(3))
+                args = [rnd_vec(rng) for _ in range(4)]
+                res = jklr_residual(op, k1, k2, j, l, r, *args)
+                assert res == jklr_oracle(op, k1, k2, j, l, r, *args)
+                nonzero += res != 0
+        nonzero_models += nonzero > 0
+    assert nonzero_models >= 3
+
+
+def test_lowered_operator_is_the_lambda2_pairing():
+    """op.lowered[a][b] = g(R(e_a), e_b) on the 36 pairs of wedge basis vectors."""
+    basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
+    for model in jklr_models():
+        jet = metric_jet(model.g)
+        for p in JKLR_POINTS:
+            op = curvature_operator(jet, p)
+            assert op.lowered == [[lambda2_inner(op.g_at, r_of(op, ea), eb) for eb in basis]
+                                  for ea in basis]
 
 
 # -- reflector Nijenhuis -------------------------------------------------------------------

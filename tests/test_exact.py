@@ -42,6 +42,21 @@ def test_eval_pole_raises():
         f.eval_at(as_point([0, 5]))
 
 
+def test_eval_evaluates_each_denominator_factor_once(monkeypatch):
+    f = rf("x1/(1+x2)") / rf("x1-3") / rf("x1-3")
+    assert sorted(m for _, m in f.factors.values()) == [1, 2]
+    calls = []
+    original = Poly.eval_at
+
+    def counting(self, point):
+        calls.append(self)
+        return original(self, point)
+
+    monkeypatch.setattr(Poly, "eval_at", counting)
+    assert f.eval_at(as_point([1, 1])) == Fraction(1, 8)
+    assert len(calls) == 3
+
+
 # -- partial --------------------------------------------------------------
 
 

@@ -15,6 +15,14 @@ a pole at a sample point), a degenerate omega, Poisson and non-Poisson pi,
 integrable and non-integrable P, a P with P^2 != Id, and `assembled`.  The
 `validate` at a pole was re-recorded once, when pole points in error texts
 became strings ("(0, 0, 0, 0)") instead of Fraction reprs.
+
+The three `theorem --samples 300` digests were recorded before the (j,l,r)
+residual moved from Lambda^2 inner products of 2-vectors to a contraction of
+wedge coordinates with the lowered curvature operator: a pp-wave with a
+nonzero witness, constcurv:-1/2 at two given points with 81 nonzero samples,
+and a `file:` metric with every entry of g nonzero.  A tuple in argv is such
+a metric file, written under its name to the working directory, so that the
+report names it by a relative path.
 """
 
 import hashlib
@@ -29,6 +37,15 @@ P_BAD = [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"], ["0", "0", "0", "1"], [
 P_TWO = [["2", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "2"]]
 G = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
 K_STD = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+# constcurv:-1/2 pulled back by y = (x1, x1+x2, 2x1-x2+x3, x1+x2-x3+x4)
+PHI = "1 - (x1^2 + (x1+x2)^2 - (2*x1-x2+x3)^2 - (x1+x2-x3+x4)^2)/8"
+DENSE = ("dense.json", {
+    "g": [[f"{v}/({PHI})^2" for v in row] for row in
+          [["-3", "2", "-1", "-1"], ["2", "-1", "2", "-1"],
+           ["-1", "2", "-2", "1"], ["-1", "-1", "1", "-1"]]],
+    "onb": [[f"{v}*({PHI})" for v in col] for col in
+            [["1", "-1", "-3", "-3"], ["0", "1", "1", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]],
+})
 
 PINNED = [
     (['curvature', 'constcurv:1', '--point', '0,0,0,0'],
@@ -53,6 +70,13 @@ PINNED = [
      1, "072e2816b7e499705660c7d394e40e717a92c7e77b821cf7a88c8f765b9d57bb"),
     (['theorem', 'constcurv:-2/3', '--component', 'mp', '--points', '1,0,0,0;0,1/2,1,0', '--samples', '30'],
      0, "58e3b9aa57a5d6300289f9039ba138ec79c6aca32aaac810004f6b4e6560a2ca"),
+    (['theorem', 'ppwave:x2^2', '--component', '+-', '--samples', '300'],
+     1, "96d558e1d6320fb4c6db95b306861877dfe7be53b8870db4764c3e963ded4f24"),
+    (['theorem', 'constcurv:-1/2', '--component=--', '--samples', '300', '--seed', '745',
+      '--points=-1,1,1,1;0,-2/3,-1,-3/2'],
+     1, "8cb024fa6e8d03d7a6ab706f4a97cb6a0c7fc857de50efcb234e1d9752a80caf"),
+    (['theorem', DENSE, '--component', '++', '--samples', '300', '--seed', '9'],
+     1, "26bc233f552fcbf0db836143c776b35fef7f244da0aa95254edd55c99731a2f2"),
     (['validate', {'kind': 'trivial'}],
      0, "44995c4b46e9f007e91a1e34cc4a2cad09b1cfb788dd8b70b413b40b90507b28"),
     (['integrability', {'kind': 'trivial'}],
@@ -87,15 +111,20 @@ PINNED = [
 
 
 def _label(arg):
+    if isinstance(arg, tuple):
+        return f"file:{arg[0]}"
     return arg if isinstance(arg, str) else json.dumps(arg, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED,
                          ids=[" ".join(map(_label, a)) for a, _, _ in PINNED])
-def test_report_bytes_pinned(capsys, tmp_path, argv, code, digest):
+def test_report_bytes_pinned(capsys, tmp_path, monkeypatch, argv, code, digest):
+    monkeypatch.chdir(tmp_path)
     descriptor = tmp_path / "descriptor.json"
     for arg in argv:
         if isinstance(arg, dict):
             descriptor.write_text(json.dumps(arg))
-    assert main([str(descriptor) if isinstance(a, dict) else a for a in argv]) == code
+        elif isinstance(arg, tuple):
+            (tmp_path / arg[0]).write_text(json.dumps(arg[1]))
+    assert main([str(descriptor) if isinstance(a, dict) else _label(a) for a in argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
