@@ -15,10 +15,11 @@ import sys
 from fractions import Fraction
 
 from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
+from paracomplex.gpx import assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_to_strings
 from paracomplex.para import validate_para
-from paracomplex.patch import STRUCTURES, BiVectorField, KForm, integrability_report
+from paracomplex.patch import (STRUCTURES, BiVectorField, KForm, endo_jet,
+                               gen_nijenhuis_frame_sweep, integrability_report)
 from paracomplex.curv import (
     DEFAULT_POINTS,
     VARS4,
@@ -102,7 +103,7 @@ def parse_theta_expr(text: str, variables=VARS4) -> KForm:
         try:
             coeff = parse_ratfunc(coeff_src, variables)
         except ParseError as exc:
-            raise InputError(f"bad coefficient {coeff_src!r}") from exc
+            raise InputError(f"bad coefficient {coeff_src!r}: {exc}") from exc
         if sign == "-":
             coeff = -coeff
         theta = theta + KForm(nvars, 2, {(i, j): coeff})
@@ -114,7 +115,8 @@ def _component_map_to_matrix(data, variables, antisym=True):
     {"i,j": "expr"} with 1-based indices."""
     nvars = len(variables)
     if isinstance(data, list):
-        if len(data) != nvars or any(len(row) != nvars for row in data):
+        if len(data) != nvars or any(not isinstance(row, list) or len(row) != nvars
+                                     for row in data):
             raise InputError("matrix has the wrong shape")
         mat = [[parse_ratfunc(s, variables) for s in row] for row in data]
         for i in range(nvars if antisym else 0):
@@ -144,9 +146,12 @@ def _component_map_to_matrix(data, variables, antisym=True):
 def load_descriptor(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            desc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read descriptor {path!r}: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise InputError(f"descriptor {path!r} is not a JSON object")
+    return desc
 
 
 def _descriptor_structure(desc: dict):
@@ -154,26 +159,32 @@ def _descriptor_structure(desc: dict):
     kind = desc.get("kind")
     variables = desc.get("vars", VARS4)
     nvars = len(variables)
+
+    def field(name):
+        if name not in desc:
+            raise InputError(f"a {kind!r} descriptor needs {name!r}")
+        return desc[name]
+
     if kind == "trivial":
         return kind, nvars, variables
     if kind == "omega":
-        mat = _component_map_to_matrix(desc["omega"], variables)
+        mat = _component_map_to_matrix(field("omega"), variables)
         omega = KForm(nvars, 2, {(i, j): mat[i][j]
                                  for i in range(nvars) for j in range(i + 1, nvars)})
         return kind, omega, variables
     if kind == "pi":
-        mat = _component_map_to_matrix(desc["pi"], variables)
+        mat = _component_map_to_matrix(field("pi"), variables)
         pi = BiVectorField(nvars, {(i, j): mat[i][j]
                                    for i in range(nvars) for j in range(i + 1, nvars)})
         return kind, pi, variables
     if kind == "product":
-        mat = _component_map_to_matrix(desc["P"], variables, antisym=False)
+        mat = _component_map_to_matrix(field("P"), variables, antisym=False)
         return kind, mat, variables
     if kind == "assembled":
-        g = _component_map_to_matrix(desc["g"], variables, antisym=False)
+        g = _component_map_to_matrix(field("g"), variables, antisym=False)
         theta = _component_map_to_matrix(desc.get("theta", {}), variables)
-        k1 = _component_map_to_matrix(desc["k1"], variables, antisym=False)
-        k2 = _component_map_to_matrix(desc["k2"], variables, antisym=False)
+        k1 = _component_map_to_matrix(field("k1"), variables, antisym=False)
+        k2 = _component_map_to_matrix(field("k2"), variables, antisym=False)
         return kind, (g, theta, k1, k2), variables
     raise InputError(f"unknown structure kind {kind!r}")
 
@@ -189,10 +200,10 @@ def cmd_validate(args) -> tuple[dict, int]:
     kind, data, variables = _descriptor_structure(desc)
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=5)
-    k_mat = error = None
+    k = error = None
     if kind != "assembled":
         try:
-            k_mat = STRUCTURES[kind](data).as_matrix()
+            k = STRUCTURES[kind](data)
         except _POINT_ERRORS as exc:
             error = str(exc)  # reported at every point
     results = []
@@ -221,7 +232,7 @@ def cmd_validate(args) -> tuple[dict, int]:
                     entry["compatible"] = compat
                     ok = rep.ok and compat
             else:
-                rep = validate_gen_para(GenEndo.from_matrix(mat_eval(k_mat, p)))
+                rep = validate_gen_para(k.eval_at(p))
                 entry["structure"] = rep.checks
                 ok = rep.ok
         except _POINT_ERRORS as exc:
@@ -243,23 +254,22 @@ def cmd_integrability(args) -> tuple[dict, int]:
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=3)
     rep = integrability_report(kind, data)
+    k, dk = rep.structure, endo_jet(rep.structure)
     samples = []
     for p in points:
-        nonzero_pairs = 0
-        sample_value = None
-        for (pair, section) in sorted(rep.sweep_witnesses.items()):
-            try:
-                value = section.eval_at(p)
-            except PoleAtPoint:
-                continue
-            if not value.is_zero():
-                nonzero_pairs += 1
-                if sample_value is None:
-                    comp = next((str(c) for c in value.x + value.alpha if c), "0")
-                    sample_value = {"frame_pair": list(pair), "component": comp}
-        samples.append({"point": [str(c) for c in p],
-                        "nonzero_frame_pairs": nonzero_pairs,
-                        "sample": sample_value})
+        entry: dict = {"point": [str(c) for c in p]}
+        try:
+            _, witnesses = gen_nijenhuis_frame_sweep(k.eval_at(p), [d.eval_at(p) for d in dk])
+        except PoleAtPoint as exc:
+            entry["error"] = str(exc)
+        else:
+            entry["nonzero_frame_pairs"] = len(witnesses)
+            entry["sample"] = None
+            if witnesses:
+                pair = min(witnesses)
+                comp = next(str(c) for c in witnesses[pair].x + witnesses[pair].alpha if c)
+                entry["sample"] = {"frame_pair": list(pair), "component": comp}
+        samples.append(entry)
     report = {
         "schema": 1,
         "command": "integrability",

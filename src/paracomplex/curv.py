@@ -147,11 +147,16 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
 
 def metric_from_strings(rows: list, variables: list, onb_rows: list | None = None,
                         name: str = "file") -> MetricModel:
-    g = [[parse_ratfunc(s, variables) for s in row] for row in rows]
-    onb = None
-    if onb_rows is not None:
-        onb = [[parse_ratfunc(s, variables) for s in col] for col in onb_rows]
-    return MetricModel(name, len(variables), g, onb)
+    n = len(variables)
+
+    def parse(mat, what):
+        if not (isinstance(mat, list) and len(mat) == n
+                and all(isinstance(row, list) and len(row) == n for row in mat)):
+            raise ValueError(f"{what} of {name} must be a {n}x{n} matrix")
+        return [[parse_ratfunc(s, variables) for s in row] for row in mat]
+
+    return MetricModel(name, n, parse(rows, "g"),
+                       None if onb_rows is None else parse(onb_rows, "onb"))
 
 
 def _is_square(q: Fraction) -> Fraction | None:
@@ -859,8 +864,13 @@ def parse_metric_id(text: str) -> MetricModel:
         return ppwave_metric(f)
     if text.startswith("file:"):
         path = text.split(":", 1)[1]
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read metric file {path!r}: {exc}") from exc
+        if not isinstance(data, dict) or "g" not in data:
+            raise ValueError(f"metric file {path!r} is not a JSON object with a \"g\" matrix")
         variables = data.get("vars", VARS4)
         return metric_from_strings(data["g"], variables, data.get("onb"),
                                    name=f"file:{path}")

@@ -476,10 +476,9 @@ class RatFunc:
     def __pow__(self, k: int) -> RatFunc:
         if k < 0:
             return RatFunc.one(self.nvars) / self ** (-k)
-        out = RatFunc.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return RatFunc.one(self.nvars)
+        return RatFunc(self.num ** k, {key: (p, m * k) for key, (p, m) in self.factors.items()})
 
     # -- calculus ---------------------------------------------------------------
 
@@ -595,6 +594,8 @@ class _Tokens:
 
 def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
     """Parse a rational-function literal over the given variable names."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a string literal, got {text!r}")
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
     toks = _Tokens(text)
@@ -612,6 +613,8 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
         while toks.peek() in ("*", "/"):
             op = toks.next()
             rhs = unary()
+            if op == "/" and rhs.is_zero():
+                raise ParseError(f"division by zero in {text!r}")
             value = value * rhs if op == "*" else value / rhs
         return value
 

@@ -146,6 +146,10 @@ class GenEndo:
         bottom = [rc + rd for rc, rd in zip(self.c, self.d)]
         return top + bottom
 
+    def eval_at(self, point) -> GenEndo:
+        """Values at the point of an endomorphism with RatFunc entries."""
+        return GenEndo(*(mat_eval(m, point) for m in (self.a, self.b, self.c, self.d)))
+
     def apply(self, v: GenVector) -> GenVector:
         x = vec_add(mat_vec(self.a, v.x), mat_vec(self.b, v.alpha))
         alpha = vec_add(mat_vec(self.c, v.x), mat_vec(self.d, v.alpha))

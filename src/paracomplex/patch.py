@@ -24,7 +24,8 @@ from paracomplex.gpx import (
     product_structure,
     trivial_structure,
 )
-from paracomplex.linalg import Bilinear, Endo, basis_vec, mat_zero, sparse_add, zero_like
+from paracomplex.linalg import (Bilinear, Endo, mat_identity, mat_zero, sparse_add,
+                                transpose, zero_like)
 
 
 class WrongDegree(ValueError):
@@ -35,14 +36,8 @@ def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sorted index tuple and permutation sign; None for repeated indices."""
     if len(set(idx)) != len(idx):
         return None
-    sign = 1
-    lst = list(idx)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return tuple(lst), sign
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 class KForm:
@@ -189,14 +184,6 @@ def endo_jet(k: GenEndo) -> list[GenEndo]:
             for i in range(k.dim)]
 
 
-def _dot(us: list, vs: list, total):
-    """total + sum of u * v, skipping zero factors."""
-    for u, v in zip(us, vs):
-        if u and v:
-            total = total + u * v
-    return total
-
-
 def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
     """The Courant bracket [A, B] of A = X + alpha and B = Y + beta from their
     1-jets: the values a, b and the partials da[i] = d_i A, db[i] = d_i B.  The
@@ -207,16 +194,27 @@ def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector
                   - d_k(X^i beta_i - Y^i alpha_i) / 2
     """
     x, alpha, y, beta = a.x, a.alpha, b.x, b.alpha
+    n = len(x)
     zero = zero_like(x[0])
-    vec, form = [], []
-    for k in range(len(x)):
-        vec.append(_dot(x, [d.x[k] for d in db], zero) - _dot(y, [d.x[k] for d in da], zero))
-        lie = _dot(x, [d.alpha[k] for d in db], zero) - _dot(y, [d.alpha[k] for d in da], zero)
-        # beta_i d_k X^i - alpha_i d_k Y^i less half of d_k(X^i beta_i - Y^i alpha_i)
-        sym = (_dot(beta, da[k].x, zero) - _dot(x, db[k].alpha, zero)
-               - _dot(alpha, db[k].x, zero) + _dot(y, da[k].alpha, zero))
-        form.append(lie + sym * Fraction(1, 2) if sym else lie)
-    return GenVector(vec, form)
+    # form_k = lie_k + sym_k / 2 with lie_k the d_i terms and sym_k the d_k terms
+    vec, lie, sym = [zero] * n, [zero] * n, [zero] * n
+    terms = []  # (coefficient, target, its factor at each k), nonzero coefficients only
+    for i in range(n):
+        if x[i]:
+            terms += [(x[i], vec, db[i].x), (x[i], lie, db[i].alpha),
+                      (-x[i], sym, [d.alpha[i] for d in db])]
+        if y[i]:
+            terms += [(-y[i], vec, da[i].x), (-y[i], lie, da[i].alpha),
+                      (y[i], sym, [d.alpha[i] for d in da])]
+        if alpha[i]:
+            terms.append((-alpha[i], sym, [d.x[i] for d in db]))
+        if beta[i]:
+            terms.append((beta[i], sym, [d.x[i] for d in da]))
+    for c, target, factors in terms:
+        for k, f in enumerate(factors):
+            if f:
+                target[k] = target[k] + c * f
+    return GenVector(vec, [l + s * Fraction(1, 2) if s else l for l, s in zip(lie, sym)])
 
 
 def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
@@ -252,22 +250,33 @@ STRUCTURES = {
 # -- Nijenhuis tensors -----------------------------------------------------------------
 
 
-def _jets(k: GenEndo, dk: list, a: GenVector, da: list) -> tuple:
-    """(A, dA, KA, d(KA)) with d_i(KA) = (d_i K) A + K d_i A."""
-    return a, da, k.apply(a), [dki.apply(a) + k.apply(dai) for dki, dai in zip(dk, da)]
+def _frame_jets(k: GenEndo, dk: list) -> list:
+    """The jets (e_a, 0, K e_a, d(K e_a)) of the 2n constant frame sections
+    (d_i + 0) and (0 + dx^j): the jet of K e_a is column a of K and of each d_i K."""
+    n = k.dim
+    cols = [[GenVector(c[:n], c[n:]) for c in transpose(e.as_matrix())] for e in [k] + dk]
+    like = k.a[0][0]
+    frames = [GenVector(c[:n], c[n:]) for c in mat_identity(2 * n, like)]
+    zero_jet = [GenVector.vector([zero_like(like)] * n)] * n
+    return [(frames[a], zero_jet, cols[0][a], [c[a] for c in cols[1:]]) for a in range(2 * n)]
 
 
 def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
     a, da, ka, dka = ja
     b, db, kb, dkb = jb
     return (courant_on_jets(a, da, b, db) + courant_on_jets(ka, dka, kb, dkb)
-            - k.apply(courant_on_jets(ka, dka, b, db)) - k.apply(courant_on_jets(a, da, kb, dkb)))
+            - k.apply(courant_on_jets(ka, dka, b, db) + courant_on_jets(a, da, kb, dkb)))
 
 
 def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
-    """N(A, B) = [A,B] + [KA, KB] - K[KA, B] - K[A, KB] (Courant brackets)."""
+    """N(A, B) = [A,B] + [KA, KB] - K([KA, B] + [A, KB]) (Courant brackets)."""
     dk = endo_jet(k)
-    return _nijenhuis(k, _jets(k, dk, a, _section_jet(a)), _jets(k, dk, b, _section_jet(b)))
+
+    def jet(s):  # (S, dS, KS, d(KS)) with d_i(KS) = (d_i K) S + K d_i S
+        ds = _section_jet(s)
+        return s, ds, k.apply(s), [dki.apply(s) + k.apply(dsi) for dki, dsi in zip(dk, ds)]
+
+    return _nijenhuis(k, jet(a), jet(b))
 
 
 def classical_nijenhuis(p: list, x: list, y: list) -> list:
@@ -277,27 +286,17 @@ def classical_nijenhuis(p: list, x: list, y: list) -> list:
     return gen_nijenhuis(GenEndo(p, z, z, z), GenVector.vector(x), GenVector.vector(y)).x
 
 
-def frame_sections(nvars: int) -> list[GenVector]:
-    """The 2n coordinate-frame sections (d_i + 0) and (0 + dx^j)."""
-    frames = []
-    for a in range(2 * nvars):
-        e = basis_vec(a, 2 * nvars, like=RatFunc.one(nvars))
-        frames.append(GenVector(e[:nvars], e[nvars:]))
-    return frames
-
-
-def gen_nijenhuis_frame_sweep(k: GenEndo):
-    """Evaluate N on all frame-section pairs; returns (all_zero, witnesses)
-    where witnesses maps pair indices to the nonzero section.  The frames are
-    constant, so the jet of K e_a is column a of K and of d K."""
-    dk = endo_jet(k)
-    jets = [_jets(k, dk, e, _section_jet(e)) for e in frame_sections(k.dim)]
+def gen_nijenhuis_frame_sweep(k: GenEndo, dk: list | None = None):
+    """N on all frame-section pairs from the 1-jet of K, its value k and its
+    partials dk (default endo_jet(k)), in RatFuncs or, at a point, in Fractions:
+    N is a tensor, so N(p) needs only K(p) and dK(p).  Returns (all_zero,
+    witnesses) where witnesses maps pair indices a < b to the nonzero section."""
+    jets = _frame_jets(k, endo_jet(k) if dk is None else dk)
     witnesses = {}
-    for i in range(len(jets)):
-        for j in range(i + 1, len(jets)):
-            n = _nijenhuis(k, jets[i], jets[j])
-            if not n.is_zero():
-                witnesses[(i, j)] = n
+    for i, j in itertools.combinations(range(len(jets)), 2):
+        n = _nijenhuis(k, jets[i], jets[j])
+        if not n.is_zero():
+            witnesses[(i, j)] = n
     return not witnesses, witnesses
 
 
@@ -318,10 +317,6 @@ def poisson_jacobiator(pi: BiVectorField) -> dict:
         if not total.is_zero():
             out[(i, j, k)] = total
     return out
-
-
-def is_poisson(pi: BiVectorField) -> bool:
-    return not poisson_jacobiator(pi)
 
 
 # -- B-transform bracket law -------------------------------------------------------------
@@ -346,15 +341,15 @@ class IntegrabilityReport:
     integrable: bool
     criterion: str
     witness: dict | None
-    sweep_witnesses: dict  # frame pair -> nonzero generalized Nijenhuis section
+    structure: GenEndo  # K of the kind's patch data, for sampling N pointwise
 
 
 def integrability_report(kind: str, data) -> IntegrabilityReport:
-    """Closed-form integrability criterion per structure kind, plus one
-    generalized-Nijenhuis frame-pair sweep (exact identity check)."""
+    """Closed-form integrability criterion per structure kind, decided as a
+    rational-function identity, and the structure K itself."""
     if kind not in STRUCTURES:
         raise ValueError(f"unknown structure kind {kind!r}")
-    _, sweep = gen_nijenhuis_frame_sweep(STRUCTURES[kind](data))
+    k = STRUCTURES[kind](data)
     witness = None
     if kind == "trivial":
         criterion = "trivial"
@@ -372,11 +367,14 @@ def integrability_report(kind: str, data) -> IntegrabilityReport:
             witness = {"jacobiator_triple": [i + 1 for i in idx], "value": c.to_str()}
     else:
         criterion = "p_nijenhuis_zero"
+        # the classical N_P on vector-frame pairs, from one jet of P + 0
         n = len(data)
-        one = RatFunc.one(n)
+        z = mat_zero(n, like=data[0][0])
+        p = GenEndo(data, z, z, z)
+        jets = _frame_jets(p, endo_jet(p))
         for i, j in itertools.combinations(range(n), 2):
-            nij = classical_nijenhuis(data, basis_vec(i, n, one), basis_vec(j, n, one))
+            nij = _nijenhuis(p, jets[i], jets[j]).x
             if any(nij):
                 witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str() for c in nij]}
                 break
-    return IntegrabilityReport(kind, witness is None, criterion, witness, sweep)
+    return IntegrabilityReport(kind, witness is None, criterion, witness, k)

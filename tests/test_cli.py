@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,48 @@ def test_full_matrix_of_a_two_form_or_bivector_must_be_antisymmetric(tmp_path, c
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: matrix is not antisymmetric at {where}\n"
+
+
+def assert_one_line_input_error(capsys, code, message):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+@pytest.mark.parametrize("payload,message", [
+    ([{"kind": "trivial"}], "descriptor {path!r} is not a JSON object"),
+    ({"kind": "omega"}, "a 'omega' descriptor needs 'omega'"),
+    ({"kind": "pi", "vars": ["x1", "x2"]}, "a 'pi' descriptor needs 'pi'"),
+    ({"kind": "omega", "omega": {"1,2": 5}}, "expected a string literal, got 5"),
+    ({"kind": "product", "P": [1, 2, 3, 4]}, "matrix has the wrong shape"),
+    ({"kind": "omega", "omega": {"1,2": "1", "3,4": "x1/0"}}, "division by zero in 'x1/0'"),
+], ids=["list", "omega-missing", "pi-missing", "non-string", "rows-not-lists", "divide-by-zero"])
+def test_malformed_descriptor_exit_2_with_one_line(tmp_path, capsys, command, payload, message):
+    path = write_desc(tmp_path, "desc.json", payload)
+    assert_one_line_input_error(capsys, main([command, path]), message.format(path=path))
+
+
+@pytest.mark.parametrize("payload,message", [
+    (None, "cannot read metric file {path!r}: [Errno 2] No such file or directory: {path!r}"),
+    ({"g": 5}, "g of file:{path} must be a 4x4 matrix"),
+    ([["1"]], "metric file {path!r} is not a JSON object with a \"g\" matrix"),
+    ({"onb": []}, "metric file {path!r} is not a JSON object with a \"g\" matrix"),
+    ({"g": [["1", "0"], ["0", "1"]]}, "g of file:{path} must be a 4x4 matrix"),
+    ({"g": [["1/0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+            ["0", "0", "0", "-1"]]}, "division by zero in '1/0'"),
+], ids=["missing", "g-not-a-matrix", "list", "no-g", "wrong-shape", "divide-by-zero"])
+def test_malformed_metric_file_exit_2_with_one_line(tmp_path, capsys, payload, message):
+    path = str(tmp_path / "nope.json") if payload is None else write_desc(tmp_path, "m.json",
+                                                                         payload)
+    code = main(["curvature", f"file:{path}", "--point", "1,0,0,0"])
+    assert_one_line_input_error(capsys, code, message.format(path=path))
+
+
+def test_theta_division_by_zero_exit_2_with_one_line(capsys):
+    code = main(["theorem", "flat", "--theta", "x1/0*dx1^dx2", "--component", "++"])
+    assert_one_line_input_error(capsys, code,
+                                "bad coefficient 'x1/0': division by zero in 'x1/0'")
 
 
 def test_diagonal_component_keys_of_p_are_entries(tmp_path, capsys):
@@ -186,14 +229,17 @@ def test_integrability_trivial(tmp_path, capsys):
                                ["0", "0", "0", "1"], ["0", "0", "1", "0"]]}, 0),
 ], ids=["trivial", "omega", "pi", "product"])
 def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payload, code):
+    """The CLI never builds a symbolic Nijenhuis section: it calls the sweep
+    once per sample point, on K and dK evaluated there in Q."""
     import paracomplex.patch as patch
 
     original = patch.gen_nijenhuis_frame_sweep
     calls = []
 
-    def counting(k):
-        calls.append(payload["kind"])  # the structure itself carries no kind
-        return original(k)
+    def counting(k, dk=None):
+        entries = [c for e in [k] + (dk or []) for row in e.as_matrix() for c in row]
+        calls.append({type(c) for c in entries})
+        return original(k, dk)
 
     # replace the sweep in every module that holds it, so no caller escapes the count
     for name, module in list(sys.modules.items()):
@@ -201,8 +247,8 @@ def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payl
                                                       None) is original:
             monkeypatch.setattr(module, "gen_nijenhuis_frame_sweep", counting)
     path = write_desc(tmp_path, "desc.json", payload)
-    assert run_cli(capsys, "integrability", path)[0] == code
-    assert calls == [payload["kind"]]
+    assert run_cli(capsys, "integrability", path, "--points", "1,0,0,0;2,1,0,-1")[0] == code
+    assert calls == [{Fraction}, {Fraction}]
 
 
 # -- curvature --------------------------------------------------------------------

@@ -213,3 +213,33 @@ def test_adding_zero_multiplies_no_polynomials(monkeypatch):
     assert calls == []
     for s in sums:
         assert s.num == f.num and s.factors == f.factors
+
+
+@pytest.mark.parametrize("text,k", [
+    (text, k)
+    for text in ["x1 + 2", "(x1^2 - x2/3)/(x1*x2 - 5)", "x1/(1 + x2)^2",
+                 "(x1 + 1)^2/((x1 + 1)*(x2 - 1))", "3/2", "0"]
+    for k in [0, 1, 2, 3, 5, -1, -2] if text != "0" or k >= 0])
+def test_power_equals_repeated_multiplication(text, k):
+    """f^k for k >= 0, and 1 / f^|k| for k < 0, in value and in normal form."""
+    f = rf(text)
+    expected = RatFunc.one(2)
+    for _ in range(abs(k)):
+        expected = expected * f
+    if k < 0:
+        expected = RatFunc.one(2) / expected
+    power = f ** k
+    assert power == expected
+    assert power.to_str(VARS2) == expected.to_str(VARS2)
+
+
+@pytest.mark.parametrize("text", ["x1/0", "1/(x1 - x1)", "(x2 + 1)/(0*x1)"])
+def test_parse_rejects_division_by_zero(text):
+    with pytest.raises(ParseError, match="division by zero"):
+        rf(text)
+
+
+@pytest.mark.parametrize("value", [5, None, ["x1"]])
+def test_parse_rejects_a_non_string(value):
+    with pytest.raises(ParseError, match="expected a string"):
+        parse_ratfunc(value, VARS2)

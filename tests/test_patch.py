@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from paracomplex.exact import RatFunc, parse_ratfunc
+from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.gpx import (
     GenEndo,
     GenVector,
@@ -22,6 +22,7 @@ from paracomplex.linalg import (
     basis_vec,
     mat_eq,
     mat_eval,
+    mat_identity,
     mat_mul,
     sparse_add,
     vec_add,
@@ -38,12 +39,11 @@ from paracomplex.patch import (
     courant_jacobiator,
     courant_on_jets,
     double_contract,
+    endo_jet,
     ext_deriv,
-    frame_sections,
     gen_nijenhuis,
     gen_nijenhuis_frame_sweep,
     integrability_report,
-    is_poisson,
     poisson_jacobiator,
 )
 
@@ -292,7 +292,7 @@ def test_classical_nijenhuis_tensorial():
 
 def test_constant_bivector_poisson():
     pi = BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("-2")})
-    assert is_poisson(pi)
+    assert not poisson_jacobiator(pi)
 
 
 def test_linear_x1_bivector_not_poisson():
@@ -300,12 +300,12 @@ def test_linear_x1_bivector_not_poisson():
     jac = poisson_jacobiator(pi)
     assert (1, 2, 3) in jac
     assert jac[(1, 2, 3)] == rf("1")
-    assert not is_poisson(pi)
+    assert poisson_jacobiator(pi)
 
 
 def test_heisenberg_type_poisson():
     pi = BiVectorField(N, {(1, 2): rf("x1")})
-    assert is_poisson(pi)
+    assert not poisson_jacobiator(pi)
 
 
 # -- B-transform bracket law ------------------------------------------------------------
@@ -341,24 +341,32 @@ def test_b_residual_random_sweep():
 # -- integrability dispatch ----------------------------------------------------------------
 
 
+def sweep_witnesses(kind, data):
+    """The symbolic frame sweep's nonzero sections for a kind's patch data."""
+    return gen_nijenhuis_frame_sweep(STRUCTURES[kind](data))[1]
+
+
 def test_report_trivial():
     rep = integrability_report("trivial", N)
-    assert rep.integrable and rep.sweep_witnesses == {}
+    assert rep.integrable and sweep_witnesses("trivial", N) == {}
 
 
 def test_report_omega_cases():
-    good = integrability_report("omega", form2({(0, 1): "1", (2, 3): "1"}))
-    assert good.integrable and good.sweep_witnesses == {} and good.witness is None
-    bad = integrability_report("omega", form2({(0, 1): "1", (2, 3): "x1"}))
-    assert not bad.integrable and bad.sweep_witnesses
+    flat, open_ = form2({(0, 1): "1", (2, 3): "1"}), form2({(0, 1): "1", (2, 3): "x1"})
+    good = integrability_report("omega", flat)
+    assert good.integrable and sweep_witnesses("omega", flat) == {} and good.witness is None
+    bad = integrability_report("omega", open_)
+    assert not bad.integrable and sweep_witnesses("omega", open_)
     assert bad.witness is not None and bad.witness["d_omega_component"] == [1, 3, 4]
 
 
 def test_report_pi_cases():
-    good = integrability_report("pi", BiVectorField(N, {(0, 1): rf("1")}))
-    assert good.integrable and good.sweep_witnesses == {}
-    bad = integrability_report("pi", BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")}))
-    assert not bad.integrable and bad.sweep_witnesses
+    const = BiVectorField(N, {(0, 1): rf("1")})
+    linear = BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
+    good = integrability_report("pi", const)
+    assert good.integrable and sweep_witnesses("pi", const) == {}
+    bad = integrability_report("pi", linear)
+    assert not bad.integrable and sweep_witnesses("pi", linear)
     assert bad.witness["jacobiator_triple"] == [2, 3, 4]
 
 
@@ -367,12 +375,12 @@ def test_report_product_cases():
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     good = integrability_report("product", p_int)
-    assert good.integrable and good.sweep_witnesses == {}
+    assert good.integrable and sweep_witnesses("product", p_int) == {}
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     bad = integrability_report("product", p_bad)
-    assert not bad.integrable and bad.sweep_witnesses
+    assert not bad.integrable and sweep_witnesses("product", p_bad)
 
 
 def test_report_agreement_criterion_vs_sweep():
@@ -384,7 +392,7 @@ def test_report_agreement_criterion_vs_sweep():
     ]
     for kind, data in cases:
         rep = integrability_report(kind, data)
-        assert rep.integrable == (not rep.sweep_witnesses)
+        assert rep.integrable == (not sweep_witnesses(kind, data))
 
 
 def test_nijenhuis_tensoriality_for_courant_version():
@@ -429,8 +437,7 @@ def test_patch_structures_evaluate_to_the_pointwise_constructors():
             "product": product_structure(Endo(mat_eval(p_mat, pt))),
         }
         for kind, expected in pointwise.items():
-            k = GenEndo.from_matrix(mat_eval(symbolic[kind].as_matrix(), pt))
-            assert k == expected, (kind, pt)
+            assert symbolic[kind].eval_at(pt) == expected, (kind, pt)
         checked += 1
     assert checked >= 4
 
@@ -482,7 +489,7 @@ SWEEP_FIXTURES = {
 @pytest.mark.parametrize("kind", sorted(SWEEP_FIXTURES))
 def test_sweep_witnesses_equal_the_oracle_nijenhuis(kind):
     k = STRUCTURES[kind](SWEEP_FIXTURES[kind])
-    frames = frame_sections(N)
+    frames = [GenVector(e[:N], e[N:]) for e in mat_identity(2 * N, RatFunc.one(N))]
     expected = {}
     for i in range(len(frames)):
         for j in range(i + 1, len(frames)):
@@ -510,3 +517,56 @@ def test_frame_sweep_differentiates_each_entry_of_k_once(monkeypatch):
     ok, _ = gen_nijenhuis_frame_sweep(k)
     assert not ok and nonconstant
     assert len(calls) <= 4 * nonconstant
+
+
+OMEGA_RATIONAL = form2({(0, 1): "x2", (0, 2): "x4", (2, 3): "1/(1 + x1^2)", (1, 3): "x3/(x2 - 3)"})
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("omega", SWEEP_FIXTURES["omega"]), ("omega", OMEGA_RATIONAL),
+    ("pi", SWEEP_FIXTURES["pi"]), ("product", SWEEP_FIXTURES["product"]),
+], ids=["omega", "omega_rational", "pi", "product"])
+def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(kind, data):
+    """N is a tensor: the sweep on K(p) and dK(p) in Q equals the symbolic
+    sweep's sections evaluated at p, pair by pair, at seeded regular points."""
+    k = STRUCTURES[kind](data)
+    dk = endo_jet(k)
+    _, symbolic = gen_nijenhuis_frame_sweep(k)
+    rng = random.Random(83)
+    checked = 0
+    while checked < 4:
+        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N)]
+        try:
+            expected = {pair: n.eval_at(pt) for pair, n in symbolic.items()}
+            k_at, dk_at = k.eval_at(pt), [d.eval_at(pt) for d in dk]
+        except PoleAtPoint:
+            continue
+        ok, at = gen_nijenhuis_frame_sweep(k_at, dk_at)
+        assert all(isinstance(c, Fraction) for n in at.values() for c in n.x + n.alpha)
+        assert at == {pair: n for pair, n in expected.items() if not n.is_zero()}, pt
+        assert not ok
+        checked += 1
+    # every fixture but P puts a denominator into K, so poles are possible
+    assert any(c.factors for row in k.as_matrix() for c in row) == (kind != "product")
+
+
+@pytest.mark.parametrize("p_rows,integrable", [
+    ([["1", "0", "0", "0"], ["-4*x1", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "-1"]],
+     True),
+    ([["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+     False),
+], ids=["integrable", "nonintegrable"])
+def test_product_criterion_differentiates_each_entry_of_p_once(monkeypatch, p_rows, integrable):
+    p = [[rf(c) for c in row] for row in p_rows]
+    nonconstant = sum(not c.is_const() for row in p for c in row)
+    calls = []
+    original = RatFunc.partial
+
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(RatFunc, "partial", counting)
+    rep = integrability_report("product", p)
+    assert rep.integrable == integrable and nonconstant
+    assert len(calls) <= N * nonconstant
