@@ -13,11 +13,11 @@ from paracomplex.curv import (
     decompose,
     duality_verdict,
     flat_metric,
-    metric_jet,
     ppwave_metric,
     sectional_constant_check,
     theorem_verdict,
 )
+from paracomplex.linalg import mat_jet
 from paracomplex.patch import BiVectorField, KForm, integrability_report
 
 V = ["x1", "x2", "x3", "x4"]
@@ -36,18 +36,21 @@ print("pi = d1^d2 + x1 d3^d4 Poisson:", rep.integrable,
       "| witness:", rep.witness)
 
 # Constant curvature: the operator is (s/12) Id with s = 12c.  Curvature is
-# evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric.
+# evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric there,
+# which mat_jet computes by Taylor arithmetic without symbolic derivatives.
 m = constcurv_metric(1)
 origin = (Fraction(0),) * 4
-op = curvature_operator(metric_jet(m.g), origin)
-print("\nconstcurv:1 at origin: s =", op.s,
+g0, dg0, ddg0 = mat_jet(m.g, origin, 2)
+print("\nconstcurv:1 at origin: g_11 =", g0[0][0], "| d1 d1 g_11 =", ddg0[0][0][0][0])
+op = curvature_operator(m.g, origin)
+print("constcurv:1 at origin: s =", op.s,
       "| sectional constant =", sectional_constant_check(op))
 dec = decompose(op, m.onb_at(origin))
 print("traceless-Ricci part zero:", all(not c for row in dec.b_part for c in row))
 
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
 w = ppwave_metric(rf("x2^2"))
-opw = curvature_operator(metric_jet(w.g), origin)
+opw = curvature_operator(w.g, origin)
 print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin))))
 
 # Theorem verdicts per fiber component (seeded, deterministic).

@@ -14,11 +14,11 @@ import re
 import sys
 from fractions import Fraction
 
-from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import assemble, gen_metric, is_compatible, validate_gen_para
-from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_to_strings
+from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, check_variables, parse_ratfunc
+from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
+from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
 from paracomplex.para import validate_para
-from paracomplex.patch import (STRUCTURES, BiVectorField, KForm, endo_jet,
+from paracomplex.patch import (STRUCTURES, BiVectorField, KForm,
                                gen_nijenhuis_frame_sweep, integrability_report)
 from paracomplex.curv import (
     DEFAULT_POINTS,
@@ -26,7 +26,6 @@ from paracomplex.curv import (
     curvature_operator,
     decompose,
     duality_verdict,
-    metric_jet,
     parse_metric_id,
     sectional_constant_check,
     theorem_verdict,
@@ -51,7 +50,10 @@ def parse_point(text: str, nvars: int = 4) -> tuple:
 
 
 def parse_points_arg(text: str, nvars: int = 4) -> list:
-    return [parse_point(part, nvars) for part in text.split(";") if part.strip()]
+    points = [parse_point(part, nvars) for part in text.split(";") if part.strip()]
+    if not points:
+        raise InputError(f"no point given in {text!r}")
+    return points
 
 
 _WEDGE_RE = re.compile(r"^dx(\d+)\^dx(\d+)$")
@@ -157,7 +159,7 @@ def load_descriptor(path: str) -> dict:
 def _descriptor_structure(desc: dict):
     """Build the patch-level data for a structure descriptor."""
     kind = desc.get("kind")
-    variables = desc.get("vars", VARS4)
+    variables = check_variables(desc.get("vars", VARS4))
     nvars = len(variables)
 
     def field(name):
@@ -232,7 +234,7 @@ def cmd_validate(args) -> tuple[dict, int]:
                     entry["compatible"] = compat
                     ok = rep.ok and compat
             else:
-                rep = validate_gen_para(k.eval_at(p))
+                rep = validate_gen_para(GenEndo.from_matrix(mat_eval(k.as_matrix(), p)))
                 entry["structure"] = rep.checks
                 ok = rep.ok
         except _POINT_ERRORS as exc:
@@ -254,12 +256,14 @@ def cmd_integrability(args) -> tuple[dict, int]:
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=3)
     rep = integrability_report(kind, data)
-    k, dk = rep.structure, endo_jet(rep.structure)
+    k = rep.structure.as_matrix()
     samples = []
     for p in points:
         entry: dict = {"point": [str(c) for c in p]}
         try:
-            _, witnesses = gen_nijenhuis_frame_sweep(k.eval_at(p), [d.eval_at(p) for d in dk])
+            k_at, dk_at = mat_jet(k, p, 1)
+            _, witnesses = gen_nijenhuis_frame_sweep(
+                GenEndo.from_matrix(k_at), [GenEndo.from_matrix(d) for d in dk_at])
         except PoleAtPoint as exc:
             entry["error"] = str(exc)
         else:
@@ -287,7 +291,7 @@ def cmd_curvature(args) -> tuple[dict, int]:
     model = parse_metric_id(args.metric)
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
-    op = curvature_operator(metric_jet(model.g), point)
+    op = curvature_operator(model.g, point)
     dec = decompose(op, model.onb_at(point, orientation))
     verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
@@ -315,7 +319,7 @@ def cmd_theorem(args) -> tuple[dict, int]:
         raise InputError(f"--samples must be at least 0, got {args.samples}")
     model = parse_metric_id(args.metric)
     theta = parse_theta_expr(args.theta) if args.theta else KForm(model.nvars, 2)
-    points = parse_points_arg(args.points, model.nvars) if args.points else None
+    points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
     if args.epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the
         # explicit mixed-term witness is nonzero at every point
@@ -346,10 +350,12 @@ def cmd_theorem(args) -> tuple[dict, int]:
 
 
 def _points_from_args(args, nvars: int, default_count: int) -> list:
-    if getattr(args, "points", None):
+    if args.points is not None:
         return parse_points_arg(args.points, nvars)
-    if getattr(args, "point", None):
+    if args.point is not None:
         return [parse_point(args.point, nvars)]
+    if nvars != 4:
+        raise InputError(f"the default points have 4 coordinates, not {nvars}; give --points")
     pts = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS]
     return pts[:default_count]
 

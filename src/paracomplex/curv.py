@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
+from paracomplex.exact import PoleAtPoint, RatFunc, check_variables, parse_ratfunc
 from paracomplex.gpx import (
     GenVector,
     GeneralizedMetric,
@@ -48,6 +48,7 @@ from paracomplex.linalg import (
     mat_identity,
     mat_inv,
     mat_is_zero,
+    mat_jet,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -155,8 +156,10 @@ def metric_from_strings(rows: list, variables: list, onb_rows: list | None = Non
             raise ValueError(f"{what} of {name} must be a {n}x{n} matrix")
         return [[parse_ratfunc(s, variables) for s in row] for row in mat]
 
-    return MetricModel(name, n, parse(rows, "g"),
-                       None if onb_rows is None else parse(onb_rows, "onb"))
+    g = parse(rows, "g")
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("the metric field is not symmetric")
+    return MetricModel(name, n, g, None if onb_rows is None else parse(onb_rows, "onb"))
 
 
 def _is_square(q: Fraction) -> Fraction | None:
@@ -294,29 +297,20 @@ def _sym(n: int, entry) -> list:
     return m
 
 
-def metric_jet(g: list) -> tuple:
-    """The 2-jet (g, dg, ddg) of a symmetric metric field, with
-    dg[m][i][j] = d_m g_ij and ddg[m][p][i][j] = d_m d_p g_ij; each distinct
-    entry is differentiated once."""
-    n = len(g)
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("the metric field is not symmetric")
-    dg = [_sym(n, lambda i, j: g[i][j].partial(m)) for m in range(n)]
-    return g, dg, _sym(n, lambda m, p: _sym(n, lambda i, j: dg[m][i][j].partial(p)))
-
-
-def riemann_at(jet: tuple, point) -> list:
+def riemann_at(g: list, point) -> list:
     """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
-    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the evaluated jet.
+    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet."""
+    return _riemann(g, point)[2]
+
+
+def _riemann(g: list, point) -> tuple:
+    """(g(p) as a Bilinear, g(p)^-1, r) with r as in riemann_at, from mat_jet(g, p, 2).
     With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels are
     G^k_ij = g^kl G_l,ij, and d(g^-1) = -g^-1 (dg) g^-1 gives
     d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij)."""
-    g, dg, ddg = jet
+    g_at, d, dd = mat_jet(g, point, 2)
     n = len(g)
     ns = range(n)
-    g_at = _sym(n, lambda i, j: g[i][j].eval_at(point))
-    d = [_sym(n, lambda i, j: dg[m][i][j].eval_at(point)) for m in ns]
-    dd = _sym(n, lambda m, p: _sym(n, lambda i, j: ddg[m][p][i][j].eval_at(point)))
     try:
         ginv = mat_inv(g_at)
     except ZeroDivisionError as exc:
@@ -337,7 +331,7 @@ def riemann_at(jet: tuple, point) -> list:
                     v = dgam[j][l][i][k] - dgam[i][l][j][k] - sum(
                         gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns)
                     r[i][j][k][l], r[j][i][k][l] = v, -v
-    return r
+    return Bilinear(g_at), ginv, r
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:
@@ -376,13 +370,12 @@ def lambda2_gram(g_at: Bilinear) -> list:
              for q in WEDGE4] for p in WEDGE4]
 
 
-def curvature_operator(jet: tuple, point) -> CurvOperator:
+def curvature_operator(g: list, point) -> CurvOperator:
     """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T), and
     Ricci(X, Y) = trace(Z -> R(X, Z) Y), g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
-    if len(jet[0]) != 4:
+    if len(g) != 4:
         raise DimNot4("curvature operator decomposition requires dim 4")
-    r_at = riemann_at(jet, point)
-    g_at = Bilinear(mat_eval(jet[0], point))
+    g_at, ginv, r_at = _riemann(g, point)
     q = [[Fraction(0)] * 6 for _ in range(6)]
     for a, (i, j) in enumerate(WEDGE4):
         for b, (k, l) in enumerate(WEDGE4):
@@ -396,7 +389,7 @@ def curvature_operator(jet: tuple, point) -> CurvOperator:
     mat = mat_mul(mat_inv(gram), transpose(q))
     ric = Bilinear([[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)]
                     for i in range(4)])
-    rho = Endo(mat_mul(mat_inv(g_at.mat), ric.mat))
+    rho = Endo(mat_mul(ginv, ric.mat))
     s = sum(rho.mat[i][i] for i in range(4))
     return CurvOperator(mat, q, g_at, tuple(point), ric, rho, s)
 
@@ -711,28 +704,6 @@ DEFAULT_POINTS = [
 ]
 
 
-def sample_points_for(model: MetricModel, requested=None, count: int = 5) -> list:
-    """Rational sample points avoiding poles of the metric, its inverse,
-    and the orthonormal frame."""
-    candidates = [tuple(Fraction(c) for c in p) for p in (requested or DEFAULT_POINTS)]
-    if requested is not None:
-        return candidates
-    good = []
-    for p in candidates:
-        try:
-            g_at = model.g_at(p)
-            mat_inv(g_at.mat)
-            model.onb_at(p)
-        except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
-            continue
-        good.append(p)
-        if len(good) == count:
-            break
-    if not good:
-        raise DegenerateMetric("no usable sample points for the metric")
-    return good
-
-
 def rnd_vec(rng, n=4) -> list:
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
 
@@ -749,31 +720,37 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     if component not in ("++", "+-", "-+", "--"):
         raise ValueError(f"unknown component {component!r}")
     rng = random.Random(seed)
-    points = sample_points_for(model, sample_points)
+    # each point's operator, frame and J-triples, once; a default point they fail at is skipped
+    points = []
+    for p in sample_points or DEFAULT_POINTS:
+        p = tuple(Fraction(c) for c in p)
+        try:
+            op, onb = curvature_operator(model.g, p), model.onb_at(p)
+        except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
+            if sample_points is not None:
+                raise
+            continue
+        points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.g_at, onb))))
+    if not points:
+        raise DegenerateMetric("no usable sample points for the metric")
     dth = ext_deriv(theta)
     d_theta_zero = dth.is_zero()
     evidence: dict = {
         "d_theta_zero": d_theta_zero,
-        "points": [[str(c) for c in p] for p in points],
+        "points": [[str(c) for c in p] for p, *_ in points],
     }
     if not d_theta_zero:
         evidence["d_theta_witness"] = {
             f"{i+1},{j+1},{k+1}": c.to_str() for (i, j, k), c in sorted(dth.comps.items())
         }
-        witness = _np_witness_search(model, dth, points, rng)
+        witness = _np_witness_search(dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
-    jet = metric_jet(model.g)
     ricci_ok = True
     w_plus_ok = True
     w_minus_ok = True
     sectional: list = []
-    per_point = []
-    for p in points:
-        op = curvature_operator(jet, p)
-        onb = model.onb_at(p)
-        # the J-triple of each orientation, computed once per point
-        per_point.append((op, onb, functools.cache(functools.partial(j_structures, op.g_at, onb))))
+    for p, op, onb, js in points:
         dec = decompose(op, onb)
         if not mat_is_zero(op.ricci.mat):
             ricci_ok = False
@@ -799,8 +776,7 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     orient1 = +1 if component[0] == "+" else -1
     orient2 = +1 if component[1] == "+" else -1
     for t in range(jklr_samples):
-        p = points[t % len(points)]
-        op, onb, js = per_point[t % len(points)]
+        p, op, onb, js = points[t % len(points)]
         k1 = random_compatible_structure(op.g_at, onb, rng, orient1, js(orient1))
         k2 = random_compatible_structure(op.g_at, onb, rng, orient2, js(orient2))
         j, l, r = (rng.randint(1, 2) for _ in range(3))
@@ -817,18 +793,15 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
-def _np_witness_search(model: MetricModel, dth: KForm, points, rng,
-                       attempts: int = 60):
+def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
-    given the 3-form dTheta."""
-    for p in points:
+    given the 3-form dTheta and theorem_verdict's per-point data."""
+    for p, op, onb, js in points:
         dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
         if all(v == 0 for v in dth_at.values()):
             continue
-        g_at = model.g_at(p)
+        g_at = op.g_at
         t_at = torsion_at(g_at, dth_at)
-        onb = model.onb_at(p)
-        js = functools.cache(functools.partial(j_structures, g_at, onb))
         for _ in range(attempts):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = random_compatible_structure(g_at, onb, rng, o1, js(o1))
@@ -871,7 +844,7 @@ def parse_metric_id(text: str) -> MetricModel:
             raise ValueError(f"cannot read metric file {path!r}: {exc}") from exc
         if not isinstance(data, dict) or "g" not in data:
             raise ValueError(f"metric file {path!r} is not a JSON object with a \"g\" matrix")
-        variables = data.get("vars", VARS4)
+        variables = check_variables(data.get("vars", VARS4))
         return metric_from_strings(data["g"], variables, data.get("onb"),
                                    name=f"file:{path}")
     raise ValueError(f"unknown metric identifier {text!r}")

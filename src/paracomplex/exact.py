@@ -12,6 +12,7 @@ factors by trial exact division without a general multivariate gcd.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -242,17 +243,18 @@ class Poly:
         p.terms = {e: c for e, c in terms.items() if c}
         return p
 
-    def eval_at(self, point: Sequence[Fraction]) -> Fraction:
+    def jet_at(self, point: Sequence[Fraction], order: int = 0) -> tuple:
+        """(value,), (value, gradient) or (value, gradient, Hessian) at the point
+        for order 0, 1 or 2, in Q as plain tuples, from the polynomial partials."""
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
-        total = Fraction(0)
+        value = Fraction(0)
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
+            value += math.prod((Fraction(x) ** k for x, k in zip(point, e) if k), start=c)
+        if not order:
+            return (value,)
+        d = [self.partial(i).jet_at(point, order - 1) for i in range(self.nvars)]
+        return (value, tuple(j[0] for j in d)) + ((tuple(j[1] for j in d),) if order > 1 else ())
 
     # -- display -----------------------------------------------------------
 
@@ -505,18 +507,25 @@ class RatFunc:
         new_factors = {k: (p, m + 1) for k, (p, m) in self.factors.items()}
         return RatFunc(top, new_factors)
 
+    def jet_at(self, point: Sequence, order: int = 0, cache: dict | None = None) -> tuple:
+        """The jet at the point as Poly.jet_at gives it, by forward-mode Taylor
+        arithmetic.  Each denominator factor's jet is read from `cache` (factor
+        key -> jet) or computed and stored there, so a matrix computes it once."""
+        jet = self.num.jet_at(point, order)
+        cache = {} if cache is None else cache
+        for key, (p, m) in self.factors.items():
+            u = cache.get(key)
+            if u is None:
+                u = cache[key] = p.jet_at(point, order)
+                if u[0] == 0:
+                    raise PoleAtPoint(
+                        f"denominator factor vanishes at ({', '.join(map(str, point))})")
+            for _ in range(m):
+                jet = _jet_div(jet, u)
+        return jet
+
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        value = self.num.eval_at(point)
-        if not self.factors:
-            return value
-        den = Fraction(1)
-        for p, m in self.factors.values():
-            v = p.eval_at(point)
-            if v == 0:
-                raise PoleAtPoint(
-                    f"denominator factor vanishes at ({', '.join(map(str, point))})")
-            den *= v ** m
-        return value / den
+        return self.jet_at(point)[0]
 
     # -- display ---------------------------------------------------------------
 
@@ -535,6 +544,19 @@ class RatFunc:
 
 
 # -- module-level operations ------------------------------------------------------
+
+
+def _jet_div(a: tuple, u: tuple) -> tuple:
+    """The jet of q = a / u where u(p) != 0, solved from a = q u by the Leibniz
+    rule: q_i = (a_i - q u_i) / u and q_ij = (a_ij - q_i u_j - q_j u_i - q u_ij) / u."""
+    q = (a[0] / u[0],)
+    if len(a) > 1:
+        q += (tuple((ai - q[0] * ui) / u[0] for ai, ui in zip(a[1], u[1])),)
+    if len(a) > 2:
+        g, ug, ns = q[1], u[1], range(len(u[1]))
+        q += (tuple(tuple((a[2][i][j] - g[i] * ug[j] - g[j] * ug[i] - q[0] * u[2][i][j]) / u[0]
+                          for j in ns) for i in ns),)
+    return q
 
 
 def as_point(values: Iterable, nvars: int | None = None) -> tuple[Fraction, ...]:
@@ -590,6 +612,15 @@ class _Tokens:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
+
+
+def check_variables(variables) -> list:
+    """The "vars" of a descriptor or metric file: a nonempty list of distinct
+    identifier strings, else ParseError."""
+    if not (isinstance(variables, list) and variables and len(set(variables)) == len(variables)
+            and all(isinstance(v, str) and v.isidentifier() for v in variables)):
+        raise ParseError(f'"vars" must be a list of distinct identifiers, got {variables!r}')
+    return variables
 
 
 def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:

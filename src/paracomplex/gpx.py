@@ -21,7 +21,6 @@ from paracomplex.linalg import (
     basis_vec,
     mat_add,
     mat_eq,
-    mat_eval,
     mat_from_columns,
     mat_identity,
     mat_inv,
@@ -115,10 +114,6 @@ class GenVector:
         return (isinstance(other, GenVector)
                 and vec_eq(self.x, other.x) and vec_eq(self.alpha, other.alpha))
 
-    def eval_at(self, point) -> GenVector:
-        """Values at the point of a section with RatFunc entries."""
-        return GenVector(*mat_eval([self.x, self.alpha], point))
-
 
 class GenEndo:
     """Endomorphism of T + T* in blocks a: T->T, b: T*->T, c: T->T*, d: T*->T*."""
@@ -145,10 +140,6 @@ class GenEndo:
         top = [ra + rb for ra, rb in zip(self.a, self.b)]
         bottom = [rc + rd for rc, rd in zip(self.c, self.d)]
         return top + bottom
-
-    def eval_at(self, point) -> GenEndo:
-        """Values at the point of an endomorphism with RatFunc entries."""
-        return GenEndo(*(mat_eval(m, point) for m in (self.a, self.b, self.c, self.d)))
 
     def apply(self, v: GenVector) -> GenVector:
         x = vec_add(mat_vec(self.a, v.x), mat_vec(self.b, v.alpha))

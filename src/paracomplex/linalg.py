@@ -144,9 +144,22 @@ def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
+def mat_jet(a: Mat, point, order: int = 0) -> tuple:
+    """A matrix of RatFuncs at the point: (A(p),), then [d_i A(p)] for order
+    1, then [[d_i d_j A(p)]] for order 2, from one RatFunc.jet_at per entry;
+    each denominator factor's jet is computed once."""
+    cache: dict = {}
+    jets = [[c.jet_at(point, order, cache) for c in row] for row in a]
+    ns = range(len(point))
+    parts = ([[j[0] for j in row] for row in jets],  # the parts past the order are cut off
+             order > 0 and [[[j[1][i] for j in row] for row in jets] for i in ns],
+             order > 1 and [[[[j[2][i][k] for j in row] for row in jets] for k in ns] for i in ns])
+    return parts[:order + 1]
+
+
 def mat_eval(a: Mat, point) -> Mat:
     """Values at the point of a matrix of RatFuncs."""
-    return [[c.eval_at(point) for c in row] for row in a]
+    return mat_jet(a, point)[0]
 
 
 def mat_from_columns(cols: Sequence[Vec]) -> Mat:

@@ -21,7 +21,6 @@ from paracomplex.curv import (
     hitchin_connection,
     horizontal_np_residual,
     jklr_residual,
-    metric_jet,
     metricity_residual,
     ppwave_metric,
     sectional_constant_check,
@@ -221,12 +220,11 @@ def test_acceptance_4_hitchin_identities():
 
 def test_acceptance_5_curvature_decomposition():
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     pts = [ORIGIN,
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
     for p in pts:
-        op = curvature_operator(jet, p)
+        op = curvature_operator(m.g, p)
         assert op.s == 12
         assert mat_eq(op.ricci.mat, mat_scale(Fraction(3), op.g_at.mat))
         dec = decompose(op, m.onb_at(p))
@@ -248,7 +246,7 @@ def test_acceptance_5_curvature_decomposition():
     onb = [[RatFunc.one(4) / qs[i] if j == i else z for j in range(4)] for i in range(4)]
     model = MetricModel("perturbation", 4, g, onb)
     p = ORIGIN
-    op2 = curvature_operator(metric_jet(g), p)
+    op2 = curvature_operator(g, p)
     dec2 = decompose(op2, model.onb_at(p))
     assert mat_eq(dec2.parts_sum(), op2.mat)
     assert not mat_is_zero(op2.mat)
@@ -296,11 +294,10 @@ def run_cli(capsys, *argv):
 def test_acceptance_6_theorem_mixed_component(tmp_path, capsys):
     rng = random.Random(106)
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     pts = [ORIGIN,
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
-    cached = [(curvature_operator(jet, p), m.onb_at(p)) for p in pts]
+    cached = [(curvature_operator(m.g, p), m.onb_at(p)) for p in pts]
     for t in range(200):
         op, onb = cached[t % len(cached)]
         k1 = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -312,7 +309,7 @@ def test_acceptance_6_theorem_mixed_component(tmp_path, capsys):
     # perturbed metric: a nonzero residual shows up within 200 samples
     pm = perturbed_model()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op_p = curvature_operator(metric_jet(pm.g), p)
+    op_p = curvature_operator(pm.g, p)
     onb_p = pm.onb_at(p)
     found = False
     for t in range(200):
@@ -342,11 +339,10 @@ def test_acceptance_6_theorem_mixed_component(tmp_path, capsys):
 def test_acceptance_7_theorem_definite_component(capsys):
     rng = random.Random(107)
     m = ppwave_metric(rf("x2^2"))
-    jet = metric_jet(m.g)
     pts = [ORIGIN,
            (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(2)),
            (Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(0))]
-    cached = [(curvature_operator(jet, p), m.onb_at(p)) for p in pts]
+    cached = [(curvature_operator(m.g, p), m.onb_at(p)) for p in pts]
     for t in range(200):
         op, onb = cached[t % len(cached)]
         k1 = random_compatible_structure(op.g_at, onb, rng, +1)

@@ -127,6 +127,59 @@ def test_malformed_metric_file_exit_2_with_one_line(tmp_path, capsys, payload, m
     assert_one_line_input_error(capsys, code, message.format(path=path))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "{desc}", "--points", ";"], "no point given in ';'"),
+    (["validate", "{desc}", "--points", ""], "no point given in ''"),
+    (["integrability", "{desc}", "--points", " ; "], "no point given in ' ; '"),
+    (["curvature", "flat", "--point", ";"], "bad point ';'"),
+    (["theorem", "ppwave:1/x1", "--component", "++", "--points", ";"], "no point given in ';'"),
+], ids=["validate", "validate-empty", "integrability", "curvature", "theorem"])
+def test_an_empty_point_list_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    """No point is bad input, not a vacuous pass over zero points (the
+    degenerate omega below is invalid at every point) nor the default points."""
+    path = write_desc(tmp_path, "desc.json", {"kind": "omega", "omega": {"1,2": "1"}})
+    code = main([a.format(desc=path) for a in argv])
+    assert_one_line_input_error(capsys, code, message)
+
+
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+@pytest.mark.parametrize("variables", [5, "x1", ["x1", "x1", "x3", "x4"], ["x1", "2x"], [],
+                                       ["x1", "x2", "x3", 4]],
+                         ids=["int", "string", "duplicate", "not-identifier", "empty", "non-string"])
+def test_descriptor_vars_must_be_distinct_identifiers(tmp_path, capsys, command, variables):
+    path = write_desc(tmp_path, "desc.json", {"kind": "trivial", "vars": variables})
+    assert_one_line_input_error(
+        capsys, main([command, path]),
+        f'"vars" must be a list of distinct identifiers, got {variables!r}')
+
+
+def test_metric_file_vars_must_be_a_list(tmp_path, capsys):
+    path = write_desc(tmp_path, "m.json", {"vars": "x", "g": [["1"]]})
+    assert_one_line_input_error(capsys, main(["curvature", f"file:{path}", "--point", "0"]),
+                                "\"vars\" must be a list of distinct identifiers, got 'x'")
+
+
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+def test_default_points_must_fit_the_variables(tmp_path, capsys, command):
+    path = write_desc(tmp_path, "omega2.json",
+                      {"kind": "omega", "vars": ["x", "y"], "omega": {"1,2": "1 + x^2"}})
+    assert_one_line_input_error(capsys, main([command, path]),
+                                "the default points have 4 coordinates, not 2; give --points")
+    code, out = run_cli(capsys, command, path, "--points", "1,2;0,1/2")
+    samples = {"validate": "points", "integrability": "nijenhuis_residual_samples"}[command]
+    assert code == 0 and len(json.loads(out)[samples]) == 2
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["theorem", "--component", "+-"]],
+                         ids=["curvature", "theorem"])
+def test_asymmetric_file_metric_exit_2_with_one_line(tmp_path, capsys, command):
+    payload = {"g": [["1", "x1", "0", "0"], ["0", "1", "0", "0"],
+                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]}
+    path = write_desc(tmp_path, "asymmetric.json", payload)
+    code = main([command[0], f"file:{path}"] + command[1:])
+    assert_one_line_input_error(capsys, code, "the metric field is not symmetric")
+
+
 def test_theta_division_by_zero_exit_2_with_one_line(capsys):
     code = main(["theorem", "flat", "--theta", "x1/0*dx1^dx2", "--component", "++"])
     assert_one_line_input_error(capsys, code,

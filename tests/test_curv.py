@@ -17,7 +17,9 @@ from paracomplex.linalg import (
     lambda2_inner,
     mat_eq,
     mat_identity,
+    mat_eval,
     mat_is_zero,
+    mat_jet,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -49,7 +51,6 @@ from paracomplex.curv import (
     jklr_residual,
     levi_civita,
     metric_from_strings,
-    metric_jet,
     metricity_residual,
     np_residual_terms,
     omega_eps,
@@ -280,15 +281,14 @@ def test_riemann_at_equals_symbolic_oracle():
     compared = 0
     for g in metrics:
         oracle = riemann_oracle(levi_civita(g))
-        jet = metric_jet(g)
         for p in points:
             try:
                 want = [[[[c.eval_at(p) for c in d] for d in b] for b in a] for a in oracle]
             except PoleAtPoint:
                 with pytest.raises((PoleAtPoint, DegenerateMetric)):
-                    riemann_at(jet, p)
+                    riemann_at(g, p)
                 continue
-            assert riemann_at(jet, p) == want
+            assert riemann_at(g, p) == want
             compared += 1
     assert compared >= 7 * len(points)
 
@@ -296,17 +296,79 @@ def test_riemann_at_equals_symbolic_oracle():
 def test_riemann_at_refuses_degenerate_point():
     g = [row[:] for row in flat_metric().g]
     g[0][0] = rf("x1")
-    jet = metric_jet(g)
-    assert riemann_at(jet, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    assert riemann_at(g, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
     with pytest.raises(DegenerateMetric):
-        riemann_at(jet, ORIGIN)
+        riemann_at(g, ORIGIN)
 
 
-def test_metric_jet_rejects_asymmetric_metric():
-    g = [row[:] for row in flat_metric().g]
-    g[0][1] = rf("x1")
-    with pytest.raises(ValueError):
-        metric_jet(g)
+def metric_jet_oracle(g: list) -> tuple:
+    """The symbolic 2-jet (g, dg, ddg) with dg[m][i][j] = d_m g_ij and
+    ddg[m][p][i][j] = d_m d_p g_ij: the reference for mat_jet(g, p, 2)."""
+    n = len(g)
+
+    def sym(entry):  # each entry with i <= j computed once
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                out[i][j] = out[j][i] = entry(i, j)
+        return out
+
+    dg = [sym(lambda i, j: g[i][j].partial(m)) for m in range(n)]
+    return g, dg, sym(lambda m, p: sym(lambda i, j: dg[m][i][j].partial(p)))
+
+
+# constcurv:-1/2 pulled back by a shear: every entry of g is nonzero
+DENSE_PHI = "1 - (x1^2 + (x1+x2)^2 - (2*x1-x2+x3)^2 - (x1+x2-x3+x4)^2)/8"
+DENSE_G = [[rf(f"{v}/({DENSE_PHI})^2") for v in row] for row in
+           [[-3, 2, -1, -1], [2, -1, 2, -1], [-1, 2, -2, 1], [-1, -1, 1, -1]]]
+
+
+def test_mat_jet_of_a_metric_equals_the_evaluated_symbolic_jet():
+    """g(p), dg(p) and ddg(p) by Taylor arithmetic at seeded regular points
+    equal the symbolic partials evaluated there, entry by entry."""
+    rng = random.Random(1101)
+    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(Fraction(-2, 3)).g,
+               ppwave_metric(rf("x2^2")).g, ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g,
+               DENSE_G]
+    for g in metrics:
+        oracle = metric_jet_oracle(g)
+        compared = 0
+        while compared < 3:
+            p = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+            try:
+                want = tuple(mat_eval(m, p) for m in [oracle[0]] + oracle[1])
+                want_dd = [[mat_eval(m, p) for m in row] for row in oracle[2]]
+            except PoleAtPoint:
+                continue
+            g_at, d, dd = mat_jet(g, p, 2)
+            assert (g_at, *d) == want and dd == want_dd
+            assert mat_jet(g, p, 1) == (g_at, d) and mat_jet(g, p) == (g_at,)
+            compared += 1
+
+
+def test_curvature_and_theorem_differentiate_nothing_symbolically(capsys, monkeypatch,
+                                                                  tmp_path):
+    """The CLI reads g's 2-jet at each point by Taylor arithmetic: no
+    RatFunc.partial call, where the symbolic 2-jet of DENSE_G took 140."""
+    import json
+
+    from paracomplex.cli import main
+
+    calls = []
+    original = RatFunc.partial
+    monkeypatch.setattr(RatFunc, "partial", lambda self, i: calls.append(i) or original(self, i))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"g": [[c.to_str() for c in row] for row in DENSE_G]}))
+    assert main(["curvature", f"file:{path}", "--point", "1,0,0,0"]) == 0
+    assert main(["theorem", f"file:{path}", "--component", "+-", "--samples", "5",
+                 "--points", "1,0,0,0;0,1,1/2,0"]) == 0
+    for metric in ("constcurv:1", "ppwave:x1*(x1-1)*(x2^3+x2^2)/2"):
+        assert main(["curvature", metric]) == 0
+        assert main(["theorem", metric, "--component", "+-", "--samples", "5"]) in (0, 1)
+    capsys.readouterr()
+    assert calls == []
+    metric_jet_oracle(DENSE_G)
+    assert len(calls) == 140
 
 
 def test_sign_pinning_sectional_oracle():
@@ -314,12 +376,11 @@ def test_sign_pinning_sectional_oracle():
     rational points (standard convention R_std = -R_paper); pins every
     downstream sign before fixtures freeze."""
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     pts = [ORIGIN,
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
     for p in pts:
-        r_at = riemann_at(jet, p)
+        r_at = riemann_at(m.g, p)
         g_at = m.g_at(p)
         for (i, j) in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             num = -sum(r_at[i][j][j][l] * g_at.mat[l][i] for l in range(4))
@@ -329,8 +390,7 @@ def test_sign_pinning_sectional_oracle():
 
 def test_constant_curvature_operator_is_identity():
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
-    op = curvature_operator(jet, ORIGIN)
+    op = curvature_operator(m.g, ORIGIN)
     assert mat_eq(op.mat, mat_identity(6))
     assert op.s == 12
     assert sectional_constant_check(op) == 1
@@ -338,15 +398,14 @@ def test_constant_curvature_operator_is_identity():
 
 def test_ricci_values():
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(jet, p)
+        op = curvature_operator(m.g, p)
         ric, s = op.ricci, op.s
         g_at = m.g_at(p)
         assert s == 12
         assert mat_eq(ric.mat, mat_scale(Fraction(3), g_at.mat))
         assert ric.is_symmetric()
-    op = curvature_operator(metric_jet(flat_metric().g), ORIGIN)
+    op = curvature_operator(flat_metric().g, ORIGIN)
     ric, s = op.ricci, op.s
     assert s == 0 and mat_is_zero(ric.mat)
 
@@ -355,9 +414,8 @@ def test_curvature_operator_self_adjoint():
     from paracomplex.curv import lambda2_gram
 
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     gram = lambda2_gram(op.g_at)
     # self-adjoint w.r.t. the Lambda^2 pairing: gram * M symmetric
     gm = mat_mul(gram, op.mat)
@@ -369,8 +427,7 @@ def test_curvature_operator_self_adjoint():
 
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
-    op = curvature_operator(jet, ORIGIN)
+    op = curvature_operator(m.g, ORIGIN)
     dec = decompose(op, m.onb_at(ORIGIN))
     assert mat_is_zero(dec.b_part)
     assert mat_is_zero(dec.w_part)
@@ -379,9 +436,8 @@ def test_decompose_constant_curvature():
 
 def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     dec = decompose(op, m.onb_at(p))
     assert mat_eq(dec.parts_sum(), op.mat)
     assert not mat_is_zero(dec.b_part)
@@ -389,9 +445,8 @@ def test_decompose_parts_resum_perturbed():
 
 def test_b_part_swaps_chirality():
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     onb = m.onb_at(p)
     dec = decompose(op, onb)
     star = star_matrix(onb)
@@ -407,14 +462,12 @@ def test_b_part_swaps_chirality():
 
 def test_duality_verdicts():
     flat = flat_metric()
-    jet = metric_jet(flat.g)
-    op = curvature_operator(jet, ORIGIN)
+    op = curvature_operator(flat.g, ORIGIN)
     v = duality_verdict(decompose(op, flat.onb_at(ORIGIN)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
-    jet = metric_jet(cc.g)
-    op = curvature_operator(jet, ORIGIN)
+    op = curvature_operator(cc.g, ORIGIN)
     v = duality_verdict(decompose(op, cc.onb_at(ORIGIN)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
@@ -424,7 +477,7 @@ def test_ppwave_duality_and_orientation_reversal():
     r = riemann_oracle(levi_civita(m.g))
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
-    op = curvature_operator(metric_jet(m.g), ORIGIN)
+    op = curvature_operator(m.g, ORIGIN)
     v = duality_verdict(decompose(op, m.onb_at(ORIGIN)))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
     v_rev = duality_verdict(decompose(op, m.onb_at(ORIGIN, orientation=-1)))
@@ -433,12 +486,11 @@ def test_ppwave_duality_and_orientation_reversal():
 
 def test_sectional_constant_absent_for_perturbed():
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     assert sectional_constant_check(op) is None
     flat = flat_metric()
-    op0 = curvature_operator(metric_jet(flat.g), ORIGIN)
+    op0 = curvature_operator(flat.g, ORIGIN)
     assert sectional_constant_check(op0) == 0
 
 
@@ -448,8 +500,7 @@ def test_sectional_constant_absent_for_perturbed():
 def test_jklr_flat_always_zero():
     rng = random.Random(42)
     m = flat_metric()
-    jet = metric_jet(m.g)
-    op = curvature_operator(jet, ORIGIN)
+    op = curvature_operator(m.g, ORIGIN)
     onb = m.onb_at(ORIGIN)
     for _ in range(10):
         k1 = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -462,9 +513,8 @@ def test_jklr_flat_always_zero():
 def test_jklr_constant_curvature_mixed_orientations():
     rng = random.Random(43)
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(jet, p)
+        op = curvature_operator(m.g, p)
         onb = m.onb_at(p)
         for _ in range(10):
             k1 = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -481,8 +531,7 @@ def test_jklr_diagonal_matches_duality_verdict():
     rng = random.Random(53)
 
     def diag_samples_all_zero(model, p, n=15):
-        jet = metric_jet(model.g)
-        op = curvature_operator(jet, p)
+        op = curvature_operator(model.g, p)
         onb = model.onb_at(p)
         for _ in range(n):
             k = random_compatible_structure(op.g_at, onb, rng, +1)
@@ -494,15 +543,13 @@ def test_jklr_diagonal_matches_duality_verdict():
 
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
-        jet = metric_jet(model.g)
-        op = curvature_operator(jet, p)
+        op = curvature_operator(model.g, p)
         verdict = duality_verdict(decompose(op, model.onb_at(p)))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    jet = metric_jet(m.g)
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     assert not duality_verdict(decompose(op, m.onb_at(p)))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
@@ -510,9 +557,8 @@ def test_jklr_diagonal_matches_duality_verdict():
 def test_jklr_perturbed_nonzero_witness():
     rng = random.Random(44)
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(jet, p)
+    op = curvature_operator(m.g, p)
     onb = m.onb_at(p)
     found = False
     for _ in range(60):
@@ -575,10 +621,9 @@ def test_jklr_residual_equals_the_lambda2_oracle():
     rng = random.Random(2411)
     nonzero_models = 0
     for model in jklr_models():
-        jet = metric_jet(model.g)
         nonzero = 0
         for p in JKLR_POINTS:
-            op = curvature_operator(jet, p)
+            op = curvature_operator(model.g, p)
             onb = model.onb_at(p)
             for _ in range(14):
                 k1 = random_compatible_structure(op.g_at, onb, rng, rng.choice((1, -1)))
@@ -596,9 +641,8 @@ def test_lowered_operator_is_the_lambda2_pairing():
     """op.lowered[a][b] = g(R(e_a), e_b) on the 36 pairs of wedge basis vectors."""
     basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
     for model in jklr_models():
-        jet = metric_jet(model.g)
         for p in JKLR_POINTS:
-            op = curvature_operator(jet, p)
+            op = curvature_operator(model.g, p)
             assert op.lowered == [[lambda2_inner(op.g_at, r_of(op, ea), eb) for eb in basis]
                                   for ea in basis]
 
@@ -608,8 +652,7 @@ def test_lowered_operator_is_the_lambda2_pairing():
 
 def test_reflector_nijenhuis_flat_zero():
     m = flat_metric()
-    jet = metric_jet(m.g)
-    r_at = riemann_at(jet, ORIGIN)
+    r_at = riemann_at(m.g, ORIGIN)
     q = standard_para_structure(2)
     x, y = basis_vec(0, 4), basis_vec(1, 4)
     assert reflector_nijenhuis(r_at, q, x, y, 1).is_zero()
@@ -633,9 +676,8 @@ def test_reflector_mixed_term():
 def test_reflector_nijenhuis_output_vertical():
     rng = random.Random(46)
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    r_at = riemann_at(jet, p)
+    r_at = riemann_at(m.g, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     q = random_compatible_structure(g_at, onb, rng, +1)
@@ -724,8 +766,7 @@ def test_twistor_vertical_flat_eps1_zero():
     g, e, k_std, u = corollary_setup()
     kpair = (k_std, k_std)
     m = flat_metric()
-    jet = metric_jet(m.g)
-    r_at = riemann_at(jet, ORIGIN)
+    r_at = riemann_at(m.g, ORIGIN)
     basis = vertical_pair_basis(g, kpair)
     a = GenVector(basis_vec(0, 4), [Fraction(0)] * 4)
     b = GenVector(basis_vec(1, 4), [Fraction(0)] * 4)
@@ -741,9 +782,8 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
     level of the Nijenhuis formula rather than the pairing residual."""
     rng = random.Random(54)
     m = constcurv_metric(1)
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    r_at = riemann_at(jet, p)
+    r_at = riemann_at(m.g, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
@@ -775,9 +815,8 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
 def test_twistor_vertical_output_vertical():
     rng = random.Random(49)
     m = perturbed_metric()
-    jet = metric_jet(m.g)
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    r_at = riemann_at(jet, p)
+    r_at = riemann_at(m.g, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     k1 = random_compatible_structure(g_at, onb, rng, +1)

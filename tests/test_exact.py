@@ -13,6 +13,7 @@ from paracomplex.exact import (
     as_point,
     parse_ratfunc,
 )
+from paracomplex.linalg import mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS2 = ["x1", "x2"]
@@ -46,15 +47,32 @@ def test_eval_evaluates_each_denominator_factor_once(monkeypatch):
     f = rf("x1/(1+x2)") / rf("x1-3") / rf("x1-3")
     assert sorted(m for _, m in f.factors.values()) == [1, 2]
     calls = []
-    original = Poly.eval_at
+    original = Poly.jet_at
 
-    def counting(self, point):
+    def counting(self, point, order=0):
         calls.append(self)
-        return original(self, point)
+        return original(self, point, order)
 
-    monkeypatch.setattr(Poly, "eval_at", counting)
+    monkeypatch.setattr(Poly, "jet_at", counting)
     assert f.eval_at(as_point([1, 1])) == Fraction(1, 8)
     assert len(calls) == 3
+    # in a matrix, each factor's jet is computed once for all the entries
+    calls.clear()
+    assert mat_jet([[f, f * 2], [f / 3, rf("x2")]], as_point([1, 1]), 2)[0][0] == [
+        Fraction(1, 8), Fraction(1, 4)]
+    assert len([c for c in calls if c.key() in f.factors]) == 2
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_factor_with_value_zero_and_nonzero_gradient_is_a_pole(order):
+    """x1 - 1 vanishes at (1, 5) with gradient (1, 0): the jet of 1/(x1 - 1)
+    does not exist there, and the error names the point."""
+    f = rf("x2/(x1 - 1)")
+    p = as_point([1, 5])
+    assert rf("x1 - 1").num.jet_at(p, 1) == (0, (1, 0))
+    for evaluate in (lambda: f.jet_at(p, order), lambda: mat_jet([[rf("1"), f]], p, order)):
+        with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(1, 5\)$"):
+            evaluate()
 
 
 # -- partial --------------------------------------------------------------

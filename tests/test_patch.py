@@ -23,6 +23,7 @@ from paracomplex.linalg import (
     mat_eq,
     mat_eval,
     mat_identity,
+    mat_jet,
     mat_mul,
     sparse_add,
     vec_add,
@@ -74,6 +75,16 @@ def comps1(form):
 
 def form2(comps):
     return KForm(N, 2, {idx: rf(s) for idx, s in comps.items()})
+
+
+def section_at(s, pt):
+    """A section with RatFunc entries evaluated at the point."""
+    return GenVector(*mat_eval([s.x, s.alpha], pt))
+
+
+def endo_at(k, pt):
+    """An endomorphism with RatFunc entries evaluated at the point."""
+    return GenEndo.from_matrix(mat_eval(k.as_matrix(), pt))
 
 
 def rnd_poly_field(rng, deg=2):
@@ -254,7 +265,7 @@ def test_omega_nonclosed_not_integrable():
     assert not ok
     # evaluate one witness at a point with x1 = 1: nonzero there
     (pair, section) = next(iter(sorted(witnesses.items())))
-    value = section.eval_at([Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
+    value = section_at(section, [Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
     assert not value.is_zero()
 
 
@@ -437,7 +448,7 @@ def test_patch_structures_evaluate_to_the_pointwise_constructors():
             "product": product_structure(Endo(mat_eval(p_mat, pt))),
         }
         for kind, expected in pointwise.items():
-            assert symbolic[kind].eval_at(pt) == expected, (kind, pt)
+            assert endo_at(symbolic[kind], pt) == expected, (kind, pt)
         checked += 1
     assert checked >= 4
 
@@ -468,12 +479,12 @@ def test_courant_bracket_matches_the_cartan_oracle():
     pt = [Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(1, 3)]
 
     def jet_at(s):
-        return [GenVector([c.partial(i) for c in s.x], [c.partial(i) for c in s.alpha]).eval_at(pt)
-                for i in range(N)]
+        return [section_at(GenVector([c.partial(i) for c in s.x], [c.partial(i) for c in s.alpha]),
+                           pt) for i in range(N)]
 
     for a, b in pairs[:3]:
-        at = courant_on_jets(a.eval_at(pt), jet_at(a), b.eval_at(pt), jet_at(b))
-        assert at == courant_bracket(a, b).eval_at(pt)
+        at = courant_on_jets(section_at(a, pt), jet_at(a), section_at(b, pt), jet_at(b))
+        assert at == section_at(courant_bracket(a, b), pt)
 
 
 SWEEP_FIXTURES = {
@@ -537,8 +548,8 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(kind, dat
     while checked < 4:
         pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N)]
         try:
-            expected = {pair: n.eval_at(pt) for pair, n in symbolic.items()}
-            k_at, dk_at = k.eval_at(pt), [d.eval_at(pt) for d in dk]
+            expected = {pair: section_at(n, pt) for pair, n in symbolic.items()}
+            k_at, dk_at = endo_at(k, pt), [endo_at(d, pt) for d in dk]
         except PoleAtPoint:
             continue
         ok, at = gen_nijenhuis_frame_sweep(k_at, dk_at)
@@ -548,6 +559,32 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(kind, dat
         checked += 1
     # every fixture but P puts a denominator into K, so poles are possible
     assert any(c.factors for row in k.as_matrix() for c in row) == (kind != "product")
+
+
+OMEGA_SQUARED = form2({(0, 1): "(1/(1 + x1^2))^2", (2, 3): "x2", (0, 3): "(x3/(x4 - 2))^3"})
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("trivial", N), ("omega", SWEEP_FIXTURES["omega"]), ("omega", OMEGA_RATIONAL),
+    ("omega", OMEGA_SQUARED), ("pi", SWEEP_FIXTURES["pi"]), ("product", SWEEP_FIXTURES["product"]),
+], ids=["trivial", "omega", "omega_rational", "omega_squared", "pi", "product"])
+def test_mat_jet_of_k_equals_the_evaluated_endo_jet(kind, data):
+    """K(p) and dK(p) by Taylor arithmetic equal K and the symbolic partials
+    endo_jet(K) evaluated at seeded regular points."""
+    k = STRUCTURES[kind](data)
+    m, dk = k.as_matrix(), [d.as_matrix() for d in endo_jet(k)]
+    rng = random.Random(97)
+    checked = 0
+    while checked < 4:
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N))
+        try:
+            want = (mat_eval(m, pt), [mat_eval(d, pt) for d in dk])
+        except PoleAtPoint:
+            continue
+        assert mat_jet(m, pt, 1) == want, pt
+        checked += 1
+    if kind == "omega" and data is OMEGA_SQUARED:
+        assert any(mult >= 2 for row in m for c in row for _, mult in c.factors.values())
 
 
 @pytest.mark.parametrize("p_rows,integrable", [
