@@ -36,8 +36,9 @@ from paracomplex.linalg import (
     DimNot4,
     Endo,
     TwoVector,
+    bareiss_inverse,
     basis_vec,
-    hodge_star,
+    int_mats,
     j_structures,
     lambda2_inner,
     mat_add,
@@ -53,6 +54,7 @@ from paracomplex.linalg import (
     mat_scale,
     mat_sub,
     mat_zero,
+    star_matrix,
     transpose,
     vec_add,
     vec_scale,
@@ -304,23 +306,25 @@ def riemann_at(g: list, point) -> list:
 
 
 def _riemann(g: list, point) -> tuple:
-    """(g(p) as a Bilinear, g(p)^-1, r) with r as in riemann_at, from mat_jet(g, p, 2).
-    With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels are
-    G^k_ij = g^kl G_l,ij, and d(g^-1) = -g^-1 (dg) g^-1 gives
-    d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij)."""
+    """(g(p) as a Bilinear, g(p)^-1, r) with r as in riemann_at, on integers:
+    mat_jet(g, p, 2) = (G, dG, ddG) / D and g(p)^-1 = D adj / det.  With
+    G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels G^k_ij = g^kl G_l,ij
+    are over 2 det, d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij) (by
+    d(g^-1) = -g^-1 (dg) g^-1) over 2 det^2, and r over 4 det^2."""
     g_at, d, dd = mat_jet(g, point, 2)
     n = len(g)
     ns = range(n)
+    den, (gi, *ints) = int_mats([g_at, *d, *(m for row in dd for m in row)])
+    di, ddi = ints[:n], [ints[n * (m + 1):n * (m + 2)] for m in ns]
     try:
-        ginv = mat_inv(g_at)
+        adj, det = bareiss_inverse(gi)
     except ZeroDivisionError as exc:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})") from exc
-    half = Fraction(1, 2)
-    gam = [_sym(n, lambda i, j: half * sum(
-        ginv[k][l] * (d[i][l][j] + d[j][l][i] - d[l][i][j]) for l in ns)) for k in ns]
-    gdgam = [[_sym(n, lambda i, j: half * (dd[m][i][l][j] + dd[m][j][l][i] - dd[m][l][i][j])
-                 - sum(d[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
-    dgam = [[_sym(n, lambda i, j: sum(ginv[k][l] * gdgam[m][l][i][j] for l in ns))
+    gam = [_sym(n, lambda i, j: sum(
+        adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
+    gdgam = [[_sym(n, lambda i, j: det * (ddi[m][i][l][j] + ddi[m][j][l][i] - ddi[m][l][i][j])
+                   - sum(di[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
+    dgam = [[_sym(n, lambda i, j: sum(adj[k][l] * gdgam[m][l][i][j] for l in ns))
              for k in ns] for m in ns]
     r = [[[[Fraction(0)] * n for _ in ns] for _ in ns] for _ in ns]
     for i in ns:
@@ -328,10 +332,12 @@ def _riemann(g: list, point) -> tuple:
             for k in ns:
                 for l in ns:
                     # -(d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
-                    v = dgam[j][l][i][k] - dgam[i][l][j][k] - sum(
+                    v = 2 * (dgam[j][l][i][k] - dgam[i][l][j][k]) - sum(
                         gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns)
-                    r[i][j][k][l], r[j][i][k][l] = v, -v
-    return Bilinear(g_at), ginv, r
+                    if v:
+                        r[i][j][k][l] = Fraction(v, 4 * det * det)
+                        r[j][i][k][l] = -r[i][j][k][l]
+    return Bilinear(g_at), [[Fraction(den * x, det) for x in row] for row in adj], r
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:
@@ -376,15 +382,8 @@ def curvature_operator(g: list, point) -> CurvOperator:
     if len(g) != 4:
         raise DimNot4("curvature operator decomposition requires dim 4")
     g_at, ginv, r_at = _riemann(g, point)
-    q = [[Fraction(0)] * 6 for _ in range(6)]
-    for a, (i, j) in enumerate(WEDGE4):
-        for b, (k, l) in enumerate(WEDGE4):
-            # g(R(e_i, e_j) e_k, e_l)
-            total = Fraction(0)
-            for m in range(4):
-                if r_at[i][j][k][m]:
-                    total += r_at[i][j][k][m] * g_at.mat[m][l]
-            q[a][b] = total
+    # q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l)
+    q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at.mat) for i, j in WEDGE4)]
     gram = lambda2_gram(g_at)
     mat = mat_mul(mat_inv(gram), transpose(q))
     ric = Bilinear([[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)]
@@ -412,14 +411,6 @@ class CurvDecomposition:
 
 def _two_vector_coords(a: TwoVector) -> list:
     return [a.get(i, j) for (i, j) in WEDGE4]
-
-
-def star_matrix(onb: list) -> list:
-    cols = []
-    for (i, j) in WEDGE4:
-        image = hodge_star(onb, TwoVector.basis(i, j, 4))
-        cols.append(_two_vector_coords(image))
-    return mat_from_columns(cols)
 
 
 def decompose(op: CurvOperator, onb: list) -> CurvDecomposition:
@@ -762,7 +753,7 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     evidence["ricci_zero"] = ricci_ok
     evidence["w_plus_zero"] = w_plus_ok
     evidence["w_minus_zero"] = w_minus_ok
-    const_ok = all(c is not None for c in sectional)
+    const_ok = len(set(sectional)) == 1 and sectional[0] is not None
     evidence["sectional_constant"] = str(sectional[0]) if const_ok else None
     if component == "++":
         curvature_ok = w_plus_ok and ricci_ok

@@ -245,16 +245,36 @@ class Poly:
 
     def jet_at(self, point: Sequence[Fraction], order: int = 0) -> tuple:
         """(value,), (value, gradient) or (value, gradient, Hessian) at the point
-        for order 0, 1 or 2, in Q as plain tuples, from the polynomial partials."""
-        if len(point) != self.nvars:
+        for order 0, 1 or 2, in Q as plain tuples.  Term by term on integers:
+        with the point X / D, coefficients c / C and total degree N, a partial
+        d^o is the sum of c D^(N - |e|) d^o X^e over C D^(N - o)."""
+        n = self.nvars
+        if len(point) != n:
             raise ValueError("point length does not match variable count")
-        value = Fraction(0)
+        den = math.lcm(*(x.denominator for x in point))
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        xs = [x.numerator * (den // x.denominator) for x in point]
+        pw = [[x ** k for k in range(top + 1)] for x in xs]  # pw[i][k] = X_i^k
+        ns = range(n)
+        parts = [()] + [(i,) for i in ns] * (order > 0) \
+            + [(i, k) for i in ns for k in ns if i <= k] * (order > 1)
+        sums = dict.fromkeys(parts, 0)
         for e, c in self.terms.items():
-            value += math.prod((Fraction(x) ** k for x, k in zip(point, e) if k), start=c)
-        if not order:
-            return (value,)
-        d = [self.partial(i).jet_at(point, order - 1) for i in range(self.nvars)]
-        return (value, tuple(j[0] for j in d)) + ((tuple(j[1] for j in d),) if order > 1 else ())
+            c = c.numerator * (cden // c.denominator) * den ** (top - sum(e))
+            for part in parts:
+                f, ee = c, list(e)
+                for i in part:
+                    f, ee[i] = f * ee[i], ee[i] - 1
+                if f:
+                    sums[part] += f * math.prod(pw[i][k] for i, k in enumerate(ee))
+        q = {part: Fraction(v, cden * den ** max(top - len(part), 0)) for part, v in sums.items()}
+        out = (q[()],)
+        if order:
+            out += (tuple(q[i,] for i in ns),)
+        if order > 1:
+            out += (tuple(tuple(q[min(i, k), max(i, k)] for k in ns) for i in ns),)
+        return out
 
     # -- display -----------------------------------------------------------
 

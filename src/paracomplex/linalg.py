@@ -4,11 +4,15 @@ Matrices are dense lists of lists whose entries are Fractions (pointwise
 work) or RatFuncs (coordinate-patch work); both support +, -, *, / and a
 truthiness zero test, which is all the elimination routines need.
 Dimensions stay at most 8, so storage is dense; `mat_vec` skips zero products.
+Over Q, `mat_mul` and `mat_inv` work on integer matrices over one common
+denominator and build a Fraction only for each entry of the result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from paracomplex.exact import RatFunc
@@ -107,7 +111,44 @@ def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
+def int_mats(mats) -> tuple[int, list]:
+    """(D, [D m for m in mats]) with D the lcm of the entries' denominators, so
+    every scaled matrix is an integer one; AttributeError for a RatFunc entry."""
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+                 for m in mats]
+
+
+def bareiss_inverse(m: Mat) -> tuple[Mat, int]:
+    """(R, d) with m^-1 = R / d for an integer matrix m, d = +-det m, by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
+    exactly by the previous pivot.  Raises SingularMatrix when det m = 0."""
+    n = len(m)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular over the scalar field")
+        work[col], work[pivot] = work[pivot], work[col]
+        prow = work[col]
+        p = prow[col]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], prow)]
+        prev = p
+    return [row[n:] for row in work], prev
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    try:
+        (da, (ia,)), (db, (ib,)) = int_mats([a]), int_mats([b])
+    except AttributeError:
+        pass
+    else:
+        den, cols = da * db, list(zip(*ib))
+        return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
     n, k, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
@@ -166,12 +207,16 @@ def mat_from_columns(cols: Sequence[Vec]) -> Mat:
     return [list(row) for row in zip(*cols)]
 
 
-def columns(a: Mat) -> list[Vec]:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_inv(a: Mat) -> Mat:
-    """Exact Gauss-Jordan inverse; raises SingularMatrix when det = 0."""
+    """Exact inverse, over Q by bareiss_inverse and over rational functions by
+    Gauss-Jordan elimination; raises SingularMatrix when det = 0."""
+    try:
+        den, (m,) = int_mats([a])
+    except AttributeError:
+        pass
+    else:
+        adj, det = bareiss_inverse(m)
+        return [[Fraction(den * x, det) for x in row] for row in adj]
     n = len(a)
     work = [list(row) for row in a]
     inv = mat_identity(n, like=_sample(a))
@@ -498,71 +543,46 @@ def lambda2_inner(g: Bilinear, a: TwoVector, b: TwoVector):
 
 
 def endo_from_2vector(g: Bilinear, a: TwoVector) -> Endo:
-    """The g-skew endomorphism S_a with g(S_a u, v) = <a, u ^ v>."""
-    n = g.dim
-    m = mat_zero(n, like=g.mat[0][0])
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            s = zero_like(g.mat[0][0])
-            for (i, j), c in a.comps.items():
-                s = s + c * (g.mat[i][u] * g.mat[j][v] - g.mat[i][v] * g.mat[j][u])
-            m[u][v] = s
-    # S^T g = m  =>  S = (m g^{-1})^T
-    return Endo(transpose(mat_mul(m, mat_inv(g.mat))))
+    """The g-skew endomorphism S_a with g(S_a u, v) = <a, u ^ v> for a metric g:
+    with A the antisymmetric matrix of a, <a, u ^ v> = u^T g A g v, so
+    S_a^T g = g A g and S_a = -A g, with no inverse of g."""
+    minus_a = mat_zero(g.dim, like=g.mat[0][0])
+    for (i, j), c in a.comps.items():
+        minus_a[i][j], minus_a[j][i] = -c, c
+    return Endo(mat_mul(minus_a, g.mat))
 
 
-def two_vector_change_of_basis(q: Mat) -> dict:
-    """For e_k = sum_i q[i][k] u_i, express reference wedge components in the
-    u-basis; returns the 6x6-ish coefficient map keyed by index pairs."""
-    n = len(q)
-    table = {}
-    for (k, l) in wedge_pairs(n):
-        row = {}
-        for (i, j) in wedge_pairs(n):
-            c = q[i][k] * q[j][l] - q[i][l] * q[j][k]
-            if c:
-                row[(i, j)] = c
-        table[(k, l)] = row
-    return table
+def lambda2_matrix(q: Mat) -> Mat:
+    """The map induced by q on wedge coordinates (e_i ^ e_j, i < j):
+    entry [(i, j)][(k, l)] = q[i][k] q[j][l] - q[i][l] q[j][k]."""
+    pairs = wedge_pairs(len(q))
+    return [[q[i][k] * q[j][l] - q[i][l] * q[j][k] for k, l in pairs] for i, j in pairs]
 
 
-_STAR_RULES = {
-    (0, 1): ((2, 3), 1),
-    (2, 3): ((0, 1), 1),
-    (0, 2): ((1, 3), 1),
-    (1, 3): ((0, 2), 1),
-    (0, 3): ((1, 2), -1),
-    (1, 2): ((0, 3), -1),
-}
+# the Hodge star on wedge coordinates of an oriented orthonormal basis with
+# norms (1, 1, -1, -1):  *(u1^u2) = u3^u4, *(u1^u3) = u2^u4, *(u1^u4) = -u2^u3,
+# extended as an involution; rows and columns in wedge_pairs(4) order
+_STAR_U = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
+           [0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
+
+
+def star_matrix(onb: Sequence[Vec]) -> Mat:
+    """The Hodge star on reference wedge coordinates for the oriented
+    orthonormal basis onb with norms (1, 1, -1, -1): with P the frame's
+    columns, * = L(P) *_u L(P^-1) for L = lambda2_matrix."""
+    if len(onb) != 4:
+        raise DimNot4("hodge star is implemented for dimension 4")
+    p = mat_from_columns(onb)
+    return mat_mul(lambda2_matrix(p), mat_mul(_STAR_U, lambda2_matrix(mat_inv(p))))
 
 
 def hodge_star(onb: Sequence[Vec], a: TwoVector) -> TwoVector:
-    """Hodge star on Lambda^2 for the oriented orthonormal basis onb with
-    norms (1, 1, -1, -1):  *(u1^u2) = u3^u4, *(u1^u3) = u2^u4, *(u1^u4) = -u2^u3,
-    extended as an involution."""
-    if len(onb) != 4 or a.dim != 4:
+    """The 2-vector *a for the oriented orthonormal basis onb (see star_matrix)."""
+    if a.dim != 4:
         raise DimNot4("hodge star is implemented for dimension 4")
-    p = mat_from_columns(onb)
-    q = mat_inv(p)
-    to_u = two_vector_change_of_basis(q)
-    u_comp: dict[tuple[int, int], object] = {}
-    for key, c in a.comps.items():
-        for ukey, f in to_u[key].items():
-            s = u_comp.get(ukey)
-            s = c * f if s is None else s + c * f
-            u_comp[ukey] = s
-    star_u = {}
-    for key, c in u_comp.items():
-        tgt, sign = _STAR_RULES[key]
-        star_u[tgt] = c if sign > 0 else -c
-    # map back: u_i ^ u_j in reference components
-    out = TwoVector(4)
-    for (i, j), c in star_u.items():
-        if c:
-            out = out + TwoVector.wedge(onb[i], onb[j]).scale(c)
-    return out
+    pairs = wedge_pairs(4)
+    coords = mat_vec(star_matrix(onb), [a.get(i, j) for i, j in pairs])
+    return TwoVector(4, dict(zip(pairs, coords)))
 
 
 def selfdual_split(onb: Sequence[Vec], a: TwoVector) -> tuple[TwoVector, TwoVector]:

@@ -477,6 +477,55 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
     assert 0 < len(calls) <= 36 * len(report["evidence"]["points"])
 
 
+
+def test_theorem_inverts_each_point_frame_and_gram_once(capsys, monkeypatch):
+    """Per default point, mat_inv runs twice: on the Lambda^2 Gram matrix and
+    on the frame (once for the Hodge star matrix).  g(p)^-1 comes from
+    bareiss_inverse, and the J-triples need no inverse (S_a = -A g)."""
+    import paracomplex
+
+    original = paracomplex.linalg.mat_inv
+    sizes = []
+
+    def counting(a):
+        sizes.append(len(a))
+        return original(a)
+
+    for module in vars(paracomplex).values():
+        if getattr(module, "mat_inv", None) is original:
+            monkeypatch.setattr(module, "mat_inv", counting)
+    code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
+    assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
+    assert sorted(sizes) == [4] * 5 + [6] * 5
+
+
+PHI = "(x1^4/12 - x1^3/3 + 1)"
+
+
+@pytest.mark.parametrize("component", ["+-", "-+"])
+def test_theorem_requires_one_sectional_constant_over_the_points(tmp_path, capsys, component):
+    """g = phi^-2 diag(1, 1, -1, -1) with phi'' = x1^2 - 2 x1 has R = c Id at
+    x1 = 0 (c = 0) and at x1 = 2 (c = -16/9): a scalar operator at each point,
+    but no constant sectional curvature."""
+    sig = [1, 1, -1, -1]
+    path = write_desc(tmp_path, "phi.json", {
+        "g": [[f"{sig[i]}/{PHI}^2" if i == j else "0" for j in range(4)] for i in range(4)],
+        "onb": [[PHI if i == j else "0" for j in range(4)] for i in range(4)]})
+    constants = []
+    for point in ("0,0,0,0", "2,0,0,0"):
+        code, out = run_cli(capsys, "curvature", f"file:{path}", "--point", point)
+        constants.append(json.loads(out)["sectional_constant"])
+    assert constants == ["0", "-16/9"]
+    code, out = run_cli(capsys, "theorem", f"file:{path}", f"--component={component}",
+                        "--points", "0,0,0,0;2,0,0,0")
+    report = json.loads(out)
+    assert code == 1 and report["integrable"] is False
+    assert report["evidence"]["sectional_constant"] is None
+    code, out = run_cli(capsys, "theorem", f"file:{path}", f"--component={component}",
+                        "--points", "2,0,0,0;2,1,0,0")
+    assert code == 0 and json.loads(out)["evidence"]["sectional_constant"] == "-16/9"
+
+
 # -- theta grammar -------------------------------------------------------------------
 
 

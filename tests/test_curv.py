@@ -993,3 +993,54 @@ def test_onb_search_null_frame():
     for i in range(4):
         for j in range(4):
             assert g.apply(onb[i], onb[j]) == (want[i] if i == j else 0)
+
+
+
+# DENSE_G is constcurv:-1/2 in the coordinates y = DENSE_A x (DENSE_PHI(x) is its phi(y))
+DENSE_A = [[1, 0, 0, 0], [1, 1, 0, 0], [2, -1, 1, 0], [1, 1, -1, 1]]
+DENSE_A_INV = [[1, 0, 0, 0], [-1, 1, 0, 0], [-3, 1, 1, 0], [-3, 0, 1, 1]]
+
+
+def dense_riemann_oracle(model: MetricModel, oracle: list, p) -> list:
+    """r of DENSE_G at p from the symbolic oracle of the model constcurv:-1/2
+    at y = A p, by the tensor law of the linear map:
+    r[i][j][k][l] = A_ai A_bj A_ck r_y[a][b][c][d] (A^-1)_ld.  (The symbolic
+    oracle of DENSE_G itself is too slow for the tier-1 suite.)"""
+    a, a_inv, ns = DENSE_A, DENSE_A_INV, range(4)
+    assert [[sum(a[i][m] * a_inv[m][j] for m in ns) for j in ns] for i in ns] == [
+        [int(i == j) for j in ns] for i in ns]
+    y = [sum(a[i][k] * p[k] for k in ns) for i in ns]
+    g_y = mat_eval(model.g, y)
+    assert mat_eval(DENSE_G, p) == [[sum(a[c][i] * g_y[c][d] * a[d][j] for c in ns for d in ns)
+                                     for j in ns] for i in ns]
+
+    def tensor(entry):
+        return [[[[entry(i, j, k, l) for l in ns] for k in ns] for j in ns] for i in ns]
+
+    r = [[[[c.eval_at(y) for c in d] for d in b] for b in row] for row in oracle]
+    r = tensor(lambda i, j, k, l: sum(a[m][i] * r[m][j][k][l] for m in ns))
+    r = tensor(lambda i, j, k, l: sum(a[m][j] * r[i][m][k][l] for m in ns))
+    r = tensor(lambda i, j, k, l: sum(a[m][k] * r[i][j][m][l] for m in ns))
+    return tensor(lambda i, j, k, l: sum(r[i][j][k][m] * a_inv[l][m] for m in ns))
+
+
+def test_riemann_at_equals_symbolic_oracle_at_64_bit_points():
+    """The integer kernel of riemann_at at seeded points with 64-bit
+    numerators and denominators equals the symbolic tensor evaluated there
+    (for DENSE_G through the shear, see dense_riemann_oracle); a degenerate
+    point keeps its message."""
+    rng = random.Random(1201)
+    metrics = [constcurv_metric(1).g, ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g]
+    oracles = [riemann_oracle(levi_civita(g)) for g in metrics]
+    sheared = constcurv_metric(Fraction(-1, 2))
+    sheared_oracle = riemann_oracle(levi_civita(sheared.g))
+    for _ in range(2):
+        p = tuple(Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64)) for _ in range(4))
+        for g, oracle in zip(metrics, oracles):
+            assert riemann_at(g, p) == [[[[c.eval_at(p) for c in d] for d in b] for b in a]
+                                        for a in oracle]
+        assert riemann_at(DENSE_G, p) == dense_riemann_oracle(sheared, sheared_oracle, p)
+    g = [row[:] for row in flat_metric().g]
+    g[0][0] = rf("x1 - 1/3")
+    with pytest.raises(DegenerateMetric, match=r"^metric is degenerate at \(1/3, 2, 0, 0\)$"):
+        riemann_at(g, (Fraction(1, 3), Fraction(2), Fraction(0), Fraction(0)))

@@ -1,5 +1,6 @@
 """Exact scalar tower: evaluation, differentiation, equality, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,33 @@ def test_a_factor_with_value_zero_and_nonzero_gradient_is_a_pole(order):
     for evaluate in (lambda: f.jet_at(p, order), lambda: mat_jet([[rf("1"), f]], p, order)):
         with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(1, 5\)$"):
             evaluate()
+
+
+
+def poly_value(f: Poly, p) -> Fraction:
+    """A polynomial's value at a point, term by term in Fractions."""
+    return sum((c * math.prod(Fraction(x) ** k for x, k in zip(p, e))
+                for e, c in f.terms.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("text", ["0", "7/3", "x1^3*x2/5 - 2/7*x1*x2^2 + 1/3",
+                                  "(x1 - 1/2)^4*x2 + x2^3"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_poly_jet_at_equals_the_evaluated_partials(text, order):
+    """The term-by-term integer jet equals the symbolic partials evaluated at
+    points with mixed denominators, 64-bit ones among them, and plain ints."""
+    f = rf(text).num
+    points = [(Fraction(1, 3), Fraction(-5, 4)), (2, Fraction(7, 6)), (0, 0),
+              (Fraction(2**64 + 1, 3**40), Fraction(-(2**63), 2**64 - 59))]
+    for p in points:
+        want = (poly_value(f, p),)
+        if order:
+            want += (tuple(poly_value(f.partial(i), p) for i in range(2)),)
+        if order > 1:
+            want += (tuple(tuple(poly_value(f.partial(i).partial(k), p) for k in range(2))
+                           for i in range(2)),)
+        got = f.jet_at(p, order)
+        assert got == want and type(got[0]) is Fraction
 
 
 # -- partial --------------------------------------------------------------

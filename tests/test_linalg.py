@@ -10,7 +10,9 @@ from paracomplex.linalg import (
     DimNot4,
     Endo,
     NotSymmetric,
+    SingularMatrix,
     TwoVector,
+    bareiss_inverse,
     basis_vec,
     endo_from_2vector,
     hodge_star,
@@ -252,3 +254,97 @@ def test_rank_and_inverse():
     assert mat_eq(mat_mul(m, inv), mat_identity(2))
     assert mat_rank(m) == 2
     assert mat_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
+
+
+# -- the integer kernels of mat_mul and mat_inv ------------------------------------
+
+
+def gauss_jordan_inverse(a):
+    """Fraction Gauss-Jordan inversion entry by entry: the reference for the
+    integer kernel of mat_inv."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] for row in a]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular over the scalar field")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = work[col][col]
+        work[col] = [x / p for x in work[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def schoolbook_product(a, b):
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def seeded_matrix(rng, n, m=None, kind="fraction"):
+    """Sparse-ish entries: small and 64-bit Fractions, or plain ints."""
+    def entry():
+        if rng.random() < 0.25:
+            return 0 if kind == "int" else Fraction(0)
+        if kind == "int":
+            return rng.choice([rng.randint(-9, 9), rng.randint(-2**64, 2**64)])
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return [[entry() for _ in range(n if m is None else m)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["fraction", "int"])
+def test_integer_kernels_equal_fraction_elimination(n, kind):
+    rng = random.Random(1200 + n + len(kind))
+    for _ in range(6):
+        a, b = seeded_matrix(rng, n, kind=kind), seeded_matrix(rng, n, kind="fraction")
+        assert mat_mul(a, b) == schoolbook_product(a, b)
+        assert mat_mul(b, a) == schoolbook_product(b, a)
+        try:
+            want = gauss_jordan_inverse(a)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                mat_inv(a)
+            continue
+        got = mat_inv(a)
+        assert got == want and all(type(x) is Fraction for row in got for x in row)
+    # a rectangular product of a 64-bit and a small matrix
+    a, b = seeded_matrix(rng, n, 3), seeded_matrix(rng, 3, n)
+    assert mat_mul(a, b) == schoolbook_product(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_singular_matrices_keep_the_message(n):
+    """A row that is a rational combination of two others, or a zero column:
+    SingularMatrix with the text of the Fraction elimination."""
+    rng = random.Random(1300 + n)
+    a = seeded_matrix(rng, n)
+    c = Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64))
+    a[n - 1] = [x + c * y for x, y in zip(a[0], a[1])]
+    b = seeded_matrix(rng, n, kind="int")
+    for row in b:
+        row[2] = 0
+    for m in (a, b):
+        with pytest.raises(SingularMatrix, match=r"^matrix is singular over the scalar field$"):
+            gauss_jordan_inverse(m)
+        with pytest.raises(SingularMatrix, match=r"^matrix is singular over the scalar field$"):
+            mat_inv(m)
+
+
+def test_bareiss_inverse_is_the_adjugate_up_to_sign():
+    """m R = d Id with d = +-det m, on integers; a swap is needed at the first column."""
+    m = [[0, 2, 1], [3, 1, 0], [1, 1, 1]]
+    adj, d = bareiss_inverse(m)
+    assert abs(d) == 4
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in m] == [
+        [d * (i == j) for j in range(3)] for i in range(3)]
+    with pytest.raises(SingularMatrix):
+        bareiss_inverse([[1, 2], [2, 4]])
