@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from paracomplex.exact import PoleAtPoint, RatFunc, check_variables, parse_ratfunc
 from paracomplex.gpx import (
@@ -40,7 +41,7 @@ from paracomplex.linalg import (
     basis_vec,
     int_mats,
     j_structures,
-    lambda2_inner,
+    lambda2_matrix,
     mat_add,
     mat_det,
     mat_eq,
@@ -58,11 +59,12 @@ from paracomplex.linalg import (
     transpose,
     vec_add,
     vec_scale,
-    vec_sub,
     wedge_pairs,
 )
 from paracomplex.para import (
     fiber_tangent_basis,
+    hyperboloid_combination,
+    hyperboloid_draw,
     random_compatible_structure,
 )
 from paracomplex.patch import KForm, ext_deriv
@@ -372,8 +374,9 @@ class CurvOperator:
 
 
 def lambda2_gram(g_at: Bilinear) -> list:
-    return [[lambda2_inner(g_at, TwoVector.basis(*p, 4), TwoVector.basis(*q, 4))
-             for q in WEDGE4] for p in WEDGE4]
+    """Gram matrix of the induced inner product on the wedge basis:
+    <e_i ^ e_j, e_k ^ e_l> = g_ik g_jl - g_il g_jk."""
+    return lambda2_matrix(g_at.mat)
 
 
 def curvature_operator(g: list, point) -> CurvOperator:
@@ -463,30 +466,54 @@ def _wedge_coords(pairs: list, u: list, v: list) -> dict:
     return {a: u[i] * v[j] - u[j] * v[i] for a, (i, j) in pairs}
 
 
-def jklr_residual(op: CurvOperator, k1: Endo, k2: Endo, j: int, l: int, r: int,
-                  x: list, y: list, z: list, u: list) -> Fraction:
-    """g(R(X^Y + K_j X ^ K_l Y), Z^U + K_r Z ^ K_r U)
-    + g(R(K_j X ^ Y + X ^ K_l Y), K_r Z ^ U + Z ^ K_r U); the displayed
-    curvature identity holds iff this vanishes.
+def _pm(den: int, k: list, v: list) -> tuple:
+    """(den v + k v, den v - k v) for an integer matrix k and vector v."""
+    kv = [sum(map(mul, row, v)) for row in k]
+    dv = [den * c for c in v]
+    return [a + b for a, b in zip(dv, kv)], [a - b for a, b in zip(dv, kv)]
 
-    The two first arguments are A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y), and
-    the two second ones B1 +- B2 likewise, so the residual is
-    [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2.  On wedge
+
+def sample_jklr(points: list, orientations: tuple, rng, samples: int):
+    """Yield (point, (j, l, r), n, d), d > 0, for seeded (j,l,r) samples
+    cycling over theorem_verdict's points, where n / d is the residual
+    g(R(X^Y + K_j X ^ K_l Y), Z^U + K_r Z ^ K_r U)
+    + g(R(K_j X ^ Y + X ^ K_l Y), K_r Z ^ U + Z ^ K_r U); the displayed
+    curvature identity holds iff it vanishes.  The draws from rng are those
+    of random_compatible_structure for K1 and K2 with the orientations
+    (o1, o2), then of randint(1, 2) for j, l, r, then of rnd_vec for X, Y, Z, U.
+
+    The first arguments are A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y), and the
+    second ones B1 +- B2 likewise, so the residual is
+    [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2, and on wedge
     coordinates g(R(A), B) = a^T q b for the lowered operator q, summed over
-    the nonzero entries of q."""
-    terms = [(a, b, c) for a, row in enumerate(op.lowered) for b, c in enumerate(row) if c]
-    if not terms:
-        return Fraction(0)
-    rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
-    cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
-    ks = {1: k1, 2: k2}
-    kx, ky = ks[j].apply(x), ks[l].apply(y)
-    kz, ku = ks[r].apply(z), ks[r].apply(u)
-    a_sum = _wedge_coords(rows, vec_add(x, kx), vec_add(y, ky))
-    a_diff = _wedge_coords(rows, vec_sub(x, kx), vec_sub(y, ky))
-    b_sum = _wedge_coords(cols, vec_add(z, kz), vec_add(u, ku))
-    b_diff = _wedge_coords(cols, vec_sub(z, kz), vec_sub(u, ku))
-    return sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b]) for a, b, c in terms) / 2
+    its nonzero entries.  On integers: per point, int_mats gives q = Q / D_q
+    and J_a = J'_a / D_J; per sample, K = (Y1 J'1 + Y2 J'2 + Y3 J'3) / e with
+    e = E D_J, and X = 2 x by rnd_vec2, so x +- K x = (e X +- K' X) / (2 e)
+    and d = 2 D_q 16 e_j e_l e_r^2."""
+    data = []
+    for p, op, _, js in points[:samples]:
+        den_q, (q,) = int_mats([op.lowered])
+        terms = [(a, b, c) for a, row in enumerate(q) for b, c in enumerate(row) if c]
+        rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
+        cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
+        data.append((p, den_q, terms, rows, cols,
+                     {o: int_mats([jm.mat for jm in js(o)]) for o in set(orientations)}))
+    for t in range(samples):
+        p, den_q, terms, rows, cols, jints = data[t % len(data)]
+        ys = [hyperboloid_draw(rng) for _ in orientations]
+        j, l, r = (rng.randint(1, 2) for _ in range(3))
+        x, y, z, u = (rnd_vec2(rng) for _ in range(4))
+        if not terms:
+            yield p, (j, l, r), 0, 1
+            continue
+        ks = {i: hyperboloid_combination(ys[i - 1], jints[orientations[i - 1]])
+              for i in {j, l, r}}
+        (xp, xm), (yp, ym), (zp, zm), (up, um) = (
+            _pm(*ks[i], v) for i, v in ((j, x), (l, y), (r, z), (r, u)))
+        a_sum, a_diff = _wedge_coords(rows, xp, yp), _wedge_coords(rows, xm, ym)
+        b_sum, b_diff = _wedge_coords(cols, zp, up), _wedge_coords(cols, zm, um)
+        n = sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b]) for a, b, c in terms)
+        yield p, (j, l, r), n, 32 * den_q * ks[j][0] * ks[l][0] * ks[r][0] ** 2
 
 
 # -- reflector-space Nijenhuis evaluators ------------------------------------------------------
@@ -696,7 +723,12 @@ DEFAULT_POINTS = [
 
 
 def rnd_vec(rng, n=4) -> list:
-    return [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    return [Fraction(v, 2) for v in rnd_vec2(rng, n)]
+
+
+def rnd_vec2(rng, n=4) -> list:
+    """2 rnd_vec(rng, n) on integers, from the same draws."""
+    return [2 * rng.randint(-3, 3) // rng.randint(1, 2) for _ in range(n)]
 
 
 def theorem_verdict(model: MetricModel, theta: KForm, component: str,
@@ -762,22 +794,14 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     else:
         curvature_ok = const_ok
     integrable = d_theta_zero and curvature_ok
-    nonzero = 0
-    first_witness = None
-    orient1 = +1 if component[0] == "+" else -1
-    orient2 = +1 if component[1] == "+" else -1
-    for t in range(jklr_samples):
-        p, op, onb, js = points[t % len(points)]
-        k1 = random_compatible_structure(op.g_at, onb, rng, orient1, js(orient1))
-        k2 = random_compatible_structure(op.g_at, onb, rng, orient2, js(orient2))
-        j, l, r = (rng.randint(1, 2) for _ in range(3))
-        args = [rnd_vec(rng) for _ in range(4)]
-        res = jklr_residual(op, k1, k2, j, l, r, *args)
-        if res:
+    orientations = tuple(+1 if c == "+" else -1 for c in component)
+    nonzero, first_witness = 0, None
+    for p, jlr, n, d in sample_jklr(points, orientations, rng, jklr_samples):
+        if n:
             nonzero += 1
             if first_witness is None:
-                first_witness = {"point": [str(c) for c in p], "jlr": [j, l, r],
-                                 "residual": str(res)}
+                first_witness = {"point": [str(c) for c in p], "jlr": list(jlr),
+                                 "residual": str(Fraction(n, d))}
     evidence["jklr"] = {"samples": jklr_samples, "nonzero": nonzero}
     if first_witness is not None:
         evidence["jklr"]["witness"] = first_witness
@@ -822,7 +846,11 @@ def parse_metric_id(text: str) -> MetricModel:
     if text == "flat":
         return flat_metric()
     if text.startswith("constcurv:"):
-        return constcurv_metric(Fraction(text.split(":", 1)[1]))
+        c = text.split(":", 1)[1]
+        try:
+            return constcurv_metric(Fraction(c))
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {c!r}") from None
     if text.startswith("ppwave:"):
         f = parse_ratfunc(text.split(":", 1)[1], VARS4)
         return ppwave_metric(f)

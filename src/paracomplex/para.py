@@ -18,6 +18,7 @@ from paracomplex.linalg import (
     Endo,
     basis_vec,
     g_adjoint,
+    int_mats,
     is_g_skew,
     j_structures,
     kernel_basis,
@@ -277,26 +278,38 @@ def hyperboloid_coords(g: Bilinear, onb: list, k: Endo) -> tuple:
     )
 
 
+def hyperboloid_draw(rng) -> tuple[int, int, int, int]:
+    """(Y1, Y2, Y3, E): a random rational point (Y1, Y2, Y3) / E, E > 0, on the
+    hyperboloid -y1^2 + y2^2 + y3^2 = 1: y1 = t, and (y2, y3) is the second
+    point of the circle y2^2 + y3^2 = 1 + t^2 on the line of slope m through
+    (1, t), for t = a/b and m = c/d drawn as ratios of small integers.  With
+    P = c^2 + d^2 and Q = bd + ac: E = bP, Y1 = aP, Y2 = bP - 2Qd, Y3 = aP - 2Qc."""
+    a, b = rng.randint(-6, 6), rng.randint(1, 4)
+    c, d = rng.randint(-6, 6), rng.randint(1, 4)
+    p, q = c * c + d * d, b * d + a * c
+    return a * p, b * p - 2 * q * d, a * p - 2 * q * c, b * p
+
+
+def hyperboloid_combination(point: tuple, triple: tuple) -> tuple[int, list]:
+    """(e, K) with y1 J1 + y2 J2 + y3 J3 = K / e, for a hyperboloid_draw point
+    (Y1, Y2, Y3, E) and an int_mats J-triple (D, [D J1, D J2, D J3]): K is the
+    integer matrix Y1 D J1 + Y2 D J2 + Y3 D J3 and e = E D."""
+    (y1, y2, y3, e), (den, mats) = point, triple
+    return e * den, [[y1 * a + y2 * b + y3 * c for a, b, c in zip(*rows)]
+                     for rows in zip(*mats)]
+
+
 def random_compatible_structure(g: Bilinear, onb: list, rng, orientation: int = +1,
                                 js: list | None = None) -> Endo:
     """Random g-compatible paracomplex structure of the given orientation in
-    dim 4, via a rational parametrization of the hyperboloid
-    -y1^2 + y2^2 + y3^2 = 1: lines through the rational point (y2, y3) = (1, t).
+    dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3).
     A caller drawing many structures at one point passes the J-triple
     j_structures(g, onb, orientation) as js; the draws from rng are the same."""
-    t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    m = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    s = -2 * (1 + m * t) / (1 + m * m)
-    y1, y2, y3 = t, 1 + s, t + m * s
+    point = hyperboloid_draw(rng)
     if js is None:
         js = j_structures(g, onb, +1 if orientation > 0 else -1)
-    mat = [[Fraction(0)] * len(row) for row in js[0].mat]
-    for y, jm in zip((y1, y2, y3), js):
-        for out, row in zip(mat, jm.mat):
-            for c, e in enumerate(row):
-                if e:
-                    out[c] += y * e
-    return Endo(mat)
+    e, k = hyperboloid_combination(point, int_mats([jm.mat for jm in js]))
+    return Endo([[Fraction(c, e) for c in row] for row in k])
 
 
 def standard_para_structure(n: int) -> Endo:

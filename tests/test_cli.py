@@ -128,6 +128,14 @@ def test_malformed_metric_file_exit_2_with_one_line(tmp_path, capsys, payload, m
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["curvature", "constcurv:1/0"], "division by zero in '1/0'"),
+    (["theorem", "constcurv:2/0", "--component", "+-"], "division by zero in '2/0'"),
+], ids=["curvature", "theorem"])
+def test_constcurv_zero_denominator_exit_2_with_one_line(capsys, argv, message):
+    assert_one_line_input_error(capsys, main(argv), message)
+
+
+@pytest.mark.parametrize("argv,message", [
     (["validate", "{desc}", "--points", ";"], "no point given in ';'"),
     (["validate", "{desc}", "--points", ""], "no point given in ''"),
     (["integrability", "{desc}", "--points", " ; "], "no point given in ' ; '"),
@@ -456,8 +464,9 @@ def test_theorem_negative_samples_exit_2(capsys):
 
 def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
     """The (j,l,r) samples contract wedge coordinates with the lowered
-    operator: the Lambda^2 inner product runs only for the 36 Gram entries
-    at each point, however many samples are drawn."""
+    operator: the Lambda^2 inner product runs at most for the 36 Gram entries
+    at each point, however many samples are drawn (the Gram matrix is
+    lambda2_matrix of g(p), so none at all)."""
     import paracomplex.curv
     import paracomplex.linalg
 
@@ -469,12 +478,12 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(paracomplex.linalg, "lambda2_inner", counting)
-    monkeypatch.setattr(paracomplex.curv, "lambda2_inner", counting)
+    monkeypatch.setattr(paracomplex.curv, "lambda2_inner", counting, raising=False)
     code, out = run_cli(capsys, "theorem", "constcurv:-1/2", "--component=--",
                         "--samples", "300")
     report = json.loads(out)
     assert code == 1 and report["evidence"]["jklr"]["nonzero"] > 0
-    assert 0 < len(calls) <= 36 * len(report["evidence"]["points"])
+    assert len(calls) <= 36 * len(report["evidence"]["points"])
 
 
 
@@ -497,6 +506,30 @@ def test_theorem_inverts_each_point_frame_and_gram_once(capsys, monkeypatch):
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
     assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
     assert sorted(sizes) == [4] * 5 + [6] * 5
+
+
+def test_theorem_scales_each_point_q_and_j_triple_once(capsys, monkeypatch):
+    """With 300 samples over the five default points, int_mats in curv runs
+    once per point on each of: the 21 matrices of the metric's 2-jet (the
+    Riemann kernel), the lowered operator q, and the J-triple of each of the
+    two orientations of +-; never once per sample."""
+    import paracomplex.curv
+
+    original = paracomplex.curv.int_mats
+    sizes = []
+
+    def counting(mats):
+        mats = list(mats)
+        sizes.append(len(mats))
+        return original(mats)
+
+    monkeypatch.setattr(paracomplex.curv, "int_mats", counting)
+    code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-",
+                        "--samples", "300")
+    report = json.loads(out)
+    assert code == 0 and report["evidence"]["jklr"] == {"samples": 300, "nonzero": 0}
+    assert len(report["evidence"]["points"]) == 5
+    assert sorted(sizes) == [1] * 5 + [3] * 10 + [21] * 5
 
 
 PHI = "(x1^4/12 - x1^3/3 + 1)"

@@ -1,6 +1,7 @@
 """Connections, curvature, the operator decomposition, the curvature
 residuals, and the pointwise twistor/reflector Nijenhuis evaluators."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
+    j_structures,
     lambda2_inner,
     mat_eq,
     mat_identity,
@@ -25,6 +27,8 @@ from paracomplex.linalg import (
     mat_sub,
     mat_vec,
     mat_zero,
+    vec_add,
+    vec_sub,
     wedge_pairs,
 )
 from paracomplex.para import (
@@ -48,7 +52,7 @@ from paracomplex.curv import (
     flat_metric,
     hitchin_connection,
     horizontal_np_residual,
-    jklr_residual,
+    lambda2_gram,
     levi_civita,
     metric_from_strings,
     metricity_residual,
@@ -61,6 +65,7 @@ from paracomplex.curv import (
     reflector_nijenhuis,
     riemann_at,
     rnd_vec,
+    sample_jklr,
     sectional_constant_check,
     star_matrix,
     theorem_verdict,
@@ -411,8 +416,6 @@ def test_ricci_values():
 
 
 def test_curvature_operator_self_adjoint():
-    from paracomplex.curv import lambda2_gram
-
     m = perturbed_metric()
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, p)
@@ -495,6 +498,23 @@ def test_sectional_constant_absent_for_perturbed():
 
 
 # -- jklr residual -----------------------------------------------------------------------
+
+
+def jklr_residual(op, k1: Endo, k2: Endo, j: int, l: int, r: int, x, y, z, u) -> Fraction:
+    """The (j,l,r) residual in Fractions, the reference for curv.sample_jklr:
+    [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2 with
+    A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y) and B1 +- B2 = (Z +- K_r Z) ^ (U +- K_r U),
+    g(R(A), B) = a^T q b on wedge coordinates for the lowered operator q."""
+    ks = {1: k1, 2: k2}
+    kx, ky, kz, ku = ks[j].apply(x), ks[l].apply(y), ks[r].apply(z), ks[r].apply(u)
+
+    def coords(v, w):
+        return [v[i] * w[k] - v[k] * w[i] for i, k in WEDGE4]
+
+    a_sum, a_diff = coords(vec_add(x, kx), vec_add(y, ky)), coords(vec_sub(x, kx), vec_sub(y, ky))
+    b_sum, b_diff = coords(vec_add(z, kz), vec_add(u, ku)), coords(vec_sub(z, kz), vec_sub(u, ku))
+    return Fraction(sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b])
+                        for a, row in enumerate(op.lowered) for b, c in enumerate(row))) / 2
 
 
 def test_jklr_flat_always_zero():
@@ -645,6 +665,66 @@ def test_lowered_operator_is_the_lambda2_pairing():
             op = curvature_operator(model.g, p)
             assert op.lowered == [[lambda2_inner(op.g_at, r_of(op, ea), eb) for eb in basis]
                                   for ea in basis]
+
+
+def test_lambda2_gram_is_the_lambda2_inner_table():
+    """lambda2_gram(g(p)) is the table of <e_a, e_b> = lambda2_inner on the
+    wedge basis, at seeded points of constcurv:1 and DENSE_G."""
+    rng = random.Random(1307)
+    basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
+    for g in (constcurv_metric(1).g, DENSE_G):
+        compared = 0
+        while compared < 4:
+            p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+            try:
+                g_at = Bilinear(mat_eval(g, p))
+            except PoleAtPoint:
+                continue
+            assert lambda2_gram(g_at) == [[lambda2_inner(g_at, a, b) for b in basis]
+                                          for a in basis]
+            compared += 1
+
+
+def jklr_reference(points, orientations, rng, samples):
+    """The (j,l,r) samples in Fractions: random_compatible_structure for both
+    orientations, then (j, l, r), then four rnd_vec vectors, and
+    jklr_residual of each sample."""
+    out = []
+    for t in range(samples):
+        p, op, onb, js = points[t % len(points)]
+        k1, k2 = (random_compatible_structure(op.g_at, onb, rng, o, js(o)) for o in orientations)
+        j, l, r = (rng.randint(1, 2) for _ in range(3))
+        args = [rnd_vec(rng) for _ in range(4)]
+        out.append((p, (j, l, r), jklr_residual(op, k1, k2, j, l, r, *args)))
+    return out
+
+
+def test_integer_jklr_samples_equal_the_fraction_reference():
+    """Every sample's residual from sample_jklr equals jklr_residual of the
+    same draws, and both loops leave rng in the same state; at small and
+    64-bit points of constcurv:1, the sheared constcurv:-1/2 (DENSE_G with its
+    frame) and the counterexample at points with x1 (x1 - 1) (3 x2 + 1) != 0,
+    on all four pairs of orientations."""
+    rng = random.Random(3301)
+    nonzero = {}
+    for model in (constcurv_metric(1), sheared_constcurv(), ppwave_metric(rf(COUNTEREXAMPLE))):
+        pts = [JKLR_POINTS[1]] + [tuple(Fraction(rng.randint(-2 ** 63, 2 ** 63 - 1))
+                                        for _ in range(4)) for _ in range(2)]
+        points = []
+        for p in pts:
+            op, onb = curvature_operator(model.g, p), model.onb_at(p)
+            points.append((p, op, onb, functools.cache(functools.partial(j_structures,
+                                                                         op.g_at, onb))))
+        for orientations in product((1, -1), repeat=2):
+            seed = rng.getrandbits(32)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = [(p, jlr, Fraction(n, d))
+                   for p, jlr, n, d in sample_jklr(points, orientations, ours, 24)]
+            assert got == jklr_reference(points, orientations, theirs, 24)
+            assert ours.getstate() == theirs.getstate()
+            nonzero[model.name] = nonzero.get(model.name, 0) + sum(res != 0 for *_, res in got)
+    # the Ricci part (and for the counterexample W-) makes some samples nonzero on each model
+    assert len(nonzero) == 3 and min(nonzero.values()) > 0
 
 
 # -- reflector Nijenhuis -------------------------------------------------------------------

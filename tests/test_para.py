@@ -25,10 +25,12 @@ from paracomplex.para import (
     fiber_structure,
     fiber_tangent_dim,
     hyperboloid_coords,
+    hyperboloid_draw,
     hyperboloid_structure,
     induced_orientation,
     is_fiber_tangent,
     null_basis,
+    random_compatible_structure,
     standard_para_structure,
     validate_para,
     z_tangent_project,
@@ -260,6 +262,27 @@ def test_hyperboloid_rational_point():
 def test_hyperboloid_rejects_off_surface():
     with pytest.raises(NotOnHyperboloid):
         hyperboloid_structure(G, ONB, 1, 1, 0)
+
+
+def test_hyperboloid_draw_is_the_line_through_1_t():
+    """(Y1, Y2, Y3) / E from hyperboloid_draw is (t, 1 + s, t + m s) with
+    s = -2 (1 + m t) / (1 + m^2) for t, m = Fraction(randint(-6, 6),
+    randint(1, 4)) from the same draws, on the hyperboloid with E > 0; the
+    structure random_compatible_structure builds there is y1 J1 + y2 J2 + y3 J3."""
+    ours, theirs = random.Random(71), random.Random(71)
+    for _ in range(300):
+        y1, y2, y3, e = hyperboloid_draw(ours)
+        t = Fraction(theirs.randint(-6, 6), theirs.randint(1, 4))
+        m = Fraction(theirs.randint(-6, 6), theirs.randint(1, 4))
+        s = -2 * (1 + m * t) / (1 + m * m)
+        assert e > 0 and -y1 * y1 + y2 * y2 + y3 * y3 == e * e
+        assert (Fraction(y1, e), Fraction(y2, e), Fraction(y3, e)) == (t, 1 + s, t + m * s)
+    assert ours.getstate() == theirs.getstate()
+    for orientation in (1, -1):
+        y1, y2, y3, e = hyperboloid_draw(random.Random(5))
+        k = random_compatible_structure(G, ONB, random.Random(5), orientation)
+        j1, j2, j3 = j_structures(G, ONB, orientation)
+        assert k == (j1.scale(y1) + j2.scale(y2) + j3.scale(y3)).scale(Fraction(1, e))
 
 
 def test_hyperboloid_orientation_positive():
