@@ -37,7 +37,7 @@ from paracomplex.linalg import (
     DimNot4,
     Endo,
     TwoVector,
-    bareiss_inverse,
+    bareiss,
     basis_vec,
     int_mats,
     j_structures,
@@ -62,6 +62,7 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.para import (
+    _orthogonal_complement_basis,
     fiber_tangent_basis,
     hyperboloid_combination,
     hyperboloid_draw,
@@ -179,37 +180,28 @@ def _is_square(q: Fraction) -> Fraction | None:
 def onb_search(g: Bilinear) -> list:
     """Search for a rational orthonormal basis with norms (1, 1, -1, -1).
     Works when unit vectors exist over Q; otherwise raises DegenerateMetric
-    (supply an onb with the metric in that case)."""
-    n = g.dim
+    (supply an onb with the metric in that case).  A candidate's norm is
+    c^T M c / D from the integer Gram matrix M / D of the complement basis,
+    and only the accepted vector is built."""
     found: list = []
-    want = [1, 1, -1, -1]
-    span: list = []
-    from paracomplex.para import _orthogonal_complement_basis
-
-    for target in want:
-        comp = _orthogonal_complement_basis(g, span)
+    for target in (1, 1, -1, -1):
+        comp = _orthogonal_complement_basis(g, found)
+        den, (gram,) = int_mats([mat_mul(mat_mul(comp, g.mat), transpose(comp))])
         pick = None
         for bound in (1, 2, 3, 4):
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(comp)):
                 if not any(coeffs) or max(abs(c) for c in coeffs) != bound:
                     continue
-                v = [Fraction(0)] * n
-                for c, b in zip(coeffs, comp):
-                    if c:
-                        v = [x + c * y for x, y in zip(v, b)]
-                norm = g.apply(v, v)
-                if norm == 0 or (norm > 0) != (target > 0):
-                    continue
-                root = _is_square(abs(norm))
-                if root is not None:
-                    pick = vec_scale(1 / root, v)
+                q = target * sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram]))
+                root = q > 0 and _is_square(Fraction(q, den))
+                if root:
+                    pick = [sum(c * b[i] for c, b in zip(coeffs, comp)) / root for i in range(g.dim)]
                     break
             if pick is not None:
                 break
         if pick is None:
             raise DegenerateMetric("no rational orthonormal basis found; supply one")
         found.append(pick)
-        span.append(pick)
     return found
 
 
@@ -318,10 +310,10 @@ def _riemann(g: list, point) -> tuple:
     ns = range(n)
     den, (gi, *ints) = int_mats([g_at, *d, *(m for row in dd for m in row)])
     di, ddi = ints[:n], [ints[n * (m + 1):n * (m + 2)] for m in ns]
-    try:
-        adj, det = bareiss_inverse(gi)
-    except ZeroDivisionError as exc:
-        raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})") from exc
+    red, pivots, det, _ = bareiss([row + [int(i == j) for j in ns] for i, row in enumerate(gi)])
+    if pivots != list(ns):
+        raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})")
+    adj = [row[n:] for row in red]
     gam = [_sym(n, lambda i, j: sum(
         adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
     gdgam = [[_sym(n, lambda i, j: det * (ddi[m][i][l][j] + ddi[m][j][l][i] - ddi[m][l][i][j])
@@ -373,12 +365,6 @@ class CurvOperator:
     s: Fraction
 
 
-def lambda2_gram(g_at: Bilinear) -> list:
-    """Gram matrix of the induced inner product on the wedge basis:
-    <e_i ^ e_j, e_k ^ e_l> = g_ik g_jl - g_il g_jk."""
-    return lambda2_matrix(g_at.mat)
-
-
 def curvature_operator(g: list, point) -> CurvOperator:
     """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T), and
     Ricci(X, Y) = trace(Z -> R(X, Z) Y), g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
@@ -387,8 +373,7 @@ def curvature_operator(g: list, point) -> CurvOperator:
     g_at, ginv, r_at = _riemann(g, point)
     # q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l)
     q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at.mat) for i, j in WEDGE4)]
-    gram = lambda2_gram(g_at)
-    mat = mat_mul(mat_inv(gram), transpose(q))
+    mat = mat_mul(mat_inv(lambda2_matrix(g_at.mat)), transpose(q))
     ric = Bilinear([[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)]
                     for i in range(4)])
     rho = Endo(mat_mul(ginv, ric.mat))

@@ -19,6 +19,7 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
+    lambda2_matrix,
     mat_add,
     mat_eq,
     mat_from_columns,
@@ -483,14 +484,10 @@ def bivector_from_symplectic(omega: Bilinear) -> TwoVector:
 
 def raise_form_to_bivector(g: Bilinear, form: Bilinear) -> TwoVector:
     """The 2-vector pi with <pi, X ^ Y>_{Lambda^2} = form(X, Y)."""
-    from paracomplex.linalg import lambda2_inner, solve
-
     n = g.dim
     pairs = wedge_pairs(n)
-    gram = [[lambda2_inner(g, TwoVector.basis(*p, n), TwoVector.basis(*q, n))
-             for q in pairs] for p in pairs]
     rhs = [form.apply(basis_vec(p[0], n), basis_vec(p[1], n)) for p in pairs]
-    sol = solve(gram, rhs)
+    sol = mat_vec(mat_inv(lambda2_matrix(g.mat)), rhs)
     return TwoVector(n, dict(zip(pairs, sol)))
 
 

@@ -1,11 +1,12 @@
 """Finite-dimensional linear algebra over the exact scalars.
 
 Matrices are dense lists of lists whose entries are Fractions (pointwise
-work) or RatFuncs (coordinate-patch work); both support +, -, *, / and a
-truthiness zero test, which is all the elimination routines need.
-Dimensions stay at most 8, so storage is dense; `mat_vec` skips zero products.
-Over Q, `mat_mul` and `mat_inv` work on integer matrices over one common
-denominator and build a Fraction only for each entry of the result.
+work) or RatFuncs (coordinate-patch work).  Dimensions stay at most 8, so
+storage is dense; `mat_vec` skips zero products.  Over Q, `mat_mul` and the
+elimination routines work on integer matrices over one common denominator and
+build a Fraction only for each entry of the result: `mat_inv`, `mat_det`,
+`mat_rank` and `kernel_basis` read the one fraction-free elimination `bareiss`.
+Over rational functions, `mat_inv` keeps its own Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def zero_like(x):
 
 def one_like(x):
     return RatFunc.one(x.nvars) if isinstance(x, RatFunc) else Fraction(1)
-
-
-def _sample(m: Mat):
-    return m[0][0]
 
 
 def sparse_add(comps: dict, key, value) -> None:
@@ -119,26 +116,35 @@ def int_mats(mats) -> tuple[int, list]:
                  for m in mats]
 
 
-def bareiss_inverse(m: Mat) -> tuple[Mat, int]:
-    """(R, d) with m^-1 = R / d for an integer matrix m, d = +-det m, by
+def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
+    """(R, pivots, d, sign) for an integer matrix m of any shape, by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
-    exactly by the previous pivot.  Raises SingularMatrix when det m = 0."""
-    n = len(m)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
+    exactly by the previous pivot.  R / d is the reduced row echelon form of m
+    with pivot columns `pivots`, sign is the parity of the row swaps, and for a
+    square m of full rank sign * d = det m."""
+    work = [list(row) for row in m]
+    rows = len(work)
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for col in range(len(work[0]) if work else 0):
+        row = len(pivots)
+        if row == rows:
+            break
+        pivot = next((r for r in range(row, rows) if work[r][col]), None)
         if pivot is None:
-            raise SingularMatrix("matrix is singular over the scalar field")
-        work[col], work[pivot] = work[pivot], work[col]
-        prow = work[col]
+            continue
+        if pivot != row:
+            work[row], work[pivot] = work[pivot], work[row]
+            sign = -sign
+        prow = work[row]
         p = prow[col]
-        for r in range(n):
-            if r != col:
+        for r in range(rows):
+            if r != row:
                 f = work[r][col]
-                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], prow)]
-        prev = p
-    return [row[n:] for row in work], prev
+                work[r] = [(p * x - f * y) // d for x, y in zip(work[r], prow)]
+        pivots.append(col)
+        d = p
+    return work, pivots, d, sign
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -208,18 +214,22 @@ def mat_from_columns(cols: Sequence[Vec]) -> Mat:
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Exact inverse, over Q by bareiss_inverse and over rational functions by
-    Gauss-Jordan elimination; raises SingularMatrix when det = 0."""
+    """Exact inverse, raising SingularMatrix when det = 0.  Over Q it reads
+    bareiss on [D a | I]; over rational functions it runs Gauss-Jordan
+    elimination, whose entries stay smaller than fraction-free ones."""
+    n = len(a)
     try:
         den, (m,) = int_mats([a])
     except AttributeError:
         pass
     else:
-        adj, det = bareiss_inverse(m)
-        return [[Fraction(den * x, det) for x in row] for row in adj]
-    n = len(a)
+        r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(m)])
+        if pivots != list(range(n)):
+            raise SingularMatrix("matrix is singular over the scalar field")
+        return [[Fraction(den * x, d) for x in row[n:]] for row in r]
     work = [list(row) for row in a]
-    inv = mat_identity(n, like=_sample(a))
+    inv = mat_identity(n, like=a[0][0])
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
@@ -237,90 +247,32 @@ def mat_inv(a: Mat) -> Mat:
     return inv
 
 
-def mat_det(a: Mat):
-    n = len(a)
-    work = [list(row) for row in a]
-    det = one_like(_sample(a))
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return zero_like(_sample(a))
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        p = work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / p
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+def mat_det(a: Mat) -> Fraction:
+    """Exact determinant over Q: sign d / D^n from bareiss of D a, or 0."""
+    den, (m,) = int_mats([a])
+    _, pivots, d, sign = bareiss(m)
+    return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
 def mat_rank(a: Mat) -> int:
-    if not a:
-        return 0
-    work = [list(row) for row in a]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        p = work[row][col]
-        for r in range(rows):
-            if r != row and work[r][col]:
-                f = work[r][col] / p
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
-
-
-def solve(a: Mat, b: Vec) -> Vec:
-    """Solve a x = b exactly (a square nonsingular)."""
-    inv = mat_inv(a)
-    return mat_vec(inv, b)
+    """Rank over Q: the number of pivots of bareiss."""
+    _, (m,) = int_mats([a])
+    return len(bareiss(m)[1])
 
 
 def kernel_basis(rows: Mat, ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel {v : rows v = 0} over the scalar field."""
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return [basis_vec(i, n) for i in range(n)]
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    m = len(work)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        p = work[row][col]
-        work[row] = [x / p for x in work[row]]
-        for r in range(m):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    like = rows[0][0]
-    z, o = zero_like(like), one_like(like)
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the right kernel {v : rows v = 0} over Q, one vector per free
+    column of the reduced row echelon form R / d of bareiss; ncols gives the
+    width of an empty row list."""
+    n = len(rows[0]) if rows else ncols or 0
+    _, (m,) = int_mats([rows])
+    r, pivots, d, _ = bareiss(m)
     basis = []
-    for fc in free:
-        v = [z] * n
-        v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, pc in zip(r, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from paracomplex.linalg import (
     Bilinear,
@@ -94,8 +95,11 @@ def _orthogonal_complement_basis(g: Bilinear, span: list) -> list:
 
 def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
     """Deterministic search for a rational vector of positive g-norm in the
-    span of the given basis; combinations with small integer coefficients."""
+    span of the given basis; combinations with small integer coefficients.
+    A candidate's norm has the sign of c^T M c for the integer Gram matrix
+    M / D of the basis, and only the accepted vector is built."""
     k = len(basis)
+    _, (gram,) = int_mats([mat_mul(mat_mul(basis, g.mat), transpose(basis))])
     for bound in (1, 2, 3, 5):
         candidates = [
             c for c in itertools.product(range(-bound, bound + 1), repeat=k)
@@ -107,12 +111,8 @@ def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
                                        sum(1 for x in c if x < 0),
                                        tuple(-x for x in c)))
         for coeffs in candidates:
-            v = [Fraction(0)] * g.dim
-            for c, b in zip(coeffs, basis):
-                if c:
-                    v = [x + c * y for x, y in zip(v, b)]
-            if g.apply(v, v) > 0:
-                return v
+            if sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram])) > 0:
+                return [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(g.dim)]
     return None
 
 

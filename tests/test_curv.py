@@ -17,6 +17,7 @@ from paracomplex.linalg import (
     basis_vec,
     j_structures,
     lambda2_inner,
+    lambda2_matrix,
     mat_eq,
     mat_identity,
     mat_eval,
@@ -32,6 +33,7 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.para import (
+    _orthogonal_complement_basis,
     hyperboloid_structure,
     is_fiber_tangent,
     random_compatible_structure,
@@ -52,7 +54,6 @@ from paracomplex.curv import (
     flat_metric,
     hitchin_connection,
     horizontal_np_residual,
-    lambda2_gram,
     levi_civita,
     metric_from_strings,
     metricity_residual,
@@ -419,7 +420,7 @@ def test_curvature_operator_self_adjoint():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, p)
-    gram = lambda2_gram(op.g_at)
+    gram = lambda2_matrix(op.g_at.mat)
     # self-adjoint w.r.t. the Lambda^2 pairing: gram * M symmetric
     gm = mat_mul(gram, op.mat)
     assert mat_eq(gm, [list(r) for r in zip(*gm)])
@@ -668,8 +669,9 @@ def test_lowered_operator_is_the_lambda2_pairing():
 
 
 def test_lambda2_gram_is_the_lambda2_inner_table():
-    """lambda2_gram(g(p)) is the table of <e_a, e_b> = lambda2_inner on the
-    wedge basis, at seeded points of constcurv:1 and DENSE_G."""
+    """The Lambda^2 Gram matrix lambda2_matrix(g(p)) is the table of
+    <e_a, e_b> = lambda2_inner on the wedge basis, at seeded points of
+    constcurv:1 and DENSE_G."""
     rng = random.Random(1307)
     basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
     for g in (constcurv_metric(1).g, DENSE_G):
@@ -680,8 +682,8 @@ def test_lambda2_gram_is_the_lambda2_inner_table():
                 g_at = Bilinear(mat_eval(g, p))
             except PoleAtPoint:
                 continue
-            assert lambda2_gram(g_at) == [[lambda2_inner(g_at, a, b) for b in basis]
-                                          for a in basis]
+            assert lambda2_matrix(g_at.mat) == [[lambda2_inner(g_at, a, b) for b in basis]
+                                                for a in basis]
             compared += 1
 
 
@@ -1074,6 +1076,43 @@ def test_onb_search_null_frame():
         for j in range(4):
             assert g.apply(onb[i], onb[j]) == (want[i] if i == j else 0)
 
+
+
+def onb_search_reference(g: Bilinear) -> list:
+    """onb_search building every candidate vector in Fractions and taking its
+    norm with g.apply: the reference for the search on the integer Gram matrix."""
+    def pick(comp, target):
+        for bound in (1, 2, 3, 4):
+            for coeffs in product(range(-bound, bound + 1), repeat=len(comp)):
+                if not any(coeffs) or max(abs(c) for c in coeffs) != bound:
+                    continue
+                v = [Fraction(0)] * g.dim
+                for c, b in zip(coeffs, comp):
+                    if c:
+                        v = [x + c * y for x, y in zip(v, b)]
+                norm = g.apply(v, v)
+                if norm == 0 or (norm > 0) != (target > 0):
+                    continue
+                root = _is_square(abs(norm))
+                if root is not None:
+                    return [x / root for x in v]
+        raise DegenerateMetric("no rational orthonormal basis found; supply one")
+
+    found: list = []
+    for target in (1, 1, -1, -1):
+        found.append(pick(_orthogonal_complement_basis(g, found), target))
+    return found
+
+
+def test_onb_search_frames_equal_the_fraction_search():
+    """The frames of onb_search at the default points and seeded points of
+    DENSE_G are those of the Fraction search."""
+    rng = random.Random(1401)
+    points = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS] + [
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)) for _ in range(3)]
+    for p in points:
+        g_at = Bilinear(mat_eval(DENSE_G, p))
+        assert onb_search(g_at) == onb_search_reference(g_at)
 
 
 # DENSE_G is constcurv:-1/2 in the coordinates y = DENSE_A x (DENSE_PHI(x) is its phi(y))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paracomplex.linalg import (
     Bilinear,
@@ -12,13 +13,15 @@ from paracomplex.linalg import (
     NotSymmetric,
     SingularMatrix,
     TwoVector,
-    bareiss_inverse,
+    bareiss,
     basis_vec,
     endo_from_2vector,
     hodge_star,
+    kernel_basis,
     is_g_skew,
     j_structures,
     lambda2_inner,
+    mat_det,
     mat_eq,
     mat_identity,
     mat_inv,
@@ -282,6 +285,64 @@ def gauss_jordan_inverse(a):
     return inv
 
 
+def gauss_jordan_det(a):
+    """Fraction elimination with row swaps: the reference for mat_det."""
+    n = len(a)
+    work = [list(row) for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        p = work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col]:
+                f = work[r][col] / p
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def gauss_jordan_echelon(rows):
+    """(reduced row echelon form, pivot columns) by Fraction Gauss-Jordan
+    elimination: the reference for mat_rank and kernel_basis."""
+    work = [list(r) for r in rows]
+    m, n = len(work), len(work[0]) if work else 0
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((r for r in range(row, m) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        p = work[row][col]
+        work[row] = [x / p for x in work[row]]
+        for r in range(m):
+            if r != row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
+        pivots.append(col)
+    return work, pivots
+
+
+def gauss_jordan_kernel(rows, n):
+    """The kernel basis read off the Fraction reduced echelon form."""
+    work, pivots = gauss_jordan_echelon(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][fc]
+        basis.append(v)
+    return basis
+
+
 def schoolbook_product(a, b):
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
              for col in zip(*b)] for row in a]
@@ -340,11 +401,67 @@ def test_singular_matrices_keep_the_message(n):
 
 
 def test_bareiss_inverse_is_the_adjugate_up_to_sign():
-    """m R = d Id with d = +-det m, on integers; a swap is needed at the first column."""
+    """bareiss on [m | I] leaves R = [d Id | adj] with d = +-det m, on
+    integers; a swap is needed at the first column."""
     m = [[0, 2, 1], [3, 1, 0], [1, 1, 1]]
-    adj, d = bareiss_inverse(m)
-    assert abs(d) == 4
+    red, pivots, d, sign = bareiss([row + [int(i == j) for j in range(3)]
+                                    for i, row in enumerate(m)])
+    adj = [row[3:] for row in red]
+    assert abs(d) == 4 and pivots == [0, 1, 2] and sign * d == -4
+    assert [row[:3] for row in red] == [[d * (i == j) for j in range(3)] for i in range(3)]
     assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in m] == [
         [d * (i == j) for j in range(3)] for i in range(3)]
     with pytest.raises(SingularMatrix):
-        bareiss_inverse([[1, 2], [2, 4]])
+        mat_inv([[1, 2], [2, 4]])
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def q_matrices(draw):
+    """(rows, ncols): a Q matrix up to 9 x 9, often square, dense, a product
+    of thin factors (rank at most 3), or zero; rows may be an empty list."""
+    nrows = draw(st.integers(0, 9))
+    ncols = nrows if nrows and draw(st.booleans()) else draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["dense", "thin", "zero"]))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if shape == "zero":
+        return [[Fraction(0)] * ncols for _ in range(nrows)], ncols
+    if shape == "thin":
+        k = draw(st.integers(1, 3))
+        return schoolbook_product(block(nrows, k), block(k, ncols)), ncols
+    return block(nrows, ncols), ncols
+
+
+@given(q_matrices())
+@settings(max_examples=60, deadline=None)
+def test_bareiss_routines_equal_fraction_gauss_jordan(case):
+    """mat_rank, kernel_basis, mat_det and mat_inv read bareiss and agree
+    with Fraction Gauss-Jordan elimination, singular message included."""
+    a, n = case
+    assert mat_rank(a) == len(gauss_jordan_echelon(a)[1])
+    assert kernel_basis(a, n) == gauss_jordan_kernel(a, n)
+    if len(a) != n:
+        return
+    det = mat_det(a)
+    assert det == gauss_jordan_det(a) and type(det) is Fraction
+    swapped = a[::-1]
+    assert mat_det(swapped) == gauss_jordan_det(swapped)
+    if n > 1:
+        assert mat_det([a[1], a[0], *a[2:]]) == -det
+    try:
+        want = gauss_jordan_inverse(a)
+    except SingularMatrix:
+        assert det == 0
+        with pytest.raises(SingularMatrix, match=r"^matrix is singular over the scalar field$"):
+            mat_inv(a)
+    else:
+        assert det != 0 and mat_inv(a) == want

@@ -1,6 +1,7 @@
 """Paracomplex structures, adapted/null bases, and the fiber of compatible
 structures."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from paracomplex.linalg import (
 )
 from paracomplex.para import (
     DegenerateInput,
+    _orthogonal_complement_basis,
+    _positive_norm_vector,
     NotOnHyperboloid,
     NotTangent,
     adapted_basis,
@@ -113,6 +116,38 @@ def test_adapted_basis_equal_eigendims():
     assert all(lam > 0 for lam in norms)
 
 
+def positive_norm_vector_reference(g, basis):
+    """_positive_norm_vector building every candidate vector in Fractions and
+    taking its norm with g.apply: the reference for the integer Gram search."""
+    for bound in (1, 2, 3, 5):
+        candidates = sorted(
+            (c for c in itertools.product(range(-bound, bound + 1), repeat=len(basis))
+             if any(c) and max(abs(x) for x in c) == bound),
+            key=lambda c: (sum(1 for x in c if x), sum(abs(x) for x in c),
+                           sum(1 for x in c if x < 0), tuple(-x for x in c)))
+        for coeffs in candidates:
+            v = [Fraction(0)] * g.dim
+            for c, b in zip(coeffs, basis):
+                if c:
+                    v = [x + c * y for x, y in zip(v, b)]
+            if g.apply(v, v) > 0:
+                return v
+    return None
+
+
+def test_positive_norm_vector_equals_the_fraction_search():
+    """On complements of seeded spans in seeded symmetric forms, the search
+    on the integer Gram matrix returns the vector of the Fraction search."""
+    rng = random.Random(1402)
+    for _ in range(24):
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                for _ in range(4)]
+        g = Bilinear([[rows[i][j] + rows[j][i] for j in range(4)] for i in range(4)])
+        span = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(rng.randint(0, 2))]
+        comp = _orthogonal_complement_basis(g, span)
+        assert _positive_norm_vector(g, comp) == positive_norm_vector_reference(g, comp)
+
+
 def test_eigenspace_dimensions_are_equal():
     from paracomplex.linalg import mat_add, mat_rank, mat_scale, mat_sub
 
@@ -192,7 +227,7 @@ def test_fiber_structure_metric_compatible():
 def test_fiber_structure_trace_zero_on_tangent_space():
     # the matrix of V -> KV in a basis of the tangent space has zero trace
     from paracomplex.para import fiber_tangent_basis
-    from paracomplex.linalg import solve
+    from paracomplex.linalg import mat_inv, mat_vec
 
     basis = fiber_tangent_basis(G, K_STD)
     flat = [[c for row in v.mat for c in row] for v in basis]
@@ -203,7 +238,7 @@ def test_fiber_structure_trace_zero_on_tangent_space():
         # coordinates of the image in the tangent basis
         gram = [[sum(a * b for a, b in zip(u, w)) for w in flat] for u in flat]
         rhs = [sum(a * b for a, b in zip(u, target)) for u in flat]
-        cols.append(solve(gram, rhs))
+        cols.append(mat_vec(mat_inv(gram), rhs))
     trace = sum(cols[i][i] for i in range(len(basis)))
     assert trace == 0
 
