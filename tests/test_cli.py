@@ -490,7 +490,7 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
 def test_theorem_inverts_each_point_frame_and_gram_once(capsys, monkeypatch):
     """Per default point, mat_inv runs twice: on the Lambda^2 Gram matrix and
     on the frame (once for the Hodge star matrix).  g(p)^-1 comes from
-    bareiss_inverse, and the J-triples need no inverse (S_a = -A g)."""
+    bareiss in the Riemann kernel, and the J-triples need no inverse (S_a = -A g)."""
     import paracomplex
 
     original = paracomplex.linalg.mat_inv

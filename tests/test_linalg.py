@@ -17,9 +17,9 @@ from paracomplex.linalg import (
     basis_vec,
     endo_from_2vector,
     hodge_star,
-    kernel_basis,
     is_g_skew,
     j_structures,
+    kernel_basis,
     lambda2_inner,
     mat_det,
     mat_eq,
