@@ -4,6 +4,9 @@ and curvature reports, and check the dim-4 theorem verdicts.
 Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
 2 input error.  Reports are deterministic: identical inputs and seed produce
 identical bytes.
+
+Only `curvature` and `theorem` run `paracomplex.curv`, so only they import it;
+`validate` and `integrability` start without loading (or compiling) it.
 """
 
 from __future__ import annotations
@@ -14,22 +17,13 @@ import re
 import sys
 from fractions import Fraction
 
-from paracomplex.exact import ParseError, PoleAtPoint, RatFunc, check_variables, parse_ratfunc
+from paracomplex.exact import (DEFAULT_POINTS, VARS4, ParseError, PoleAtPoint, RatFunc,
+                               check_variables, parse_ratfunc)
 from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
 from paracomplex.para import validate_para
 from paracomplex.patch import (STRUCTURES, BiVectorField, KForm,
                                gen_nijenhuis_frame_sweep, integrability_report)
-from paracomplex.curv import (
-    DEFAULT_POINTS,
-    VARS4,
-    curvature_operator,
-    decompose,
-    duality_verdict,
-    parse_metric_id,
-    sectional_constant_check,
-    theorem_verdict,
-)
 
 
 class InputError(ValueError):
@@ -288,6 +282,9 @@ def cmd_integrability(args) -> tuple[dict, int]:
 
 
 def cmd_curvature(args) -> tuple[dict, int]:
+    from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
+                                  parse_metric_id, sectional_constant_check)
+
     model = parse_metric_id(args.metric)
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
@@ -315,6 +312,8 @@ def cmd_curvature(args) -> tuple[dict, int]:
 
 
 def cmd_theorem(args) -> tuple[dict, int]:
+    from paracomplex.curv import parse_metric_id, theorem_verdict
+
     if args.samples < 0:
         raise InputError(f"--samples must be at least 0, got {args.samples}")
     model = parse_metric_id(args.metric)

@@ -19,11 +19,11 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from paracomplex.exact import PoleAtPoint, RatFunc, check_variables, parse_ratfunc
+from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
+                               parse_ratfunc)
 from paracomplex.gpx import (
     GenVector,
     GeneralizedMetric,
@@ -80,15 +80,15 @@ class DegenerateMetric(ValueError):
 # -- metric models -------------------------------------------------------------
 
 
-@dataclass
 class MetricModel:
-    """Metric field with an optional symbolic oriented orthonormal frame
-    (norms 1, 1, -1, -1); the frame makes the Hodge machinery rational."""
+    """Metric field g (a RatFunc matrix) with an optional symbolic oriented
+    orthonormal frame onb (columns: four RatFunc vectors, norms 1, 1, -1, -1);
+    the frame makes the Hodge machinery rational."""
 
-    name: str
-    nvars: int
-    g: list  # RatFunc matrix
-    onb: list | None = None  # columns: four RatFunc vectors
+    __slots__ = ("name", "nvars", "g", "onb")
+
+    def __init__(self, name: str, nvars: int, g: list, onb: list | None = None):
+        self.name, self.nvars, self.g, self.onb = name, nvars, g, onb
 
     def g_at(self, point) -> Bilinear:
         return Bilinear(mat_eval(self.g, point))
@@ -208,20 +208,22 @@ def onb_search(g: Bilinear) -> list:
 # -- connections ------------------------------------------------------------------
 
 
-@dataclass
 class Connection:
     """Christoffel data gamma[i][j][k]: nabla_{d_i} d_j = gamma[i][j][k] d_k."""
 
-    nvars: int
-    gamma: list
+    __slots__ = ("nvars", "gamma")
+
+    def __init__(self, nvars: int, gamma: list):
+        self.nvars, self.gamma = nvars, gamma
 
 
-@dataclass
 class TorsionTensor:
     """T(d_i, d_j) = t[i][j][k] d_k; antisymmetric in (i, j)."""
 
-    nvars: int
-    t: list
+    __slots__ = ("nvars", "t")
+
+    def __init__(self, nvars: int, t: list):
+        self.nvars, self.t = nvars, t
 
 
 def levi_civita(g: list) -> Connection:
@@ -350,19 +352,18 @@ def curvature_endo(r_at: list, x: list, y: list) -> Endo:
     return Endo(mat)
 
 
-@dataclass
 class CurvOperator:
-    """Curvature operator on the wedge basis {e_i ^ e_j} (i < j) at a point,
-    with its lowered form lowered[a][b] = g(R(e_a), e_b), and the point
-    metric and Ricci data needed by the decomposition."""
+    """Curvature operator mat (6x6 Fractions) on the wedge basis {e_i ^ e_j}
+    (i < j) at a point, with its lowered form lowered[a][b] = g(R(e_a), e_b)
+    (lowered = mat^T Gram), and the point metric and Ricci data needed by the
+    decomposition."""
 
-    mat: list  # 6x6 Fractions
-    lowered: list  # 6x6 Fractions, lowered = mat^T Gram
-    g_at: Bilinear
-    point: tuple
-    ricci: Bilinear
-    rho: Endo
-    s: Fraction
+    __slots__ = ("mat", "lowered", "g_at", "point", "ricci", "rho", "s")
+
+    def __init__(self, mat: list, lowered: list, g_at: Bilinear, point: tuple,
+                 ricci: Bilinear, rho: Endo, s: Fraction):
+        self.mat, self.lowered, self.g_at, self.point = mat, lowered, g_at, point
+        self.ricci, self.rho, self.s = ricci, rho, s
 
 
 def curvature_operator(g: list, point) -> CurvOperator:
@@ -384,14 +385,13 @@ def curvature_operator(g: list, point) -> CurvOperator:
 # -- decomposition -----------------------------------------------------------------------
 
 
-@dataclass
 class CurvDecomposition:
-    s: Fraction
-    s_part: list
-    b_part: list
-    w_part: list
-    w_plus: list
-    w_minus: list
+    __slots__ = ("s", "s_part", "b_part", "w_part", "w_plus", "w_minus")
+
+    def __init__(self, s: Fraction, s_part: list, b_part: list, w_part: list,
+                 w_plus: list, w_minus: list):
+        self.s, self.s_part, self.b_part, self.w_part = s, s_part, b_part, w_part
+        self.w_plus, self.w_minus = w_plus, w_minus
 
     def parts_sum(self) -> list:
         return mat_add(mat_add(self.s_part, self.b_part), self.w_part)
@@ -698,15 +698,6 @@ def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
 # -- theorem verdicts -----------------------------------------------------------------------------
 
 
-DEFAULT_POINTS = [
-    (0, 0, 0, 0),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), 0),
-    (1, 1, -1, Fraction(1, 2)),
-]
-
-
 def rnd_vec(rng, n=4) -> list:
     return [Fraction(v, 2) for v in rnd_vec2(rng, n)]
 
@@ -819,9 +810,6 @@ def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
 
 
 # -- metric identifiers ---------------------------------------------------------------------------
-
-
-VARS4 = ["x1", "x2", "x3", "x4"]
 
 
 def parse_metric_id(text: str) -> MetricModel:

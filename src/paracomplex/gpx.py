@@ -11,7 +11,6 @@ beta(i_alpha pi) = (alpha ^ beta)(pi) with the determinant convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from paracomplex.linalg import (
@@ -19,7 +18,6 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
-    lambda2_matrix,
     mat_add,
     mat_eq,
     mat_from_columns,
@@ -77,12 +75,13 @@ class NotVertical(ValueError):
     """The endomorphism pair is not tangent to the fiber at the base point."""
 
 
-@dataclass
 class GenVector:
     """Element X + alpha of T + T*."""
 
-    x: list
-    alpha: list
+    __slots__ = ("x", "alpha")
+
+    def __init__(self, x: list, alpha: list):
+        self.x, self.alpha = x, alpha
 
     def __add__(self, other: GenVector) -> GenVector:
         return GenVector(vec_add(self.x, other.x), vec_add(self.alpha, other.alpha))
@@ -279,14 +278,14 @@ def b_conjugate(b: Bilinear, k: GenEndo) -> GenEndo:
 # -- generalized metrics --------------------------------------------------------------
 
 
-@dataclass
 class GeneralizedMetric:
     """E' = {X + g(X) + Theta(X)} with E'' = {X - g(X) + Theta(X)} = E'^perp."""
 
-    g: Bilinear
-    theta: Bilinear
-    frame_prime: list
-    frame_dprime: list
+    __slots__ = ("g", "theta", "frame_prime", "frame_dprime")
+
+    def __init__(self, g: Bilinear, theta: Bilinear, frame_prime: list, frame_dprime: list):
+        self.g, self.theta = g, theta
+        self.frame_prime, self.frame_dprime = frame_prime, frame_dprime
 
     @property
     def dim(self) -> int:
@@ -480,15 +479,6 @@ def bivector_from_symplectic(omega: Bilinear) -> TwoVector:
     pi_full = mat_inv(omega.map_mat())
     n = omega.dim
     return TwoVector(n, {(i, j): pi_full[i][j] for (i, j) in wedge_pairs(n)})
-
-
-def raise_form_to_bivector(g: Bilinear, form: Bilinear) -> TwoVector:
-    """The 2-vector pi with <pi, X ^ Y>_{Lambda^2} = form(X, Y)."""
-    n = g.dim
-    pairs = wedge_pairs(n)
-    rhs = [form.apply(basis_vec(p[0], n), basis_vec(p[1], n)) for p in pairs]
-    sol = mat_vec(mat_inv(lambda2_matrix(g.mat)), rhs)
-    return TwoVector(n, dict(zip(pairs, sol)))
 
 
 # -- the fiber of compatible structures ---------------------------------------------------

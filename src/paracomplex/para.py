@@ -10,7 +10,6 @@ g(KX, Y) + g(X, KY) = 0, which forces g to be of neutral signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -51,11 +50,13 @@ class NotOnHyperboloid(ValueError):
     """Coordinates do not satisfy -y1^2 + y2^2 + y3^2 = 1 exactly."""
 
 
-@dataclass
 class ValidationReport:
     """Outcome of a structure validation; carries per-invariant results."""
 
-    checks: dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: dict[str, bool]):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

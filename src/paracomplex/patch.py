@@ -11,7 +11,6 @@ is [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from paracomplex.exact import RatFunc
@@ -335,13 +334,16 @@ def b_bracket_residual(theta: KForm, a: GenVector, b: GenVector) -> GenVector:
 # -- integrability dispatch ----------------------------------------------------------------
 
 
-@dataclass
 class IntegrabilityReport:
-    kind: str
-    integrable: bool
-    criterion: str
-    witness: dict | None
-    structure: GenEndo  # K of the kind's patch data, for sampling N pointwise
+    """The verdict of a kind's criterion, its witness, and the structure K of
+    the kind's patch data, for sampling N pointwise."""
+
+    __slots__ = ("kind", "integrable", "criterion", "witness", "structure")
+
+    def __init__(self, kind: str, integrable: bool, criterion: str, witness: dict | None,
+                 structure: GenEndo):
+        self.kind, self.integrable, self.criterion = kind, integrable, criterion
+        self.witness, self.structure = witness, structure
 
 
 def integrability_report(kind: str, data) -> IntegrabilityReport:

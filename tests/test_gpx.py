@@ -11,13 +11,16 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
+    lambda2_matrix,
     mat_eq,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_rank,
     mat_from_columns,
+    mat_vec,
     transpose,
+    wedge_pairs,
 )
 from paracomplex.gpx import (
     BadSignature,
@@ -500,12 +503,19 @@ def test_omega_converse_construction():
     assert built >= 5
 
 
+def raise_form_to_bivector(g: Bilinear, form: Bilinear) -> TwoVector:
+    """The 2-vector pi with <pi, X ^ Y>_{Lambda^2} = form(X, Y)."""
+    n = g.dim
+    pairs = wedge_pairs(n)
+    rhs = [form.apply(basis_vec(p[0], n), basis_vec(p[1], n)) for p in pairs]
+    sol = mat_vec(mat_inv(lambda2_matrix(g.mat)), rhs)
+    return TwoVector(n, dict(zip(pairs, sol)))
+
+
 def test_pi_from_para_hermitian_structure():
     """For a para-Hermitian (g, L), the bivector raised from the fundamental
     form w_L(X, Y) = g(X, LY) contracts as i_alpha pi = -L g^{-1} alpha, and
     K_pi is compatible with the metric built from Theta(X, Y) = g(X, LY)."""
-    from paracomplex.gpx import raise_form_to_bivector
-
     g = G
     l = K_STD
     omega_l = Bilinear(mat_mul(g.mat, l.mat))  # g(X, LY)
