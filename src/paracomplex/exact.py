@@ -529,23 +529,19 @@ class RatFunc:
 
     def jet_at(self, point: Sequence, order: int = 0, cache: dict | None = None) -> tuple:
         """The jet at the point as Poly.jet_at gives it, by forward-mode Taylor
-        arithmetic, dividing once by the jet of u^m per factor u of multiplicity
-        m.  These jets are read from `cache` (factor key -> {m: jet of u^m}) or
-        computed and stored there, so a matrix computes each of them once."""
+        arithmetic.  Each denominator factor's jet is read from `cache` (factor
+        key -> jet) or computed and stored there, so a matrix computes it once."""
         jet = self.num.jet_at(point, order)
         cache = {} if cache is None else cache
         for key, (p, m) in self.factors.items():
-            powers = cache.get(key)
-            if powers is None:
-                u = p.jet_at(point, order)
+            u = cache.get(key)
+            if u is None:
+                u = cache[key] = p.jet_at(point, order)
                 if u[0] == 0:
                     raise PoleAtPoint(
                         f"denominator factor vanishes at ({', '.join(map(str, point))})")
-                powers = cache[key] = {1: u}
-            um = powers.get(m)
-            if um is None:
-                um = powers[m] = _jet_pow(powers[1], m)
-            jet = _jet_div(jet, um)
+            for _ in range(m):
+                jet = _jet_div(jet, u)
         return jet
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
@@ -581,21 +577,6 @@ def _jet_div(a: tuple, u: tuple) -> tuple:
         q += (tuple(tuple((a[2][i][j] - g[i] * ug[j] - g[j] * ug[i] - q[0] * u[2][i][j]) / u[0]
                           for j in ns) for i in ns),)
     return q
-
-
-def _jet_pow(u: tuple, m: int) -> tuple:
-    """The jet of u^m by the chain rule: (u^m)_i = m u^(m-1) u_i and
-    (u^m)_ij = m u^(m-1) u_ij + m (m-1) u^(m-2) u_i u_j, for m >= 2."""
-    v = u[0]
-    out = (v ** m,)
-    if len(u) > 1:
-        d1 = m * v ** (m - 1)
-        out += (tuple(d1 * ui for ui in u[1]),)
-    if len(u) > 2:
-        d2, g = m * (m - 1) * v ** (m - 2), u[1]
-        out += (tuple(tuple(d1 * uij + d2 * gi * gj for gj, uij in zip(g, row))
-                      for gi, row in zip(g, u[2])),)
-    return out
 
 
 def as_point(values: Iterable, nvars: int | None = None) -> tuple[Fraction, ...]:

@@ -11,7 +11,6 @@ from paracomplex.exact import (
     PoleAtPoint,
     Poly,
     RatFunc,
-    _jet_div,
     as_point,
     parse_ratfunc,
 )
@@ -76,32 +75,6 @@ def test_a_factor_with_value_zero_and_nonzero_gradient_is_a_pole(order):
         with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(1, 5\)$"):
             evaluate()
 
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_one_division_by_the_factor_power_equals_repeated_division(order, m):
-    """jet_at divides once by the jet of u^m; that equals dividing m times by
-    the jet of u, and the evaluated symbolic partials, at 64-bit points."""
-    f = rf("(x1^3*x2/5 - 2/7*x1*x2^2 + 1/3)/(x2 + 2)")
-    for _ in range(m):
-        f = f / rf("x1^2 - 3*x1*x2 + 7/2")
-    assert sorted(k for _, k in f.factors.values()) == sorted([1, m])
-    points = [(Fraction(2**64 + 1, 3**40), Fraction(-(2**63), 2**64 - 59)),
-              (Fraction(2**63 - 25), Fraction(-(2**64) + 13, 7)), (Fraction(1, 3), Fraction(5))]
-    for p in points:
-        want = f.num.jet_at(p, order)
-        for u, k in f.factors.values():
-            for _ in range(k):
-                want = _jet_div(want, u.jet_at(p, order))
-        got = f.jet_at(p, order)
-        assert got == want
-        evaluated = (f.eval_at(p),)
-        if order:
-            evaluated += (tuple(f.partial(i).eval_at(p) for i in range(2)),)
-        if order > 1:
-            evaluated += (tuple(tuple(f.partial(i).partial(k).eval_at(p) for k in range(2))
-                                for i in range(2)),)
-        assert got == evaluated
 
 
 def poly_value(f: Poly, p) -> Fraction:
