@@ -17,17 +17,13 @@ import re
 import sys
 from fractions import Fraction
 
-from paracomplex.exact import (DEFAULT_POINTS, VARS4, ParseError, PoleAtPoint, RatFunc,
-                               check_variables, parse_ratfunc)
+from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
+                               parse_ratfunc)
 from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
 from paracomplex.para import validate_para
 from paracomplex.patch import (STRUCTURES, BiVectorField, KForm,
                                gen_nijenhuis_frame_sweep, integrability_report)
-
-
-class InputError(ValueError):
-    """Bad descriptor, expression, or flag value (exit code 2)."""
 
 
 # -- small parsers ------------------------------------------------------------
@@ -37,16 +33,16 @@ def parse_point(text: str, nvars: int = 4) -> tuple:
     try:
         coords = tuple(Fraction(c.strip()) for c in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad point {text!r}") from exc
+        raise ValueError(f"bad point {text!r}") from exc
     if len(coords) != nvars:
-        raise InputError(f"expected {nvars} coordinates in {text!r}")
+        raise ValueError(f"expected {nvars} coordinates in {text!r}")
     return coords
 
 
 def parse_points_arg(text: str, nvars: int = 4) -> list:
     points = [parse_point(part, nvars) for part in text.split(";") if part.strip()]
     if not points:
-        raise InputError(f"no point given in {text!r}")
+        raise ValueError(f"no point given in {text!r}")
     return points
 
 
@@ -88,18 +84,18 @@ def parse_theta_expr(text: str, variables=VARS4) -> KForm:
     for sign, term in _split_top_level(text.replace(" ", ""), "+-"):
         factors = [f for _, f in _split_top_level(term, "*")]
         if not factors:
-            raise InputError(f"empty term in theta expression {text!r}")
+            raise ValueError(f"empty term in theta expression {text!r}")
         match = _WEDGE_RE.match(factors[-1])
         if match is None:
-            raise InputError(f"term {term!r} must end with dxi^dxj")
+            raise ValueError(f"term {term!r} must end with dxi^dxj")
         i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
         if not (0 <= i < nvars and 0 <= j < nvars) or i == j:
-            raise InputError(f"bad wedge indices in {term!r}")
+            raise ValueError(f"bad wedge indices in {term!r}")
         coeff_src = "*".join(factors[:-1]) or "1"
         try:
             coeff = parse_ratfunc(coeff_src, variables)
-        except ParseError as exc:
-            raise InputError(f"bad coefficient {coeff_src!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"bad coefficient {coeff_src!r}: {exc}") from exc
         if sign == "-":
             coeff = -coeff
         theta = theta + KForm(nvars, 2, {(i, j): coeff})
@@ -113,12 +109,12 @@ def _component_map_to_matrix(data, variables, antisym=True):
     if isinstance(data, list):
         if len(data) != nvars or any(not isinstance(row, list) or len(row) != nvars
                                      for row in data):
-            raise InputError("matrix has the wrong shape")
+            raise ValueError("matrix has the wrong shape")
         mat = [[parse_ratfunc(s, variables) for s in row] for row in data]
         for i in range(nvars if antisym else 0):
             for j in range(i, nvars):
                 if not (mat[i][j] + mat[j][i]).is_zero():
-                    raise InputError(f"matrix is not antisymmetric at ({i + 1},{j + 1})")
+                    raise ValueError(f"matrix is not antisymmetric at ({i + 1},{j + 1})")
         return mat
     if isinstance(data, dict):
         mat = [[RatFunc.zero(nvars) for _ in range(nvars)] for _ in range(nvars)]
@@ -126,17 +122,17 @@ def _component_map_to_matrix(data, variables, antisym=True):
             try:
                 i, j = (int(p) - 1 for p in key.split(","))
             except ValueError as exc:
-                raise InputError(f"bad component key {key!r}") from exc
+                raise ValueError(f"bad component key {key!r}") from exc
             if not (0 <= i < nvars and 0 <= j < nvars):
-                raise InputError(f"component key {key!r} is outside 1..{nvars}")
+                raise ValueError(f"component key {key!r} is outside 1..{nvars}")
             if antisym and i == j:
-                raise InputError(f"component key {key!r} is diagonal")
+                raise ValueError(f"component key {key!r} is diagonal")
             value = parse_ratfunc(expr, variables)
             mat[i][j] = mat[i][j] + value
             if antisym:
                 mat[j][i] = mat[j][i] - value
         return mat
-    raise InputError("expected a matrix or a component map")
+    raise ValueError("expected a matrix or a component map")
 
 
 def load_descriptor(path: str) -> dict:
@@ -144,9 +140,9 @@ def load_descriptor(path: str) -> dict:
         with open(path) as fh:
             desc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read descriptor {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read descriptor {path!r}: {exc}") from exc
     if not isinstance(desc, dict):
-        raise InputError(f"descriptor {path!r} is not a JSON object")
+        raise ValueError(f"descriptor {path!r} is not a JSON object")
     return desc
 
 
@@ -158,7 +154,7 @@ def _descriptor_structure(desc: dict):
 
     def field(name):
         if name not in desc:
-            raise InputError(f"a {kind!r} descriptor needs {name!r}")
+            raise ValueError(f"a {kind!r} descriptor needs {name!r}")
         return desc[name]
 
     if kind == "trivial":
@@ -182,7 +178,7 @@ def _descriptor_structure(desc: dict):
         k1 = _component_map_to_matrix(field("k1"), variables, antisym=False)
         k2 = _component_map_to_matrix(field("k2"), variables, antisym=False)
         return kind, (g, theta, k1, k2), variables
-    raise InputError(f"unknown structure kind {kind!r}")
+    raise ValueError(f"unknown structure kind {kind!r}")
 
 
 # -- commands -------------------------------------------------------------------
@@ -246,7 +242,7 @@ def cmd_integrability(args) -> tuple[dict, int]:
     desc = load_descriptor(args.descriptor)
     kind, data, variables = _descriptor_structure(desc)
     if kind == "assembled":
-        raise InputError("integrability reports cover kinds trivial/omega/pi/product")
+        raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     nvars = len(variables)
     points = _points_from_args(args, nvars, default_count=3)
     rep = integrability_report(kind, data)
@@ -289,7 +285,7 @@ def cmd_curvature(args) -> tuple[dict, int]:
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
     op = curvature_operator(model.g, point)
-    dec = decompose(op, model.onb_at(point, orientation))
+    dec = decompose(op, model.onb_at(point, orientation, op.g_at))
     verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
     report = {
@@ -315,7 +311,7 @@ def cmd_theorem(args) -> tuple[dict, int]:
     from paracomplex.curv import parse_metric_id, theorem_verdict
 
     if args.samples < 0:
-        raise InputError(f"--samples must be at least 0, got {args.samples}")
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     model = parse_metric_id(args.metric)
     theta = parse_theta_expr(args.theta) if args.theta else KForm(model.nvars, 2)
     points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
@@ -354,7 +350,7 @@ def _points_from_args(args, nvars: int, default_count: int) -> list:
     if args.point is not None:
         return [parse_point(args.point, nvars)]
     if nvars != 4:
-        raise InputError(f"the default points have 4 coordinates, not {nvars}; give --points")
+        raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
     pts = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS]
     return pts[:default_count]
 

@@ -34,8 +34,8 @@ from paracomplex.gpx import (
 )
 from paracomplex.linalg import (
     Bilinear,
-    DimNot4,
     Endo,
+    ONB_GRAM,
     TwoVector,
     bareiss,
     basis_vec,
@@ -93,11 +93,16 @@ class MetricModel:
     def g_at(self, point) -> Bilinear:
         return Bilinear(mat_eval(self.g, point))
 
-    def onb_at(self, point, orientation: int = +1) -> list:
-        if self.onb is not None:
-            cols = mat_eval(self.onb, point)
+    def onb_at(self, point, orientation: int = +1, g_at: Bilinear | None = None) -> list:
+        """The oriented frame at the point; g_at, when given, is g there."""
+        g_at = g_at or self.g_at(point)
+        if self.onb is None:
+            cols = onb_search(g_at)
         else:
-            cols = onb_search(self.g_at(point))
+            cols = mat_eval(self.onb, point)
+            if mat_mul(mat_mul(cols, g_at.mat), transpose(cols)) != ONB_GRAM:
+                raise ValueError(f"the onb of {self.name} is not orthonormal with norms 1, 1, -1, -1 "
+                                 f"at ({', '.join(map(str, point))})")
         if mat_det(mat_from_columns(cols)) < 0:
             cols = [cols[0], cols[1], cols[2], vec_scale(Fraction(-1), cols[3])]
         if orientation < 0:
@@ -110,7 +115,7 @@ def _const_mat(entries, nvars=4):
 
 
 def flat_metric(nvars: int = 4) -> MetricModel:
-    g = _const_mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], nvars)
+    g = _const_mat(ONB_GRAM, nvars)
     onb = [[RatFunc.const(nvars, 1 if i == j else 0) for i in range(nvars)]
            for j in range(nvars)]
     return MetricModel("flat", nvars, g, onb)
@@ -370,7 +375,7 @@ def curvature_operator(g: list, point) -> CurvOperator:
     """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T), and
     Ricci(X, Y) = trace(Z -> R(X, Z) Y), g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
     if len(g) != 4:
-        raise DimNot4("curvature operator decomposition requires dim 4")
+        raise ValueError("curvature operator decomposition requires dim 4")
     g_at, ginv, r_at = _riemann(g, point)
     # q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l)
     q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at.mat) for i, j in WEDGE4)]
@@ -715,16 +720,19 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     +- / -+ : scalar curvature operator, constant sectional curvature).
     Evidence carries sub-condition results and seeded (j,l,r) spot checks."""
     if model.nvars != 4:
-        raise DimNot4("theorem verdicts require a 4-dimensional patch")
+        raise ValueError("theorem verdicts require a 4-dimensional patch")
     if component not in ("++", "+-", "-+", "--"):
         raise ValueError(f"unknown component {component!r}")
     rng = random.Random(seed)
-    # each point's operator, frame and J-triples, once; a default point they fail at is skipped
+    # each point's operator, frame and J-triples, once; a default point where g or the
+    # frame has a pole or g degenerates is skipped, but a supplied frame that is not
+    # orthonormal there is an input error
     points = []
     for p in sample_points or DEFAULT_POINTS:
         p = tuple(Fraction(c) for c in p)
         try:
-            op, onb = curvature_operator(model.g, p), model.onb_at(p)
+            op = curvature_operator(model.g, p)
+            onb = model.onb_at(p, g_at=op.g_at)
         except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
             if sample_points is not None:
                 raise

@@ -25,10 +25,6 @@ class PoleAtPoint(ArithmeticError):
     """A denominator vanished at the evaluation point."""
 
 
-class ParseError(ValueError):
-    """A scalar literal could not be parsed."""
-
-
 def _term_key(exps: Exponent) -> tuple[int, Exponent]:
     # Degree-then-lex term order; only used to pick a deterministic leading term.
     return (sum(exps), exps)
@@ -608,6 +604,15 @@ DEFAULT_POINTS = [
 #   unary  := '-' unary | power
 #   power  := atom ('^' nat)?
 #   atom   := nat | varname | '(' expr ')'
+#
+# A power's exponent and its total degree are at most MAX_POWER, and its
+# exponent times the bit length of the base's largest numerator coefficient at
+# most MAX_POWER_BITS: a longer exponent, or one nested in another, would expand
+# past any use (x1^99999999999 tabulates that many powers of x1 per jet, and
+# 2^99999999999 squares a constant that many bits long).
+
+MAX_POWER = 16
+MAX_POWER_BITS = 1024
 
 
 class _Tokens:
@@ -634,7 +639,7 @@ class _Tokens:
                 self.toks.append(text[i:j])
                 i = j
             else:
-                raise ParseError(f"unexpected character {ch!r}")
+                raise ValueError(f"unexpected character {ch!r}")
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -643,24 +648,24 @@ class _Tokens:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input")
+            raise ValueError("unexpected end of input")
         self.pos += 1
         return tok
 
 
 def check_variables(variables) -> list:
     """The "vars" of a descriptor or metric file: a nonempty list of distinct
-    identifier strings, else ParseError."""
+    identifier strings, else ValueError."""
     if not (isinstance(variables, list) and variables and len(set(variables)) == len(variables)
             and all(isinstance(v, str) and v.isidentifier() for v in variables)):
-        raise ParseError(f'"vars" must be a list of distinct identifiers, got {variables!r}')
+        raise ValueError(f'"vars" must be a list of distinct identifiers, got {variables!r}')
     return variables
 
 
 def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
     """Parse a rational-function literal over the given variable names."""
     if not isinstance(text, str):
-        raise ParseError(f"expected a string literal, got {text!r}")
+        raise ValueError(f"expected a string literal, got {text!r}")
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
     toks = _Tokens(text)
@@ -679,7 +684,7 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
             op = toks.next()
             rhs = unary()
             if op == "/" and rhs.is_zero():
-                raise ParseError(f"division by zero in {text!r}")
+                raise ValueError(f"division by zero in {text!r}")
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -695,8 +700,16 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
             toks.next()
             tok = toks.next()
             if not tok.isdigit():
-                raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            return base ** int(tok)
+                raise ValueError(f"exponent must be a nonnegative integer, got {tok!r}")
+            k = int(tok)
+            deg = max(base.num.total_degree(),
+                      sum(m * p.total_degree() for p, m in base.factors.values()))
+            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                        for c in base.num.terms.values()), default=0)
+            if max(k, k * deg) > MAX_POWER or k * bits > MAX_POWER_BITS:
+                raise ValueError(f"power ^{tok} is above the bound: {MAX_POWER} on the exponent "
+                                 f"and the degree, {MAX_POWER_BITS} on the coefficient bits")
+            return base ** k
         return base
 
     def atom() -> RatFunc:
@@ -704,15 +717,15 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
         if tok == "(":
             value = expr()
             if toks.next() != ")":
-                raise ParseError("missing closing parenthesis")
+                raise ValueError("missing closing parenthesis")
             return value
         if tok.isdigit():
             return RatFunc.const(nvars, int(tok))
         if tok in index:
             return RatFunc.var(index[tok], nvars)
-        raise ParseError(f"unknown token {tok!r}")
+        raise ValueError(f"unknown token {tok!r}")
 
     value = expr()
     if toks.peek() is not None:
-        raise ParseError(f"trailing input at token {toks.peek()!r}")
+        raise ValueError(f"trailing input at token {toks.peek()!r}")
     return value

@@ -47,34 +47,6 @@ from paracomplex.para import (
 )
 
 
-class DegenerateOmega(ValueError):
-    """The 2-form defining the structure is degenerate."""
-
-
-class NotProductStructure(ValueError):
-    """P^2 != Id or P = +-Id."""
-
-
-class BadSignature(ValueError):
-    """The metric of a generalized metric must be neutral."""
-
-
-class NotCompatible(ValueError):
-    """The structure does not preserve the generalized metric."""
-
-
-class InvalidPair(ValueError):
-    """assemble() requires two valid g-compatible paracomplex structures."""
-
-
-class WrongMetricFrame(ValueError):
-    """check_pi_conditions expects the null-frame metric g(e_i, f_j) = delta."""
-
-
-class NotVertical(ValueError):
-    """The endomorphism pair is not tangent to the fiber at the base point."""
-
-
 class GenVector:
     """Element X + alpha of T + T*."""
 
@@ -203,12 +175,12 @@ def trivial_structure(n: int, like=Fraction(1)) -> GenEndo:
 def omega_structure(omega: Bilinear) -> GenEndo:
     """K(X + alpha) = omega^{-1}(alpha) + omega(X) for nondegenerate skew omega."""
     if not omega.is_antisymmetric():
-        raise DegenerateOmega("omega must be antisymmetric")
+        raise ValueError("omega must be antisymmetric")
     omega_map = omega.map_mat()
     try:
         omega_inv = mat_inv(omega_map)
     except ZeroDivisionError as exc:
-        raise DegenerateOmega("omega field is degenerate") from exc
+        raise ValueError("omega field is degenerate") from exc
     n = omega.dim
     like = omega.mat[0][0]
     return GenEndo(mat_zero(n, like=like), omega_inv, omega_map, mat_zero(n, like=like))
@@ -229,9 +201,9 @@ def product_structure(p: Endo) -> GenEndo:
     n = p.dim
     ident = mat_identity(n, like=p.mat[0][0])
     if not mat_eq(mat_mul(p.mat, p.mat), ident):
-        raise NotProductStructure("P^2 != Id as a rational-function identity")
+        raise ValueError("P^2 != Id as a rational-function identity")
     if mat_eq(p.mat, ident) or mat_eq(p.mat, mat_neg(ident)):
-        raise NotProductStructure("P = +-Id")
+        raise ValueError("P = +-Id")
     z = mat_zero(n, like=p.mat[0][0])
     return GenEndo(p.mat, z, z, mat_neg(transpose(p.mat)))
 
@@ -294,14 +266,14 @@ class GeneralizedMetric:
 
 def gen_metric(g: Bilinear, theta: Bilinear) -> GeneralizedMetric:
     if not g.is_symmetric():
-        raise BadSignature("g must be symmetric")
+        raise ValueError("g must be symmetric")
     if not theta.is_antisymmetric():
-        raise BadSignature("Theta must be antisymmetric")
+        raise ValueError("Theta must be antisymmetric")
     n = g.dim
     if isinstance(g.mat[0][0], Fraction):
         pos, neg, null = signature(g)
         if null or pos != neg:
-            raise BadSignature(f"metric signature {(pos, neg, null)} is not neutral")
+            raise ValueError(f"metric signature {(pos, neg, null)} is not neutral")
     g_map = g.map_mat()
     th_map = theta.map_mat()
     prime, dprime = [], []
@@ -347,7 +319,7 @@ def extract_pair(k: GenEndo, e: GeneralizedMetric) -> tuple[Endo, Endo]:
     """The paracomplex pair (K1, K2) with K(X + g(X) + Theta(X)) =
     K1 X + g(K1 X) + Theta(K1 X), and likewise for K2 on E''."""
     if not is_compatible(k, e):
-        raise NotCompatible("structure does not preserve the generalized metric")
+        raise ValueError("structure does not preserve the generalized metric")
     k1_cols, k2_cols = [], []
     for v in e.frame_prime:
         k1_cols.append(k.apply(v).x)
@@ -368,7 +340,7 @@ def assemble(g: Bilinear, theta: Bilinear, k1: Endo, k2: Endo) -> GenEndo:
     with w_s(X, Y) = g(X, K_s Y) and all forms acting as maps T -> T*."""
     for ks in (k1, k2):
         if not validate_para(g, ks).ok:
-            raise InvalidPair(f"invalid paracomplex factor: {validate_para(g, ks).failures}")
+            raise ValueError(f"invalid paracomplex factor: {validate_para(g, ks).failures}")
     g_map = g.map_mat()
     th = theta.map_mat()
     w1 = mat_mul(transpose(k1.mat), g_map)
@@ -402,7 +374,7 @@ def check_omega_compat(omega: Bilinear, g: Bilinear, theta: Bilinear):
     try:
         omega_inv = mat_inv(omega_map)
     except ZeroDivisionError as exc:
-        raise DegenerateOmega("omega field is degenerate") from exc
+        raise ValueError("omega field is degenerate") from exc
     l_mat = mat_mul(omega_inv, mat_add(g.map_mat(), theta.map_mat()))
     ident = mat_identity(len(l_mat), like=l_mat[0][0])
     if not mat_eq(mat_mul(l_mat, l_mat), ident):
@@ -430,20 +402,20 @@ def check_pi_conditions(g: Bilinear, basis: list, theta: Bilinear) -> bool:
     compatibility identity at (f1, f2); it is cross-checked exactly against
     the rank-based compatibility test."""
     if g.dim != 4 or len(basis) != 4:
-        raise WrongMetricFrame("expected a 4-dimensional null frame")
+        raise ValueError("expected a 4-dimensional null frame")
     e1, e2, f1, f2 = basis
     for u in (e1, e2):
         for v in (e1, e2):
             if g.apply(u, v) != 0:
-                raise WrongMetricFrame("g(e_i, e_j) must vanish")
+                raise ValueError("g(e_i, e_j) must vanish")
     for u in (f1, f2):
         for v in (f1, f2):
             if g.apply(u, v) != 0:
-                raise WrongMetricFrame("g(f_i, f_j) must vanish")
+                raise ValueError("g(f_i, f_j) must vanish")
     for i, u in enumerate((e1, e2)):
         for j, v in enumerate((f1, f2)):
             if g.apply(u, v) != (1 if i == j else 0):
-                raise WrongMetricFrame("g(e_i, f_j) must be delta_ij")
+                raise ValueError("g(e_i, f_j) must be delta_ij")
     th = theta.apply
     return (th(e1, e2) == -2
             and th(e1, f2) == 0
@@ -520,7 +492,7 @@ def p_epsilon(eps: int, kpair: tuple[Endo, Endo], e: GeneralizedMetric,
     v1, v2 = v
     for ks, vs in ((k1, v1), (k2, v2)):
         if not is_fiber_tangent(e.g, ks, vs):
-            raise NotVertical("component is not tangent at the base structure")
+            raise ValueError("component is not tangent at the base structure")
     w1 = Endo(mat_mul(k1.mat, v1.mat))
     w2 = Endo(mat_mul(k2.mat, v2.mat))
     if eps == 1:

@@ -22,15 +22,6 @@ Vec = list
 Mat = list
 
 
-class NotSymmetric(ValueError):
-    """Signature requested for a non-symmetric bilinear form."""
-
-
-class DimNot4(ValueError):
-    """The Hodge star, the curvature decomposition and the theorem verdicts
-    require dimension 4."""
-
-
 class SingularMatrix(ZeroDivisionError):
     """Exact inversion of a singular matrix was attempted."""
 
@@ -447,7 +438,7 @@ class TwoVector:
 def signature(b: Bilinear) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, null) by exact symmetric reduction."""
     if not b.is_symmetric():
-        raise NotSymmetric("signature requires a symmetric form")
+        raise ValueError("signature requires a symmetric form")
     n = b.dim
     m = [list(row) for row in b.mat]
     active = list(range(n))
@@ -516,6 +507,8 @@ def lambda2_matrix(q: Mat) -> Mat:
 # extended as an involution; rows and columns in wedge_pairs(4) order
 _STAR_U = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
            [0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
+# the Gram matrix P^T g P of such a basis P
+ONB_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
 
 def star_matrix(onb: Sequence[Vec]) -> Mat:
@@ -523,7 +516,7 @@ def star_matrix(onb: Sequence[Vec]) -> Mat:
     orthonormal basis onb with norms (1, 1, -1, -1): with P the frame's
     columns, * = L(P) *_u L(P^-1) for L = lambda2_matrix."""
     if len(onb) != 4:
-        raise DimNot4("hodge star is implemented for dimension 4")
+        raise ValueError("hodge star is implemented for dimension 4")
     p = mat_from_columns(onb)
     return mat_mul(lambda2_matrix(p), mat_mul(_STAR_U, lambda2_matrix(mat_inv(p))))
 
@@ -531,7 +524,7 @@ def star_matrix(onb: Sequence[Vec]) -> Mat:
 def hodge_star(onb: Sequence[Vec], a: TwoVector) -> TwoVector:
     """The 2-vector *a for the oriented orthonormal basis onb (see star_matrix)."""
     if a.dim != 4:
-        raise DimNot4("hodge star is implemented for dimension 4")
+        raise ValueError("hodge star is implemented for dimension 4")
     pairs = wedge_pairs(4)
     coords = mat_vec(star_matrix(onb), [a.get(i, j) for i, j in pairs])
     return TwoVector(4, dict(zip(pairs, coords)))

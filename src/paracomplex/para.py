@@ -38,18 +38,6 @@ from paracomplex.linalg import (
     vec_sub,
 )
 
-class DegenerateInput(ValueError):
-    """The basis induction could not find a suitable vector over Q."""
-
-
-class NotTangent(ValueError):
-    """An endomorphism is not tangent to the fiber at the given structure."""
-
-
-class NotOnHyperboloid(ValueError):
-    """Coordinates do not satisfy -y1^2 + y2^2 + y3^2 = 1 exactly."""
-
-
 class ValidationReport:
     """Outcome of a structure validation; carries per-invariant results."""
 
@@ -127,7 +115,7 @@ def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
     """
     report = validate_para(g, k)
     if not report.ok:
-        raise DegenerateInput(f"not a compatible paracomplex structure: {report.failures}")
+        raise ValueError(f"not a compatible paracomplex structure: {report.failures}")
     n2 = g.dim
     span: list = []
     es: list = []
@@ -136,7 +124,7 @@ def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
         complement = _orthogonal_complement_basis(g, span)
         v = _positive_norm_vector(g, complement)
         if v is None:
-            raise DegenerateInput("no positive-norm rational vector in the complement")
+            raise ValueError("no positive-norm rational vector in the complement")
         kv = k.apply(v)
         es.append(v)
         norms.append(g.apply(v, v))
@@ -184,7 +172,7 @@ def fiber_structure(k: Endo, v: Endo) -> Endo:
     """The fiber paracomplex structure at K applied to a tangent vector:
     V -> K V (composition); the result is again tangent at K."""
     if not anticommutes(k, v):
-        raise NotTangent("vector does not anti-commute with the base structure")
+        raise ValueError("vector does not anti-commute with the base structure")
     return Endo(mat_mul(k.mat, v.mat))
 
 
@@ -262,7 +250,7 @@ def hyperboloid_structure(g: Bilinear, onb: list, y1, y2, y3) -> Endo:
     inducing the + orientation."""
     y1, y2, y3 = Fraction(y1), Fraction(y2), Fraction(y3)
     if -y1 * y1 + y2 * y2 + y3 * y3 != 1:
-        raise NotOnHyperboloid(f"({y1}, {y2}, {y3}) is not on the hyperboloid")
+        raise ValueError(f"({y1}, {y2}, {y3}) is not on the hyperboloid")
     j1, j2, j3 = j_structures(g, onb, +1)
     return j1.scale(y1) + j2.scale(y2) + j3.scale(y3)
 

@@ -27,10 +27,6 @@ from paracomplex.linalg import (Bilinear, Endo, mat_identity, mat_zero, sparse_a
                                 transpose, zero_like)
 
 
-class WrongDegree(ValueError):
-    """Form degree does not match the operation."""
-
-
 def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sorted index tuple and permutation sign; None for repeated indices."""
     if len(set(idx)) != len(idx):
@@ -67,7 +63,7 @@ class KForm:
 
     def __add__(self, other: KForm) -> KForm:
         if self.degree != other.degree:
-            raise WrongDegree("cannot add forms of different degree")
+            raise ValueError("cannot add forms of different degree")
         comps = dict(self.comps)
         for k, c in other.comps.items():
             sparse_add(comps, k, c)
@@ -233,7 +229,7 @@ def courant_jacobiator(a: GenVector, b: GenVector, c: GenVector) -> GenVector:
 def _omega_structure(omega: KForm) -> GenEndo:
     """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
     if omega.degree != 2:
-        raise WrongDegree("omega must be a 2-form")
+        raise ValueError("omega must be a 2-form")
     return omega_structure(_bilinear(omega))
 
 
@@ -324,7 +320,7 @@ def poisson_jacobiator(pi: BiVectorField) -> dict:
 def b_bracket_residual(theta: KForm, a: GenVector, b: GenVector) -> GenVector:
     """[e^T A, e^T B] - (e^T [A,B] - i_X i_Y dTheta); identically zero."""
     if theta.degree != 2:
-        raise WrongDegree("Theta must be a 2-form")
+        raise ValueError("Theta must be a 2-form")
     t = _bilinear(theta)
     lhs = courant_bracket(b_transform(t, a), b_transform(t, b))
     correction = double_contract(ext_deriv(theta), a.x, b.x)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,18 @@ def test_theta_division_by_zero_exit_2_with_one_line(capsys):
                                 "bad coefficient 'x1/0': division by zero in 'x1/0'")
 
 
+@pytest.mark.parametrize("metric", ["ppwave:x1^99999999999", "ppwave:2^99999999999"])
+def test_a_long_exponent_exit_2_at_once(capsys, metric):
+    """A power above the parser's bound is an input error, found before any
+    expansion: x1^99999999999 used to tabulate that many powers of x1 per jet,
+    and 2^99999999999 to square a constant that many bits long."""
+    start = time.perf_counter()
+    code = main(["curvature", metric])
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(capsys, code, "power ^99999999999 is above the bound: 16 on the "
+                                              "exponent and the degree, 1024 on the coefficient bits")
+
+
 def test_diagonal_component_keys_of_p_are_entries(tmp_path, capsys):
     path = write_desc(tmp_path, "p.json", {"kind": "product", "P": {
         "1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}})
@@ -354,6 +367,36 @@ def test_curvature_file_metric_nonzero_weyl(tmp_path, capsys):
     report = json.loads(out)
     assert any(v != "0" for row in report["w_plus"] for v in row)
     assert not report["conformally_flat"]
+
+
+# g of ppwave:x2^2 and its catalog frame, as columns with norms 1, 1, -1, -1
+PPWAVE_G = [["x2^2", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"]]
+PPWAVE_ONB = [["1", "0", "0", "1/2 - x2^2/2"], ["0", "1", "1/2", "0"],
+              ["1", "0", "0", "-1/2 - x2^2/2"], ["0", "1", "-1/2", "0"]]
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["theorem", "--component=++"]],
+                         ids=["curvature", "theorem"])
+@pytest.mark.parametrize("order,scale,where", [
+    ([0, 2, 1, 3], "1", "(0, 0, 0, 0)"),
+    ([0, 1, 2, 3], "(1+x1)", "(1, 0, 0, 0)"),
+], ids=["norms-1-1-1-1", "not-unit-off-the-origin"])
+def test_a_supplied_frame_must_be_orthonormal(tmp_path, capsys, command, order, scale, where):
+    """The frame's columns must have norms 1, 1, -1, -1 at every point used:
+    reordered to norms 1, -1, 1, -1, the frame of ppwave:x2^2 used to give
+    `w_plus_zero: false`.  theorem does not skip a default point where the
+    frame fails (the second frame is orthonormal only where x1 = 0)."""
+    path = write_desc(tmp_path, "good.json", {"g": PPWAVE_G, "onb": PPWAVE_ONB})
+    assert main([command[0], f"file:{path}"] + command[1:]) == 0
+    capsys.readouterr()
+    onb = [PPWAVE_ONB[i] for i in order]
+    onb[0] = [f"{scale}*({v})" for v in onb[0]]
+    path = write_desc(tmp_path, "bad.json", {"g": PPWAVE_G, "onb": onb})
+    if command[0] == "curvature":
+        command, where = command + ["--point", "1,0,0,0"], "(1, 0, 0, 0)"
+    code = main([command[0], f"file:{path}"] + command[1:])
+    assert_one_line_input_error(capsys, code, f"the onb of file:{path} is not orthonormal with "
+                                              f"norms 1, 1, -1, -1 at {where}")
 
 
 def test_curvature_ppwave_orientation_swap(capsys):

@@ -23,12 +23,8 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.gpx import (
-    BadSignature,
     GenVector,
     GeneralizedMetric,
-    NotCompatible,
-    NotProductStructure,
-    NotVertical,
     assemble,
     b_conjugate,
     b_transform,
@@ -169,7 +165,7 @@ def test_omega_structure_valid():
 
 def test_product_structure_rejects_non_involution():
     bad = Endo([[Fraction(2) if i == j else Fraction(0) for j in range(4)] for i in range(4)])
-    with pytest.raises(NotProductStructure):
+    with pytest.raises(ValueError, match=r"P\^2 != Id as a rational-function identity"):
         product_structure(bad)
 
 
@@ -281,7 +277,7 @@ def test_gen_metric_misses_cotangent():
 
 
 def test_gen_metric_rejects_definite():
-    with pytest.raises(BadSignature):
+    with pytest.raises(ValueError, match=r"metric signature \(4, 0, 0\) is not neutral"):
         gen_metric(Bilinear.diag([1, 1, 1, 1]), THETA0)
 
 
@@ -371,7 +367,7 @@ def test_extract_product_theta_zero():
 
 def test_extract_requires_compatibility():
     e = gen_metric(G, THETA0)
-    with pytest.raises(NotCompatible):
+    with pytest.raises(ValueError, match="structure does not preserve the generalized metric"):
         extract_pair(trivial_structure(4), e)
 
 
@@ -660,7 +656,7 @@ def test_p_epsilon_relations():
 
 def test_p_epsilon_rejects_non_vertical():
     e = gen_metric(G, THETA0)
-    with pytest.raises(NotVertical):
+    with pytest.raises(ValueError, match="component is not tangent at the base structure"):
         p_epsilon(1, (K_STD, K_STD), e, (Endo(mat_identity(4)), Endo(mat_identity(4))))
 
 

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from paracomplex.linalg import (
     Bilinear,
-    DimNot4,
     Endo,
-    NotSymmetric,
     SingularMatrix,
     TwoVector,
     bareiss,
@@ -64,7 +62,7 @@ def test_signature_null_frame():
 
 def test_signature_rejects_nonsymmetric():
     b = Bilinear([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValueError, match="signature requires a symmetric form"):
         signature(b)
 
 
@@ -143,7 +141,7 @@ def test_hodge_star_involution():
 
 
 def test_hodge_star_requires_dim4():
-    with pytest.raises(DimNot4):
+    with pytest.raises(ValueError, match="hodge star is implemented for dimension 4"):
         hodge_star([basis_vec(i, 3) for i in range(3)], TwoVector(3))
 
 
