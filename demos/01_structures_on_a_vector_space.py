@@ -8,14 +8,14 @@ from fractions import Fraction
 
 from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import Bilinear, basis_vec, j_structures, mat_mul, mat_identity, mat_eq
-from paracomplex.para import (
+from paracomplex.para import validate_para
+from paracomplex.reference import (
     fiber_tangent_dim,
     hyperboloid_coords,
     hyperboloid_structure,
     induced_orientation,
     null_basis,
     standard_para_structure,
-    validate_para,
 )
 
 # Everything is exact: rational functions evaluate to honest fractions.

@@ -10,12 +10,7 @@ from fractions import Fraction
 from paracomplex.gpx import (
     GenVector,
     assemble,
-    b_conjugate,
-    check_pi_conditions,
-    classify_component,
-    extract_pair,
     gen_metric,
-    gen_pairing,
     is_compatible,
     pi_structure,
     product_structure,
@@ -23,7 +18,15 @@ from paracomplex.gpx import (
     validate_gen_para,
 )
 from paracomplex.linalg import Bilinear, TwoVector, basis_vec, mat_identity, mat_mul
-from paracomplex.para import random_compatible_structure, standard_para_structure
+from paracomplex.para import random_compatible_structure
+from paracomplex.reference import (
+    b_conjugate,
+    check_pi_conditions,
+    classify_component,
+    extract_pair,
+    gen_pairing,
+    standard_para_structure,
+)
 
 g = Bilinear.diag([1, 1, -1, -1])
 k_std = standard_para_structure(2)

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc)
+                               parse_ratfunc, parse_rational)
 from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
 from paracomplex.para import validate_para
@@ -31,7 +31,7 @@ from paracomplex.patch import (STRUCTURES, BiVectorField, KForm,
 
 def parse_point(text: str, nvars: int = 4) -> tuple:
     try:
-        coords = tuple(Fraction(c.strip()) for c in text.split(","))
+        coords = tuple(parse_rational(c) for c in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad point {text!r}") from exc
     if len(coords) != nvars:

@@ -1,8 +1,8 @@
-"""Connections and curvature on a patch: Levi-Civita, the metric connection
-with totally skew torsion determined by a 2-form potential, curvature
-operator with its scalar/traceless-Ricci/Weyl decomposition, the (j,l,r)
-curvature residual, pointwise twistor and reflector Nijenhuis evaluators,
-and the dim-4 integrability verdicts.
+"""Curvature on a patch, in Q at a point from the metric's 2-jet: the
+curvature operator with its scalar/traceless-Ricci/Weyl decomposition, the
+(j,l,r) curvature residual, the horizontal obstruction of a potential Theta,
+and the dim-4 integrability verdicts.  The symbolic connections and the
+twistor and reflector Nijenhuis evaluators are in `paracomplex.reference`.
 
 Curvature sign convention.  The curvature tensor is
 R(X, Y) = D_{[X,Y]} - [D_X, D_Y] (opposite to the common one); with this
@@ -23,15 +23,8 @@ from fractions import Fraction
 from operator import mul
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc)
-from paracomplex.gpx import (
-    GenVector,
-    GeneralizedMetric,
-    assemble,
-    gen_pairing,
-    p_epsilon,
-    vertical_endo,
-)
+                               parse_ratfunc, parse_rational)
+from paracomplex.gpx import GenVector, assemble
 from paracomplex.linalg import (
     Bilinear,
     Endo,
@@ -63,7 +56,6 @@ from paracomplex.linalg import (
 )
 from paracomplex.para import (
     _orthogonal_complement_basis,
-    fiber_tangent_basis,
     hyperboloid_combination,
     hyperboloid_draw,
     random_compatible_structure,
@@ -210,84 +202,6 @@ def onb_search(g: Bilinear) -> list:
     return found
 
 
-# -- connections ------------------------------------------------------------------
-
-
-class Connection:
-    """Christoffel data gamma[i][j][k]: nabla_{d_i} d_j = gamma[i][j][k] d_k."""
-
-    __slots__ = ("nvars", "gamma")
-
-    def __init__(self, nvars: int, gamma: list):
-        self.nvars, self.gamma = nvars, gamma
-
-
-class TorsionTensor:
-    """T(d_i, d_j) = t[i][j][k] d_k; antisymmetric in (i, j)."""
-
-    __slots__ = ("nvars", "t")
-
-    def __init__(self, nvars: int, t: list):
-        self.nvars, self.t = nvars, t
-
-
-def levi_civita(g: list) -> Connection:
-    """Christoffel symbols of the metric field with exact inverse metric."""
-    n = len(g)
-    try:
-        ginv = mat_inv(g)
-    except ZeroDivisionError as exc:
-        raise DegenerateMetric("metric field is degenerate") from exc
-    dg = [[[g[i][j].partial(k) for k in range(n)] for j in range(n)] for i in range(n)]
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = RatFunc.zero(n)
-                for l in range(n):
-                    total = total + ginv[k][l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l])
-                gamma[i][j][k] = total * half
-    return Connection(n, gamma)
-
-
-def hitchin_connection(g: list, theta: KForm) -> tuple[Connection, TorsionTensor]:
-    """Metric connection whose totally skew torsion satisfies
-    g(T(X, Y), Z) = dTheta(X, Y, Z): Levi-Civita plus the contorsion
-    A(X, Y) with g(A(X, Y), Z) = dTheta(X, Y, Z) / 2."""
-    n = len(g)
-    lc = levi_civita(g)
-    dth = ext_deriv(theta)
-    ginv = mat_inv(g)
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                contorsion = RatFunc.zero(n)
-                for l in range(n):
-                    contorsion = contorsion + ginv[k][l] * dth.get((i, j, l))
-                gamma[i][j][k] = lc.gamma[i][j][k] + contorsion * half
-    torsion = [[[gamma[i][j][k] - gamma[j][i][k] for k in range(n)]
-                for j in range(n)] for i in range(n)]
-    return Connection(n, gamma), TorsionTensor(n, torsion)
-
-
-def metricity_residual(conn: Connection, g: list) -> bool:
-    """True iff nabla g = 0 as a rational-function identity."""
-    n = conn.nvars
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = g[j][k].partial(i)
-                for l in range(n):
-                    total = total - conn.gamma[i][j][l] * g[l][k]
-                    total = total - conn.gamma[i][k][l] * g[j][l]
-                if not total.is_zero():
-                    return False
-    return True
-
-
 # -- curvature ---------------------------------------------------------------------
 
 
@@ -300,14 +214,10 @@ def _sym(n: int, entry) -> list:
     return m
 
 
-def riemann_at(g: list, point) -> list:
-    """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
-    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet."""
-    return _riemann(g, point)[2]
-
-
 def _riemann(g: list, point) -> tuple:
-    """(g(p) as a Bilinear, g(p)^-1, r) with r as in riemann_at, on integers:
+    """(g(p) as a Bilinear, g(p)^-1, r) at the point, with
+    R(d_i, d_j) d_k = r[i][j][k][l] d_l in the convention
+    R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet, on integers:
     mat_jet(g, p, 2) = (G, dG, ddG) / D and g(p)^-1 = D adj / det.  With
     G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels G^k_ij = g^kl G_l,ij
     are over 2 det, d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij) (by
@@ -339,22 +249,6 @@ def _riemann(g: list, point) -> tuple:
                         r[i][j][k][l] = Fraction(v, 4 * det * det)
                         r[j][i][k][l] = -r[i][j][k][l]
     return Bilinear(g_at), [[Fraction(den * x, det) for x in row] for row in adj], r
-
-
-def curvature_endo(r_at: list, x: list, y: list) -> Endo:
-    """The endomorphism R(X, Y) at a point from evaluated curvature data."""
-    n = len(r_at)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = x[i] * y[j]
-            if not c:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    if r_at[i][j][k][l]:
-                        mat[l][k] += c * r_at[i][j][k][l]
-    return Endo(mat)
 
 
 class CurvOperator:
@@ -506,95 +400,6 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
         yield p, (j, l, r), n, 32 * den_q * ks[j][0] * ks[l][0] * ks[r][0] ** 2
 
 
-# -- reflector-space Nijenhuis evaluators ------------------------------------------------------
-
-
-def reflector_nijenhuis(r_at: list, q: Endo, x: list, y: list, i: int) -> Endo:
-    """Vertical Nijenhuis value at Q for horizontal arguments:
-    R(X,Y)Q + R(QX,QY)Q - K^i R(QX,Y)Q - K^i R(X,QY)Q, with R(X,Y)Q the
-    commutator [R(X,Y), Q] and K^i V = (-1)^{i+1} Q V."""
-    def act(a: list, b: list) -> Endo:
-        rend = curvature_endo(r_at, a, b)
-        return Endo(mat_sub(mat_mul(rend.mat, q.mat), mat_mul(q.mat, rend.mat)))
-
-    def k_i(v: Endo) -> Endo:
-        kv = Endo(mat_mul(q.mat, v.mat))
-        return kv if i % 2 == 1 else -kv
-
-    qx, qy = q.apply(x), q.apply(y)
-    return act(x, y) + act(qx, qy) - k_i(act(qx, y)) - k_i(act(x, qy))
-
-
-def reflector_mixed_nijenhuis(q: Endo, x: list, v: Endo, i: int) -> list:
-    """Mixed horizontal-vertical value ((-1)^i + 1) (Q V X)."""
-    factor = Fraction((-1) ** i + 1)
-    return vec_scale(factor, q.apply(v.apply(x)))
-
-
-# -- generalized twistor Nijenhuis evaluators ---------------------------------------------------
-
-
-def omega_eps(e: GeneralizedMetric, kpair: tuple[Endo, Endo], eps: int,
-              a: GenVector, b: GenVector, w: tuple[Endo, Endo]) -> Fraction:
-    """<(P1 W - P_eps W)(A), B> - <(P1 W - P_eps W)(B), A>."""
-    p1 = p_epsilon(1, kpair, e, w)
-    pe = p_epsilon(eps, kpair, e, w)
-    diff = vertical_endo(e, p1[0] - pe[0], p1[1] - pe[1])
-    return gen_pairing(diff.apply(a), b) - gen_pairing(diff.apply(b), a)
-
-
-def twistor_mixed_nijenhuis(e: GeneralizedMetric, kpair: tuple[Endo, Endo],
-                            a: GenVector, v: tuple[Endo, Endo], eps: int) -> GenVector:
-    """N_eps(A^h, V) = (-(P_eps V) A + (P1 V) A)^h as a value at the base point."""
-    p1 = p_epsilon(1, kpair, e, v)
-    pe = p_epsilon(eps, kpair, e, v)
-    w1 = vertical_endo(e, p1[0], p1[1])
-    we = vertical_endo(e, pe[0], pe[1])
-    return w1.apply(a) - we.apply(a)
-
-
-def twistor_vertical_nijenhuis(r_at: list, e: GeneralizedMetric,
-                               kpair: tuple[Endo, Endo], a: GenVector,
-                               b: GenVector, eps: int,
-                               vertical_basis: list | None = None):
-    """Vertical part of N_eps(A^h, B^h) at the fiber point (K1, K2):
-    R(p1 A, p1 B) K + R(p1 KA, p1 KB) K - P_eps R(p1 KA, p1 B) K
-    - P_eps R(p1 A, p1 KB) K, returned as the endomorphism pair, together
-    with the values of the 1-form omega^eps_{A,B} on the supplied vertical
-    basis (pairs); omega^1 vanishes identically.
-
-    The horizontal-times-vertical-covector values are determined by this
-    output through <p* N_eps(A^h, phi), B> = -phi(vertical part of
-    N_eps(A^h, B^h)) / 2, so no separate evaluator is needed for them."""
-    k1, k2 = kpair
-    kgen = assemble(e.g, e.theta, k1, k2)
-    ka, kb = kgen.apply(a), kgen.apply(b)
-
-    def r_pair(x: list, y: list) -> tuple[Endo, Endo]:
-        rend = curvature_endo(r_at, x, y)
-        return (Endo(mat_sub(mat_mul(rend.mat, k1.mat), mat_mul(k1.mat, rend.mat))),
-                Endo(mat_sub(mat_mul(rend.mat, k2.mat), mat_mul(k2.mat, rend.mat))))
-
-    t1 = r_pair(a.x, b.x)
-    t2 = r_pair(ka.x, kb.x)
-    t3 = p_epsilon(eps, kpair, e, r_pair(ka.x, b.x))
-    t4 = p_epsilon(eps, kpair, e, r_pair(a.x, kb.x))
-    pair = (t1[0] + t2[0] - t3[0] - t4[0], t1[1] + t2[1] - t3[1] - t4[1])
-    omega_values = []
-    if vertical_basis is not None:
-        for w in vertical_basis:
-            omega_values.append(omega_eps(e, kpair, eps, a, b, w))
-    return pair, omega_values
-
-
-def vertical_pair_basis(g_at: Bilinear, kpair: tuple[Endo, Endo]) -> list:
-    """Basis of the vertical space at (K1, K2) as endomorphism pairs."""
-    zero = Endo(mat_zero(g_at.dim))
-    first = [(v, zero) for v in fiber_tangent_basis(g_at, kpair[0])]
-    second = [(zero, v) for v in fiber_tangent_basis(g_at, kpair[1])]
-    return first + second
-
-
 # -- horizontal obstruction (torsion residual) ---------------------------------------------------
 
 
@@ -682,22 +487,12 @@ def np_residual_terms(g_at: Bilinear, t_at: list, dth_at: dict,
 
 def torsion_at(g_at: Bilinear, dth_at: dict) -> list:
     """t[i][j][k] = sum_l g^kl dTheta(i, j, l), the torsion of
-    hitchin_connection at a point; the symmetric Levi-Civita part cancels."""
+    reference.hitchin_connection at a point; the symmetric Levi-Civita part cancels."""
     n = g_at.dim
     full = _dth_full(dth_at)
     ginv = mat_inv(g_at.mat)
     return [[[sum(ginv[k][l] * full.get((i, j, l), 0) for l in range(n))
               for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
-                           a: GenVector, b: GenVector, point) -> GenVector:
-    """N_P(A, B) minus the right-hand side of the obstruction identity;
-    identically zero at the point for all inputs iff dTheta vanishes there."""
-    dth_at = {idx: c.eval_at(point) for idx, c in ext_deriv(theta).comps.items()}
-    g_at = Bilinear(mat_eval(g, point))
-    n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at, s1, s2, a, b)
-    return n_p - cond_rhs
 
 
 # -- theorem verdicts -----------------------------------------------------------------------------
@@ -829,7 +624,7 @@ def parse_metric_id(text: str) -> MetricModel:
     if text.startswith("constcurv:"):
         c = text.split(":", 1)[1]
         try:
-            return constcurv_metric(Fraction(c))
+            return constcurv_metric(parse_rational(c))
         except ZeroDivisionError:
             raise ValueError(f"division by zero in {c!r}") from None
     if text.startswith("ppwave:"):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -163,14 +164,7 @@ class Poly:
     def __pow__(self, k: int) -> Poly:
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, mul)
 
     def scale(self, c: Scalar) -> Poly:
         c = Fraction(c)
@@ -300,6 +294,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
+
+
+def _power(p: Poly, k: int, times) -> Poly:
+    """p^k for k >= 0 by repeated squaring, each product formed as times(a, b)."""
+    result = Poly.const(p.nvars, 1)
+    while k:
+        if k & 1:
+            result = times(result, p)
+        p = times(p, p) if k > 1 else p
+        k >>= 1
+    return result
 
 
 def _factors_mul(a: dict[tuple, tuple[Poly, int]], b: dict[tuple, tuple[Poly, int]]):
@@ -575,13 +580,6 @@ def _jet_div(a: tuple, u: tuple) -> tuple:
     return q
 
 
-def as_point(values: Iterable, nvars: int | None = None) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(v) for v in values)
-    if nvars is not None and len(pt) != nvars:
-        raise ValueError(f"expected {nvars} coordinates, got {len(pt)}")
-    return pt
-
-
 # -- the 4-dimensional patch: coordinate names and default sample points ------------------------
 
 
@@ -594,6 +592,24 @@ DEFAULT_POINTS = [
     (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), 0),
     (1, 1, -1, Fraction(1, 2)),
 ]
+
+
+# -- rational literals ---------------------------------------------------------------
+#
+# A point coordinate, or the c of constcurv:<c>, is a Fraction literal: 7, -1/2,
+# 0.25 or 1e-3.  Fraction expands a decimal exponent in full (1e9999999 is a
+# ten-million-digit integer), so the exponent is read first and bounded.
+
+MAX_EXPONENT = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction literal text, whose decimal exponent is at most MAX_EXPONENT
+    in magnitude; ValueError for another literal, ZeroDivisionError for n/0."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and (len(exponent.lstrip("0")) > 4 or int(exponent) > MAX_EXPONENT):
+        raise ValueError(f"the exponent of {text.strip()!r} is above {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -610,9 +626,16 @@ DEFAULT_POINTS = [
 # most MAX_POWER_BITS: a longer exponent, or one nested in another, would expand
 # past any use (x1^99999999999 tabulates that many powers of x1 per jet, and
 # 2^99999999999 squares a constant that many bits long).
+#
+# Those bounds hold for each power, so a product of bounded powers could still
+# expand in full: (x1+x2+x3+x4)^16*(x1+x2+x3+x4)^16 took 9 s.  So each product
+# of polynomials the parser forms, for `*`, in the squarings of `^`, and between
+# a numerator and the denominator factors that `+` and `/` multiply it by, is
+# checked on its operands' term counts, and refused above MAX_TERM_PAIRS pairs.
 
 MAX_POWER = 16
 MAX_POWER_BITS = 1024
+MAX_TERM_PAIRS = 4096
 
 
 class _Tokens:
@@ -670,11 +693,34 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
     index = {name: i for i, name in enumerate(variables)}
     toks = _Tokens(text)
 
+    def check(m: int, n: int) -> None:
+        if m * n > MAX_TERM_PAIRS:
+            raise ValueError(f"a product in {text!r} is above the bound of {MAX_TERM_PAIRS} "
+                             "term pairs")
+
+    def times(a: Poly, b: Poly) -> Poly:
+        check(len(a.terms), len(b.terms))
+        return a * b
+
+    def check_lift(f: RatFunc, factors: dict, have: dict) -> None:
+        """Check the products that multiply f's numerator by each of the factors
+        to its multiplicity above the one in have, as RatFunc + and / do; the
+        size of each partial product is bounded by the product of the sizes."""
+        size = max(len(f.num.terms), 1)
+        for key, (p, m) in factors.items():
+            extra = m - have[key][1] if key in have else m
+            if extra > 0:
+                lift = len(_power(p, extra, times).terms)
+                check(size, lift)
+                size *= lift
+
     def expr() -> RatFunc:
         value = term()
         while toks.peek() in ("+", "-"):
             op = toks.next()
             rhs = term()
+            check_lift(value, rhs.factors, value.factors)
+            check_lift(rhs, value.factors, rhs.factors)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -683,9 +729,14 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
         while toks.peek() in ("*", "/"):
             op = toks.next()
             rhs = unary()
-            if op == "/" and rhs.is_zero():
+            if op == "*":
+                check(len(value.num.terms), len(rhs.num.terms))
+                value = value * rhs
+            elif rhs.is_zero():
                 raise ValueError(f"division by zero in {text!r}")
-            value = value * rhs if op == "*" else value / rhs
+            else:
+                check_lift(value, rhs.factors, {})
+                value = value / rhs
         return value
 
     def unary() -> RatFunc:
@@ -709,7 +760,9 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
             if max(k, k * deg) > MAX_POWER or k * bits > MAX_POWER_BITS:
                 raise ValueError(f"power ^{tok} is above the bound: {MAX_POWER} on the exponent "
                                  f"and the degree, {MAX_POWER_BITS} on the coefficient bits")
-            return base ** k
+            # base ** k, with each squaring checked
+            return RatFunc(_power(base.num, k, times),
+                           {key: (p, m * k) for key, (p, m) in base.factors.items()})
         return base
 
     def atom() -> RatFunc:

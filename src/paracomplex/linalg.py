@@ -55,9 +55,6 @@ def sparse_add(comps: dict, key, value) -> None:
 def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v)]
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
 def vec_scale(c, u: Vec) -> Vec:
     return [c * a for a in u]
 
@@ -351,12 +348,6 @@ class Endo:
         return f"Endo({self.mat!r})"
 
 
-def g_adjoint(g: Bilinear, a: Endo) -> Endo:
-    """a* with g(a X, Y) = g(X, a* Y):  a* = g^{-1} a^T g."""
-    ginv = mat_inv(g.mat)
-    return Endo(mat_mul(ginv, mat_mul(transpose(a.mat), g.mat)))
-
-
 def is_g_skew(g: Bilinear, a: Endo) -> bool:
     """g(aX, Y) + g(X, aY) = 0, i.e. a^T g + g a = 0."""
     return mat_is_zero(mat_add(mat_mul(transpose(a.mat), g.mat),
@@ -474,17 +465,6 @@ def signature(b: Bilinear) -> tuple[int, int, int]:
     return pos, neg, null
 
 
-def lambda2_inner(g: Bilinear, a: TwoVector, b: TwoVector):
-    """Induced inner product on Lambda^2:
-    <v1^v2, v3^v4> = g(v1,v3) g(v2,v4) - g(v1,v4) g(v2,v3), extended bilinearly."""
-    gm = g.mat
-    total = zero_like(gm[0][0])
-    for (i, j), ca in a.comps.items():
-        for (k, l), cb in b.comps.items():
-            total = total + ca * cb * (gm[i][k] * gm[j][l] - gm[i][l] * gm[j][k])
-    return total
-
-
 def endo_from_2vector(g: Bilinear, a: TwoVector) -> Endo:
     """The g-skew endomorphism S_a with g(S_a u, v) = <a, u ^ v> for a metric g:
     with A the antisymmetric matrix of a, <a, u ^ v> = u^T g A g v, so
@@ -519,22 +499,6 @@ def star_matrix(onb: Sequence[Vec]) -> Mat:
         raise ValueError("hodge star is implemented for dimension 4")
     p = mat_from_columns(onb)
     return mat_mul(lambda2_matrix(p), mat_mul(_STAR_U, lambda2_matrix(mat_inv(p))))
-
-
-def hodge_star(onb: Sequence[Vec], a: TwoVector) -> TwoVector:
-    """The 2-vector *a for the oriented orthonormal basis onb (see star_matrix)."""
-    if a.dim != 4:
-        raise ValueError("hodge star is implemented for dimension 4")
-    pairs = wedge_pairs(4)
-    coords = mat_vec(star_matrix(onb), [a.get(i, j) for i, j in pairs])
-    return TwoVector(4, dict(zip(pairs, coords)))
-
-
-def selfdual_split(onb: Sequence[Vec], a: TwoVector) -> tuple[TwoVector, TwoVector]:
-    """a = a+ + a- with *a+ = a+ and *a- = -a-, via (a +- *a)/2."""
-    star = hodge_star(onb, a)
-    half = Fraction(1, 2)
-    return (a + star).scale(half), (a - star).scale(half)
 
 
 def sd_basis(onb: Sequence[Vec], sign: int = +1) -> list[TwoVector]:

@@ -1,11 +1,11 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
 coefficients: differential forms, bivector fields, the Courant bracket on
-1-jets, and the classical and generalized Nijenhuis tensors.
+1-jets, the generalized Nijenhuis tensor on frame pairs, and the
+integrability criteria of each structure kind.
 
 A vector field is the list of its components, and a section X + alpha of
-T + T* is a `gpx.GenVector` with RatFunc entries.  Sign conventions: the double
-contraction of a 3-form is (i_X i_Y w)(Z) = w(Y, X, Z), and the Courant bracket
-is [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
+T + T* is a `gpx.GenVector` with RatFunc entries.  Sign convention: the Courant
+bracket is [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from paracomplex.exact import RatFunc
 from paracomplex.gpx import (
     GenEndo,
     GenVector,
-    b_transform,
     omega_structure,
     pi_structure,
     product_structure,
@@ -139,18 +138,6 @@ def ext_deriv(omega: KForm) -> KForm:
     return out
 
 
-def double_contract(omega3: KForm, x: list, y: list) -> list:
-    """i_X i_Y omega for a 3-form: the 1-form Z -> omega(Y, X, Z), in components."""
-    out = [RatFunc.zero(omega3.nvars)] * omega3.nvars
-    for idx, c in omega3.comps.items():
-        for perm in itertools.permutations(idx):
-            i, j, k = perm
-            if y[i] and x[j]:
-                term = c * y[i] * x[j]
-                out[k] = out[k] + (term if _sort_index(perm)[1] > 0 else -term)
-    return out
-
-
 def _bilinear(form: KForm) -> Bilinear:
     """The full matrix form(d_i, d_j) of a 2-form."""
     n = form.nvars
@@ -163,12 +150,6 @@ def _bilinear(form: KForm) -> Bilinear:
 def _partial(c: RatFunc, i: int) -> RatFunc:
     """d_i c; a constant gives zero without a RatFunc.partial call."""
     return RatFunc.zero(c.nvars) if c.is_const() else c.partial(i)
-
-
-def _section_jet(s: GenVector) -> list[GenVector]:
-    """The first partials [d_1 s, ..., d_n s] of a section."""
-    return [GenVector([_partial(c, i) for c in s.x], [_partial(c, i) for c in s.alpha])
-            for i in range(len(s.x))]
 
 
 def endo_jet(k: GenEndo) -> list[GenEndo]:
@@ -212,17 +193,6 @@ def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector
     return GenVector(vec, [l + s * Fraction(1, 2) if s else l for l, s in zip(lie, sym)])
 
 
-def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
-    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2."""
-    return courant_on_jets(a, _section_jet(a), b, _section_jet(b))
-
-
-def courant_jacobiator(a: GenVector, b: GenVector, c: GenVector) -> GenVector:
-    return (courant_bracket(courant_bracket(a, b), c)
-            + courant_bracket(courant_bracket(b, c), a)
-            + courant_bracket(courant_bracket(c, a), b))
-
-
 # -- generalized structures on the patch --------------------------------------------
 
 
@@ -263,24 +233,6 @@ def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
             - k.apply(courant_on_jets(ka, dka, b, db) + courant_on_jets(a, da, kb, dkb)))
 
 
-def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
-    """N(A, B) = [A,B] + [KA, KB] - K([KA, B] + [A, KB]) (Courant brackets)."""
-    dk = endo_jet(k)
-
-    def jet(s):  # (S, dS, KS, d(KS)) with d_i(KS) = (d_i K) S + K d_i S
-        ds = _section_jet(s)
-        return s, ds, k.apply(s), [dki.apply(s) + k.apply(dsi) for dki, dsi in zip(dk, ds)]
-
-    return _nijenhuis(k, jet(a), jet(b))
-
-
-def classical_nijenhuis(p: list, x: list, y: list) -> list:
-    """N(X, Y) = [X,Y] + [PX, PY] - P[PX, Y] - P[X, PY] for an endo field P: the
-    vector part of the generalized N of the endomorphism P + 0 of T + T*."""
-    z = mat_zero(len(p), like=p[0][0])
-    return gen_nijenhuis(GenEndo(p, z, z, z), GenVector.vector(x), GenVector.vector(y)).x
-
-
 def gen_nijenhuis_frame_sweep(k: GenEndo, dk: list | None = None):
     """N on all frame-section pairs from the 1-jet of K, its value k and its
     partials dk (default endo_jet(k)), in RatFuncs or, at a point, in Fractions:
@@ -312,19 +264,6 @@ def poisson_jacobiator(pi: BiVectorField) -> dict:
         if not total.is_zero():
             out[(i, j, k)] = total
     return out
-
-
-# -- B-transform bracket law -------------------------------------------------------------
-
-
-def b_bracket_residual(theta: KForm, a: GenVector, b: GenVector) -> GenVector:
-    """[e^T A, e^T B] - (e^T [A,B] - i_X i_Y dTheta); identically zero."""
-    if theta.degree != 2:
-        raise ValueError("Theta must be a 2-form")
-    t = _bilinear(theta)
-    lhs = courant_bracket(b_transform(t, a), b_transform(t, b))
-    correction = double_contract(ext_deriv(theta), a.x, b.x)
-    return lhs - b_transform(t, courant_bracket(a, b)) + GenVector.covector(correction)
 
 
 # -- integrability dispatch ----------------------------------------------------------------

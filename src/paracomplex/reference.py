@@ -1,0 +1,674 @@
+"""The paper's closed forms and the symbolic oracles, next to the routines
+the tests and the demos use with them.
+
+No command imports this module, so a CLI start never compiles it.  It holds
+the Levi-Civita and Hitchin connections over rational functions, the
+pointwise reflector and twistor Nijenhuis formulas on horizontal lifts (the
+gates of a total-space computation), the B-transform law of the Courant
+bracket and the classical Nijenhuis tensor, and the linear algebra of the
+fiber of compatible structures: adapted and null bases, tangent vectors, the
+fiber metric, orientation, the hyperboloid coordinates, and the extraction
+of a structure's paracomplex pair.  Conventions are those of the module each
+routine builds on (`curv` for curvature signs, `gpx` for forms as maps,
+`patch` for the Courant bracket).
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from operator import mul
+
+from paracomplex.curv import DegenerateMetric, _riemann, np_residual_terms, torsion_at
+from paracomplex.exact import RatFunc
+from paracomplex.gpx import (
+    GenEndo,
+    GenVector,
+    GeneralizedMetric,
+    assemble,
+    is_compatible,
+)
+from paracomplex.linalg import (
+    Bilinear,
+    Endo,
+    TwoVector,
+    int_mats,
+    is_g_skew,
+    j_structures,
+    kernel_basis,
+    mat_add,
+    mat_det,
+    mat_eval,
+    mat_from_columns,
+    mat_identity,
+    mat_inv,
+    mat_is_zero,
+    mat_mul,
+    mat_neg,
+    mat_rank,
+    mat_sub,
+    mat_vec,
+    mat_zero,
+    transpose,
+    vec_add,
+    vec_scale,
+    zero_like,
+)
+from paracomplex.para import _orthogonal_complement_basis, validate_para
+from paracomplex.patch import (
+    KForm,
+    _bilinear,
+    _nijenhuis,
+    _partial,
+    _sort_index,
+    courant_on_jets,
+    endo_jet,
+    ext_deriv,
+)
+
+
+# -- linear algebra: the g-adjoint and the Lambda^2 inner product ---------------------
+
+
+def g_adjoint(g: Bilinear, a: Endo) -> Endo:
+    """a* with g(a X, Y) = g(X, a* Y):  a* = g^{-1} a^T g."""
+    ginv = mat_inv(g.mat)
+    return Endo(mat_mul(ginv, mat_mul(transpose(a.mat), g.mat)))
+
+
+def lambda2_inner(g: Bilinear, a: TwoVector, b: TwoVector):
+    """Induced inner product on Lambda^2:
+    <v1^v2, v3^v4> = g(v1,v3) g(v2,v4) - g(v1,v4) g(v2,v3), extended bilinearly."""
+    gm = g.mat
+    total = zero_like(gm[0][0])
+    for (i, j), ca in a.comps.items():
+        for (k, l), cb in b.comps.items():
+            total = total + ca * cb * (gm[i][k] * gm[j][l] - gm[i][l] * gm[j][k])
+    return total
+
+
+# -- adapted and null bases, the fiber Z(T), orientation, the hyperboloid ---------------
+
+
+def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
+    """Deterministic search for a rational vector of positive g-norm in the
+    span of the given basis; combinations with small integer coefficients.
+    A candidate's norm has the sign of c^T M c for the integer Gram matrix
+    M / D of the basis, and only the accepted vector is built."""
+    k = len(basis)
+    _, (gram,) = int_mats([mat_mul(mat_mul(basis, g.mat), transpose(basis))])
+    for bound in (1, 2, 3, 5):
+        candidates = [
+            c for c in itertools.product(range(-bound, bound + 1), repeat=k)
+            if any(c) and max(abs(x) for x in c) == bound
+        ]
+        # prefer sparse, small, positive combinations (single basis vectors first)
+        candidates.sort(key=lambda c: (sum(1 for x in c if x),
+                                       sum(abs(x) for x in c),
+                                       sum(1 for x in c if x < 0),
+                                       tuple(-x for x in c)))
+        for coeffs in candidates:
+            if sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram])) > 0:
+                return [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(g.dim)]
+    return None
+
+
+def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
+    """Inductive para-Hermitian basis: vectors (e_1..e_n, Ke_1..Ke_n) with
+    g(e_i, e_j) = lam_i delta_ij for positive rationals lam_i and all other
+    pairings zero.  Returns (basis, norms).
+
+    Unit norms may not exist over Q; any positive norm works because the
+    downstream pairings are normalized instead of the vectors.
+    """
+    report = validate_para(g, k)
+    if not report.ok:
+        raise ValueError(f"not a compatible paracomplex structure: {report.failures}")
+    n2 = g.dim
+    span: list = []
+    es: list = []
+    norms: list = []
+    while len(span) < n2:
+        complement = _orthogonal_complement_basis(g, span)
+        v = _positive_norm_vector(g, complement)
+        if v is None:
+            raise ValueError("no positive-norm rational vector in the complement")
+        kv = k.apply(v)
+        es.append(v)
+        norms.append(g.apply(v, v))
+        span.extend([v, kv])
+    basis = es + [k.apply(e) for e in es]
+    return basis, norms
+
+
+def null_basis(g: Bilinear, k: Endo) -> list:
+    """Null eigenbasis (a_1..a_2n): K a_i = a_i, K a_{n+i} = -a_{n+i},
+    g(a_i, a_{n+j}) = delta_ij, all other pairings zero.  Built from the
+    adapted basis via a_i = e_i + Ke_i, a_{n+i} = (e_i - Ke_i) / (2 lam_i)."""
+    basis, norms = adapted_basis(g, k)
+    n = len(norms)
+    a_plus = []
+    a_minus = []
+    for i in range(n):
+        e, ke = basis[i], basis[n + i]
+        a_plus.append([x + y for x, y in zip(e, ke)])
+        scale = Fraction(1) / (2 * norms[i])
+        a_minus.append([scale * (x - y) for x, y in zip(e, ke)])
+    return a_plus + a_minus
+
+
+def z_tangent_project(g: Bilinear, k: Endo, a: Endo) -> Endo:
+    """Project an endomorphism onto the tangent space of Z(T) at K: take the
+    g-skew part a0, then (a0 - K a0 K) / 2, which anti-commutes with K."""
+    a0 = (a - g_adjoint(g, a)).scale(Fraction(1, 2))
+    kak = Endo(mat_mul(k.mat, mat_mul(a0.mat, k.mat)))
+    return (a0 - kak).scale(Fraction(1, 2))
+
+
+def anticommutes(k: Endo, v: Endo) -> bool:
+    return mat_is_zero(mat_add(mat_mul(v.mat, k.mat), mat_mul(k.mat, v.mat)))
+
+
+def is_fiber_tangent(g: Bilinear, k: Endo, v: Endo) -> bool:
+    return anticommutes(k, v) and is_g_skew(g, v)
+
+
+def fiber_metric(v: Endo, w: Endo):
+    """Fiber metric G(V, W) = -1/2 Trace(V W)."""
+    prod = mat_mul(v.mat, w.mat)
+    tr = sum((prod[i][i] for i in range(1, len(prod))), start=prod[0][0])
+    return -tr / 2
+
+
+def _fiber_constraint_rows(g: Bilinear, k: Endo) -> list:
+    """Rows of the linear system cutting out {V : V g-skew, VK + KV = 0},
+    with V flattened row-major."""
+    n = g.dim
+    unknowns = [(a, b) for a in range(n) for b in range(n)]
+    rows = []
+    # skew:  (V^T g + g V)[i][j] = sum_k V[k][i] g[k][j] + g[i][k] V[k][j]
+    for i in range(n):
+        for j in range(n):
+            row = []
+            for (a, b) in unknowns:
+                c = Fraction(0)
+                if b == i:
+                    c += g.mat[a][j]
+                if b == j:
+                    c += g.mat[i][a]
+                row.append(c)
+            rows.append(row)
+    # anti-commutation:  (VK + KV)[i][j] = sum_k V[i][k] K[k][j] + K[i][k] V[k][j]
+    for i in range(n):
+        for j in range(n):
+            row = []
+            for (a, b) in unknowns:
+                c = Fraction(0)
+                if a == i:
+                    c += k.mat[b][j]
+                c += k.mat[i][a] if b == j else 0
+                row.append(c)
+            rows.append(row)
+    return rows
+
+
+def fiber_tangent_dim(g: Bilinear, k: Endo) -> int:
+    """Dimension of {V : V g-skew, VK + KV = 0}, solved as a linear system.
+    Equals n^2 - n for T of dimension 2n."""
+    n = g.dim
+    return n * n - mat_rank(_fiber_constraint_rows(g, k))
+
+
+def fiber_tangent_basis(g: Bilinear, k: Endo) -> list:
+    """Basis of the fiber tangent space at K, as endomorphisms."""
+    n = g.dim
+    flat = kernel_basis(_fiber_constraint_rows(g, k), n * n)
+    return [Endo([v[i * n:(i + 1) * n] for i in range(n)]) for v in flat]
+
+
+def induced_orientation(g: Bilinear, k: Endo) -> int:
+    """Sign (+1 / -1) of det of the transition from the reference basis to an
+    adapted basis (e_i, Ke_i); for n even this is the orientation induced by K.
+    Positive rescalings of the e_i do not change the sign."""
+    basis, _ = adapted_basis(g, k)
+    det = mat_det(mat_from_columns(basis))
+    return 1 if det > 0 else -1
+
+
+def hyperboloid_structure(g: Bilinear, onb: list, y1, y2, y3) -> Endo:
+    """K = y1 J1 + y2 J2 + y3 J3 for a rational point on the one-sheeted
+    hyperboloid -y1^2 + y2^2 + y3^2 = 1; a compatible paracomplex structure
+    inducing the + orientation."""
+    y1, y2, y3 = Fraction(y1), Fraction(y2), Fraction(y3)
+    if -y1 * y1 + y2 * y2 + y3 * y3 != 1:
+        raise ValueError(f"({y1}, {y2}, {y3}) is not on the hyperboloid")
+    j1, j2, j3 = j_structures(g, onb, +1)
+    return j1.scale(y1) + j2.scale(y2) + j3.scale(y3)
+
+
+def hyperboloid_coords(g: Bilinear, onb: list, k: Endo) -> tuple:
+    """Read back (y1, y2, y3) from K via fiber-metric projections onto the J_i;
+    inverse of hyperboloid_structure on hyperboloid points."""
+    j1, j2, j3 = j_structures(g, onb, +1)
+    # G(J1, J1) = 2 and G(J2, J2) = G(J3, J3) = -2
+    return (
+        fiber_metric(k, j1) / 2,
+        -fiber_metric(k, j2) / 2,
+        -fiber_metric(k, j3) / 2,
+    )
+
+
+def standard_para_structure(n: int) -> Endo:
+    """K e_i = e_{n+i}, K e_{n+i} = e_i on a 2n-dimensional space; compatible
+    with diag(1..1, -1..-1)."""
+    m = mat_zero(2 * n)
+    for i in range(n):
+        m[n + i][i] = Fraction(1)
+        m[i][n + i] = Fraction(1)
+    return Endo(m)
+
+
+# -- T + T*: pairing, B-transforms, extraction, the fiber of compatible structures ------
+
+
+def gen_pairing(a: GenVector, b: GenVector):
+    """<X + alpha, Y + beta> = (alpha(Y) + beta(X)) / 2."""
+    total = zero_like(a.x[0])
+    for c, y in zip(a.alpha, b.x):
+        total = total + c * y
+    for c, y in zip(b.alpha, a.x):
+        total = total + c * y
+    return total / 2
+
+
+def b_transform(b: Bilinear, a: GenVector) -> GenVector:
+    """e^B: X + alpha -> X + alpha + i_X B."""
+    return GenVector(list(a.x), vec_add(a.alpha, mat_vec(b.map_mat(), a.x)))
+
+
+def b_endo(b: Bilinear) -> GenEndo:
+    n = b.dim
+    like = b.mat[0][0]
+    return GenEndo(mat_identity(n, like), mat_zero(n, like=like),
+                   b.map_mat(), mat_identity(n, like))
+
+
+def b_conjugate(b: Bilinear, k: GenEndo) -> GenEndo:
+    """e^B K e^{-B}, again a generalized paracomplex structure."""
+    eb = b_endo(b)
+    eminus = b_endo(Bilinear(mat_neg(b.mat)))
+    return eb.compose(k).compose(eminus)
+
+
+def extract_pair(k: GenEndo, e: GeneralizedMetric) -> tuple[Endo, Endo]:
+    """The paracomplex pair (K1, K2) with K(X + g(X) + Theta(X)) =
+    K1 X + g(K1 X) + Theta(K1 X), and likewise for K2 on E''."""
+    if not is_compatible(k, e):
+        raise ValueError("structure does not preserve the generalized metric")
+    k1_cols, k2_cols = [], []
+    for v in e.frame_prime:
+        k1_cols.append(k.apply(v).x)
+    for v in e.frame_dprime:
+        k2_cols.append(k.apply(v).x)
+    k1 = Endo(mat_from_columns(k1_cols))
+    k2 = Endo(mat_from_columns(k2_cols))
+    return k1, k2
+
+
+def check_pi_conditions(g: Bilinear, basis: list, theta: Bilinear) -> bool:
+    """For pi = e1 ^ e2 in dim 4 with the null-frame metric g(e_i, f_j) =
+    delta_ij on basis (e1, e2, f1, f2): compatibility holds iff
+    Theta(e1,e2) = -2, Theta(e1,f2) = Theta(e2,f1) = 0,
+    Theta(e1,f1) = Theta(e2,f2), and
+    2 Theta(f1,f2) = 1 - Theta(e1,f1) Theta(e2,f2).
+
+    The quadratic constraint follows from evaluating the skew part of the
+    compatibility identity at (f1, f2); it is cross-checked exactly against
+    the rank-based compatibility test."""
+    if g.dim != 4 or len(basis) != 4:
+        raise ValueError("expected a 4-dimensional null frame")
+    e1, e2, f1, f2 = basis
+    for u in (e1, e2):
+        for v in (e1, e2):
+            if g.apply(u, v) != 0:
+                raise ValueError("g(e_i, e_j) must vanish")
+    for u in (f1, f2):
+        for v in (f1, f2):
+            if g.apply(u, v) != 0:
+                raise ValueError("g(f_i, f_j) must vanish")
+    for i, u in enumerate((e1, e2)):
+        for j, v in enumerate((f1, f2)):
+            if g.apply(u, v) != (1 if i == j else 0):
+                raise ValueError("g(e_i, f_j) must be delta_ij")
+    th = theta.apply
+    return (th(e1, e2) == -2
+            and th(e1, f2) == 0
+            and th(e2, f1) == 0
+            and th(e1, f1) == th(e2, f2)
+            and 2 * th(f1, f2) == 1 - th(e1, f1) * th(e2, f2))
+
+
+def _transferred_frame_images(v: Endo, e: GeneralizedMetric, prime: bool) -> list:
+    """Images of the E' (resp. E'') frame under the transfer of v from T:
+    the transferred endomorphism sends F(e_i) to F(v e_i)."""
+    frame = e.frame_prime if prime else e.frame_dprime
+    out = []
+    for i in range(e.dim):
+        img_t = [v.mat[r][i] for r in range(e.dim)]
+        lifted = GenVector([zero_like(img_t[0])] * e.dim, [zero_like(img_t[0])] * e.dim)
+        for j, c in enumerate(img_t):
+            if c:
+                lifted = lifted + frame[j].scale(c)
+        out.append(lifted.stacked())
+    return out
+
+
+def vertical_endo(e: GeneralizedMetric, v1: Endo, v2: Endo) -> GenEndo:
+    """The endomorphism of T + T* acting as the transfer of v1 on E' and of
+    v2 on E''."""
+    frame_cols = [w.stacked() for w in e.frame_prime] + \
+                 [w.stacked() for w in e.frame_dprime]
+    image_cols = _transferred_frame_images(v1, e, prime=True) + \
+                 _transferred_frame_images(v2, e, prime=False)
+    frame = mat_from_columns(frame_cols)
+    images = mat_from_columns(image_cols)
+    return GenEndo.from_matrix(mat_mul(images, mat_inv(frame)))
+
+
+def p_epsilon(eps: int, kpair: tuple[Endo, Endo], e: GeneralizedMetric,
+              v: tuple[Endo, Endo]) -> tuple[Endo, Endo]:
+    """The four fiber paracomplex structures on vertical pairs:
+    P1(V1, V2) = (K1 V1, K2 V2), P2(V1, V2) = (K1 V1, -K2 V2),
+    P3 = -P2, P4 = -P1."""
+    k1, k2 = kpair
+    v1, v2 = v
+    for ks, vs in ((k1, v1), (k2, v2)):
+        if not is_fiber_tangent(e.g, ks, vs):
+            raise ValueError("component is not tangent at the base structure")
+    w1 = Endo(mat_mul(k1.mat, v1.mat))
+    w2 = Endo(mat_mul(k2.mat, v2.mat))
+    if eps == 1:
+        return w1, w2
+    if eps == 2:
+        return w1, -w2
+    if eps == 3:
+        return -w1, w2
+    if eps == 4:
+        return -w1, -w2
+    raise ValueError("epsilon must be 1, 2, 3, or 4")
+
+
+def s_ij_endo(g: Bilinear, onb: list, i: int, j: int) -> Endo:
+    """The frame generator S_ij of g-skew endomorphisms for an orthogonal basis:
+    S_ij u_k = delta_ik |u_j|^2 u_j - delta_kj |u_i|^2 u_i (transferred to T)."""
+    n = g.dim
+    cols = []
+    norms = [g.apply(u, u) for u in onb]
+    for k in range(n):
+        col = [zero_like(g.mat[0][0])] * n
+        vecs = []
+        if k == i:
+            vecs.append(vec_scale(norms[j], onb[j]))
+        if k == j:
+            vecs.append(vec_scale(-norms[i], onb[i]))
+        for v in vecs:
+            col = vec_add(col, v)
+        cols.append(col)
+    # columns are images of the onb vectors; convert to the reference basis
+    p = mat_from_columns(onb)
+    return Endo(mat_mul(mat_from_columns(cols), mat_inv(p)))
+
+
+def classify_component(k: GenEndo, e: GeneralizedMetric) -> str:
+    """Connected component of the fiber: orientation signs of (K1, K2)."""
+    k1, k2 = extract_pair(k, e)
+    s1 = "+" if induced_orientation(e.g, k1) > 0 else "-"
+    s2 = "+" if induced_orientation(e.g, k2) > 0 else "-"
+    return s1 + s2
+
+
+# -- the Courant bracket of sections, Nijenhuis tensors, the B-transform law -------------
+
+
+def double_contract(omega3: KForm, x: list, y: list) -> list:
+    """i_X i_Y omega for a 3-form: the 1-form Z -> omega(Y, X, Z), in components."""
+    out = [RatFunc.zero(omega3.nvars)] * omega3.nvars
+    for idx, c in omega3.comps.items():
+        for perm in itertools.permutations(idx):
+            i, j, k = perm
+            if y[i] and x[j]:
+                term = c * y[i] * x[j]
+                out[k] = out[k] + (term if _sort_index(perm)[1] > 0 else -term)
+    return out
+
+
+def _section_jet(s: GenVector) -> list[GenVector]:
+    """The first partials [d_1 s, ..., d_n s] of a section."""
+    return [GenVector([_partial(c, i) for c in s.x], [_partial(c, i) for c in s.alpha])
+            for i in range(len(s.x))]
+
+
+def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
+    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2."""
+    return courant_on_jets(a, _section_jet(a), b, _section_jet(b))
+
+
+def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
+    """N(A, B) = [A,B] + [KA, KB] - K([KA, B] + [A, KB]) (Courant brackets)."""
+    dk = endo_jet(k)
+
+    def jet(s):  # (S, dS, KS, d(KS)) with d_i(KS) = (d_i K) S + K d_i S
+        ds = _section_jet(s)
+        return s, ds, k.apply(s), [dki.apply(s) + k.apply(dsi) for dki, dsi in zip(dk, ds)]
+
+    return _nijenhuis(k, jet(a), jet(b))
+
+
+def classical_nijenhuis(p: list, x: list, y: list) -> list:
+    """N(X, Y) = [X,Y] + [PX, PY] - P[PX, Y] - P[X, PY] for an endo field P: the
+    vector part of the generalized N of the endomorphism P + 0 of T + T*."""
+    z = mat_zero(len(p), like=p[0][0])
+    return gen_nijenhuis(GenEndo(p, z, z, z), GenVector.vector(x), GenVector.vector(y)).x
+
+
+def b_bracket_residual(theta: KForm, a: GenVector, b: GenVector) -> GenVector:
+    """[e^T A, e^T B] - (e^T [A,B] - i_X i_Y dTheta); identically zero."""
+    if theta.degree != 2:
+        raise ValueError("Theta must be a 2-form")
+    t = _bilinear(theta)
+    lhs = courant_bracket(b_transform(t, a), b_transform(t, b))
+    correction = double_contract(ext_deriv(theta), a.x, b.x)
+    return lhs - b_transform(t, courant_bracket(a, b)) + GenVector.covector(correction)
+
+
+# -- connections, curvature endomorphisms, twistor and reflector Nijenhuis values -------
+
+
+class Connection:
+    """Christoffel data gamma[i][j][k]: nabla_{d_i} d_j = gamma[i][j][k] d_k."""
+
+    __slots__ = ("nvars", "gamma")
+
+    def __init__(self, nvars: int, gamma: list):
+        self.nvars, self.gamma = nvars, gamma
+
+
+class TorsionTensor:
+    """T(d_i, d_j) = t[i][j][k] d_k; antisymmetric in (i, j)."""
+
+    __slots__ = ("nvars", "t")
+
+    def __init__(self, nvars: int, t: list):
+        self.nvars, self.t = nvars, t
+
+
+def levi_civita(g: list) -> Connection:
+    """Christoffel symbols of the metric field with exact inverse metric."""
+    n = len(g)
+    try:
+        ginv = mat_inv(g)
+    except ZeroDivisionError as exc:
+        raise DegenerateMetric("metric field is degenerate") from exc
+    dg = [[[g[i][j].partial(k) for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    half = Fraction(1, 2)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = RatFunc.zero(n)
+                for l in range(n):
+                    total = total + ginv[k][l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l])
+                gamma[i][j][k] = total * half
+    return Connection(n, gamma)
+
+
+def hitchin_connection(g: list, theta: KForm) -> tuple[Connection, TorsionTensor]:
+    """Metric connection whose totally skew torsion satisfies
+    g(T(X, Y), Z) = dTheta(X, Y, Z): Levi-Civita plus the contorsion
+    A(X, Y) with g(A(X, Y), Z) = dTheta(X, Y, Z) / 2."""
+    n = len(g)
+    lc = levi_civita(g)
+    dth = ext_deriv(theta)
+    ginv = mat_inv(g)
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    half = Fraction(1, 2)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                contorsion = RatFunc.zero(n)
+                for l in range(n):
+                    contorsion = contorsion + ginv[k][l] * dth.get((i, j, l))
+                gamma[i][j][k] = lc.gamma[i][j][k] + contorsion * half
+    torsion = [[[gamma[i][j][k] - gamma[j][i][k] for k in range(n)]
+                for j in range(n)] for i in range(n)]
+    return Connection(n, gamma), TorsionTensor(n, torsion)
+
+
+def metricity_residual(conn: Connection, g: list) -> bool:
+    """True iff nabla g = 0 as a rational-function identity."""
+    n = conn.nvars
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = g[j][k].partial(i)
+                for l in range(n):
+                    total = total - conn.gamma[i][j][l] * g[l][k]
+                    total = total - conn.gamma[i][k][l] * g[j][l]
+                if not total.is_zero():
+                    return False
+    return True
+
+
+def riemann_at(g: list, point) -> list:
+    """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
+    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet."""
+    return _riemann(g, point)[2]
+
+
+def curvature_endo(r_at: list, x: list, y: list) -> Endo:
+    """The endomorphism R(X, Y) at a point from evaluated curvature data."""
+    n = len(r_at)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            c = x[i] * y[j]
+            if not c:
+                continue
+            for k in range(n):
+                for l in range(n):
+                    if r_at[i][j][k][l]:
+                        mat[l][k] += c * r_at[i][j][k][l]
+    return Endo(mat)
+
+
+def reflector_nijenhuis(r_at: list, q: Endo, x: list, y: list, i: int) -> Endo:
+    """Vertical Nijenhuis value at Q for horizontal arguments:
+    R(X,Y)Q + R(QX,QY)Q - K^i R(QX,Y)Q - K^i R(X,QY)Q, with R(X,Y)Q the
+    commutator [R(X,Y), Q] and K^i V = (-1)^{i+1} Q V."""
+    def act(a: list, b: list) -> Endo:
+        rend = curvature_endo(r_at, a, b)
+        return Endo(mat_sub(mat_mul(rend.mat, q.mat), mat_mul(q.mat, rend.mat)))
+
+    def k_i(v: Endo) -> Endo:
+        kv = Endo(mat_mul(q.mat, v.mat))
+        return kv if i % 2 == 1 else -kv
+
+    qx, qy = q.apply(x), q.apply(y)
+    return act(x, y) + act(qx, qy) - k_i(act(qx, y)) - k_i(act(x, qy))
+
+
+def reflector_mixed_nijenhuis(q: Endo, x: list, v: Endo, i: int) -> list:
+    """Mixed horizontal-vertical value ((-1)^i + 1) (Q V X)."""
+    factor = Fraction((-1) ** i + 1)
+    return vec_scale(factor, q.apply(v.apply(x)))
+
+
+def omega_eps(e: GeneralizedMetric, kpair: tuple[Endo, Endo], eps: int,
+              a: GenVector, b: GenVector, w: tuple[Endo, Endo]) -> Fraction:
+    """<(P1 W - P_eps W)(A), B> - <(P1 W - P_eps W)(B), A>."""
+    p1 = p_epsilon(1, kpair, e, w)
+    pe = p_epsilon(eps, kpair, e, w)
+    diff = vertical_endo(e, p1[0] - pe[0], p1[1] - pe[1])
+    return gen_pairing(diff.apply(a), b) - gen_pairing(diff.apply(b), a)
+
+
+def twistor_mixed_nijenhuis(e: GeneralizedMetric, kpair: tuple[Endo, Endo],
+                            a: GenVector, v: tuple[Endo, Endo], eps: int) -> GenVector:
+    """N_eps(A^h, V) = (-(P_eps V) A + (P1 V) A)^h as a value at the base point."""
+    p1 = p_epsilon(1, kpair, e, v)
+    pe = p_epsilon(eps, kpair, e, v)
+    w1 = vertical_endo(e, p1[0], p1[1])
+    we = vertical_endo(e, pe[0], pe[1])
+    return w1.apply(a) - we.apply(a)
+
+
+def twistor_vertical_nijenhuis(r_at: list, e: GeneralizedMetric,
+                               kpair: tuple[Endo, Endo], a: GenVector,
+                               b: GenVector, eps: int,
+                               vertical_basis: list | None = None):
+    """Vertical part of N_eps(A^h, B^h) at the fiber point (K1, K2):
+    R(p1 A, p1 B) K + R(p1 KA, p1 KB) K - P_eps R(p1 KA, p1 B) K
+    - P_eps R(p1 A, p1 KB) K, returned as the endomorphism pair, together
+    with the values of the 1-form omega^eps_{A,B} on the supplied vertical
+    basis (pairs); omega^1 vanishes identically.
+
+    The horizontal-times-vertical-covector values are determined by this
+    output through <p* N_eps(A^h, phi), B> = -phi(vertical part of
+    N_eps(A^h, B^h)) / 2, so no separate evaluator is needed for them."""
+    k1, k2 = kpair
+    kgen = assemble(e.g, e.theta, k1, k2)
+    ka, kb = kgen.apply(a), kgen.apply(b)
+
+    def r_pair(x: list, y: list) -> tuple[Endo, Endo]:
+        rend = curvature_endo(r_at, x, y)
+        return (Endo(mat_sub(mat_mul(rend.mat, k1.mat), mat_mul(k1.mat, rend.mat))),
+                Endo(mat_sub(mat_mul(rend.mat, k2.mat), mat_mul(k2.mat, rend.mat))))
+
+    t1 = r_pair(a.x, b.x)
+    t2 = r_pair(ka.x, kb.x)
+    t3 = p_epsilon(eps, kpair, e, r_pair(ka.x, b.x))
+    t4 = p_epsilon(eps, kpair, e, r_pair(a.x, kb.x))
+    pair = (t1[0] + t2[0] - t3[0] - t4[0], t1[1] + t2[1] - t3[1] - t4[1])
+    omega_values = []
+    if vertical_basis is not None:
+        for w in vertical_basis:
+            omega_values.append(omega_eps(e, kpair, eps, a, b, w))
+    return pair, omega_values
+
+
+def vertical_pair_basis(g_at: Bilinear, kpair: tuple[Endo, Endo]) -> list:
+    """Basis of the vertical space at (K1, K2) as endomorphism pairs."""
+    zero = Endo(mat_zero(g_at.dim))
+    first = [(v, zero) for v in fiber_tangent_basis(g_at, kpair[0])]
+    second = [(zero, v) for v in fiber_tangent_basis(g_at, kpair[1])]
+    return first + second
+
+
+def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
+                           a: GenVector, b: GenVector, point) -> GenVector:
+    """N_P(A, B) minus the right-hand side of the obstruction identity;
+    identically zero at the point for all inputs iff dTheta vanishes there."""
+    dth_at = {idx: c.eval_at(point) for idx, c in ext_deriv(theta).comps.items()}
+    g_at = Bilinear(mat_eval(g, point))
+    n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at, s1, s2, a, b)
+    return n_p - cond_rhs

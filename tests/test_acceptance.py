@@ -18,23 +18,12 @@ from paracomplex.curv import (
     curvature_operator,
     decompose,
     flat_metric,
-    hitchin_connection,
-    horizontal_np_residual,
-    metricity_residual,
     ppwave_metric,
     sectional_constant_check,
     theorem_verdict,
 )
 from paracomplex.exact import RatFunc, parse_ratfunc
-from paracomplex.gpx import (
-    GenVector,
-    assemble,
-    extract_pair,
-    gen_metric,
-    is_compatible,
-    s_ij_endo,
-    validate_gen_para,
-)
+from paracomplex.gpx import GenVector, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import (
     Bilinear,
     Endo,
@@ -49,26 +38,30 @@ from paracomplex.linalg import (
     mat_zero,
     transpose,
 )
-from paracomplex.para import (
-    fiber_tangent_dim,
-    hyperboloid_structure,
-    induced_orientation,
-    random_compatible_structure,
-    standard_para_structure,
-    validate_para,
-)
+from paracomplex.para import random_compatible_structure, validate_para
 from paracomplex.patch import (
     STRUCTURES,
     BiVectorField,
     KForm,
-    b_bracket_residual,
-    classical_nijenhuis,
     ext_deriv,
     gen_nijenhuis_frame_sweep,
     integrability_report,
     poisson_jacobiator,
 )
-from paracomplex.curv import twistor_mixed_nijenhuis
+from paracomplex.reference import (
+    b_bracket_residual,
+    classical_nijenhuis,
+    extract_pair,
+    fiber_tangent_dim,
+    hitchin_connection,
+    horizontal_np_residual,
+    hyperboloid_structure,
+    induced_orientation,
+    metricity_residual,
+    s_ij_endo,
+    standard_para_structure,
+    twistor_mixed_nijenhuis,
+)
 
 V = ["x1", "x2", "x3", "x4"]
 D = Bilinear.diag([1, 1, -1, -1])

@@ -207,6 +207,65 @@ def test_a_long_exponent_exit_2_at_once(capsys, metric):
                                               "exponent and the degree, 1024 on the coefficient bits")
 
 
+OMEGA = {"kind": "omega", "omega": {"1,2": "1", "3,4": "1"}}
+
+
+# (argv, message) with a coordinate or constcurv constant in exponent notation
+LONG_EXPONENTS = [
+    (["curvature", "constcurv:1", "--point", "1e9999999,0,0,0"], "bad point '1e9999999,0,0,0'"),
+    (["curvature", "constcurv:1", "--point", "1e5000,0,0,0"], "bad point '1e5000,0,0,0'"),
+    (["curvature", "constcurv:1e9999999"],
+     "the exponent of '1e9999999' is above 1000 in magnitude"),
+    (["theorem", "constcurv:1e9999999", "--component=++"],
+     "the exponent of '1e9999999' is above 1000 in magnitude"),
+    (["theorem", "flat", "--component=++", "--points", "0,0,0,0;0,1E-9999999,0,0"],
+     "bad point '0,1E-9999999,0,0'"),
+    (["validate", "{path}", "--point", "0,0,0,1e9999999"], "bad point '0,0,0,1e9999999'"),
+    (["integrability", "{path}", "--points", "1,0,0,0;1e+99999,0,0,0"],
+     "bad point '1e+99999,0,0,0'"),
+]
+
+
+@pytest.mark.parametrize("argv,message",
+                         [pytest.param(a, m, id=" ".join(a)) for a, m in LONG_EXPONENTS])
+def test_a_long_decimal_exponent_exit_2_at_once(tmp_path, capsys, argv, message):
+    """Coordinates and the constcurv constant are read with their decimal
+    exponent bounded before Fraction expands it: 1e9999999 used to build a
+    ten-million-digit integer without output, and 1e5000 to exit with Python's
+    own text on the digit limit of integer strings."""
+    path = write_desc(tmp_path, "omega.json", OMEGA)
+    start = time.perf_counter()
+    code = main([a.format(path=path) for a in argv])
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(capsys, code, message)
+
+
+def test_an_exponent_within_the_bound_is_read_in_full(capsys):
+    code, out = run_cli(capsys, "curvature", "constcurv:1e-3", "--point", "1e3,-2.5e1,0,1E0")
+    report = json.loads(out)
+    assert code == 0 and report["point"] == ["1000", "-25", "0", "1"]
+    assert report["metric"] == "constcurv:1/1000" and report["sectional_constant"] == "1/1000"
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "omega", "omega": {"1,2": "(x1+x2+x3+x4)^16*(x1+x2+x3+x4)^16", "3,4": "1"}},
+    {"kind": "omega", "vars": ["y1", "y2", "y3", "y4", "y5", "y6"],
+     "omega": {"1,2": "(y1+y2+y3+y4+y5+y6)^16", "3,4": "1", "5,6": "1"}},
+], ids=["product-of-powers", "six-variable-power"])
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+def test_a_long_product_exit_2_at_once(tmp_path, capsys, payload, command):
+    """Each product the parser forms is bounded in term pairs, so a literal
+    whose expansion is long is an input error before the expansion: the first
+    literal took 9 s to parse, the second 20 s."""
+    path = write_desc(tmp_path, "desc.json", payload)
+    start = time.perf_counter()
+    code = main([command, path, "--point", "1,1,1,1,1,1" if "vars" in payload else "1,1,1,1"])
+    assert time.perf_counter() - start < 1.0
+    literal = payload["omega"]["1,2"]
+    assert_one_line_input_error(capsys, code,
+                                f"a product in {literal!r} is above the bound of 4096 term pairs")
+
+
 def test_diagonal_component_keys_of_p_are_entries(tmp_path, capsys):
     path = write_desc(tmp_path, "p.json", {"kind": "product", "P": {
         "1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}})
@@ -511,16 +570,16 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
     at each point, however many samples are drawn (the Gram matrix is
     lambda2_matrix of g(p), so none at all)."""
     import paracomplex.curv
-    import paracomplex.linalg
+    import paracomplex.reference
 
     calls = []
-    original = paracomplex.linalg.lambda2_inner
+    original = paracomplex.reference.lambda2_inner
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(paracomplex.linalg, "lambda2_inner", counting)
+    monkeypatch.setattr(paracomplex.reference, "lambda2_inner", counting)
     monkeypatch.setattr(paracomplex.curv, "lambda2_inner", counting, raising=False)
     code, out = run_cli(capsys, "theorem", "constcurv:-1/2", "--component=--",
                         "--samples", "300")

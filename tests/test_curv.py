@@ -9,14 +9,13 @@ from itertools import product
 import pytest
 
 from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import GenVector, gen_metric, gen_pairing, vertical_endo
+from paracomplex.gpx import GenVector, gen_metric
 from paracomplex.linalg import (
     Bilinear,
     Endo,
     TwoVector,
     basis_vec,
     j_structures,
-    lambda2_inner,
     lambda2_matrix,
     mat_eq,
     mat_identity,
@@ -29,53 +28,57 @@ from paracomplex.linalg import (
     mat_vec,
     mat_zero,
     vec_add,
-    vec_sub,
     wedge_pairs,
 )
 from paracomplex.para import (
     _orthogonal_complement_basis,
-    hyperboloid_structure,
-    is_fiber_tangent,
     random_compatible_structure,
-    standard_para_structure,
     validate_para,
 )
 from paracomplex.patch import KForm, ext_deriv
 from paracomplex.curv import (
     DEFAULT_POINTS,
-    Connection,
     DegenerateMetric,
     MetricModel,
     constcurv_metric,
-    curvature_endo,
     curvature_operator,
     decompose,
     duality_verdict,
     flat_metric,
-    hitchin_connection,
-    horizontal_np_residual,
-    levi_civita,
     metric_from_strings,
-    metricity_residual,
     np_residual_terms,
-    omega_eps,
     onb_search,
     parse_metric_id,
     ppwave_metric,
-    reflector_mixed_nijenhuis,
-    reflector_nijenhuis,
-    riemann_at,
     rnd_vec,
     sample_jklr,
     sectional_constant_check,
     star_matrix,
     theorem_verdict,
     torsion_at,
-    twistor_mixed_nijenhuis,
-    twistor_vertical_nijenhuis,
-    vertical_pair_basis,
     _dtheta_covector,
     _is_square,
+)
+from paracomplex.reference import (
+    Connection,
+    curvature_endo,
+    gen_pairing,
+    hitchin_connection,
+    horizontal_np_residual,
+    hyperboloid_structure,
+    is_fiber_tangent,
+    lambda2_inner,
+    levi_civita,
+    metricity_residual,
+    omega_eps,
+    reflector_mixed_nijenhuis,
+    reflector_nijenhuis,
+    riemann_at,
+    standard_para_structure,
+    twistor_mixed_nijenhuis,
+    twistor_vertical_nijenhuis,
+    vertical_endo,
+    vertical_pair_basis,
 )
 
 V = ["x1", "x2", "x3", "x4"]
@@ -501,6 +504,10 @@ def test_sectional_constant_absent_for_perturbed():
 # -- jklr residual -----------------------------------------------------------------------
 
 
+def vec_sub(u: list, v: list) -> list:
+    return [a - b for a, b in zip(u, v)]
+
+
 def jklr_residual(op, k1: Endo, k2: Endo, j: int, l: int, r: int, x, y, z, u) -> Fraction:
     """The (j,l,r) residual in Fractions, the reference for curv.sample_jklr:
     [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2 with
@@ -746,7 +753,7 @@ def test_reflector_mixed_term():
     g = Bilinear.diag([1, 1, -1, -1])
     onb = [basis_vec(i, 4) for i in range(4)]
     q = standard_para_structure(2)
-    from paracomplex.para import fiber_tangent_basis
+    from paracomplex.reference import fiber_tangent_basis
 
     v = fiber_tangent_basis(g, q)[0]
     x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
@@ -777,7 +784,7 @@ def test_reflector_nijenhuis_output_vertical():
 def corollary_setup(theta=THETA0):
     """Standard fiber point and the vertical generators of the never-integrable
     witness: K swaps the first and second halves of each factor frame."""
-    from paracomplex.gpx import s_ij_endo
+    from paracomplex.reference import s_ij_endo
 
     g = Bilinear.diag([1, 1, -1, -1])
     onb = [basis_vec(i, 4) for i in range(4)]
@@ -811,7 +818,7 @@ def test_twistor_mixed_linear_in_v():
     rng = random.Random(47)
     g, e, k_std, u = corollary_setup()
     kpair = (k_std, k_std)
-    from paracomplex.para import fiber_tangent_basis
+    from paracomplex.reference import fiber_tangent_basis
 
     basis = fiber_tangent_basis(g, k_std)
     v1 = basis[0]

@@ -1,18 +1,13 @@
 """Exact scalar tower: evaluation, differentiation, equality, parsing."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracomplex.exact import (
-    PoleAtPoint,
-    Poly,
-    RatFunc,
-    as_point,
-    parse_ratfunc,
-)
+from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational
 from paracomplex.linalg import mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]
@@ -21,6 +16,14 @@ VARS2 = ["x1", "x2"]
 
 def rf(text, variables=VARS2):
     return parse_ratfunc(text, variables)
+
+
+def as_point(values, nvars=None) -> tuple:
+    """The values as a point of Fractions, checked against the variable count."""
+    pt = tuple(Fraction(v) for v in values)
+    if nvars is not None and len(pt) != nvars:
+        raise ValueError(f"expected {nvars} coordinates, got {len(pt)}")
+    return pt
 
 
 # -- eval -----------------------------------------------------------------
@@ -299,6 +302,53 @@ def test_parse_accepts_powers_up_to_the_bound(text, base, k):
     for _ in range(k):
         expected = expected * rf(base)
     assert rf(text) == expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(x1 + x2)^16", "(x1 + x2)^8*(x1 + x2)^8"),
+    ("(1/(x1 + x2))^16 + 1", "(1 + (x1 + x2)^16)/(x1 + x2)^16"),
+    ("x1/(1/(x1 + x2))^16", "x1*(x1 + x2)^8*(x1 + x2)^8"),
+])
+def test_parse_accepts_products_up_to_the_bound(text, expected):
+    """Squarings, and the products by a denominator factor's power that + and /
+    form, each within MAX_TERM_PAIRS term pairs, parse to the literal's value."""
+    assert rf(text) == rf(expected)
+
+
+@pytest.mark.parametrize("text,variables", [
+    ("(x1+x2+x3+x4)^16*(x1+x2+x3+x4)^16", VARS4),
+    ("(x1+x2+x3+x4)^8*(x1+x2+x3+x4)^8", VARS4),
+    ("(y1+y2+y3+y4+y5+y6)^16", ["y1", "y2", "y3", "y4", "y5", "y6"]),
+    ("1 + (1/(y1+y2+y3+y4+y5+y6))^16", ["y1", "y2", "y3", "y4", "y5", "y6"]),
+    ("x1/(1/(x1+x2+x3+x4))^16", VARS4),
+    ("0/(1/(x1+x2+x3+x4))^16", VARS4),
+])
+def test_parse_rejects_products_above_the_bound(text, variables):
+    """The bound on powers holds for each power; each product of polynomials the
+    parser forms (for *, in the squarings of ^, and a numerator times the
+    denominator factors that + and / multiply it by) is bounded as well, and
+    checked before it is formed."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^a product in .* is above the bound of "
+                                         r"4096 term pairs$"):
+        parse_ratfunc(text, variables)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7", 7), (" -1/2 ", Fraction(-1, 2)), ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
+    ("2.5E+1000", 25 * 10 ** 999), ("1e-1000", Fraction(1, 10 ** 1000)),
+])
+def test_parse_rational_reads_fraction_literals(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e1001", "1e-1001", "1e9999999", "-3.5E+00099999999"])
+def test_parse_rational_bounds_the_exponent(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the exponent of .* is above 1000 in magnitude$"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("text", [

