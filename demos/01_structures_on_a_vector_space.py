@@ -7,13 +7,14 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 from fractions import Fraction
 
 from paracomplex.exact import parse_ratfunc
-from paracomplex.linalg import Bilinear, basis_vec, j_structures, mat_mul, mat_identity, mat_eq
+from paracomplex.linalg import Bilinear, basis_vec, mat_mul, mat_identity, mat_eq
 from paracomplex.para import validate_para
 from paracomplex.reference import (
     fiber_tangent_dim,
     hyperboloid_coords,
     hyperboloid_structure,
     induced_orientation,
+    j_triple,
     null_basis,
     standard_para_structure,
 )
@@ -37,7 +38,7 @@ print("pairing g(a1, a3):", g.apply(a[0], a[2]))
 # Compatible structures in dim 4 live on a one-sheeted hyperboloid
 # -y1^2 + y2^2 + y3^2 = 1 inside the self-dual 2-vectors.
 onb = [basis_vec(i, 4) for i in range(4)]
-j1, j2, j3 = j_structures(g, onb)
+j1, j2, j3 = j_triple(g, onb)
 print("\nJ1^2 = -Id:", mat_eq(mat_mul(j1.mat, j1.mat),
                               [[-c for c in row] for row in mat_identity(4)]))
 point = (Fraction(3, 4), Fraction(5, 4), Fraction(0))

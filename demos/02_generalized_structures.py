@@ -20,6 +20,7 @@ from paracomplex.gpx import (
 from paracomplex.linalg import Bilinear, TwoVector, basis_vec, mat_identity, mat_mul
 from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
+    as_ints,
     b_conjugate,
     check_pi_conditions,
     classify_component,
@@ -49,8 +50,9 @@ theta = Bilinear([[Fraction(0), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(-2), Fraction(0), Fraction(0), Fraction(0)],
                   [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
                   [Fraction(0), Fraction(0), Fraction(-1), Fraction(0)]])
-k1 = random_compatible_structure(g, onb, rng, +1)
-k2 = random_compatible_structure(g, onb, rng, -1)
+# random_compatible_structure reads g and the frame on integers, as (D, D g)
+k1 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, +1)
+k2 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, -1)
 e_theta = gen_metric(g, theta)
 k = assemble(g, theta, k1, k2)
 r1, r2 = extract_pair(k, e_theta)

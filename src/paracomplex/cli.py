@@ -5,8 +5,10 @@ Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
 2 input error.  Reports are deterministic: identical inputs and seed produce
 identical bytes.
 
-Only `curvature` and `theorem` run `paracomplex.curv`, so only they import it;
-`validate` and `integrability` start without loading (or compiling) it.
+Each command imports the modules it runs inside its function, so a start
+loads (and, without cached bytecode, compiles) only those: `validate` and
+`integrability` load `gpx` and `patch` but not `curv`; `curvature` and
+`theorem` load `curv` but, without `--theta`, neither `gpx` nor `patch`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ from fractions import Fraction
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
                                parse_ratfunc, parse_rational)
-from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
 from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
-from paracomplex.para import validate_para
-from paracomplex.patch import (STRUCTURES, BiVectorField, KForm,
-                               gen_nijenhuis_frame_sweep, integrability_report)
 
 
 # -- small parsers ------------------------------------------------------------
@@ -74,9 +72,11 @@ def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
     return parts
 
 
-def parse_theta_expr(text: str, variables=VARS4) -> KForm:
+def parse_theta_expr(text: str, variables=VARS4):
     """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors (default 1)."""
+    product of rational-function factors (default 1); a patch.KForm."""
+    from paracomplex.patch import KForm
+
     nvars = len(variables)
     theta = KForm(nvars, 2)
     if not text.strip():
@@ -148,6 +148,8 @@ def load_descriptor(path: str) -> dict:
 
 def _descriptor_structure(desc: dict):
     """Build the patch-level data for a structure descriptor."""
+    from paracomplex.patch import BiVectorField, KForm
+
     kind = desc.get("kind")
     variables = check_variables(desc.get("vars", VARS4))
     nvars = len(variables)
@@ -188,6 +190,10 @@ _POINT_ERRORS = (ValueError, PoleAtPoint, ZeroDivisionError)
 
 
 def cmd_validate(args) -> tuple[dict, int]:
+    from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
+    from paracomplex.para import validate_para
+    from paracomplex.patch import STRUCTURES
+
     desc = load_descriptor(args.descriptor)
     kind, data, variables = _descriptor_structure(desc)
     nvars = len(variables)
@@ -239,6 +245,9 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def cmd_integrability(args) -> tuple[dict, int]:
+    from paracomplex.gpx import GenEndo
+    from paracomplex.patch import gen_nijenhuis_frame_sweep, integrability_report
+
     desc = load_descriptor(args.descriptor)
     kind, data, variables = _descriptor_structure(desc)
     if kind == "assembled":
@@ -285,7 +294,7 @@ def cmd_curvature(args) -> tuple[dict, int]:
     point = parse_point(args.point, model.nvars)
     orientation = +1 if args.orientation == "+" else -1
     op = curvature_operator(model.g, point)
-    dec = decompose(op, model.onb_at(point, orientation, op.g_at))
+    dec = decompose(op, model.onb_at(point, orientation, op.int_g))
     verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
     report = {
@@ -307,13 +316,19 @@ def cmd_curvature(args) -> tuple[dict, int]:
     return report, 0
 
 
+# a (j,l,r) sample costs 25-80 us, so the largest count runs for at most about 8 s
+MAX_SAMPLES = 100_000
+
+
 def cmd_theorem(args) -> tuple[dict, int]:
     from paracomplex.curv import parse_metric_id, theorem_verdict
 
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     model = parse_metric_id(args.metric)
-    theta = parse_theta_expr(args.theta) if args.theta else KForm(model.nvars, 2)
+    theta = parse_theta_expr(args.theta) if args.theta else None
     points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
     if args.epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the

@@ -1,8 +1,12 @@
 """Curvature on a patch, in Q at a point from the metric's 2-jet: the
 curvature operator with its scalar/traceless-Ricci/Weyl decomposition, the
-(j,l,r) curvature residual, the horizontal obstruction of a potential Theta,
-and the dim-4 integrability verdicts.  The symbolic connections and the
-twistor and reflector Nijenhuis evaluators are in `paracomplex.reference`.
+(j,l,r) curvature residual, the search for a witness of the horizontal
+obstruction of a potential Theta (`paracomplex.obstruction`, loaded only for
+a Theta that is not closed), and the dim-4 integrability verdicts.
+Everything at a point, from the 2-jet to the verdict, runs on integer
+matrices over common denominators, and a Fraction is built only for a value
+that is printed or handed on.  The symbolic connections and the twistor and
+reflector Nijenhuis evaluators are in `paracomplex.reference`.
 
 Curvature sign convention.  The curvature tensor is
 R(X, Y) = D_{[X,Y]} - [D_X, D_Y] (opposite to the common one); with this
@@ -24,34 +28,23 @@ from operator import mul
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
                                parse_ratfunc, parse_rational)
-from paracomplex.gpx import GenVector, assemble
 from paracomplex.linalg import (
     Bilinear,
     Endo,
     ONB_GRAM,
-    TwoVector,
     bareiss,
-    basis_vec,
+    frac_mat,
+    int_jet,
     int_mats,
+    int_mul,
     j_structures,
     lambda2_matrix,
     mat_add,
-    mat_det,
-    mat_eq,
     mat_eval,
-    mat_from_columns,
-    mat_identity,
-    mat_inv,
     mat_is_zero,
-    mat_jet,
     mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_zero,
     star_matrix,
     transpose,
-    vec_add,
-    vec_scale,
     wedge_pairs,
 )
 from paracomplex.para import (
@@ -60,7 +53,6 @@ from paracomplex.para import (
     hyperboloid_draw,
     random_compatible_structure,
 )
-from paracomplex.patch import KForm, ext_deriv
 
 WEDGE4 = wedge_pairs(4)
 
@@ -85,21 +77,29 @@ class MetricModel:
     def g_at(self, point) -> Bilinear:
         return Bilinear(mat_eval(self.g, point))
 
-    def onb_at(self, point, orientation: int = +1, g_at: Bilinear | None = None) -> list:
-        """The oriented frame at the point; g_at, when given, is g there."""
-        g_at = g_at or self.g_at(point)
-        if self.onb is None:
-            cols = onb_search(g_at)
+    def onb_at(self, point, orientation: int = +1, g_at: tuple | None = None) -> tuple:
+        """The oriented frame at the point on integers, (E, [U_1, ..., U_4]) with
+        the frame vectors U_a / E; g_at, when given, is g there as (D, G), the
+        int_g of its curvature operator.  A supplied frame must pass
+        U G U^T = E^2 D ONB_GRAM."""
+        if g_at is None:
+            ((den, gm),) = int_jet(self.g, point)
         else:
-            cols = mat_eval(self.onb, point)
-            if mat_mul(mat_mul(cols, g_at.mat), transpose(cols)) != ONB_GRAM:
+            den, gm = g_at
+        if self.onb is None:
+            du, (u,) = int_mats([onb_search(Bilinear(frac_mat(den, gm)))])
+        else:
+            ((du, u),) = int_jet(self.onb, point)
+            if int_mul(int_mul(u, gm), transpose(u)) != [[du * du * den * x for x in row]
+                                                         for row in ONB_GRAM]:
                 raise ValueError(f"the onb of {self.name} is not orthonormal with norms 1, 1, -1, -1 "
                                  f"at ({', '.join(map(str, point))})")
-        if mat_det(mat_from_columns(cols)) < 0:
-            cols = [cols[0], cols[1], cols[2], vec_scale(Fraction(-1), cols[3])]
+        _, _, det, sign = bareiss(u)
+        if sign * det < 0:
+            u = [u[0], u[1], u[2], [-x for x in u[3]]]
         if orientation < 0:
-            cols = [cols[0], cols[1], cols[3], cols[2]]
-        return cols
+            u = [u[0], u[1], u[3], u[2]]
+        return du, u
 
 
 def _const_mat(entries, nvars=4):
@@ -150,16 +150,25 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
 
 def metric_from_strings(rows: list, variables: list, onb_rows: list | None = None,
                         name: str = "file") -> MetricModel:
+    """The metric of a file: matrices of literals, each distinct literal parsed
+    once for the file."""
     n = len(variables)
+    memo: dict = {}
+
+    def literal(text):
+        f = memo.get(text) if isinstance(text, str) else None
+        if f is None:
+            f = memo[text] = parse_ratfunc(text, variables)
+        return f
 
     def parse(mat, what):
         if not (isinstance(mat, list) and len(mat) == n
                 and all(isinstance(row, list) and len(row) == n for row in mat)):
             raise ValueError(f"{what} of {name} must be a {n}x{n} matrix")
-        return [[parse_ratfunc(s, variables) for s in row] for row in mat]
+        return [[literal(s) for s in row] for row in mat]
 
     g = parse(rows, "g")
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+    if any(g[i][j] is not g[j][i] and g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise ValueError("the metric field is not symmetric")
     return MetricModel(name, n, g, None if onb_rows is None else parse(onb_rows, "onb"))
 
@@ -215,130 +224,173 @@ def _sym(n: int, entry) -> list:
 
 
 def _riemann(g: list, point) -> tuple:
-    """(g(p) as a Bilinear, g(p)^-1, r) at the point, with
-    R(d_i, d_j) d_k = r[i][j][k][l] d_l in the convention
-    R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet, on integers:
-    mat_jet(g, p, 2) = (G, dG, ddG) / D and g(p)^-1 = D adj / det.  With
-    G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 the Christoffels G^k_ij = g^kl G_l,ij
-    are over 2 det, d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij) (by
-    d(g^-1) = -g^-1 (dg) g^-1) over 2 det^2, and r over 4 det^2."""
-    g_at, d, dd = mat_jet(g, point, 2)
+    """(D, G, adj, det, E, r) at the point, on integers from the metric's 2-jet
+    int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D, d_m g(p) =
+    H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det, and
+    R(d_i, d_j) d_k = r[i][j][k][l] / E d_l in the convention
+    R(X, Y) = D_{[X,Y]} - [D_X, D_Y].  With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
+    = A_lij / (2 D1) and d_m G_l,ij = B_mlij / (2 D2), the Christoffels
+    G^k_ij = g^kl G_l,ij are D gam / (2 det D1) for gam = adj A, and
+    d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij) (by d(g^-1) = -g^-1 (dg) g^-1)
+    is D dgam / (2 D2 det^2 D1^2) for dgam = adj (det D1^2 B - D D2 H gam); so r
+    is over E = 4 D2 det^2 D1^2, and r and E are divided by their gcd."""
+    (den, gi), (d1, di), (d2, ddi) = int_jet(g, point, 2)
     n = len(g)
     ns = range(n)
-    den, (gi, *ints) = int_mats([g_at, *d, *(m for row in dd for m in row)])
-    di, ddi = ints[:n], [ints[n * (m + 1):n * (m + 2)] for m in ns]
     red, pivots, det, _ = bareiss([row + [int(i == j) for j in ns] for i, row in enumerate(gi)])
     if pivots != list(ns):
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})")
     adj = [row[n:] for row in red]
     gam = [_sym(n, lambda i, j: sum(
         adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
-    gdgam = [[_sym(n, lambda i, j: det * (ddi[m][i][l][j] + ddi[m][j][l][i] - ddi[m][l][i][j])
-                   - sum(di[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
+    fb, fh = det * d1 * d1, den * d2
+    gdgam = [[_sym(n, lambda i, j: fb * (ddi[m][i][l][j] + ddi[m][j][l][i] - ddi[m][l][i][j])
+                   - fh * sum(di[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
     dgam = [[_sym(n, lambda i, j: sum(adj[k][l] * gdgam[m][l][i][j] for l in ns))
              for k in ns] for m in ns]
-    r = [[[[Fraction(0)] * n for _ in ns] for _ in ns] for _ in ns]
+    r = [[[[0] * n for _ in ns] for _ in ns] for _ in ns]
     for i in ns:
         for j in range(i + 1, n):
             for k in ns:
                 for l in ns:
                     # -(d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
-                    v = 2 * (dgam[j][l][i][k] - dgam[i][l][j][k]) - sum(
-                        gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns)
-                    if v:
-                        r[i][j][k][l] = Fraction(v, 4 * det * det)
-                        r[j][i][k][l] = -r[i][j][k][l]
-    return Bilinear(g_at), [[Fraction(den * x, det) for x in row] for row in adj], r
+                    v = den * (2 * (dgam[j][l][i][k] - dgam[i][l][j][k]) - fh * sum(
+                        gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns))
+                    r[i][j][k][l], r[j][i][k][l] = v, -v
+    dr = 4 * d2 * det * det * d1 * d1
+    common = math.gcd(dr, *(x for a in r for b in a for c in b for x in c))
+    r = [[[[x // common for x in c] for c in b] for b in a] for a in r]
+    return den, gi, adj, det, dr // common, r
+
+
+def _positive(den: int, m: list) -> tuple:
+    """(den, m) with the sign moved into m, so that the denominator is positive."""
+    return (den, m) if den > 0 else (-den, [[-x for x in row] for row in m])
 
 
 class CurvOperator:
-    """Curvature operator mat (6x6 Fractions) on the wedge basis {e_i ^ e_j}
-    (i < j) at a point, with its lowered form lowered[a][b] = g(R(e_a), e_b)
-    (lowered = mat^T Gram), and the point metric and Ricci data needed by the
-    decomposition."""
+    """The curvature operator at a point, on integers.  Each of int_g, int_mat,
+    int_lowered, int_ricci and int_rho is a pair (D, M) of a positive
+    denominator and an integer matrix, standing for M / D: g(p); the
+    self-adjoint operator on the wedge basis {e_i ^ e_j} (i < j) with
+    g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form, lowered[a][b] =
+    g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); and rho with
+    g(rho(X), Y) = Ricci(X, Y).  The Fraction views g_at, mat, lowered, ricci,
+    rho and s = trace(rho) are built on each access, for a report or a test."""
 
-    __slots__ = ("mat", "lowered", "g_at", "point", "ricci", "rho", "s")
+    __slots__ = ("int_g", "int_mat", "int_lowered", "int_ricci", "int_rho")
 
-    def __init__(self, mat: list, lowered: list, g_at: Bilinear, point: tuple,
-                 ricci: Bilinear, rho: Endo, s: Fraction):
-        self.mat, self.lowered, self.g_at, self.point = mat, lowered, g_at, point
-        self.ricci, self.rho, self.s = ricci, rho, s
+    def __init__(self, int_g: tuple, int_mat: tuple, int_lowered: tuple, int_ricci: tuple,
+                 int_rho: tuple):
+        self.int_g, self.int_mat = int_g, int_mat
+        self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
+
+    g_at = property(lambda self: Bilinear(frac_mat(*self.int_g)))
+    mat = property(lambda self: frac_mat(*self.int_mat))
+    lowered = property(lambda self: frac_mat(*self.int_lowered))
+    ricci = property(lambda self: Bilinear(frac_mat(*self.int_ricci)))
+    rho = property(lambda self: Endo(frac_mat(*self.int_rho)))
+    s = property(lambda self: Fraction(_trace(self.int_rho[1]), self.int_rho[0]))
+
+
+def _trace(m: list) -> int:
+    return sum(m[i][i] for i in range(len(m)))
 
 
 def curvature_operator(g: list, point) -> CurvOperator:
-    """The self-adjoint operator with g(R(X^Y), Z^T) = g(R(X,Y)Z, T), and
-    Ricci(X, Y) = trace(Z -> R(X, Z) Y), g(rho(X), Y) = Ricci(X, Y), s = trace(rho)."""
+    """The curvature operator at the point, from _riemann on integers: with
+    r / E the curvature and q[(i, j)][(k, l)] = sum_m r[i][j][k][m] G[m][l],
+    lowered = q / (E D); mat = L(g)^-1 lowered^T, with L(g) =
+    lambda2_matrix(G) / D^2 the Lambda^2 Gram matrix, from one bareiss on
+    [lambda2_matrix(G) | q^T]; Ricci over E, and rho = g^-1 Ricci over E det / D."""
     if len(g) != 4:
         raise ValueError("curvature operator decomposition requires dim 4")
-    g_at, ginv, r_at = _riemann(g, point)
-    # q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l)
-    q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at.mat) for i, j in WEDGE4)]
-    mat = mat_mul(mat_inv(lambda2_matrix(g_at.mat)), transpose(q))
-    ric = Bilinear([[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)]
-                    for i in range(4)])
-    rho = Endo(mat_mul(ginv, ric.mat))
-    s = sum(rho.mat[i][i] for i in range(4))
-    return CurvOperator(mat, q, g_at, tuple(point), ric, rho, s)
+    den, gm, adj, det, dr, r = _riemann(g, point)
+    ns = range(4)
+    q = [[m[k][l] for k, l in WEDGE4] for m in (int_mul(r[i][j], gm) for i, j in WEDGE4)]
+    red, _, d_l, _ = bareiss([row + [q[b][a] for b in range(6)]
+                              for a, row in enumerate(lambda2_matrix(gm))])
+    mat = _positive(dr * d_l, [[den * x for x in row[6:]] for row in red])
+    ric = [[sum(r[i][k][j][k] for k in ns) for j in ns] for i in ns]
+    rho = _positive(det * dr, [[den * x for x in row] for row in int_mul(adj, ric)])
+    return CurvOperator((den, gm), mat, (dr * den, q), (dr, ric), rho)
 
 
 # -- decomposition -----------------------------------------------------------------------
 
 
 class CurvDecomposition:
-    __slots__ = ("s", "s_part", "b_part", "w_part", "w_plus", "w_minus")
+    """R = (s/12) Id + B + W with W = W_+ + W_-, on integers: int_s = (e, sigma)
+    for s = sigma / e, and int_b, int_w, int_w_plus and int_w_minus pairs (D, M)
+    as in CurvOperator.  The Fraction views s, s_part, b_part, w_part, w_plus
+    and w_minus are built on each access."""
 
-    def __init__(self, s: Fraction, s_part: list, b_part: list, w_part: list,
-                 w_plus: list, w_minus: list):
-        self.s, self.s_part, self.b_part, self.w_part = s, s_part, b_part, w_part
-        self.w_plus, self.w_minus = w_plus, w_minus
+    __slots__ = ("int_s", "int_b", "int_w", "int_w_plus", "int_w_minus")
+
+    def __init__(self, int_s: tuple, int_b: tuple, int_w: tuple, int_w_plus: tuple,
+                 int_w_minus: tuple):
+        self.int_s, self.int_b, self.int_w = int_s, int_b, int_w
+        self.int_w_plus, self.int_w_minus = int_w_plus, int_w_minus
+
+    s = property(lambda self: Fraction(self.int_s[1], self.int_s[0]))
+
+    @property
+    def s_part(self) -> list:
+        e, sigma = self.int_s
+        return frac_mat(12 * e, [[sigma * (a == c) for c in range(6)] for a in range(6)])
+
+    b_part = property(lambda self: frac_mat(*self.int_b))
+    w_part = property(lambda self: frac_mat(*self.int_w))
+    w_plus = property(lambda self: frac_mat(*self.int_w_plus))
+    w_minus = property(lambda self: frac_mat(*self.int_w_minus))
 
     def parts_sum(self) -> list:
         return mat_add(mat_add(self.s_part, self.b_part), self.w_part)
 
 
-def _two_vector_coords(a: TwoVector) -> list:
-    return [a.get(i, j) for (i, j) in WEDGE4]
-
-
-def decompose(op: CurvOperator, onb: list) -> CurvDecomposition:
+def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     """R = (s/12) Id + B + W with B from the traceless Ricci part,
-    B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2, and
-    W split into its self-dual and anti-self-dual blocks by the Hodge star
-    of the supplied oriented orthonormal basis."""
-    s_part = mat_scale(Fraction(op.s, 12), mat_identity(6))
-    half = Fraction(1, 2)
-    b_cols = []
-    for (i, j) in WEDGE4:
-        ei, ej = basis_vec(i, 4), basis_vec(j, 4)
-        rei, rej = op.rho.apply(ei), op.rho.apply(ej)
-        tv = TwoVector.wedge(rei, ej) + TwoVector.wedge(ei, rej) \
-            - TwoVector.basis(i, j, 4).scale(Fraction(op.s, 2))
-        b_cols.append([c * half for c in _two_vector_coords(tv)])
-    b_part = mat_from_columns(b_cols)
-    w_part = mat_sub(mat_sub(op.mat, s_part), b_part)
-    star = star_matrix(onb)
-    p_plus = mat_scale(half, mat_add(mat_identity(6), star))
-    p_minus = mat_scale(half, mat_sub(mat_identity(6), star))
-    w_plus = mat_mul(p_plus, mat_mul(w_part, p_plus))
-    w_minus = mat_mul(p_minus, mat_mul(w_part, p_minus))
-    return CurvDecomposition(op.s, s_part, b_part, w_part, w_plus, w_minus)
+    B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2, and W split into its
+    self-dual and anti-self-dual blocks W_+- = P_+- W P_+- by the projections
+    P_+- = (Id +- *) / 2 of the Hodge star of the oriented orthonormal frame onb
+    (as onb_at gives it).  On integers: with rho = P / e and s = sigma / e,
+    B = B' / (4 e), whose column for e_i ^ e_j holds the wedge coordinates of
+    2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j; W = W' / L with
+    L = lcm(12 e, D) for mat = M / D; and for the star S / E of star_matrix,
+    W_+- = (E Id +- S) W' (E Id +- S) / (4 E^2 L)."""
+    e, rho = op.int_rho
+    sigma = _trace(rho)
+    b = [[2 * (rho[k][i] * (l == j) - rho[l][i] * (k == j) + (k == i) * rho[l][j]
+               - (l == i) * rho[k][j]) - sigma * (a == c)
+          for c, (i, j) in enumerate(WEDGE4)] for a, (k, l) in enumerate(WEDGE4)]
+    dm, m = op.int_mat
+    lw = math.lcm(12 * e, dm)
+    fm, fs = lw // dm, lw // (12 * e)
+    w = [[fm * m[a][c] - fs * (sigma * (a == c) + 3 * b[a][c]) for c in range(6)]
+         for a in range(6)]
+    ds, star = star_matrix(op.int_g, onb)
+    w_pm = []
+    for sign in (1, -1):
+        proj = [[ds * (a == c) + sign * star[a][c] for c in range(6)] for a in range(6)]
+        w_pm.append((4 * ds * ds * lw, int_mul(int_mul(proj, w), proj)))
+    return CurvDecomposition((e, sigma), (4 * e, b), (lw, w), *w_pm)
 
 
 def duality_verdict(dec: CurvDecomposition) -> dict:
     """Self-dual: W_- = 0; anti-self-dual: W_+ = 0; conformally flat: W = 0."""
     return {
-        "self_dual": mat_is_zero(dec.w_minus),
-        "anti_self_dual": mat_is_zero(dec.w_plus),
-        "conformally_flat": mat_is_zero(dec.w_part),
+        "self_dual": mat_is_zero(dec.int_w_minus[1]),
+        "anti_self_dual": mat_is_zero(dec.int_w_plus[1]),
+        "conformally_flat": mat_is_zero(dec.int_w[1]),
     }
 
 
 def sectional_constant_check(op: CurvOperator) -> Fraction | None:
     """c with R = c Id = (s/12) Id exactly, when the operator is scalar."""
-    c = op.mat[0][0]
-    ident = mat_scale(c, mat_identity(6))
-    if mat_eq(op.mat, ident):
-        return c
+    den, m = op.int_mat
+    c = m[0][0]
+    if all(x == (c if a == b else 0) for a, row in enumerate(m) for b, x in enumerate(row)):
+        return Fraction(c, den)
     return None
 
 
@@ -370,18 +422,18 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
     second ones B1 +- B2 likewise, so the residual is
     [g(R(A1 + A2), B1 + B2) + g(R(A1 - A2), B1 - B2)] / 2, and on wedge
     coordinates g(R(A), B) = a^T q b for the lowered operator q, summed over
-    its nonzero entries.  On integers: per point, int_mats gives q = Q / D_q
-    and J_a = J'_a / D_J; per sample, K = (Y1 J'1 + Y2 J'2 + Y3 J'3) / e with
-    e = E D_J, and X = 2 x by rnd_vec2, so x +- K x = (e X +- K' X) / (2 e)
-    and d = 2 D_q 16 e_j e_l e_r^2."""
+    its nonzero entries.  On integers: per point, q = Q / D_q is the operator's
+    int_lowered and J_a = J'_a / D_J the j_structures triple; per sample,
+    K = (Y1 J'1 + Y2 J'2 + Y3 J'3) / e with e = E D_J, and X = 2 x by rnd_vec2,
+    so x +- K x = (e X +- K' X) / (2 e) and d = 2 D_q 16 e_j e_l e_r^2."""
     data = []
     for p, op, _, js in points[:samples]:
-        den_q, (q,) = int_mats([op.lowered])
+        den_q, q = op.int_lowered
         terms = [(a, b, c) for a, row in enumerate(q) for b, c in enumerate(row) if c]
         rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
         cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
         data.append((p, den_q, terms, rows, cols,
-                     {o: int_mats([jm.mat for jm in js(o)]) for o in set(orientations)}))
+                     {o: js(o) for o in set(orientations)}))
     for t in range(samples):
         p, den_q, terms, rows, cols, jints = data[t % len(data)]
         ys = [hyperboloid_draw(rng) for _ in orientations]
@@ -400,101 +452,6 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
         yield p, (j, l, r), n, 32 * den_q * ks[j][0] * ks[l][0] * ks[r][0] ** 2
 
 
-# -- horizontal obstruction (torsion residual) ---------------------------------------------------
-
-
-def _torsion_vec(t_at: list, x: list, y: list) -> list:
-    n = len(t_at)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            c = x[i] * y[j]
-            if not c:
-                continue
-            for k in range(n):
-                if t_at[i][j][k]:
-                    out[k] += c * t_at[i][j][k]
-    return out
-
-
-def _covector_alpha_iota(t_at: list, alpha: list, y: list) -> list:
-    """The 1-form Z -> alpha(T(Y, Z))."""
-    n = len(t_at)
-    out = [Fraction(0)] * n
-    for z in range(n):
-        total = Fraction(0)
-        for i in range(n):
-            if not y[i]:
-                continue
-            for k in range(n):
-                if alpha[k]:
-                    total += y[i] * t_at[i][z][k] * alpha[k]
-        out[z] = total
-    return out
-
-
-def _dth_full(dth_at: dict) -> dict:
-    """dTheta(i, j, l) on every ordering of the evaluated 3-form components."""
-    full = {}
-    for (a, b, c), v in dth_at.items():
-        for key in ((a, b, c), (b, c, a), (c, a, b)):
-            full[key] = v
-        for key in ((b, a, c), (a, c, b), (c, b, a)):
-            full[key] = -v
-    return full
-
-
-def _dtheta_covector(dth_at: dict, x: list, y: list) -> list:
-    """The 1-form Z -> dTheta(X, Y, Z) from evaluated 3-form components."""
-    full = _dth_full(dth_at)
-    return [sum(x[i] * y[j] * full.get((i, j, z), 0) for i in range(4) for j in range(4))
-            for z in range(4)]
-
-
-def np_residual_terms(g_at: Bilinear, t_at: list, dth_at: dict,
-                      s1: Endo, s2: Endo, a: GenVector, b: GenVector):
-    """(N_P(A, B), cond_rhs) for the generalized structure P assembled from
-    (g, Theta = 0, S1, S2) at a point, with torsion values t_at and dTheta
-    values dth_at.  The obstruction residual is the difference."""
-    p = assemble(g_at, Bilinear(mat_zero(g_at.dim)), s1, s2)
-    pa, pb = p.apply(a), p.apply(b)
-    x, alpha = a.x, a.alpha
-    y, beta = b.x, b.alpha
-    xh, alphah = pa.x, pa.alpha
-    yh, betah = pb.x, pb.alpha
-    vec = [-(c1 + c2) for c1, c2 in zip(_torsion_vec(t_at, x, y),
-                                        _torsion_vec(t_at, xh, yh))]
-    form = [Fraction(0)] * 4
-    for sign, al, yy in ((-1, alpha, y), (1, beta, x), (-1, alphah, yh), (1, betah, xh)):
-        term = _covector_alpha_iota(t_at, al, yy)
-        form = [f + sign * t for f, t in zip(form, term)]
-    inner_vec = vec_add(_torsion_vec(t_at, xh, y), _torsion_vec(t_at, x, yh))
-    inner_form = [Fraction(0)] * 4
-    for sign, al, yy in ((1, alphah, y), (-1, beta, xh), (1, alpha, yh), (-1, betah, x)):
-        term = _covector_alpha_iota(t_at, al, yy)
-        inner_form = [f + sign * t for f, t in zip(inner_form, term)]
-    n_p = GenVector(vec, form) + p.apply(GenVector(inner_vec, inner_form))
-    # cond_rhs = -dTheta(X,Y,.) - dTheta(Xh,Yh,.) + P(dTheta(Xh,Y,.) + dTheta(X,Yh,.))
-    rhs_form = [-(c1 + c2) for c1, c2 in zip(_dtheta_covector(dth_at, x, y),
-                                             _dtheta_covector(dth_at, xh, yh))]
-    rhs_inner = vec_add(_dtheta_covector(dth_at, xh, y), _dtheta_covector(dth_at, x, yh))
-    cond_rhs = GenVector([Fraction(0)] * 4, rhs_form) \
-        + p.apply(GenVector([Fraction(0)] * 4, rhs_inner))
-    return n_p, cond_rhs
-
-
-def torsion_at(g_at: Bilinear, dth_at: dict) -> list:
-    """t[i][j][k] = sum_l g^kl dTheta(i, j, l), the torsion of
-    reference.hitchin_connection at a point; the symmetric Levi-Civita part cancels."""
-    n = g_at.dim
-    full = _dth_full(dth_at)
-    ginv = mat_inv(g_at.mat)
-    return [[[sum(ginv[k][l] * full.get((i, j, l), 0) for l in range(n))
-              for k in range(n)] for j in range(n)] for i in range(n)]
-
-
 # -- theorem verdicts -----------------------------------------------------------------------------
 
 
@@ -507,13 +464,14 @@ def rnd_vec2(rng, n=4) -> list:
     return [2 * rng.randint(-3, 3) // rng.randint(1, 2) for _ in range(n)]
 
 
-def theorem_verdict(model: MetricModel, theta: KForm, component: str,
+def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
                     sample_points=None, seed: int = 0, jklr_samples: int = 40) -> dict:
     """Integrability of the dim-4 twistor structure on the given component:
     requires dTheta = 0 plus the curvature condition of the component
     (++ : anti-self-dual and Ricci flat; -- : self-dual and Ricci flat;
     +- / -+ : scalar curvature operator, constant sectional curvature).
-    Evidence carries sub-condition results and seeded (j,l,r) spot checks."""
+    Evidence carries sub-condition results and seeded (j,l,r) spot checks.
+    theta None stands for Theta = 0."""
     if model.nvars != 4:
         raise ValueError("theorem verdicts require a 4-dimensional patch")
     if component not in ("++", "+-", "-+", "--"):
@@ -527,16 +485,21 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
         p = tuple(Fraction(c) for c in p)
         try:
             op = curvature_operator(model.g, p)
-            onb = model.onb_at(p, g_at=op.g_at)
+            onb = model.onb_at(p, g_at=op.int_g)
         except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
             if sample_points is not None:
                 raise
             continue
-        points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.g_at, onb))))
+        points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.int_g, onb))))
     if not points:
         raise DegenerateMetric("no usable sample points for the metric")
-    dth = ext_deriv(theta)
-    d_theta_zero = dth.is_zero()
+    if theta is None:
+        d_theta_zero = True
+    else:
+        from paracomplex.patch import ext_deriv
+
+        dth = ext_deriv(theta)
+        d_theta_zero = dth.is_zero()
     evidence: dict = {
         "d_theta_zero": d_theta_zero,
         "points": [[str(c) for c in p] for p, *_ in points],
@@ -554,11 +517,11 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
     sectional: list = []
     for p, op, onb, js in points:
         dec = decompose(op, onb)
-        if not mat_is_zero(op.ricci.mat):
+        if not mat_is_zero(op.int_ricci[1]):
             ricci_ok = False
-        if not mat_is_zero(dec.w_plus):
+        if not mat_is_zero(dec.int_w_plus[1]):
             w_plus_ok = False
-        if not mat_is_zero(dec.w_minus):
+        if not mat_is_zero(dec.int_w_minus[1]):
             w_minus_ok = False
         sectional.append(sectional_constant_check(op))
     evidence["ricci_zero"] = ricci_ok
@@ -590,6 +553,9 @@ def theorem_verdict(model: MetricModel, theta: KForm, component: str,
 def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
     given the 3-form dTheta and theorem_verdict's per-point data."""
+    from paracomplex.gpx import GenVector
+    from paracomplex.obstruction import np_residual_terms, torsion_at
+
     for p, op, onb, js in points:
         dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
         if all(v == 0 for v in dth_at.values()):
@@ -598,9 +564,9 @@ def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
         t_at = torsion_at(g_at, dth_at)
         for _ in range(attempts):
             o1 = +1 if rng.random() < 0.5 else -1
-            s1 = random_compatible_structure(g_at, onb, rng, o1, js(o1))
+            s1 = random_compatible_structure(op.int_g, onb, rng, o1, js(o1))
             o2 = +1 if rng.random() < 0.5 else -1
-            s2 = random_compatible_structure(g_at, onb, rng, o2, js(o2))
+            s2 = random_compatible_structure(op.int_g, onb, rng, o2, js(o2))
             a = GenVector(rnd_vec(rng), rnd_vec(rng))
             b = GenVector(rnd_vec(rng), rnd_vec(rng))
             n_p, cond_rhs = np_residual_terms(g_at, t_at, dth_at, s1, s2, a, b)

@@ -234,10 +234,11 @@ class Poly:
         return p
 
     def jet_at(self, point: Sequence[Fraction], order: int = 0) -> tuple:
-        """(value,), (value, gradient) or (value, gradient, Hessian) at the point
-        for order 0, 1 or 2, in Q as plain tuples.  Term by term on integers:
-        with the point X / D, coefficients c / C and total degree N, a partial
-        d^o is the sum of c D^(N - |e|) d^o X^e over C D^(N - o)."""
+        """(D, jet): the value, gradient and Hessian at the point as integers over
+        one denominator D > 0, jet being (value,), (value, gradient) or (value,
+        gradient, Hessian) for order 0, 1 or 2, as plain tuples.  Term by term:
+        with the point X / P, coefficients c / C and total degree N, D = C P^N
+        and a partial d^o has the numerator sum of c P^(N - |e| + o) d^o X^e."""
         n = self.nvars
         if len(point) != n:
             raise ValueError("point length does not match variable count")
@@ -247,24 +248,33 @@ class Poly:
         xs = [x.numerator * (den // x.denominator) for x in point]
         pw = [[x ** k for k in range(top + 1)] for x in xs]  # pw[i][k] = X_i^k
         ns = range(n)
-        parts = [()] + [(i,) for i in ns] * (order > 0) \
-            + [(i, k) for i in ns for k in ns if i <= k] * (order > 1)
-        sums = dict.fromkeys(parts, 0)
+        value, grad, hess = 0, [0] * n, [[0] * n for _ in ns]
         for e, c in self.terms.items():
             c = c.numerator * (cden // c.denominator) * den ** (top - sum(e))
-            for part in parts:
-                f, ee = c, list(e)
-                for i in part:
-                    f, ee[i] = f * ee[i], ee[i] - 1
-                if f:
-                    sums[part] += f * math.prod(pw[i][k] for i, k in enumerate(ee))
-        q = {part: Fraction(v, cden * den ** max(top - len(part), 0)) for part, v in sums.items()}
-        out = (q[()],)
+            m = [pw[i][k] for i, k in enumerate(e)]  # the factors of X^e, lowered in place
+            value += c * math.prod(m)
+            for i in range(n if order else 0):
+                if not e[i]:
+                    continue
+                m[i], mi = pw[i][e[i] - 1], m[i]
+                ci = c * den * e[i]
+                grad[i] += ci * math.prod(m)
+                if order > 1 and e[i] > 1:
+                    m[i] = pw[i][e[i] - 2]
+                    hess[i][i] += ci * den * (e[i] - 1) * math.prod(m)
+                    m[i] = pw[i][e[i] - 1]
+                for k in range(i + 1, n if order > 1 else 0):
+                    if e[k]:
+                        m[k], mk = pw[k][e[k] - 1], m[k]
+                        hess[i][k] += ci * den * e[k] * math.prod(m)
+                        m[k] = mk
+                m[i] = mi
+        out = (value,)
         if order:
-            out += (tuple(q[i,] for i in ns),)
+            out += (tuple(grad),)
         if order > 1:
-            out += (tuple(tuple(q[min(i, k), max(i, k)] for k in ns) for i in ns),)
-        return out
+            out += (tuple(tuple(hess[min(i, k)][max(i, k)] for k in ns) for i in ns),)
+        return cden * den ** top, out
 
     # -- display -----------------------------------------------------------
 
@@ -529,24 +539,29 @@ class RatFunc:
         return RatFunc(top, new_factors)
 
     def jet_at(self, point: Sequence, order: int = 0, cache: dict | None = None) -> tuple:
-        """The jet at the point as Poly.jet_at gives it, by forward-mode Taylor
-        arithmetic.  Each denominator factor's jet is read from `cache` (factor
-        key -> jet) or computed and stored there, so a matrix computes it once."""
-        jet = self.num.jet_at(point, order)
+        """The jet at the point as Poly.jet_at gives it, (D, jet) on integers, by
+        the quotient rule once per multiplicity of each denominator factor.  Each
+        factor's jet is read from `cache` (factor key -> jet) or computed and
+        stored there, so a matrix computes it once."""
+        den, jet = self.num.jet_at(point, order)
         cache = {} if cache is None else cache
         for key, (p, m) in self.factors.items():
             u = cache.get(key)
             if u is None:
-                u = cache[key] = p.jet_at(point, order)
+                e, u = p.jet_at(point, order)
                 if u[0] == 0:
                     raise PoleAtPoint(
                         f"denominator factor vanishes at ({', '.join(map(str, point))})")
+                if u[0] < 0:  # U / E = (-U) / (-E): keep the value's numerator positive
+                    e, u = -e, _jet_neg(u)
+                u = cache[key] = (e, u)
             for _ in range(m):
-                jet = _jet_div(jet, u)
-        return jet
+                den, jet = _jet_div(den, jet, u)
+        return den, jet
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        return self.jet_at(point)[0]
+        den, (value,) = self.jet_at(point)
+        return Fraction(value, den)
 
     # -- display ---------------------------------------------------------------
 
@@ -567,17 +582,33 @@ class RatFunc:
 # -- module-level operations ------------------------------------------------------
 
 
-def _jet_div(a: tuple, u: tuple) -> tuple:
-    """The jet of q = a / u where u(p) != 0, solved from a = q u by the Leibniz
-    rule: q_i = (a_i - q u_i) / u and q_ij = (a_ij - q_i u_j - q_j u_i - q u_ij) / u."""
-    q = (a[0] / u[0],)
-    if len(a) > 1:
-        q += (tuple((ai - q[0] * ui) / u[0] for ai, ui in zip(a[1], u[1])),)
-    if len(a) > 2:
-        g, ug, ns = q[1], u[1], range(len(u[1]))
-        q += (tuple(tuple((a[2][i][j] - g[i] * ug[j] - g[j] * ug[i] - q[0] * u[2][i][j]) / u[0]
-                          for j in ns) for i in ns),)
-    return q
+def _jet_neg(jet: tuple) -> tuple:
+    return tuple(-x if isinstance(x, int) else _jet_neg(x) for x in jet)
+
+
+def _jet_div(den: int, a: tuple, u: tuple) -> tuple:
+    """(den', q) with q / den' the jet of (a / den) / (U / E), for an integer jet
+    u = (E, U) whose value w = U(p) is positive, by the quotient rule on
+    integers: with o the order, den' = den w^(o+1), and the numerator of a
+    partial of order k is w^(o-k) E times a_0, a_i w - a_0 U_i, or
+    (a_ij w - a_i U_j - a_j U_i - a_0 U_ij) w + 2 a_0 U_i U_j."""
+    e, (w, *du) = u
+    order, a0 = len(a) - 1, a[0]
+    q = (a0 * w ** order * e,)
+    if order:
+        ag, ug = a[1], du[0]
+        f = w ** (order - 1) * e
+        q += (tuple((ai * w - a0 * ui) * f for ai, ui in zip(ag, ug)),)
+    if order > 1:
+        ah, uh, n = a[2], du[1], len(ug)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = e * (
+                    (ah[i][j] * w - ag[i] * ug[j] - ag[j] * ug[i] - a0 * uh[i][j]) * w
+                    + 2 * a0 * ug[i] * ug[j])
+        q += (tuple(map(tuple, rows)),)
+    return den * w ** (order + 1), q
 
 
 # -- the 4-dimensional patch: coordinate names and default sample points ------------------------
@@ -601,15 +632,22 @@ DEFAULT_POINTS = [
 # ten-million-digit integer), so the exponent is read first and bounded.
 
 MAX_EXPONENT = 1000
+_DIGITS_BOUND = 10 ** (MAX_EXPONENT + 1)  # the least integer of MAX_EXPONENT + 2 digits
 
 
 def parse_rational(text: str) -> Fraction:
     """The Fraction literal text, whose decimal exponent is at most MAX_EXPONENT
-    in magnitude; ValueError for another literal, ZeroDivisionError for n/0."""
+    in magnitude and whose numerator and denominator have at most
+    MAX_EXPONENT + 1 digits (1e1000 has 1001); ValueError for another literal,
+    ZeroDivisionError for n/0."""
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
     if exponent.isdecimal() and (len(exponent.lstrip("0")) > 4 or int(exponent) > MAX_EXPONENT):
         raise ValueError(f"the exponent of {text.strip()!r} is above {MAX_EXPONENT} in magnitude")
-    return Fraction(text)
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+        raise ValueError(f"the numerator or denominator of {text.strip()!r} has more than "
+                         f"{MAX_EXPONENT + 1} digits")
+    return value
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -4,9 +4,13 @@ Matrices are dense lists of lists whose entries are Fractions (pointwise
 work) or RatFuncs (coordinate-patch work).  Dimensions stay at most 8, so
 storage is dense; `mat_vec` skips zero products.  Over Q, `mat_mul` and the
 elimination routines work on integer matrices over one common denominator and
-build a Fraction only for each entry of the result: `mat_inv`, `mat_det`,
-`mat_rank` and `kernel_basis` read the one fraction-free elimination `bareiss`.
-Over rational functions, `mat_inv` keeps its own Gauss-Jordan elimination.
+build a Fraction only for each entry of the result: `mat_inv`, `mat_rank` and
+`kernel_basis` read the one fraction-free elimination `bareiss`.  Over
+rational functions, `mat_inv` keeps its own Gauss-Jordan elimination.  The
+pointwise curvature reads a field's jet (`int_jet`), the Hodge star
+(`star_matrix`) and the J-triples (`j_structures`) as pairs (D, M) of a
+positive denominator and an integer matrix, standing for M / D; `mat_jet` and
+`frac_mat` give the Fraction view.
 """
 
 from __future__ import annotations
@@ -135,14 +139,19 @@ def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
     return work, pivots, d, sign
 
 
+def int_mul(a: Mat, b: Mat) -> Mat:
+    """The product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     try:
         (da, (ia,)), (db, (ib,)) = int_mats([a]), int_mats([b])
     except AttributeError:
         pass
     else:
-        den, cols = da * db, list(zip(*ib))
-        return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
+        return frac_mat(da * db, int_mul(ia, ib))
     n, k, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
@@ -179,17 +188,53 @@ def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
-def mat_jet(a: Mat, point, order: int = 0) -> tuple:
-    """A matrix of RatFuncs at the point: (A(p),), then [d_i A(p)] for order
-    1, then [[d_i d_j A(p)]] for order 2, from one RatFunc.jet_at per entry;
-    each denominator factor's jet is computed once."""
+def int_jet(a: Mat, point, order: int = 0) -> tuple:
+    """A matrix of RatFuncs at the point on integers: ((D0, A),) with A / D0 the
+    matrix A(p), then (D1, [dA_i]) with dA_i / D1 = d_i A(p) for order 1, then
+    (D2, [[ddA_ik]]) with ddA_ik / D2 = d_i d_k A(p) for order 2, each over its
+    least common denominator, from one RatFunc.jet_at per entry; each
+    denominator factor's jet is computed once."""
     cache: dict = {}
     jets = [[c.jet_at(point, order, cache) for c in row] for row in a]
+    den = math.lcm(*(d for row in jets for d, _ in row))
+    jets = [[(den // d, j) for d, j in row] for row in jets]
     ns = range(len(point))
-    parts = ([[j[0] for j in row] for row in jets],  # the parts past the order are cut off
-             order > 0 and [[[j[1][i] for j in row] for row in jets] for i in ns],
-             order > 1 and [[[[j[2][i][k] for j in row] for row in jets] for k in ns] for i in ns])
-    return parts[:order + 1]
+    parts = [[[f * j[0] for f, j in row] for row in jets]]
+    if order:
+        parts.append([[[f * j[1][i] for f, j in row] for row in jets] for i in ns])
+    if order > 1:
+        parts.append([[[[f * j[2][i][k] for f, j in row] for row in jets] for k in ns] for i in ns])
+    return tuple(_reduced(den, part, depth) for depth, part in enumerate(parts))
+
+
+def _reduced(den: int, part: list, depth: int) -> tuple:
+    """(den, part) divided by the gcd of den and every integer of part, an
+    integer matrix nested in depth levels of lists; the rows change in place."""
+    rows = part
+    for _ in range(depth):
+        rows = [row for sub in rows for row in sub]
+    g = math.gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        for row in rows:
+            row[:] = [x // g for x in row]
+    return den // g, part
+
+
+def frac_mat(den: int, m: Mat) -> Mat:
+    """The Fraction matrix m / den of an integer matrix."""
+    return [[Fraction(x, den) for x in row] for row in m]
+
+
+def mat_jet(a: Mat, point, order: int = 0) -> tuple:
+    """int_jet in Fractions: (A(p),), then [d_i A(p)] for order 1, then
+    [[d_i d_j A(p)]] for order 2."""
+    (d0, value), *rest = int_jet(a, point, order)
+    out = (frac_mat(d0, value),)
+    if order:
+        out += ([frac_mat(rest[0][0], m) for m in rest[0][1]],)
+    if order > 1:
+        out += ([[frac_mat(rest[1][0], m) for m in row] for row in rest[1][1]],)
+    return out
 
 
 def mat_eval(a: Mat, point) -> Mat:
@@ -233,13 +278,6 @@ def mat_inv(a: Mat) -> Mat:
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def mat_det(a: Mat) -> Fraction:
-    """Exact determinant over Q: sign d / D^n from bareiss of D a, or 0."""
-    den, (m,) = int_mats([a])
-    _, pivots, d, sign = bareiss(m)
-    return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
 def mat_rank(a: Mat) -> int:
@@ -465,16 +503,6 @@ def signature(b: Bilinear) -> tuple[int, int, int]:
     return pos, neg, null
 
 
-def endo_from_2vector(g: Bilinear, a: TwoVector) -> Endo:
-    """The g-skew endomorphism S_a with g(S_a u, v) = <a, u ^ v> for a metric g:
-    with A the antisymmetric matrix of a, <a, u ^ v> = u^T g A g v, so
-    S_a^T g = g A g and S_a = -A g, with no inverse of g."""
-    minus_a = mat_zero(g.dim, like=g.mat[0][0])
-    for (i, j), c in a.comps.items():
-        minus_a[i][j], minus_a[j][i] = -c, c
-    return Endo(mat_mul(minus_a, g.mat))
-
-
 def lambda2_matrix(q: Mat) -> Mat:
     """The map induced by q on wedge coordinates (e_i ^ e_j, i < j):
     entry [(i, j)][(k, l)] = q[i][k] q[j][l] - q[i][l] q[j][k]."""
@@ -491,32 +519,39 @@ _STAR_U = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
 ONB_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
 
-def star_matrix(onb: Sequence[Vec]) -> Mat:
+def star_matrix(g: tuple, onb: tuple) -> tuple[int, Mat]:
     """The Hodge star on reference wedge coordinates for the oriented
-    orthonormal basis onb with norms (1, 1, -1, -1): with P the frame's
-    columns, * = L(P) *_u L(P^-1) for L = lambda2_matrix."""
-    if len(onb) != 4:
+    orthonormal basis with norms (1, 1, -1, -1), on integers: for g = G / D and
+    the frame vectors U_a / E (g = (D, G), onb = (E, [U_1, ..., U_4])), with P
+    the frame's columns, * = L(P) *_u L(P^-1) for L = lambda2_matrix, and
+    P^-1 = ONB_GRAM P^T g because P^T g P = ONB_GRAM, so no inverse is formed.
+    Returns (D^2 E^4, D^2 E^4 *)."""
+    (dg, gm), (du, u) = g, onb
+    if len(u) != 4:
         raise ValueError("hodge star is implemented for dimension 4")
-    p = mat_from_columns(onb)
-    return mat_mul(lambda2_matrix(p), mat_mul(_STAR_U, lambda2_matrix(mat_inv(p))))
+    p_inv = int_mul(int_mul(ONB_GRAM, u), gm)
+    return dg * dg * du ** 4, int_mul(int_mul(lambda2_matrix(transpose(u)), _STAR_U),
+                                      lambda2_matrix(p_inv))
 
 
-def sd_basis(onb: Sequence[Vec], sign: int = +1) -> list[TwoVector]:
-    """Unnormalized (anti-)self-dual basis 2-vectors (norms +-2):
-    sigma_1 = u1^u2 + s u3^u4, sigma_2 = u1^u3 + s u2^u4, sigma_3 = u1^u4 - s u2^u3."""
-    s = Fraction(1 if sign > 0 else -1)
-    w = lambda i, j: TwoVector.wedge(onb[i], onb[j])
-    return [
-        w(0, 1) + w(2, 3).scale(s),
-        w(0, 2) + w(1, 3).scale(s),
-        w(0, 3) - w(1, 2).scale(s),
-    ]
-
-
-def j_structures(g: Bilinear, onb: Sequence[Vec], sign: int = +1) -> list[Endo]:
-    """J_i = S_{sigma_i} for the unnormalized (anti-)self-dual basis; with
-    sign=+1 they satisfy J1^2 = -Id, J2^2 = J3^2 = Id, J3 = J2 J1."""
-    return [endo_from_2vector(g, sigma) for sigma in sd_basis(onb, sign)]
+def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:
+    """The J-triple J_a = S_{sigma_a} for the unnormalized (anti-)self-dual basis
+    sigma_1 = u1^u2 + s u3^u4, sigma_2 = u1^u3 + s u2^u4, sigma_3 = u1^u4 - s u2^u3
+    (norms +-2, s the sign), where S_a = -A g for the antisymmetric matrix A of
+    the 2-vector a (so g(S_a u, v) = <a, u ^ v>, with no inverse of g).  On
+    integers: for g = (D, G) and onb = (E, [U_1, ..., U_4]) as in star_matrix,
+    the triple (D E^2, [D E^2 J_1, D E^2 J_2, D E^2 J_3]), the form
+    para.hyperboloid_combination reads.  With sign=+1 they satisfy J1^2 = -Id,
+    J2^2 = J3^2 = Id and J3 = J2 J1."""
+    (dg, gm), (du, u) = g, onb
+    s = 1 if sign > 0 else -1
+    ns = range(len(gm))
+    out = []
+    for (a, b), (c, d), t in (((0, 1), (2, 3), s), ((0, 2), (1, 3), s), ((0, 3), (1, 2), -s)):
+        minus_a = [[u[b][k] * u[a][l] - u[a][k] * u[b][l]
+                    + t * (u[d][k] * u[c][l] - u[c][k] * u[d][l]) for l in ns] for k in ns]
+        out.append(int_mul(minus_a, gm))
+    return dg * du * du, out
 
 
 # -- serialization ----------------------------------------------------------------

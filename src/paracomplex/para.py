@@ -11,13 +11,11 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from paracomplex.linalg import (
     Bilinear,
     Endo,
     basis_vec,
-    int_mats,
+    frac_mat,
     is_g_skew,
     j_structures,
     kernel_basis,
@@ -91,23 +89,21 @@ def hyperboloid_draw(rng) -> tuple[int, int, int, int]:
 
 def hyperboloid_combination(point: tuple, triple: tuple) -> tuple[int, list]:
     """(e, K) with y1 J1 + y2 J2 + y3 J3 = K / e, for a hyperboloid_draw point
-    (Y1, Y2, Y3, E) and an int_mats J-triple (D, [D J1, D J2, D J3]): K is the
+    (Y1, Y2, Y3, E) and a j_structures J-triple (D, [D J1, D J2, D J3]): K is the
     integer matrix Y1 D J1 + Y2 D J2 + Y3 D J3 and e = E D."""
     (y1, y2, y3, e), (den, mats) = point, triple
     return e * den, [[y1 * a + y2 * b + y3 * c for a, b, c in zip(*rows)]
                      for rows in zip(*mats)]
 
 
-def random_compatible_structure(g: Bilinear, onb: list, rng, orientation: int = +1,
-                                js: list | None = None) -> Endo:
+def random_compatible_structure(g: tuple, onb: tuple, rng, orientation: int = +1,
+                                js: tuple | None = None) -> Endo:
     """Random g-compatible paracomplex structure of the given orientation in
-    dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3).
-    A caller drawing many structures at one point passes the J-triple
+    dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3),
+    for g and the frame on integers as j_structures takes them.  A caller
+    drawing many structures at one point passes the J-triple
     j_structures(g, onb, orientation) as js; the draws from rng are the same."""
     point = hyperboloid_draw(rng)
     if js is None:
         js = j_structures(g, onb, +1 if orientation > 0 else -1)
-    e, k = hyperboloid_combination(point, int_mats([jm.mat for jm in js]))
-    return Endo([[Fraction(c, e) for c in row] for row in k])
-
-
+    return Endo(frac_mat(*hyperboloid_combination(point, js)))

@@ -8,9 +8,10 @@ gates of a total-space computation), the B-transform law of the Courant
 bracket and the classical Nijenhuis tensor, and the linear algebra of the
 fiber of compatible structures: adapted and null bases, tangent vectors, the
 fiber metric, orientation, the hyperboloid coordinates, and the extraction
-of a structure's paracomplex pair.  Conventions are those of the module each
-routine builds on (`curv` for curvature signs, `gpx` for forms as maps,
-`patch` for the Courant bracket).
+of a structure's paracomplex pair, with `mat_det` and the Fraction-side
+entries to the integer routines (`as_ints`, `j_triple`).  Conventions are
+those of the module each routine builds on (`curv` for curvature signs,
+`gpx` for forms as maps, `patch` for the Courant bracket).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from fractions import Fraction
 from operator import mul
 
-from paracomplex.curv import DegenerateMetric, _riemann, np_residual_terms, torsion_at
+from paracomplex.curv import DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc
 from paracomplex.gpx import (
     GenEndo,
@@ -32,12 +33,13 @@ from paracomplex.linalg import (
     Bilinear,
     Endo,
     TwoVector,
+    bareiss,
+    frac_mat,
     int_mats,
     is_g_skew,
     j_structures,
     kernel_basis,
     mat_add,
-    mat_det,
     mat_eval,
     mat_from_columns,
     mat_identity,
@@ -54,6 +56,7 @@ from paracomplex.linalg import (
     vec_scale,
     zero_like,
 )
+from paracomplex.obstruction import np_residual_terms, torsion_at
 from paracomplex.para import _orthogonal_complement_basis, validate_para
 from paracomplex.patch import (
     KForm,
@@ -235,6 +238,27 @@ def induced_orientation(g: Bilinear, k: Endo) -> int:
     return 1 if det > 0 else -1
 
 
+def mat_det(a: list) -> Fraction:
+    """Exact determinant over Q: sign d / D^n from linalg.bareiss of D a, or 0."""
+    den, (m,) = int_mats([a])
+    _, pivots, d, sign = bareiss(m)
+    return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
+
+
+def as_ints(m: list) -> tuple:
+    """(D, D m) for a matrix m of Fractions (a metric, or a frame as its list of
+    vectors) with D the least common denominator: the integer form that
+    j_structures, star_matrix and random_compatible_structure read."""
+    den, (out,) = int_mats([m])
+    return den, out
+
+
+def j_triple(g: Bilinear, onb: list, sign: int = +1) -> list:
+    """j_structures(g, onb, sign) for g and the frame in Fractions, as endomorphisms."""
+    den, js = j_structures(as_ints(g.mat), as_ints(onb), sign)
+    return [Endo(frac_mat(den, j)) for j in js]
+
+
 def hyperboloid_structure(g: Bilinear, onb: list, y1, y2, y3) -> Endo:
     """K = y1 J1 + y2 J2 + y3 J3 for a rational point on the one-sheeted
     hyperboloid -y1^2 + y2^2 + y3^2 = 1; a compatible paracomplex structure
@@ -242,14 +266,14 @@ def hyperboloid_structure(g: Bilinear, onb: list, y1, y2, y3) -> Endo:
     y1, y2, y3 = Fraction(y1), Fraction(y2), Fraction(y3)
     if -y1 * y1 + y2 * y2 + y3 * y3 != 1:
         raise ValueError(f"({y1}, {y2}, {y3}) is not on the hyperboloid")
-    j1, j2, j3 = j_structures(g, onb, +1)
+    j1, j2, j3 = j_triple(g, onb)
     return j1.scale(y1) + j2.scale(y2) + j3.scale(y3)
 
 
 def hyperboloid_coords(g: Bilinear, onb: list, k: Endo) -> tuple:
     """Read back (y1, y2, y3) from K via fiber-metric projections onto the J_i;
     inverse of hyperboloid_structure on hyperboloid points."""
-    j1, j2, j3 = j_structures(g, onb, +1)
+    j1, j2, j3 = j_triple(g, onb)
     # G(J1, J1) = 2 and G(J2, J2) = G(J3, J3) = -2
     return (
         fiber_metric(k, j1) / 2,
@@ -562,7 +586,8 @@ def metricity_residual(conn: Connection, g: list) -> bool:
 def riemann_at(g: list, point) -> list:
     """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
     convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet."""
-    return _riemann(g, point)[2]
+    *_, den, r = _riemann(g, point)
+    return [[[[Fraction(x, den) for x in c] for c in b] for b in a] for a in r]
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:

@@ -49,6 +49,7 @@ from paracomplex.patch import (
     poisson_jacobiator,
 )
 from paracomplex.reference import (
+    as_ints,
     b_bracket_residual,
     classical_nijenhuis,
     extract_pair,
@@ -124,9 +125,9 @@ def test_acceptance_1_round_trip():
     rng = random.Random(101)
     for trial in range(50):
         g, s = rnd_neutral_metric(rng)
-        k1 = conjugate(random_compatible_structure(D, ONB, rng,
+        k1 = conjugate(random_compatible_structure(as_ints(D.mat), as_ints(ONB), rng,
                                                    +1 if rng.random() < 0.5 else -1), s)
-        k2 = conjugate(random_compatible_structure(D, ONB, rng,
+        k2 = conjugate(random_compatible_structure(as_ints(D.mat), as_ints(ONB), rng,
                                                    +1 if rng.random() < 0.5 else -1), s)
         theta = rnd_antisym(rng)
         e = gen_metric(g, theta)
@@ -362,9 +363,9 @@ def test_acceptance_9_dtheta_obstruction():
     closed = KForm(4, 2, {(0, 1): rf("5"), (1, 3): rf("-2")})
     assert ext_deriv(closed).is_zero()
     for _ in range(20):
-        s1 = random_compatible_structure(g_at, onb, rng,
+        s1 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
                                          +1 if rng.random() < 0.5 else -1)
-        s2 = random_compatible_structure(g_at, onb, rng,
+        s2 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
                                          +1 if rng.random() < 0.5 else -1)
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
                       [Fraction(rng.randint(-3, 3)) for _ in range(4)])
@@ -374,9 +375,9 @@ def test_acceptance_9_dtheta_obstruction():
     theta = KForm(4, 2, {(1, 2): rf("x1")})
     found = False
     for _ in range(60):
-        s1 = random_compatible_structure(g_at, onb, rng,
+        s1 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
                                          +1 if rng.random() < 0.5 else -1)
-        s2 = random_compatible_structure(g_at, onb, rng,
+        s2 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
                                          +1 if rng.random() < 0.5 else -1)
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
                       [Fraction(rng.randint(-3, 3)) for _ in range(4)])

@@ -240,10 +240,33 @@ def test_a_long_decimal_exponent_exit_2_at_once(tmp_path, capsys, argv, message)
     assert_one_line_input_error(capsys, code, message)
 
 
+LONG = "1" + "0" * 1100  # 1,101 digits, past the bound of 1,001
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curvature", "constcurv:1", "--point", f"{LONG},0,0,0"], f"bad point '{LONG},0,0,0'"),
+    (["theorem", "flat", "--component=++", "--points", f"0,0,0,1/{LONG}"],
+     f"bad point '0,0,0,1/{LONG}'"),
+    (["curvature", f"constcurv:{LONG}"],
+     f"the numerator or denominator of '{LONG}' has more than 1001 digits"),
+], ids=["point", "denominator", "constcurv"])
+def test_a_long_literal_exit_2_at_once(capsys, argv, message):
+    """A coordinate or constcurv constant whose numerator or denominator has
+    more digits than 1e1000 (1,001) is an input error: a 1,101-digit
+    coordinate used to exit with Python's own text on the 4,300-digit limit of
+    integer strings, raised while printing the report."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(capsys, code, message)
+
+
 def test_an_exponent_within_the_bound_is_read_in_full(capsys):
     code, out = run_cli(capsys, "curvature", "constcurv:1e-3", "--point", "1e3,-2.5e1,0,1E0")
     report = json.loads(out)
     assert code == 0 and report["point"] == ["1000", "-25", "0", "1"]
+    code, out = run_cli(capsys, "curvature", "constcurv:1", "--point", "1e1000,0,0,0")
+    assert code == 0 and json.loads(out)["point"][0] == "1" + "0" * 1000
     assert report["metric"] == "constcurv:1/1000" and report["sectional_constant"] == "1/1000"
 
 
@@ -564,6 +587,15 @@ def test_theorem_negative_samples_exit_2(capsys):
     assert json.loads(out)["evidence"]["jklr"] == {"samples": 0, "nonzero": 0}
 
 
+def test_theorem_samples_above_the_bound_exit_2_at_once(capsys):
+    """--samples is at most 100,000 (at most about 8 s of samples); 10^11
+    samples used to run without output until killed."""
+    start = time.perf_counter()
+    code = main(["theorem", "constcurv:1", "--component=+-", "--samples", "100000000000"])
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(capsys, code, "--samples must be at most 100000, got 100000000000")
+
+
 def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
     """The (j,l,r) samples contract wedge coordinates with the lowered
     operator: the Lambda^2 inner product runs at most for the 36 Gram entries
@@ -589,10 +621,12 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
 
 
 
-def test_theorem_inverts_each_point_frame_and_gram_once(capsys, monkeypatch):
-    """Per default point, mat_inv runs twice: on the Lambda^2 Gram matrix and
-    on the frame (once for the Hodge star matrix).  g(p)^-1 comes from
-    bareiss in the Riemann kernel, and the J-triples need no inverse (S_a = -A g)."""
+def test_theorem_inverts_no_matrix(capsys, monkeypatch):
+    """No mat_inv runs in `theorem`: the Lambda^2 Gram matrix is eliminated
+    once per point by the bareiss on [L(g) | q^T] that gives the operator, the
+    Hodge star reads the frame's inverse as ONB_GRAM P^T g, g(p)^-1 comes
+    from bareiss in the Riemann kernel, and the J-triples need no inverse
+    (S_a = -A g)."""
     import paracomplex
 
     original = paracomplex.linalg.mat_inv
@@ -607,31 +641,37 @@ def test_theorem_inverts_each_point_frame_and_gram_once(capsys, monkeypatch):
             monkeypatch.setattr(module, "mat_inv", counting)
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
     assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
-    assert sorted(sizes) == [4] * 5 + [6] * 5
+    assert sizes == []
 
 
-def test_theorem_scales_each_point_q_and_j_triple_once(capsys, monkeypatch):
-    """With 300 samples over the five default points, int_mats in curv runs
-    once per point on each of: the 21 matrices of the metric's 2-jet (the
-    Riemann kernel), the lowered operator q, and the J-triple of each of the
-    two orientations of +-; never once per sample."""
+def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):
+    """With 300 samples over the five default points, curv reads the
+    metric's 2-jet and the frame once per point, on integers from int_jet;
+    the lowered operator q and the J-triple of each orientation come out of
+    curvature_operator and j_structures on integers, so int_mats never runs,
+    per point or per sample."""
     import paracomplex.curv
 
-    original = paracomplex.curv.int_mats
-    sizes = []
+    scaled, jets = [], []
+    original_mats, original_jet = paracomplex.curv.int_mats, paracomplex.curv.int_jet
 
-    def counting(mats):
+    def counting_mats(mats):
         mats = list(mats)
-        sizes.append(len(mats))
-        return original(mats)
+        scaled.append(len(mats))
+        return original_mats(mats)
 
-    monkeypatch.setattr(paracomplex.curv, "int_mats", counting)
+    def counting_jet(a, point, order=0):
+        jets.append(order)
+        return original_jet(a, point, order)
+
+    monkeypatch.setattr(paracomplex.curv, "int_mats", counting_mats)
+    monkeypatch.setattr(paracomplex.curv, "int_jet", counting_jet)
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-",
                         "--samples", "300")
     report = json.loads(out)
     assert code == 0 and report["evidence"]["jklr"] == {"samples": 300, "nonzero": 0}
     assert len(report["evidence"]["points"]) == 5
-    assert sorted(sizes) == [1] * 5 + [3] * 10 + [21] * 5
+    assert scaled == [] and sorted(jets) == [0] * 5 + [2] * 5
 
 
 PHI = "(x1^4/12 - x1^3/3 + 1)"

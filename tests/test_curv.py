@@ -15,10 +15,14 @@ from paracomplex.linalg import (
     Endo,
     TwoVector,
     basis_vec,
+    frac_mat,
     j_structures,
     lambda2_matrix,
+    mat_add,
     mat_eq,
+    mat_from_columns,
     mat_identity,
+    mat_inv,
     mat_eval,
     mat_is_zero,
     mat_jet,
@@ -27,6 +31,7 @@ from paracomplex.linalg import (
     mat_sub,
     mat_vec,
     mat_zero,
+    transpose,
     vec_add,
     wedge_pairs,
 )
@@ -46,7 +51,6 @@ from paracomplex.curv import (
     duality_verdict,
     flat_metric,
     metric_from_strings,
-    np_residual_terms,
     onb_search,
     parse_metric_id,
     ppwave_metric,
@@ -55,12 +59,12 @@ from paracomplex.curv import (
     sectional_constant_check,
     star_matrix,
     theorem_verdict,
-    torsion_at,
-    _dtheta_covector,
     _is_square,
 )
+from paracomplex.obstruction import _dtheta_covector, np_residual_terms, torsion_at
 from paracomplex.reference import (
     Connection,
+    as_ints,
     curvature_endo,
     gen_pairing,
     hitchin_connection,
@@ -429,6 +433,142 @@ def test_curvature_operator_self_adjoint():
     assert mat_eq(gm, [list(r) for r in zip(*gm)])
 
 
+# -- the Fraction reference of the operator and its decomposition --------------------------
+
+
+def operator_reference(g: list, point) -> dict:
+    """The curvature operator in Fractions, as curvature_operator computed it
+    before it ran on integers: the reference for every field of CurvOperator.
+    From riemann_at (checked against the symbolic oracle above): lowered
+    q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l), mat = L(g)^-1 q^T with the
+    Gram matrix inverted, Ricci, rho = g^-1 Ricci and s = trace(rho)."""
+    g_at = mat_eval(g, point)
+    r_at = riemann_at(g, point)
+    q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at) for i, j in WEDGE4)]
+    ric = [[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)] for i in range(4)]
+    rho = mat_mul(mat_inv(g_at), ric)
+    return {"g_at": g_at, "lowered": q, "mat": mat_mul(mat_inv(lambda2_matrix(g_at)), transpose(q)),
+            "ricci": ric, "rho": rho, "s": sum(rho[i][i] for i in range(4))}
+
+
+def onb_reference(model: MetricModel, point, orientation: int) -> list:
+    """The oriented frame in Fractions: the columns of the supplied frame,
+    checked orthonormal with norms 1, 1, -1, -1, the last one negated when the
+    determinant is negative, the last two swapped for orientation -1."""
+    cols = mat_eval(model.onb, point)
+    assert mat_mul(mat_mul(cols, mat_eval(model.g, point)), transpose(cols)) == \
+        Bilinear.diag([1, 1, -1, -1]).mat
+    if mat_det_reference(mat_from_columns(cols)) < 0:
+        cols = [cols[0], cols[1], cols[2], [-c for c in cols[3]]]
+    return [cols[0], cols[1], cols[3], cols[2]] if orientation < 0 else cols
+
+
+def mat_det_reference(m: list) -> Fraction:
+    """The determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * mat_det_reference([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
+def decompose_reference(ref: dict, onb: list) -> dict:
+    """(s/12) Id, B, W, W+ and W- in Fractions, with B from TwoVector wedges and
+    the Hodge star with the frame inverted: the reference for decompose."""
+    s, rho = ref["s"], Endo(ref["rho"])
+    s_part = mat_scale(s / 12, mat_identity(6))
+    b_cols = []
+    for i, j in WEDGE4:
+        ei, ej = basis_vec(i, 4), basis_vec(j, 4)
+        tv = TwoVector.wedge(rho.apply(ei), ej) + TwoVector.wedge(ei, rho.apply(ej)) \
+            - TwoVector.basis(i, j, 4).scale(s / 2)
+        b_cols.append([tv.get(k, l) / 2 for k, l in WEDGE4])
+    b_part = mat_from_columns(b_cols)
+    w_part = mat_sub(mat_sub(ref["mat"], s_part), b_part)
+    p = mat_from_columns(onb)
+    star_u = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
+              [0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
+    star = mat_mul(lambda2_matrix(p), mat_mul(star_u, lambda2_matrix(mat_inv(p))))
+    halves = [mat_scale(Fraction(1, 2), mat_add(mat_identity(6), mat_scale(sign, star)))
+              for sign in (1, -1)]
+    w_plus, w_minus = (mat_mul(h, mat_mul(w_part, h)) for h in halves)
+    return {"s_part": s_part, "b_part": b_part, "w_part": w_part, "w_plus": w_plus,
+            "w_minus": w_minus}
+
+
+def flat_pullback(maps: list) -> MetricModel:
+    """The flat metric pulled back by the unipotent triangular polynomial map
+    F_i = x_i + q_i(x_1, ..., x_{i-1}) with the given F: g = J^T eta J for the
+    Jacobian J, and the frame J^-1 e_a (the dense-metrics shape of a file:
+    metric whose curvature vanishes)."""
+    fs = [rf(f) for f in maps]
+    jac = [[f.partial(j) for j in range(4)] for f in fs]
+    eta = flat_metric().g
+    g = mat_mul(mat_mul(transpose(jac), eta), jac)
+    inv = mat_inv(jac)
+    return MetricModel("flat-pullback", 4, g, [[inv[i][a] for i in range(4)] for a in range(4)])
+
+
+def constcurv_shear(c: Fraction, a: int) -> MetricModel:
+    """constcurv:c pulled back by the shear y3 = x3 + a x1 (the other
+    dense-metrics shape): every row of g mixes the signs of the metric."""
+    phi = rf(f"1 + ({c})/4*(x1^2 + x2^2 - (x3 + ({a})*x1)^2 - x4^2)")
+    shear = [[1, 0, 0, 0], [0, 1, 0, 0], [a, 0, 1, 0], [0, 0, 0, 1]]
+    eta = (1, 1, -1, -1)
+    z = RatFunc.zero(4)
+    g = [[RatFunc.const(4, sum(shear[k][i] * eta[k] * shear[k][j] for k in range(4))) / (phi * phi)
+          for j in range(4)] for i in range(4)]
+    inv = [[1, 0, 0, 0], [0, 1, 0, 0], [-a, 0, 1, 0], [0, 0, 0, 1]]
+    return MetricModel(f"constcurv-shear:{c}", 4, g,
+                       [[phi * inv[i][col] if inv[i][col] else z for i in range(4)]
+                        for col in range(4)])
+
+
+def reference_models() -> list:
+    return [flat_metric(), constcurv_metric(1), constcurv_metric(Fraction(-2, 3)),
+            ppwave_metric(rf("x2^2")), ppwave_metric(rf("x1^3*x2^2/3 - x2^3 + x1*x2")),
+            ppwave_metric(rf(COUNTEREXAMPLE)), perturbed_metric(),
+            flat_pullback(["x1", "x2 + 2*x1^2", "x3 + x1*x2 - x2^2/2", "x4 + x3^2 - 3*x1*x2"]),
+            flat_pullback(["x1", "x2 - x1^3/3", "x3 + x1^2*x2 + 2*x2^3",
+                           "x4 + x1*x2*x3 - x3^3/2"]),
+            constcurv_shear(Fraction(-1, 2), 2), constcurv_shear(Fraction(2), -2)]
+
+
+def test_integer_operator_and_decomposition_equal_the_fraction_reference():
+    """curvature_operator, onb_at, decompose and the verdicts read from them
+    run on integers; at seeded rational points of flat, constcurv:c,
+    ppwave:f (the counterexample among them), the perturbed metric and both
+    dense pullback shapes, every field equals the Fraction reference exactly:
+    g(p), mat, lowered, ricci, rho, s, the frame, (s/12) Id, B, W, W+, W-, the
+    sectional constant and the duality flags."""
+    rng = random.Random(1931)
+    for model in reference_models():
+        compared = 0
+        while compared < 3:
+            p = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
+            try:
+                ref = operator_reference(model.g, p)
+            except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
+                continue
+            op = curvature_operator(model.g, p)
+            assert op.g_at.mat == ref["g_at"] and op.mat == ref["mat"]
+            assert op.lowered == ref["lowered"] and op.ricci.mat == ref["ricci"]
+            assert op.rho.mat == ref["rho"] and op.s == ref["s"]
+            scalar = mat_eq(ref["mat"], mat_scale(ref["mat"][0][0], mat_identity(6)))
+            assert sectional_constant_check(op) == (ref["mat"][0][0] if scalar else None)
+            for orientation in (1, -1):
+                onb = model.onb_at(p, orientation, op.int_g)
+                cols = [[Fraction(x, onb[0]) for x in v] for v in onb[1]]
+                assert cols == onb_reference(model, p, orientation)
+                dec, want = decompose(op, onb), decompose_reference(ref, cols)
+                assert dec.s == ref["s"] and dec.parts_sum() == ref["mat"]
+                assert {k: getattr(dec, k) for k in want} == want
+                assert duality_verdict(dec) == {
+                    "self_dual": mat_is_zero(want["w_minus"]),
+                    "anti_self_dual": mat_is_zero(want["w_plus"]),
+                    "conformally_flat": mat_is_zero(want["w_part"])}
+            compared += 1
+
+
 # -- decomposition ---------------------------------------------------------------------
 
 
@@ -456,7 +596,7 @@ def test_b_part_swaps_chirality():
     op = curvature_operator(m.g, p)
     onb = m.onb_at(p)
     dec = decompose(op, onb)
-    star = star_matrix(onb)
+    star = frac_mat(*star_matrix(op.int_g, onb))
     half = Fraction(1, 2)
     p_plus = mat_scale(half, [[x + y for x, y in zip(r1, r2)]
                               for r1, r2 in zip(mat_identity(6), star)])
@@ -531,8 +671,8 @@ def test_jklr_flat_always_zero():
     op = curvature_operator(m.g, ORIGIN)
     onb = m.onb_at(ORIGIN)
     for _ in range(10):
-        k1 = random_compatible_structure(op.g_at, onb, rng, +1)
-        k2 = random_compatible_structure(op.g_at, onb, rng, -1)
+        k1 = random_compatible_structure(op.int_g, onb, rng, +1)
+        k2 = random_compatible_structure(op.int_g, onb, rng, -1)
         args = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
         j, l, r = (rng.randint(1, 2) for _ in range(3))
         assert jklr_residual(op, k1, k2, j, l, r, *args) == 0
@@ -545,8 +685,8 @@ def test_jklr_constant_curvature_mixed_orientations():
         op = curvature_operator(m.g, p)
         onb = m.onb_at(p)
         for _ in range(10):
-            k1 = random_compatible_structure(op.g_at, onb, rng, +1)
-            k2 = random_compatible_structure(op.g_at, onb, rng, -1)
+            k1 = random_compatible_structure(op.int_g, onb, rng, +1)
+            k2 = random_compatible_structure(op.int_g, onb, rng, -1)
             args = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
             j, l, r = (rng.randint(1, 2) for _ in range(3))
             assert jklr_residual(op, k1, k2, j, l, r, *args) == 0
@@ -562,7 +702,7 @@ def test_jklr_diagonal_matches_duality_verdict():
         op = curvature_operator(model.g, p)
         onb = model.onb_at(p)
         for _ in range(n):
-            k = random_compatible_structure(op.g_at, onb, rng, +1)
+            k = random_compatible_structure(op.int_g, onb, rng, +1)
             r = rng.randint(1, 2)
             args = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
             if jklr_residual(op, k, k, r, r, r, *args) != 0:
@@ -590,8 +730,8 @@ def test_jklr_perturbed_nonzero_witness():
     onb = m.onb_at(p)
     found = False
     for _ in range(60):
-        k1 = random_compatible_structure(op.g_at, onb, rng, +1)
-        k2 = random_compatible_structure(op.g_at, onb, rng, -1)
+        k1 = random_compatible_structure(op.int_g, onb, rng, +1)
+        k2 = random_compatible_structure(op.int_g, onb, rng, -1)
         args = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
         j, l, r = (rng.randint(1, 2) for _ in range(3))
         if jklr_residual(op, k1, k2, j, l, r, *args) != 0:
@@ -654,8 +794,8 @@ def test_jklr_residual_equals_the_lambda2_oracle():
             op = curvature_operator(model.g, p)
             onb = model.onb_at(p)
             for _ in range(14):
-                k1 = random_compatible_structure(op.g_at, onb, rng, rng.choice((1, -1)))
-                k2 = random_compatible_structure(op.g_at, onb, rng, rng.choice((1, -1)))
+                k1 = random_compatible_structure(op.int_g, onb, rng, rng.choice((1, -1)))
+                k2 = random_compatible_structure(op.int_g, onb, rng, rng.choice((1, -1)))
                 j, l, r = (rng.randint(1, 2) for _ in range(3))
                 args = [rnd_vec(rng) for _ in range(4)]
                 res = jklr_residual(op, k1, k2, j, l, r, *args)
@@ -701,7 +841,7 @@ def jklr_reference(points, orientations, rng, samples):
     out = []
     for t in range(samples):
         p, op, onb, js = points[t % len(points)]
-        k1, k2 = (random_compatible_structure(op.g_at, onb, rng, o, js(o)) for o in orientations)
+        k1, k2 = (random_compatible_structure(op.int_g, onb, rng, o, js(o)) for o in orientations)
         j, l, r = (rng.randint(1, 2) for _ in range(3))
         args = [rnd_vec(rng) for _ in range(4)]
         out.append((p, (j, l, r), jklr_residual(op, k1, k2, j, l, r, *args)))
@@ -723,7 +863,7 @@ def test_integer_jklr_samples_equal_the_fraction_reference():
         for p in pts:
             op, onb = curvature_operator(model.g, p), model.onb_at(p)
             points.append((p, op, onb, functools.cache(functools.partial(j_structures,
-                                                                         op.g_at, onb))))
+                                                                         op.int_g, onb))))
         for orientations in product((1, -1), repeat=2):
             seed = rng.getrandbits(32)
             ours, theirs = random.Random(seed), random.Random(seed)
@@ -769,7 +909,7 @@ def test_reflector_nijenhuis_output_vertical():
     r_at = riemann_at(m.g, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
-    q = random_compatible_structure(g_at, onb, rng, +1)
+    q = random_compatible_structure(as_ints(g_at.mat), onb, rng, +1)
     for _ in range(4):
         x = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
         y = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
@@ -876,8 +1016,8 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
     g_at = m.g_at(p)
     onb = m.onb_at(p)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
-    k1 = random_compatible_structure(g_at, onb, rng, +1)
-    k2 = random_compatible_structure(g_at, onb, rng, -1)
+    k1 = random_compatible_structure(as_ints(g_at.mat), onb, rng, +1)
+    k2 = random_compatible_structure(as_ints(g_at.mat), onb, rng, -1)
     basis = vertical_pair_basis(g_at, (k1, k2))
     for _ in range(6):
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
@@ -887,7 +1027,7 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
         pair, omegas = twistor_vertical_nijenhuis(r_at, e, (k1, k2), a, b, 1, basis)
         assert pair[0].is_zero() and pair[1].is_zero()
         assert all(v == 0 for v in omegas)
-    k2p = random_compatible_structure(g_at, onb, rng, +1)
+    k2p = random_compatible_structure(as_ints(g_at.mat), onb, rng, +1)
     found = False
     for _ in range(20):
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
@@ -908,8 +1048,8 @@ def test_twistor_vertical_output_vertical():
     r_at = riemann_at(m.g, p)
     g_at = m.g_at(p)
     onb = m.onb_at(p)
-    k1 = random_compatible_structure(g_at, onb, rng, +1)
-    k2 = random_compatible_structure(g_at, onb, rng, -1)
+    k1 = random_compatible_structure(as_ints(g_at.mat), onb, rng, +1)
+    k2 = random_compatible_structure(as_ints(g_at.mat), onb, rng, -1)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
     for eps in (1, 2, 3, 4):
         a = GenVector([Fraction(rng.randint(-2, 2)) for _ in range(4)],
@@ -931,8 +1071,10 @@ def test_np_residual_zero_for_closed_theta():
     g_at = m.g_at(ORIGIN)
     onb = m.onb_at(ORIGIN)
     for _ in range(20):
-        s1 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
-        s2 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
+        s1 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
+                                         +1 if rng.random() < 0.5 else -1)
+        s2 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
+                                         +1 if rng.random() < 0.5 else -1)
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
                       [Fraction(rng.randint(-3, 3)) for _ in range(4)])
         b = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
@@ -949,8 +1091,10 @@ def test_np_residual_witness_for_nonclosed_theta():
     onb = m.onb_at(ORIGIN)
     found = False
     for _ in range(40):
-        s1 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
-        s2 = random_compatible_structure(g_at, onb, rng, +1 if rng.random() < 0.5 else -1)
+        s1 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
+                                         +1 if rng.random() < 0.5 else -1)
+        s2 = random_compatible_structure(as_ints(g_at.mat), onb, rng,
+                                         +1 if rng.random() < 0.5 else -1)
         a = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
                       [Fraction(rng.randint(-3, 3)) for _ in range(4)])
         b = GenVector([Fraction(rng.randint(-3, 3)) for _ in range(4)],
@@ -982,8 +1126,8 @@ def test_cond_two_forms_specialization():
     dth_at = {idx: c.eval_at(ORIGIN) for idx, c in dth.comps.items()}
     g_at = m.g_at(ORIGIN)
     onb = m.onb_at(ORIGIN)
-    s1 = random_compatible_structure(g_at, onb, rng, +1)
-    s2 = random_compatible_structure(g_at, onb, rng, -1)
+    s1 = random_compatible_structure(as_ints(g_at.mat), onb, rng, +1)
+    s2 = random_compatible_structure(as_ints(g_at.mat), onb, rng, -1)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
     y = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
     gx = [sum(g_at.mat[i][j] * x[j] for j in range(4)) for i in range(4)]

@@ -1,6 +1,7 @@
 """Exact scalar tower: evaluation, differentiation, equality, parsing."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational
-from paracomplex.linalg import mat_jet
+from paracomplex.linalg import int_jet, mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS2 = ["x1", "x2"]
@@ -72,11 +73,90 @@ def test_a_factor_with_value_zero_and_nonzero_gradient_is_a_pole(order):
     does not exist there, and the error names the point."""
     f = rf("x2/(x1 - 1)")
     p = as_point([1, 5])
-    assert rf("x1 - 1").num.jet_at(p, 1) == (0, (1, 0))
-    for evaluate in (lambda: f.jet_at(p, order), lambda: mat_jet([[rf("1"), f]], p, order)):
+    assert rf("x1 - 1").num.jet_at(p, 1) == (1, (0, (1, 0)))
+    for evaluate in (lambda: f.jet_at(p, order), lambda: mat_jet([[rf("1"), f]], p, order),
+                     lambda: int_jet([[rf("1"), f]], p, order)):
         with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(1, 5\)$"):
             evaluate()
 
+
+def jet_div_reference(a: tuple, u: tuple) -> tuple:
+    """The jet of q = a / u in Fractions, where u(p) != 0, solved from a = q u
+    by the Leibniz rule: q_i = (a_i - q u_i) / u and
+    q_ij = (a_ij - q_i u_j - q_j u_i - q u_ij) / u; the reference for the
+    integer quotient rule of RatFunc.jet_at."""
+    q = (a[0] / u[0],)
+    if len(a) > 1:
+        q += (tuple((ai - q[0] * ui) / u[0] for ai, ui in zip(a[1], u[1])),)
+    if len(a) > 2:
+        g, ug, ns = q[1], u[1], range(len(u[1]))
+        q += (tuple(tuple((a[2][i][j] - g[i] * ug[j] - g[j] * ug[i] - q[0] * u[2][i][j]) / u[0]
+                          for j in ns) for i in ns),)
+    return q
+
+
+def ratfunc_jet_reference(f: RatFunc, p, order: int) -> tuple:
+    """f's jet in Fractions: the numerator's jet divided by each factor's jet
+    once per multiplicity, by jet_div_reference."""
+    jet = fractions(*f.num.jet_at(p, order))
+    for u, m in f.factors.values():
+        for _ in range(m):
+            jet = jet_div_reference(jet, fractions(*u.jet_at(p, order)))
+    return jet
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_integer_jets_equal_the_leibniz_fraction_reference(order):
+    """RatFunc.jet_at runs the quotient rule on integers over one positive
+    denominator, and int_jet gives each order of a matrix's jet over its
+    least one; entry by entry they equal the Fraction Leibniz reference, for
+    factors of multiplicity 1 to 3 with positive and negative values at seeded
+    points with mixed and 64-bit denominators, and mat_jet is int_jet over
+    its denominators."""
+    f = rf("x1/(1+x2)") / rf("x1-3") / rf("x1-3")
+    entries = [f, f * rf("x2^2 - 1/3") / rf("2*x1 + x2 + 5"), rf("7/2"), rf("x1^3/(x2 - 2)^3"),
+               rf("(x1*x2 - 1/2)/((x1^2 + 1)*(x2 + 4)^2)")]
+    assert sorted(m for _, m in f.factors.values()) == [1, 2]
+    rng = random.Random(1953)
+    points = [as_point([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+              for _ in range(8)] + [(Fraction(2**64 + 1, 3**40), Fraction(-(2**63), 2**64 - 59))]
+    compared = 0
+    for p in points:
+        try:
+            want = [ratfunc_jet_reference(c, p, order) for c in entries]
+        except ZeroDivisionError:
+            continue
+        for c, w in zip(entries, want):
+            den, jet = c.jet_at(p, order)
+            assert den > 0 and all(type(x) is int for x in flat(jet))
+            assert fractions(den, jet) == w
+        mat = [entries[:2], entries[2:4]]
+        jets = int_jet(mat, p, order)
+        got = tuple(fractions(den, part) for den, part in jets)
+        assert mat_jet(mat, p, order) == got and len(jets) == order + 1
+        assert all(den > 0 and math.gcd(den, *flat(part)) == 1 for den, part in jets)
+        for (r, c), w in zip([(0, 0), (0, 1), (1, 0), (1, 1)], want):
+            assert got[0][r][c] == w[0]
+            if order:
+                assert [got[1][i][r][c] for i in range(2)] == list(w[1])
+            if order > 1:
+                assert [[got[2][i][k][r][c] for k in range(2)] for i in range(2)] == [
+                    list(row) for row in w[2]]
+        compared += 1
+    assert compared >= 6
+
+
+
+def flat(jet) -> list:
+    """The integers of a jet (value,), (value, gradient) or (value, gradient,
+    Hessian), or of a part of int_jet, in nested tuples and lists."""
+    return [y for x in jet for y in (flat(x) if isinstance(x, (tuple, list)) else [x])]
+
+
+def fractions(den: int, jet):
+    """The integers of a jet, or of int_jet's parts, over den in Fractions, in
+    the same nested tuples and lists."""
+    return Fraction(jet, den) if isinstance(jet, int) else type(jet)(fractions(den, x) for x in jet)
 
 
 def poly_value(f: Poly, p) -> Fraction:
@@ -101,8 +181,9 @@ def test_poly_jet_at_equals_the_evaluated_partials(text, order):
         if order > 1:
             want += (tuple(tuple(poly_value(f.partial(i).partial(k), p) for k in range(2))
                            for i in range(2)),)
-        got = f.jet_at(p, order)
-        assert got == want and type(got[0]) is Fraction
+        den, got = f.jet_at(p, order)
+        assert den > 0 and all(type(x) is int for x in flat(got))
+        assert fractions(den, got) == want
 
 
 # -- partial --------------------------------------------------------------

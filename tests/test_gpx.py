@@ -46,6 +46,7 @@ from paracomplex.gpx import (
 )
 from paracomplex.para import random_compatible_structure, validate_para
 from paracomplex.reference import (
+    as_ints,
     b_conjugate,
     b_transform,
     check_pi_conditions,
@@ -424,9 +425,11 @@ def test_extract_inverts_assemble_randomized():
         onb_d = [basis_vec(i, 4) for i in range(4)]
         d = Bilinear.diag([1, 1, -1, -1])
         k1 = conjugated_structure(
-            random_compatible_structure(d, onb_d, rng, +1 if rng.random() < 0.5 else -1), s)
+            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
+                                        +1 if rng.random() < 0.5 else -1), s)
         k2 = conjugated_structure(
-            random_compatible_structure(d, onb_d, rng, +1 if rng.random() < 0.5 else -1), s)
+            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
+                                        +1 if rng.random() < 0.5 else -1), s)
         theta = rnd_antisym(rng)
         e = gen_metric(g, theta)
         k = assemble(g, theta, k1, k2)
@@ -441,8 +444,8 @@ def test_reconstruction_identity_on_frames():
     g, s = rnd_neutral_metric(rng)
     d = Bilinear.diag([1, 1, -1, -1])
     onb_d = [basis_vec(i, 4) for i in range(4)]
-    k1 = conjugated_structure(random_compatible_structure(d, onb_d, rng), s)
-    k2 = conjugated_structure(random_compatible_structure(d, onb_d, rng), s)
+    k1 = conjugated_structure(random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
+    k2 = conjugated_structure(random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
     theta = rnd_antisym(rng)
     e = gen_metric(g, theta)
     k = assemble(g, theta, k1, k2)
@@ -536,7 +539,7 @@ def test_omega_converse_construction():
     onb_d = [basis_vec(i, 4) for i in range(4)]
     built = 0
     for _ in range(10):
-        l = random_compatible_structure(d, onb_d, rng,
+        l = random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
                                         +1 if rng.random() < 0.5 else -1)
         lt_om = mat_mul(transpose(l.mat), omega.mat)
         om_l = mat_mul(omega.mat, l.mat)
@@ -697,8 +700,10 @@ def test_hat_metric_equiv_random_sweep():
     checked = 0
     for _ in range(20):
         g, s = rnd_neutral_metric(rng)
-        k1 = conjugated_structure(random_compatible_structure(d, onb_d, rng), s)
-        k2 = conjugated_structure(random_compatible_structure(d, onb_d, rng), s)
+        k1 = conjugated_structure(
+            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
+        k2 = conjugated_structure(
+            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
         theta = rnd_antisym(rng)
         k = assemble(g, theta, k1, k2)
         assert hat_metric_equiv(k, g) == is_compatible(k, gen_metric(g, THETA0))

@@ -2,12 +2,14 @@
 
 A fresh interpreter without cached bytecode compiles every module it imports,
 and that compile time is paid on every start of the CLI.  `validate` and
-`integrability` never run `paracomplex.curv`, so they must not load it, no
-command may load `dataclasses` (it pulls in `inspect`, `ast`, `dis` and
-`tokenize`), and none loads `paracomplex.reference`, the home of the closed
-forms and oracles that only the tests and the demos call.  Each check runs in
-its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares the modules
-loaded before and after.
+`integrability` never run `paracomplex.curv`, so they must not load it;
+`curvature` and `theorem` without `--theta` never run `gpx` or `patch`, so they
+must not load those; no command may load `dataclasses` (it pulls in `inspect`,
+`ast`, `dis` and `tokenize`), and none loads `paracomplex.reference`, the home
+of the closed forms and oracles that only the tests and the demos call.  Each
+check runs in its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares
+the modules loaded before and after.  CPython's parser doubles its token array
+at 8,192 tokens, so a module a command loads stays below that size.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -51,10 +54,29 @@ def probe(*argv):
 
 
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
+    """`import paracomplex.cli` loads exact and linalg only: each command
+    imports the rest it runs."""
     _, imported, _, _ = probe()
     assert "paracomplex.cli" in imported
-    assert "paracomplex.curv" not in imported
+    assert {m for m in imported if m.startswith("paracomplex.")} == {
+        "paracomplex.cli", "paracomplex.exact", "paracomplex.linalg"}
     assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["curvature", "constcurv:1", "--point", "0,0,0,0"], set()),
+    (["theorem", "constcurv:1", "--component=+-"], set()),
+    (["theorem", "constcurv:1", "--component=+-", "--theta", "x1*dx2^dx3"],
+     {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"}),
+], ids=["curvature", "theorem", "theorem-theta"])
+def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, loads):
+    """`curvature`, and `theorem` without `--theta`, load neither `gpx` nor
+    `patch`; a `--theta` brings in `patch` for dTheta, and one that is not
+    closed `gpx` and `obstruction` for the witness search.  The report is the one main
+    gives in process."""
+    code, _, ran, out = probe(*argv)
+    assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"} & ran == loads
+    assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["validate", "integrability"])
@@ -113,8 +135,24 @@ MOVED = [
     "horizontal_np_residual", "levi_civita", "metricity_residual", "omega_eps",
     "reflector_mixed_nijenhuis", "reflector_nijenhuis", "riemann_at", "twistor_mixed_nijenhuis",
     "twistor_vertical_nijenhuis", "vertical_pair_basis",
+    "as_ints", "endo_from_2vector", "j_triple", "mat_det", "sd_basis",
 ]
-COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv"]
+COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv", "obstruction"]
+
+
+def significant_tokens(path: Path) -> int:
+    """The tokenize tokens of a source file other than COMMENT and NL."""
+    with open(path) as fh:
+        return sum(1 for tok in tokenize.generate_tokens(fh.readline)
+                   if tok.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES + ["__init__", "__main__"])
+def test_each_module_a_command_loads_is_below_8192_tokens(module):
+    """At 8,192 tokens CPython's parser doubles its token array, and an
+    uncached compile of that module peaks about 1 MB higher; every module a
+    command loads (all but paracomplex.reference) stays below."""
+    assert significant_tokens(SRC / "paracomplex" / f"{module}.py") < 8192
 
 
 @pytest.mark.parametrize("name", MOVED)

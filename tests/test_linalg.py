@@ -13,24 +13,25 @@ from paracomplex.linalg import (
     TwoVector,
     bareiss,
     basis_vec,
-    endo_from_2vector,
+    frac_mat,
     is_g_skew,
-    j_structures,
     kernel_basis,
-    mat_det,
+    lambda2_matrix,
     mat_eq,
+    mat_from_columns,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_neg,
     mat_rank,
     mat_vec,
-    sd_basis,
+    mat_zero,
     signature,
     star_matrix,
+    transpose,
     wedge_pairs,
 )
-from paracomplex.reference import lambda2_inner
+from paracomplex.reference import as_ints, j_triple, lambda2_inner, mat_det
 
 G_DIAG = Bilinear.diag([1, 1, -1, -1])
 
@@ -81,6 +82,24 @@ def test_lambda2_inner_values():
 # -- S_a correspondence -----------------------------------------------------------
 
 
+def endo_from_2vector(g: Bilinear, a: TwoVector) -> Endo:
+    """The g-skew endomorphism S_a with g(S_a u, v) = <a, u ^ v> in Fractions:
+    S_a = -A g for the antisymmetric matrix A of a; the reference for the
+    J-triples of j_structures."""
+    minus_a = mat_zero(g.dim)
+    for (i, j), c in a.comps.items():
+        minus_a[i][j], minus_a[j][i] = -c, c
+    return Endo(mat_mul(minus_a, g.mat))
+
+
+def sd_basis(onb, sign: int = +1) -> list:
+    """Unnormalized (anti-)self-dual basis 2-vectors (norms +-2):
+    sigma_1 = u1^u2 + s u3^u4, sigma_2 = u1^u3 + s u2^u4, sigma_3 = u1^u4 - s u2^u3."""
+    s = Fraction(1 if sign > 0 else -1)
+    w = lambda i, j: TwoVector.wedge(onb[i], onb[j])
+    return [w(0, 1) + w(2, 3).scale(s), w(0, 2) + w(1, 3).scale(s), w(0, 3) - w(1, 2).scale(s)]
+
+
 def test_endo_from_2vector_selfdual_generator():
     a = TwoVector.basis(0, 1, 4) + TwoVector.basis(2, 3, 4)
     s = endo_from_2vector(G_DIAG, a)
@@ -124,12 +143,22 @@ def test_endo_from_2vector_defining_identity():
 ONB = [basis_vec(i, 4) for i in range(4)]
 
 
-def hodge_star(onb, a: TwoVector) -> TwoVector:
-    """The 2-vector *a for the oriented orthonormal basis onb (see star_matrix)."""
+def star_reference(onb) -> list:
+    """The Hodge star on wedge coordinates in Fractions, with the frame inverted:
+    * = L(P) *_u L(P^-1) for P the frame's columns and L = lambda2_matrix."""
+    p = mat_from_columns(onb)
+    star_u = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
+              [0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
+    return mat_mul(lambda2_matrix(p), mat_mul(star_u, lambda2_matrix(mat_inv(p))))
+
+
+def hodge_star(onb, a: TwoVector, g: Bilinear = G_DIAG) -> TwoVector:
+    """The 2-vector *a for the oriented orthonormal basis onb of g (see star_matrix)."""
     if a.dim != 4:
         raise ValueError("hodge star is implemented for dimension 4")
     pairs = wedge_pairs(4)
-    coords = mat_vec(star_matrix(onb), [a.get(i, j) for i, j in pairs])
+    coords = mat_vec(frac_mat(*star_matrix(as_ints(g.mat), as_ints(onb))),
+                     [a.get(i, j) for i, j in pairs])
     return TwoVector(4, dict(zip(pairs, coords)))
 
 
@@ -214,8 +243,33 @@ def test_split_parts_orthogonal():
 # -- J structures --------------------------------------------------------------------
 
 
+def random_neutral_frame(rng) -> tuple:
+    """(g, onb): g = S^T diag(1, 1, -1, -1) S for a random invertible integer S,
+    and the columns of S^-1, an orthonormal frame of g with norms (1, 1, -1, -1)."""
+    while True:
+        s = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
+        if mat_rank(s) == 4:
+            break
+    g = Bilinear(mat_mul(transpose(s), mat_mul(G_DIAG.mat, s)))
+    return g, transpose(mat_inv(s))
+
+
+def test_integer_star_and_j_triples_equal_the_fraction_references():
+    """star_matrix reads P^-1 = ONB_GRAM P^T g on integers, and j_structures
+    forms -A g on integers: both equal their Fraction references, with the
+    frame inverted and S_a of each self-dual 2-vector, for seeded neutral
+    metrics and frames of either orientation sign."""
+    rng = random.Random(1907)
+    for _ in range(12):
+        g, onb = random_neutral_frame(rng)
+        assert mat_mul(mat_mul(onb, g.mat), transpose(onb)) == G_DIAG.mat
+        assert frac_mat(*star_matrix(as_ints(g.mat), as_ints(onb))) == star_reference(onb)
+        for sign in (1, -1):
+            assert j_triple(g, onb, sign) == [endo_from_2vector(g, a) for a in sd_basis(onb, sign)]
+
+
 def test_j_structure_algebra():
-    j1, j2, j3 = j_structures(G_DIAG, ONB)
+    j1, j2, j3 = j_triple(G_DIAG, ONB)
     n = 4
     assert mat_eq(mat_mul(j1.mat, j1.mat), mat_neg(mat_identity(n)))
     assert mat_eq(mat_mul(j2.mat, j2.mat), mat_identity(n))

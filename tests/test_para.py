@@ -11,7 +11,6 @@ from paracomplex.linalg import (
     Bilinear,
     Endo,
     basis_vec,
-    j_structures,
     mat_eq,
     mat_identity,
     mat_mul,
@@ -25,6 +24,7 @@ from paracomplex.para import (
 )
 from paracomplex.reference import (
     _positive_norm_vector,
+    as_ints,
     adapted_basis,
     anticommutes,
     fiber_metric,
@@ -33,6 +33,7 @@ from paracomplex.reference import (
     hyperboloid_structure,
     induced_orientation,
     is_fiber_tangent,
+    j_triple,
     null_basis,
     standard_para_structure,
     z_tangent_project,
@@ -66,7 +67,7 @@ def test_validate_identity_fails():
 
 
 def test_validate_j1_fails_square():
-    j1 = j_structures(G, ONB)[0]
+    j1 = j_triple(G, ONB)[0]
     report = validate_para(G, j1)
     assert "square_is_identity" in report.failures
 
@@ -290,7 +291,7 @@ def test_swapped_orientation_negative():
 
 
 def test_hyperboloid_axis_points():
-    j1, j2, j3 = j_structures(G, ONB)
+    j1, j2, j3 = j_triple(G, ONB)
     assert hyperboloid_structure(G, ONB, 0, 1, 0) == j2
     assert hyperboloid_structure(G, ONB, 0, 0, 1) == j3
 
@@ -322,8 +323,8 @@ def test_hyperboloid_draw_is_the_line_through_1_t():
     assert ours.getstate() == theirs.getstate()
     for orientation in (1, -1):
         y1, y2, y3, e = hyperboloid_draw(random.Random(5))
-        k = random_compatible_structure(G, ONB, random.Random(5), orientation)
-        j1, j2, j3 = j_structures(G, ONB, orientation)
+        k = random_compatible_structure(as_ints(G.mat), as_ints(ONB), random.Random(5), orientation)
+        j1, j2, j3 = j_triple(G, ONB, orientation)
         assert k == (j1.scale(y1) + j2.scale(y2) + j3.scale(y3)).scale(Fraction(1, e))
 
 
