@@ -7,16 +7,7 @@ Run with:  python3 demos/02_generalized_structures.py
 import random
 from fractions import Fraction
 
-from paracomplex.gpx import (
-    GenVector,
-    assemble,
-    gen_metric,
-    is_compatible,
-    pi_structure,
-    product_structure,
-    trivial_structure,
-    validate_gen_para,
-)
+from paracomplex.gpx import GenVector, assemble, gen_metric, is_compatible
 from paracomplex.linalg import Bilinear, TwoVector, basis_vec, mat_identity, mat_mul
 from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
@@ -26,7 +17,11 @@ from paracomplex.reference import (
     classify_component,
     extract_pair,
     gen_pairing,
+    pi_structure,
+    product_structure,
     standard_para_structure,
+    trivial_structure,
+    validate_structure,
 )
 
 g = Bilinear.diag([1, 1, -1, -1])
@@ -36,7 +31,7 @@ onb = [basis_vec(i, 4) for i in range(4)]
 # The four example constructors all produce pairing-skew involutions.
 for kind, k in [("trivial", trivial_structure(4)), ("product", product_structure(k_std)),
                 ("pi", pi_structure(TwoVector.basis(0, 1, 4)))]:
-    print(f"{kind:8s} valid: {validate_gen_para(k).ok}")
+    print(f"{kind:8s} valid: {validate_structure(k).ok}")
 
 # The trivial structure is never compatible with a generalized metric,
 # the product structure is compatible with the graph of g.

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
                                parse_ratfunc, parse_rational)
-from paracomplex.linalg import Bilinear, Endo, SingularMatrix, mat_eval, mat_jet, mat_to_strings
+from paracomplex.linalg import Bilinear, Endo, SingularMatrix, int_mats, mat_eval, mat_to_strings
 
 
 # -- small parsers ------------------------------------------------------------
@@ -147,7 +147,9 @@ def load_descriptor(path: str) -> dict:
 
 
 def _descriptor_structure(desc: dict):
-    """Build the patch-level data for a structure descriptor."""
+    """The kind of a structure descriptor, its patch data, its n x n data of
+    rational functions (zero for trivial, None for assembled), and the
+    variables."""
     from paracomplex.patch import BiVectorField, KForm
 
     kind = desc.get("kind")
@@ -160,26 +162,24 @@ def _descriptor_structure(desc: dict):
         return desc[name]
 
     if kind == "trivial":
-        return kind, nvars, variables
+        return kind, nvars, _component_map_to_matrix({}, variables), variables
     if kind == "omega":
         mat = _component_map_to_matrix(field("omega"), variables)
-        omega = KForm(nvars, 2, {(i, j): mat[i][j]
-                                 for i in range(nvars) for j in range(i + 1, nvars)})
-        return kind, omega, variables
+        return kind, KForm(nvars, 2, {(i, j): mat[i][j] for i in range(nvars)
+                                      for j in range(i + 1, nvars)}), mat, variables
     if kind == "pi":
         mat = _component_map_to_matrix(field("pi"), variables)
-        pi = BiVectorField(nvars, {(i, j): mat[i][j]
-                                   for i in range(nvars) for j in range(i + 1, nvars)})
-        return kind, pi, variables
+        return kind, BiVectorField(nvars, {(i, j): mat[i][j] for i in range(nvars)
+                                           for j in range(i + 1, nvars)}), mat, variables
     if kind == "product":
         mat = _component_map_to_matrix(field("P"), variables, antisym=False)
-        return kind, mat, variables
+        return kind, mat, mat, variables
     if kind == "assembled":
         g = _component_map_to_matrix(field("g"), variables, antisym=False)
         theta = _component_map_to_matrix(desc.get("theta", {}), variables)
         k1 = _component_map_to_matrix(field("k1"), variables, antisym=False)
         k2 = _component_map_to_matrix(field("k2"), variables, antisym=False)
-        return kind, (g, theta, k1, k2), variables
+        return kind, (g, theta, k1, k2), None, variables
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -190,19 +190,19 @@ _POINT_ERRORS = (ValueError, PoleAtPoint, ZeroDivisionError)
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    from paracomplex.gpx import GenEndo, assemble, gen_metric, is_compatible, validate_gen_para
+    from paracomplex.gpx import (assemble, gen_metric, is_compatible, structure_jet,
+                                 validate_gen_para)
     from paracomplex.para import validate_para
-    from paracomplex.patch import STRUCTURES
+    from paracomplex.patch import check_structure
 
     desc = load_descriptor(args.descriptor)
-    kind, data, variables = _descriptor_structure(desc)
-    nvars = len(variables)
-    points = _points_from_args(args, nvars, default_count=5)
-    k = error = None
+    kind, data, mat, variables = _descriptor_structure(desc)
+    points = _points_from_args(args, len(variables), default_count=5)
+    error = None
     if kind != "assembled":
         try:
-            k = STRUCTURES[kind](data)
-        except _POINT_ERRORS as exc:
+            check_structure(kind, data)
+        except ValueError as exc:
             error = str(exc)  # reported at every point
     results = []
     all_ok = True
@@ -224,13 +224,14 @@ def cmd_validate(args) -> tuple[dict, int]:
                 ok = rep1.ok and rep2.ok
                 if ok:
                     k = assemble(g, Bilinear(th_mat), k1, k2)
-                    rep = validate_gen_para(k)
+                    den, (m,) = int_mats([k.as_matrix()])
+                    rep = validate_gen_para(den, m)
                     compat = is_compatible(k, gen_metric(g, Bilinear(th_mat)))
                     entry["structure"] = rep.checks
                     entry["compatible"] = compat
                     ok = rep.ok and compat
             else:
-                rep = validate_gen_para(GenEndo.from_matrix(mat_eval(k.as_matrix(), p)))
+                rep = validate_gen_para(*structure_jet(kind, mat, p)[0])
                 entry["structure"] = rep.checks
                 ok = rep.ok
         except _POINT_ERRORS as exc:
@@ -245,33 +246,32 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def cmd_integrability(args) -> tuple[dict, int]:
-    from paracomplex.gpx import GenEndo
+    from paracomplex.gpx import structure_jet
     from paracomplex.patch import gen_nijenhuis_frame_sweep, integrability_report
 
     desc = load_descriptor(args.descriptor)
-    kind, data, variables = _descriptor_structure(desc)
+    kind, data, mat, variables = _descriptor_structure(desc)
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
-    nvars = len(variables)
-    points = _points_from_args(args, nvars, default_count=3)
+    points = _points_from_args(args, len(variables), default_count=3)
     rep = integrability_report(kind, data)
-    k = rep.structure.as_matrix()
     samples = []
     for p in points:
         entry: dict = {"point": [str(c) for c in p]}
         try:
-            k_at, dk_at = mat_jet(k, p, 1)
-            _, witnesses = gen_nijenhuis_frame_sweep(
-                GenEndo.from_matrix(k_at), [GenEndo.from_matrix(d) for d in dk_at])
+            k, dk = structure_jet(kind, mat, p, 1)
+            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
         except PoleAtPoint as exc:
             entry["error"] = str(exc)
         else:
             entry["nonzero_frame_pairs"] = len(witnesses)
             entry["sample"] = None
             if witnesses:
+                # the sweep gives 2 D0 D1 N for K(p) = K / D0 and dK(p) = dK / D1
                 pair = min(witnesses)
-                comp = next(str(c) for c in witnesses[pair].x + witnesses[pair].alpha if c)
-                entry["sample"] = {"frame_pair": list(pair), "component": comp}
+                comp = next(c for c in witnesses[pair] if c)
+                entry["sample"] = {"frame_pair": list(pair),
+                                   "component": str(Fraction(comp, 2 * k[0] * dk[0]))}
         samples.append(entry)
     report = {
         "schema": 1,

@@ -25,6 +25,9 @@ Exponent = tuple[int, ...]
 class PoleAtPoint(ArithmeticError):
     """A denominator vanished at the evaluation point."""
 
+    def __init__(self, point):
+        super().__init__(f"denominator factor vanishes at ({', '.join(map(str, point))})")
+
 
 def _term_key(exps: Exponent) -> tuple[int, Exponent]:
     # Degree-then-lex term order; only used to pick a deterministic leading term.
@@ -70,14 +73,6 @@ class Poly:
 
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
-
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        (e, c), = self.terms.items()
-        if any(e):
-            raise ValueError("not a constant polynomial")
-        return c
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -414,11 +409,6 @@ class RatFunc:
     def is_const(self) -> bool:
         return self.num.is_zero() or (self.num.is_const() and not self.factors)
 
-    def const_value(self) -> Fraction:
-        if self.factors and not self.num.is_zero():
-            raise ValueError("not a constant rational function")
-        return self.num.const_value()
-
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
@@ -550,8 +540,7 @@ class RatFunc:
             if u is None:
                 e, u = p.jet_at(point, order)
                 if u[0] == 0:
-                    raise PoleAtPoint(
-                        f"denominator factor vanishes at ({', '.join(map(str, point))})")
+                    raise PoleAtPoint(point)
                 if u[0] < 0:  # U / E = (-U) / (-E): keep the value's numerator positive
                     e, u = -e, _jet_neg(u)
                 u = cache[key] = (e, u)
@@ -714,12 +703,20 @@ class _Tokens:
         return tok
 
 
+# `integrability` sweeps a structure on n variables over C(2n, 2) frame pairs, so
+# its time grows without bound in n; 16 leaves room for the dim-8 generalized
+# reflector space (T + T* of rank 16)
+MAX_VARS = 16
+
+
 def check_variables(variables) -> list:
-    """The "vars" of a descriptor or metric file: a nonempty list of distinct
-    identifier strings, else ValueError."""
+    """The "vars" of a descriptor or metric file: a nonempty list of at most
+    MAX_VARS distinct identifier strings, else ValueError."""
     if not (isinstance(variables, list) and variables and len(set(variables)) == len(variables)
             and all(isinstance(v, str) and v.isidentifier() for v in variables)):
         raise ValueError(f'"vars" must be a list of distinct identifiers, got {variables!r}')
+    if len(variables) > MAX_VARS:
+        raise ValueError(f'"vars" has {len(variables)} names, above the bound of {MAX_VARS}')
     return variables
 
 

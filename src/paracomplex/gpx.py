@@ -1,7 +1,9 @@
-"""The double space T + T*: generalized paracomplex structures, generalized
-metrics, compatibility, and the assembly of a structure from a pair of
-paracomplex structures.  B-transforms, the extraction of the pair and the
-fiber of compatible structures are in `paracomplex.reference`.
+"""The double space T + T*: generalized paracomplex structures, the matrix of
+a descriptor kind's structure and its partials at a point on integers, their
+validation, generalized metrics, compatibility, and the assembly of a
+structure from a pair of paracomplex structures.  The symbolic constructor of
+each kind, B-transforms, the extraction of the pair and the fiber of
+compatible structures are in `paracomplex.reference`.
 
 Conventions.  A bilinear form phi acts as a map T -> T* by
 phi(X)(Y) = phi(X, Y); in coordinates the map matrix is the transpose of the
@@ -14,23 +16,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from paracomplex.exact import PoleAtPoint
 from paracomplex.linalg import (
     Bilinear,
     Endo,
+    bareiss,
     basis_vec,
+    int_jet,
+    int_mul,
     mat_add,
     mat_eq,
     mat_from_columns,
-    mat_identity,
     mat_inv,
-    mat_is_zero,
     mat_mul,
     mat_neg,
     mat_rank,
     mat_scale,
     mat_sub,
     mat_vec,
-    mat_zero,
     signature,
     transpose,
     vec_add,
@@ -89,11 +92,6 @@ class GenEndo:
         self.dim = len(a)
 
     @staticmethod
-    def identity(n: int, like=Fraction(1)) -> GenEndo:
-        return GenEndo(mat_identity(n, like), mat_zero(n, like=like),
-                       mat_zero(n, like=like), mat_identity(n, like))
-
-    @staticmethod
     def from_matrix(m: list) -> GenEndo:
         n = len(m) // 2
         a = [row[:n] for row in m[:n]]
@@ -134,79 +132,60 @@ class GenEndo:
         return f"GenEndo(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
 
-# -- canonical pairing ---------------------------------------------------------
+# -- structures at a point, on integers ------------------------------------------
 
 
-def pairing_matrix(n: int, like=Fraction(1)) -> list:
-    """The matrix of <X + alpha, Y + beta> = (alpha(Y) + beta(X)) / 2 on T + T*."""
-    half = Fraction(1, 2)
-    z = mat_zero(n, like=like)
-    i_half = mat_scale(half, mat_identity(n, like))
-    return [rz + ri for rz, ri in zip(z, i_half)] + \
-           [ri + rz for rz, ri in zip(z, i_half)]
+def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
+    """K(p) of a descriptor kind's structure on integers, and for order 1 its
+    partials: ((D0, K),), then (D1, [dK_1, ..., dK_n]), with K / D0 = K(p) and
+    dK_i / D1 = d_i K(p), from the int_jet of the kind's n x n data of
+    rational functions: the form omega(d_i, d_j), the bivector pi^{ij}, P, or
+    the zero matrix for trivial, which is K_pi for pi = 0.  K_omega has the
+    blocks omega^-1 and omega, as maps T* -> T and T -> T*: for the map W / D0
+    at p, bareiss gives W A = d Id, so omega(p)^-1 = D0 A / d, and
+    d(omega^-1) = -omega^-1 (d omega) omega^-1.  PoleAtPoint where the data
+    has a pole or det omega(p) = 0."""
+    n = len(point)
+    (d0, v), *jet = int_jet(data, point, order)
+    d1, dv = jet[0] if jet else (1, [])
+    z = [[0] * n] * n
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "omega":
+        w = transpose(v)
+        r, pivots, d, _ = bareiss([row + e for row, e in zip(w, eye)])
+        if pivots != list(range(n)):
+            raise PoleAtPoint(point)
+        # W A = d Id with A the right half of r; (s A) / (s d) keeps the denominator
+        # positive, and the sign cancels in A dW A
+        a, s = [row[n:] for row in r], -1 if d < 0 else 1
+        d *= s
+        k = d0 * d, [z, mat_scale(s * d0 * d0, a), mat_scale(d, w), z]
+        dk = d * d * d1, [[z, mat_scale(-d0 * d0, int_mul(int_mul(a, dw), a)),
+                           mat_scale(d * d, dw), z] for dw in map(transpose, dv)]
+    elif kind == "product":
+        k = d0, [v, z, z, mat_neg(transpose(v))]
+        dk = d1, [[m, z, z, mat_neg(transpose(m))] for m in dv]
+    else:
+        k = d0, [mat_scale(d0, eye), v, z, mat_scale(-d0, eye)]
+        dk = d1, [[z, m, z, z] for m in dv]
+    return ((k[0], GenEndo(*k[1]).as_matrix()),
+            (dk[0], [GenEndo(*b).as_matrix() for b in dk[1]]))[:order + 1]
 
 
-# -- constructors ----------------------------------------------------------------
-# Each builds its blocks in the scalar type of its data: Fractions at a point,
-# RatFuncs on a coordinate patch (patch.STRUCTURES).
-
-
-def trivial_structure(n: int, like=Fraction(1)) -> GenEndo:
-    """K(X + alpha) = X - alpha."""
-    return GenEndo(mat_identity(n, like), mat_zero(n, like=like),
-                   mat_zero(n, like=like), mat_neg(mat_identity(n, like)))
-
-
-def omega_structure(omega: Bilinear) -> GenEndo:
-    """K(X + alpha) = omega^{-1}(alpha) + omega(X) for nondegenerate skew omega."""
-    if not omega.is_antisymmetric():
-        raise ValueError("omega must be antisymmetric")
-    omega_map = omega.map_mat()
-    try:
-        omega_inv = mat_inv(omega_map)
-    except ZeroDivisionError as exc:
-        raise ValueError("omega field is degenerate") from exc
-    n = omega.dim
-    like = omega.mat[0][0]
-    return GenEndo(mat_zero(n, like=like), omega_inv, omega_map, mat_zero(n, like=like))
-
-
-def pi_structure(pi) -> GenEndo:
-    """K(X + alpha) = (X - i_alpha pi) - alpha for a TwoVector or a bivector field."""
-    n = pi.dim
-    like = pi.get(0, 0)
-    full = [[pi.get(i, j) for j in range(n)] for i in range(n)]
-    # (i_alpha pi)^l = sum_k alpha_k pi^{kl}, so the T* -> T block is +pi
-    return GenEndo(mat_identity(n, like), full, mat_zero(n, like=like),
-                   mat_neg(mat_identity(n, like)))
-
-
-def product_structure(p: Endo) -> GenEndo:
-    """K(X + alpha) = P X - P* alpha for a product structure P."""
-    n = p.dim
-    ident = mat_identity(n, like=p.mat[0][0])
-    if not mat_eq(mat_mul(p.mat, p.mat), ident):
-        raise ValueError("P^2 != Id as a rational-function identity")
-    if mat_eq(p.mat, ident) or mat_eq(p.mat, mat_neg(ident)):
-        raise ValueError("P = +-Id")
-    z = mat_zero(n, like=p.mat[0][0])
-    return GenEndo(p.mat, z, z, mat_neg(transpose(p.mat)))
-
-
-def validate_gen_para(k: GenEndo) -> ValidationReport:
+def validate_gen_para(den: int, m: list) -> ValidationReport:
     """Check K^2 = Id, skewness for the canonical pairing, and that both
-    eigenspaces have dimension 2n (half the dimension of T + T*)."""
-    m = k.as_matrix()
+    eigenspaces have dimension 2n (half the dimension of T + T*), on integers
+    for K = m / den: m^2 = den^2 Id; m^T S + S m = 0 for S = 2<,>, which swaps
+    T and T*, so S m is m with its halves of rows swapped and must be
+    antisymmetric; and the ranks of den Id + m and den Id - m by bareiss."""
     n2 = len(m)
-    ident = mat_identity(n2, like=m[0][0])
-    pair = pairing_matrix(k.dim, like=m[0][0])
-    skew = mat_is_zero(mat_add(mat_mul(transpose(m), pair), mat_mul(pair, m)))
-    plus = mat_scale(Fraction(1, 2), mat_add(ident, m))
-    minus = mat_scale(Fraction(1, 2), mat_sub(ident, m))
+    ident = [[den * (i == j) for j in range(n2)] for i in range(n2)]
+    sm = m[n2 // 2:] + m[:n2 // 2]
+    plus, minus = (len(bareiss(f(ident, m))[1]) for f in (mat_add, mat_sub))
     return ValidationReport({
-        "square_is_identity": mat_eq(mat_mul(m, m), ident),
-        "pairing_skew": skew,
-        "equal_eigenranks": mat_rank(plus) == n2 // 2 == mat_rank(minus),
+        "square_is_identity": int_mul(m, m) == mat_scale(den, ident),
+        "pairing_skew": sm == mat_neg(transpose(sm)),
+        "equal_eigenranks": plus == n2 // 2 == minus,
     })
 
 

@@ -5,8 +5,8 @@ work) or RatFuncs (coordinate-patch work).  Dimensions stay at most 8, so
 storage is dense; `mat_vec` skips zero products.  Over Q, `mat_mul` and the
 elimination routines work on integer matrices over one common denominator and
 build a Fraction only for each entry of the result: `mat_inv`, `mat_rank` and
-`kernel_basis` read the one fraction-free elimination `bareiss`.  Over
-rational functions, `mat_inv` keeps its own Gauss-Jordan elimination.  The
+`kernel_basis` read the one fraction-free elimination `bareiss`, and no
+routine here inverts a matrix of rational functions.  The
 pointwise curvature reads a field's jet (`int_jet`), the Hodge star
 (`star_matrix`) and the J-triples (`j_structures`) as pairs (D, M) of a
 positive denominator and an integer matrix, standing for M / D; `mat_jet` and
@@ -247,37 +247,27 @@ def mat_from_columns(cols: Sequence[Vec]) -> Mat:
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Exact inverse, raising SingularMatrix when det = 0.  Over Q it reads
-    bareiss on [D a | I]; over rational functions it runs Gauss-Jordan
-    elimination, whose entries stay smaller than fraction-free ones."""
+    """Exact inverse over Q, raising SingularMatrix when det = 0: it reads
+    bareiss on [D a | I]."""
     n = len(a)
-    try:
-        den, (m,) = int_mats([a])
-    except AttributeError:
-        pass
-    else:
-        r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)]
-                                   for i, row in enumerate(m)])
-        if pivots != list(range(n)):
-            raise SingularMatrix("matrix is singular over the scalar field")
-        return [[Fraction(den * x, d) for x in row[n:]] for row in r]
-    work = [list(row) for row in a]
-    inv = mat_identity(n, like=a[0][0])
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular over the scalar field")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    den, (m,) = int_mats([a])
+    r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular over the scalar field")
+    return [[Fraction(den * x, d) for x in row[n:]] for row in r]
+
+
+def pfaffian(m: Mat, rows: tuple, memo: dict):
+    """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
+    expanded along the first index, so 0 for an odd count, with no division;
+    memo maps each index tuple met to its Pfaffian."""
+    if not rows:
+        return 1
+    if rows not in memo:
+        i, rest = rows[0], rows[1:]
+        memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
+                          for t, j in enumerate(rest) if m[i][j]), 0)
+    return memo[rows]
 
 
 def mat_rank(a: Mat) -> int:

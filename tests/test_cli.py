@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -160,6 +159,89 @@ def test_descriptor_vars_must_be_distinct_identifiers(tmp_path, capsys, command,
     assert_one_line_input_error(
         capsys, main([command, path]),
         f'"vars" must be a list of distinct identifiers, got {variables!r}')
+
+
+@pytest.mark.parametrize("command", ["validate", "integrability", "curvature"])
+def test_more_than_max_vars_variables_exit_2_with_one_line(tmp_path, capsys, command):
+    """A structure on n variables is swept over C(2n, 2) frame pairs, so "vars"
+    holds at most exact.MAX_VARS = 16 names, for descriptors and for file:
+    metrics; 16 names still run."""
+    names = [f"y{i}" for i in range(17)]
+    if command == "curvature":
+        path = write_desc(tmp_path, "m.json", {"vars": names, "g": [["1"] * 17] * 17})
+        argv = [command, f"file:{path}", "--point", ",".join(["0"] * 17)]
+    else:
+        path = write_desc(tmp_path, "desc.json", {"kind": "trivial", "vars": names})
+        argv = [command, path, "--point", ",".join(["1"] * 17)]
+    assert_one_line_input_error(capsys, main(argv),
+                                '"vars" has 17 names, above the bound of 16')
+    if command != "curvature":
+        path = write_desc(tmp_path, "desc16.json", {"kind": "trivial", "vars": names[:16]})
+        code, out = run_cli(capsys, command, path, "--point", ",".join(["1"] * 16))
+        assert code == 0 and len(json.loads(out)["kind"]) == 7
+
+
+# omega = x1 dx1^dx2 + dx3^dx4: det omega(p) = x1^2 vanishes where x1 = 0
+OMEGA_SINGULAR_AT_X1_0 = {"kind": "omega", "omega": {"1,2": "x1", "3,4": "1"}}
+# omega = a^b + c^d on six variables: its 15 entries are nonzero, and so are the
+# 15 terms of its Pfaffian, which sum to zero
+OMEGA6_RANK4 = {
+    "1,2": "2", "1,3": "-x4*x5 + 1", "1,4": "x3 - x5", "1,5": "2", "1,6": "-x5 + 1",
+    "2,3": "x1 - x4", "2,4": "x1*x3 - 2", "2,5": "x1 - 2", "2,6": "-x2 - 1", "3,4": "-1",
+    "3,5": "x4 - 2", "3,6": "-x2 + x4", "4,5": "-2*x3 + 2", "4,6": "-x2*x3 + 1", "5,6": "-x2 - 1"}
+# the same with a third term e^f: a 15-term Pfaffian that is not zero
+OMEGA6 = {
+    "1,2": "2", "1,3": "-x4*x5", "1,4": "x3 - x5 - x6", "1,5": "2", "1,6": "-x5",
+    "2,3": "x1 - x4 - 1", "2,4": "x1*x3 - x6 - 2", "2,5": "x1 - 2", "2,6": "-x2 - 2", "3,4": "-1",
+    "3,5": "x1 + x4 - 2", "3,6": "-x2 + x4 + 2", "4,5": "x1*x6 - 2*x3 + 2",
+    "4,6": "-x2*x3 + 2*x6 + 1", "5,6": "-x1 - x2 - 1"}
+VARS6 = ["x1", "x2", "x3", "x4", "x5", "x6"]
+
+
+def test_a_point_where_det_omega_vanishes_keeps_the_pole_text(tmp_path, capsys):
+    """omega(p)^-1 comes from one elimination at the point; where det omega(p)
+    = 0, omega^-1 has a pole, and the entry carries the pole text."""
+    path = write_desc(tmp_path, "omega.json", OMEGA_SINGULAR_AT_X1_0)
+    pole = "denominator factor vanishes at (0, 0, 0, 0)"
+    code, out = run_cli(capsys, "validate", path, "--points", "0,0,0,0;1,0,0,0")
+    points = json.loads(out)["points"]
+    assert code == 1 and points[0] == {"error": pole, "ok": False, "point": ["0"] * 4}
+    assert points[1]["ok"]
+    code, out = run_cli(capsys, "integrability", path, "--points", "0,0,0,0;1,0,0,0")
+    samples = json.loads(out)["nijenhuis_residual_samples"]
+    assert code == 0 and samples[0] == {"error": pole, "point": ["0"] * 4}
+    assert samples[1] == {"nonzero_frame_pairs": 0, "point": ["1", "0", "0", "0"], "sample": None}
+
+
+@pytest.mark.parametrize("variables,omega,point", [
+    (None, {"1,2": "x1", "1,3": "x2"}, "1,2,3,4"),
+    (["x", "y", "z"], {"1,2": "1", "2,3": "x"}, "1,2,3"),
+    (VARS6, OMEGA6_RANK4, "1,2,3,4,5,6"),
+], ids=["rank-2", "three-variables", "six-variables-rank-4"])
+def test_an_omega_with_zero_pfaffian_is_degenerate_at_every_point(tmp_path, capsys, variables,
+                                                                 omega, point):
+    """omega's degeneracy is decided by its symbolic Pfaffian (zero on an odd
+    number of variables): validate reports it at every point and exits 1,
+    integrability exits 2."""
+    desc = {"kind": "omega", "omega": omega}
+    if variables:
+        desc["vars"] = variables
+    path = write_desc(tmp_path, "omega.json", desc)
+    other = ",".join(["0"] * len(point.split(",")))
+    code, out = run_cli(capsys, "validate", path, "--points", f"{point};{other}")
+    points = json.loads(out)["points"]
+    assert code == 1 and [p["error"] for p in points] == ["omega field is degenerate"] * 2
+    assert_one_line_input_error(capsys, main(["integrability", path, "--point", point]),
+                                "omega field is degenerate")
+
+
+def test_a_six_variable_omega_with_a_fifteen_term_pfaffian_is_a_structure(tmp_path, capsys):
+    path = write_desc(tmp_path, "omega6.json", {"kind": "omega", "vars": VARS6, "omega": OMEGA6})
+    code, out = run_cli(capsys, "validate", path, "--points", "1,2,3,4,5,6;0,1,0,-1,2,1/3")
+    assert code == 0 and all(p["ok"] for p in json.loads(out)["points"])
+    code, out = run_cli(capsys, "integrability", path, "--point", "1,2,3,4,5,6")
+    report = json.loads(out)
+    assert code == 1 and report["nijenhuis_residual_samples"][0]["nonzero_frame_pairs"] > 0
 
 
 def test_metric_file_vars_must_be_a_list(tmp_path, capsys):
@@ -326,24 +408,43 @@ def test_product_plus_minus_identity_is_rejected(tmp_path, capsys, sign):
     assert captured.out == "" and "P = +-Id" in captured.err
 
 
-def test_validate_builds_the_structure_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+def test_structure_commands_build_no_symbolic_structure(tmp_path, capsys, monkeypatch, command):
+    """K(p) is built at each point on integers from the jet of omega: no
+    rational function is divided (a Gauss-Jordan inverse over rational
+    functions divides by each pivot), no matrix is inverted in Fractions, and
+    every structure matrix built holds integers only."""
+    import paracomplex.gpx as gpx
     import paracomplex.linalg as linalg
+    from paracomplex.exact import RatFunc
 
-    original = linalg.mat_inv
     calls = []
 
-    def counting(m):
-        calls.append(len(m))
-        return original(m)
+    def counting(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
 
+    monkeypatch.setattr(RatFunc, "__truediv__", counting("RatFunc division", RatFunc.__truediv__))
+    monkeypatch.setattr(RatFunc, "__rtruediv__", counting("RatFunc division",
+                                                          RatFunc.__rtruediv__))
     for name, module in list(sys.modules.items()):
-        if name.startswith("paracomplex") and getattr(module, "mat_inv", None) is original:
-            monkeypatch.setattr(module, "mat_inv", counting)
+        if name.startswith("paracomplex") and getattr(module, "mat_inv", None) is linalg.mat_inv:
+            monkeypatch.setattr(module, "mat_inv", counting("mat_inv", linalg.mat_inv))
+    entries = []
+    init = gpx.GenEndo.__init__
+
+    def recording(self, *blocks):
+        entries.extend(type(x) for b in blocks for row in b for x in row)
+        init(self, *blocks)
+
+    monkeypatch.setattr(gpx.GenEndo, "__init__", recording)
     path = write_desc(tmp_path, "omega.json", {
         "kind": "omega", "omega": {"1,2": "1 + x3^2", "3,4": "x1", "1,3": "x2*x4"}})
-    code, out = run_cli(capsys, "validate", path, "--points", "1,0,0,0;1,1,1,1;2,-1,3,1/2")
-    assert code == 0 and len(json.loads(out)["points"]) == 3
-    assert calls == [4]  # one symbolic inversion of omega, not one per point
+    code, out = run_cli(capsys, command, path, "--points", "1,0,0,0;1,1,1,1;2,-1,3,1/2")
+    assert code in (0, 1) and "1/2" in out
+    assert calls == [] and entries and set(entries) == {int}
 
 
 # -- integrability ---------------------------------------------------------------
@@ -386,15 +487,16 @@ def test_integrability_trivial(tmp_path, capsys):
 ], ids=["trivial", "omega", "pi", "product"])
 def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payload, code):
     """The CLI never builds a symbolic Nijenhuis section: it calls the sweep
-    once per sample point, on K and dK evaluated there in Q."""
+    once per sample point, on the integers of K(p) and dK(p) over their
+    denominators."""
     import paracomplex.patch as patch
 
     original = patch.gen_nijenhuis_frame_sweep
     calls = []
 
-    def counting(k, dk=None):
-        entries = [c for e in [k] + (dk or []) for row in e.as_matrix() for c in row]
-        calls.append({type(c) for c in entries})
+    def counting(k, dk):
+        (d0, m), (d1, dm) = k, dk
+        calls.append({type(c) for c in [d0, d1] + [c for e in [m] + dm for row in e for c in row]})
         return original(k, dk)
 
     # replace the sweep in every module that holds it, so no caller escapes the count
@@ -404,7 +506,7 @@ def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payl
             monkeypatch.setattr(module, "gen_nijenhuis_frame_sweep", counting)
     path = write_desc(tmp_path, "desc.json", payload)
     assert run_cli(capsys, "integrability", path, "--points", "1,0,0,0;2,1,0,-1")[0] == code
-    assert calls == [{Fraction}, {Fraction}]
+    assert calls == [{int}, {int}]
 
 
 # -- curvature --------------------------------------------------------------------

@@ -66,6 +66,7 @@ from paracomplex.reference import (
     Connection,
     as_ints,
     curvature_endo,
+    gauss_jordan_inv,
     gen_pairing,
     hitchin_connection,
     horizontal_np_residual,
@@ -504,7 +505,7 @@ def flat_pullback(maps: list) -> MetricModel:
     jac = [[f.partial(j) for j in range(4)] for f in fs]
     eta = flat_metric().g
     g = mat_mul(mat_mul(transpose(jac), eta), jac)
-    inv = mat_inv(jac)
+    inv = gauss_jordan_inv(jac)
     return MetricModel("flat-pullback", 4, g, [[inv[i][a] for i in range(4)] for a in range(4)])
 
 

