@@ -13,6 +13,10 @@ structure descriptor, written to a file whose path takes its place; no report
 contains that path.  They cover trivial, closed and non-closed omega (one with
 a pole at a sample point), a degenerate omega, Poisson and non-Poisson pi,
 integrable and non-integrable P, a P with P^2 != Id, and `assembled`.  The
+`assembled` failures were recorded before that kind moved from Fraction
+wrappers to integer pairs: a singular w_s (zero g, and a g both singular and
+not symmetric, where the singular error wins), a g that is not symmetric, a
+K1 that is not g-skew, and a pole of Theta at the first point.  The
 `validate` at a pole was re-recorded once, when pole points in error texts
 became strings ("(0, 0, 0, 0)") instead of Fraction reprs.  The two
 `integrability` omega digests whose points include poles of K
@@ -44,6 +48,12 @@ P_BAD = [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"], ["0", "0", "0", "1"], [
 P_TWO = [["2", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "2"]]
 G = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
 K_STD = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+# assembled data that fail: a zero g, a g that is not symmetric (K_STD is skew for it), one
+# both singular and not symmetric, and a K1 that squares to Id but is not skew for G
+G_ZERO = [["0"] * 4 for _ in range(4)]
+G_ASYM = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "-1"], ["0", "0", "0", "-1"]]
+G_BOTH = [["1", "1", "0", "0"], ["0"] * 4, ["0", "0", "-1", "-1"], ["0"] * 4]
+K_DIAG = [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "-1"]]
 # constcurv:-1/2 pulled back by y = (x1, x1+x2, 2x1-x2+x3, x1+x2-x3+x4)
 PHI = "1 - (x1^2 + (x1+x2)^2 - (2*x1-x2+x3)^2 - (x1+x2-x3+x4)^2)/8"
 DENSE = ("dense.json", {
@@ -114,6 +124,18 @@ PINNED = [
      1, "c9e99df2122ba277d8b832b6822c4d3c6f61e726a43c3bae2400fcbc8c121798"),
     (['validate', {'kind': 'assembled', 'g': G, 'theta': {'1,2': '3'}, 'k1': K_STD, 'k2': K_STD}],
      0, "bbf7643221169f19ae7ee2d91e444cae5fc4c12a8defdebf4776f845c9993fa0"),
+    (['validate', {'kind': 'assembled', 'g': G_ZERO, 'k1': K_STD, 'k2': K_STD}],
+     1, "a604d4f16d43360a1338206dda6abc4a3aecd53048f863ac600f9235558ffc04"),
+    (['validate', {'kind': 'assembled', 'g': G_ASYM, 'k1': K_STD, 'k2': K_STD}],
+     1, "f3a627ff2c74a922003d2f1b4ac515cdff00a2c6038a706c4f11cc7026e00f00"),
+    (['validate', {'kind': 'assembled', 'g': G_BOTH, 'k1': K_STD, 'k2': K_STD}],
+     1, "a604d4f16d43360a1338206dda6abc4a3aecd53048f863ac600f9235558ffc04"),
+    (['validate', {'kind': 'assembled', 'g': G, 'k1': K_DIAG, 'k2': K_STD}],
+     1, "bda1c2924877f8b1d02ac73a4ae7fe185b36cc6ed3df54ee5dd9f5de44785454"),
+    (['validate', {'kind': 'assembled', 'vars': ['a', 'b'], 'g': [['1', '0'], ['0', '-1']],
+                   'theta': {'1,2': '1/b'}, 'k1': [['0', '1'], ['1', '0']],
+                   'k2': [['0', '1'], ['1', '0']]}, '--points', '1,0;1,1'],
+     1, "290188a5579fe74389af847da2b8ed183d5b2aa030a24d3191e01502eb42c8fe"),
 ]
 
 
