@@ -7,9 +7,16 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 from fractions import Fraction
 
 from paracomplex.exact import parse_ratfunc
-from paracomplex.linalg import Bilinear, basis_vec, mat_mul, mat_identity, mat_eq
+from paracomplex.linalg import (
+    basis_vec,
+    mat_eq,
+    mat_identity,
+    mat_mul,
+)
 from paracomplex.para import validate_para
 from paracomplex.reference import (
+    Bilinear,
+    as_ints,
     fiber_tangent_dim,
     hyperboloid_coords,
     hyperboloid_structure,
@@ -26,7 +33,8 @@ print("x1^2/(1+x2) at (3, 1):", f.eval_at([Fraction(3), Fraction(1)]))
 # The standard neutral metric and the standard paracomplex structure on R^4.
 g = Bilinear.diag([1, 1, -1, -1])
 k = standard_para_structure(2)
-print("\nstandard K valid:", validate_para(g, k).ok)
+# validate_para reads g and K on integers, as pairs (D, D g) over a common denominator
+print("\nstandard K valid:", all(validate_para(as_ints(g.mat), as_ints(k.mat)).values()))
 
 # The null eigenbasis: K a_i = a_i, K a_{n+i} = -a_{n+i}, g(a_i, a_{n+j}) = delta.
 a = null_basis(g, k)
@@ -43,7 +51,8 @@ print("\nJ1^2 = -Id:", mat_eq(mat_mul(j1.mat, j1.mat),
                               [[-c for c in row] for row in mat_identity(4)]))
 point = (Fraction(3, 4), Fraction(5, 4), Fraction(0))
 kp = hyperboloid_structure(g, onb, *point)
-print("K at hyperboloid point (3/4, 5/4, 0) valid:", validate_para(g, kp).ok)
+print("K at hyperboloid point (3/4, 5/4, 0) valid:",
+      all(validate_para(as_ints(g.mat), as_ints(kp.mat)).values()))
 print("orientation:", "+" if induced_orientation(g, kp) > 0 else "-")
 print("coordinates read back:", tuple(str(c) for c in hyperboloid_coords(g, onb, kp)))
 

@@ -7,16 +7,22 @@ Run with:  python3 demos/02_generalized_structures.py
 import random
 from fractions import Fraction
 
-from paracomplex.gpx import GenVector, assemble, gen_metric, is_compatible
-from paracomplex.linalg import Bilinear, TwoVector, basis_vec, mat_identity, mat_mul
+from paracomplex.gpx import assemble, is_compatible
+from paracomplex.linalg import basis_vec, frac_mat, mat_identity, mat_mul
 from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
+    Bilinear,
+    GenEndo,
+    GenVector,
+    TwoVector,
     as_ints,
     b_conjugate,
     check_pi_conditions,
     classify_component,
     extract_pair,
+    gen_metric,
     gen_pairing,
+    is_compatible_endo,
     pi_structure,
     product_structure,
     standard_para_structure,
@@ -31,13 +37,13 @@ onb = [basis_vec(i, 4) for i in range(4)]
 # The four example constructors all produce pairing-skew involutions.
 for kind, k in [("trivial", trivial_structure(4)), ("product", product_structure(k_std)),
                 ("pi", pi_structure(TwoVector.basis(0, 1, 4)))]:
-    print(f"{kind:8s} valid: {validate_structure(k).ok}")
+    print(f"{kind:8s} valid: {all(validate_structure(k).values())}")
 
 # The trivial structure is never compatible with a generalized metric,
 # the product structure is compatible with the graph of g.
 e = gen_metric(g, Bilinear([[Fraction(0)] * 4 for _ in range(4)]))
-print("\ntrivial compatible with E:", is_compatible(trivial_structure(4), e))
-print("K_P compatible with E:", is_compatible(product_structure(k_std), e))
+print("\ntrivial compatible with E:", is_compatible_endo(trivial_structure(4), e))
+print("K_P compatible with E:", is_compatible_endo(product_structure(k_std), e))
 
 # Assembly from (g, Theta, K1, K2) and extraction back - an exact bijection.
 rng = random.Random(7)
@@ -45,13 +51,18 @@ theta = Bilinear([[Fraction(0), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(-2), Fraction(0), Fraction(0), Fraction(0)],
                   [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
                   [Fraction(0), Fraction(0), Fraction(-1), Fraction(0)]])
-# random_compatible_structure reads g and the frame on integers, as (D, D g)
-k1 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, +1)
-k2 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, -1)
+# The commands work on integer pairs (D, M) standing for M / D:
+# random_compatible_structure reads g and the frame as (D, D g) and gives K_s as
+# such a pair, and assemble takes the pairs and gives K as (D, K).
+g_ints, theta_ints = as_ints(g.mat), as_ints(theta.mat)
+k1 = random_compatible_structure(g_ints, as_ints(onb), rng, +1)
+k2 = random_compatible_structure(g_ints, as_ints(onb), rng, -1)
+den, km = assemble(g_ints, theta_ints, k1, k2)
+print("\nassembled K compatible with E:", is_compatible((den, km), g_ints, theta_ints))
 e_theta = gen_metric(g, theta)
-k = assemble(g, theta, k1, k2)
+k = GenEndo.from_matrix(frac_mat(den, km))
 r1, r2 = extract_pair(k, e_theta)
-print("\nround trip recovers K1, K2:", r1 == k1 and r2 == k2)
+print("round trip recovers K1, K2:", r1.mat == frac_mat(*k1) and r2.mat == frac_mat(*k2))
 print("component of (K1, K2):", classify_component(k, e_theta))
 
 # B-transforms shift the generalized metric the structure is compatible with.
@@ -62,7 +73,7 @@ b = Bilinear([[Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
 shifted = Bilinear([[x + y for x, y in zip(r1_, r2_)]
                     for r1_, r2_ in zip(theta.mat, b.mat)])
 print("B-conjugate compatible with shifted metric:",
-      is_compatible(b_conjugate(b, k), gen_metric(g, shifted)))
+      is_compatible_endo(b_conjugate(b, k), gen_metric(g, shifted)))
 
 # The bivector compatibility conditions in the null frame (note the
 # quadratic constraint 2 Theta(f1,f2) = 1 - Theta(e1,f1) Theta(e2,f2)).

@@ -6,7 +6,7 @@ Run with:  python3 demos/03_integrability_and_curvature.py
 
 from fractions import Fraction
 
-from paracomplex.exact import parse_ratfunc
+from paracomplex.exact import RatFunc, parse_ratfunc
 from paracomplex.curv import (
     constcurv_metric,
     curvature_operator,
@@ -17,31 +17,43 @@ from paracomplex.curv import (
     sectional_constant_check,
     theorem_verdict,
 )
-from paracomplex.linalg import mat_jet
-from paracomplex.patch import BiVectorField, KForm, integrability_report
+from paracomplex.linalg import int_jet
+from paracomplex.patch import KForm, integrability_report
 
 V = ["x1", "x2", "x3", "x4"]
 rf = lambda s: parse_ratfunc(s, V)
 
+
+def antisymmetric(comps):
+    """The 4x4 antisymmetric matrix with the given entries above the diagonal,
+    as a descriptor holds the form omega(d_i, d_j) or the bivector pi^{ij}."""
+    m = [[RatFunc.zero(4)] * 4 for _ in range(4)]
+    for (i, j), c in comps.items():
+        m[i][j], m[j][i] = rf(c), -rf(c)
+    return m
+
+
 # Integrability is decided exactly: d omega = 0, Poisson, or the classical
 # Nijenhuis tensor, always cross-checked by the Courant frame sweep.
-omega = KForm(4, 2, {(0, 1): rf("1"), (2, 3): rf("x1")})
+omega = antisymmetric({(0, 1): "1", (2, 3): "x1"})
 rep = integrability_report("omega", omega)
 print("omega = dx1^dx2 + x1 dx3^dx4 integrable:", rep.integrable,
       "| witness:", rep.witness)
 
-pi = BiVectorField(4, {(0, 1): rf("1"), (2, 3): rf("x1")})
+pi = antisymmetric({(0, 1): "1", (2, 3): "x1"})
 rep = integrability_report("pi", pi)
 print("pi = d1^d2 + x1 d3^d4 Poisson:", rep.integrable,
       "| witness:", rep.witness)
 
 # Constant curvature: the operator is (s/12) Id with s = 12c.  Curvature is
 # evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric there,
-# which mat_jet computes by Taylor arithmetic without symbolic derivatives.
+# which int_jet computes on integers over common denominators, without
+# symbolic derivatives.
 m = constcurv_metric(1)
 origin = (Fraction(0),) * 4
-g0, dg0, ddg0 = mat_jet(m.g, origin, 2)
-print("\nconstcurv:1 at origin: g_11 =", g0[0][0], "| d1 d1 g_11 =", ddg0[0][0][0][0])
+(d0, g0), (d1, dg0), (d2, ddg0) = int_jet(m.g, origin, 2)
+print("\nconstcurv:1 at origin: g_11 =", Fraction(g0[0][0], d0),
+      "| d1 d1 g_11 =", Fraction(ddg0[0][0][0][0], d2))
 op = curvature_operator(m.g, origin)
 print("constcurv:1 at origin: s =", op.s,
       "| sectional constant =", sectional_constant_check(op))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
                                parse_ratfunc, parse_rational)
-from paracomplex.linalg import Bilinear, Endo, SingularMatrix, int_mats, mat_eval, mat_to_strings
+from paracomplex.linalg import SingularMatrix, int_jet, mat_to_strings, transpose
 
 
 # -- small parsers ------------------------------------------------------------
@@ -147,39 +147,28 @@ def load_descriptor(path: str) -> dict:
 
 
 def _descriptor_structure(desc: dict):
-    """The kind of a structure descriptor, its patch data, its n x n data of
-    rational functions (zero for trivial, None for assembled), and the
+    """The kind of a structure descriptor, its n x n matrix of rational
+    functions (the form omega(d_i, d_j), the bivector pi^{ij}, P, or zero for
+    trivial; for assembled the four matrices g, Theta, K1 and K2), and the
     variables."""
-    from paracomplex.patch import BiVectorField, KForm
-
     kind = desc.get("kind")
     variables = check_variables(desc.get("vars", VARS4))
-    nvars = len(variables)
 
-    def field(name):
+    def field(name, antisym=True):
         if name not in desc:
             raise ValueError(f"a {kind!r} descriptor needs {name!r}")
-        return desc[name]
+        return _component_map_to_matrix(desc[name], variables, antisym)
 
     if kind == "trivial":
-        return kind, nvars, _component_map_to_matrix({}, variables), variables
-    if kind == "omega":
-        mat = _component_map_to_matrix(field("omega"), variables)
-        return kind, KForm(nvars, 2, {(i, j): mat[i][j] for i in range(nvars)
-                                      for j in range(i + 1, nvars)}), mat, variables
-    if kind == "pi":
-        mat = _component_map_to_matrix(field("pi"), variables)
-        return kind, BiVectorField(nvars, {(i, j): mat[i][j] for i in range(nvars)
-                                           for j in range(i + 1, nvars)}), mat, variables
+        return kind, _component_map_to_matrix({}, variables), variables
+    if kind in ("omega", "pi"):
+        return kind, field(kind), variables
     if kind == "product":
-        mat = _component_map_to_matrix(field("P"), variables, antisym=False)
-        return kind, mat, mat, variables
+        return kind, field("P", antisym=False), variables
     if kind == "assembled":
-        g = _component_map_to_matrix(field("g"), variables, antisym=False)
+        g = field("g", antisym=False)
         theta = _component_map_to_matrix(desc.get("theta", {}), variables)
-        k1 = _component_map_to_matrix(field("k1"), variables, antisym=False)
-        k2 = _component_map_to_matrix(field("k2"), variables, antisym=False)
-        return kind, (g, theta, k1, k2), None, variables
+        return kind, (g, theta, field("k1", antisym=False), field("k2", antisym=False)), variables
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -189,81 +178,95 @@ def _descriptor_structure(desc: dict):
 _POINT_ERRORS = (ValueError, PoleAtPoint, ZeroDivisionError)
 
 
-def cmd_validate(args) -> tuple[dict, int]:
-    from paracomplex.gpx import (assemble, gen_metric, is_compatible, structure_jet,
-                                 validate_gen_para)
+def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
+    """gpx.structure_jet of the kind's matrix at each point, or the
+    PoleAtPoint it raised there, and whether some point gave K(p): for omega,
+    det omega(p) != 0 there, which certifies that its Pfaffian is not zero
+    (patch.check_structure)."""
+    from paracomplex.gpx import structure_jet
+
+    jets = []
+    for p in points:
+        try:
+            jets.append(structure_jet(kind, mat, p, order))
+        except PoleAtPoint as exc:
+            jets.append(exc)
+    return jets, not all(isinstance(j, Exception) for j in jets)
+
+
+def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
+    """The checks of an assembled descriptor at a point, into entry: each
+    paracomplex factor once, then K and its compatibility with (g, Theta)."""
+    from paracomplex.gpx import assemble, is_compatible, validate_gen_para
     from paracomplex.para import validate_para
+
+    g, theta, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
+    entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
+    if not all(all(c.values()) for c in checks):
+        return False
+    k = assemble(g, theta, k1, k2)
+    if g[1] != transpose(g[1]):
+        raise ValueError("g must be symmetric")
+    # no check that g is neutral: K1 passes and w_1 = K1^T g is invertible, so g is
+    # nondegenerate and the eigenspaces of K1, of dimension n/2, are g-isotropic
+    entry["structure"] = checks = validate_gen_para(*k)
+    entry["compatible"] = compatible = is_compatible(k, g, theta)
+    return all(checks.values()) and compatible
+
+
+def cmd_validate(args) -> tuple[dict, int]:
+    from paracomplex.gpx import validate_gen_para
     from paracomplex.patch import check_structure
 
     desc = load_descriptor(args.descriptor)
-    kind, data, mat, variables = _descriptor_structure(desc)
+    kind, mat, variables = _descriptor_structure(desc)
     points = _points_from_args(args, len(variables), default_count=5)
-    error = None
+    error, jets = None, [None] * len(points)
     if kind != "assembled":
+        jets, certified = _jets_at(kind, mat, points, 0)
         try:
-            check_structure(kind, data)
+            check_structure(kind, mat, certified)
         except ValueError as exc:
-            error = str(exc)  # reported at every point
+            error = exc  # reported at every point
     results = []
-    all_ok = True
-    for p in points:
+    for p, jet in zip(points, jets):
         entry: dict = {"point": [str(c) for c in p]}
         try:
-            if error is not None:
-                entry["error"] = error
-                ok = False
-            elif kind == "assembled":
-                g_mat, th_mat, k1_mat, k2_mat = (
-                    mat_eval(m, p) for m in data)
-                g = Bilinear(g_mat)
-                k1, k2 = Endo(k1_mat), Endo(k2_mat)
-                rep1 = validate_para(g, k1)
-                rep2 = validate_para(g, k2)
-                entry["k1"] = rep1.checks
-                entry["k2"] = rep2.checks
-                ok = rep1.ok and rep2.ok
-                if ok:
-                    k = assemble(g, Bilinear(th_mat), k1, k2)
-                    den, (m,) = int_mats([k.as_matrix()])
-                    rep = validate_gen_para(den, m)
-                    compat = is_compatible(k, gen_metric(g, Bilinear(th_mat)))
-                    entry["structure"] = rep.checks
-                    entry["compatible"] = compat
-                    ok = rep.ok and compat
+            if kind == "assembled":
+                ok = _validate_assembled(mat, p, entry)
+            elif isinstance(error or jet, Exception):
+                raise error or jet
             else:
-                rep = validate_gen_para(*structure_jet(kind, mat, p)[0])
-                entry["structure"] = rep.checks
-                ok = rep.ok
+                entry["structure"] = checks = validate_gen_para(*jet[0])
+                ok = all(checks.values())
         except _POINT_ERRORS as exc:
             entry["error"] = str(exc)
             ok = False
         entry["ok"] = ok
-        all_ok = all_ok and ok
         results.append(entry)
     report = {"schema": 1, "command": "validate", "kind": kind,
-              "points": results, "ok": all_ok}
-    return report, 0 if all_ok else 1
+              "points": results, "ok": all(e["ok"] for e in results)}
+    return report, 0 if report["ok"] else 1
 
 
 def cmd_integrability(args) -> tuple[dict, int]:
-    from paracomplex.gpx import structure_jet
     from paracomplex.patch import gen_nijenhuis_frame_sweep, integrability_report
 
     desc = load_descriptor(args.descriptor)
-    kind, data, mat, variables = _descriptor_structure(desc)
+    kind, mat, variables = _descriptor_structure(desc)
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points_from_args(args, len(variables), default_count=3)
-    rep = integrability_report(kind, data)
+    jets, certified = _jets_at(kind, mat, points, 1)
+    rep = integrability_report(kind, mat, certified)
     samples = []
-    for p in points:
+    for p, jet in zip(points, jets):
         entry: dict = {"point": [str(c) for c in p]}
-        try:
-            k, dk = structure_jet(kind, mat, p, 1)
-            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
-        except PoleAtPoint as exc:
-            entry["error"] = str(exc)
+        if isinstance(jet, PoleAtPoint):
+            entry["error"] = str(jet)
         else:
+            k, dk = jet
+            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
             entry["nonzero_frame_pairs"] = len(witnesses)
             entry["sample"] = None
             if witnesses:
@@ -304,7 +307,7 @@ def cmd_curvature(args) -> tuple[dict, int]:
         "point": [str(c) for c in point],
         "orientation": args.orientation,
         "s": str(op.s),
-        "ricci": mat_to_strings(op.ricci.mat),
+        "ricci": mat_to_strings(op.ricci),
         "b_part": mat_to_strings(dec.b_part),
         "w_plus": mat_to_strings(dec.w_plus),
         "w_minus": mat_to_strings(dec.w_minus),

@@ -29,18 +29,15 @@ from operator import mul
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
                                parse_ratfunc, parse_rational)
 from paracomplex.linalg import (
-    Bilinear,
-    Endo,
     ONB_GRAM,
     bareiss,
     frac_mat,
+    int_inv,
     int_jet,
     int_mats,
     int_mul,
     j_structures,
     lambda2_matrix,
-    mat_add,
-    mat_eval,
     mat_is_zero,
     mat_mul,
     star_matrix,
@@ -74,9 +71,6 @@ class MetricModel:
     def __init__(self, name: str, nvars: int, g: list, onb: list | None = None):
         self.name, self.nvars, self.g, self.onb = name, nvars, g, onb
 
-    def g_at(self, point) -> Bilinear:
-        return Bilinear(mat_eval(self.g, point))
-
     def onb_at(self, point, orientation: int = +1, g_at: tuple | None = None) -> tuple:
         """The oriented frame at the point on integers, (E, [U_1, ..., U_4]) with
         the frame vectors U_a / E; g_at, when given, is g there as (D, G), the
@@ -87,7 +81,7 @@ class MetricModel:
         else:
             den, gm = g_at
         if self.onb is None:
-            du, (u,) = int_mats([onb_search(Bilinear(frac_mat(den, gm)))])
+            du, (u,) = int_mats([onb_search((den, gm))])
         else:
             ((du, u),) = int_jet(self.onb, point)
             if int_mul(int_mul(u, gm), transpose(u)) != [[du * du * den * x for x in row]
@@ -183,16 +177,18 @@ def _is_square(q: Fraction) -> Fraction | None:
     return None
 
 
-def onb_search(g: Bilinear) -> list:
-    """Search for a rational orthonormal basis with norms (1, 1, -1, -1).
-    Works when unit vectors exist over Q; otherwise raises DegenerateMetric
-    (supply an onb with the metric in that case).  A candidate's norm is
-    c^T M c / D from the integer Gram matrix M / D of the complement basis,
-    and only the accepted vector is built."""
+def onb_search(g: tuple) -> list:
+    """Search for a rational orthonormal basis with norms (1, 1, -1, -1) of
+    g = G / D, given as (D, G); the frame vectors, in Fractions.  Works when
+    unit vectors exist over Q; otherwise raises DegenerateMetric (supply an
+    onb with the metric in that case).  A candidate's norm is c^T M c / D'
+    from the integer Gram matrix M / D' of the complement basis, and only the
+    accepted vector is built."""
+    gf = frac_mat(*g)
     found: list = []
     for target in (1, 1, -1, -1):
-        comp = _orthogonal_complement_basis(g, found)
-        den, (gram,) = int_mats([mat_mul(mat_mul(comp, g.mat), transpose(comp))])
+        comp = _orthogonal_complement_basis(gf, found)
+        den, (gram,) = int_mats([mat_mul(mat_mul(comp, gf), transpose(comp))])
         pick = None
         for bound in (1, 2, 3, 4):
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(comp)):
@@ -201,7 +197,8 @@ def onb_search(g: Bilinear) -> list:
                 q = target * sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram]))
                 root = q > 0 and _is_square(Fraction(q, den))
                 if root:
-                    pick = [sum(c * b[i] for c, b in zip(coeffs, comp)) / root for i in range(g.dim)]
+                    pick = [sum(c * b[i] for c, b in zip(coeffs, comp)) / root
+                            for i in range(len(gf))]
                     break
             if pick is not None:
                 break
@@ -237,10 +234,10 @@ def _riemann(g: list, point) -> tuple:
     (den, gi), (d1, di), (d2, ddi) = int_jet(g, point, 2)
     n = len(g)
     ns = range(n)
-    red, pivots, det, _ = bareiss([row + [int(i == j) for j in ns] for i, row in enumerate(gi)])
-    if pivots != list(ns):
+    inv = int_inv(gi)
+    if inv is None:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})")
-    adj = [row[n:] for row in red]
+    det, adj = inv
     gam = [_sym(n, lambda i, j: sum(
         adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
     fb, fh = det * d1 * d1, den * d2
@@ -275,8 +272,8 @@ class CurvOperator:
     self-adjoint operator on the wedge basis {e_i ^ e_j} (i < j) with
     g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form, lowered[a][b] =
     g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); and rho with
-    g(rho(X), Y) = Ricci(X, Y).  The Fraction views g_at, mat, lowered, ricci,
-    rho and s = trace(rho) are built on each access, for a report or a test."""
+    g(rho(X), Y) = Ricci(X, Y).  The Fraction matrices mat, lowered and ricci,
+    and s = trace(rho), are built on each access, for a report or a test."""
 
     __slots__ = ("int_g", "int_mat", "int_lowered", "int_ricci", "int_rho")
 
@@ -285,11 +282,9 @@ class CurvOperator:
         self.int_g, self.int_mat = int_g, int_mat
         self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
 
-    g_at = property(lambda self: Bilinear(frac_mat(*self.int_g)))
     mat = property(lambda self: frac_mat(*self.int_mat))
     lowered = property(lambda self: frac_mat(*self.int_lowered))
-    ricci = property(lambda self: Bilinear(frac_mat(*self.int_ricci)))
-    rho = property(lambda self: Endo(frac_mat(*self.int_rho)))
+    ricci = property(lambda self: frac_mat(*self.int_ricci))
     s = property(lambda self: Fraction(_trace(self.int_rho[1]), self.int_rho[0]))
 
 
@@ -322,8 +317,8 @@ def curvature_operator(g: list, point) -> CurvOperator:
 class CurvDecomposition:
     """R = (s/12) Id + B + W with W = W_+ + W_-, on integers: int_s = (e, sigma)
     for s = sigma / e, and int_b, int_w, int_w_plus and int_w_minus pairs (D, M)
-    as in CurvOperator.  The Fraction views s, s_part, b_part, w_part, w_plus
-    and w_minus are built on each access."""
+    as in CurvOperator.  The Fraction views s, b_part, w_part, w_plus and
+    w_minus are built on each access."""
 
     __slots__ = ("int_s", "int_b", "int_w", "int_w_plus", "int_w_minus")
 
@@ -333,19 +328,10 @@ class CurvDecomposition:
         self.int_w_plus, self.int_w_minus = int_w_plus, int_w_minus
 
     s = property(lambda self: Fraction(self.int_s[1], self.int_s[0]))
-
-    @property
-    def s_part(self) -> list:
-        e, sigma = self.int_s
-        return frac_mat(12 * e, [[sigma * (a == c) for c in range(6)] for a in range(6)])
-
     b_part = property(lambda self: frac_mat(*self.int_b))
     w_part = property(lambda self: frac_mat(*self.int_w))
     w_plus = property(lambda self: frac_mat(*self.int_w_plus))
     w_minus = property(lambda self: frac_mat(*self.int_w_minus))
-
-    def parts_sum(self) -> list:
-        return mat_add(mat_add(self.s_part, self.b_part), self.w_part)
 
 
 def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
@@ -552,29 +538,28 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
 
 def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
-    given the 3-form dTheta and theorem_verdict's per-point data."""
-    from paracomplex.gpx import GenVector
+    given the 3-form dTheta and theorem_verdict's per-point data; the sections
+    A and B are drawn as their stacked vectors X + alpha."""
     from paracomplex.obstruction import np_residual_terms, torsion_at
 
     for p, op, onb, js in points:
         dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
         if all(v == 0 for v in dth_at.values()):
             continue
-        g_at = op.g_at
-        t_at = torsion_at(g_at, dth_at)
+        t_at = torsion_at(op.int_g, dth_at)
         for _ in range(attempts):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = random_compatible_structure(op.int_g, onb, rng, o1, js(o1))
             o2 = +1 if rng.random() < 0.5 else -1
             s2 = random_compatible_structure(op.int_g, onb, rng, o2, js(o2))
-            a = GenVector(rnd_vec(rng), rnd_vec(rng))
-            b = GenVector(rnd_vec(rng), rnd_vec(rng))
-            n_p, cond_rhs = np_residual_terms(g_at, t_at, dth_at, s1, s2, a, b)
-            res = n_p - cond_rhs
-            if not res.is_zero():
+            a = rnd_vec(rng) + rnd_vec(rng)
+            b = rnd_vec(rng) + rnd_vec(rng)
+            n_p, cond_rhs = np_residual_terms(op.int_g, t_at, dth_at, s1, s2, a, b)
+            res = [u - v for u, v in zip(n_p, cond_rhs)]
+            if any(res):
                 return {"point": [str(c) for c in p],
-                        "residual_vector": [str(c) for c in res.x],
-                        "residual_form": [str(c) for c in res.alpha]}
+                        "residual_vector": [str(c) for c in res[:4]],
+                        "residual_form": [str(c) for c in res[4:]]}
     return None
 
 

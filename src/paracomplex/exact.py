@@ -357,17 +357,6 @@ class RatFunc:
     def var(i: int, nvars: int) -> RatFunc:
         return RatFunc(Poly.var(i, nvars))
 
-    @staticmethod
-    def quotient(num: Poly, den: Poly) -> RatFunc:
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
-        monic, lc = den.monic()
-        f = RatFunc(num.scale(1 / lc))
-        if not monic.is_const():
-            f.factors = {monic.key(): (monic, 1)}
-            f._normalize()
-        return f
-
     # -- internals ----------------------------------------------------------
 
     def _normalize(self) -> None:

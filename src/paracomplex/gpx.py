@@ -1,9 +1,12 @@
-"""The double space T + T*: generalized paracomplex structures, the matrix of
-a descriptor kind's structure and its partials at a point on integers, their
-validation, generalized metrics, compatibility, and the assembly of a
-structure from a pair of paracomplex structures.  The symbolic constructor of
-each kind, B-transforms, the extraction of the pair and the fiber of
-compatible structures are in `paracomplex.reference`.
+"""The double space T + T*: its sections, and generalized paracomplex
+structures at a point on integers, as pairs (D, K) of a positive denominator
+and a 2n x 2n integer matrix standing for K / D: the structure of a descriptor
+kind and its partials, their validation, compatibility with the generalized
+metric of (g, Theta), and the assembly of a structure from (g, Theta) and a
+pair of paracomplex structures.  The Fraction wrappers `GenEndo` and
+`GeneralizedMetric`, the symbolic constructor of each kind, B-transforms, the
+extraction of the pair and the fiber of compatible structures are in
+`paracomplex.reference`.
 
 Conventions.  A bilinear form phi acts as a map T -> T* by
 phi(X)(Y) = phi(X, Y); in coordinates the map matrix is the transpose of the
@@ -14,125 +17,34 @@ beta(i_alpha pi) = (alpha ^ beta)(pi) with the determinant convention
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from paracomplex.exact import PoleAtPoint
-from paracomplex.linalg import (
-    Bilinear,
-    Endo,
-    bareiss,
-    basis_vec,
-    int_jet,
-    int_mul,
-    mat_add,
-    mat_eq,
-    mat_from_columns,
-    mat_inv,
-    mat_mul,
-    mat_neg,
-    mat_rank,
-    mat_scale,
-    mat_sub,
-    mat_vec,
-    signature,
-    transpose,
-    vec_add,
-    vec_eq,
-    vec_scale,
-    zero_like,
-)
-from paracomplex.para import ValidationReport, validate_para
+from paracomplex.linalg import (SingularMatrix, bareiss, int_inv, int_jet, int_mul, mat_add,
+                                mat_neg, mat_scale, mat_sub, transpose)
 
 
 class GenVector:
-    """Element X + alpha of T + T*."""
+    """Element X + alpha of T + T*, with X and alpha lists of the same
+    scalars; the frame sweep builds them from the columns of K and dK, and
+    `reference.GenVector` adds the algebra the oracles use."""
 
     __slots__ = ("x", "alpha")
 
     def __init__(self, x: list, alpha: list):
         self.x, self.alpha = x, alpha
 
-    def __add__(self, other: GenVector) -> GenVector:
-        return GenVector(vec_add(self.x, other.x), vec_add(self.alpha, other.alpha))
-
-    def __sub__(self, other: GenVector) -> GenVector:
-        return GenVector([a - b for a, b in zip(self.x, other.x)],
-                         [a - b for a, b in zip(self.alpha, other.alpha)])
-
-    def __neg__(self) -> GenVector:
-        return self.scale(Fraction(-1))
-
-    def scale(self, c) -> GenVector:
-        return GenVector(vec_scale(c, self.x), vec_scale(c, self.alpha))
-
     def stacked(self) -> list:
         return list(self.x) + list(self.alpha)
 
-    @staticmethod
-    def vector(v: list) -> GenVector:
-        return GenVector(list(v), [zero_like(v[0])] * len(v))
-
-    @staticmethod
-    def covector(a: list) -> GenVector:
-        return GenVector([zero_like(a[0])] * len(a), list(a))
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.x) and all(not c for c in self.alpha)
-
-    def __eq__(self, other):
-        return (isinstance(other, GenVector)
-                and vec_eq(self.x, other.x) and vec_eq(self.alpha, other.alpha))
-
-
-class GenEndo:
-    """Endomorphism of T + T* in blocks a: T->T, b: T*->T, c: T->T*, d: T*->T*."""
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.dim = len(a)
-
-    @staticmethod
-    def from_matrix(m: list) -> GenEndo:
-        n = len(m) // 2
-        a = [row[:n] for row in m[:n]]
-        b = [row[n:] for row in m[:n]]
-        c = [row[:n] for row in m[n:]]
-        d = [row[n:] for row in m[n:]]
-        return GenEndo(a, b, c, d)
-
-    def as_matrix(self) -> list:
-        top = [ra + rb for ra, rb in zip(self.a, self.b)]
-        bottom = [rc + rd for rc, rd in zip(self.c, self.d)]
-        return top + bottom
-
-    def apply(self, v: GenVector) -> GenVector:
-        x = vec_add(mat_vec(self.a, v.x), mat_vec(self.b, v.alpha))
-        alpha = vec_add(mat_vec(self.c, v.x), mat_vec(self.d, v.alpha))
-        return GenVector(x, alpha)
-
-    def compose(self, other: GenEndo) -> GenEndo:
-        return GenEndo.from_matrix(mat_mul(self.as_matrix(), other.as_matrix()))
-
-    def __add__(self, other: GenEndo) -> GenEndo:
-        return GenEndo.from_matrix(mat_add(self.as_matrix(), other.as_matrix()))
-
-    def __sub__(self, other: GenEndo) -> GenEndo:
-        return GenEndo.from_matrix(mat_sub(self.as_matrix(), other.as_matrix()))
-
-    def __neg__(self) -> GenEndo:
-        return self.scale(Fraction(-1))
-
-    def scale(self, c) -> GenEndo:
-        return GenEndo.from_matrix(mat_scale(c, self.as_matrix()))
-
-    def __eq__(self, other):
-        return isinstance(other, GenEndo) and mat_eq(self.as_matrix(), other.as_matrix())
-
-    def __repr__(self):
-        return f"GenEndo(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
 
 # -- structures at a point, on integers ------------------------------------------
+
+
+def _blocks(a: list, b: list, c: list, d: list) -> list:
+    """The 2n x 2n matrix [[a, b], [c, d]] of the n x n blocks a: T -> T,
+    b: T* -> T, c: T -> T* and d: T* -> T*."""
+    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
 
 
 def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
@@ -142,7 +54,7 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     rational functions: the form omega(d_i, d_j), the bivector pi^{ij}, P, or
     the zero matrix for trivial, which is K_pi for pi = 0.  K_omega has the
     blocks omega^-1 and omega, as maps T* -> T and T -> T*: for the map W / D0
-    at p, bareiss gives W A = d Id, so omega(p)^-1 = D0 A / d, and
+    at p, int_inv gives W A = d Id, so omega(p)^-1 = D0 A / d, and
     d(omega^-1) = -omega^-1 (d omega) omega^-1.  PoleAtPoint where the data
     has a pole or det omega(p) = 0."""
     n = len(point)
@@ -152,12 +64,12 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     if kind == "omega":
         w = transpose(v)
-        r, pivots, d, _ = bareiss([row + e for row, e in zip(w, eye)])
-        if pivots != list(range(n)):
+        inv = int_inv(w)
+        if inv is None:
             raise PoleAtPoint(point)
-        # W A = d Id with A the right half of r; (s A) / (s d) keeps the denominator
-        # positive, and the sign cancels in A dW A
-        a, s = [row[n:] for row in r], -1 if d < 0 else 1
+        # (s A) / (s d) keeps the denominator positive, and the sign cancels in A dW A
+        d, a = inv
+        s = -1 if d < 0 else 1
         d *= s
         k = d0 * d, [z, mat_scale(s * d0 * d0, a), mat_scale(d, w), z]
         dk = d * d * d1, [[z, mat_scale(-d0 * d0, int_mul(int_mul(a, dw), a)),
@@ -168,100 +80,70 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     else:
         k = d0, [mat_scale(d0, eye), v, z, mat_scale(-d0, eye)]
         dk = d1, [[z, m, z, z] for m in dv]
-    return ((k[0], GenEndo(*k[1]).as_matrix()),
-            (dk[0], [GenEndo(*b).as_matrix() for b in dk[1]]))[:order + 1]
+    return ((k[0], _blocks(*k[1])), (dk[0], [_blocks(*b) for b in dk[1]]))[:order + 1]
 
 
-def validate_gen_para(den: int, m: list) -> ValidationReport:
-    """Check K^2 = Id, skewness for the canonical pairing, and that both
-    eigenspaces have dimension 2n (half the dimension of T + T*), on integers
-    for K = m / den: m^2 = den^2 Id; m^T S + S m = 0 for S = 2<,>, which swaps
-    T and T*, so S m is m with its halves of rows swapped and must be
-    antisymmetric; and the ranks of den Id + m and den Id - m by bareiss."""
+def validate_gen_para(den: int, m: list) -> dict[str, bool]:
+    """Each check of K^2 = Id, skewness for the canonical pairing, and that
+    both eigenspaces have dimension 2n (half the dimension of T + T*), on
+    integers for K = m / den: m^2 = den^2 Id; m^T S + S m = 0 for S = 2<,>,
+    which swaps T and T*, so S m is m with its halves of rows swapped and must
+    be antisymmetric; and the ranks of den Id + m and den Id - m by bareiss."""
     n2 = len(m)
     ident = [[den * (i == j) for j in range(n2)] for i in range(n2)]
     sm = m[n2 // 2:] + m[:n2 // 2]
     plus, minus = (len(bareiss(f(ident, m))[1]) for f in (mat_add, mat_sub))
-    return ValidationReport({
+    return {
         "square_is_identity": int_mul(m, m) == mat_scale(den, ident),
         "pairing_skew": sm == mat_neg(transpose(sm)),
         "equal_eigenranks": plus == n2 // 2 == minus,
-    })
+    }
 
 
-# -- generalized metrics --------------------------------------------------------------
+# -- generalized metrics and the assembly of K from (g, Theta, K1, K2) ------------------
 
 
-class GeneralizedMetric:
-    """E' = {X + g(X) + Theta(X)} with E'' = {X - g(X) + Theta(X)} = E'^perp."""
-
-    __slots__ = ("g", "theta", "frame_prime", "frame_dprime")
-
-    def __init__(self, g: Bilinear, theta: Bilinear, frame_prime: list, frame_dprime: list):
-        self.g, self.theta = g, theta
-        self.frame_prime, self.frame_dprime = frame_prime, frame_dprime
-
-    @property
-    def dim(self) -> int:
-        return self.g.dim
-
-
-def gen_metric(g: Bilinear, theta: Bilinear) -> GeneralizedMetric:
-    if not g.is_symmetric():
-        raise ValueError("g must be symmetric")
-    if not theta.is_antisymmetric():
-        raise ValueError("Theta must be antisymmetric")
-    n = g.dim
-    if isinstance(g.mat[0][0], Fraction):
-        pos, neg, null = signature(g)
-        if null or pos != neg:
-            raise ValueError(f"metric signature {(pos, neg, null)} is not neutral")
-    g_map = g.map_mat()
-    th_map = theta.map_mat()
-    prime, dprime = [], []
-    for i in range(n):
-        e = basis_vec(i, n, like=g.mat[0][0])
-        prime.append(GenVector(e, vec_add(mat_vec(g_map, e), mat_vec(th_map, e))))
-        dprime.append(GenVector(e, vec_add(mat_vec(mat_neg(g_map), e), mat_vec(th_map, e))))
-    return GeneralizedMetric(g, theta, prime, dprime)
+def is_compatible(k: tuple, g: tuple, theta: tuple) -> bool:
+    """K preserves the generalized metric of (g, Theta), whose E' is spanned by
+    the frame X + g(X) + Theta(X), iff the images of that frame stay in its
+    span.  On integers, for K = K / D, g = G / D_g and Theta = T / D_t: the
+    frame is F = [[D_g D_t Id], [D_t G^T + D_g T^T]] (forms act as maps
+    T -> T* by their transposes), of rank n, so [F | K F] must have rank n."""
+    (_, km), (dg, gm), (dt, tm) = k, g, theta
+    n = len(gm)
+    f = ([[dg * dt * (i == j) for j in range(n)] for i in range(n)]
+         + mat_add(mat_scale(dt, transpose(gm)), mat_scale(dg, transpose(tm))))
+    return len(bareiss([row + kf for row, kf in zip(f, int_mul(km, f))])[1]) == n
 
 
-def is_compatible(k: GenEndo, e: GeneralizedMetric) -> bool:
-    """K preserves E iff the images of the E' frame stay in its span."""
-    frame_cols = [v.stacked() for v in e.frame_prime]
-    image_cols = [k.apply(v).stacked() for v in e.frame_prime]
-    base = mat_from_columns(frame_cols)
-    both = mat_from_columns(frame_cols + image_cols)
-    return mat_rank(both) == mat_rank(base) == e.dim
+def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
+    """The compatible generalized paracomplex structure of (g, Theta, K1, K2),
+    for factors that pass para.validate_para, as (D, K) with K / D the matrix
 
+        1/2 [[I, 0], [Th, I]] [[K1+K2, -w1^-1 + w2^-1],
+                               [-w1 + w2, -K1* - K2*]] [[I, 0], [-Th, I]]
 
-def assemble(g: Bilinear, theta: Bilinear, k1: Endo, k2: Endo) -> GenEndo:
-    """Block-matrix assembly of the compatible generalized paracomplex structure
-    from (g, Theta, K1, K2):
-
-        K = 1/2 [[I, 0], [Th, I]] [[K1+K2, -w1^-1 + w2^-1],
-                                   [-w1 + w2, -K1* - K2*]] [[I, 0], [-Th, I]]
-
-    with w_s(X, Y) = g(X, K_s Y) and all forms acting as maps T -> T*."""
-    for ks in (k1, k2):
-        if not validate_para(g, ks).ok:
-            raise ValueError(f"invalid paracomplex factor: {validate_para(g, ks).failures}")
-    g_map = g.map_mat()
-    th = theta.map_mat()
-    w1 = mat_mul(transpose(k1.mat), g_map)
-    w2 = mat_mul(transpose(k2.mat), g_map)
-    w1_inv = mat_inv(w1)
-    w2_inv = mat_inv(w2)
-    a_mid = mat_add(k1.mat, k2.mat)
-    b_mid = mat_add(mat_neg(w1_inv), w2_inv)
-    c_mid = mat_add(mat_neg(w1), w2)
-    d_mid = mat_neg(mat_add(transpose(k1.mat), transpose(k2.mat)))
-    # conjugate by the B-transform of Theta and halve
-    a_blk = mat_sub(a_mid, mat_mul(b_mid, th))
-    b_blk = b_mid
-    c_blk = mat_sub(mat_add(mat_mul(th, a_mid), c_mid),
-                    mat_mul(mat_add(mat_mul(th, b_mid), d_mid), th))
-    d_blk = mat_add(mat_mul(th, b_mid), d_mid)
-    half = Fraction(1, 2)
-    return GenEndo(mat_scale(half, a_blk), mat_scale(half, b_blk),
-                   mat_scale(half, c_blk), mat_scale(half, d_blk))
+    with w_s(X, Y) = g(X, K_s Y) and all forms acting as maps T -> T*.  On
+    integers, for g = G / D_g, Theta = T / D_t and K_s = A_s / E over one E:
+    w_s = W_s / (E D_g) with W_s = A_s^T G^T, and int_inv gives W_s R_s = d_s Id,
+    so w_s^-1 = E D_g R_s / d_s; the middle matrix is M / L over
+    L = E D_g d_1 d_2, and the B-transforms are [[D_t I, 0], [+-T^T, D_t I]] / D_t.
+    SingularMatrix where some w_s is singular."""
+    (dg, gm), (dt, tm), (e1, a1), (e2, a2) = g, theta, k1, k2
+    n = len(gm)
+    e = math.lcm(e1, e2)
+    a1, a2 = mat_scale(e // e1, a1), mat_scale(e // e2, a2)
+    ws = [int_mul(transpose(a), transpose(gm)) for a in (a1, a2)]
+    invs = [int_inv(w) for w in ws]
+    if None in invs:
+        raise SingularMatrix("matrix is singular over the scalar field")
+    (d1, r1), (d2, r2) = invs
+    f, dd, ksum = e * dg, d1 * d2, mat_add(a1, a2)
+    mid = _blocks(mat_scale(dg * dd, ksum),
+                  mat_scale(f * f, mat_sub(mat_scale(d1, r2), mat_scale(d2, r1))),
+                  mat_scale(dd, mat_sub(ws[1], ws[0])), mat_scale(-dg * dd, transpose(ksum)))
+    eye = [[dt * (i == j) for j in range(n)] for i in range(n)]
+    z, tt = [[0] * n] * n, transpose(tm)
+    k = int_mul(int_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
+    den = 2 * f * dd * dt * dt
+    return (den, k) if den > 0 else (-den, mat_neg(k))

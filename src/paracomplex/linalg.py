@@ -1,16 +1,15 @@
 """Finite-dimensional linear algebra over the exact scalars.
 
-Matrices are dense lists of lists whose entries are Fractions (pointwise
-work) or RatFuncs (coordinate-patch work).  Dimensions stay at most 8, so
-storage is dense; `mat_vec` skips zero products.  Over Q, `mat_mul` and the
-elimination routines work on integer matrices over one common denominator and
-build a Fraction only for each entry of the result: `mat_inv`, `mat_rank` and
-`kernel_basis` read the one fraction-free elimination `bareiss`, and no
-routine here inverts a matrix of rational functions.  The
-pointwise curvature reads a field's jet (`int_jet`), the Hodge star
-(`star_matrix`) and the J-triples (`j_structures`) as pairs (D, M) of a
-positive denominator and an integer matrix, standing for M / D; `mat_jet` and
-`frac_mat` give the Fraction view.
+Matrices are dense lists of lists.  At a point every command works on a pair
+(D, M) of a positive denominator and an integer matrix, standing for M / D:
+`int_jet` reads a field's value and partials there, `bareiss` is the one
+fraction-free elimination (pivots, ranks, determinants and, by `int_inv`,
+inverses), and the dim-4 Hodge star (`star_matrix`) and J-triples
+(`j_structures`) are built on integers; `frac_mat` gives a Fraction view of a
+value that is printed.  The symbolic checks of a descriptor's data multiply
+matrices of RatFuncs (`mat_mul`, `pfaffian`), and the frame search of `curv`
+reads `kernel_basis` over Q.  The Fraction wrappers of forms, endomorphisms
+and 2-vectors, and the routines only they use, are in `paracomplex.reference`.
 """
 
 from __future__ import annotations
@@ -56,27 +55,12 @@ def sparse_add(comps: dict, key, value) -> None:
 # -- vectors ----------------------------------------------------------------
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(u, v)]
-
-def vec_scale(c, u: Vec) -> Vec:
-    return [c * a for a in u]
-
-def vec_eq(u: Vec, v: Vec) -> bool:
-    return all(a == b for a, b in zip(u, v))
-
 def basis_vec(i: int, n: int, like=Fraction(1)) -> Vec:
     z, o = zero_like(like), one_like(like)
     return [o if j == i else z for j in range(n)]
 
 
 # -- matrices ----------------------------------------------------------------
-
-
-def mat_zero(n: int, m: int | None = None, like=Fraction(1)) -> Mat:
-    m = n if m is None else m
-    z = zero_like(like)
-    return [[z for _ in range(m)] for _ in range(n)]
 
 
 def mat_identity(n: int, like=Fraction(1)) -> Mat:
@@ -137,6 +121,14 @@ def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
         pivots.append(col)
         d = p
     return work, pivots, d, sign
+
+
+def int_inv(m: Mat) -> tuple[int, Mat] | None:
+    """(d, A) with m A = d Id for a square integer matrix m, from bareiss on
+    [m | Id], so d = +-det m; None when m is singular."""
+    n = len(m)
+    r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    return (d, [row[n:] for row in r]) if pivots == list(range(n)) else None
 
 
 def int_mul(a: Mat, b: Mat) -> Mat:
@@ -225,38 +217,6 @@ def frac_mat(den: int, m: Mat) -> Mat:
     return [[Fraction(x, den) for x in row] for row in m]
 
 
-def mat_jet(a: Mat, point, order: int = 0) -> tuple:
-    """int_jet in Fractions: (A(p),), then [d_i A(p)] for order 1, then
-    [[d_i d_j A(p)]] for order 2."""
-    (d0, value), *rest = int_jet(a, point, order)
-    out = (frac_mat(d0, value),)
-    if order:
-        out += ([frac_mat(rest[0][0], m) for m in rest[0][1]],)
-    if order > 1:
-        out += ([[frac_mat(rest[1][0], m) for m in row] for row in rest[1][1]],)
-    return out
-
-
-def mat_eval(a: Mat, point) -> Mat:
-    """Values at the point of a matrix of RatFuncs."""
-    return mat_jet(a, point)[0]
-
-
-def mat_from_columns(cols: Sequence[Vec]) -> Mat:
-    return [list(row) for row in zip(*cols)]
-
-
-def mat_inv(a: Mat) -> Mat:
-    """Exact inverse over Q, raising SingularMatrix when det = 0: it reads
-    bareiss on [D a | I]."""
-    n = len(a)
-    den, (m,) = int_mats([a])
-    r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular over the scalar field")
-    return [[Fraction(den * x, d) for x in row[n:]] for row in r]
-
-
 def pfaffian(m: Mat, rows: tuple, memo: dict):
     """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
     expanded along the first index, so 0 for an odd count, with no division;
@@ -268,12 +228,6 @@ def pfaffian(m: Mat, rows: tuple, memo: dict):
         memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
                           for t, j in enumerate(rest) if m[i][j]), 0)
     return memo[rows]
-
-
-def mat_rank(a: Mat) -> int:
-    """Rank over Q: the number of pivots of bareiss."""
-    _, (m,) = int_mats([a])
-    return len(bareiss(m)[1])
 
 
 def kernel_basis(rows: Mat, ncols: int | None = None) -> list[Vec]:
@@ -293,204 +247,8 @@ def kernel_basis(rows: Mat, ncols: int | None = None) -> list[Vec]:
     return basis
 
 
-# -- domain types -------------------------------------------------------------
-
-
-class Bilinear:
-    """Bilinear form on the reference basis; entries[i][j] = b(e_i, e_j)."""
-
-    def __init__(self, mat: Mat):
-        self.mat = [list(row) for row in mat]
-        self.dim = len(mat)
-
-    @staticmethod
-    def diag(values) -> Bilinear:
-        n = len(values)
-        m = mat_zero(n, like=Fraction(1))
-        for i, v in enumerate(values):
-            m[i][i] = Fraction(v) if isinstance(v, int) else v
-        return Bilinear(m)
-
-    def apply(self, u: Vec, v: Vec):
-        return sum((u[i] * self.mat[i][j] * v[j]
-                    for i in range(self.dim) for j in range(self.dim)),
-                   start=zero_like(self.mat[0][0]))
-
-    def map_mat(self) -> Mat:
-        """Matrix of the induced map T -> T*, X |-> b(X, .) in the dual basis."""
-        return transpose(self.mat)
-
-    def is_symmetric(self) -> bool:
-        return mat_eq(self.mat, transpose(self.mat))
-
-    def is_antisymmetric(self) -> bool:
-        return mat_eq(self.mat, mat_neg(transpose(self.mat)))
-
-    def __eq__(self, other):
-        return isinstance(other, Bilinear) and mat_eq(self.mat, other.mat)
-
-    def __repr__(self):
-        return f"Bilinear({self.mat!r})"
-
-
-class Endo:
-    """Endomorphism acting on column vectors of the reference basis."""
-
-    def __init__(self, mat: Mat):
-        self.mat = [list(row) for row in mat]
-        self.dim = len(mat)
-
-    @staticmethod
-    def identity(n: int, like=Fraction(1)) -> Endo:
-        return Endo(mat_identity(n, like))
-
-    def apply(self, v: Vec) -> Vec:
-        return mat_vec(self.mat, v)
-
-    def compose(self, other: Endo) -> Endo:
-        return Endo(mat_mul(self.mat, other.mat))
-
-    def __add__(self, other: Endo) -> Endo:
-        return Endo(mat_add(self.mat, other.mat))
-
-    def __sub__(self, other: Endo) -> Endo:
-        return Endo(mat_sub(self.mat, other.mat))
-
-    def __neg__(self) -> Endo:
-        return Endo(mat_neg(self.mat))
-
-    def scale(self, c) -> Endo:
-        return Endo(mat_scale(c, self.mat))
-
-    def trace(self):
-        return sum((self.mat[i][i] for i in range(1, self.dim)),
-                   start=self.mat[0][0])
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.mat)
-
-    def __eq__(self, other):
-        return isinstance(other, Endo) and mat_eq(self.mat, other.mat)
-
-    def __repr__(self):
-        return f"Endo({self.mat!r})"
-
-
-def is_g_skew(g: Bilinear, a: Endo) -> bool:
-    """g(aX, Y) + g(X, aY) = 0, i.e. a^T g + g a = 0."""
-    return mat_is_zero(mat_add(mat_mul(transpose(a.mat), g.mat),
-                               mat_mul(g.mat, a.mat)))
-
-
 def wedge_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-class TwoVector:
-    """Element of Lambda^2 T with components on e_i ^ e_j, i < j."""
-
-    def __init__(self, dim: int, comps: dict[tuple[int, int], object] | None = None):
-        self.dim = dim
-        self.comps: dict[tuple[int, int], object] = {}
-        if comps:
-            for (i, j), c in comps.items():
-                if i == j:
-                    continue
-                if i > j:
-                    i, j, c = j, i, -c
-                sparse_add(self.comps, (i, j), c)
-
-    @staticmethod
-    def wedge(u: Vec, v: Vec) -> TwoVector:
-        n = len(u)
-        comps = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = u[i] * v[j] - u[j] * v[i]
-                if c:
-                    comps[(i, j)] = c
-        return TwoVector(n, comps)
-
-    @staticmethod
-    def basis(i: int, j: int, dim: int) -> TwoVector:
-        return TwoVector(dim, {(i, j): Fraction(1)})
-
-    def get(self, i: int, j: int):
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.comps.get((i, j), Fraction(0))
-        c = self.comps.get((j, i), Fraction(0))
-        return -c
-
-    def __add__(self, other: TwoVector) -> TwoVector:
-        comps = dict(self.comps)
-        for k, c in other.comps.items():
-            sparse_add(comps, k, c)
-        return TwoVector(self.dim, comps)
-
-    def __sub__(self, other: TwoVector) -> TwoVector:
-        return self + other.scale(Fraction(-1))
-
-    def __neg__(self) -> TwoVector:
-        return self.scale(Fraction(-1))
-
-    def scale(self, c) -> TwoVector:
-        return TwoVector(self.dim, {k: c * v for k, v in self.comps.items()})
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoVector):
-            return NotImplemented
-        keys = set(self.comps) | set(other.comps)
-        return all(self.get(*k) == other.get(*k) for k in keys)
-
-    def __repr__(self):
-        return f"TwoVector({self.comps!r})"
-
-
-# -- form and 2-vector operations ------------------------------------------------
-
-
-def signature(b: Bilinear) -> tuple[int, int, int]:
-    """Sylvester inertia (positive, negative, null) by exact symmetric reduction."""
-    if not b.is_symmetric():
-        raise ValueError("signature requires a symmetric form")
-    n = b.dim
-    m = [list(row) for row in b.mat]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if m[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in active for j in active
-                         if i != j and m[i][j]), None)
-            if pair is None:
-                break
-            i, j = pair
-            # congruence: e_i <- e_i + e_j makes the (i,i) entry 2 b(e_i, e_j)
-            for k in range(n):
-                m[i][k] = m[i][k] + m[j][k]
-            for k in range(n):
-                m[k][i] = m[k][i] + m[k][j]
-            piv = i
-        p = m[piv][piv]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for k in active:
-            if k != piv and m[k][piv]:
-                f = m[k][piv] / p
-                for t in range(n):
-                    m[k][t] = m[k][t] - f * m[piv][t]
-                for t in range(n):
-                    m[t][k] = m[t][k] - f * m[t][piv]
-        active.remove(piv)
-    null = n - pos - neg
-    return pos, neg, null
 
 
 def lambda2_matrix(q: Mat) -> Mat:

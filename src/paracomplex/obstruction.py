@@ -1,6 +1,8 @@
 """The horizontal obstruction of a potential Theta at a point: the torsion of
 the Hitchin connection there and the residual of the obstruction identity
-for the generalized structure assembled from (g, Theta = 0, S1, S2), in Q.
+for the generalized structure assembled from (g, Theta = 0, S1, S2), in Q,
+from g, S1 and S2 as integer pairs (D, M) and sections X + alpha of T + T*
+as stacked vectors of Fractions.
 Only `theorem` with a non-closed `--theta` runs it (the witness search of
 `curv.theorem_verdict`), so no other command loads or compiles this module.
 """
@@ -8,41 +10,22 @@ Only `theorem` with a non-closed `--theta` runs it (the witness search of
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from paracomplex.gpx import GenVector, assemble
-from paracomplex.linalg import Bilinear, Endo, mat_inv, mat_zero, vec_add
+from paracomplex.gpx import assemble
+from paracomplex.linalg import int_inv
 
 
 def _torsion_vec(t_at: list, x: list, y: list) -> list:
-    n = len(t_at)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            c = x[i] * y[j]
-            if not c:
-                continue
-            for k in range(n):
-                if t_at[i][j][k]:
-                    out[k] += c * t_at[i][j][k]
-    return out
+    """T(X, Y) from the torsion values."""
+    ns = range(len(t_at))
+    return [sum(x[i] * y[j] * t_at[i][j][k] for i in ns if x[i] for j in ns) for k in ns]
 
 
 def _covector_alpha_iota(t_at: list, alpha: list, y: list) -> list:
     """The 1-form Z -> alpha(T(Y, Z))."""
-    n = len(t_at)
-    out = [Fraction(0)] * n
-    for z in range(n):
-        total = Fraction(0)
-        for i in range(n):
-            if not y[i]:
-                continue
-            for k in range(n):
-                if alpha[k]:
-                    total += y[i] * t_at[i][z][k] * alpha[k]
-        out[z] = total
-    return out
+    ns = range(len(t_at))
+    return [sum(y[i] * t_at[i][z][k] * alpha[k] for i in ns if y[i] for k in ns) for z in ns]
 
 
 def _dth_full(dth_at: dict) -> dict:
@@ -63,43 +46,49 @@ def _dtheta_covector(dth_at: dict, x: list, y: list) -> list:
             for z in range(4)]
 
 
-def np_residual_terms(g_at: Bilinear, t_at: list, dth_at: dict,
-                      s1: Endo, s2: Endo, a: GenVector, b: GenVector):
+def np_residual_terms(g: tuple, t_at: list, dth_at: dict, s1: tuple, s2: tuple,
+                      a: list, b: list) -> tuple[list, list]:
     """(N_P(A, B), cond_rhs) for the generalized structure P assembled from
     (g, Theta = 0, S1, S2) at a point, with torsion values t_at and dTheta
-    values dth_at.  The obstruction residual is the difference."""
-    p = assemble(g_at, Bilinear(mat_zero(g_at.dim)), s1, s2)
-    pa, pb = p.apply(a), p.apply(b)
-    x, alpha = a.x, a.alpha
-    y, beta = b.x, b.alpha
-    xh, alphah = pa.x, pa.alpha
-    yh, betah = pb.x, pb.alpha
-    vec = [-(c1 + c2) for c1, c2 in zip(_torsion_vec(t_at, x, y),
-                                        _torsion_vec(t_at, xh, yh))]
-    form = [Fraction(0)] * 4
-    for sign, al, yy in ((-1, alpha, y), (1, beta, x), (-1, alphah, yh), (1, betah, xh)):
-        term = _covector_alpha_iota(t_at, al, yy)
-        form = [f + sign * t for f, t in zip(form, term)]
-    inner_vec = vec_add(_torsion_vec(t_at, xh, y), _torsion_vec(t_at, x, yh))
-    inner_form = [Fraction(0)] * 4
-    for sign, al, yy in ((1, alphah, y), (-1, beta, xh), (1, alpha, yh), (-1, betah, x)):
-        term = _covector_alpha_iota(t_at, al, yy)
-        inner_form = [f + sign * t for f, t in zip(inner_form, term)]
-    n_p = GenVector(vec, form) + p.apply(GenVector(inner_vec, inner_form))
-    # cond_rhs = -dTheta(X,Y,.) - dTheta(Xh,Yh,.) + P(dTheta(Xh,Y,.) + dTheta(X,Yh,.))
-    rhs_form = [-(c1 + c2) for c1, c2 in zip(_dtheta_covector(dth_at, x, y),
-                                             _dtheta_covector(dth_at, xh, yh))]
-    rhs_inner = vec_add(_dtheta_covector(dth_at, xh, y), _dtheta_covector(dth_at, x, yh))
-    cond_rhs = GenVector([Fraction(0)] * 4, rhs_form) \
-        + p.apply(GenVector([Fraction(0)] * 4, rhs_inner))
+    values dth_at, as stacked vectors.  The obstruction residual is the
+    difference."""
+    n = len(t_at)
+    den, p = assemble(g, (1, [[0] * n] * n), s1, s2)
+
+    def apply(v: list) -> list:
+        return [Fraction(sum(map(mul, row, v)), den) for row in p]
+
+    def terms(u: list, v: list) -> tuple:
+        """T(X, Y) + beta(T(X, .)) - alpha(T(Y, .)), and dTheta(X, Y, .), for
+        U = X + alpha and V = Y + beta."""
+        x, alpha, y, beta = u[:n], u[n:], v[:n], v[n:]
+        return (_torsion_vec(t_at, x, y) + [f - e for e, f in zip(
+            _covector_alpha_iota(t_at, alpha, y), _covector_alpha_iota(t_at, beta, x))],
+            _dtheta_covector(dth_at, x, y))
+
+    pa, pb = apply(a), apply(b)
+    (t1, d1), (t2, d2), (t3, d3), (t4, d4) = (terms(u, v) for u, v in
+                                              ((a, b), (pa, pb), (pa, b), (a, pb)))
+    # with A' = PA and B' = PB, N_P(A, B) is (-1, +1) (terms(A, B) + terms(A', B')) plus P of
+    # (+1, -1) (terms(A', B) + terms(A, B')) on the (vector, form) parts, and
+    # cond_rhs = -dTheta(X,Y,.) - dTheta(X',Y',.) + P(dTheta(X',Y,.) + dTheta(X,Y',.))
+    sign = [-1] * n + [1] * n
+    inner = apply([-s * (u + v) for s, u, v in zip(sign, t3, t4)])
+    n_p = [s * (u + v) + w for s, u, v, w in zip(sign, t1, t2, inner)]
+    zero = [0] * n
+    inner = apply(zero + [u + v for u, v in zip(d3, d4)])
+    cond_rhs = [w - u - v for u, v, w in zip(zero + d1, zero + d2, inner)]
     return n_p, cond_rhs
 
 
-def torsion_at(g_at: Bilinear, dth_at: dict) -> list:
+def torsion_at(g: tuple, dth_at: dict) -> list:
     """t[i][j][k] = sum_l g^kl dTheta(i, j, l), the torsion of
-    reference.hitchin_connection at a point; the symmetric Levi-Civita part cancels."""
-    n = g_at.dim
+    reference.hitchin_connection at a point; the symmetric Levi-Civita part
+    cancels.  For g = G / D given as (D, G), int_inv gives G A = d Id, so
+    g^-1 = D A / d."""
+    den, gm = g
+    n = len(gm)
     full = _dth_full(dth_at)
-    ginv = mat_inv(g_at.mat)
-    return [[[sum(ginv[k][l] * full.get((i, j, l), 0) for l in range(n))
+    d, adj = int_inv(gm)
+    return [[[Fraction(den * sum(adj[k][l] * full.get((i, j, l), 0) for l in range(n)), d)
               for k in range(n)] for j in range(n)] for i in range(n)]

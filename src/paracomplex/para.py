@@ -11,64 +11,34 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from paracomplex.linalg import (
-    Bilinear,
-    Endo,
-    basis_vec,
-    frac_mat,
-    is_g_skew,
-    j_structures,
-    kernel_basis,
-    mat_eq,
-    mat_identity,
-    mat_mul,
-    mat_neg,
-    mat_vec,
-    transpose,
-)
+from paracomplex.linalg import (basis_vec, int_mul, j_structures, kernel_basis, mat_add,
+                                mat_is_zero, mat_neg, mat_scale, mat_vec, transpose)
 
 
-class ValidationReport:
-    """Outcome of a structure validation; carries per-invariant results."""
-
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: dict[str, bool]):
-        self.checks = checks
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    @property
-    def failures(self) -> list[str]:
-        return [name for name, passed in self.checks.items() if not passed]
-
-
-def validate_para(g: Bilinear, k: Endo) -> ValidationReport:
-    """Check {k^2 = Id, k != +-Id, trace = 0, g-skew} and report each."""
-    n = k.dim
-    ident = mat_identity(n, like=k.mat[0][0])
-    square_id = mat_eq(mat_mul(k.mat, k.mat), ident)
-    not_pm_id = not (mat_eq(k.mat, ident) or mat_eq(k.mat, mat_neg(ident)))
-    report = ValidationReport({
-        "square_is_identity": square_id,
-        "not_plus_minus_identity": not_pm_id,
-        "trace_zero": not k.trace(),
-        "g_skew": is_g_skew(g, k),
-    })
-    return report
+def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
+    """Each check of {k^2 = Id, k != +-Id, trace = 0, g-skew}, on integers for
+    g = G / D and k = K / E given as (D, G) and (E, K): K^2 = E^2 Id,
+    K != +-E Id, trace K = 0 and K^T G + G K = 0."""
+    (_, gm), (e, km) = g, k
+    n = len(km)
+    ident = [[e * (i == j) for j in range(n)] for i in range(n)]
+    return {
+        "square_is_identity": int_mul(km, km) == mat_scale(e, ident),
+        "not_plus_minus_identity": km not in (ident, mat_neg(ident)),
+        "trace_zero": not sum(km[i][i] for i in range(n)),
+        "g_skew": mat_is_zero(mat_add(int_mul(transpose(km), gm), int_mul(gm, km))),
+    }
 
 
 # -- orthogonal complements -----------------------------------------------------
 
 
-def _orthogonal_complement_basis(g: Bilinear, span: list) -> list:
-    """Basis of {w : g(v, w) = 0 for v in span} over the scalar field."""
-    n = g.dim
+def _orthogonal_complement_basis(g: list, span: list) -> list:
+    """Basis of {w : g(v, w) = 0 for v in span} over Q, for the matrix g."""
+    n = len(g)
     if not span:
         return [basis_vec(i, n) for i in range(n)]
-    rows = [mat_vec(transpose(g.mat), v) for v in span]  # w -> g(v, w) coefficients
+    rows = [mat_vec(transpose(g), v) for v in span]  # w -> g(v, w) coefficients
     return kernel_basis(rows, n)
 
 
@@ -97,13 +67,14 @@ def hyperboloid_combination(point: tuple, triple: tuple) -> tuple[int, list]:
 
 
 def random_compatible_structure(g: tuple, onb: tuple, rng, orientation: int = +1,
-                                js: tuple | None = None) -> Endo:
+                                js: tuple | None = None) -> tuple[int, list]:
     """Random g-compatible paracomplex structure of the given orientation in
     dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3),
-    for g and the frame on integers as j_structures takes them.  A caller
-    drawing many structures at one point passes the J-triple
-    j_structures(g, onb, orientation) as js; the draws from rng are the same."""
+    for g and the frame on integers as j_structures takes them, as the pair
+    (e, K) of hyperboloid_combination.  A caller drawing many structures at
+    one point passes the J-triple j_structures(g, onb, orientation) as js; the
+    draws from rng are the same."""
     point = hyperboloid_draw(rng)
     if js is None:
         js = j_structures(g, onb, +1 if orientation > 0 else -1)
-    return Endo(frac_mat(*hyperboloid_combination(point, js)))
+    return hyperboloid_combination(point, js)

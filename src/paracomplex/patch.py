@@ -4,8 +4,10 @@ coefficients: differential forms, bivector fields, the Courant bracket on
 generalized Nijenhuis tensor on frame pairs at a point (on integers), and the
 integrability criteria of each structure kind.
 
-A vector field is the list of its components, and a section X + alpha of
-T + T* is a `gpx.GenVector` with RatFunc entries, or integer ones at a point.
+A descriptor's data are one n x n matrix of RatFuncs per kind: the form
+omega(d_i, d_j), the bivector pi^{ij} or P.  A vector field is the list of its
+components, and a section X + alpha of T + T* is a `gpx.GenVector`; the
+commands build them at a point, with integer entries.
 Sign convention: the Courant bracket is
 [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
@@ -13,12 +15,11 @@ Sign convention: the Courant bracket is
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from paracomplex.exact import RatFunc
 from paracomplex.gpx import GenVector
-from paracomplex.linalg import (Bilinear, mat_eq, mat_identity, mat_mul, mat_neg, mat_vec,
-                                pfaffian, sparse_add, transpose)
+from paracomplex.linalg import (mat_eq, mat_identity, mat_mul, mat_neg, mat_vec, pfaffian,
+                                sparse_add, transpose)
 
 
 def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -65,17 +66,6 @@ class KForm:
         out.comps = comps
         return out
 
-    def __sub__(self, other: KForm) -> KForm:
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, f) -> KForm:
-        out = KForm(self.nvars, self.degree)
-        for k, c in self.comps.items():
-            s = c * f if isinstance(c, RatFunc) else f * c
-            if not s.is_zero():
-                out.comps[k] = s
-        return out
-
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -87,29 +77,6 @@ class KForm:
 
     def __repr__(self):
         return f"KForm(deg={self.degree}, {{{', '.join(f'{k}: {c.to_str()}' for k, c in sorted(self.comps.items()))}}})"
-
-
-class BiVectorField:
-    """Field of 2-vectors; components pi^{ij} on i < j."""
-
-    def __init__(self, dim: int, comps: dict | None = None):
-        self.dim = dim
-        self.comps: dict[tuple[int, int], RatFunc] = {}
-        if comps:
-            for (i, j), c in comps.items():
-                if i == j:
-                    continue
-                if i > j:
-                    i, j, c = j, i, -c
-                sparse_add(self.comps, (i, j), c)
-
-    def get(self, i: int, j: int) -> RatFunc:
-        if i == j:
-            return RatFunc.zero(self.dim)
-        if i < j:
-            return self.comps.get((i, j), RatFunc.zero(self.dim))
-        c = self.comps.get((j, i))
-        return RatFunc.zero(self.dim) if c is None else -c
 
 
 GenSection = GenVector  # the name perfbench/tracer.py imports
@@ -131,12 +98,6 @@ def ext_deriv(omega: KForm) -> KForm:
             dc = c.partial(i)
             sparse_add(out.comps, key, dc if sign > 0 else -dc)
     return out
-
-
-def _bilinear(form: KForm) -> Bilinear:
-    """The full matrix form(d_i, d_j) of a 2-form."""
-    n = form.nvars
-    return Bilinear([[form.get((i, j)) for j in range(n)] for i in range(n)])
 
 
 # -- 1-jets and the Courant bracket ---------------------------------------------------
@@ -185,11 +146,13 @@ def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector
 # -- the data that define a structure ------------------------------------------------
 
 
-def check_structure(kind: str, data) -> None:
+def check_structure(kind: str, data: list, certified: bool = False) -> None:
     """ValueError where a kind's patch data define no structure, decided as
     rational-function identities: an omega whose Pfaffian is zero (always on
-    an odd number of variables), P^2 != Id, or P = +-Id."""
-    if kind == "omega" and not pfaffian(_bilinear(data).mat, tuple(range(data.nvars)), {}):
+    an odd number of variables), P^2 != Id, or P = +-Id.  certified says that
+    det omega(p) != 0 at some point p; then Pf(omega)(p)^2 != 0, so the
+    Pfaffian is not zero and is not expanded."""
+    if kind == "omega" and not certified and not pfaffian(data, tuple(range(len(data))), {}):
         raise ValueError("omega field is degenerate")
     if kind == "product":
         ident = mat_identity(len(data), like=data[0][0])
@@ -232,17 +195,20 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
 # -- Poisson condition ----------------------------------------------------------------
 
 
-def poisson_jacobiator(pi: BiVectorField) -> dict:
+def poisson_jacobiator(pi: list) -> dict:
     """Jacobiator components sum_l (pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki}
-    + pi^{lk} d_l pi^{ij}) for i < j < k; empty dict iff Poisson."""
-    n = pi.dim
+    + pi^{lk} d_l pi^{ij}) for i < j < k of the antisymmetric matrix pi; empty
+    dict iff Poisson.  pi^{ij} is read above the diagonal, and
+    pi^{ji} = -pi^{ij}."""
+    n = len(pi)
+    p = [[pi[i][j] if i < j else -pi[j][i] for j in range(n)] for i in range(n)]
     out = {}
     for i, j, k in itertools.combinations(range(n), 3):
         total = RatFunc.zero(n)
         for l in range(n):
-            total = total + pi.get(l, i) * pi.get(j, k).partial(l)
-            total = total + pi.get(l, j) * pi.get(k, i).partial(l)
-            total = total + pi.get(l, k) * pi.get(i, j).partial(l)
+            total = total + p[l][i] * p[j][k].partial(l)
+            total = total + p[l][j] * p[k][i].partial(l)
+            total = total + p[l][k] * p[i][j].partial(l)
         if not total.is_zero():
             out[(i, j, k)] = total
     return out
@@ -261,17 +227,22 @@ class IntegrabilityReport:
         self.witness = witness
 
 
-def integrability_report(kind: str, data) -> IntegrabilityReport:
+def integrability_report(kind: str, data: list, certified: bool = False) -> IntegrabilityReport:
     """Closed-form integrability criterion per structure kind, decided as a
-    rational-function identity, for data that pass check_structure."""
-    check_structure(kind, data)
+    rational-function identity, for data that pass check_structure (with its
+    certified flag)."""
+    check_structure(kind, data, certified)
+    n = len(data)
     witness = None
     if kind == "trivial":
         criterion = "trivial"
     elif kind in ("omega", "pi"):
-        criterion, key, comps = (("d_omega_zero", "d_omega_component", ext_deriv(data).comps)
-                                 if kind == "omega" else
-                                 ("pi_poisson", "jacobiator_triple", poisson_jacobiator(data)))
+        if kind == "omega":
+            criterion, key = "d_omega_zero", "d_omega_component"
+            comps = ext_deriv(KForm(n, 2, {(i, j): data[i][j] for i in range(n)
+                                           for j in range(i + 1, n)})).comps
+        else:
+            criterion, key, comps = "pi_poisson", "jacobiator_triple", poisson_jacobiator(data)
         if comps:
             idx, c = min(comps.items())
             witness = {key: [i + 1 for i in idx], "value": c.to_str()}
@@ -279,7 +250,6 @@ def integrability_report(kind: str, data) -> IntegrabilityReport:
         criterion = "p_nijenhuis_zero"
         # the classical N_P(d_i, d_j) = [X, Y] + P(d_j X - d_i Y) for the columns
         # X = P d_i and Y = P d_j, from one partial d[l][a] = d_l (P d_a) per entry
-        n = len(data)
         cols = transpose(data)
         d = [[[_partial(c, l) for c in col] for col in cols] for l in range(n)]
         for i, j in itertools.combinations(range(n), 2):

@@ -2,15 +2,21 @@
 the tests and the demos use with them.
 
 No command imports this module, so a CLI start never compiles it.  It holds
-the Levi-Civita and Hitchin connections over rational functions, the
-pointwise reflector and twistor Nijenhuis formulas on horizontal lifts (the
-gates of a total-space computation), the B-transform law of the Courant
-bracket and the classical Nijenhuis tensor, and the linear algebra of the
-fiber of compatible structures: adapted and null bases, tangent vectors, the
-fiber metric, orientation, the hyperboloid coordinates, and the extraction
-of a structure's paracomplex pair, with `mat_det` and the Fraction-side
-entries to the integer routines (`as_ints`, `j_triple`).  Conventions are
-those of the module each routine builds on (`curv` for curvature signs,
+the Fraction wrappers the commands no longer use: vectors and matrices over
+the scalar tower (`mat_inv`, `mat_rank`, `mat_jet`), bilinear forms (with
+Sylvester inertia, `signature`), endomorphisms, 2-vectors, the algebra of
+sections (`GenVector`), structures on T + T* (`GenEndo`) and generalized
+metrics (`gen_metric`), with the entries that convert them to the integer
+pairs of the one implementation of each check (`as_ints`, `assemble_endo`,
+`is_compatible_endo`, `validate_structure`).  It holds the Levi-Civita and
+Hitchin connections over rational functions, the pointwise reflector and
+twistor Nijenhuis formulas on horizontal lifts (the gates of a total-space
+computation), the B-transform law of the Courant bracket and the classical
+Nijenhuis tensor, and the linear algebra of the fiber of compatible
+structures: adapted and null bases, tangent vectors, the fiber metric,
+orientation, the hyperboloid coordinates, and the extraction of a
+structure's paracomplex pair, with `mat_det` and `j_triple`.  Conventions
+are those of the module each routine builds on (`curv` for curvature signs,
 `gpx` for forms as maps, `patch` for the Courant bracket).
 """
 
@@ -22,53 +28,412 @@ from operator import mul
 
 from paracomplex.curv import DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc
-from paracomplex.gpx import (
-    GenEndo,
-    GenVector,
-    GeneralizedMetric,
-    assemble,
-    is_compatible,
-    validate_gen_para,
-)
+from paracomplex.gpx import GenVector as _GenVector
+from paracomplex.gpx import assemble, is_compatible, validate_gen_para
 from paracomplex.linalg import (
-    Bilinear,
-    Endo,
     SingularMatrix,
-    TwoVector,
     bareiss,
+    basis_vec,
     frac_mat,
+    int_inv,
+    int_jet,
     int_mats,
-    is_g_skew,
     j_structures,
     kernel_basis,
     mat_add,
-    mat_eval,
-    mat_from_columns,
     mat_eq,
     mat_identity,
-    mat_inv,
     mat_is_zero,
     mat_mul,
     mat_neg,
-    mat_rank,
+    mat_scale,
     mat_sub,
     mat_vec,
-    mat_zero,
+    sparse_add,
     transpose,
-    vec_add,
-    vec_scale,
     zero_like,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
-from paracomplex.para import ValidationReport, _orthogonal_complement_basis, validate_para
+from paracomplex.para import _orthogonal_complement_basis, validate_para
 from paracomplex.patch import (
     KForm,
-    _bilinear,
     _partial,
     _sort_index,
     courant_on_jets,
     ext_deriv,
 )
+
+Vec = list
+Mat = list
+
+
+# -- the Fraction wrappers: vectors and matrices, forms, endomorphisms, 2-vectors, T + T* ------
+
+
+def vec_add(u: Vec, v: Vec) -> Vec:
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_scale(c, u: Vec) -> Vec:
+    return [c * a for a in u]
+
+
+def mat_zero(n: int, m: int | None = None, like=Fraction(1)) -> Mat:
+    m = n if m is None else m
+    z = zero_like(like)
+    return [[z for _ in range(m)] for _ in range(n)]
+
+
+def mat_jet(a: Mat, point, order: int = 0) -> tuple:
+    """int_jet in Fractions: (A(p),), then [d_i A(p)] for order 1, then
+    [[d_i d_j A(p)]] for order 2."""
+    (d0, value), *rest = int_jet(a, point, order)
+    out = (frac_mat(d0, value),)
+    if order:
+        out += ([frac_mat(rest[0][0], m) for m in rest[0][1]],)
+    if order > 1:
+        out += ([[frac_mat(rest[1][0], m) for m in row] for row in rest[1][1]],)
+    return out
+
+
+def mat_eval(a: Mat, point) -> Mat:
+    """Values at the point of a matrix of RatFuncs."""
+    return mat_jet(a, point)[0]
+
+
+def mat_from_columns(cols: list) -> Mat:
+    return [list(row) for row in zip(*cols)]
+
+
+def mat_inv(a: Mat) -> Mat:
+    """Exact inverse over Q, raising SingularMatrix when det = 0: it reads
+    linalg.int_inv of D a."""
+    den, (m,) = int_mats([a])
+    inv = int_inv(m)
+    if inv is None:
+        raise SingularMatrix("matrix is singular over the scalar field")
+    return [[Fraction(den * x, inv[0]) for x in row] for row in inv[1]]
+
+
+def mat_rank(a: Mat) -> int:
+    """Rank over Q: the number of pivots of bareiss."""
+    _, (m,) = int_mats([a])
+    return len(bareiss(m)[1])
+
+
+class Bilinear:
+    """Bilinear form on the reference basis; entries[i][j] = b(e_i, e_j)."""
+
+    def __init__(self, mat: Mat):
+        self.mat = [list(row) for row in mat]
+        self.dim = len(mat)
+
+    @staticmethod
+    def diag(values) -> Bilinear:
+        n = len(values)
+        m = mat_zero(n, like=Fraction(1))
+        for i, v in enumerate(values):
+            m[i][i] = Fraction(v) if isinstance(v, int) else v
+        return Bilinear(m)
+
+    def apply(self, u: Vec, v: Vec):
+        return sum((u[i] * self.mat[i][j] * v[j]
+                    for i in range(self.dim) for j in range(self.dim)),
+                   start=zero_like(self.mat[0][0]))
+
+    def map_mat(self) -> Mat:
+        """Matrix of the induced map T -> T*, X |-> b(X, .) in the dual basis."""
+        return transpose(self.mat)
+
+    def is_symmetric(self) -> bool:
+        return mat_eq(self.mat, transpose(self.mat))
+
+    def is_antisymmetric(self) -> bool:
+        return mat_eq(self.mat, mat_neg(transpose(self.mat)))
+
+    def __repr__(self):
+        return f"Bilinear({self.mat!r})"
+
+
+class Endo:
+    """Endomorphism acting on column vectors of the reference basis."""
+
+    def __init__(self, mat: Mat):
+        self.mat = [list(row) for row in mat]
+        self.dim = len(mat)
+
+    def apply(self, v: Vec) -> Vec:
+        return mat_vec(self.mat, v)
+
+    def __add__(self, other: Endo) -> Endo:
+        return Endo(mat_add(self.mat, other.mat))
+
+    def __sub__(self, other: Endo) -> Endo:
+        return Endo(mat_sub(self.mat, other.mat))
+
+    def __neg__(self) -> Endo:
+        return Endo(mat_neg(self.mat))
+
+    def scale(self, c) -> Endo:
+        return Endo(mat_scale(c, self.mat))
+
+    def trace(self):
+        return sum((self.mat[i][i] for i in range(1, self.dim)),
+                   start=self.mat[0][0])
+
+    def is_zero(self) -> bool:
+        return mat_is_zero(self.mat)
+
+    def __eq__(self, other):
+        return isinstance(other, Endo) and mat_eq(self.mat, other.mat)
+
+    def __repr__(self):
+        return f"Endo({self.mat!r})"
+
+
+def is_g_skew(g: Bilinear, a: Endo) -> bool:
+    """g(aX, Y) + g(X, aY) = 0, i.e. a^T g + g a = 0."""
+    return mat_is_zero(mat_add(mat_mul(transpose(a.mat), g.mat),
+                               mat_mul(g.mat, a.mat)))
+
+
+class TwoVector:
+    """Element of Lambda^2 T with components on e_i ^ e_j, i < j."""
+
+    def __init__(self, dim: int, comps: dict[tuple[int, int], object] | None = None):
+        self.dim = dim
+        self.comps: dict[tuple[int, int], object] = {}
+        if comps:
+            for (i, j), c in comps.items():
+                if i == j:
+                    continue
+                if i > j:
+                    i, j, c = j, i, -c
+                sparse_add(self.comps, (i, j), c)
+
+    @staticmethod
+    def wedge(u: Vec, v: Vec) -> TwoVector:
+        n = len(u)
+        comps = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = u[i] * v[j] - u[j] * v[i]
+                if c:
+                    comps[(i, j)] = c
+        return TwoVector(n, comps)
+
+    @staticmethod
+    def basis(i: int, j: int, dim: int) -> TwoVector:
+        return TwoVector(dim, {(i, j): Fraction(1)})
+
+    def get(self, i: int, j: int):
+        if i == j:
+            return Fraction(0)
+        if i < j:
+            return self.comps.get((i, j), Fraction(0))
+        c = self.comps.get((j, i), Fraction(0))
+        return -c
+
+    def __add__(self, other: TwoVector) -> TwoVector:
+        comps = dict(self.comps)
+        for k, c in other.comps.items():
+            sparse_add(comps, k, c)
+        return TwoVector(self.dim, comps)
+
+    def __sub__(self, other: TwoVector) -> TwoVector:
+        return self + other.scale(Fraction(-1))
+
+    def __neg__(self) -> TwoVector:
+        return self.scale(Fraction(-1))
+
+    def scale(self, c) -> TwoVector:
+        return TwoVector(self.dim, {k: c * v for k, v in self.comps.items()})
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoVector):
+            return NotImplemented
+        keys = set(self.comps) | set(other.comps)
+        return all(self.get(*k) == other.get(*k) for k in keys)
+
+    def __repr__(self):
+        return f"TwoVector({self.comps!r})"
+
+
+def signature(b: Bilinear) -> tuple[int, int, int]:
+    """Sylvester inertia (positive, negative, null) by exact symmetric reduction."""
+    if not b.is_symmetric():
+        raise ValueError("signature requires a symmetric form")
+    n = b.dim
+    m = [list(row) for row in b.mat]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        piv = next((i for i in active if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and m[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            # congruence: e_i <- e_i + e_j makes the (i,i) entry 2 b(e_i, e_j)
+            for k in range(n):
+                m[i][k] = m[i][k] + m[j][k]
+            for k in range(n):
+                m[k][i] = m[k][i] + m[k][j]
+            piv = i
+        p = m[piv][piv]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for k in active:
+            if k != piv and m[k][piv]:
+                f = m[k][piv] / p
+                for t in range(n):
+                    m[k][t] = m[k][t] - f * m[piv][t]
+                for t in range(n):
+                    m[t][k] = m[t][k] - f * m[t][piv]
+        active.remove(piv)
+    null = n - pos - neg
+    return pos, neg, null
+
+
+class GenVector(_GenVector):
+    """gpx.GenVector with the algebra of sections that the oracles and the
+    tests use; patch.courant_on_jets returns a gpx.GenVector, which
+    _bracket wraps."""
+
+    __slots__ = ()
+
+    def __add__(self, other: GenVector) -> GenVector:
+        return GenVector(vec_add(self.x, other.x), vec_add(self.alpha, other.alpha))
+
+    def __sub__(self, other: GenVector) -> GenVector:
+        return GenVector([a - b for a, b in zip(self.x, other.x)],
+                         [a - b for a, b in zip(self.alpha, other.alpha)])
+
+    def scale(self, c) -> GenVector:
+        return GenVector(vec_scale(c, self.x), vec_scale(c, self.alpha))
+
+    @staticmethod
+    def vector(v: list) -> GenVector:
+        return GenVector(list(v), [zero_like(v[0])] * len(v))
+
+    @staticmethod
+    def covector(a: list) -> GenVector:
+        return GenVector([zero_like(a[0])] * len(a), list(a))
+
+    def is_zero(self) -> bool:
+        return all(not c for c in self.x) and all(not c for c in self.alpha)
+
+    def __eq__(self, other):
+        return (isinstance(other, _GenVector)
+                and list(self.x) == list(other.x) and list(self.alpha) == list(other.alpha))
+
+
+def _bracket(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
+    """patch.courant_on_jets, as a GenVector with its algebra."""
+    twice = courant_on_jets(a, da, b, db)
+    return GenVector(twice.x, twice.alpha)
+
+
+class GenEndo:
+    """Endomorphism of T + T* in blocks a: T->T, b: T*->T, c: T->T*, d: T*->T*."""
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self.dim = len(a)
+
+    @staticmethod
+    def from_matrix(m: list) -> GenEndo:
+        n = len(m) // 2
+        a = [row[:n] for row in m[:n]]
+        b = [row[n:] for row in m[:n]]
+        c = [row[:n] for row in m[n:]]
+        d = [row[n:] for row in m[n:]]
+        return GenEndo(a, b, c, d)
+
+    def as_matrix(self) -> list:
+        top = [ra + rb for ra, rb in zip(self.a, self.b)]
+        bottom = [rc + rd for rc, rd in zip(self.c, self.d)]
+        return top + bottom
+
+    def apply(self, v: GenVector) -> GenVector:
+        x = vec_add(mat_vec(self.a, v.x), mat_vec(self.b, v.alpha))
+        alpha = vec_add(mat_vec(self.c, v.x), mat_vec(self.d, v.alpha))
+        return GenVector(x, alpha)
+
+    def compose(self, other: GenEndo) -> GenEndo:
+        return GenEndo.from_matrix(mat_mul(self.as_matrix(), other.as_matrix()))
+
+    def __eq__(self, other):
+        return isinstance(other, GenEndo) and mat_eq(self.as_matrix(), other.as_matrix())
+
+    def __repr__(self):
+        return f"GenEndo(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+
+class GeneralizedMetric:
+    """E' = {X + g(X) + Theta(X)} with E'' = {X - g(X) + Theta(X)} = E'^perp."""
+
+    __slots__ = ("g", "theta", "frame_prime", "frame_dprime")
+
+    def __init__(self, g: Bilinear, theta: Bilinear, frame_prime: list, frame_dprime: list):
+        self.g, self.theta = g, theta
+        self.frame_prime, self.frame_dprime = frame_prime, frame_dprime
+
+    @property
+    def dim(self) -> int:
+        return self.g.dim
+
+
+def gen_metric(g: Bilinear, theta: Bilinear) -> GeneralizedMetric:
+    if not g.is_symmetric():
+        raise ValueError("g must be symmetric")
+    if not theta.is_antisymmetric():
+        raise ValueError("Theta must be antisymmetric")
+    n = g.dim
+    if isinstance(g.mat[0][0], Fraction):
+        pos, neg, null = signature(g)
+        if null or pos != neg:
+            raise ValueError(f"metric signature {(pos, neg, null)} is not neutral")
+    g_map = g.map_mat()
+    th_map = theta.map_mat()
+    prime, dprime = [], []
+    for i in range(n):
+        e = basis_vec(i, n, like=g.mat[0][0])
+        prime.append(GenVector(e, vec_add(mat_vec(g_map, e), mat_vec(th_map, e))))
+        dprime.append(GenVector(e, vec_add(mat_vec(mat_neg(g_map), e), mat_vec(th_map, e))))
+    return GeneralizedMetric(g, theta, prime, dprime)
+
+
+def _bilinear(form: KForm) -> Bilinear:
+    """The full matrix form(d_i, d_j) of a 2-form."""
+    n = form.nvars
+    return Bilinear([[form.get((i, j)) for j in range(n)] for i in range(n)])
+
+
+def as_ints(m: list) -> tuple:
+    """(D, D m) for a matrix m of Fractions (a metric, or a frame as its list of
+    vectors) with D the least common denominator: the integer form that
+    j_structures, star_matrix, random_compatible_structure, validate_para,
+    assemble and is_compatible read."""
+    den, (out,) = int_mats([m])
+    return den, out
+
+
+def assemble_endo(g: Bilinear, theta: Bilinear, k1: Endo, k2: Endo) -> GenEndo:
+    """gpx.assemble of (g, Theta, K1, K2) over Q, on their integers."""
+    return GenEndo.from_matrix(frac_mat(*assemble(*(as_ints(m.mat) for m in (g, theta, k1, k2)))))
+
+
+def is_compatible_endo(k: GenEndo, e: GeneralizedMetric) -> bool:
+    """gpx.is_compatible of a structure and a generalized metric over Q, on
+    their integers."""
+    return is_compatible(as_ints(k.as_matrix()), as_ints(e.g.mat), as_ints(e.theta.mat))
 
 
 # -- the symbolic structures: one constructor per kind, over Q or rational functions ------
@@ -120,10 +485,11 @@ def omega_structure(omega: Bilinear) -> GenEndo:
 
 
 def pi_structure(pi) -> GenEndo:
-    """K(X + alpha) = (X - i_alpha pi) - alpha for a TwoVector or a bivector field."""
-    n = pi.dim
-    like = pi.get(0, 0)
-    full = [[pi.get(i, j) for j in range(n)] for i in range(n)]
+    """K(X + alpha) = (X - i_alpha pi) - alpha for a TwoVector or the
+    antisymmetric matrix pi^{ij} of a bivector field."""
+    full = pi if isinstance(pi, list) else [[pi.get(i, j) for j in range(pi.dim)]
+                                            for i in range(pi.dim)]
+    n, like = len(full), full[0][0]
     # (i_alpha pi)^l = sum_k alpha_k pi^{kl}, so the T* -> T block is +pi
     return GenEndo(mat_identity(n, like), full, mat_zero(n, like=like),
                    mat_neg(mat_identity(n, like)))
@@ -141,28 +507,21 @@ def product_structure(p: Endo) -> GenEndo:
     return GenEndo(p.mat, z, z, mat_neg(transpose(p.mat)))
 
 
-def _omega_structure(omega: KForm) -> GenEndo:
-    """K_omega of a 2-form field, from the full matrix omega(d_i, d_j)."""
-    if omega.degree != 2:
-        raise ValueError("omega must be a 2-form")
-    return omega_structure(_bilinear(omega))
-
-
-# descriptor kind -> the constructor applied to that kind's patch data, over
-# rational functions: the symbolic K that gpx.structure_jet evaluates at a point
+# descriptor kind -> the constructor applied to that kind's n x n matrix of
+# rational functions (cli._descriptor_structure): the symbolic K that
+# gpx.structure_jet evaluates at a point
 STRUCTURES = {
-    "trivial": lambda nvars: trivial_structure(nvars, RatFunc.one(nvars)),
-    "omega": _omega_structure,
+    "trivial": lambda zero: trivial_structure(len(zero), RatFunc.one(len(zero))),
+    "omega": lambda omega: omega_structure(Bilinear(omega)),
     "pi": pi_structure,
     "product": lambda p: product_structure(Endo(p)),
 }
 
 
-def validate_structure(k: GenEndo) -> ValidationReport:
+def validate_structure(k: GenEndo) -> dict[str, bool]:
     """gpx.validate_gen_para of a structure over Q, on its integer matrix over
     the common denominator."""
-    den, (m,) = int_mats([k.as_matrix()])
-    return validate_gen_para(den, m)
+    return validate_gen_para(*as_ints(k.as_matrix()))
 
 
 # -- the symbolic frame sweep ----------------------------------------------------------------
@@ -192,8 +551,8 @@ def _nijenhuis(k: GenEndo, ja: tuple, jb: tuple) -> GenVector:
     (A, dA, KA, d(KA)) and (B, dB, KB, d(KB))."""
     a, da, ka, dka = ja
     b, db, kb, dkb = jb
-    twice = (courant_on_jets(a, da, b, db) + courant_on_jets(ka, dka, kb, dkb)
-             - k.apply(courant_on_jets(ka, dka, b, db) + courant_on_jets(a, da, kb, dkb)))
+    twice = (_bracket(a, da, b, db) + _bracket(ka, dka, kb, dkb)
+             - k.apply(_bracket(ka, dka, b, db) + _bracket(a, da, kb, dkb)))
     return twice.scale(Fraction(1, 2))
 
 
@@ -266,15 +625,16 @@ def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
     Unit norms may not exist over Q; any positive norm works because the
     downstream pairings are normalized instead of the vectors.
     """
-    report = validate_para(g, k)
-    if not report.ok:
-        raise ValueError(f"not a compatible paracomplex structure: {report.failures}")
+    checks = validate_para(as_ints(g.mat), as_ints(k.mat))
+    if not all(checks.values()):
+        failures = [name for name, passed in checks.items() if not passed]
+        raise ValueError(f"not a compatible paracomplex structure: {failures}")
     n2 = g.dim
     span: list = []
     es: list = []
     norms: list = []
     while len(span) < n2:
-        complement = _orthogonal_complement_basis(g, span)
+        complement = _orthogonal_complement_basis(g.mat, span)
         v = _positive_norm_vector(g, complement)
         if v is None:
             raise ValueError("no positive-norm rational vector in the complement")
@@ -387,14 +747,6 @@ def mat_det(a: list) -> Fraction:
     return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
-def as_ints(m: list) -> tuple:
-    """(D, D m) for a matrix m of Fractions (a metric, or a frame as its list of
-    vectors) with D the least common denominator: the integer form that
-    j_structures, star_matrix and random_compatible_structure read."""
-    den, (out,) = int_mats([m])
-    return den, out
-
-
 def j_triple(g: Bilinear, onb: list, sign: int = +1) -> list:
     """j_structures(g, onb, sign) for g and the frame in Fractions, as endomorphisms."""
     den, js = j_structures(as_ints(g.mat), as_ints(onb), sign)
@@ -469,7 +821,7 @@ def b_conjugate(b: Bilinear, k: GenEndo) -> GenEndo:
 def extract_pair(k: GenEndo, e: GeneralizedMetric) -> tuple[Endo, Endo]:
     """The paracomplex pair (K1, K2) with K(X + g(X) + Theta(X)) =
     K1 X + g(K1 X) + Theta(K1 X), and likewise for K2 on E''."""
-    if not is_compatible(k, e):
+    if not is_compatible_endo(k, e):
         raise ValueError("structure does not preserve the generalized metric")
     k1_cols, k2_cols = [], []
     for v in e.frame_prime:
@@ -616,7 +968,7 @@ def _section_jet(s: GenVector) -> list[GenVector]:
 
 def courant_bracket(a: GenVector, b: GenVector) -> GenVector:
     """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2."""
-    return courant_on_jets(a, _section_jet(a), b, _section_jet(b)).scale(Fraction(1, 2))
+    return _bracket(a, _section_jet(a), b, _section_jet(b)).scale(Fraction(1, 2))
 
 
 def gen_nijenhuis(k: GenEndo, a: GenVector, b: GenVector) -> GenVector:
@@ -803,7 +1155,7 @@ def twistor_vertical_nijenhuis(r_at: list, e: GeneralizedMetric,
     output through <p* N_eps(A^h, phi), B> = -phi(vertical part of
     N_eps(A^h, B^h)) / 2, so no separate evaluator is needed for them."""
     k1, k2 = kpair
-    kgen = assemble(e.g, e.theta, k1, k2)
+    kgen = assemble_endo(e.g, e.theta, k1, k2)
     ka, kb = kgen.apply(a), kgen.apply(b)
 
     def r_pair(x: list, y: list) -> tuple[Endo, Endo]:
@@ -836,6 +1188,8 @@ def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
     """N_P(A, B) minus the right-hand side of the obstruction identity;
     identically zero at the point for all inputs iff dTheta vanishes there."""
     dth_at = {idx: c.eval_at(point) for idx, c in ext_deriv(theta).comps.items()}
-    g_at = Bilinear(mat_eval(g, point))
-    n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at, s1, s2, a, b)
-    return n_p - cond_rhs
+    ((den, gm),) = int_jet(g, point)
+    n_p, cond_rhs = np_residual_terms((den, gm), torsion_at((den, gm), dth_at), dth_at,
+                                      as_ints(s1.mat), as_ints(s2.mat), a.stacked(), b.stacked())
+    res = [u - v for u, v in zip(n_p, cond_rhs)]
+    return GenVector(res[:len(g)], res[len(g):])

@@ -244,6 +244,32 @@ def test_a_six_variable_omega_with_a_fifteen_term_pfaffian_is_a_structure(tmp_pa
     assert code == 1 and report["nijenhuis_residual_samples"][0]["nonzero_frame_pairs"] > 0
 
 
+# a dense omega on 16 variables: every entry y_k + c is nonconstant, and its Pfaffian
+# has up to 15!! = 2,027,025 terms
+VARS16 = [f"y{k}" for k in range(1, 17)]
+OMEGA16 = {f"{i},{j}": f"y{(3 * i + 5 * j) % 16 + 1} + {(i + 2 * j) % 5 + 1}"
+           for i in range(1, 17) for j in range(i + 1, 17)}
+
+
+def test_a_dense_sixteen_variable_omega_is_certified_at_a_point(tmp_path, capsys, monkeypatch):
+    """A point where det omega(p) != 0 certifies that the Pfaffian is not
+    zero, so validate and integrability on a dense omega over 16 variables at
+    two points never expand it, and each finishes within 5 s."""
+    import paracomplex.patch
+
+    def expanded(*args):
+        raise AssertionError("the Pfaffian was expanded")
+
+    monkeypatch.setattr(paracomplex.patch, "pfaffian", expanded)
+    path = write_desc(tmp_path, "omega16.json", {"kind": "omega", "vars": VARS16, "omega": OMEGA16})
+    points = ";".join(",".join(str(k * s % 7 - 3) for k in range(1, 17)) for s in (1, 2))
+    for command, want in (("validate", 0), ("integrability", 1)):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, command, path, f"--points={points}")
+        assert time.perf_counter() - start < 5
+        assert code == want and "error" not in out
+
+
 def test_metric_file_vars_must_be_a_list(tmp_path, capsys):
     path = write_desc(tmp_path, "m.json", {"vars": "x", "g": [["1"]]})
     assert_one_line_input_error(capsys, main(["curvature", f"file:{path}", "--point", "0"]),
@@ -394,6 +420,28 @@ def test_validate_assembled(tmp_path, capsys):
     assert all(entry["compatible"] for entry in report["points"])
 
 
+def test_validate_checks_each_assembled_factor_once_per_point(tmp_path, capsys, monkeypatch):
+    """`validate` runs validate_para once on K1 and once on K2 at each point;
+    gpx.assemble takes the checked factors and checks none again."""
+    import paracomplex.para
+
+    calls = []
+    original = paracomplex.para.validate_para
+
+    def counting(g, k):
+        calls.append(k)
+        return original(g, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paracomplex") and getattr(module, "validate_para", None) is original:
+            monkeypatch.setattr(module, "validate_para", counting)
+    k_std = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    path = write_desc(tmp_path, "asm.json", {"kind": "assembled", "g": g, "k1": k_std, "k2": k_std})
+    code, _ = run_cli(capsys, "validate", path, "--points", "0,0,0,0;1,2,3,4")
+    assert code == 0 and len(calls) == 4
+
+
 @pytest.mark.parametrize("sign", ["1", "-1"])
 def test_product_plus_minus_identity_is_rejected(tmp_path, capsys, sign):
     p = [[sign if i == j else "0" for j in range(4)] for i in range(4)]
@@ -412,10 +460,10 @@ def test_product_plus_minus_identity_is_rejected(tmp_path, capsys, sign):
 def test_structure_commands_build_no_symbolic_structure(tmp_path, capsys, monkeypatch, command):
     """K(p) is built at each point on integers from the jet of omega: no
     rational function is divided (a Gauss-Jordan inverse over rational
-    functions divides by each pivot), no matrix is inverted in Fractions, and
-    every structure matrix built holds integers only."""
+    functions divides by each pivot), and every block of a structure matrix
+    built holds integers only (no command module has a Fraction inverse,
+    test_imports.MOVED)."""
     import paracomplex.gpx as gpx
-    import paracomplex.linalg as linalg
     from paracomplex.exact import RatFunc
 
     calls = []
@@ -429,17 +477,14 @@ def test_structure_commands_build_no_symbolic_structure(tmp_path, capsys, monkey
     monkeypatch.setattr(RatFunc, "__truediv__", counting("RatFunc division", RatFunc.__truediv__))
     monkeypatch.setattr(RatFunc, "__rtruediv__", counting("RatFunc division",
                                                           RatFunc.__rtruediv__))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("paracomplex") and getattr(module, "mat_inv", None) is linalg.mat_inv:
-            monkeypatch.setattr(module, "mat_inv", counting("mat_inv", linalg.mat_inv))
     entries = []
-    init = gpx.GenEndo.__init__
+    join = gpx._blocks
 
-    def recording(self, *blocks):
+    def recording(*blocks):
         entries.extend(type(x) for b in blocks for row in b for x in row)
-        init(self, *blocks)
+        return join(*blocks)
 
-    monkeypatch.setattr(gpx.GenEndo, "__init__", recording)
+    monkeypatch.setattr(gpx, "_blocks", recording)
     path = write_desc(tmp_path, "omega.json", {
         "kind": "omega", "omega": {"1,2": "1 + x3^2", "3,4": "x1", "1,3": "x2*x4"}})
     code, out = run_cli(capsys, command, path, "--points", "1,0,0,0;1,1,1,1;2,-1,3,1/2")
@@ -724,26 +769,25 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
 
 
 def test_theorem_inverts_no_matrix(capsys, monkeypatch):
-    """No mat_inv runs in `theorem`: the Lambda^2 Gram matrix is eliminated
-    once per point by the bareiss on [L(g) | q^T] that gives the operator, the
-    Hodge star reads the frame's inverse as ONB_GRAM P^T g, g(p)^-1 comes
-    from bareiss in the Riemann kernel, and the J-triples need no inverse
-    (S_a = -A g)."""
-    import paracomplex
+    """No matrix is inverted in Fractions in `theorem` (no command module has
+    a Fraction inverse, test_imports.MOVED), and on integers only g(p), once
+    per point in the Riemann kernel, by int_inv: the Lambda^2 Gram matrix is
+    eliminated once per point by the bareiss on [L(g) | q^T] that gives the
+    operator, the Hodge star reads the frame's inverse as ONB_GRAM P^T g, and
+    the J-triples need no inverse (S_a = -A g)."""
+    import paracomplex.curv
 
-    original = paracomplex.linalg.mat_inv
+    original = paracomplex.curv.int_inv
     sizes = []
 
     def counting(a):
         sizes.append(len(a))
         return original(a)
 
-    for module in vars(paracomplex).values():
-        if getattr(module, "mat_inv", None) is original:
-            monkeypatch.setattr(module, "mat_inv", counting)
+    monkeypatch.setattr(paracomplex.curv, "int_inv", counting)
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
     assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
-    assert sizes == []
+    assert sizes == [4] * 5
 
 
 def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational
-from paracomplex.linalg import int_jet, mat_jet
+from paracomplex.linalg import int_jet
+from paracomplex.reference import mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS2 = ["x1", "x2"]
@@ -273,7 +274,7 @@ def test_partials_commute(p):
 @given(poly_strategy(), poly_strategy().filter(lambda p: not p.is_zero()))
 @settings(max_examples=60, deadline=None)
 def test_ratfunc_add_sub_roundtrip(n, d):
-    a = RatFunc.quotient(n, d)
+    a = RatFunc(n) / RatFunc(d)
     b = rf("(1+x1)/(2+x2^2)")
     assert (a + b) - b == a
 

@@ -7,47 +7,44 @@ from fractions import Fraction
 import pytest
 
 from paracomplex.linalg import (
-    Bilinear,
-    Endo,
-    TwoVector,
     basis_vec,
+    frac_mat,
     lambda2_matrix,
     mat_add,
     mat_eq,
-    mat_from_columns,
     mat_identity,
-    mat_inv,
     mat_is_zero,
     mat_mul,
     mat_neg,
-    mat_rank,
     mat_scale,
     mat_sub,
     mat_to_strings,
     mat_vec,
-    mat_zero,
     transpose,
-    vec_add,
-    vec_scale,
     wedge_pairs,
 )
-from paracomplex.gpx import (
-    GenEndo,
-    GeneralizedMetric,
-    GenVector,
-    assemble,
-    gen_metric,
-    is_compatible,
-)
-from paracomplex.para import random_compatible_structure, validate_para
+from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
+    Bilinear,
+    Endo,
+    GenEndo,
+    GenVector,
+    GeneralizedMetric,
+    TwoVector,
     as_ints,
+    assemble_endo,
     b_conjugate,
     b_transform,
     check_pi_conditions,
     classify_component,
     extract_pair,
+    gen_metric,
     gen_pairing,
+    is_compatible_endo,
+    mat_from_columns,
+    mat_inv,
+    mat_rank,
+    mat_zero,
     omega_structure,
     p_epsilon,
     pi_structure,
@@ -56,9 +53,17 @@ from paracomplex.reference import (
     standard_para_structure,
     trivial_structure,
     validate_structure,
+    vec_add,
+    vec_scale,
     vertical_endo,
     z_tangent_project,
 )
+
+
+def random_endo(*args) -> Endo:
+    """para.random_compatible_structure as an Endo in Fractions."""
+    return Endo(frac_mat(*random_compatible_structure(*args)))
+
 
 G = Bilinear.diag([1, 1, -1, -1])
 ONB = [basis_vec(i, 4) for i in range(4)]
@@ -132,7 +137,7 @@ def pairing_matrix(n: int) -> list:
 
 
 def test_pairing_signature_on_full_frame():
-    from paracomplex.linalg import signature
+    from paracomplex.reference import signature
 
     assert signature(Bilinear(pairing_matrix(4))) == (4, 4, 0)
 
@@ -142,7 +147,7 @@ def test_pairing_signature_on_full_frame():
 
 def test_trivial_structure_valid():
     k = trivial_structure(4)
-    assert validate_structure(k).ok
+    assert all(validate_structure(k).values())
     a = GenVector([Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(3), Fraction(0), Fraction(1), Fraction(0)])
     image = k.apply(a)
@@ -151,7 +156,7 @@ def test_trivial_structure_valid():
 
 def test_product_structure_example():
     k = product_structure(K_STD)
-    assert validate_structure(k).ok
+    assert all(validate_structure(k).values())
     img = k.apply(GenVector.covector(basis_vec(2, 4)))
     # K_P(0 + e3*) = -P* e3* = -e1*
     assert img == GenVector.covector([-c for c in basis_vec(0, 4)])
@@ -159,7 +164,7 @@ def test_product_structure_example():
 
 def test_pi_structure_example():
     k = pi_structure(TwoVector.basis(0, 1, 4))
-    assert validate_structure(k).ok
+    assert all(validate_structure(k).values())
     img = k.apply(GenVector.covector(basis_vec(0, 4)))
     # K_pi(0 + e1*) = -i_{e1*} pi - e1* with i_{e1*}(e1 ^ e2) = e2
     expected = GenVector([Fraction(0), Fraction(-1), Fraction(0), Fraction(0)],
@@ -171,7 +176,7 @@ def test_omega_structure_valid():
     omega = Bilinear([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     omega = Bilinear([[Fraction(x) for x in row] for row in omega.mat])
     k = omega_structure(omega)
-    assert validate_structure(k).ok
+    assert all(validate_structure(k).values())
 
 
 def test_product_structure_rejects_non_involution():
@@ -188,8 +193,7 @@ def test_validate_rejects_complex_type_square():
     j.c = [[-x for x in row] for row in mat_identity(4)]
     j.a = [[Fraction(0)] * 4 for _ in range(4)]
     j.d = [[Fraction(0)] * 4 for _ in range(4)]
-    report = validate_structure(j)
-    assert "square_is_identity" in report.failures
+    assert not validate_structure(j)["square_is_identity"]
 
 
 def bivector_from_symplectic(omega: Bilinear) -> TwoVector:
@@ -252,7 +256,7 @@ def test_b_conjugate_stays_valid():
     k = product_structure(K_STD)
     for _ in range(5):
         b = rnd_antisym(rng)
-        assert validate_structure(b_conjugate(b, k)).ok
+        assert all(validate_structure(b_conjugate(b, k)).values())
 
 
 def test_b_conjugate_zero_and_involution():
@@ -366,7 +370,7 @@ def test_product_with_adapted_theta_compatible():
     assert theta.is_antisymmetric()
     e = gen_metric(G, theta)
     k = product_structure(K_STD)
-    assert is_compatible(k, e)
+    assert is_compatible_endo(k, e)
 
 
 def test_trivial_never_compatible():
@@ -375,7 +379,7 @@ def test_trivial_never_compatible():
     for _ in range(5):
         g, _ = rnd_neutral_metric(rng)
         theta = rnd_antisym(rng)
-        assert not is_compatible(k, gen_metric(g, theta))
+        assert not is_compatible_endo(k, gen_metric(g, theta))
 
 
 def test_omega_darboux_compatible():
@@ -385,7 +389,7 @@ def test_omega_darboux_compatible():
     g = Bilinear([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     g = Bilinear([[Fraction(x) for x in row] for row in g.mat])
     k = omega_structure(omega)
-    assert is_compatible(k, gen_metric(g, THETA0))
+    assert is_compatible_endo(k, gen_metric(g, THETA0))
 
 
 # -- extract / assemble -------------------------------------------------------------------
@@ -413,14 +417,14 @@ def test_extract_requires_compatibility():
 
 
 def test_assemble_theta_zero_reduces_to_product():
-    k = assemble(G, THETA0, K_STD, K_STD)
+    k = assemble_endo(G, THETA0, K_STD, K_STD)
     assert k == product_structure(K_STD)
 
 
 def test_assemble_equals_b_conjugated_product():
     rng = random.Random(13)
     theta = rnd_antisym(rng)
-    k = assemble(G, theta, K_STD, K_STD)
+    k = assemble_endo(G, theta, K_STD, K_STD)
     assert k == b_conjugate(theta, product_structure(K_STD))
 
 
@@ -431,16 +435,16 @@ def test_extract_inverts_assemble_randomized():
         onb_d = [basis_vec(i, 4) for i in range(4)]
         d = Bilinear.diag([1, 1, -1, -1])
         k1 = conjugated_structure(
-            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
-                                        +1 if rng.random() < 0.5 else -1), s)
+            random_endo(as_ints(d.mat), as_ints(onb_d), rng,
+                        +1 if rng.random() < 0.5 else -1), s)
         k2 = conjugated_structure(
-            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
-                                        +1 if rng.random() < 0.5 else -1), s)
+            random_endo(as_ints(d.mat), as_ints(onb_d), rng,
+                        +1 if rng.random() < 0.5 else -1), s)
         theta = rnd_antisym(rng)
         e = gen_metric(g, theta)
-        k = assemble(g, theta, k1, k2)
-        assert validate_structure(k).ok
-        assert is_compatible(k, e)
+        k = assemble_endo(g, theta, k1, k2)
+        assert all(validate_structure(k).values())
+        assert is_compatible_endo(k, e)
         r1, r2 = extract_pair(k, e)
         assert r1 == k1 and r2 == k2
 
@@ -450,11 +454,11 @@ def test_reconstruction_identity_on_frames():
     g, s = rnd_neutral_metric(rng)
     d = Bilinear.diag([1, 1, -1, -1])
     onb_d = [basis_vec(i, 4) for i in range(4)]
-    k1 = conjugated_structure(random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
-    k2 = conjugated_structure(random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
+    k1 = conjugated_structure(random_endo(as_ints(d.mat), as_ints(onb_d), rng), s)
+    k2 = conjugated_structure(random_endo(as_ints(d.mat), as_ints(onb_d), rng), s)
     theta = rnd_antisym(rng)
     e = gen_metric(g, theta)
-    k = assemble(g, theta, k1, k2)
+    k = assemble_endo(g, theta, k1, k2)
     g_map, th_map = g.map_mat(), theta.map_mat()
     for i in range(4):
         x = basis_vec(i, 4)
@@ -470,10 +474,10 @@ def test_b_conjugate_shifts_metric():
     rng = random.Random(16)
     theta = rnd_antisym(rng)
     b = rnd_antisym(rng)
-    k = assemble(G, theta, K_STD, K_STD)
+    k = assemble_endo(G, theta, K_STD, K_STD)
     shifted = Bilinear([[x + y for x, y in zip(r1, r2)]
                         for r1, r2 in zip(theta.mat, b.mat)])
-    assert is_compatible(b_conjugate(b, k), gen_metric(G, shifted))
+    assert is_compatible_endo(b_conjugate(b, k), gen_metric(G, shifted))
 
 
 # -- example compatibility conditions ---------------------------------------------------------
@@ -545,8 +549,8 @@ def test_omega_converse_construction():
     onb_d = [basis_vec(i, 4) for i in range(4)]
     built = 0
     for _ in range(10):
-        l = random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng,
-                                        +1 if rng.random() < 0.5 else -1)
+        l = random_endo(as_ints(d.mat), as_ints(onb_d), rng,
+                        +1 if rng.random() < 0.5 else -1)
         lt_om = mat_mul(transpose(l.mat), omega.mat)
         om_l = mat_mul(omega.mat, l.mat)
         half = Fraction(1, 2)
@@ -561,7 +565,7 @@ def test_omega_converse_construction():
         assert ok and witness == Endo(l.mat)
         e = gen_metric(g, theta)
         kw = omega_structure(omega)
-        assert is_compatible(kw, e)
+        assert is_compatible_endo(kw, e)
         k1, _ = extract_pair(kw, e)
         assert k1 == Endo(l.mat)
         built += 1
@@ -591,7 +595,7 @@ def test_pi_from_para_hermitian_structure():
     assert mat_eq(k.b, lg_inv)
     theta = omega_l
     assert theta.is_antisymmetric()
-    assert is_compatible(k, gen_metric(g, theta))
+    assert is_compatible_endo(k, gen_metric(g, theta))
 
 
 def test_check_omega_compat_agrees_with_is_compatible():
@@ -607,7 +611,7 @@ def test_check_omega_compat_agrees_with_is_compatible():
         theta = rnd_antisym(rng)
         ok, _ = check_omega_compat(omega, g, theta)
         kw = omega_structure(omega)
-        assert ok == is_compatible(kw, gen_metric(g, theta))
+        assert ok == is_compatible_endo(kw, gen_metric(g, theta))
         agreements += 1
     assert agreements >= 15
 
@@ -653,7 +657,7 @@ def test_check_pi_conditions_agree_with_is_compatible():
     ]
     for theta in cases:
         expected = check_pi_conditions(NULL_G, NULL_BASIS, theta)
-        assert expected == is_compatible(k, gen_metric(NULL_G, theta))
+        assert expected == is_compatible_endo(k, gen_metric(NULL_G, theta))
 
 
 def check_product_compat(p: Endo, theta: Bilinear) -> bool:
@@ -693,10 +697,10 @@ def hat_metric_equiv(k: GenEndo, g: Bilinear) -> bool:
 def test_hat_metric_equivalence():
     k_good = product_structure(K_STD)
     assert hat_metric_equiv(k_good, G)
-    assert is_compatible(k_good, gen_metric(G, THETA0))
+    assert is_compatible_endo(k_good, gen_metric(G, THETA0))
     k_triv = trivial_structure(4)
     assert not hat_metric_equiv(k_triv, G)
-    assert not is_compatible(k_triv, gen_metric(G, THETA0))
+    assert not is_compatible_endo(k_triv, gen_metric(G, THETA0))
 
 
 def test_hat_metric_equiv_random_sweep():
@@ -707,12 +711,12 @@ def test_hat_metric_equiv_random_sweep():
     for _ in range(20):
         g, s = rnd_neutral_metric(rng)
         k1 = conjugated_structure(
-            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
+            random_endo(as_ints(d.mat), as_ints(onb_d), rng), s)
         k2 = conjugated_structure(
-            random_compatible_structure(as_ints(d.mat), as_ints(onb_d), rng), s)
+            random_endo(as_ints(d.mat), as_ints(onb_d), rng), s)
         theta = rnd_antisym(rng)
-        k = assemble(g, theta, k1, k2)
-        assert hat_metric_equiv(k, g) == is_compatible(k, gen_metric(g, THETA0))
+        k = assemble_endo(g, theta, k1, k2)
+        assert hat_metric_equiv(k, g) == is_compatible_endo(k, gen_metric(g, THETA0))
         checked += 1
     assert checked == 20
 
@@ -771,10 +775,10 @@ def test_classify_component():
     swap[2][2] = swap[3][3] = Fraction(0)
     swap[2][3] = swap[3][2] = Fraction(1)
     k_neg = Endo(mat_mul(swap, mat_mul(K_STD.mat, swap)))
-    assert classify_component(assemble(G, THETA0, K_STD, K_STD), e) == "++"
-    assert classify_component(assemble(G, THETA0, K_STD, k_neg), e) == "+-"
-    assert classify_component(assemble(G, THETA0, k_neg, K_STD), e) == "-+"
-    assert classify_component(assemble(G, THETA0, k_neg, k_neg), e) == "--"
+    assert classify_component(assemble_endo(G, THETA0, K_STD, K_STD), e) == "++"
+    assert classify_component(assemble_endo(G, THETA0, K_STD, k_neg), e) == "+-"
+    assert classify_component(assemble_endo(G, THETA0, k_neg, K_STD), e) == "-+"
+    assert classify_component(assemble_endo(G, THETA0, k_neg, k_neg), e) == "--"
 
 
 def test_s_ij_endo_is_vertical_generator():

@@ -9,10 +9,14 @@ must not load those; no command may load `dataclasses` (it pulls in `inspect`,
 of the closed forms and oracles that only the tests and the demos call.  Each
 check runs in its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares
 the modules loaded before and after.  CPython's parser doubles its token array
-at 8,192 tokens, so a module a command loads stays below that size.
+at 8,192 tokens, so a module a command loads stays below that size.  Every def
+of a module a command loads is entered by some pinned command of
+test_report_bytes, save a short allowlist; what only tests, demos or the
+oracles call lives in paracomplex.reference.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -118,8 +122,10 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # the top-level functions and classes that no command calls: the paper's closed
 # forms and the symbolic oracles, now in paracomplex.reference (among them the
 # symbolic structures, their frame sweep over rational functions and the
-# Gauss-Jordan inverse they use), and helpers that one test file keeps as a
-# local reference
+# Gauss-Jordan inverse they use), the Fraction wrappers of forms,
+# endomorphisms, 2-vectors, structures on T + T* and generalized metrics with
+# the routines only they use (the commands pass integer pairs (D, M)), and
+# helpers that one test file keeps as a local reference
 MOVED = [
     "as_point",
     "g_adjoint", "hodge_star", "lambda2_inner", "selfdual_split", "vec_sub",
@@ -141,6 +147,10 @@ MOVED = [
     "STRUCTURES", "_frame_jets", "_nijenhuis", "_omega_structure", "endo_jet", "gauss_jordan_inv",
     "omega_structure", "pairing_matrix", "pi_structure", "product_structure",
     "symbolic_frame_sweep", "trivial_structure", "validate_structure",
+    "Bilinear", "BiVectorField", "Endo", "GenEndo", "GeneralizedMetric", "TwoVector",
+    "ValidationReport", "_bilinear", "assemble_endo", "gen_metric", "is_compatible_endo",
+    "is_g_skew", "mat_eval", "mat_from_columns", "mat_inv", "mat_jet", "mat_rank", "mat_zero",
+    "signature", "vec_add", "vec_eq", "vec_scale",
 ]
 COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv", "obstruction"]
 
@@ -168,3 +178,67 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
     holders = [m for m in COMMAND_MODULES
                if hasattr(importlib.import_module(f"paracomplex.{m}"), name)]
     assert holders == []
+
+
+# defs of command modules that no pinned command enters: the number protocol of
+# Poly and RatFunc, which tests and paracomplex.reference use with int operands, and
+# the component reader and comparison of the one form type, which the oracles and
+# the tests use
+ENTRY_ALLOWLIST = {
+    "exact.Poly.__bool__", "exact.Poly.__hash__", "exact.Poly.__rsub__",
+    "exact.RatFunc.__hash__", "exact.RatFunc.__rtruediv__",
+    "patch.KForm.get", "patch.KForm.__eq__",
+}
+
+
+def _defs(code, prefix: str, out: dict) -> dict:
+    """Map (name, first line) of every def compiled into code, nested ones and
+    methods too, to its dotted name after prefix; a class body, a lambda and a
+    comprehension are no def."""
+    for const in code.co_consts:
+        if not hasattr(const, "co_code") or const.co_name.startswith("<"):
+            continue
+        if const.co_flags & inspect.CO_OPTIMIZED:
+            out[(const.co_name, const.co_firstlineno)] = prefix + const.co_name
+        _defs(const, f"{prefix}{const.co_name}.", out)
+    return out
+
+
+def test_every_def_of_a_command_module_is_entered_by_a_pinned_command(tmp_path, monkeypatch,
+                                                                         capsys):
+    """Every PINNED command of test_report_bytes runs in process under
+    sys.setprofile.  A def of a command module that none of them enters is
+    code that every start compiles for nothing, so it belongs in
+    paracomplex.reference or in the test that calls it, unless
+    ENTRY_ALLOWLIST names it; a __repr__ is allowed anywhere."""
+    from test_report_bytes import PINNED, _label
+
+    monkeypatch.chdir(tmp_path)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    for argv, _, _ in PINNED:
+        descriptor = tmp_path / "descriptor.json"
+        for arg in argv:
+            if isinstance(arg, dict):
+                descriptor.write_text(json.dumps(arg))
+            elif isinstance(arg, tuple):
+                (tmp_path / arg[0]).write_text(json.dumps(arg[1]))
+        sys.setprofile(profile)
+        try:
+            main([str(descriptor) if isinstance(a, dict) else _label(a) for a in argv])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+    missed = []
+    for module in COMMAND_MODULES:
+        path = SRC / "paracomplex" / f"{module}.py"
+        ran = {(c.co_name, c.co_firstlineno) for c in entered if c.co_filename == str(path)}
+        defs = _defs(compile(path.read_text(), str(path), "exec"), f"{module}.", {})
+        missed += [f"{name} (line {key[1]})" for key, name in sorted(defs.items(), key=str)
+                   if key not in ran and name not in ENTRY_ALLOWLIST
+                   and not name.endswith(".__repr__")]
+    assert missed == [], "\n".join(missed)

@@ -8,31 +8,24 @@ from fractions import Fraction
 import pytest
 
 from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
-from paracomplex.gpx import GenEndo, GenVector, assemble, structure_jet, validate_gen_para
+from paracomplex.gpx import assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
-    Bilinear,
-    Endo,
-    TwoVector,
     basis_vec,
     frac_mat,
+    int_jet,
     int_mats,
     mat_add,
     mat_eq,
-    mat_eval,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_neg,
-    mat_rank,
     mat_scale,
     mat_sub,
     sparse_add,
     transpose,
-    vec_add,
-    vec_scale,
 )
 from paracomplex.patch import (
-    BiVectorField,
     KForm,
     courant_on_jets,
     ext_deriv,
@@ -41,6 +34,10 @@ from paracomplex.patch import (
     poisson_jacobiator,
 )
 from paracomplex.reference import (
+    Bilinear,
+    Endo,
+    GenEndo,
+    GenVector,
     STRUCTURES,
     b_bracket_residual,
     b_conjugate,
@@ -49,11 +46,15 @@ from paracomplex.reference import (
     double_contract,
     endo_jet,
     gen_nijenhuis,
+    mat_eval,
+    mat_rank,
     omega_structure,
     pi_structure,
     product_structure,
     symbolic_frame_sweep,
     trivial_structure,
+    vec_add,
+    vec_scale,
 )
 
 V = ["x1", "x2", "x3", "x4"]
@@ -83,6 +84,27 @@ def comps1(form):
 
 def form2(comps):
     return KForm(N, 2, {idx: rf(s) for idx, s in comps.items()})
+
+
+def bivector(n, comps):
+    """The antisymmetric matrix pi^{ij} of a bivector field with the given
+    components pi^{ij}, i < j."""
+    pi = [[RatFunc.zero(n)] * n for _ in range(n)]
+    for (i, j), c in comps.items():
+        pi[i][j], pi[j][i] = c, -c
+    return pi
+
+
+def data_matrix(kind, data):
+    """The n x n matrix of rational functions that a descriptor of the kind
+    holds, which STRUCTURES, gpx.structure_jet and integrability_report read:
+    omega(d_i, d_j) of a 2-form, zero for trivial given its variable count,
+    the bivector's or P's matrix itself."""
+    if isinstance(data, KForm):
+        return [[data.get((i, j)) for j in range(data.nvars)] for i in range(data.nvars)]
+    if kind == "trivial":
+        return [[RatFunc.zero(data)] * data for _ in range(data)]
+    return data
 
 
 def section_at(s, pt):
@@ -152,9 +174,11 @@ def courant_oracle(a, b):
 
     alpha = KForm(N, 1, {(i,): c for i, c in enumerate(a.alpha)})
     beta = KForm(N, 1, {(i,): c for i, c in enumerate(b.alpha)})
-    half_d = ext_deriv(interior(a.x, beta) - interior(b.x, alpha)).scale(Fraction(1, 2))
-    form = lie_deriv(a.x, beta) - lie_deriv(b.x, alpha) - half_d
-    return GenVector(lie_bracket(a.x, b.x), comps1(form))
+    lie_b, lie_a, d_b, d_a = (comps1(f) for f in (
+        lie_deriv(a.x, beta), lie_deriv(b.x, alpha),
+        ext_deriv(interior(a.x, beta)), ext_deriv(interior(b.x, alpha))))
+    form = [u - v - (s - t) * Fraction(1, 2) for u, v, s, t in zip(lie_b, lie_a, d_b, d_a)]
+    return GenVector(lie_bracket(a.x, b.x), form)
 
 
 def oracle_nijenhuis(k, a, b):
@@ -263,19 +287,19 @@ def test_courant_jacobiator_witness():
 
 
 def test_trivial_structure_integrable():
-    ok, witnesses = symbolic_frame_sweep(STRUCTURES["trivial"](N))
+    ok, witnesses = symbolic_frame_sweep(STRUCTURES["trivial"](data_matrix("trivial", N)))
     assert ok and not witnesses
 
 
 def test_omega_closed_integrable():
     omega = form2({(0, 1): "1", (2, 3): "1"})
-    ok, _ = symbolic_frame_sweep(STRUCTURES["omega"](omega))
+    ok, _ = symbolic_frame_sweep(STRUCTURES["omega"](data_matrix("omega", omega)))
     assert ok
 
 
 def test_omega_nonclosed_not_integrable():
     omega = form2({(0, 1): "1", (2, 3): "x1"})
-    ok, witnesses = symbolic_frame_sweep(STRUCTURES["omega"](omega))
+    ok, witnesses = symbolic_frame_sweep(STRUCTURES["omega"](data_matrix("omega", omega)))
     assert not ok
     # evaluate one witness at a point with x1 = 1: nonzero there
     (pair, section) = next(iter(sorted(witnesses.items())))
@@ -287,13 +311,13 @@ def test_gen_nijenhuis_matches_classical_for_product():
     p_int = [[rf(c) for c in row] for row in
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    k = STRUCTURES["product"](p_int)
+    k = STRUCTURES["product"](data_matrix("product", p_int))
     ok, _ = symbolic_frame_sweep(k)
     assert ok
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    k_bad = STRUCTURES["product"](p_bad)
+    k_bad = STRUCTURES["product"](data_matrix("product", p_bad))
     ok_bad, _ = symbolic_frame_sweep(k_bad)
     assert not ok_bad
     nij = classical_nijenhuis(p_bad, coord(0), coord(2))
@@ -316,12 +340,12 @@ def test_classical_nijenhuis_tensorial():
 
 
 def test_constant_bivector_poisson():
-    pi = BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("-2")})
+    pi = bivector(N, {(0, 1): rf("1"), (2, 3): rf("-2")})
     assert not poisson_jacobiator(pi)
 
 
 def test_linear_x1_bivector_not_poisson():
-    pi = BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
+    pi = bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
     jac = poisson_jacobiator(pi)
     assert (1, 2, 3) in jac
     assert jac[(1, 2, 3)] == rf("1")
@@ -329,7 +353,7 @@ def test_linear_x1_bivector_not_poisson():
 
 
 def test_heisenberg_type_poisson():
-    pi = BiVectorField(N, {(1, 2): rf("x1")})
+    pi = bivector(N, {(1, 2): rf("x1")})
     assert not poisson_jacobiator(pi)
 
 
@@ -368,29 +392,29 @@ def test_b_residual_random_sweep():
 
 def sweep_witnesses(kind, data):
     """The symbolic frame sweep's nonzero sections for a kind's patch data."""
-    return symbolic_frame_sweep(STRUCTURES[kind](data))[1]
+    return symbolic_frame_sweep(STRUCTURES[kind](data_matrix(kind, data)))[1]
 
 
 def test_report_trivial():
-    rep = integrability_report("trivial", N)
+    rep = integrability_report("trivial", data_matrix("trivial", N))
     assert rep.integrable and sweep_witnesses("trivial", N) == {}
 
 
 def test_report_omega_cases():
     flat, open_ = form2({(0, 1): "1", (2, 3): "1"}), form2({(0, 1): "1", (2, 3): "x1"})
-    good = integrability_report("omega", flat)
+    good = integrability_report("omega", data_matrix("omega", flat))
     assert good.integrable and sweep_witnesses("omega", flat) == {} and good.witness is None
-    bad = integrability_report("omega", open_)
+    bad = integrability_report("omega", data_matrix("omega", open_))
     assert not bad.integrable and sweep_witnesses("omega", open_)
     assert bad.witness is not None and bad.witness["d_omega_component"] == [1, 3, 4]
 
 
 def test_report_pi_cases():
-    const = BiVectorField(N, {(0, 1): rf("1")})
-    linear = BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
-    good = integrability_report("pi", const)
+    const = bivector(N, {(0, 1): rf("1")})
+    linear = bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
+    good = integrability_report("pi", data_matrix("pi", const))
     assert good.integrable and sweep_witnesses("pi", const) == {}
-    bad = integrability_report("pi", linear)
+    bad = integrability_report("pi", data_matrix("pi", linear))
     assert not bad.integrable and sweep_witnesses("pi", linear)
     assert bad.witness["jacobiator_triple"] == [2, 3, 4]
 
@@ -399,12 +423,12 @@ def test_report_product_cases():
     p_int = [[rf(c) for c in row] for row in
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    good = integrability_report("product", p_int)
+    good = integrability_report("product", data_matrix("product", p_int))
     assert good.integrable and sweep_witnesses("product", p_int) == {}
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    bad = integrability_report("product", p_bad)
+    bad = integrability_report("product", data_matrix("product", p_bad))
     assert not bad.integrable and sweep_witnesses("product", p_bad)
 
 
@@ -412,11 +436,11 @@ def test_report_agreement_criterion_vs_sweep():
     cases = [
         ("omega", form2({(0, 1): "1", (2, 3): "1"})),
         ("omega", form2({(0, 1): "1", (2, 3): "x1"})),
-        ("pi", BiVectorField(N, {(0, 1): rf("1")})),
-        ("pi", BiVectorField(N, {(0, 1): rf("1"), (2, 3): rf("x1")})),
+        ("pi", bivector(N, {(0, 1): rf("1")})),
+        ("pi", bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})),
     ]
     for kind, data in cases:
-        rep = integrability_report(kind, data)
+        rep = integrability_report(kind, data_matrix(kind, data))
         assert rep.integrable == (not sweep_witnesses(kind, data))
 
 
@@ -424,7 +448,7 @@ def test_nijenhuis_tensoriality_for_courant_version():
     # function-rescaled sections: the frame-pair decision procedure relies on
     # N being tensorial; brute-force check on a rescaled pair
     omega = form2({(0, 1): "1", (2, 3): "x1"})
-    k = STRUCTURES["omega"](omega)
+    k = STRUCTURES["omega"](data_matrix("omega", omega))
     f = rf("1 + x2^2")
     a = GenVector.vector(coord(0))
     b = GenVector.vector(coord(2))
@@ -439,15 +463,15 @@ def test_nijenhuis_tensoriality_for_courant_version():
 
 
 def test_patch_structures_evaluate_to_the_pointwise_constructors():
-    """STRUCTURES[kind](data) at a point equals the gpx constructor applied to
+    """STRUCTURES[kind](data_matrix(kind, data)) at a point equals the gpx constructor applied to
     the data at that point."""
     omega = form2({(0, 1): "1 + x3^2", (2, 3): "1 + x1^2", (0, 2): "x2", (1, 3): "x4/2"})
-    pi = BiVectorField(N, {(0, 1): rf("x3"), (1, 3): rf("x2*x4 - 1"), (2, 3): rf("1")})
+    pi = bivector(N, {(0, 1): rf("x3"), (1, 3): rf("x2*x4 - 1"), (2, 3): rf("1")})
     p_mat = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     data = {"trivial": N, "omega": omega, "pi": pi, "product": p_mat}
-    symbolic = {kind: STRUCTURES[kind](d) for kind, d in data.items()}
+    symbolic = {kind: STRUCTURES[kind](data_matrix(kind, d)) for kind, d in data.items()}
     rng = random.Random(61)
     checked = 0
     for _ in range(6):
@@ -458,7 +482,7 @@ def test_patch_structures_evaluate_to_the_pointwise_constructors():
             "trivial": trivial_structure(N),
             "omega": omega_structure(Bilinear(
                 [[omega.get((i, j)).eval_at(pt) for j in range(N)] for i in range(N)])),
-            "pi": pi_structure(TwoVector(N, {k: c.eval_at(pt) for k, c in pi.comps.items()})),
+            "pi": pi_structure([[c.eval_at(pt) for c in row] for row in pi]),
             "product": product_structure(Endo(mat_eval(p_mat, pt))),
         }
         for kind, expected in pointwise.items():
@@ -510,7 +534,7 @@ def test_courant_bracket_matches_the_cartan_oracle():
 
 SWEEP_FIXTURES = {
     "omega": form2({(0, 1): "1 + x3^2", (2, 3): "x1", (0, 2): "x2*x4", (1, 3): "x3"}),
-    "pi": BiVectorField(N, {(0, 1): rf("x3"), (0, 2): rf("x2*x4"), (1, 3): rf("x1^2"),
+    "pi": bivector(N, {(0, 1): rf("x3"), (0, 2): rf("x2*x4"), (1, 3): rf("x1^2"),
                             (2, 3): rf("1/(1 + x2^2)")}),
     "product": [[rf(c) for c in row] for row in
                 [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
@@ -520,7 +544,7 @@ SWEEP_FIXTURES = {
 
 @pytest.mark.parametrize("kind", sorted(SWEEP_FIXTURES))
 def test_sweep_witnesses_equal_the_oracle_nijenhuis(kind):
-    k = STRUCTURES[kind](SWEEP_FIXTURES[kind])
+    k = STRUCTURES[kind](data_matrix(kind, SWEEP_FIXTURES[kind]))
     frames = [GenVector(e[:N], e[N:]) for e in mat_identity(2 * N, RatFunc.one(N))]
     expected = {}
     for i in range(len(frames)):
@@ -536,7 +560,7 @@ def test_sweep_witnesses_equal_the_oracle_nijenhuis(kind):
 
 
 def test_frame_sweep_differentiates_each_entry_of_k_once(monkeypatch):
-    k = STRUCTURES["omega"](SWEEP_FIXTURES["omega"])
+    k = STRUCTURES["omega"](data_matrix("omega", SWEEP_FIXTURES["omega"]))
     nonconstant = sum(not c.is_const() for row in k.as_matrix() for c in row)
     calls = []
     original = RatFunc.partial
@@ -553,17 +577,6 @@ def test_frame_sweep_differentiates_each_entry_of_k_once(monkeypatch):
 
 OMEGA_RATIONAL = form2({(0, 1): "x2", (0, 2): "x4", (2, 3): "1/(1 + x1^2)", (1, 3): "x3/(x2 - 3)"})
 OMEGA_SQUARED = form2({(0, 1): "(1/(1 + x1^2))^2", (2, 3): "x2", (0, 3): "(x3/(x4 - 2))^3"})
-
-
-def data_matrix(kind, data):
-    """The n x n data of rational functions that gpx.structure_jet reads."""
-    if kind == "omega":
-        return [[data.get((i, j)) for j in range(data.nvars)] for i in range(data.nvars)]
-    if kind == "pi":
-        return [[data.get(i, j) for j in range(data.dim)] for i in range(data.dim)]
-    if kind == "product":
-        return data
-    return [[RatFunc.zero(data)] * data for _ in range(data)]
 
 
 def regular_points(rng, n, count, *fields):
@@ -608,7 +621,7 @@ def fixture(kind, n, entries):
     if kind == "omega":
         return KForm(n, 2, comps)
     if kind == "pi":
-        return BiVectorField(n, comps)
+        return bivector(n, comps)
     return [[comps.get((i, j), RatFunc.zero(n)) for j in range(n)] for i in range(n)]
 
 
@@ -646,7 +659,7 @@ def test_mat_jet_of_k_equals_the_evaluated_endo_jet(key):
     rational functions for omega) and its symbolic partials endo_jet(K),
     evaluated at seeded points; both raise PoleAtPoint at the same points."""
     kind, n, data = POINTWISE[key]
-    k = STRUCTURES[kind](data)
+    k = STRUCTURES[kind](data_matrix(kind, data))
     m, dk = k.as_matrix(), [d.as_matrix() for d in endo_jet(k)]
     rng = random.Random(97)
     checked = 0
@@ -675,7 +688,7 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
     functions evaluated at p, pair by pair, at seeded regular points.  On two
     variables every structure of these kinds is integrable, so N = 0 there."""
     kind, n, data = POINTWISE[key]
-    _, symbolic = symbolic_frame_sweep(STRUCTURES[kind](data))
+    _, symbolic = symbolic_frame_sweep(STRUCTURES[kind](data_matrix(kind, data)))
     assert bool(symbolic) == (n > 2)
     points = regular_points(random.Random(83), n, 3,
                             lambda pt: [section_at(s, pt) for s in symbolic.values()],
@@ -692,7 +705,7 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
 
 def test_the_integer_sweep_of_an_integrable_structure_is_zero():
     for kind, data in [("trivial", N), ("omega", form2({(0, 1): "1", (2, 3): "1 + x3^2"})),
-                       ("pi", BiVectorField(N, {(1, 2): rf("x1")}))]:
+                       ("pi", bivector(N, {(1, 2): rf("x1")}))]:
         pt = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 7))
         assert gen_nijenhuis_frame_sweep(*structure_jet(kind, data_matrix(kind, data), pt, 1)) \
             == (True, {})
@@ -721,7 +734,7 @@ def assembled_fixture(n, s_entries, theta_entries, reduction):
     k2 = k1 if reduction == "product" else mat_neg(k1)
     theta = fixture("omega", n, theta_entries)
     th = [[theta.get((i, j)) for j in range(n)] for i in range(n)]
-    base = (STRUCTURES["product"](k1) if reduction == "product"
+    base = (STRUCTURES["product"](data_matrix("product", k1)) if reduction == "product"
             else omega_structure(Bilinear(mat_mul(transpose(k1), g))))
     return (g, th, k1, k2), b_conjugate(Bilinear(th), base)
 
@@ -740,17 +753,16 @@ ASSEMBLED = {
 @pytest.mark.parametrize("key", ASSEMBLED, ids=[f"{n}-{r}" for n, r in ASSEMBLED])
 def test_assembled_k_at_a_point_equals_its_symbolic_reduction(key):
     """The K(p) that `validate` feeds to validate_gen_para for an `assembled`
-    descriptor, assemble on the data's values at p over one denominator,
+    descriptor, assemble on the integers of the data's values at p,
     equals the symbolic structure it reduces to (no integer dK(p) is built
     for assembled, which `integrability` refuses)."""
     n = key[0]
     data, symbolic = ASSEMBLED[key]
     for pt in regular_points(random.Random(41), n, 3):
-        g, th, k1, k2 = (Bilinear(mat_eval(x, pt)) for x in data)
-        k = assemble(g, th, Endo(k1.mat), Endo(k2.mat))
-        den, (m,) = int_mats([k.as_matrix()])
-        assert frac_mat(den, m) == mat_eval(symbolic.as_matrix(), pt), pt
-        assert validate_gen_para(den, m).checks == fraction_validate_gen_para(k) == dict.fromkeys(
+        den, m = assemble(*(int_jet(x, pt)[0] for x in data))
+        k = GenEndo.from_matrix(frac_mat(den, m))
+        assert k.as_matrix() == mat_eval(symbolic.as_matrix(), pt), pt
+        assert validate_gen_para(den, m) == fraction_validate_gen_para(k) == dict.fromkeys(
             ["square_is_identity", "pairing_skew", "equal_eigenranks"], True)
 
 
@@ -773,10 +785,10 @@ def test_integer_validate_gen_para_equals_the_fraction_version(key):
     for pt in regular_points(rng, n, 3,
                              lambda pt: structure_jet(kind, data_matrix(kind, data), pt)):
         (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
-        assert validate_gen_para(d0, k_at).ok
+        assert all(validate_gen_para(d0, k_at).values())
         for den, m in [(d0, k_at), (d0, perturbed(k_at, rng)),
                        (d0 * d1, mat_add(mat_scale(d1, k_at), mat_scale(d0, dk_at[0])))]:
-            got = validate_gen_para(den, m).checks
+            got = validate_gen_para(den, m)
             assert got == fraction_validate_gen_para(GenEndo.from_matrix(frac_mat(den, m))), pt
             seen.add(tuple(got.values()))
     assert len(seen) > 1
@@ -799,6 +811,6 @@ def test_product_criterion_differentiates_each_entry_of_p_once(monkeypatch, p_ro
         return original(self, i)
 
     monkeypatch.setattr(RatFunc, "partial", counting)
-    rep = integrability_report("product", p)
+    rep = integrability_report("product", data_matrix("product", p))
     assert rep.integrable == integrable and nonconstant
     assert len(calls) <= N * nonconstant

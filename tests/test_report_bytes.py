@@ -31,7 +31,10 @@ The three `theorem --samples 300` digests were recorded before the (j,l,r)
 residual moved from Lambda^2 inner products of 2-vectors to a contraction of
 wedge coordinates with the lowered curvature operator: a pp-wave with a
 nonzero witness, constcurv:-1/2 at two given points with 81 nonzero samples,
-and a `file:` metric with every entry of g nonzero.  A tuple in argv is such
+and a `file:` metric with every entry of g nonzero.  A `curvature` run on a
+`file:` metric without a frame, whose denominator is negative at the point,
+was recorded before `onb_search` moved from Fraction wrappers to integer
+pairs.  A tuple in argv is such
 a metric file, written under its name to the working directory, so that the
 report names it by a relative path.
 """
@@ -63,6 +66,11 @@ DENSE = ("dense.json", {
     "onb": [[f"{v}*({PHI})" for v in col] for col in
             [["1", "-1", "-3", "-3"], ["0", "1", "1", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]],
 })
+# a metric file with no "onb", so that curvature searches a rational frame at the point,
+# and whose denominator factor x1 - 2 is negative there
+NO_ONB = ("no_onb.json", {
+    "g": [["x2^2/(x1-2)", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "1", "0", "0"],
+          ["1", "0", "0", "0"]]})
 
 PINNED = [
     (['curvature', 'constcurv:1', '--point', '0,0,0,0'],
@@ -73,6 +81,8 @@ PINNED = [
      0, "1dfbc8f1df5444c88356f0ddd28332ac0ec732cf5122e63cb2ab9113358b4954"),
     (['curvature', 'flat', '--point', '1,2,3,4', '--orientation', '-', '--format', 'text'],
      0, "1b0f88f21b70951663864cc2d2ea8df66eccf56796f22f51b1347ebba4fc6144"),
+    (['curvature', NO_ONB, '--point', '1,1,0,0'],
+     0, "133a136734e231bf94cc1c02282b8a03f93dffda09b719e59279cad77aaf7fe8"),
     (['theorem', 'constcurv:1', '--component', '+-'],
      0, "4fe8fcd6454c5ebc72c63da7d340b329852ed47f5842cc21d6de4871e81a1597"),
     (['theorem', 'constcurv:1', '--component', '++', '--seed', '3'],
