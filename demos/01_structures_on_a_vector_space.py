@@ -6,29 +6,29 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 
 from fractions import Fraction
 
-from paracomplex.exact import parse_ratfunc
-from paracomplex.linalg import (
-    basis_vec,
-    mat_eq,
-    mat_identity,
-    mat_mul,
-)
+from paracomplex.exact import parse_ratfunc, rat_str
+from paracomplex.linalg import mat_eq, mat_mul
 from paracomplex.para import validate_para
 from paracomplex.reference import (
     Bilinear,
     as_ints,
+    basis_vec,
     fiber_tangent_dim,
     hyperboloid_coords,
     hyperboloid_structure,
     induced_orientation,
     j_triple,
+    mat_identity,
     null_basis,
     standard_para_structure,
 )
 
-# Everything is exact: rational functions evaluate to honest fractions.
+# Everything is exact: a rational function has integer coefficients over a
+# positive integer constant and primitive factors, a point is an integer pair
+# (D, X) for the coordinates X / D, and a value is such a pair too.
 f = parse_ratfunc("x1^2/(1+x2)", ["x1", "x2"])
-print("x1^2/(1+x2) at (3, 1):", f.eval_at([Fraction(3), Fraction(1)]))
+den, (value,) = f.jet_at((1, (3, 1)))
+print("x1^2/(1+x2) at (3, 1):", rat_str(den, value))
 
 # The standard neutral metric and the standard paracomplex structure on R^4.
 g = Bilinear.diag([1, 1, -1, -1])

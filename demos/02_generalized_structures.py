@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from paracomplex.gpx import assemble, is_compatible
-from paracomplex.linalg import basis_vec, frac_mat, mat_identity, mat_mul
+from paracomplex.linalg import mat_mul
 from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
     Bilinear,
@@ -17,12 +17,15 @@ from paracomplex.reference import (
     TwoVector,
     as_ints,
     b_conjugate,
+    basis_vec,
     check_pi_conditions,
     classify_component,
     extract_pair,
+    frac_mat,
     gen_metric,
     gen_pairing,
     is_compatible_endo,
+    mat_identity,
     pi_structure,
     product_structure,
     standard_para_structure,

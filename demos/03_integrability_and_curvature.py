@@ -4,9 +4,7 @@ the dim-4 theorem verdicts.
 Run with:  python3 demos/03_integrability_and_curvature.py
 """
 
-from fractions import Fraction
-
-from paracomplex.exact import RatFunc, parse_ratfunc
+from paracomplex.exact import RatFunc, parse_ratfunc, rat_str
 from paracomplex.curv import (
     constcurv_metric,
     curvature_operator,
@@ -48,17 +46,18 @@ print("pi = d1^d2 + x1 d3^d4 Poisson:", rep.integrable,
 # Constant curvature: the operator is (s/12) Id with s = 12c.  Curvature is
 # evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric there,
 # which int_jet computes on integers over common denominators, without
-# symbolic derivatives.
+# symbolic derivatives.  A point is an integer pair (D, X) for the
+# coordinates X / D, and every value an integer pair (D, N) for N / D.
 m = constcurv_metric(1)
-origin = (Fraction(0),) * 4
+origin = (1, (0, 0, 0, 0))
 (d0, g0), (d1, dg0), (d2, ddg0) = int_jet(m.g, origin, 2)
-print("\nconstcurv:1 at origin: g_11 =", Fraction(g0[0][0], d0),
-      "| d1 d1 g_11 =", Fraction(ddg0[0][0][0][0], d2))
+print("\nconstcurv:1 at origin: g_11 =", rat_str(d0, g0[0][0]),
+      "| d1 d1 g_11 =", rat_str(d2, ddg0[0][0][0][0]))
 op = curvature_operator(m.g, origin)
-print("constcurv:1 at origin: s =", op.s,
-      "| sectional constant =", sectional_constant_check(op))
 dec = decompose(op, m.onb_at(origin))
-print("traceless-Ricci part zero:", all(not c for row in dec.b_part for c in row))
+print("constcurv:1 at origin: s =", rat_str(*dec.int_s),
+      "| sectional constant =", rat_str(*sectional_constant_check(op)))
+print("traceless-Ricci part zero:", all(not c for row in dec.int_b[1] for c in row))
 
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
 w = ppwave_metric(rf("x2^2"))

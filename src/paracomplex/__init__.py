@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for paracomplex and generalized paracomplex
 structures over neutral-signature spaces and coordinate patches."""
 
-from paracomplex.exact import Rational, Poly, RatFunc, parse_ratfunc, PoleAtPoint
+from paracomplex.exact import Poly, RatFunc, parse_ratfunc, PoleAtPoint
 
-__all__ = ["Rational", "Poly", "RatFunc", "parse_ratfunc", "PoleAtPoint"]
+__all__ = ["Poly", "RatFunc", "parse_ratfunc", "PoleAtPoint"]
 __version__ = "0.1.0"

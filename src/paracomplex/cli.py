@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from fractions import Fraction
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc, parse_rational)
+                               parse_ratfunc, parse_rational, point_strings, rat_str)
 from paracomplex.linalg import SingularMatrix, int_jet, mat_to_strings, transpose
 
 
@@ -28,13 +28,16 @@ from paracomplex.linalg import SingularMatrix, int_jet, mat_to_strings, transpos
 
 
 def parse_point(text: str, nvars: int = 4) -> tuple:
+    """The point (D, X) of comma-separated Fraction literals, with D the least
+    common denominator of the coordinates X / D."""
     try:
-        coords = tuple(parse_rational(c) for c in text.split(","))
+        coords = [parse_rational(c) for c in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad point {text!r}") from exc
     if len(coords) != nvars:
         raise ValueError(f"expected {nvars} coordinates in {text!r}")
-    return coords
+    den = math.lcm(*(d for d, _ in coords))
+    return den, tuple(n * (den // d) for d, n in coords)
 
 
 def parse_points_arg(text: str, nvars: int = 4) -> list:
@@ -48,43 +51,40 @@ _WEDGE_RE = re.compile(r"^dx(\d+)\^dx(\d+)$")
 
 
 def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
-    """Split on top-level separator characters, keeping the sign/operator."""
-    parts = []
-    depth = 0
-    current = []
-    op = "+"
-    for ch in text:
+    """(separator, piece) pairs of text split on its top-level separator
+    characters, the first separator "+"; a piece is empty before a leading,
+    doubled or trailing separator."""
+    parts, depth, op, start = [], 0, "+", 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if depth == 0 and ch in seps and current:
-            parts.append((op, "".join(current)))
-            op = ch
-            current = []
-        elif depth == 0 and ch in seps and not current:
-            # leading sign
-            op = ch if op == "+" else ("+" if ch == "-" and op == "-" else ch)
-        else:
-            current.append(ch)
-    if current:
-        parts.append((op, "".join(current)))
+        elif depth == 0 and ch in seps:
+            parts.append((op, text[start:i]))
+            op, start = ch, i + 1
+    parts.append((op, text[start:]))
     return parts
 
 
 def parse_theta_expr(text: str, variables=VARS4):
     """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors (default 1); a patch.KForm."""
+    product of rational-function factors (default 1); a patch.KForm.  A run of
+    signs before a term multiplies, and an empty term or factor is bad input."""
     from paracomplex.patch import KForm
 
     nvars = len(variables)
     theta = KForm(nvars, 2)
     if not text.strip():
         return theta
-    for sign, term in _split_top_level(text.replace(" ", ""), "+-"):
+    sign = "+"
+    for op, term in _split_top_level(text.replace(" ", ""), "+-"):
+        sign = "+" if (op == "-") == (sign == "-") else "-"
+        if not term:  # a sign of the next term
+            continue
         factors = [f for _, f in _split_top_level(term, "*")]
-        if not factors:
-            raise ValueError(f"empty term in theta expression {text!r}")
+        if "" in factors:
+            raise ValueError(f"empty factor in term {term!r}")
         match = _WEDGE_RE.match(factors[-1])
         if match is None:
             raise ValueError(f"term {term!r} must end with dxi^dxj")
@@ -99,6 +99,9 @@ def parse_theta_expr(text: str, variables=VARS4):
         if sign == "-":
             coeff = -coeff
         theta = theta + KForm(nvars, 2, {(i, j): coeff})
+        sign = "+"
+    if not term:
+        raise ValueError(f"empty term in theta expression {text!r}")
     return theta
 
 
@@ -230,7 +233,7 @@ def cmd_validate(args) -> tuple[dict, int]:
             error = exc  # reported at every point
     results = []
     for p, jet in zip(points, jets):
-        entry: dict = {"point": [str(c) for c in p]}
+        entry: dict = {"point": point_strings(p)}
         try:
             if kind == "assembled":
                 ok = _validate_assembled(mat, p, entry)
@@ -261,7 +264,7 @@ def cmd_integrability(args) -> tuple[dict, int]:
     rep = integrability_report(kind, mat, certified)
     samples = []
     for p, jet in zip(points, jets):
-        entry: dict = {"point": [str(c) for c in p]}
+        entry: dict = {"point": point_strings(p)}
         if isinstance(jet, PoleAtPoint):
             entry["error"] = str(jet)
         else:
@@ -274,7 +277,7 @@ def cmd_integrability(args) -> tuple[dict, int]:
                 pair = min(witnesses)
                 comp = next(c for c in witnesses[pair] if c)
                 entry["sample"] = {"frame_pair": list(pair),
-                                   "component": str(Fraction(comp, 2 * k[0] * dk[0]))}
+                                   "component": rat_str(2 * k[0] * dk[0], comp)}
         samples.append(entry)
     report = {
         "schema": 1,
@@ -304,17 +307,17 @@ def cmd_curvature(args) -> tuple[dict, int]:
         "schema": 1,
         "command": "curvature",
         "metric": model.name,
-        "point": [str(c) for c in point],
+        "point": point_strings(point),
         "orientation": args.orientation,
-        "s": str(op.s),
-        "ricci": mat_to_strings(op.ricci),
-        "b_part": mat_to_strings(dec.b_part),
-        "w_plus": mat_to_strings(dec.w_plus),
-        "w_minus": mat_to_strings(dec.w_minus),
+        "s": rat_str(*dec.int_s),
+        "ricci": mat_to_strings(*op.int_ricci),
+        "b_part": mat_to_strings(*dec.int_b),
+        "w_plus": mat_to_strings(*dec.int_w_plus),
+        "w_minus": mat_to_strings(*dec.int_w_minus),
         "self_dual": verdict["self_dual"],
         "anti_self_dual": verdict["anti_self_dual"],
         "conformally_flat": verdict["conformally_flat"],
-        "sectional_constant": str(const) if const is not None else None,
+        "sectional_constant": rat_str(*const) if const is not None else None,
     }
     return report, 0
 
@@ -369,8 +372,7 @@ def _points_from_args(args, nvars: int, default_count: int) -> list:
         return [parse_point(args.point, nvars)]
     if nvars != 4:
         raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
-    pts = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS]
-    return pts[:default_count]
+    return DEFAULT_POINTS[:default_count]
 
 
 # -- rendering --------------------------------------------------------------------

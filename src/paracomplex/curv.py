@@ -3,9 +3,10 @@ curvature operator with its scalar/traceless-Ricci/Weyl decomposition, the
 (j,l,r) curvature residual, the search for a witness of the horizontal
 obstruction of a potential Theta (`paracomplex.obstruction`, loaded only for
 a Theta that is not closed), and the dim-4 integrability verdicts.
-Everything at a point, from the 2-jet to the verdict, runs on integer
-matrices over common denominators, and a Fraction is built only for a value
-that is printed or handed on.  The symbolic connections and the twistor and
+Everything at a point, from the point itself and the 2-jet to the verdict
+and the witness search, runs on integer pairs (D, M) of a positive
+denominator and an integer matrix, vector or value, and a value is printed
+by `exact.rat_str` from its pair.  The symbolic connections and the twistor and
 reflector Nijenhuis evaluators are in `paracomplex.reference`.
 
 Curvature sign convention.  The curvature tensor is
@@ -23,23 +24,19 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 from operator import mul
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc, parse_rational)
+                               parse_ratfunc, parse_rational, point_strings, rat_str)
 from paracomplex.linalg import (
     ONB_GRAM,
     bareiss,
-    frac_mat,
     int_inv,
     int_jet,
-    int_mats,
     int_mul,
     j_structures,
     lambda2_matrix,
     mat_is_zero,
-    mat_mul,
     star_matrix,
     transpose,
     wedge_pairs,
@@ -81,13 +78,13 @@ class MetricModel:
         else:
             den, gm = g_at
         if self.onb is None:
-            du, (u,) = int_mats([onb_search((den, gm))])
+            du, u = onb_search((den, gm))
         else:
             ((du, u),) = int_jet(self.onb, point)
             if int_mul(int_mul(u, gm), transpose(u)) != [[du * du * den * x for x in row]
                                                          for row in ONB_GRAM]:
                 raise ValueError(f"the onb of {self.name} is not orthonormal with norms 1, 1, -1, -1 "
-                                 f"at ({', '.join(map(str, point))})")
+                                 f"at ({', '.join(point_strings(point))})")
         _, _, det, sign = bareiss(u)
         if sign * det < 0:
             u = [u[0], u[1], u[2], [-x for x in u[3]]]
@@ -107,18 +104,18 @@ def flat_metric(nvars: int = 4) -> MetricModel:
     return MetricModel("flat", nvars, g, onb)
 
 
-def constcurv_metric(c) -> MetricModel:
-    """Conformal model of constant sectional curvature c on the neutral patch:
-    g = phi^{-2} diag(1,1,-1,-1) with phi = 1 + (c/4)(x1^2 + x2^2 - x3^2 - x4^2)."""
+def constcurv_metric(c: int, den: int = 1) -> MetricModel:
+    """Conformal model of constant sectional curvature c / den, den > 0, on the
+    neutral patch: g = phi^{-2} diag(1,1,-1,-1) with
+    phi = 1 + (c / (4 den))(x1^2 + x2^2 - x3^2 - x4^2)."""
     n = 4
-    c = Fraction(c)
     x = [RatFunc.var(i, n) for i in range(n)]
-    phi = RatFunc.const(n, 1) + (x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2) * Fraction(c, 4)
+    phi = RatFunc.const(n, 1) + (x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2) * c / (4 * den)
     inv2 = RatFunc.one(n) / (phi * phi)
     signs = [1, 1, -1, -1]
     g = [[inv2 * signs[i] if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
     onb = [[phi if i == j else RatFunc.zero(n) for i in range(n)] for j in range(n)]
-    return MetricModel(f"constcurv:{c}", n, g, onb)
+    return MetricModel(f"constcurv:{rat_str(den, c)}", n, g, onb)
 
 
 def ppwave_metric(f: RatFunc) -> MetricModel:
@@ -132,12 +129,11 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
     n = 4
     z, o = RatFunc.zero(n), RatFunc.one(n)
     g = [[f, z, z, o], [z, z, o, z], [z, o, z, z], [o, z, z, z]]
-    half = Fraction(1, 2)
     onb = [
-        [o, z, z, (1 - f) * half],
-        [z, o, RatFunc.const(n, half), z],
-        [o, z, z, -(1 + f) * half],
-        [z, o, RatFunc.const(n, -half), z],
+        [o, z, z, (1 - f) / 2],
+        [z, o, o / 2, z],
+        [o, z, z, -(1 + f) / 2],
+        [z, o, -o / 2, z],
     ]
     return MetricModel("ppwave", n, g, onb)
 
@@ -167,45 +163,50 @@ def metric_from_strings(rows: list, variables: list, onb_rows: list | None = Non
     return MetricModel(name, n, g, None if onb_rows is None else parse(onb_rows, "onb"))
 
 
-def _is_square(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _is_square(den: int, num: int) -> tuple | None:
+    """The square root of num / den, den > 0, as a pair (d, n) in lowest
+    terms, when it is rational."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    rn, rd = math.isqrt(max(num, 0)), math.isqrt(den)
+    return (rd, rn) if num >= 0 and rn * rn == num and rd * rd == den else None
 
 
-def onb_search(g: tuple) -> list:
+def onb_search(g: tuple) -> tuple:
     """Search for a rational orthonormal basis with norms (1, 1, -1, -1) of
-    g = G / D, given as (D, G); the frame vectors, in Fractions.  Works when
-    unit vectors exist over Q; otherwise raises DegenerateMetric (supply an
-    onb with the metric in that case).  A candidate's norm is c^T M c / D'
-    from the integer Gram matrix M / D' of the complement basis, and only the
-    accepted vector is built."""
-    gf = frac_mat(*g)
-    found: list = []
+    g = G / D, given as (D, G); the frame (E, [U_1, ..., U_4]) with the vectors
+    U_a / E over their least common denominator.  Works when unit vectors
+    exist over Q; otherwise raises DegenerateMetric (supply an onb with the
+    metric in that case).  The candidates are small integer combinations c of
+    the complement basis V / e of the vectors found so far, whose norm is
+    c^T M c / (e^2 D) for M = V G V^T, and only the accepted vector is built."""
+    den, gm = g
+    n = len(gm)
+    found: list = []  # (e_a, U_a) for the vectors U_a / e_a
     for target in (1, 1, -1, -1):
-        comp = _orthogonal_complement_basis(gf, found)
-        den, (gram,) = int_mats([mat_mul(mat_mul(comp, gf), transpose(comp))])
+        e, comp = _orthogonal_complement_basis(gm, [u for _, u in found])
+        gram = int_mul(int_mul(comp, gm), transpose(comp))
         pick = None
         for bound in (1, 2, 3, 4):
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(comp)):
                 if not any(coeffs) or max(abs(c) for c in coeffs) != bound:
                     continue
                 q = target * sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram]))
-                root = q > 0 and _is_square(Fraction(q, den))
+                root = q > 0 and _is_square(e * e * den, q)
                 if root:
-                    pick = [sum(c * b[i] for c, b in zip(coeffs, comp)) / root
-                            for i in range(len(gf))]
+                    # (sum c_k V_k / e) / (n / d)
+                    pick = (e * root[1], [root[0] * sum(c * b[i] for c, b in zip(coeffs, comp))
+                                          for i in range(n)])
                     break
             if pick is not None:
                 break
         if pick is None:
             raise DegenerateMetric("no rational orthonormal basis found; supply one")
         found.append(pick)
-    return found
+    top = math.lcm(*(e for e, _ in found))
+    frame = [[x * (top // e) for x in u] for e, u in found]
+    common = math.gcd(top, *(x for u in frame for x in u))
+    return top // common, [[x // common for x in u] for u in frame]
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -236,7 +237,7 @@ def _riemann(g: list, point) -> tuple:
     ns = range(n)
     inv = int_inv(gi)
     if inv is None:
-        raise DegenerateMetric(f"metric is degenerate at ({', '.join(map(str, point))})")
+        raise DegenerateMetric(f"metric is degenerate at ({', '.join(point_strings(point))})")
     det, adj = inv
     gam = [_sym(n, lambda i, j: sum(
         adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
@@ -272,8 +273,7 @@ class CurvOperator:
     self-adjoint operator on the wedge basis {e_i ^ e_j} (i < j) with
     g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form, lowered[a][b] =
     g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); and rho with
-    g(rho(X), Y) = Ricci(X, Y).  The Fraction matrices mat, lowered and ricci,
-    and s = trace(rho), are built on each access, for a report or a test."""
+    g(rho(X), Y) = Ricci(X, Y)."""
 
     __slots__ = ("int_g", "int_mat", "int_lowered", "int_ricci", "int_rho")
 
@@ -281,11 +281,6 @@ class CurvOperator:
                  int_rho: tuple):
         self.int_g, self.int_mat = int_g, int_mat
         self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
-
-    mat = property(lambda self: frac_mat(*self.int_mat))
-    lowered = property(lambda self: frac_mat(*self.int_lowered))
-    ricci = property(lambda self: frac_mat(*self.int_ricci))
-    s = property(lambda self: Fraction(_trace(self.int_rho[1]), self.int_rho[0]))
 
 
 def _trace(m: list) -> int:
@@ -317,8 +312,7 @@ def curvature_operator(g: list, point) -> CurvOperator:
 class CurvDecomposition:
     """R = (s/12) Id + B + W with W = W_+ + W_-, on integers: int_s = (e, sigma)
     for s = sigma / e, and int_b, int_w, int_w_plus and int_w_minus pairs (D, M)
-    as in CurvOperator.  The Fraction views s, b_part, w_part, w_plus and
-    w_minus are built on each access."""
+    as in CurvOperator."""
 
     __slots__ = ("int_s", "int_b", "int_w", "int_w_plus", "int_w_minus")
 
@@ -326,12 +320,6 @@ class CurvDecomposition:
                  int_w_minus: tuple):
         self.int_s, self.int_b, self.int_w = int_s, int_b, int_w
         self.int_w_plus, self.int_w_minus = int_w_plus, int_w_minus
-
-    s = property(lambda self: Fraction(self.int_s[1], self.int_s[0]))
-    b_part = property(lambda self: frac_mat(*self.int_b))
-    w_part = property(lambda self: frac_mat(*self.int_w))
-    w_plus = property(lambda self: frac_mat(*self.int_w_plus))
-    w_minus = property(lambda self: frac_mat(*self.int_w_minus))
 
 
 def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
@@ -371,12 +359,14 @@ def duality_verdict(dec: CurvDecomposition) -> dict:
     }
 
 
-def sectional_constant_check(op: CurvOperator) -> Fraction | None:
-    """c with R = c Id = (s/12) Id exactly, when the operator is scalar."""
+def sectional_constant_check(op: CurvOperator) -> tuple | None:
+    """c with R = c Id = (s/12) Id exactly, when the operator is scalar, as a
+    pair (d, n) in lowest terms for c = n / d."""
     den, m = op.int_mat
     c = m[0][0]
     if all(x == (c if a == b else 0) for a, row in enumerate(m) for b, x in enumerate(row)):
-        return Fraction(c, den)
+        g = math.gcd(c, den)
+        return den // g, c // g
     return None
 
 
@@ -441,12 +431,8 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
 # -- theorem verdicts -----------------------------------------------------------------------------
 
 
-def rnd_vec(rng, n=4) -> list:
-    return [Fraction(v, 2) for v in rnd_vec2(rng, n)]
-
-
 def rnd_vec2(rng, n=4) -> list:
-    """2 rnd_vec(rng, n) on integers, from the same draws."""
+    """Twice a random vector of n entries in {-3, ..., 3} / {1, 2}, on integers."""
     return [2 * rng.randint(-3, 3) // rng.randint(1, 2) for _ in range(n)]
 
 
@@ -468,7 +454,6 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
     # orthonormal there is an input error
     points = []
     for p in sample_points or DEFAULT_POINTS:
-        p = tuple(Fraction(c) for c in p)
         try:
             op = curvature_operator(model.g, p)
             onb = model.onb_at(p, g_at=op.int_g)
@@ -488,7 +473,7 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
         d_theta_zero = dth.is_zero()
     evidence: dict = {
         "d_theta_zero": d_theta_zero,
-        "points": [[str(c) for c in p] for p, *_ in points],
+        "points": [point_strings(p) for p, *_ in points],
     }
     if not d_theta_zero:
         evidence["d_theta_witness"] = {
@@ -514,7 +499,7 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
     evidence["w_plus_zero"] = w_plus_ok
     evidence["w_minus_zero"] = w_minus_ok
     const_ok = len(set(sectional)) == 1 and sectional[0] is not None
-    evidence["sectional_constant"] = str(sectional[0]) if const_ok else None
+    evidence["sectional_constant"] = rat_str(*sectional[0]) if const_ok else None
     if component == "++":
         curvature_ok = w_plus_ok and ricci_ok
     elif component == "--":
@@ -528,8 +513,8 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
         if n:
             nonzero += 1
             if first_witness is None:
-                first_witness = {"point": [str(c) for c in p], "jlr": list(jlr),
-                                 "residual": str(Fraction(n, d))}
+                first_witness = {"point": point_strings(p), "jlr": list(jlr),
+                                 "residual": rat_str(d, n)}
     evidence["jklr"] = {"samples": jklr_samples, "nonzero": nonzero}
     if first_witness is not None:
         evidence["jklr"]["witness"] = first_witness
@@ -539,27 +524,30 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
 def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
     given the 3-form dTheta and theorem_verdict's per-point data; the sections
-    A and B are drawn as their stacked vectors X + alpha."""
+    A and B are drawn as their stacked vectors X + alpha, each twice a
+    rnd_vec2 draw, so the residual of the integers A' = 2A and B' = 2B is
+    four times A and B's."""
     from paracomplex.obstruction import np_residual_terms, torsion_at
 
     for p, op, onb, js in points:
-        dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
-        if all(v == 0 for v in dth_at.values()):
+        ((dd, (values,)),) = int_jet([list(dth.comps.values())], p)
+        if not any(values):
             continue
+        dth_at = (dd, dict(zip(dth.comps, values)))
         t_at = torsion_at(op.int_g, dth_at)
         for _ in range(attempts):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = random_compatible_structure(op.int_g, onb, rng, o1, js(o1))
             o2 = +1 if rng.random() < 0.5 else -1
             s2 = random_compatible_structure(op.int_g, onb, rng, o2, js(o2))
-            a = rnd_vec(rng) + rnd_vec(rng)
-            b = rnd_vec(rng) + rnd_vec(rng)
-            n_p, cond_rhs = np_residual_terms(op.int_g, t_at, dth_at, s1, s2, a, b)
+            a = rnd_vec2(rng) + rnd_vec2(rng)
+            b = rnd_vec2(rng) + rnd_vec2(rng)
+            den, n_p, cond_rhs = np_residual_terms(op.int_g, t_at, dth_at, s1, s2, a, b)
             res = [u - v for u, v in zip(n_p, cond_rhs)]
             if any(res):
-                return {"point": [str(c) for c in p],
-                        "residual_vector": [str(c) for c in res[:4]],
-                        "residual_form": [str(c) for c in res[4:]]}
+                return {"point": point_strings(p),
+                        "residual_vector": [rat_str(4 * den, c) for c in res[:4]],
+                        "residual_form": [rat_str(4 * den, c) for c in res[4:]]}
     return None
 
 
@@ -575,9 +563,10 @@ def parse_metric_id(text: str) -> MetricModel:
     if text.startswith("constcurv:"):
         c = text.split(":", 1)[1]
         try:
-            return constcurv_metric(parse_rational(c))
+            den, num = parse_rational(c)
         except ZeroDivisionError:
             raise ValueError(f"division by zero in {c!r}") from None
+        return constcurv_metric(num, den)
     if text.startswith("ppwave:"):
         f = parse_ratfunc(text.split(":", 1)[1], VARS4)
         return ppwave_metric(f)

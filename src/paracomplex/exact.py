@@ -1,32 +1,63 @@
-"""Exact scalar tower: rationals, sparse multivariate polynomials, and
-rational functions in named patch variables.
+"""Exact scalar tower on integers: sparse multivariate polynomials and rational
+functions in named patch variables, points, and the one formatter of printed
+values.
 
-All coefficient arithmetic is done with ``fractions.Fraction``, so every
-operation in this package is exact and every identity test is literal
-equality.  A polynomial is a dict mapping exponent tuples (one entry per
-variable) to nonzero rational coefficients; the zero polynomial has an empty
-term dict.  A rational function keeps its denominator as a product of monic
-factors with multiplicities, which lets the arithmetic cancel repeated
-factors by trial exact division without a general multivariate gcd.
+A polynomial is a dict mapping exponent tuples (one entry per variable) to
+nonzero integer coefficients; the zero polynomial has an empty term dict.  A
+rational function is an integer numerator over a positive integer constant
+times primitive integer factors with positive leading coefficients, each with
+a multiplicity: the content / primitive-part representation (Geddes, Czapor
+and Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  A factor's key is
+the tuple of its terms, all integers, and the factored denominator lets the
+arithmetic cancel repeated factors by trial exact division without a general
+multivariate gcd.  A point is an integer pair (D, X) of a positive denominator
+and the numerators of its coordinates, and a value there is such a pair too,
+so every operation is exact and every identity test literal equality without
+a Fraction; `rat_str` prints a pair exactly as str(Fraction) does, and
+`paracomplex.reference` keeps the Fraction polynomial as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import mul
-from typing import Sequence, Union
+import re
+import sys
+from operator import add, mul
+from typing import Sequence
 
-Rational = Fraction
-Scalar = Union[int, Fraction]
 Exponent = tuple[int, ...]
+
+
+def rat_str(den: int, num: int) -> str:
+    """num / den in lowest terms as str(Fraction(num, den)) prints it.  Reading
+    an integer literal stays bounded by Python's limit on the digits of an int
+    converted to str (3.10.7 on), but a printed value is exact however long, so
+    the limit is lifted only while such a value is written."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    limit = None
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        return rat_str(den, num)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def point_strings(point: tuple) -> list[str]:
+    """The coordinates of a point (D, X) as rat_str prints them."""
+    den, xs = point
+    return [rat_str(den, x) for x in xs]
 
 
 class PoleAtPoint(ArithmeticError):
     """A denominator vanished at the evaluation point."""
 
     def __init__(self, point):
-        super().__init__(f"denominator factor vanishes at ({', '.join(map(str, point))})")
+        super().__init__(f"denominator factor vanishes at ({', '.join(point_strings(point))})")
 
 
 def _term_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -35,20 +66,16 @@ def _term_key(exps: Exponent) -> tuple[int, Exponent]:
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial with integer coefficients.
 
     Immutable by convention: no method mutates ``terms`` after construction.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[Exponent, int] | None = None):
         self.nvars = nvars
-        self.terms: dict[Exponent, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = Fraction(c)
+        self.terms: dict[Exponent, int] = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -57,14 +84,13 @@ class Poly:
         return Poly(nvars)
 
     @staticmethod
-    def const(nvars: int, value: Scalar) -> Poly:
-        c = Fraction(value)
-        return Poly(nvars, {(0,) * nvars: c} if c else None)
+    def const(nvars: int, value: int) -> Poly:
+        return Poly(nvars, {(0,) * nvars: value} if value else None)
 
     @staticmethod
     def var(i: int, nvars: int) -> Poly:
         e = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {e: Fraction(1)})
+        return Poly(nvars, {e: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -81,7 +107,7 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -91,7 +117,7 @@ class Poly:
         return hash((self.nvars, self.key()))
 
     def key(self) -> tuple:
-        """Canonical hashable identity of the polynomial."""
+        """Canonical hashable identity of the polynomial, a tuple of integers."""
         return tuple(sorted(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
@@ -99,7 +125,7 @@ class Poly:
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
             return other if other.nvars == self.nvars else None
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly.const(self.nvars, other)
         return None
 
@@ -109,11 +135,11 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
+                del terms[e]
         p = Poly(self.nvars)
         p.terms = terms
         return p
@@ -141,15 +167,15 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
-                    terms.pop(e, None)
+                    del terms[e]
         p = Poly(self.nvars)
         p.terms = terms
         return p
@@ -161,55 +187,61 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         return _power(self, k, mul)
 
-    def scale(self, c: Scalar) -> Poly:
-        c = Fraction(c)
-        if not c:
-            return Poly.zero(self.nvars)
+    def scale(self, c: int) -> Poly:
+        if c == 1:
+            return self
         p = Poly(self.nvars)
-        p.terms = {e: v * c for e, v in self.terms.items()}
+        p.terms = {e: v * c for e, v in self.terms.items()} if c else {}
         return p
 
-    # -- leading term, division -------------------------------------------
+    # -- leading term, content, division ---------------------------------------
 
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_term_key)
         return e, self.terms[e]
 
-    def monic(self) -> tuple[Poly, Fraction]:
-        """Return (self / lc, lc) where lc is the leading coefficient."""
-        _, lc = self.leading()
-        return self.scale(1 / lc), lc
+    def primitive(self) -> tuple[int, Poly]:
+        """(c, p) with self = c p for the primitive p whose leading coefficient
+        is positive: c is the content, with the sign of the leading coefficient."""
+        c = math.gcd(*self.terms.values())
+        if self.leading()[1] < 0:
+            c = -c
+        if c == 1:
+            return c, self
+        p = Poly(self.nvars)
+        p.terms = {e: v // c for e, v in self.terms.items()}
+        return c, p
 
     def exact_div(self, divisor: Poly) -> Poly | None:
-        """Exact polynomial quotient, or None when the division fails.
-
-        Single-divisor division w.r.t. the term order is a complete test of
-        divisibility: it reaches zero remainder iff divisor | self.
-        """
+        """The exact quotient with integer coefficients, or None when there is
+        none.  Single-divisor division w.r.t. the term order reaches zero
+        remainder iff divisor | self, and each quotient coefficient it forms is
+        one of the quotient's; by Gauss's lemma the quotient by a primitive
+        divisor over Q has integer coefficients, so for such a divisor None
+        means that it does not divide self over Q."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero(self.nvars)
         de, dc = divisor.leading()
         rem = dict(self.terms)
-        quot: dict[Exponent, Fraction] = {}
+        quot: dict[Exponent, int] = {}
         while rem:
             e = max(rem, key=_term_key)
-            c = rem[e]
             qe = tuple(a - b for a, b in zip(e, de))
-            if any(x < 0 for x in qe):
+            qc, r = divmod(rem[e], dc)
+            if r or any(x < 0 for x in qe):
                 return None
-            qc = c / dc
             quot[qe] = qc
             for fe, fc in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(qe, fe))
-                s = rem.get(t, Fraction(0)) - qc * fc
+                t = tuple(map(add, qe, fe))
+                s = rem.get(t, 0) - qc * fc
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
+                    del rem[t]
         q = Poly(self.nvars)
         q.terms = quot
         return q
@@ -219,33 +251,26 @@ class Poly:
     def partial(self, i: int) -> Poly:
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range")
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = tuple(a - 1 if j == i else a for j, a in enumerate(e))
-                terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
         p = Poly(self.nvars)
-        p.terms = {e: c for e, c in terms.items() if c}
+        p.terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]}
         return p
 
-    def jet_at(self, point: Sequence[Fraction], order: int = 0) -> tuple:
-        """(D, jet): the value, gradient and Hessian at the point as integers over
-        one denominator D > 0, jet being (value,), (value, gradient) or (value,
-        gradient, Hessian) for order 0, 1 or 2, as plain tuples.  Term by term:
-        with the point X / P, coefficients c / C and total degree N, D = C P^N
-        and a partial d^o has the numerator sum of c P^(N - |e| + o) d^o X^e."""
+    def jet_at(self, point: tuple, order: int = 0) -> tuple:
+        """(D, jet): the value, gradient and Hessian at the point (P, X), the
+        coordinates X / P, as integers over one denominator D > 0, jet being
+        (value,), (value, gradient) or (value, gradient, Hessian) for order 0,
+        1 or 2, as plain tuples.  Term by term: with the total degree N,
+        D = P^N and a partial d^o has the numerator sum of c P^(N - |e| + o) d^o X^e."""
+        den, xs = point
         n = self.nvars
-        if len(point) != n:
+        if len(xs) != n:
             raise ValueError("point length does not match variable count")
-        den = math.lcm(*(x.denominator for x in point))
-        cden = math.lcm(*(c.denominator for c in self.terms.values()))
         top = self.total_degree()
-        xs = [x.numerator * (den // x.denominator) for x in point]
         pw = [[x ** k for k in range(top + 1)] for x in xs]  # pw[i][k] = X_i^k
         ns = range(n)
         value, grad, hess = 0, [0] * n, [[0] * n for _ in ns]
         for e, c in self.terms.items():
-            c = c.numerator * (cden // c.denominator) * den ** (top - sum(e))
+            c = c * den ** (top - sum(e))
             m = [pw[i][k] for i, k in enumerate(e)]  # the factors of X^e, lowered in place
             value += c * math.prod(m)
             for i in range(n if order else 0):
@@ -269,11 +294,12 @@ class Poly:
             out += (tuple(grad),)
         if order > 1:
             out += (tuple(tuple(hess[min(i, k)][max(i, k)] for k in ns) for i in ns),)
-        return cden * den ** top, out
+        return den ** top, out
 
     # -- display -----------------------------------------------------------
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
+    def to_str(self, names: Sequence[str] | None = None, den: int = 1) -> str:
+        """The polynomial divided by den > 0, each coefficient printed by rat_str."""
         if not self.terms:
             return "0"
         if names is None:
@@ -288,11 +314,11 @@ class Poly:
                 elif k > 1:
                     factors.append(f"{name}^{k}")
             if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = rat_str(den, abs(c))
+            elif abs(c) == den:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
+                body = "*".join([rat_str(den, abs(c))] + factors)
             parts.append(("- " if c < 0 else "+ ") + body)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else ("-" + s[2:])
@@ -323,27 +349,33 @@ def _factors_mul(a: dict[tuple, tuple[Poly, int]], b: dict[tuple, tuple[Poly, in
 
 
 class RatFunc:
-    """Rational function num / prod(factor^mult) with monic denominator factors.
+    """Rational function num / (den prod(factor^mult)): an integer numerator, a
+    positive integer den that shares no factor with num's content, and
+    primitive integer factors with positive leading coefficients.
 
     Equality is decided by cross-multiplication; no gcd normalization is
     required for correctness.  Trial exact division against the stored
     factors keeps denominators reduced in the common power-of-one-factor
-    workloads (conformal metrics and their derivatives).
+    workloads (conformal metrics and their derivatives).  A factor p stands
+    for the monic p / lc(p), so the factors, multiplicities and printed form
+    are those of a numerator with rational coefficients over monic factors.
     """
 
-    __slots__ = ("nvars", "num", "factors")
+    __slots__ = ("nvars", "num", "den", "factors")
 
-    def __init__(self, num: Poly, factors: dict | None = None):
+    def __init__(self, num: Poly, factors: dict | None = None, den: int = 1):
         self.nvars = num.nvars
         self.num = num
+        self.den = den
         self.factors: dict[tuple, tuple[Poly, int]] = dict(factors) if factors else {}
         self._normalize()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(nvars: int, value: Scalar) -> RatFunc:
-        return RatFunc(Poly.const(nvars, value))
+    def const(nvars: int, value) -> RatFunc:
+        """The constant value, an int or a rational with numerator and denominator."""
+        return RatFunc(Poly.const(nvars, value.numerator), None, value.denominator)
 
     @staticmethod
     def zero(nvars: int) -> RatFunc:
@@ -361,7 +393,7 @@ class RatFunc:
 
     def _normalize(self) -> None:
         if self.num.is_zero():
-            self.factors = {}
+            self.factors, self.den = {}, 1
             return
         factors = {}
         for k, (p, m) in self.factors.items():
@@ -374,8 +406,13 @@ class RatFunc:
             if m > 0:
                 factors[k] = (p, m)
         self.factors = factors
+        g = math.gcd(self.den, *self.num.terms.values()) if self.den > 1 else 1
+        if g > 1:
+            self.num = Poly(self.nvars, {e: c // g for e, c in self.num.terms.items()})
+            self.den //= g
 
-    def den(self) -> Poly:
+    def _den_poly(self) -> Poly:
+        """The product of the factors to their multiplicities, without den."""
         d = Poly.const(self.nvars, 1)
         for p, m in self.factors.values():
             d = d * p ** m
@@ -386,9 +423,10 @@ class RatFunc:
             return other if other.nvars == self.nvars else None
         if isinstance(other, Poly):
             return RatFunc(other) if other.nvars == self.nvars else None
-        if isinstance(other, (int, Fraction)):
+        try:
             return RatFunc.const(self.nvars, other)
-        return None
+        except AttributeError:  # not an int or a rational
+            return None
 
     # -- predicates ----------------------------------------------------------
 
@@ -405,7 +443,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.num * o.den()) == (o.num * self.den())
+        return ((self.num * o._den_poly()).scale(o.den)
+                == (o.num * self._den_poly()).scale(self.den))
 
     def __hash__(self) -> int:
         raise TypeError("RatFunc is not hashable (equality is semantic)")
@@ -420,31 +459,28 @@ class RatFunc:
             return self
         if self.num.is_zero():
             return o
-        # common denominator: lcm of the factored forms
-        merged: dict[tuple, tuple[Poly, int]] = {}
-        for k, (p, m) in self.factors.items():
-            merged[k] = (p, m)
+        # common denominator: lcm of the constants and of the factored forms
+        merged: dict[tuple, tuple[Poly, int]] = dict(self.factors)
         for k, (p, m) in o.factors.items():
             if k in merged:
                 merged[k] = (p, max(merged[k][1], m))
             else:
                 merged[k] = (p, m)
-        num1 = self.num
-        for k, (p, m) in merged.items():
-            extra = m - (self.factors[k][1] if k in self.factors else 0)
-            if extra:
-                num1 = num1 * p ** extra
-        num2 = o.num
-        for k, (p, m) in merged.items():
-            extra = m - (o.factors[k][1] if k in o.factors else 0)
-            if extra:
-                num2 = num2 * p ** extra
-        return RatFunc(num1 + num2, merged)
+        den = math.lcm(self.den, o.den)
+        nums = []
+        for f in (self, o):
+            num = f.num.scale(den // f.den)
+            for k, (p, m) in merged.items():
+                extra = m - (f.factors[k][1] if k in f.factors else 0)
+                if extra:
+                    num = num * p ** extra
+            nums.append(num)
+        return RatFunc(nums[0] + nums[1], merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.factors)
+        return RatFunc(-self.num, self.factors, self.den)
 
     def __sub__(self, other) -> RatFunc:
         o = self._coerce(other)
@@ -462,7 +498,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, _factors_mul(self.factors, o.factors))
+        return RatFunc(self.num * o.num, _factors_mul(self.factors, o.factors), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -472,12 +508,12 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        inv_num = o.den()
-        monic, lc = o.num.monic()
+        c, prim = o.num.primitive()
         factors = dict(self.factors)
-        if not monic.is_const():
-            factors = _factors_mul(factors, {monic.key(): (monic, 1)})
-        return RatFunc(self.num * inv_num.scale(1 / lc), factors)
+        if not prim.is_const():
+            factors = _factors_mul(factors, {prim.key(): (prim, 1)})
+        num = (self.num * o._den_poly()).scale(o.den if c > 0 else -o.den)
+        return RatFunc(num, factors, self.den * abs(c))
 
     def __rtruediv__(self, other) -> RatFunc:
         o = self._coerce(other)
@@ -490,7 +526,8 @@ class RatFunc:
             return RatFunc.one(self.nvars) / self ** (-k)
         if k == 0:
             return RatFunc.one(self.nvars)
-        return RatFunc(self.num ** k, {key: (p, m * k) for key, (p, m) in self.factors.items()})
+        return RatFunc(self.num ** k, {key: (p, m * k) for key, (p, m) in self.factors.items()},
+                       self.den ** k)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -502,7 +539,7 @@ class RatFunc:
         which keeps the factored denominator structure.
         """
         if not self.factors:
-            return RatFunc(self.num.partial(i))
+            return RatFunc(self.num.partial(i), None, self.den)
         fs = list(self.factors.values())
         prod_all = Poly.const(self.nvars, 1)
         for p, _ in fs:
@@ -515,14 +552,15 @@ class RatFunc:
                     rest = rest * q
             top = top - self.num * p.partial(i).scale(m) * rest
         new_factors = {k: (p, m + 1) for k, (p, m) in self.factors.items()}
-        return RatFunc(top, new_factors)
+        return RatFunc(top, new_factors, self.den)
 
-    def jet_at(self, point: Sequence, order: int = 0, cache: dict | None = None) -> tuple:
-        """The jet at the point as Poly.jet_at gives it, (D, jet) on integers, by
-        the quotient rule once per multiplicity of each denominator factor.  Each
-        factor's jet is read from `cache` (factor key -> jet) or computed and
-        stored there, so a matrix computes it once."""
+    def jet_at(self, point: tuple, order: int = 0, cache: dict | None = None) -> tuple:
+        """The jet at the point (P, X) as Poly.jet_at gives it, (D, jet) on
+        integers, by the quotient rule once per multiplicity of each denominator
+        factor.  Each factor's jet is read from `cache` (factor key -> jet) or
+        computed and stored there, so a matrix computes it once."""
         den, jet = self.num.jet_at(point, order)
+        den *= self.den
         cache = {} if cache is None else cache
         for key, (p, m) in self.factors.items():
             u = cache.get(key)
@@ -537,19 +575,21 @@ class RatFunc:
                 den, jet = _jet_div(den, jet, u)
         return den, jet
 
-    def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        den, (value,) = self.jet_at(point)
-        return Fraction(value, den)
-
     # -- display ---------------------------------------------------------------
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
-        num = self.num.to_str(names)
-        if not self.factors:
+        """num / den over the monic factors p / lc(p), the factors ordered by
+        the terms of their monic forms, which are compared on integers over
+        the lcm of the leading coefficients."""
+        fs = [(p, m, p.leading()[1]) for p, m in self.factors.values()]
+        num = self.num.to_str(names, self.den * math.prod(lc ** m for _, m, lc in fs))
+        if not fs:
             return num
+        top = math.lcm(*(lc for *_, lc in fs))
+        fs.sort(key=lambda f: tuple((e, c * (top // f[2])) for e, c in f[0].key()))
         den_parts = []
-        for p, m in sorted(self.factors.values(), key=lambda fm: fm[0].key()):
-            base = f"({p.to_str(names)})"
+        for p, m, lc in fs:
+            base = f"({p.to_str(names, lc)})"
             den_parts.append(base if m == 1 else f"{base}^{m}")
         return f"({num})/({'*'.join(den_parts)})"
 
@@ -594,38 +634,66 @@ def _jet_div(den: int, a: tuple, u: tuple) -> tuple:
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 
+# (0,0,0,0), (1,0,0,0), (0,1,0,0), (1/2,-1/3,1/5,0) and (1,1,-1,1/2) as points (D, X)
 DEFAULT_POINTS = [
-    (0, 0, 0, 0),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), 0),
-    (1, 1, -1, Fraction(1, 2)),
+    (1, (0, 0, 0, 0)),
+    (1, (1, 0, 0, 0)),
+    (1, (0, 1, 0, 0)),
+    (30, (15, -10, 6, 0)),
+    (2, (2, 2, -2, 1)),
 ]
 
 
 # -- rational literals ---------------------------------------------------------------
 #
 # A point coordinate, or the c of constcurv:<c>, is a Fraction literal: 7, -1/2,
-# 0.25 or 1e-3.  Fraction expands a decimal exponent in full (1e9999999 is a
-# ten-million-digit integer), so the exponent is read first and bounded.
+# 0.25 or 1e-3, read by the grammar of fractions.Fraction on this interpreter:
+# underscores between digits from 3.11, spaces around "/" from 3.12, and in 3.11
+# and 3.12 a decimal part of the letter d, whose int() error Fraction passes on.
+# A decimal exponent is expanded in full (1e9999999 is a ten-million-digit
+# integer), so the exponent is read first and bounded.
 
 MAX_EXPONENT = 1000
 _DIGITS_BOUND = 10 ** (MAX_EXPONENT + 1)  # the least integer of MAX_EXPONENT + 2 digits
+_DIGITS = r"\d+" if sys.version_info < (3, 11) else r"\d+(?:_\d+)*"
+_SLASH = "/" if sys.version_info < (3, 12) else r"\s*/\s*"
+_DECIMAL = ("d*|" if (3, 11) <= sys.version_info < (3, 13) else "") + r"\d*|" + _DIGITS
+_LITERAL = (rf"\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|{_DIGITS})(?:(?:{_SLASH}(?P<denom>{_DIGITS}))?"
+            rf"|(?:\.(?P<decimal>{_DECIMAL}))?(?:E(?P<exp>[-+]?{_DIGITS}))?)\s*\Z")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The Fraction literal text, whose decimal exponent is at most MAX_EXPONENT
-    in magnitude and whose numerator and denominator have at most
-    MAX_EXPONENT + 1 digits (1e1000 has 1001); ValueError for another literal,
+def parse_rational(text: str) -> tuple[int, int]:
+    """The Fraction literal text as an integer pair (d, n) in lowest terms, d > 0,
+    for the value n / d, whose decimal exponent is at most MAX_EXPONENT in
+    magnitude and whose n and d have at most MAX_EXPONENT + 1 digits (1e1000
+    has 1001); ValueError with Fraction's text for another literal,
     ZeroDivisionError for n/0."""
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
     if exponent.isdecimal() and (len(exponent.lstrip("0")) > 4 or int(exponent) > MAX_EXPONENT):
         raise ValueError(f"the exponent of {text.strip()!r} is above {MAX_EXPONENT} in magnitude")
-    value = Fraction(text)
-    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+    m = re.match(_LITERAL, text, re.IGNORECASE)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    num, den = int(m["num"] or "0"), 1
+    if m["denom"]:
+        den = int(m["denom"])
+    else:
+        if m["decimal"]:
+            decimal = m["decimal"].replace("_", "")
+            num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
+        if m["exp"]:
+            exp = int(m["exp"])
+            num, den = (num * 10 ** exp, den) if exp >= 0 else (num, den * 10 ** -exp)
+    if m["sign"] == "-":
+        num = -num
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if max(abs(num), den) >= _DIGITS_BOUND:
         raise ValueError(f"the numerator or denominator of {text.strip()!r} has more than "
                          f"{MAX_EXPONENT + 1} digits")
-    return value
+    return den, num
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -779,14 +847,18 @@ def parse_ratfunc(text: str, variables: Sequence[str]) -> RatFunc:
             k = int(tok)
             deg = max(base.num.total_degree(),
                       sum(m * p.total_degree() for p, m in base.factors.values()))
-            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+            # the bit length of each coefficient of base's numerator over monic
+            # factors, in lowest terms
+            d = base.den * math.prod(p.leading()[1] ** m for p, m in base.factors.values())
+            bits = max(((max(abs(c), d) // math.gcd(c, d)).bit_length()
                         for c in base.num.terms.values()), default=0)
             if max(k, k * deg) > MAX_POWER or k * bits > MAX_POWER_BITS:
                 raise ValueError(f"power ^{tok} is above the bound: {MAX_POWER} on the exponent "
                                  f"and the degree, {MAX_POWER_BITS} on the coefficient bits")
             # base ** k, with each squaring checked
             return RatFunc(_power(base.num, k, times),
-                           {key: (p, m * k) for key, (p, m) in base.factors.items()})
+                           {key: (p, m * k) for key, (p, m) in base.factors.items()},
+                           base.den ** k)
         return base
 
     def atom() -> RatFunc:

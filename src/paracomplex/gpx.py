@@ -57,7 +57,7 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     at p, int_inv gives W A = d Id, so omega(p)^-1 = D0 A / d, and
     d(omega^-1) = -omega^-1 (d omega) omega^-1.  PoleAtPoint where the data
     has a pole or det omega(p) = 0."""
-    n = len(point)
+    n = len(data)
     (d0, v), *jet = int_jet(data, point, order)
     d1, dv = jet[0] if jet else (1, [])
     z = [[0] * n] * n

@@ -3,23 +3,21 @@
 Matrices are dense lists of lists.  At a point every command works on a pair
 (D, M) of a positive denominator and an integer matrix, standing for M / D:
 `int_jet` reads a field's value and partials there, `bareiss` is the one
-fraction-free elimination (pivots, ranks, determinants and, by `int_inv`,
-inverses), and the dim-4 Hodge star (`star_matrix`) and J-triples
-(`j_structures`) are built on integers; `frac_mat` gives a Fraction view of a
-value that is printed.  The symbolic checks of a descriptor's data multiply
-matrices of RatFuncs (`mat_mul`, `pfaffian`), and the frame search of `curv`
-reads `kernel_basis` over Q.  The Fraction wrappers of forms, endomorphisms
-and 2-vectors, and the routines only they use, are in `paracomplex.reference`.
+fraction-free elimination (pivots, ranks, determinants, by `int_inv` inverses
+and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`) and
+J-triples (`j_structures`) are built on integers, and `mat_to_strings`
+prints such a pair.  The symbolic checks of a descriptor's data multiply
+matrices of RatFuncs (`mat_mul`, `pfaffian`).  The Fraction wrappers of
+matrices, forms, endomorphisms and 2-vectors, and the routines only they
+use, are in `paracomplex.reference`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
-from paracomplex.exact import RatFunc
+from paracomplex.exact import rat_str
 
 Vec = list
 Mat = list
@@ -29,15 +27,7 @@ class SingularMatrix(ZeroDivisionError):
     """Exact inversion of a singular matrix was attempted."""
 
 
-# -- scalar helpers ---------------------------------------------------------
-
-
-def zero_like(x):
-    return RatFunc.zero(x.nvars) if isinstance(x, RatFunc) else Fraction(0)
-
-
-def one_like(x):
-    return RatFunc.one(x.nvars) if isinstance(x, RatFunc) else Fraction(1)
+# -- sparse sums ----------------------------------------------------------
 
 
 def sparse_add(comps: dict, key, value) -> None:
@@ -52,20 +42,7 @@ def sparse_add(comps: dict, key, value) -> None:
         del comps[key]
 
 
-# -- vectors ----------------------------------------------------------------
-
-
-def basis_vec(i: int, n: int, like=Fraction(1)) -> Vec:
-    z, o = zero_like(like), one_like(like)
-    return [o if j == i else z for j in range(n)]
-
-
 # -- matrices ----------------------------------------------------------------
-
-
-def mat_identity(n: int, like=Fraction(1)) -> Mat:
-    z, o = zero_like(like), one_like(like)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -82,14 +59,6 @@ def mat_neg(a: Mat) -> Mat:
 
 def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
-
-
-def int_mats(mats) -> tuple[int, list]:
-    """(D, [D m for m in mats]) with D the lcm of the entries' denominators, so
-    every scaled matrix is an integer one; AttributeError for a RatFunc entry."""
-    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m]
-                 for m in mats]
 
 
 def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
@@ -138,12 +107,6 @@ def int_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    try:
-        (da, (ia,)), (db, (ib,)) = int_mats([a]), int_mats([b])
-    except AttributeError:
-        pass
-    else:
-        return frac_mat(da * db, int_mul(ia, ib))
     n, k, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
@@ -180,8 +143,8 @@ def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
-def int_jet(a: Mat, point, order: int = 0) -> tuple:
-    """A matrix of RatFuncs at the point on integers: ((D0, A),) with A / D0 the
+def int_jet(a: Mat, point: tuple, order: int = 0) -> tuple:
+    """A matrix of RatFuncs at the point (P, X) on integers: ((D0, A),) with A / D0 the
     matrix A(p), then (D1, [dA_i]) with dA_i / D1 = d_i A(p) for order 1, then
     (D2, [[ddA_ik]]) with ddA_ik / D2 = d_i d_k A(p) for order 2, each over its
     least common denominator, from one RatFunc.jet_at per entry; each
@@ -190,7 +153,7 @@ def int_jet(a: Mat, point, order: int = 0) -> tuple:
     jets = [[c.jet_at(point, order, cache) for c in row] for row in a]
     den = math.lcm(*(d for row in jets for d, _ in row))
     jets = [[(den // d, j) for d, j in row] for row in jets]
-    ns = range(len(point))
+    ns = range(len(point[1]))
     parts = [[[f * j[0] for f, j in row] for row in jets]]
     if order:
         parts.append([[[f * j[1][i] for f, j in row] for row in jets] for i in ns])
@@ -212,11 +175,6 @@ def _reduced(den: int, part: list, depth: int) -> tuple:
     return den // g, part
 
 
-def frac_mat(den: int, m: Mat) -> Mat:
-    """The Fraction matrix m / den of an integer matrix."""
-    return [[Fraction(x, den) for x in row] for row in m]
-
-
 def pfaffian(m: Mat, rows: tuple, memo: dict):
     """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
     expanded along the first index, so 0 for an odd count, with no division;
@@ -230,21 +188,23 @@ def pfaffian(m: Mat, rows: tuple, memo: dict):
     return memo[rows]
 
 
-def kernel_basis(rows: Mat, ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel {v : rows v = 0} over Q, one vector per free
-    column of the reduced row echelon form R / d of bareiss; ncols gives the
-    width of an empty row list."""
+def kernel_basis(rows: Mat, ncols: int | None = None) -> tuple[int, list]:
+    """A basis of the right kernel {v : rows v = 0} over Q of an integer
+    matrix, one vector per free column of the reduced row echelon form R / d
+    of bareiss: 1 there and -R[i][fc] / d at the pivot of row i.  As an
+    integer pair (|d|, [V_1, ...]) with the vectors V_k / |d|; ncols gives
+    the width of an empty row list."""
     n = len(rows[0]) if rows else ncols or 0
-    _, (m,) = int_mats([rows])
-    r, pivots, d, _ = bareiss(m)
+    r, pivots, d, _ = bareiss(rows)
+    s = 1 if d > 0 else -1
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [0] * n
+        v[fc] = s * d
         for row, pc in zip(r, pivots):
-            v[pc] = Fraction(-row[fc], d)
+            v[pc] = -s * row[fc]
         basis.append(v)
-    return basis
+    return s * d, basis
 
 
 def wedge_pairs(n: int) -> list[tuple[int, int]]:
@@ -305,8 +265,6 @@ def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:
 # -- serialization ----------------------------------------------------------------
 
 
-def mat_to_strings(m: Mat, names: Sequence[str] | None = None) -> list[list[str]]:
-    out = []
-    for row in m:
-        out.append([x.to_str(names) if isinstance(x, RatFunc) else str(x) for x in row])
-    return out
+def mat_to_strings(den: int, m: Mat) -> list[list[str]]:
+    """The entries of the matrix m / den as rat_str prints them."""
+    return [[rat_str(den, x) for x in row] for row in m]

@@ -11,8 +11,8 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from paracomplex.linalg import (basis_vec, int_mul, j_structures, kernel_basis, mat_add,
-                                mat_is_zero, mat_neg, mat_scale, mat_vec, transpose)
+from paracomplex.linalg import (int_mul, j_structures, kernel_basis, mat_add, mat_is_zero,
+                                mat_neg, mat_scale, mat_vec, transpose)
 
 
 def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
@@ -33,13 +33,11 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
 # -- orthogonal complements -----------------------------------------------------
 
 
-def _orthogonal_complement_basis(g: list, span: list) -> list:
-    """Basis of {w : g(v, w) = 0 for v in span} over Q, for the matrix g."""
-    n = len(g)
-    if not span:
-        return [basis_vec(i, n) for i in range(n)]
-    rows = [mat_vec(transpose(g), v) for v in span]  # w -> g(v, w) coefficients
-    return kernel_basis(rows, n)
+def _orthogonal_complement_basis(gm: list, span: list) -> tuple[int, list]:
+    """A basis of {w : g(v, w) = 0 for v in span} over Q, as kernel_basis gives
+    it, for an integer matrix gm, a positive multiple of g, and integer
+    vectors span, each a positive multiple of its vector."""
+    return kernel_basis([mat_vec(transpose(gm), v) for v in span], len(gm))
 
 
 # -- the hyperboloid model in dimension 4 ----------------------------------------------

@@ -18,8 +18,7 @@ import itertools
 
 from paracomplex.exact import RatFunc
 from paracomplex.gpx import GenVector
-from paracomplex.linalg import (mat_eq, mat_identity, mat_mul, mat_neg, mat_vec, pfaffian,
-                                sparse_add, transpose)
+from paracomplex.linalg import mat_eq, mat_mul, mat_neg, mat_vec, pfaffian, sparse_add, transpose
 
 
 def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -155,7 +154,8 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
     if kind == "omega" and not certified and not pfaffian(data, tuple(range(len(data))), {}):
         raise ValueError("omega field is degenerate")
     if kind == "product":
-        ident = mat_identity(len(data), like=data[0][0])
+        n = len(data)
+        ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
         if not mat_eq(mat_mul(data, data), ident):
             raise ValueError("P^2 != Id as a rational-function identity")
         if mat_eq(data, ident) or mat_eq(data, mat_neg(ident)):

@@ -2,8 +2,13 @@
 the tests and the demos use with them.
 
 No command imports this module, so a CLI start never compiles it.  It holds
-the Fraction wrappers the commands no longer use: vectors and matrices over
-the scalar tower (`mat_inv`, `mat_rank`, `mat_jet`), bilinear forms (with
+the Fraction oracle of the integer scalar tower (`FractionPoly` and
+`FractionRatFunc`, the polynomial and rational function with Fraction
+coefficients over monic factors that `exact` replaced), `int_point` and
+`eval_at` between Fraction points and the integer points (D, X) of the
+commands, and the Fraction wrappers the commands no longer use: vectors and
+matrices over the scalar tower (`frac_mat`, `int_mats`, `mat_inv`,
+`mat_rank`, `mat_jet`), bilinear forms (with
 Sylvester inertia, `signature`), endomorphisms, 2-vectors, the algebra of
 sections (`GenVector`), structures on T + T* (`GenEndo`) and generalized
 metrics (`gen_metric`), with the entries that convert them to the integer
@@ -23,26 +28,24 @@ are those of the module each routine builds on (`curv` for curvature signs,
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from paracomplex.curv import DegenerateMetric, _riemann
-from paracomplex.exact import RatFunc
+from paracomplex.exact import RatFunc, _factors_mul, _term_key
 from paracomplex.gpx import GenVector as _GenVector
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
 from paracomplex.linalg import (
     SingularMatrix,
     bareiss,
-    basis_vec,
-    frac_mat,
     int_inv,
     int_jet,
-    int_mats,
     j_structures,
     kernel_basis,
     mat_add,
     mat_eq,
-    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -51,7 +54,6 @@ from paracomplex.linalg import (
     mat_vec,
     sparse_add,
     transpose,
-    zero_like,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
 from paracomplex.para import _orthogonal_complement_basis, validate_para
@@ -67,7 +69,539 @@ Vec = list
 Mat = list
 
 
+# -- the Fraction oracle of the scalar tower, and points ------------------------------
+
+
+def int_point(values: Sequence) -> tuple:
+    """The point (D, X) of the commands for a sequence of Fractions and ints,
+    D their least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def eval_at(f: RatFunc, point: Sequence) -> Fraction:
+    """The value of a RatFunc at a point of Fractions and ints."""
+    den, (value,) = f.jet_at(int_point(point))
+    return Fraction(value, den)
+
+
+class FractionPoly:
+    """Multivariate polynomial with Fraction coefficients: exact.Poly as it was
+    before its coefficients became integers, kept as the oracle of that one.
+
+    Immutable by convention: no method mutates ``terms`` after construction.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict[tuple, Fraction] | None = None):
+        self.nvars = nvars
+        self.terms: dict[tuple, Fraction] = {}
+        if terms:
+            for e, c in terms.items():
+                if c:
+                    self.terms[e] = Fraction(c)
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero(nvars: int) -> FractionPoly:
+        return FractionPoly(nvars)
+
+    @staticmethod
+    def const(nvars: int, value) -> FractionPoly:
+        c = Fraction(value)
+        return FractionPoly(nvars, {(0,) * nvars: c} if c else None)
+
+    @staticmethod
+    def var(i: int, nvars: int) -> FractionPoly:
+        e = tuple(1 if j == i else 0 for j in range(nvars))
+        return FractionPoly(nvars, {e: Fraction(1)})
+
+    # -- predicates --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_const(self) -> bool:
+        return all(not any(e) for e in self.terms)
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = FractionPoly.const(self.nvars, other)
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.key()))
+
+    def key(self) -> tuple:
+        """Canonical hashable identity of the polynomial."""
+        return tuple(sorted(self.terms.items()))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _coerce(self, other) -> FractionPoly | None:
+        if isinstance(other, FractionPoly):
+            return other if other.nvars == self.nvars else None
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly.const(self.nvars, other)
+        return None
+
+    def __add__(self, other) -> FractionPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for e, c in o.terms.items():
+            s = terms.get(e, Fraction(0)) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        p = FractionPoly(self.nvars)
+        p.terms = terms
+        return p
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionPoly:
+        p = FractionPoly(self.nvars)
+        p.terms = {e: -c for e, c in self.terms.items()}
+        return p
+
+    def __sub__(self, other) -> FractionPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> FractionPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other) -> FractionPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        terms: dict[tuple, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = terms.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+        p = FractionPoly(self.nvars)
+        p.terms = terms
+        return p
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> FractionPoly:
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        result = FractionPoly.const(self.nvars, 1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def scale(self, c) -> FractionPoly:
+        c = Fraction(c)
+        if not c:
+            return FractionPoly.zero(self.nvars)
+        p = FractionPoly(self.nvars)
+        p.terms = {e: v * c for e, v in self.terms.items()}
+        return p
+
+    # -- leading term, division -------------------------------------------
+
+    def leading(self) -> tuple[tuple, Fraction]:
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        e = max(self.terms, key=_term_key)
+        return e, self.terms[e]
+
+    def monic(self) -> tuple[FractionPoly, Fraction]:
+        """Return (self / lc, lc) where lc is the leading coefficient."""
+        _, lc = self.leading()
+        return self.scale(1 / lc), lc
+
+    def exact_div(self, divisor: FractionPoly) -> FractionPoly | None:
+        """Exact polynomial quotient, or None when the division fails.
+
+        Single-divisor division w.r.t. the term order is a complete test of
+        divisibility: it reaches zero remainder iff divisor | self.
+        """
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero():
+            return FractionPoly.zero(self.nvars)
+        de, dc = divisor.leading()
+        rem = dict(self.terms)
+        quot: dict[tuple, Fraction] = {}
+        while rem:
+            e = max(rem, key=_term_key)
+            c = rem[e]
+            qe = tuple(a - b for a, b in zip(e, de))
+            if any(x < 0 for x in qe):
+                return None
+            qc = c / dc
+            quot[qe] = qc
+            for fe, fc in divisor.terms.items():
+                t = tuple(a + b for a, b in zip(qe, fe))
+                s = rem.get(t, Fraction(0)) - qc * fc
+                if s:
+                    rem[t] = s
+                else:
+                    rem.pop(t, None)
+        q = FractionPoly(self.nvars)
+        q.terms = quot
+        return q
+
+    # -- calculus ----------------------------------------------------------
+
+    def partial(self, i: int) -> FractionPoly:
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"variable index {i} out of range")
+        terms: dict[tuple, Fraction] = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                ne = tuple(a - 1 if j == i else a for j, a in enumerate(e))
+                terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
+        p = FractionPoly(self.nvars)
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
+    def jet_at(self, point: Sequence[Fraction], order: int = 0) -> tuple:
+        """(D, jet): the value, gradient and Hessian at the point as integers over
+        one denominator D > 0, jet being (value,), (value, gradient) or (value,
+        gradient, Hessian) for order 0, 1 or 2, as plain tuples.  Term by term:
+        with the point X / P, coefficients c / C and total degree N, D = C P^N
+        and a partial d^o has the numerator sum of c P^(N - |e| + o) d^o X^e."""
+        n = self.nvars
+        if len(point) != n:
+            raise ValueError("point length does not match variable count")
+        den = math.lcm(*(x.denominator for x in point))
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        xs = [x.numerator * (den // x.denominator) for x in point]
+        pw = [[x ** k for k in range(top + 1)] for x in xs]  # pw[i][k] = X_i^k
+        ns = range(n)
+        value, grad, hess = 0, [0] * n, [[0] * n for _ in ns]
+        for e, c in self.terms.items():
+            c = c.numerator * (cden // c.denominator) * den ** (top - sum(e))
+            m = [pw[i][k] for i, k in enumerate(e)]  # the factors of X^e, lowered in place
+            value += c * math.prod(m)
+            for i in range(n if order else 0):
+                if not e[i]:
+                    continue
+                m[i], mi = pw[i][e[i] - 1], m[i]
+                ci = c * den * e[i]
+                grad[i] += ci * math.prod(m)
+                if order > 1 and e[i] > 1:
+                    m[i] = pw[i][e[i] - 2]
+                    hess[i][i] += ci * den * (e[i] - 1) * math.prod(m)
+                    m[i] = pw[i][e[i] - 1]
+                for k in range(i + 1, n if order > 1 else 0):
+                    if e[k]:
+                        m[k], mk = pw[k][e[k] - 1], m[k]
+                        hess[i][k] += ci * den * e[k] * math.prod(m)
+                        m[k] = mk
+                m[i] = mi
+        out = (value,)
+        if order:
+            out += (tuple(grad),)
+        if order > 1:
+            out += (tuple(tuple(hess[min(i, k)][max(i, k)] for k in ns) for i in ns),)
+        return cden * den ** top, out
+
+    # -- display -----------------------------------------------------------
+
+    def to_str(self, names: Sequence[str] | None = None) -> str:
+        if not self.terms:
+            return "0"
+        if names is None:
+            names = [f"x{i + 1}" for i in range(self.nvars)]
+        parts = []
+        for e in sorted(self.terms, key=_term_key, reverse=True):
+            c = self.terms[e]
+            factors = []
+            for name, k in zip(names, e):
+                if k == 1:
+                    factors.append(name)
+                elif k > 1:
+                    factors.append(f"{name}^{k}")
+            if not factors:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(abs(c))] + factors)
+            parts.append(("- " if c < 0 else "+ ") + body)
+        s = " ".join(parts)
+        return s[2:] if s.startswith("+ ") else ("-" + s[2:])
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({self.to_str()})"
+
+
+class FractionRatFunc:
+    """Rational function num / prod(factor^mult) with Fraction coefficients
+    and monic denominator factors: exact.RatFunc as it was before it moved to
+    integers, whose printed form and factors the integer one keeps.
+
+    Equality is decided by cross-multiplication; no gcd normalization is
+    required for correctness.  Trial exact division against the stored
+    factors keeps denominators reduced in the common power-of-one-factor
+    workloads (conformal metrics and their derivatives).
+    """
+
+    __slots__ = ("nvars", "num", "factors")
+
+    def __init__(self, num: FractionPoly, factors: dict | None = None):
+        self.nvars = num.nvars
+        self.num = num
+        self.factors: dict[tuple, tuple[FractionPoly, int]] = dict(factors) if factors else {}
+        self._normalize()
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def const(nvars: int, value) -> FractionRatFunc:
+        return FractionRatFunc(FractionPoly.const(nvars, value))
+
+    @staticmethod
+    def zero(nvars: int) -> FractionRatFunc:
+        return FractionRatFunc(FractionPoly.zero(nvars))
+
+    @staticmethod
+    def one(nvars: int) -> FractionRatFunc:
+        return FractionRatFunc(FractionPoly.const(nvars, 1))
+
+    @staticmethod
+    def var(i: int, nvars: int) -> FractionRatFunc:
+        return FractionRatFunc(FractionPoly.var(i, nvars))
+
+    # -- internals ----------------------------------------------------------
+
+    def _normalize(self) -> None:
+        if self.num.is_zero():
+            self.factors = {}
+            return
+        factors = {}
+        for k, (p, m) in self.factors.items():
+            while m > 0:
+                q = self.num.exact_div(p)
+                if q is None:
+                    break
+                self.num = q
+                m -= 1
+            if m > 0:
+                factors[k] = (p, m)
+        self.factors = factors
+
+    def den(self) -> FractionPoly:
+        d = FractionPoly.const(self.nvars, 1)
+        for p, m in self.factors.values():
+            d = d * p ** m
+        return d
+
+    def _coerce(self, other) -> FractionRatFunc | None:
+        if isinstance(other, FractionRatFunc):
+            return other if other.nvars == self.nvars else None
+        if isinstance(other, FractionPoly):
+            return FractionRatFunc(other) if other.nvars == self.nvars else None
+        if isinstance(other, (int, Fraction)):
+            return FractionRatFunc.const(self.nvars, other)
+        return None
+
+    # -- predicates ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_const(self) -> bool:
+        return self.num.is_zero() or (self.num.is_const() and not self.factors)
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.num * o.den()) == (o.num * self.den())
+
+    def __hash__(self) -> int:
+        raise TypeError("RatFunc is not hashable (equality is semantic)")
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __add__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return o
+        # common denominator: lcm of the factored forms
+        merged: dict[tuple, tuple[FractionPoly, int]] = {}
+        for k, (p, m) in self.factors.items():
+            merged[k] = (p, m)
+        for k, (p, m) in o.factors.items():
+            if k in merged:
+                merged[k] = (p, max(merged[k][1], m))
+            else:
+                merged[k] = (p, m)
+        num1 = self.num
+        for k, (p, m) in merged.items():
+            extra = m - (self.factors[k][1] if k in self.factors else 0)
+            if extra:
+                num1 = num1 * p ** extra
+        num2 = o.num
+        for k, (p, m) in merged.items():
+            extra = m - (o.factors[k][1] if k in o.factors else 0)
+            if extra:
+                num2 = num2 * p ** extra
+        return FractionRatFunc(num1 + num2, merged)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionRatFunc:
+        return FractionRatFunc(-self.num, self.factors)
+
+    def __sub__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionRatFunc(self.num * o.num, _factors_mul(self.factors, o.factors))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        inv_num = o.den()
+        monic, lc = o.num.monic()
+        factors = dict(self.factors)
+        if not monic.is_const():
+            factors = _factors_mul(factors, {monic.key(): (monic, 1)})
+        return FractionRatFunc(self.num * inv_num.scale(1 / lc), factors)
+
+    def __rtruediv__(self, other) -> FractionRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, k: int) -> FractionRatFunc:
+        if k < 0:
+            return FractionRatFunc.one(self.nvars) / self ** (-k)
+        if k == 0:
+            return FractionRatFunc.one(self.nvars)
+        return FractionRatFunc(self.num ** k, {key: (p, m * k) for key, (p, m) in self.factors.items()})
+
+    # -- calculus ---------------------------------------------------------------
+
+    def partial(self, i: int) -> FractionRatFunc:
+        """Exact quotient-rule derivative w.r.t. variable i.
+
+        With den = prod f_s^{m_s} the derivative is
+        [num' * prod f_s - num * sum m_s f_s' prod_{t!=s} f_t] / prod f_s^{m_s+1},
+        which keeps the factored denominator structure.
+        """
+        if not self.factors:
+            return FractionRatFunc(self.num.partial(i))
+        fs = list(self.factors.values())
+        prod_all = FractionPoly.const(self.nvars, 1)
+        for p, _ in fs:
+            prod_all = prod_all * p
+        top = self.num.partial(i) * prod_all
+        for s, (p, m) in enumerate(fs):
+            rest = FractionPoly.const(self.nvars, 1)
+            for t, (q, _) in enumerate(fs):
+                if t != s:
+                    rest = rest * q
+            top = top - self.num * p.partial(i).scale(m) * rest
+        new_factors = {k: (p, m + 1) for k, (p, m) in self.factors.items()}
+        return FractionRatFunc(top, new_factors)
+
+    # -- display ---------------------------------------------------------------
+
+    def to_str(self, names: Sequence[str] | None = None) -> str:
+        num = self.num.to_str(names)
+        if not self.factors:
+            return num
+        den_parts = []
+        for p, m in sorted(self.factors.values(), key=lambda fm: fm[0].key()):
+            base = f"({p.to_str(names)})"
+            den_parts.append(base if m == 1 else f"{base}^{m}")
+        return f"({num})/({'*'.join(den_parts)})"
+
+    def __repr__(self) -> str:
+        return f"FractionRatFunc({self.to_str()})"
+
+
 # -- the Fraction wrappers: vectors and matrices, forms, endomorphisms, 2-vectors, T + T* ------
+
+
+def zero_like(x):
+    return RatFunc.zero(x.nvars) if isinstance(x, RatFunc) else Fraction(0)
+
+
+def one_like(x):
+    return RatFunc.one(x.nvars) if isinstance(x, RatFunc) else Fraction(1)
+
+
+def basis_vec(i: int, n: int, like=Fraction(1)) -> Vec:
+    z, o = zero_like(like), one_like(like)
+    return [o if j == i else z for j in range(n)]
+
+
+def mat_identity(n: int, like=Fraction(1)) -> Mat:
+    z, o = zero_like(like), one_like(like)
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def int_mats(mats) -> tuple[int, list]:
+    """(D, [D m for m in mats]) with D the lcm of the entries' denominators, so
+    every scaled matrix is an integer one; AttributeError for a RatFunc entry."""
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+                 for m in mats]
+
+
+def frac_mat(den: int, m: Mat) -> Mat:
+    """The Fraction matrix m / den of an integer matrix."""
+    return [[Fraction(x, den) for x in row] for row in m]
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -85,9 +619,9 @@ def mat_zero(n: int, m: int | None = None, like=Fraction(1)) -> Mat:
 
 
 def mat_jet(a: Mat, point, order: int = 0) -> tuple:
-    """int_jet in Fractions: (A(p),), then [d_i A(p)] for order 1, then
-    [[d_i d_j A(p)]] for order 2."""
-    (d0, value), *rest = int_jet(a, point, order)
+    """int_jet in Fractions at a point of Fractions: (A(p),), then [d_i A(p)]
+    for order 1, then [[d_i d_j A(p)]] for order 2."""
+    (d0, value), *rest = int_jet(a, int_point(point), order)
     out = (frac_mat(d0, value),)
     if order:
         out += ([frac_mat(rest[0][0], m) for m in rest[0][1]],)
@@ -617,6 +1151,13 @@ def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
     return None
 
 
+def orthogonal_complement(g: list, span: list) -> list:
+    """para._orthogonal_complement_basis for a matrix and vectors of Fractions,
+    as Fraction vectors."""
+    return frac_mat(*_orthogonal_complement_basis(as_ints(g)[1],
+                                                  [as_ints([v])[1][0] for v in span]))
+
+
 def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
     """Inductive para-Hermitian basis: vectors (e_1..e_n, Ke_1..Ke_n) with
     g(e_i, e_j) = lam_i delta_ij for positive rationals lam_i and all other
@@ -634,7 +1175,7 @@ def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
     es: list = []
     norms: list = []
     while len(span) < n2:
-        complement = _orthogonal_complement_basis(g.mat, span)
+        complement = orthogonal_complement(g.mat, span)
         v = _positive_norm_vector(g, complement)
         if v is None:
             raise ValueError("no positive-norm rational vector in the complement")
@@ -727,7 +1268,7 @@ def fiber_tangent_dim(g: Bilinear, k: Endo) -> int:
 def fiber_tangent_basis(g: Bilinear, k: Endo) -> list:
     """Basis of the fiber tangent space at K, as endomorphisms."""
     n = g.dim
-    flat = kernel_basis(_fiber_constraint_rows(g, k), n * n)
+    flat = frac_mat(*kernel_basis(as_ints(_fiber_constraint_rows(g, k))[1], n * n))
     return [Endo([v[i * n:(i + 1) * n] for i in range(n)]) for v in flat]
 
 
@@ -1079,8 +1620,9 @@ def metricity_residual(conn: Connection, g: list) -> bool:
 
 def riemann_at(g: list, point) -> list:
     """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
-    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet."""
-    *_, den, r = _riemann(g, point)
+    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet,
+    at a point of Fractions."""
+    *_, den, r = _riemann(g, int_point(point))
     return [[[[Fraction(x, den) for x in c] for c in b] for b in a] for a in r]
 
 
@@ -1186,10 +1728,14 @@ def vertical_pair_basis(g_at: Bilinear, kpair: tuple[Endo, Endo]) -> list:
 def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
                            a: GenVector, b: GenVector, point) -> GenVector:
     """N_P(A, B) minus the right-hand side of the obstruction identity;
-    identically zero at the point for all inputs iff dTheta vanishes there."""
-    dth_at = {idx: c.eval_at(point) for idx, c in ext_deriv(theta).comps.items()}
-    ((den, gm),) = int_jet(g, point)
-    n_p, cond_rhs = np_residual_terms((den, gm), torsion_at((den, gm), dth_at), dth_at,
-                                      as_ints(s1.mat), as_ints(s2.mat), a.stacked(), b.stacked())
-    res = [u - v for u, v in zip(n_p, cond_rhs)]
+    identically zero at the point for all inputs iff dTheta vanishes there;
+    the point, the sections and S1, S2 in Fractions."""
+    point, comps = int_point(point), ext_deriv(theta).comps
+    ((dd, (values,)),) = int_jet([list(comps.values())], point)
+    dth_at = (dd, dict(zip(comps, values)))
+    (g_at,) = int_jet(g, point)
+    (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
+    den, n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at,
+                                           as_ints(s1.mat), as_ints(s2.mat), ia, ib)
+    res = [Fraction(u - v, den * da * db) for u, v in zip(n_p, cond_rhs)]
     return GenVector(res[:len(g)], res[len(g):])

@@ -24,11 +24,8 @@ from paracomplex.curv import (
 )
 from paracomplex.exact import RatFunc, parse_ratfunc
 from paracomplex.linalg import (
-    basis_vec,
-    frac_mat,
     mat_add,
     mat_eq,
-    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -50,16 +47,20 @@ from paracomplex.reference import (
     as_ints,
     assemble_endo,
     b_bracket_residual,
+    basis_vec,
     classical_nijenhuis,
     extract_pair,
     fiber_tangent_dim,
+    frac_mat,
     gen_metric,
     hitchin_connection,
     horizontal_np_residual,
     hyperboloid_structure,
     induced_orientation,
+    int_point,
     is_compatible_endo,
     mat_eval,
+    mat_identity,
     mat_inv,
     mat_rank,
     mat_zero,
@@ -88,7 +89,9 @@ def bivector(n: int, comps: dict) -> list:
 
 def parts_sum(dec) -> list:
     """(s/12) Id + B + W of a curvature decomposition, in Fractions."""
-    return mat_add(mat_add(mat_scale(dec.s / 12, mat_identity(6)), dec.b_part), dec.w_part)
+    s = Fraction(dec.int_s[1], dec.int_s[0])
+    return mat_add(mat_add(mat_scale(s / 12, mat_identity(6)), frac_mat(*dec.int_b)),
+                   frac_mat(*dec.int_w))
 
 
 V = ["x1", "x2", "x3", "x4"]
@@ -244,14 +247,15 @@ def test_acceptance_5_curvature_decomposition():
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
     for p in pts:
-        op = curvature_operator(m.g, p)
-        assert op.s == 12
-        assert mat_eq(op.ricci, mat_scale(Fraction(3), frac_mat(*op.int_g)))
-        dec = decompose(op, m.onb_at(p))
-        assert mat_is_zero(dec.b_part)
-        assert mat_is_zero(dec.w_part)
-        assert sectional_constant_check(op) == 1
-        assert mat_eq(parts_sum(dec), op.mat)
+        op = curvature_operator(m.g, int_point(p))
+        rho_den, rho = op.int_rho
+        assert Fraction(sum(rho[i][i] for i in range(4)), rho_den) == 12
+        assert mat_eq(frac_mat(*op.int_ricci), mat_scale(Fraction(3), frac_mat(*op.int_g)))
+        dec = decompose(op, m.onb_at(int_point(p)))
+        assert mat_is_zero(dec.int_b[1])
+        assert mat_is_zero(dec.int_w[1])
+        assert sectional_constant_check(op) == (1, 1)
+        assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
     # seeded random square-diagonal perturbation: parts still re-sum exactly
     rng = random.Random(105)
     qs = []
@@ -266,10 +270,10 @@ def test_acceptance_5_curvature_decomposition():
     onb = [[RatFunc.one(4) / qs[i] if j == i else z for j in range(4)] for i in range(4)]
     model = MetricModel("perturbation", 4, g, onb)
     p = ORIGIN
-    op2 = curvature_operator(g, p)
-    dec2 = decompose(op2, model.onb_at(p))
-    assert mat_eq(parts_sum(dec2), op2.mat)
-    assert not mat_is_zero(op2.mat)
+    op2 = curvature_operator(g, int_point(p))
+    dec2 = decompose(op2, model.onb_at(int_point(p)))
+    assert mat_eq(parts_sum(dec2), frac_mat(*op2.int_mat))
+    assert not mat_is_zero(op2.int_mat[1])
     report(5, "constant-curvature values pinned and parts re-sum exactly")
 
 
@@ -316,12 +320,13 @@ def test_acceptance_6_theorem_mixed_component(tmp_path, capsys):
     pts = [ORIGIN,
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
-    out = theorem_verdict(m, KForm(4, 2), "+-", sample_points=pts, seed=106, jklr_samples=200)
+    out = theorem_verdict(m, KForm(4, 2), "+-", sample_points=[int_point(p) for p in pts],
+                          seed=106, jklr_samples=200)
     assert out["evidence"]["jklr"] == {"samples": 200, "nonzero": 0}
     # perturbed metric: a nonzero residual shows up within 200 samples
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    out = theorem_verdict(perturbed_model(), KForm(4, 2), "+-", sample_points=[p], seed=106,
-                          jklr_samples=200)
+    out = theorem_verdict(perturbed_model(), KForm(4, 2), "+-", sample_points=[int_point(p)],
+                          seed=106, jklr_samples=200)
     assert out["evidence"]["jklr"]["nonzero"] > 0
     # cmd_theorem verdicts match
     code, rep = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-",
@@ -342,7 +347,8 @@ def test_acceptance_7_theorem_definite_component(capsys):
     pts = [ORIGIN,
            (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(2)),
            (Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(0))]
-    out = theorem_verdict(m, KForm(4, 2), "++", sample_points=pts, seed=107, jklr_samples=200)
+    out = theorem_verdict(m, KForm(4, 2), "++", sample_points=[int_point(p) for p in pts],
+                          seed=107, jklr_samples=200)
     assert out["evidence"]["jklr"] == {"samples": 200, "nonzero": 0}
     out = theorem_verdict(m, KForm(4, 2), "++", seed=7, jklr_samples=20)
     assert out["integrable"]
@@ -386,7 +392,7 @@ def test_acceptance_9_dtheta_obstruction():
     rng = random.Random(109)
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(ORIGIN)
+    onb = m.onb_at(int_point(ORIGIN))
     closed = KForm(4, 2, {(0, 1): rf("5"), (1, 3): rf("-2")})
     assert ext_deriv(closed).is_zero()
     for _ in range(20):

@@ -303,6 +303,23 @@ def test_theta_division_by_zero_exit_2_with_one_line(capsys):
                                 "bad coefficient 'x1/0': division by zero in 'x1/0'")
 
 
+def test_a_value_past_the_int_to_str_digit_limit_is_printed():
+    """The curvature of ppwave:x2^16 at x2 = 10^1000 has a w_minus entry of
+    14,003 digits, past the 4,300 digits to which Python (3.10.7 on) limits
+    an int converted to str; the command used to exit 2 with that limit's
+    text.  The value is exact and is printed, in a fresh process, in
+    seconds."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "paracomplex", "curvature", "ppwave:x2^16",
+                           "--point", "0,1e1000,0,0"], capture_output=True, text=True,
+                          timeout=60)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert max(len(x.lstrip("-").partition("/")[0]) for row in report["w_minus"]
+               for x in row) == 14003
+
+
 @pytest.mark.parametrize("metric", ["ppwave:x1^99999999999", "ppwave:2^99999999999"])
 def test_a_long_exponent_exit_2_at_once(capsys, metric):
     """A power above the parser's bound is an input error, found before any
@@ -794,30 +811,24 @@ def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatc
     """With 300 samples over the five default points, curv reads the
     metric's 2-jet and the frame once per point, on integers from int_jet;
     the lowered operator q and the J-triple of each orientation come out of
-    curvature_operator and j_structures on integers, so int_mats never runs,
-    per point or per sample."""
+    curvature_operator and j_structures on integers, and curv holds no
+    Fraction scaling (int_mats) to run, per point or per sample."""
     import paracomplex.curv
 
-    scaled, jets = [], []
-    original_mats, original_jet = paracomplex.curv.int_mats, paracomplex.curv.int_jet
-
-    def counting_mats(mats):
-        mats = list(mats)
-        scaled.append(len(mats))
-        return original_mats(mats)
+    jets = []
+    original_jet = paracomplex.curv.int_jet
 
     def counting_jet(a, point, order=0):
         jets.append(order)
         return original_jet(a, point, order)
 
-    monkeypatch.setattr(paracomplex.curv, "int_mats", counting_mats)
     monkeypatch.setattr(paracomplex.curv, "int_jet", counting_jet)
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-",
                         "--samples", "300")
     report = json.loads(out)
     assert code == 0 and report["evidence"]["jklr"] == {"samples": 300, "nonzero": 0}
     assert len(report["evidence"]["points"]) == 5
-    assert scaled == [] and sorted(jets) == [0] * 5 + [2] * 5
+    assert not hasattr(paracomplex.curv, "int_mats") and sorted(jets) == [0] * 5 + [2] * 5
 
 
 PHI = "(x1^4/12 - x1^3/3 + 1)"
@@ -865,6 +876,45 @@ def test_parse_theta_expr_parenthesized_coeff():
 def test_parse_theta_expr_leading_minus():
     theta = parse_theta_expr("-dx1^dx2")
     assert theta.get((0, 1)).to_str() == "-1"
+
+
+@pytest.mark.parametrize("theta,message", [
+    ("-", "empty term in theta expression '-'"),
+    ("+", "empty term in theta expression '+'"),
+    ("x1*dx2^dx3-", "empty term in theta expression 'x1*dx2^dx3-'"),
+    ("x1*dx2^dx3*", "empty factor in term 'x1*dx2^dx3*'"),
+    ("*dx2^dx3", "empty factor in term '*dx2^dx3'"),
+    ("x1**dx2^dx3", "empty factor in term 'x1**dx2^dx3'"),
+    ("x1*-x2*dx1^dx2", "empty factor in term 'x1*'"),
+])
+def test_an_empty_theta_term_or_factor_exit_2_with_one_line(capsys, theta, message):
+    """A sign with no term after it and an empty factor are bad input.  They
+    used to be dropped: --theta=- and --theta=+ ran as Theta = 0, so
+    `theorem flat --component=++` exited 0 with integrable: true, and the
+    other texts here read as x1*dx2^dx3."""
+    code = main(["theorem", "flat", f"--theta={theta}", "--component=++"])
+    assert_one_line_input_error(capsys, code, message)
+
+
+@pytest.mark.parametrize("text,same_as", [
+    ("x1*dx2^dx3+-x2*dx1^dx4", "x1*dx2^dx3 - x2*dx1^dx4"),
+    ("x1*dx2^dx3--x2*dx1^dx4", "x1*dx2^dx3 + x2*dx1^dx4"),
+    ("--x1*dx2^dx3", "x1*dx2^dx3"),
+    ("+-x1*dx2^dx3", "-x1*dx2^dx3"),
+    ("-+x1*dx2^dx3", "-x1*dx2^dx3"),
+    ("x1*dx1^dx2-+x1*dx2^dx3", "x1*dx1^dx2 - x1*dx2^dx3"),
+])
+def test_a_run_of_theta_signs_multiplies(text, same_as):
+    """Stacked signs before a term, as parse_ratfunc reads +- and --, give
+    the product of the signs; -+ used to give +."""
+    assert parse_theta_expr(text) == parse_theta_expr(same_as)
+
+
+def test_an_empty_theta_is_zero(capsys):
+    code, out = run_cli(capsys, "theorem", "flat", "--theta=", "--component=++",
+                        "--samples", "3")
+    assert code == 0 and json.loads(out)["evidence"]["d_theta_zero"] is True
+    assert parse_theta_expr("  ").is_zero()
 
 
 def test_validate_accepts_single_point(tmp_path, capsys):

@@ -2,6 +2,7 @@
 residuals, and the pointwise twistor/reflector Nijenhuis evaluators."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,14 +11,11 @@ import pytest
 
 from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.linalg import (
-    basis_vec,
-    frac_mat,
     int_jet,
     j_structures,
     lambda2_matrix,
     mat_add,
     mat_eq,
-    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -26,10 +24,7 @@ from paracomplex.linalg import (
     transpose,
     wedge_pairs,
 )
-from paracomplex.para import (
-    _orthogonal_complement_basis,
-    random_compatible_structure,
-)
+from paracomplex.para import random_compatible_structure
 from paracomplex.patch import KForm, ext_deriv
 from paracomplex.curv import (
     DEFAULT_POINTS,
@@ -45,7 +40,7 @@ from paracomplex.curv import (
     onb_search,
     parse_metric_id,
     ppwave_metric,
-    rnd_vec,
+    rnd_vec2,
     sample_jklr,
     sectional_constant_check,
     star_matrix,
@@ -59,23 +54,30 @@ from paracomplex.reference import (
     GenVector,
     TwoVector,
     as_ints,
+    basis_vec,
     curvature_endo,
+    eval_at,
+    frac_mat,
     gauss_jordan_inv,
     gen_metric,
     gen_pairing,
     hitchin_connection,
     horizontal_np_residual,
     hyperboloid_structure,
+    int_mats,
+    int_point,
     is_fiber_tangent,
     lambda2_inner,
     levi_civita,
     mat_eval,
     mat_from_columns,
+    mat_identity,
     mat_inv,
     mat_jet,
     mat_zero,
     metricity_residual,
     omega_eps,
+    orthogonal_complement,
     reflector_mixed_nijenhuis,
     reflector_nijenhuis,
     riemann_at,
@@ -108,9 +110,25 @@ def form2(comps):
 THETA0 = KForm(4, 2)
 
 
+def frac(pair) -> Fraction:
+    """The Fraction n / d of an integer pair (d, n)."""
+    return Fraction(pair[1], pair[0])
+
+
+def s_of(op) -> Fraction:
+    """The scalar curvature trace(rho) of a curvature operator, in Fractions."""
+    den, rho = op.int_rho
+    return Fraction(sum(rho[i][i] for i in range(len(rho))), den)
+
+
+def rnd_vec(rng, n=4) -> list:
+    """A random vector in Fractions: rnd_vec2 / 2, from the same draws."""
+    return [Fraction(v, 2) for v in rnd_vec2(rng, n)]
+
+
 def parts_sum(dec) -> list:
     """(s/12) Id + B + W of a curvature decomposition, in Fractions."""
-    return mat_add(mat_add(mat_scale(dec.s / 12, mat_identity(6)), dec.b_part), dec.w_part)
+    return mat_add(mat_add(mat_scale(frac(dec.int_s) / 12, mat_identity(6)), frac_mat(*dec.int_b)), frac_mat(*dec.int_w))
 
 
 def perturbed_metric() -> MetricModel:
@@ -296,10 +314,10 @@ def test_riemann_at_equals_symbolic_oracle():
     the point, entry by entry and exactly; where the oracle hits a pole the
     jet route refuses the point too."""
     rng = random.Random(2409)
-    points = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS] + [
+    points = [tuple(Fraction(x, d) for x in xs) for d, xs in DEFAULT_POINTS] + [
         tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
         for _ in range(2)]
-    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(Fraction(-2, 3)).g,
+    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(-2, 3).g,
                ppwave_metric(rf("x1*x2^3")).g,
                ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g,
                unipotent_congruence([1, 1, -1, -1], 7), square_diagonal_metric(105),
@@ -309,7 +327,7 @@ def test_riemann_at_equals_symbolic_oracle():
         oracle = riemann_oracle(levi_civita(g))
         for p in points:
             try:
-                want = [[[[c.eval_at(p) for c in d] for d in b] for b in a] for a in oracle]
+                want = [[[[eval_at(c, p) for c in d] for d in b] for b in a] for a in oracle]
             except PoleAtPoint:
                 with pytest.raises((PoleAtPoint, DegenerateMetric)):
                     riemann_at(g, p)
@@ -353,7 +371,7 @@ def test_mat_jet_of_a_metric_equals_the_evaluated_symbolic_jet():
     """g(p), dg(p) and ddg(p) by Taylor arithmetic at seeded regular points
     equal the symbolic partials evaluated there, entry by entry."""
     rng = random.Random(1101)
-    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(Fraction(-2, 3)).g,
+    metrics = [flat_metric().g, constcurv_metric(1).g, constcurv_metric(-2, 3).g,
                ppwave_metric(rf("x2^2")).g, ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g,
                DENSE_G]
     for g in metrics:
@@ -416,33 +434,33 @@ def test_sign_pinning_sectional_oracle():
 
 def test_constant_curvature_operator_is_identity():
     m = constcurv_metric(1)
-    op = curvature_operator(m.g, ORIGIN)
-    assert mat_eq(op.mat, mat_identity(6))
-    assert op.s == 12
-    assert sectional_constant_check(op) == 1
+    op = curvature_operator(m.g, int_point(ORIGIN))
+    assert mat_eq(frac_mat(*op.int_mat), mat_identity(6))
+    assert s_of(op) == 12
+    assert sectional_constant_check(op) == (1, 1)
 
 
 def test_ricci_values():
     m = constcurv_metric(1)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(m.g, p)
-        ric, s = op.ricci, op.s
+        op = curvature_operator(m.g, int_point(p))
+        ric, s = frac_mat(*op.int_ricci), s_of(op)
         g_at = Bilinear(mat_eval(m.g, p))
         assert s == 12
         assert mat_eq(ric, mat_scale(Fraction(3), g_at.mat))
         assert ric == transpose(ric)
-    op = curvature_operator(flat_metric().g, ORIGIN)
-    ric, s = op.ricci, op.s
+    op = curvature_operator(flat_metric().g, int_point(ORIGIN))
+    ric, s = frac_mat(*op.int_ricci), s_of(op)
     assert s == 0 and mat_is_zero(ric)
 
 
 def test_curvature_operator_self_adjoint():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
+    op = curvature_operator(m.g, int_point(p))
     gram = lambda2_matrix(frac_mat(*op.int_g))
     # self-adjoint w.r.t. the Lambda^2 pairing: gram * M symmetric
-    gm = mat_mul(gram, op.mat)
+    gm = mat_mul(gram, frac_mat(*op.int_mat))
     assert mat_eq(gm, [list(r) for r in zip(*gm)])
 
 
@@ -537,7 +555,7 @@ def constcurv_shear(c: Fraction, a: int) -> MetricModel:
 
 
 def reference_models() -> list:
-    return [flat_metric(), constcurv_metric(1), constcurv_metric(Fraction(-2, 3)),
+    return [flat_metric(), constcurv_metric(1), constcurv_metric(-2, 3),
             ppwave_metric(rf("x2^2")), ppwave_metric(rf("x1^3*x2^2/3 - x2^3 + x1*x2")),
             ppwave_metric(rf(COUNTEREXAMPLE)), perturbed_metric(),
             flat_pullback(["x1", "x2 + 2*x1^2", "x3 + x1*x2 - x2^2/2", "x4 + x3^2 - 3*x1*x2"]),
@@ -562,20 +580,23 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
                 ref = operator_reference(model.g, p)
             except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
                 continue
-            op = curvature_operator(model.g, p)
-            assert frac_mat(*op.int_g) == ref["g_at"] and op.mat == ref["mat"]
-            assert op.lowered == ref["lowered"] and op.ricci == ref["ricci"]
-            assert frac_mat(*op.int_rho) == ref["rho"] and op.s == ref["s"]
+            op = curvature_operator(model.g, int_point(p))
+            assert frac_mat(*op.int_g) == ref["g_at"] and frac_mat(*op.int_mat) == ref["mat"]
+            assert frac_mat(*op.int_lowered) == ref["lowered"] and frac_mat(*op.int_ricci) == ref["ricci"]
+            assert frac_mat(*op.int_rho) == ref["rho"] and s_of(op) == ref["s"]
             scalar = mat_eq(ref["mat"], mat_scale(ref["mat"][0][0], mat_identity(6)))
-            assert sectional_constant_check(op) == (ref["mat"][0][0] if scalar else None)
+            c = ref["mat"][0][0]
+            assert sectional_constant_check(op) == ((c.denominator, c.numerator) if scalar else None)
             for orientation in (1, -1):
-                onb = model.onb_at(p, orientation, op.int_g)
+                onb = model.onb_at(int_point(p), orientation, op.int_g)
                 cols = [[Fraction(x, onb[0]) for x in v] for v in onb[1]]
                 assert cols == onb_reference(model, p, orientation)
                 dec, want = decompose(op, onb), decompose_reference(ref, cols)
-                assert dec.s == ref["s"] and parts_sum(dec) == ref["mat"]
-                assert mat_scale(dec.s / 12, mat_identity(6)) == want.pop("s_part")
-                assert {k: getattr(dec, k) for k in want} == want
+                assert frac(dec.int_s) == ref["s"] and parts_sum(dec) == ref["mat"]
+                assert mat_scale(frac(dec.int_s) / 12, mat_identity(6)) == want.pop("s_part")
+                views = {"b_part": dec.int_b, "w_part": dec.int_w,
+                         "w_plus": dec.int_w_plus, "w_minus": dec.int_w_minus}
+                assert {k: frac_mat(*views[k]) for k in want} == want
                 assert duality_verdict(dec) == {
                     "self_dual": mat_is_zero(want["w_minus"]),
                     "anti_self_dual": mat_is_zero(want["w_plus"]),
@@ -588,27 +609,27 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
 
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
-    op = curvature_operator(m.g, ORIGIN)
-    dec = decompose(op, m.onb_at(ORIGIN))
-    assert mat_is_zero(dec.b_part)
-    assert mat_is_zero(dec.w_part)
-    assert mat_eq(parts_sum(dec), op.mat)
+    op = curvature_operator(m.g, int_point(ORIGIN))
+    dec = decompose(op, m.onb_at(int_point(ORIGIN)))
+    assert mat_is_zero(frac_mat(*dec.int_b))
+    assert mat_is_zero(frac_mat(*dec.int_w))
+    assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
 
 
 def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
-    dec = decompose(op, m.onb_at(p))
-    assert mat_eq(parts_sum(dec), op.mat)
-    assert not mat_is_zero(dec.b_part)
+    op = curvature_operator(m.g, int_point(p))
+    dec = decompose(op, m.onb_at(int_point(p)))
+    assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
+    assert not mat_is_zero(frac_mat(*dec.int_b))
 
 
 def test_b_part_swaps_chirality():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
-    onb = m.onb_at(p)
+    op = curvature_operator(m.g, int_point(p))
+    onb = m.onb_at(int_point(p))
     dec = decompose(op, onb)
     star = frac_mat(*star_matrix(op.int_g, onb))
     half = Fraction(1, 2)
@@ -616,20 +637,20 @@ def test_b_part_swaps_chirality():
                               for r1, r2 in zip(mat_identity(6), star)])
     p_minus = mat_scale(half, [[x - y for x, y in zip(r1, r2)]
                                for r1, r2 in zip(mat_identity(6), star)])
-    assert mat_is_zero(mat_mul(p_plus, mat_mul(dec.b_part, p_plus)))
-    assert mat_is_zero(mat_mul(p_minus, mat_mul(dec.b_part, p_minus)))
-    assert not mat_is_zero(dec.b_part)
+    assert mat_is_zero(mat_mul(p_plus, mat_mul(frac_mat(*dec.int_b), p_plus)))
+    assert mat_is_zero(mat_mul(p_minus, mat_mul(frac_mat(*dec.int_b), p_minus)))
+    assert not mat_is_zero(frac_mat(*dec.int_b))
 
 
 def test_duality_verdicts():
     flat = flat_metric()
-    op = curvature_operator(flat.g, ORIGIN)
-    v = duality_verdict(decompose(op, flat.onb_at(ORIGIN)))
+    op = curvature_operator(flat.g, int_point(ORIGIN))
+    v = duality_verdict(decompose(op, flat.onb_at(int_point(ORIGIN))))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
-    op = curvature_operator(cc.g, ORIGIN)
-    v = duality_verdict(decompose(op, cc.onb_at(ORIGIN)))
+    op = curvature_operator(cc.g, int_point(ORIGIN))
+    v = duality_verdict(decompose(op, cc.onb_at(int_point(ORIGIN))))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
@@ -638,21 +659,21 @@ def test_ppwave_duality_and_orientation_reversal():
     r = riemann_oracle(levi_civita(m.g))
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
-    op = curvature_operator(m.g, ORIGIN)
-    v = duality_verdict(decompose(op, m.onb_at(ORIGIN)))
+    op = curvature_operator(m.g, int_point(ORIGIN))
+    v = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN))))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
-    v_rev = duality_verdict(decompose(op, m.onb_at(ORIGIN, orientation=-1)))
+    v_rev = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), orientation=-1)))
     assert v_rev["self_dual"] and not v_rev["anti_self_dual"]
 
 
 def test_sectional_constant_absent_for_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
+    op = curvature_operator(m.g, int_point(p))
     assert sectional_constant_check(op) is None
     flat = flat_metric()
-    op0 = curvature_operator(flat.g, ORIGIN)
-    assert sectional_constant_check(op0) == 0
+    op0 = curvature_operator(flat.g, int_point(ORIGIN))
+    assert sectional_constant_check(op0) == (1, 0)
 
 
 # -- jklr residual -----------------------------------------------------------------------
@@ -676,14 +697,14 @@ def jklr_residual(op, k1: Endo, k2: Endo, j: int, l: int, r: int, x, y, z, u) ->
     a_sum, a_diff = coords(vec_add(x, kx), vec_add(y, ky)), coords(vec_sub(x, kx), vec_sub(y, ky))
     b_sum, b_diff = coords(vec_add(z, kz), vec_add(u, ku)), coords(vec_sub(z, kz), vec_sub(u, ku))
     return Fraction(sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b])
-                        for a, row in enumerate(op.lowered) for b, c in enumerate(row))) / 2
+                        for a, row in enumerate(frac_mat(*op.int_lowered)) for b, c in enumerate(row))) / 2
 
 
 def test_jklr_flat_always_zero():
     rng = random.Random(42)
     m = flat_metric()
-    op = curvature_operator(m.g, ORIGIN)
-    onb = m.onb_at(ORIGIN)
+    op = curvature_operator(m.g, int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN))
     for _ in range(10):
         k1 = random_endo(op.int_g, onb, rng, +1)
         k2 = random_endo(op.int_g, onb, rng, -1)
@@ -696,8 +717,8 @@ def test_jklr_constant_curvature_mixed_orientations():
     rng = random.Random(43)
     m = constcurv_metric(1)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(m.g, p)
-        onb = m.onb_at(p)
+        op = curvature_operator(m.g, int_point(p))
+        onb = m.onb_at(int_point(p))
         for _ in range(10):
             k1 = random_endo(op.int_g, onb, rng, +1)
             k2 = random_endo(op.int_g, onb, rng, -1)
@@ -713,8 +734,8 @@ def test_jklr_diagonal_matches_duality_verdict():
     rng = random.Random(53)
 
     def diag_samples_all_zero(model, p, n=15):
-        op = curvature_operator(model.g, p)
-        onb = model.onb_at(p)
+        op = curvature_operator(model.g, int_point(p))
+        onb = model.onb_at(int_point(p))
         for _ in range(n):
             k = random_endo(op.int_g, onb, rng, +1)
             r = rng.randint(1, 2)
@@ -725,14 +746,14 @@ def test_jklr_diagonal_matches_duality_verdict():
 
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
-        op = curvature_operator(model.g, p)
-        verdict = duality_verdict(decompose(op, model.onb_at(p)))
+        op = curvature_operator(model.g, int_point(p))
+        verdict = duality_verdict(decompose(op, model.onb_at(int_point(p))))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
-    assert not duality_verdict(decompose(op, m.onb_at(p)))["anti_self_dual"]
+    op = curvature_operator(m.g, int_point(p))
+    assert not duality_verdict(decompose(op, m.onb_at(int_point(p))))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
 
@@ -740,8 +761,8 @@ def test_jklr_perturbed_nonzero_witness():
     rng = random.Random(44)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, p)
-    onb = m.onb_at(p)
+    op = curvature_operator(m.g, int_point(p))
+    onb = m.onb_at(int_point(p))
     found = False
     for _ in range(60):
         k1 = random_endo(op.int_g, onb, rng, +1)
@@ -770,7 +791,7 @@ def sheared_constcurv() -> MetricModel:
 
 
 def jklr_models() -> list:
-    return [flat_metric(), constcurv_metric(1), constcurv_metric(Fraction(-2, 3)),
+    return [flat_metric(), constcurv_metric(1), constcurv_metric(-2, 3),
             ppwave_metric(rf("x2^2")), ppwave_metric(rf(COUNTEREXAMPLE)),
             perturbed_metric(), sheared_constcurv()]
 
@@ -782,7 +803,7 @@ JKLR_POINTS = [ORIGIN, (Fraction(2), Fraction(1), Fraction(0), Fraction(0)),
 
 def r_of(op, a: TwoVector) -> TwoVector:
     """R(a) for a 2-vector a, through the operator matrix on the wedge basis."""
-    image = mat_vec(op.mat, [a.get(i, k) for (i, k) in WEDGE4])
+    image = mat_vec(frac_mat(*op.int_mat), [a.get(i, k) for (i, k) in WEDGE4])
     return TwoVector(4, {pair: c for pair, c in zip(WEDGE4, image) if c})
 
 
@@ -806,8 +827,8 @@ def test_jklr_residual_equals_the_lambda2_oracle():
     for model in jklr_models():
         nonzero = 0
         for p in JKLR_POINTS:
-            op = curvature_operator(model.g, p)
-            onb = model.onb_at(p)
+            op = curvature_operator(model.g, int_point(p))
+            onb = model.onb_at(int_point(p))
             for _ in range(14):
                 k1 = random_endo(op.int_g, onb, rng, rng.choice((1, -1)))
                 k2 = random_endo(op.int_g, onb, rng, rng.choice((1, -1)))
@@ -821,13 +842,13 @@ def test_jklr_residual_equals_the_lambda2_oracle():
 
 
 def test_lowered_operator_is_the_lambda2_pairing():
-    """op.lowered[a][b] = g(R(e_a), e_b) on the 36 pairs of wedge basis vectors."""
+    """frac_mat(*op.int_lowered)[a][b] = g(R(e_a), e_b) on the 36 pairs of wedge basis vectors."""
     basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
     for model in jklr_models():
         for p in JKLR_POINTS:
-            op = curvature_operator(model.g, p)
+            op = curvature_operator(model.g, int_point(p))
             g = Bilinear(frac_mat(*op.int_g))
-            assert op.lowered == [[lambda2_inner(g, r_of(op, ea), eb) for eb in basis]
+            assert frac_mat(*op.int_lowered) == [[lambda2_inner(g, r_of(op, ea), eb) for eb in basis]
                                   for ea in basis]
 
 
@@ -877,7 +898,7 @@ def test_integer_jklr_samples_equal_the_fraction_reference():
                                         for _ in range(4)) for _ in range(2)]
         points = []
         for p in pts:
-            op, onb = curvature_operator(model.g, p), model.onb_at(p)
+            op, onb = curvature_operator(model.g, int_point(p)), model.onb_at(int_point(p))
             points.append((p, op, onb, functools.cache(functools.partial(j_structures,
                                                                          op.int_g, onb))))
         for orientations in product((1, -1), repeat=2):
@@ -924,7 +945,7 @@ def test_reflector_nijenhuis_output_vertical():
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(p)
+    onb = m.onb_at(int_point(p))
     q = random_endo(as_ints(g_at.mat), onb, rng, +1)
     for _ in range(4):
         x = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
@@ -1030,7 +1051,7 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(p)
+    onb = m.onb_at(int_point(p))
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
     k1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     k2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
@@ -1063,7 +1084,7 @@ def test_twistor_vertical_output_vertical():
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(p)
+    onb = m.onb_at(int_point(p))
     k1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     k2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
@@ -1085,7 +1106,7 @@ def test_np_residual_zero_for_closed_theta():
     theta = form2({(0, 1): "2", (1, 2): "-1"})
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(ORIGIN)
+    onb = m.onb_at(int_point(ORIGIN))
     for _ in range(20):
         s1 = random_endo(as_ints(g_at.mat), onb, rng,
                          +1 if rng.random() < 0.5 else -1)
@@ -1104,7 +1125,7 @@ def test_np_residual_witness_for_nonclosed_theta():
     theta = form2({(1, 2): "x1"})  # dTheta = dx1 ^ dx2 ^ dx3 != 0
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(ORIGIN)
+    onb = m.onb_at(int_point(ORIGIN))
     found = False
     for _ in range(40):
         s1 = random_endo(as_ints(g_at.mat), onb, rng,
@@ -1127,9 +1148,11 @@ def test_torsion_at_equals_hitchin_torsion():
     _, torsion = hitchin_connection(m.g, theta)
     dth = ext_deriv(theta)
     for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
-        dth_at = {idx: c.eval_at(p) for idx, c in dth.comps.items()}
-        want = [[[c.eval_at(p) for c in r2] for r2 in r1] for r1 in torsion.t]
-        assert torsion_at(int_jet(m.g, p)[0], dth_at) == want
+        ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
+        want = [[[eval_at(c, p) for c in r2] for r2 in r1] for r1 in torsion.t]
+        den, t = torsion_at(int_jet(m.g, int_point(p))[0], (dd, dict(zip(dth.comps, values))))
+        assert den > 0 and frac_mat(den, [x for r1 in t for x in r1]) == [
+            x for r1 in want for x in r1]
 
 
 def test_cond_two_forms_specialization():
@@ -1137,11 +1160,14 @@ def test_cond_two_forms_specialization():
     theta = form2({(1, 2): "x1"})
     m = flat_metric()
     _, torsion = hitchin_connection(m.g, theta)
-    t_at = [[[c.eval_at(ORIGIN) for c in r2] for r2 in r1] for r1 in torsion.t]
+    t_at = [[[eval_at(c, ORIGIN) for c in r2] for r2 in r1] for r1 in torsion.t]
     dth = ext_deriv(theta)
-    dth_at = {idx: c.eval_at(ORIGIN) for idx, c in dth.comps.items()}
+    dth_at = {idx: eval_at(c, ORIGIN) for idx, c in dth.comps.items()}
+    # the torsion and dTheta values as integer pairs over their least common denominators
+    den_t, (t_int,) = int_mats([[x for r1 in t_at for x in r1]])
+    den_d, ((d_int,),) = int_mats([[list(dth_at.values())]])
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(ORIGIN)
+    onb = m.onb_at(int_point(ORIGIN))
     s1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     s2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
@@ -1150,8 +1176,11 @@ def test_cond_two_forms_specialization():
     gy = [sum(g_at.mat[i][j] * y[j] for j in range(4)) for i in range(4)]
     a = [Fraction(0)] * 4 + gx
     b = [Fraction(0)] * 4 + gy
-    _, cond_rhs = np_residual_terms(as_ints(g_at.mat), t_at, dth_at, as_ints(s1.mat),
-                                    as_ints(s2.mat), a, b)
+    (da, ((a_int,),)), (db, ((b_int,),)) = int_mats([[a]]), int_mats([[b]])
+    den, _, cond = np_residual_terms(
+        as_ints(g_at.mat), (den_t, [t_int[4 * i:4 * i + 4] for i in range(4)]),
+        (den_d, dict(zip(dth_at, d_int))), as_ints(s1.mat), as_ints(s2.mat), a_int, b_int)
+    cond_rhs = [Fraction(c, den * da * db) for c in cond]
     s1x = s1.apply(x)
     s2x = s2.apply(x)
     s1y = s1.apply(y)
@@ -1224,20 +1253,28 @@ def test_parse_metric_ids(tmp_path):
     assert Bilinear(mat_eval(m.g, ORIGIN)).mat[0][0] == 1
 
 
+def fraction_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root of q >= 0, or None."""
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
 def test_is_square_beyond_float_range():
     root = Fraction(10 ** 201 + 7, 3)
     assert len(str(root.numerator ** 2)) > 400
-    assert _is_square(root * root) == root
-    assert _is_square(Fraction(10 ** 400)) == 10 ** 200
-    assert _is_square(2 * root * root) is None
-    assert _is_square(Fraction(-4)) is None
-    assert _is_square(Fraction(9, 4)) == Fraction(3, 2)
+    square = root * root
+    assert _is_square(square.denominator, square.numerator) == (3, 10 ** 201 + 7)
+    assert _is_square(5 * square.denominator, 5 * square.numerator) == (3, 10 ** 201 + 7)
+    assert _is_square(1, 10 ** 400) == (1, 10 ** 200)
+    assert _is_square(square.denominator, 2 * square.numerator) is None
+    assert _is_square(1, -4) is None
+    assert _is_square(8, 18) == (2, 3)
 
 
 def test_onb_search_null_frame():
     g = Bilinear([[Fraction(v) for v in row] for row in
                   [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]])
-    onb = onb_search(as_ints(g.mat))
+    onb = frac_mat(*onb_search(as_ints(g.mat)))
     want = [1, 1, -1, -1]
     for i in range(4):
         for j in range(4):
@@ -1260,14 +1297,14 @@ def onb_search_reference(g: Bilinear) -> list:
                 norm = g.apply(v, v)
                 if norm == 0 or (norm > 0) != (target > 0):
                     continue
-                root = _is_square(abs(norm))
+                root = fraction_sqrt(abs(norm))
                 if root is not None:
                     return [x / root for x in v]
         raise DegenerateMetric("no rational orthonormal basis found; supply one")
 
     found: list = []
     for target in (1, 1, -1, -1):
-        found.append(pick(_orthogonal_complement_basis(g.mat, found), target))
+        found.append(pick(orthogonal_complement(g.mat, found), target))
     return found
 
 
@@ -1275,11 +1312,13 @@ def test_onb_search_frames_equal_the_fraction_search():
     """The frames of onb_search at the default points and seeded points of
     DENSE_G are those of the Fraction search."""
     rng = random.Random(1401)
-    points = [tuple(Fraction(c) for c in p) for p in DEFAULT_POINTS] + [
+    points = [tuple(Fraction(x, d) for x in xs) for d, xs in DEFAULT_POINTS] + [
         tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)) for _ in range(3)]
     for p in points:
         g_at = Bilinear(mat_eval(DENSE_G, p))
-        assert onb_search(as_ints(g_at.mat)) == onb_search_reference(g_at)
+        den, frame = onb_search(as_ints(g_at.mat))
+        assert frac_mat(den, frame) == onb_search_reference(g_at)
+        assert den > 0 and math.gcd(den, *(x for v in frame for x in v)) == 1
 
 
 # DENSE_G is constcurv:-1/2 in the coordinates y = DENSE_A x (DENSE_PHI(x) is its phi(y))
@@ -1303,7 +1342,7 @@ def dense_riemann_oracle(model: MetricModel, oracle: list, p) -> list:
     def tensor(entry):
         return [[[[entry(i, j, k, l) for l in ns] for k in ns] for j in ns] for i in ns]
 
-    r = [[[[c.eval_at(y) for c in d] for d in b] for b in row] for row in oracle]
+    r = [[[[eval_at(c, y) for c in d] for d in b] for b in row] for row in oracle]
     r = tensor(lambda i, j, k, l: sum(a[m][i] * r[m][j][k][l] for m in ns))
     r = tensor(lambda i, j, k, l: sum(a[m][j] * r[i][m][k][l] for m in ns))
     r = tensor(lambda i, j, k, l: sum(a[m][k] * r[i][j][m][l] for m in ns))
@@ -1318,12 +1357,12 @@ def test_riemann_at_equals_symbolic_oracle_at_64_bit_points():
     rng = random.Random(1201)
     metrics = [constcurv_metric(1).g, ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g]
     oracles = [riemann_oracle(levi_civita(g)) for g in metrics]
-    sheared = constcurv_metric(Fraction(-1, 2))
+    sheared = constcurv_metric(-1, 2)
     sheared_oracle = riemann_oracle(levi_civita(sheared.g))
     for _ in range(2):
         p = tuple(Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64)) for _ in range(4))
         for g, oracle in zip(metrics, oracles):
-            assert riemann_at(g, p) == [[[[c.eval_at(p) for c in d] for d in b] for b in a]
+            assert riemann_at(g, p) == [[[[eval_at(c, p) for c in d] for d in b] for b in a]
                                         for a in oracle]
         assert riemann_at(DENSE_G, p) == dense_riemann_oracle(sheared, sheared_oracle, p)
     g = [row[:] for row in flat_metric().g]

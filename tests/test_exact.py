@@ -1,16 +1,18 @@
-"""Exact scalar tower: evaluation, differentiation, equality, parsing."""
+"""Exact scalar tower: evaluation, differentiation, equality, parsing, and
+the integer Poly and RatFunc against the Fraction oracle of reference."""
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational
+from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational, rat_str
 from paracomplex.linalg import int_jet
-from paracomplex.reference import mat_jet
+from paracomplex.reference import FractionPoly, FractionRatFunc, eval_at, int_point, mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS2 = ["x1", "x2"]
@@ -33,19 +35,19 @@ def as_point(values, nvars=None) -> tuple:
 
 def test_eval_basic_quotient():
     f = rf("x1^2/(1+x2)")
-    assert f.eval_at(as_point([3, 1])) == Fraction(9, 2)
+    assert eval_at(f, as_point([3, 1])) == Fraction(9, 2)
 
 
 def test_eval_constant():
     f = rf("5")
     for p in ([0, 0], [7, -2], [Fraction(1, 3), 4]):
-        assert f.eval_at(as_point(p)) == 5
+        assert eval_at(f, as_point(p)) == 5
 
 
 def test_eval_pole_raises():
     f = rf("1/x1")
     with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(0, 5\)$"):
-        f.eval_at(as_point([0, 5]))
+        eval_at(f, as_point([0, 5]))
 
 
 def test_eval_evaluates_each_denominator_factor_once(monkeypatch):
@@ -59,7 +61,7 @@ def test_eval_evaluates_each_denominator_factor_once(monkeypatch):
         return original(self, point, order)
 
     monkeypatch.setattr(Poly, "jet_at", counting)
-    assert f.eval_at(as_point([1, 1])) == Fraction(1, 8)
+    assert eval_at(f, as_point([1, 1])) == Fraction(1, 8)
     assert len(calls) == 3
     # in a matrix, each factor's jet is computed once for all the entries
     calls.clear()
@@ -74,9 +76,10 @@ def test_a_factor_with_value_zero_and_nonzero_gradient_is_a_pole(order):
     does not exist there, and the error names the point."""
     f = rf("x2/(x1 - 1)")
     p = as_point([1, 5])
-    assert rf("x1 - 1").num.jet_at(p, 1) == (1, (0, (1, 0)))
-    for evaluate in (lambda: f.jet_at(p, order), lambda: mat_jet([[rf("1"), f]], p, order),
-                     lambda: int_jet([[rf("1"), f]], p, order)):
+    assert rf("x1 - 1").num.jet_at(int_point(p), 1) == (1, (0, (1, 0)))
+    for evaluate in (lambda: f.jet_at(int_point(p), order),
+                     lambda: mat_jet([[rf("1"), f]], p, order),
+                     lambda: int_jet([[rf("1"), f]], int_point(p), order)):
         with pytest.raises(PoleAtPoint, match=r"^denominator factor vanishes at \(1, 5\)$"):
             evaluate()
 
@@ -96,14 +99,25 @@ def jet_div_reference(a: tuple, u: tuple) -> tuple:
     return q
 
 
-def ratfunc_jet_reference(f: RatFunc, p, order: int) -> tuple:
-    """f's jet in Fractions: the numerator's jet divided by each factor's jet
-    once per multiplicity, by jet_div_reference."""
+def ratfunc_jet_reference(f, p, order: int) -> tuple:
+    """The jet in Fractions of a FractionRatFunc, at a point of Fractions: the
+    numerator's jet divided by each factor's jet once per multiplicity, by
+    jet_div_reference."""
     jet = fractions(*f.num.jet_at(p, order))
     for u, m in f.factors.values():
         for _ in range(m):
             jet = jet_div_reference(jet, fractions(*u.jet_at(p, order)))
     return jet
+
+
+def oracle(f: RatFunc) -> FractionRatFunc:
+    """The FractionRatFunc of a RatFunc, its factors made monic and its
+    numerator divided by den and their leading coefficients."""
+    out = FractionRatFunc(FractionPoly(f.nvars, f.num.terms)) / f.den
+    for p, m in f.factors.values():
+        for _ in range(m):
+            out = out / FractionRatFunc(FractionPoly(f.nvars, p.terms))
+    return out
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -124,15 +138,15 @@ def test_integer_jets_equal_the_leibniz_fraction_reference(order):
     compared = 0
     for p in points:
         try:
-            want = [ratfunc_jet_reference(c, p, order) for c in entries]
+            want = [ratfunc_jet_reference(oracle(c), p, order) for c in entries]
         except ZeroDivisionError:
             continue
         for c, w in zip(entries, want):
-            den, jet = c.jet_at(p, order)
+            den, jet = c.jet_at(int_point(p), order)
             assert den > 0 and all(type(x) is int for x in flat(jet))
             assert fractions(den, jet) == w
         mat = [entries[:2], entries[2:4]]
-        jets = int_jet(mat, p, order)
+        jets = int_jet(mat, int_point(p), order)
         got = tuple(fractions(den, part) for den, part in jets)
         assert mat_jet(mat, p, order) == got and len(jets) == order + 1
         assert all(den > 0 and math.gcd(den, *flat(part)) == 1 for den, part in jets)
@@ -160,7 +174,7 @@ def fractions(den: int, jet):
     return Fraction(jet, den) if isinstance(jet, int) else type(jet)(fractions(den, x) for x in jet)
 
 
-def poly_value(f: Poly, p) -> Fraction:
+def poly_value(f, p) -> Fraction:
     """A polynomial's value at a point, term by term in Fractions."""
     return sum((c * math.prod(Fraction(x) ** k for x, k in zip(p, e))
                 for e, c in f.terms.items()), Fraction(0))
@@ -182,7 +196,7 @@ def test_poly_jet_at_equals_the_evaluated_partials(text, order):
         if order > 1:
             want += (tuple(tuple(poly_value(f.partial(i).partial(k), p) for k in range(2))
                            for i in range(2)),)
-        den, got = f.jet_at(p, order)
+        den, got = f.jet_at(int_point(p), order)
         assert den > 0 and all(type(x) is int for x in flat(got))
         assert fractions(den, got) == want
 
@@ -207,7 +221,7 @@ def central_difference(f, point, i, h):
     dn = list(point)
     up[i] += h
     dn[i] -= h
-    return (f.eval_at(up) - f.eval_at(dn)) / (2 * h)
+    return (eval_at(f, up) - eval_at(f, dn)) / (2 * h)
 
 
 def test_partial_quotient_rule_against_finite_differences():
@@ -219,7 +233,7 @@ def test_partial_quotient_rule_against_finite_differences():
     h = Fraction(1, 64)
     for point in (as_point([3, 2]), as_point([1, -1]), as_point([Fraction(1, 2), 5])):
         fd = central_difference(f, point, 1, h)
-        exact = d.eval_at(point)
+        exact = eval_at(d, point)
         assert abs(fd - exact) <= 4 * h * h * max(1, abs(exact))
 
 
@@ -240,16 +254,13 @@ def test_rf_not_equal():
 
 # -- arithmetic laws ------------------------------------------------------
 
-small_fractions = st.builds(
-    Fraction, st.integers(-50, 50), st.integers(1, 9)
-)
+def terms_strategy(nvars=2, max_deg=3, max_size=5):
+    exponents = st.tuples(*([st.integers(0, max_deg)] * nvars))
+    return st.dictionaries(exponents, st.integers(-50, 50), max_size=max_size)
 
 
 def poly_strategy(nvars=2, max_deg=3):
-    exponents = st.tuples(*([st.integers(0, max_deg)] * nvars))
-    return st.dictionaries(exponents, small_fractions, max_size=5).map(
-        lambda terms: Poly(nvars, terms)
-    )
+    return terms_strategy(nvars, max_deg).map(lambda terms: Poly(nvars, terms))
 
 
 @given(poly_strategy(), poly_strategy())
@@ -271,10 +282,10 @@ def test_partials_commute(p):
     assert f.partial(0).partial(1) == f.partial(1).partial(0)
 
 
-@given(poly_strategy(), poly_strategy().filter(lambda p: not p.is_zero()))
+@given(poly_strategy(), poly_strategy().filter(lambda p: not p.is_zero()), st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
-def test_ratfunc_add_sub_roundtrip(n, d):
-    a = RatFunc(n) / RatFunc(d)
+def test_ratfunc_add_sub_roundtrip(n, d, k):
+    a = RatFunc(n, None, k) / RatFunc(d)
     b = rf("(1+x1)/(2+x2^2)")
     assert (a + b) - b == a
 
@@ -287,6 +298,120 @@ def test_exact_div_inverts_mul(a, b):
     assert q is not None and q == a
 
 
+# -- the integer Poly and RatFunc against the Fraction oracle -----------------------------
+
+
+def frac(pair) -> Fraction:
+    """The Fraction of an integer pair (d, n)."""
+    return Fraction(pair[1], pair[0])
+
+
+@given(terms_strategy(), terms_strategy(), st.integers(0, 3), st.integers(1, 12),
+       st.tuples(st.fractions(-3, 3, max_denominator=5), st.fractions(-3, 3, max_denominator=5)))
+@settings(max_examples=80, deadline=None)
+def test_integer_poly_equals_the_fraction_poly(ta, tb, k, den, point):
+    """Sums, products, powers, exact quotients (hits and misses), partials,
+    jets and printed forms of integer polynomials equal those of
+    reference.FractionPoly on the same terms; a printed form over den equals
+    that of the Fraction polynomial divided by den."""
+    a, b, fa, fb = Poly(2, ta), Poly(2, tb), FractionPoly(2, ta), FractionPoly(2, tb)
+    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a ** k, fa ** k),
+                      (a.partial(0), fa.partial(0)), (b.partial(1), fb.partial(1))):
+        assert got.terms == want.terms and all(type(c) is int for c in got.terms.values())
+        assert got.to_str(VARS2) == want.to_str(VARS2)
+    assert a.to_str(VARS2, den) == fa.scale(Fraction(1, den)).to_str(VARS2)
+    for order in (0, 1, 2):
+        assert fractions(*a.jet_at(int_point(point), order)) == fractions(*fa.jet_at(point, order))
+    if not b.is_zero():
+        assert (a * b).exact_div(b).terms == a.terms
+        want = fa.exact_div(fb)
+        if want is not None and any(c.denominator != 1 for c in want.terms.values()):
+            want = None  # a quotient over Q without integer coefficients
+        got = a.exact_div(b)
+        assert (got is None) == (want is None) and (got is None or got.terms == want.terms)
+        c, prim = b.primitive()
+        assert prim.scale(c) == b and prim.leading()[1] > 0
+        assert math.gcd(*prim.terms.values()) == 1
+
+
+# a x1 + b x2 + c for small integers, whose leading coefficient makes its monic form
+LINEAR = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda t: t[0] or t[1]).map(lambda t: ("lin",) + t)
+ATOMS = st.one_of(st.sampled_from(["x1", "x2"]), st.fractions(-4, 4, max_denominator=6), LINEAR)
+PROGRAMS = st.recursive(ATOMS, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "/"]), sub, sub),
+    st.tuples(st.just("^"), sub, st.integers(-2, 3)),
+    st.tuples(st.just("d"), sub, st.integers(0, 1))), max_leaves=6)
+
+
+def run(program, cls):
+    """The value of a program over the rational-function class cls."""
+    if isinstance(program, str):
+        return cls.var(int(program[1]) - 1, 2)
+    if isinstance(program, Fraction):
+        return cls.const(2, program)
+    if program[0] == "lin":
+        _, a, b, c = program
+        return cls.var(0, 2) * a + cls.var(1, 2) * b + c
+    op, a, b = program
+    a = run(a, cls)
+    if op == "^":
+        return a ** b
+    if op == "d":
+        return a.partial(b)
+    b = run(b, cls)
+    return {"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b
+
+
+@given(PROGRAMS, st.lists(LINEAR, max_size=3),
+       st.tuples(st.fractions(-3, 3, max_denominator=5), st.fractions(-3, 3, max_denominator=5)))
+@settings(max_examples=150, deadline=None)
+def test_integer_ratfunc_equals_the_fraction_ratfunc(program, divisors, point):
+    """A RatFunc built by sums, products, quotients, powers and partials has
+    the factors and multiplicities, the printed form and the jets of the
+    parent's Fraction RatFunc (reference.FractionRatFunc) built the same way:
+    its factors are primitive with positive leading coefficients, keyed by
+    tuples of integers, and print as their monic forms in the order of the
+    monic forms' keys.  The program's value is divided by up to three linear
+    polynomials in turn, so that several factors meet."""
+    for divisor in divisors:
+        program = ("/", program, divisor)
+    try:
+        want = run(program, FractionRatFunc)
+    except ZeroDivisionError:
+        assume(False)
+    got = run(program, RatFunc)
+    assume(sum(len(p.terms) for p, _ in got.factors.values()) + len(got.num.terms) < 200)
+    assert got.to_str(VARS2) == want.to_str(VARS2)
+    assert sorted(m for _, m in got.factors.values()) == sorted(
+        m for _, m in want.factors.values())
+    assert got.den > 0 and math.gcd(got.den, *got.num.terms.values()) == 1
+    for key, (p, _) in got.factors.items():
+        assert key == p.key() and all(type(c) is int for _, c in key)
+        assert p.leading()[1] > 0 and math.gcd(*p.terms.values()) == 1
+    assert oracle(got) == want and got == RatFunc.const(2, 0) + got
+    for order in (0, 1, 2):
+        try:
+            expected = ratfunc_jet_reference(want, point, order)
+        except ZeroDivisionError:
+            with pytest.raises(PoleAtPoint):
+                got.jet_at(int_point(point), order)
+            continue
+        assert fractions(*got.jet_at(int_point(point), order)) == expected
+
+
+def test_several_denominator_factors_print_in_the_order_of_their_monic_forms():
+    """The factors 3 x1 + 1, 2 x1 + 1 and x1 + 1 print as x1 + 1/3, x1 + 1/2
+    and x1 + 1, the order of the monic forms' keys, which is the reverse of
+    the integer keys' order."""
+    f = rf("x2") / rf("x1 + 1") / rf("2*x1 + 1") / rf("2*x1 + 1") / rf("3*x1 + 1")
+    assert [f.factors[k][0].to_str(VARS2) for k in sorted(f.factors)] == [
+        "x1 + 1", "2*x1 + 1", "3*x1 + 1"]
+    want = "(1/12*x2)/((x1 + 1/3)*(x1 + 1/2)^2*(x1 + 1))"
+    assert f.to_str(VARS2) == want
+    assert oracle(f).to_str(VARS2) == want
+
+
 def test_eval_of_partial_matches_finite_difference_sweep():
     f = rf("(x1^2*x2 - 3*x2 + 1)/(2 + x1^2)")
     h = Fraction(1, 128)
@@ -294,7 +419,7 @@ def test_eval_of_partial_matches_finite_difference_sweep():
         d = f.partial(i)
         for point in (as_point([1, 2]), as_point([-2, 3]), as_point([Fraction(2, 3), -1])):
             fd = central_difference(f, point, i, h)
-            exact = d.eval_at(point)
+            exact = eval_at(d, point)
             assert abs(fd - exact) <= 8 * h * h * max(1, abs(exact), abs(fd))
 
 
@@ -422,7 +547,60 @@ def test_parse_rejects_products_above_the_bound(text, variables):
     ("2.5E+1000", 25 * 10 ** 999), ("1e-1000", Fraction(1, 10 ** 1000)),
 ])
 def test_parse_rational_reads_fraction_literals(text, value):
-    assert parse_rational(text) == value
+    assert parse_rational(text) == (Fraction(value).denominator, Fraction(value).numerator)
+
+
+# signs, n/d, decimals, exponents up to +-1000, whitespace, underscores (Fraction reads
+# them from 3.11, and spaces around "/" from 3.12), non-ASCII digits, and malformed texts
+LITERALS = [
+    "0", "-0", "+7", "-7", "12/8", "-12/8", "+3/9", " 1/2 ", "\t-5\n", "\xa01\xa0", "1 /2",
+    "1/ 2", "1 / 2", "3.25", "-.5", "+5.", "5.", ".5", "0.000", "1.5e3", "1.5E-3", "-2.5e+1000",
+    "1e1000", "1e-1000", "7e-0", "00012/0004", "1_000", "1_000/2_0", "1.5_5", "1e1_0", "1__0",
+    "1_", "_1", "١٢", "١/٢", "٣.٥", "1/0", "0/0", "-3/0", "1e1001", "1e-1001", "1/-2",
+    "-1/-2", "0x10", "nan", "inf", "", " ", "-", "+", ".", "1e", "e5", "1.2/3", "1/2/3", "+-1",
+    "1.d", ".d", "1..2", "1e5.0", "2**3", "1/2e3",
+]
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_parse_rational_reads_what_fraction_reads(text):
+    """parse_rational is Fraction(text) on integers: the same value in lowest
+    terms, the same exception type and text for a malformed literal, and
+    ZeroDivisionError for n/0, on this interpreter's grammar; only the bounds
+    on the exponent and the digits are its own."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_rational(text)
+        if isinstance(exc, ValueError) and "1001" not in text:
+            assert str(got.value) == str(exc)
+        return
+    if "1001" in text:
+        with pytest.raises(ValueError, match="above 1000 in magnitude"):
+            parse_rational(text)
+        return
+    assert parse_rational(text) == (value.denominator, value.numerator)
+
+
+def test_rat_str_prints_as_fraction_and_lifts_the_digit_limit_only_while_printing():
+    """rat_str is str(Fraction(n, d)), for a negative d too, and prints a
+    value past Python's int-to-str digit limit; the limit holds again after."""
+    for n, d in ((0, 5), (6, -4), (-7, 3), (10, 5), (3, 1)):
+        assert rat_str(d, n) == str(Fraction(n, d))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = 7 ** 6000  # 5,071 digits
+    if not 0 < limit < 5071:
+        pytest.skip("no int-to-str digit limit below 5,071 digits here")
+    text = rat_str(-3, big)
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(big)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == f"{-big}/3"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", ["1e1001", "1e-1001", "1e9999999", "-3.5E+00099999999"])

@@ -7,12 +7,9 @@ from fractions import Fraction
 import pytest
 
 from paracomplex.linalg import (
-    basis_vec,
-    frac_mat,
     lambda2_matrix,
     mat_add,
     mat_eq,
-    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -35,13 +32,16 @@ from paracomplex.reference import (
     assemble_endo,
     b_conjugate,
     b_transform,
+    basis_vec,
     check_pi_conditions,
     classify_component,
     extract_pair,
+    frac_mat,
     gen_metric,
     gen_pairing,
     is_compatible_endo,
     mat_from_columns,
+    mat_identity,
     mat_inv,
     mat_rank,
     mat_zero,
@@ -792,10 +792,8 @@ def test_s_ij_endo_is_vertical_generator():
 def structure_to_descriptor(kind: str, **parts) -> dict:
     desc = {"schema": 1, "kind": kind}
     for name, value in parts.items():
-        if isinstance(value, Bilinear):
-            desc[name] = mat_to_strings(value.mat)
-        elif isinstance(value, Endo):
-            desc[name] = mat_to_strings(value.mat)
+        if isinstance(value, (Bilinear, Endo)):
+            desc[name] = mat_to_strings(*as_ints(value.mat))
         elif isinstance(value, TwoVector):
             desc[name] = {f"{i + 1},{j + 1}": str(c) for (i, j), c in value.comps.items()}
         else:
@@ -806,7 +804,7 @@ def structure_to_descriptor(kind: str, **parts) -> dict:
 def test_structure_descriptor_round_trip():
     desc = structure_to_descriptor("product", P=K_STD)
     assert desc["schema"] == 1 and desc["kind"] == "product"
-    assert desc["P"] == mat_to_strings(K_STD.mat)
+    assert desc["P"] == [[str(x) for x in row] for row in K_STD.mat]
     pi = TwoVector.basis(0, 1, 4)
     desc_pi = structure_to_descriptor("pi", pi=pi)
     assert desc_pi["pi"] == {"1,2": "1"}

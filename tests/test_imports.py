@@ -5,8 +5,10 @@ and that compile time is paid on every start of the CLI.  `validate` and
 `integrability` never run `paracomplex.curv`, so they must not load it;
 `curvature` and `theorem` without `--theta` never run `gpx` or `patch`, so they
 must not load those; no command may load `dataclasses` (it pulls in `inspect`,
-`ast`, `dis` and `tokenize`), and none loads `paracomplex.reference`, the home
-of the closed forms and oracles that only the tests and the demos call.  Each
+`ast`, `dis` and `tokenize`) or `fractions` (it pulls in `decimal` and
+`numbers`: every value on a command path is an integer pair), and none loads
+`paracomplex.reference`, the home of the closed forms and oracles that only
+the tests and the demos call.  Each
 check runs in its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares
 the modules loaded before and after.  CPython's parser doubles its token array
 at 8,192 tokens, so a module a command loads stays below that size.  Every def
@@ -55,6 +57,65 @@ def probe(*argv):
     assert proc.returncode == 0, proc.stderr
     info = json.loads(proc.stderr)
     return info["code"], set(info["imported"]), set(info["ran"]), proc.stdout
+
+
+# runs each command of the JSON list argv[1] with main in one process, and writes to
+# the file argv[2] the first command after which each of fractions, decimal and
+# numbers was loaded
+NO_FRACTIONS = """
+import json, sys
+from paracomplex.cli import main
+first = {}
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    for name in ("fractions", "decimal", "numbers"):
+        if name in sys.modules:
+            first.setdefault(name, argv)
+with open(sys.argv[2], "w") as fh:
+    json.dump(first, fh)
+"""
+
+
+def _with_and_without_theta(argv: list) -> list:
+    """argv, and for theorem also argv with its --theta taken out or a
+    --theta that is not closed put in."""
+    if argv[0] != "theorem":
+        return [argv]
+    if "--theta" in argv:
+        i = argv.index("--theta")
+        return [argv, argv[:i] + argv[i + 2:]]
+    return [argv, argv + ["--theta", "x1*dx2^dx3"]]
+
+
+def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
+    """Every PINNED command of test_report_bytes, and each theorem among them
+    with and without --theta, run in one fresh process, loads none of
+    fractions, decimal and numbers: points, values, the frame search and the
+    witness search are integer pairs, and exact.rat_str prints them."""
+    from test_report_bytes import PINNED, _label
+
+    runs = []
+    for k, (argv, _, _) in enumerate(PINNED):
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                path = tmp_path / f"descriptor{k}.json"
+                path.write_text(json.dumps(arg))
+                args.append(str(path))
+            else:
+                if isinstance(arg, tuple):
+                    (tmp_path / arg[0]).write_text(json.dumps(arg[1]))
+                args.append(_label(arg))
+        runs += _with_and_without_theta(args)
+    assert {"--theta" in r for r in runs if r[0] == "theorem"} == {True, False}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = tmp_path / "first.json"
+    proc = subprocess.run([sys.executable, "-c", NO_FRACTIONS, json.dumps(runs), str(out)],
+                          cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text()) == {}
 
 
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
@@ -127,6 +188,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # the routines only they use (the commands pass integer pairs (D, M)), and
 # helpers that one test file keeps as a local reference
 MOVED = [
+    "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
+    "mat_identity", "one_like", "rnd_vec", "zero_like",
     "as_point",
     "g_adjoint", "hodge_star", "lambda2_inner", "selfdual_split", "vec_sub",
     "adapted_basis", "anticommutes", "fiber_metric", "fiber_structure", "fiber_tangent_basis",

@@ -10,13 +10,9 @@ import pytest
 from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.gpx import assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
-    basis_vec,
-    frac_mat,
     int_jet,
-    int_mats,
     mat_add,
     mat_eq,
-    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -41,12 +37,18 @@ from paracomplex.reference import (
     STRUCTURES,
     b_bracket_residual,
     b_conjugate,
+    basis_vec,
     classical_nijenhuis,
     courant_bracket,
     double_contract,
     endo_jet,
+    eval_at,
+    frac_mat,
     gen_nijenhuis,
+    int_mats,
+    int_point,
     mat_eval,
+    mat_identity,
     mat_rank,
     omega_structure,
     pi_structure,
@@ -481,8 +483,8 @@ def test_patch_structures_evaluate_to_the_pointwise_constructors():
         pointwise = {
             "trivial": trivial_structure(N),
             "omega": omega_structure(Bilinear(
-                [[omega.get((i, j)).eval_at(pt) for j in range(N)] for i in range(N)])),
-            "pi": pi_structure([[c.eval_at(pt) for c in row] for row in pi]),
+                [[eval_at(omega.get((i, j)), pt) for j in range(N)] for i in range(N)])),
+            "pi": pi_structure([[eval_at(c, pt) for c in row] for row in pi]),
             "product": product_structure(Endo(mat_eval(p_mat, pt))),
         }
         for kind, expected in pointwise.items():
@@ -669,12 +671,12 @@ def test_mat_jet_of_k_equals_the_evaluated_endo_jet(key):
             want = (mat_eval(m, pt), [mat_eval(d, pt) for d in dk])
         except PoleAtPoint as exc:
             with pytest.raises(PoleAtPoint, match=f"^{re.escape(str(exc))}$"):
-                structure_jet(kind, data_matrix(kind, data), pt, 1)
+                structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
             continue
-        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
         assert all(isinstance(x, int) for mat in [k_at] + dk_at for row in mat for x in row)
         assert (frac_mat(d0, k_at), [frac_mat(d1, d) for d in dk_at]) == want, pt
-        assert structure_jet(kind, data_matrix(kind, data), pt) == ((d0, k_at),)
+        assert structure_jet(kind, data_matrix(kind, data), int_point(pt)) == ((d0, k_at),)
         checked += 1
     if data is OMEGA_SQUARED:
         assert any(mult >= 2 for row in m for c in row for _, mult in c.factors.values())
@@ -692,10 +694,10 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
     assert bool(symbolic) == (n > 2)
     points = regular_points(random.Random(83), n, 3,
                             lambda pt: [section_at(s, pt) for s in symbolic.values()],
-                            lambda pt: structure_jet(kind, data_matrix(kind, data), pt))
+                            lambda pt: structure_jet(kind, data_matrix(kind, data), int_point(pt)))
     for pt in points:
         expected = {pair: section_at(s, pt).stacked() for pair, s in symbolic.items()}
-        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
         ok, at = gen_nijenhuis_frame_sweep((d0, k_at), (d1, dk_at))
         assert all(isinstance(c, int) for n_ab in at.values() for c in n_ab)
         assert {pair: [Fraction(c, 2 * d0 * d1) for c in n_ab] for pair, n_ab in at.items()} == {
@@ -707,7 +709,7 @@ def test_the_integer_sweep_of_an_integrable_structure_is_zero():
     for kind, data in [("trivial", N), ("omega", form2({(0, 1): "1", (2, 3): "1 + x3^2"})),
                        ("pi", bivector(N, {(1, 2): rf("x1")}))]:
         pt = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 7))
-        assert gen_nijenhuis_frame_sweep(*structure_jet(kind, data_matrix(kind, data), pt, 1)) \
+        assert gen_nijenhuis_frame_sweep(*structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)) \
             == (True, {})
 
 
@@ -759,7 +761,7 @@ def test_assembled_k_at_a_point_equals_its_symbolic_reduction(key):
     n = key[0]
     data, symbolic = ASSEMBLED[key]
     for pt in regular_points(random.Random(41), n, 3):
-        den, m = assemble(*(int_jet(x, pt)[0] for x in data))
+        den, m = assemble(*(int_jet(x, int_point(pt))[0] for x in data))
         k = GenEndo.from_matrix(frac_mat(den, m))
         assert k.as_matrix() == mat_eval(symbolic.as_matrix(), pt), pt
         assert validate_gen_para(den, m) == fraction_validate_gen_para(k) == dict.fromkeys(
@@ -783,8 +785,8 @@ def test_integer_validate_gen_para_equals_the_fraction_version(key):
     rng = random.Random(53)
     seen = set()
     for pt in regular_points(rng, n, 3,
-                             lambda pt: structure_jet(kind, data_matrix(kind, data), pt)):
-        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), pt, 1)
+                             lambda pt: structure_jet(kind, data_matrix(kind, data), int_point(pt))):
+        (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
         assert all(validate_gen_para(d0, k_at).values())
         for den, m in [(d0, k_at), (d0, perturbed(k_at, rng)),
                        (d0 * d1, mat_add(mat_scale(d1, k_at), mat_scale(d0, dk_at[0])))]:
