@@ -8,12 +8,10 @@ import random
 from fractions import Fraction
 
 from paracomplex.gpx import assemble, is_compatible
-from paracomplex.linalg import mat_mul
 from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
     Bilinear,
     GenEndo,
-    GenVector,
     TwoVector,
     as_ints,
     b_conjugate,
@@ -23,9 +21,7 @@ from paracomplex.reference import (
     extract_pair,
     frac_mat,
     gen_metric,
-    gen_pairing,
     is_compatible_endo,
-    mat_identity,
     pi_structure,
     product_structure,
     standard_para_structure,

@@ -658,7 +658,8 @@ _DIGITS_BOUND = 10 ** (MAX_EXPONENT + 1)  # the least integer of MAX_EXPONENT + 
 _DIGITS = r"\d+" if sys.version_info < (3, 11) else r"\d+(?:_\d+)*"
 _SLASH = "/" if sys.version_info < (3, 12) else r"\s*/\s*"
 _DECIMAL = ("d*|" if (3, 11) <= sys.version_info < (3, 13) else "") + r"\d*|" + _DIGITS
-_LITERAL = (rf"\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|{_DIGITS})(?:(?:{_SLASH}(?P<denom>{_DIGITS}))?"
+_LITERAL = (rf"\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|{_DIGITS})"
+            rf"(?:(?:{_SLASH}(?P<denom>{_DIGITS}))?"
             rf"|(?:\.(?P<decimal>{_DECIMAL}))?(?:E(?P<exp>[-+]?{_DIGITS}))?)\s*\Z")
 
 

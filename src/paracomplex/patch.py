@@ -155,7 +155,8 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
         raise ValueError("omega field is degenerate")
     if kind == "product":
         n = len(data)
-        ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
+        ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)]
+                 for i in range(n)]
         if not mat_eq(mat_mul(data, data), ident):
             raise ValueError("P^2 != Id as a rational-function identity")
         if mat_eq(data, ident) or mat_eq(data, mat_neg(ident)):

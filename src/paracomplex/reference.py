@@ -527,7 +527,8 @@ class FractionRatFunc:
             return FractionRatFunc.one(self.nvars) / self ** (-k)
         if k == 0:
             return FractionRatFunc.one(self.nvars)
-        return FractionRatFunc(self.num ** k, {key: (p, m * k) for key, (p, m) in self.factors.items()})
+        return FractionRatFunc(self.num ** k,
+                               {key: (p, m * k) for key, (p, m) in self.factors.items()})
 
     # -- calculus ---------------------------------------------------------------
 

@@ -128,7 +128,8 @@ def rnd_vec(rng, n=4) -> list:
 
 def parts_sum(dec) -> list:
     """(s/12) Id + B + W of a curvature decomposition, in Fractions."""
-    return mat_add(mat_add(mat_scale(frac(dec.int_s) / 12, mat_identity(6)), frac_mat(*dec.int_b)), frac_mat(*dec.int_w))
+    return mat_add(mat_add(mat_scale(frac(dec.int_s) / 12, mat_identity(6)), frac_mat(*dec.int_b)),
+                   frac_mat(*dec.int_w))
 
 
 def perturbed_metric() -> MetricModel:
@@ -582,11 +583,13 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
                 continue
             op = curvature_operator(model.g, int_point(p))
             assert frac_mat(*op.int_g) == ref["g_at"] and frac_mat(*op.int_mat) == ref["mat"]
-            assert frac_mat(*op.int_lowered) == ref["lowered"] and frac_mat(*op.int_ricci) == ref["ricci"]
+            assert frac_mat(*op.int_lowered) == ref["lowered"]
+            assert frac_mat(*op.int_ricci) == ref["ricci"]
             assert frac_mat(*op.int_rho) == ref["rho"] and s_of(op) == ref["s"]
             scalar = mat_eq(ref["mat"], mat_scale(ref["mat"][0][0], mat_identity(6)))
             c = ref["mat"][0][0]
-            assert sectional_constant_check(op) == ((c.denominator, c.numerator) if scalar else None)
+            assert sectional_constant_check(op) == (
+                (c.denominator, c.numerator) if scalar else None)
             for orientation in (1, -1):
                 onb = model.onb_at(int_point(p), orientation, op.int_g)
                 cols = [[Fraction(x, onb[0]) for x in v] for v in onb[1]]
@@ -696,8 +699,9 @@ def jklr_residual(op, k1: Endo, k2: Endo, j: int, l: int, r: int, x, y, z, u) ->
 
     a_sum, a_diff = coords(vec_add(x, kx), vec_add(y, ky)), coords(vec_sub(x, kx), vec_sub(y, ky))
     b_sum, b_diff = coords(vec_add(z, kz), vec_add(u, ku)), coords(vec_sub(z, kz), vec_sub(u, ku))
+    lowered = frac_mat(*op.int_lowered)
     return Fraction(sum(c * (a_sum[a] * b_sum[b] + a_diff[a] * b_diff[b])
-                        for a, row in enumerate(frac_mat(*op.int_lowered)) for b, c in enumerate(row))) / 2
+                        for a, row in enumerate(lowered) for b, c in enumerate(row))) / 2
 
 
 def test_jklr_flat_always_zero():
@@ -848,8 +852,8 @@ def test_lowered_operator_is_the_lambda2_pairing():
         for p in JKLR_POINTS:
             op = curvature_operator(model.g, int_point(p))
             g = Bilinear(frac_mat(*op.int_g))
-            assert frac_mat(*op.int_lowered) == [[lambda2_inner(g, r_of(op, ea), eb) for eb in basis]
-                                  for ea in basis]
+            assert frac_mat(*op.int_lowered) == [
+                [lambda2_inner(g, r_of(op, ea), eb) for eb in basis] for ea in basis]
 
 
 def test_lambda2_gram_is_the_lambda2_inner_table():

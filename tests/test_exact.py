@@ -500,9 +500,15 @@ def test_parse_rejects_a_non_string(value):
         parse_ratfunc(value, VARS2)
 
 
+WIDE = "x1/18446744073709551616 + 1/12157665459056928801"
+
+
 @pytest.mark.parametrize("text,base,k", [
     ("x1^16", "x1", 16), ("(x1^4)^4", "x1", 16), ("(1/(x1 + x2))^16", "1/(x1 + x2)", 16),
     ("(x1^2 + x2)^8", "x1^2 + x2", 8), ("(2^16)^16", "2", 256), ("0^0", "1", 1),
+    # coefficients 1/2^64 and 1/3^40 in lowest terms, 65 bits each at most: 15 * 65 <= 1024,
+    # though their common denominator has 128 bits
+    (f"({WIDE})^15", WIDE, 15),
 ])
 def test_parse_accepts_powers_up_to_the_bound(text, base, k):
     expected = RatFunc.one(2)
@@ -613,7 +619,7 @@ def test_parse_rational_bounds_the_exponent(text):
 
 @pytest.mark.parametrize("text", [
     "x1^17", "x1^99999999999", "2^99999999999", "0^17", "(x1^4)^5", "(x1*x2)^9",
-    "1/(x1 + 1)^17", "(1/(x1^2 + 1))^9", "((2^16)^16)^16",
+    "1/(x1 + 1)^17", "(1/(x1^2 + 1))^9", "((2^16)^16)^16", f"({WIDE})^16",
 ])
 def test_parse_rejects_powers_above_the_bound(text):
     """The exponent, the total degree of the power and its exponent times the

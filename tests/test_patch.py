@@ -709,8 +709,8 @@ def test_the_integer_sweep_of_an_integrable_structure_is_zero():
     for kind, data in [("trivial", N), ("omega", form2({(0, 1): "1", (2, 3): "1 + x3^2"})),
                        ("pi", bivector(N, {(1, 2): rf("x1")}))]:
         pt = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 7))
-        assert gen_nijenhuis_frame_sweep(*structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)) \
-            == (True, {})
+        jet = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
+        assert gen_nijenhuis_frame_sweep(*jet) == (True, {})
 
 
 # structures (g, Theta, K1, K2) in the two reductions of assemble: K1 = K2 = P
@@ -784,8 +784,8 @@ def test_integer_validate_gen_para_equals_the_fraction_version(key):
     kind, n, data = POINTWISE[key]
     rng = random.Random(53)
     seen = set()
-    for pt in regular_points(rng, n, 3,
-                             lambda pt: structure_jet(kind, data_matrix(kind, data), int_point(pt))):
+    for pt in regular_points(rng, n, 3, lambda pt: structure_jet(kind, data_matrix(kind, data),
+                                                                 int_point(pt))):
         (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
         assert all(validate_gen_para(d0, k_at).values())
         for den, m in [(d0, k_at), (d0, perturbed(k_at, rng)),
