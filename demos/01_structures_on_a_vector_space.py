@@ -6,9 +6,10 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 
 from fractions import Fraction
 
-from paracomplex.exact import parse_ratfunc, rat_str
+from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import mat_eq, mat_mul
 from paracomplex.para import validate_para
+from paracomplex.poly import rat_str
 from paracomplex.reference import (
     Bilinear,
     as_ints,

@@ -4,7 +4,7 @@ the dim-4 theorem verdicts.
 Run with:  python3 demos/03_integrability_and_curvature.py
 """
 
-from paracomplex.exact import RatFunc, parse_ratfunc, rat_str
+from paracomplex.exact import RatFunc, parse_ratfunc
 from paracomplex.curv import (
     constcurv_metric,
     curvature_operator,
@@ -13,10 +13,11 @@ from paracomplex.curv import (
     flat_metric,
     ppwave_metric,
     sectional_constant_check,
-    theorem_verdict,
 )
 from paracomplex.linalg import int_jet
 from paracomplex.patch import KForm, integrability_report
+from paracomplex.poly import rat_str
+from paracomplex.theorem import theorem_verdict
 
 V = ["x1", "x2", "x3", "x4"]
 rf = lambda s: parse_ratfunc(s, V)

@@ -8,7 +8,8 @@ identical bytes.
 Each command imports the modules it runs inside its function, so a start
 loads (and, without cached bytecode, compiles) only those: `validate` and
 `integrability` load `gpx` and `patch` but not `curv`; `curvature` and
-`theorem` load `curv` but, without `--theta`, neither `gpx` nor `patch`.
+`theorem` load `curv` but, without `--theta`, neither `gpx` nor `patch`; and
+`curvature` loads neither `theorem` nor `para`, which `theorem` runs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import re
 import sys
 
 from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc, parse_rational, point_strings, rat_str)
+                               parse_ratfunc, parse_rational, point_strings)
 from paracomplex.linalg import SingularMatrix, int_jet, mat_to_strings, transpose
+from paracomplex.poly import rat_str
 
 
 # -- small parsers ------------------------------------------------------------
@@ -327,7 +329,8 @@ MAX_SAMPLES = 100_000
 
 
 def cmd_theorem(args) -> tuple[dict, int]:
-    from paracomplex.curv import parse_metric_id, theorem_verdict
+    from paracomplex.curv import parse_metric_id
+    from paracomplex.theorem import theorem_verdict
 
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
@@ -460,15 +463,30 @@ COMMANDS = {
 
 _COMPONENT_ALIASES = {"pp": "++", "pm": "+-", "mp": "-+", "mm": "--"}
 
+# options whose value may begin with a minus sign: a point -1,0,0,0 or a Theta -x1*dx2^dx3
+_SIGNED_VALUE_OPTIONS = ("--point", "--points", "--theta")
+
+
+def _prepare_argv(argv: list) -> list:
+    """argv rewritten where argparse would misread it.  argparse silently
+    drops a literal "--" value (it marks end-of-options), so --component=--
+    becomes its alias mm; and it takes a token with a single leading "-" for
+    an option, so such a token right after an option of _SIGNED_VALUE_OPTIONS
+    is joined to it by "=", as in --point=-1,0,0,0."""
+    out: list = []
+    for a in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and a[:1] == "-" and a[:2] != "--":
+            out[-1] = f"{out[-1]}={a}"
+        else:
+            out.append("--component=mm" if a == "--component=--" else a)
+    return out
+
 
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # argparse silently drops a literal "--" value (it marks end-of-options),
-    # so rewrite the = form before parsing
-    argv = ["--component=mm" if a == "--component=--" else a for a in argv]
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_prepare_argv(argv))
     if getattr(args, "component", None) in _COMPONENT_ALIASES:
         args.component = _COMPONENT_ALIASES[args.component]
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from paracomplex.exact import rat_str
+from paracomplex.poly import rat_str
 
 Vec = list
 Mat = list

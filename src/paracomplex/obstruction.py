@@ -4,7 +4,7 @@ for the generalized structure assembled from (g, Theta = 0, S1, S2), on
 integers: g, S1, S2, the torsion and the values of dTheta are integer pairs
 (D, M), and sections X + alpha of T + T* are stacked integer vectors.
 Only `theorem` with a non-closed `--theta` runs it (the witness search of
-`curv.theorem_verdict`), so no other command loads or compiles this module.
+`theorem.theorem_verdict`), so no other command loads or compiles this module.
 """
 
 from __future__ import annotations

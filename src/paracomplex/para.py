@@ -1,6 +1,7 @@
-"""Paracomplex structures on a neutral vector space: validation, orthogonal
-complements, and the random compatible structures of the dim-4 hyperboloid
-model that the theorem sampler draws.
+"""Paracomplex structures on a neutral vector space: validation, and the
+random compatible structures of the dim-4 hyperboloid model that the theorem
+sampler draws.  `validate` loads this module for an assembled descriptor and
+`theorem` for its samples; `curvature` does not load it.
 
 A paracomplex structure is an endomorphism K with K^2 = Id whose +-1
 eigenspaces have equal dimension; compatibility with a metric g means
@@ -11,8 +12,8 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from paracomplex.linalg import (int_mul, j_structures, kernel_basis, mat_add, mat_is_zero,
-                                mat_neg, mat_scale, mat_vec, transpose)
+from paracomplex.linalg import (int_mul, j_structures, mat_add, mat_is_zero, mat_neg, mat_scale,
+                                transpose)
 
 
 def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
@@ -28,16 +29,6 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
         "trace_zero": not sum(km[i][i] for i in range(n)),
         "g_skew": mat_is_zero(mat_add(int_mul(transpose(km), gm), int_mul(gm, km))),
     }
-
-
-# -- orthogonal complements -----------------------------------------------------
-
-
-def _orthogonal_complement_basis(gm: list, span: list) -> tuple[int, list]:
-    """A basis of {w : g(v, w) = 0 for v in span} over Q, as kernel_basis gives
-    it, for an integer matrix gm, a positive multiple of g, and integer
-    vectors span, each a positive multiple of its vector."""
-    return kernel_basis([mat_vec(transpose(gm), v) for v in span], len(gm))
 
 
 # -- the hyperboloid model in dimension 4 ----------------------------------------------

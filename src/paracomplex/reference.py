@@ -4,9 +4,9 @@ the tests and the demos use with them.
 No command imports this module, so a CLI start never compiles it.  It holds
 the Fraction oracle of the integer scalar tower (`FractionPoly` and
 `FractionRatFunc`, the polynomial and rational function with Fraction
-coefficients over monic factors that `exact` replaced), `int_point` and
-`eval_at` between Fraction points and the integer points (D, X) of the
-commands, and the Fraction wrappers the commands no longer use: vectors and
+coefficients over monic factors that `poly` and `exact` replaced),
+`int_point` and `eval_at` between Fraction points and the integer points
+(D, X) of the commands, and the Fraction wrappers the commands no longer use: vectors and
 matrices over the scalar tower (`frac_mat`, `int_mats`, `mat_inv`,
 `mat_rank`, `mat_jet`), bilinear forms (with
 Sylvester inertia, `signature`), endomorphisms, 2-vectors, the algebra of
@@ -33,8 +33,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from paracomplex.curv import DegenerateMetric, _riemann
-from paracomplex.exact import RatFunc, _factors_mul, _term_key
+from paracomplex.curv import DegenerateMetric, _orthogonal_complement_basis, _riemann
+from paracomplex.exact import RatFunc, _factors_mul
 from paracomplex.gpx import GenVector as _GenVector
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
 from paracomplex.linalg import (
@@ -56,7 +56,7 @@ from paracomplex.linalg import (
     transpose,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
-from paracomplex.para import _orthogonal_complement_basis, validate_para
+from paracomplex.para import validate_para
 from paracomplex.patch import (
     KForm,
     _partial,
@@ -64,6 +64,7 @@ from paracomplex.patch import (
     courant_on_jets,
     ext_deriv,
 )
+from paracomplex.poly import _term_key
 
 Vec = list
 Mat = list
@@ -87,7 +88,7 @@ def eval_at(f: RatFunc, point: Sequence) -> Fraction:
 
 
 class FractionPoly:
-    """Multivariate polynomial with Fraction coefficients: exact.Poly as it was
+    """Multivariate polynomial with Fraction coefficients: poly.Poly as it was
     before its coefficients became integers, kept as the oracle of that one.
 
     Immutable by convention: no method mutates ``terms`` after construction.
@@ -1153,7 +1154,7 @@ def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
 
 
 def orthogonal_complement(g: list, span: list) -> list:
-    """para._orthogonal_complement_basis for a matrix and vectors of Fractions,
+    """curv._orthogonal_complement_basis for a matrix and vectors of Fractions,
     as Fraction vectors."""
     return frac_mat(*_orthogonal_complement_basis(as_ints(g)[1],
                                                   [as_ints([v])[1][0] for v in span]))

@@ -20,7 +20,6 @@ from paracomplex.curv import (
     flat_metric,
     ppwave_metric,
     sectional_constant_check,
-    theorem_verdict,
 )
 from paracomplex.exact import RatFunc, parse_ratfunc
 from paracomplex.linalg import (
@@ -38,6 +37,7 @@ from paracomplex.patch import (
     integrability_report,
     poisson_jacobiator,
 )
+from paracomplex.theorem import theorem_verdict
 from paracomplex.reference import (
     Bilinear,
     Endo,

@@ -741,6 +741,39 @@ def test_theorem_bad_point_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,option,value", [
+    (["curvature", "constcurv:1"], "--point", "-1,0,0,0"),
+    (["theorem", "constcurv:1", "--component=+-"], "--points", "-1,0,0,0"),
+    (["theorem", "constcurv:1", "--component=+-"], "--points", "-1,1,1,1;0,-2/3,-1,-3/2"),
+    (["theorem", "flat", "--component=++"], "--theta", "-x1*dx2^dx3"),
+    (["theorem", "flat", "--component=++"], "--theta", "-x1*dx2^dx3+x2*dx1^dx4"),
+    (["validate", "{path}"], "--point", "-1,2,3,4"),
+    (["integrability", "{path}"], "--points", "-1,2,3,4;1,-2,3,4"),
+], ids=["curvature-point", "theorem-points", "theorem-two-points", "theorem-theta",
+        "theorem-theta-two-terms", "validate-point", "integrability-points"])
+def test_a_value_with_a_leading_minus_reads_as_its_equals_form(tmp_path, capsys, argv, option,
+                                                                value):
+    """A point or Theta that begins with a minus sign, given as the token after
+    its option, is that option's value, as in the = form; argparse used to take
+    it for an option and exit 2 with its usage text."""
+    path = write_desc(tmp_path, "omega.json", {"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}})
+    argv = [a.format(path=path) for a in argv]
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+    assert spaced[0] in (0, 1) and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curvature", "constcurv:1", "--point", "-x"], "bad point '-x'"),
+    (["theorem", "flat", "--component=++", "--points", "-1,0"],
+     "expected 4 coordinates in '-1,0'"),
+    (["theorem", "flat", "--component=++", "--theta", "-dx2"],
+     "term 'dx2' must end with dxi^dxj"),
+], ids=["point", "points", "theta"])
+def test_a_bad_value_with_a_leading_minus_exit_2_with_one_line(capsys, argv, message):
+    assert_one_line_input_error(capsys, main(argv), message)
+
+
 def test_theorem_negative_samples_exit_2(capsys):
     code = main(["theorem", "flat", "--component", "++", "--samples", "-5"])
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
+from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, parse_ratfunc
 from paracomplex.linalg import (
     int_jet,
     j_structures,
@@ -27,7 +27,6 @@ from paracomplex.linalg import (
 from paracomplex.para import random_compatible_structure
 from paracomplex.patch import KForm, ext_deriv
 from paracomplex.curv import (
-    DEFAULT_POINTS,
     DegenerateMetric,
     MetricModel,
     _is_square,
@@ -40,11 +39,8 @@ from paracomplex.curv import (
     onb_search,
     parse_metric_id,
     ppwave_metric,
-    rnd_vec2,
-    sample_jklr,
     sectional_constant_check,
     star_matrix,
-    theorem_verdict,
 )
 from paracomplex.obstruction import _dtheta_covector, np_residual_terms, torsion_at
 from paracomplex.reference import (
@@ -88,6 +84,7 @@ from paracomplex.reference import (
     vertical_endo,
     vertical_pair_basis,
 )
+from paracomplex.theorem import rnd_vec2, sample_jklr, theorem_verdict
 
 
 def random_endo(*args) -> Endo:

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paracomplex.exact import PoleAtPoint, Poly, RatFunc, parse_ratfunc, parse_rational, rat_str
+from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc, parse_rational
 from paracomplex.linalg import int_jet
+from paracomplex.poly import Poly, rat_str
 from paracomplex.reference import FractionPoly, FractionRatFunc, eval_at, int_point, mat_jet
 
 VARS4 = ["x1", "x2", "x3", "x4"]

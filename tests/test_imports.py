@@ -8,11 +8,17 @@ must not load those; no command may load `dataclasses` (it pulls in `inspect`,
 `ast`, `dis` and `tokenize`) or `fractions` (it pulls in `decimal` and
 `numbers`: every value on a command path is an integer pair), and none loads
 `paracomplex.reference`, the home of the closed forms and oracles that only
-the tests and the demos call.  Each
-check runs in its own subprocess with PYTHONDONTWRITEBYTECODE=1 and compares
-the modules loaded before and after.  CPython's parser doubles its token array
-at 8,192 tokens, so a module a command loads stays below that size.  Every def
-of a module a command loads is entered by some pinned command of
+the tests and the demos call; `curvature` loads neither `paracomplex.theorem`
+nor `paracomplex.para`, which `theorem` runs.  Each check runs in its own
+subprocess with PYTHONDONTWRITEBYTECODE=1 and compares the modules loaded
+before and after.
+
+An uncached start's peak RSS is set by compiling the largest module it loads:
+on CPython 3.11 it grows by 0.35-0.4 MB per 1,000 significant tokens of that
+module (2,680 tokens of one source add 1.26 MB to a bare start, 4,380 add
+2.02 MB and 7,070 add 2.75 MB), and CPython's parser doubles its token array
+at 8,192 tokens, so each module a command loads stays below 5,000 tokens.
+Every def of a module a command loads is entered by some pinned command of
 test_report_bytes, save a short allowlist; what only tests, demos or the
 oracles call lives in paracomplex.reference.
 """
@@ -91,7 +97,7 @@ def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
     """Every PINNED command of test_report_bytes, and each theorem among them
     with and without --theta, run in one fresh process, loads none of
     fractions, decimal and numbers: points, values, the frame search and the
-    witness search are integer pairs, and exact.rat_str prints them."""
+    witness search are integer pairs, and poly.rat_str prints them."""
     from test_report_bytes import PINNED, _label
 
     runs = []
@@ -119,12 +125,12 @@ def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
 
 
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
-    """`import paracomplex.cli` loads exact and linalg only: each command
+    """`import paracomplex.cli` loads poly, exact and linalg only: each command
     imports the rest it runs."""
     _, imported, _, _ = probe()
     assert "paracomplex.cli" in imported
     assert {m for m in imported if m.startswith("paracomplex.")} == {
-        "paracomplex.cli", "paracomplex.exact", "paracomplex.linalg"}
+        "paracomplex.cli", "paracomplex.poly", "paracomplex.exact", "paracomplex.linalg"}
     assert "dataclasses" not in imported
 
 
@@ -157,12 +163,29 @@ def test_structure_commands_load_no_curv(tmp_path, capsys, command):
 
 
 def test_theorem_loads_curv_and_gives_its_report(capsys):
-    """`theorem` imports `curv` inside the command, and its report in a fresh
-    process is the one main gives in process (pinned in test_report_bytes)."""
+    """`theorem` imports `curv` and `theorem` inside the command, and its
+    report in a fresh process is the one main gives in process (pinned in
+    test_report_bytes)."""
     argv = ["theorem", "constcurv:1", "--component=+-"]
     code, imported, ran, out = probe(*argv)
     assert "paracomplex.curv" not in imported and "paracomplex.curv" in ran
+    assert "paracomplex.theorem" not in imported and "paracomplex.theorem" in ran
     assert "dataclasses" not in ran
+    assert (code, out) == (main(argv), capsys.readouterr().out)
+
+
+def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
+    """`curvature` runs the operator and its decomposition from `curv`, and
+    searches its frame with `curv.onb_search` when the metric gives none, so
+    it loads neither the theorem verdict nor the structures it samples."""
+    from test_report_bytes import NO_ONB
+
+    path = tmp_path / NO_ONB[0]
+    path.write_text(json.dumps(NO_ONB[1]))
+    argv = ["curvature", f"file:{path}", "--point", "1,1,0,0"]
+    code, _, ran, out = probe(*argv)
+    assert code == 0 and {"paracomplex.curv", "paracomplex.poly"} <= ran
+    assert {"paracomplex.theorem", "paracomplex.para"} & ran == set()
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
@@ -215,7 +238,8 @@ MOVED = [
     "is_g_skew", "mat_eval", "mat_from_columns", "mat_inv", "mat_jet", "mat_rank", "mat_zero",
     "signature", "vec_add", "vec_eq", "vec_scale",
 ]
-COMMAND_MODULES = ["cli", "exact", "linalg", "para", "gpx", "patch", "curv", "obstruction"]
+COMMAND_MODULES = ["cli", "poly", "exact", "linalg", "para", "gpx", "patch", "curv", "theorem",
+                   "obstruction"]
 
 
 def significant_tokens(path: Path) -> int:
@@ -223,6 +247,15 @@ def significant_tokens(path: Path) -> int:
     with open(path) as fh:
         return sum(1 for tok in tokenize.generate_tokens(fh.readline)
                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES + ["__init__", "__main__"])
+def test_each_module_a_command_loads_is_below_5000_tokens(module):
+    """An uncached compile of a module adds 0.35-0.4 MB per 1,000 significant
+    tokens to a start's peak RSS, and the largest module a command loads sets
+    that peak; every module a command loads (all but paracomplex.reference)
+    stays below 5,000 tokens."""
+    assert significant_tokens(SRC / "paracomplex" / f"{module}.py") < 5000
 
 
 @pytest.mark.parametrize("module", COMMAND_MODULES + ["__init__", "__main__"])
@@ -248,7 +281,7 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
 # the component reader and comparison of the one form type, which the oracles and
 # the tests use
 ENTRY_ALLOWLIST = {
-    "exact.Poly.__bool__", "exact.Poly.__hash__", "exact.Poly.__rsub__",
+    "poly.Poly.__bool__", "poly.Poly.__hash__", "poly.Poly.__rsub__",
     "exact.RatFunc.__hash__", "exact.RatFunc.__rtruediv__",
     "patch.KForm.get", "patch.KForm.__eq__",
 }
