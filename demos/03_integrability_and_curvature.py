@@ -15,7 +15,7 @@ from paracomplex.curv import (
     sectional_constant_check,
 )
 from paracomplex.linalg import int_jet
-from paracomplex.patch import KForm, integrability_report
+from paracomplex.patch import cyclic_sums, integrability_report
 from paracomplex.poly import rat_str
 from paracomplex.theorem import theorem_verdict
 
@@ -34,15 +34,17 @@ def antisymmetric(comps):
 
 # Integrability is decided exactly: d omega = 0, Poisson, or the classical
 # Nijenhuis tensor, always cross-checked by the Courant frame sweep.
+# A 2-form and a bivector are both antisymmetric matrices; the criterion comes
+# with its witness, None iff integrable.
 omega = antisymmetric({(0, 1): "1", (2, 3): "x1"})
-rep = integrability_report("omega", omega)
-print("omega = dx1^dx2 + x1 dx3^dx4 integrable:", rep.integrable,
-      "| witness:", rep.witness)
+_, witness = integrability_report("omega", omega)
+print("omega = dx1^dx2 + x1 dx3^dx4 integrable:", witness is None,
+      "| witness:", witness)
 
 pi = antisymmetric({(0, 1): "1", (2, 3): "x1"})
-rep = integrability_report("pi", pi)
-print("pi = d1^d2 + x1 d3^d4 Poisson:", rep.integrable,
-      "| witness:", rep.witness)
+_, witness = integrability_report("pi", pi)
+print("pi = d1^d2 + x1 d3^d4 Poisson:", witness is None,
+      "| witness:", witness)
 
 # Constant curvature: the operator is (s/12) Id with s = 12c.  Curvature is
 # evaluated in Q at a point from the 2-jet (g, dg, ddg) of the metric there,
@@ -69,12 +71,13 @@ print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin))))
 for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave")):
     verdicts = {}
     for comp in ("++", "+-"):
-        out = theorem_verdict(metric, KForm(4, 2), comp, seed=3, jklr_samples=8)
+        out = theorem_verdict(metric, {}, comp, seed=3, jklr_samples=8)
         verdicts[comp] = out["integrable"]
     print(f"{name:12s} ++ integrable: {verdicts['++']!s:5s}  +- integrable: {verdicts['+-']}")
 
-# A non-closed potential obstructs every component.
-theta = KForm(4, 2, {(1, 2): rf("x1")})
-out = theorem_verdict(flat_metric(), theta, "++", seed=3, jklr_samples=4)
+# A non-closed potential obstructs every component; the verdict reads the
+# components of dTheta, here d(x1 dx2^dx3) = dx1^dx2^dx3.
+theta = antisymmetric({(1, 2): "x1"})
+out = theorem_verdict(flat_metric(), cyclic_sums(theta), "++", seed=3, jklr_samples=4)
 print("\nflat with Theta = x1 dx2^dx3, ++ integrable:", out["integrable"],
       "| dTheta zero:", out["evidence"]["d_theta_zero"])

@@ -69,14 +69,15 @@ def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
     return parts
 
 
-def parse_theta_expr(text: str, variables=VARS4):
+def parse_theta_expr(text: str, variables=VARS4) -> list:
     """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors (default 1); a patch.KForm.  A run of
-    signs before a term multiplies, and an empty term or factor is bad input."""
-    from paracomplex.patch import KForm
-
+    product of rational-function factors (default 1).  Returns the
+    antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
+    assembled descriptor's "theta"; a term adds c to theta(d_i, d_j) and -c
+    to theta(d_j, d_i).  A run of signs before a term multiplies, and an
+    empty term or factor is bad input."""
     nvars = len(variables)
-    theta = KForm(nvars, 2)
+    theta = [[RatFunc.zero(nvars)] * nvars for _ in range(nvars)]
     if not text.strip():
         return theta
     sign = "+"
@@ -100,7 +101,10 @@ def parse_theta_expr(text: str, variables=VARS4):
             raise ValueError(f"bad coefficient {coeff_src!r}: {exc}") from exc
         if sign == "-":
             coeff = -coeff
-        theta = theta + KForm(nvars, 2, {(i, j): coeff})
+        if i > j:  # dxj^dxi = -dxi^dxj
+            i, j, coeff = j, i, -coeff
+        theta[i][j] = theta[i][j] + coeff
+        theta[j][i] = -theta[i][j]
         sign = "+"
     if not term:
         raise ValueError(f"empty term in theta expression {text!r}")
@@ -263,7 +267,7 @@ def cmd_integrability(args) -> tuple[dict, int]:
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points_from_args(args, len(variables), default_count=3)
     jets, certified = _jets_at(kind, mat, points, 1)
-    rep = integrability_report(kind, mat, certified)
+    criterion, witness = integrability_report(kind, mat, certified)
     samples = []
     for p, jet in zip(points, jets):
         entry: dict = {"point": point_strings(p)}
@@ -285,13 +289,13 @@ def cmd_integrability(args) -> tuple[dict, int]:
         "schema": 1,
         "command": "integrability",
         "kind": kind,
-        "integrable": rep.integrable,
-        "criterion": rep.criterion,
+        "integrable": witness is None,
+        "criterion": criterion,
         "nijenhuis_residual_samples": samples,
     }
-    if rep.witness is not None:
-        report["witness"] = rep.witness
-    return report, 0 if rep.integrable else 1
+    if witness is not None:
+        report["witness"] = witness
+    return report, 0 if witness is None else 1
 
 
 def cmd_curvature(args) -> tuple[dict, int]:
@@ -353,7 +357,12 @@ def cmd_theorem(args) -> tuple[dict, int]:
                          "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
         }
         return report, 1
-    out = theorem_verdict(model, theta, args.component, sample_points=points,
+    dth = {}
+    if theta is not None:
+        from paracomplex.patch import cyclic_sums
+
+        dth = cyclic_sums(theta)
+    out = theorem_verdict(model, dth, args.component, sample_points=points,
                           seed=args.seed, jklr_samples=args.samples)
     report = {
         "schema": 1,
@@ -468,18 +477,21 @@ _SIGNED_VALUE_OPTIONS = ("--point", "--points", "--theta")
 
 
 def _prepare_argv(argv: list) -> list:
-    """argv rewritten where argparse would misread it.  argparse silently
-    drops a literal "--" value (it marks end-of-options), so --component=--
-    becomes its alias mm; and it takes a token with a single leading "-" for
-    an option, so such a token right after an option of _SIGNED_VALUE_OPTIONS
-    is joined to it by "=", as in --point=-1,0,0,0."""
+    """argv rewritten where argparse would misread it.  argparse takes a token
+    with a single leading "-" for an option, so such a token right after an
+    option of _SIGNED_VALUE_OPTIONS, and the component -+ or -- right after
+    --component, is joined to it by "=", as in --point=-1,0,0,0; and it
+    silently drops a literal "--" value (it marks end-of-options), so
+    --component=-- becomes its alias mm."""
     out: list = []
     for a in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and a[:1] == "-" and a[:2] != "--":
-            out[-1] = f"{out[-1]}={a}"
+        prev = out[-1] if out else None
+        if (prev in _SIGNED_VALUE_OPTIONS and a[:1] == "-" and a[:2] != "--"
+                or prev == "--component" and a in ("-+", "--")):
+            out[-1] = f"{prev}={a}"
         else:
-            out.append("--component=mm" if a == "--component=--" else a)
-    return out
+            out.append(a)
+    return ["--component=mm" if a == "--component=--" else a for a in out]
 
 
 def main(argv=None) -> int:

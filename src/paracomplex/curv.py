@@ -225,7 +225,8 @@ def _sym(n: int, entry) -> list:
 def _riemann(g: list, point) -> tuple:
     """(D, G, adj, det, E, r) at the point, on integers from the metric's 2-jet
     int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D, d_m g(p) =
-    H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det, and
+    H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det with
+    det = |det G| from int_inv, and
     R(d_i, d_j) d_k = r[i][j][k][l] / E d_l in the convention
     R(X, Y) = D_{[X,Y]} - [D_X, D_Y].  With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
     = A_lij / (2 D1) and d_m G_l,ij = B_mlij / (2 D2), the Christoffels
@@ -303,7 +304,7 @@ def curvature_operator(g: list, point) -> CurvOperator:
                               for a, row in enumerate(lambda2_matrix(gm))])
     mat = _positive(dr * d_l, [[den * x for x in row[6:]] for row in red])
     ric = [[sum(r[i][k][j][k] for k in ns) for j in ns] for i in ns]
-    rho = _positive(det * dr, [[den * x for x in row] for row in int_mul(adj, ric)])
+    rho = det * dr, [[den * x for x in row] for row in int_mul(adj, ric)]
     return CurvOperator((den, gm), mat, (dr * den, q), (dr, ric), rho)
 
 

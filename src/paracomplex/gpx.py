@@ -67,11 +67,8 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
         inv = int_inv(w)
         if inv is None:
             raise PoleAtPoint(point)
-        # (s A) / (s d) keeps the denominator positive, and the sign cancels in A dW A
         d, a = inv
-        s = -1 if d < 0 else 1
-        d *= s
-        k = d0 * d, [z, mat_scale(s * d0 * d0, a), mat_scale(d, w), z]
+        k = d0 * d, [z, mat_scale(d0 * d0, a), mat_scale(d, w), z]
         dk = d * d * d1, [[z, mat_scale(-d0 * d0, int_mul(int_mul(a, dw), a)),
                            mat_scale(d * d, dw), z] for dw in map(transpose, dv)]
     elif kind == "product":
@@ -145,5 +142,4 @@ def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
     eye = [[dt * (i == j) for j in range(n)] for i in range(n)]
     z, tt = [[0] * n] * n, transpose(tm)
     k = int_mul(int_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
-    den = 2 * f * dd * dt * dt
-    return (den, k) if den > 0 else (-den, mat_neg(k))
+    return 2 * f * dd * dt * dt, k

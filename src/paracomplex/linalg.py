@@ -27,21 +27,6 @@ class SingularMatrix(ZeroDivisionError):
     """Exact inversion of a singular matrix was attempted."""
 
 
-# -- sparse sums ----------------------------------------------------------
-
-
-def sparse_add(comps: dict, key, value) -> None:
-    """comps[key] += value in a dict of nonzero components; a zero sum drops key."""
-    if not value:
-        return
-    if key in comps:
-        value = comps[key] + value
-    if value:
-        comps[key] = value
-    else:
-        del comps[key]
-
-
 # -- matrices ----------------------------------------------------------------
 
 
@@ -93,11 +78,15 @@ def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
 
 
 def int_inv(m: Mat) -> tuple[int, Mat] | None:
-    """(d, A) with m A = d Id for a square integer matrix m, from bareiss on
-    [m | Id], so d = +-det m; None when m is singular."""
+    """(d, A) with m A = d Id and d = |det m| > 0 for a square integer matrix
+    m, from bareiss on [m | Id], whose last pivot is +-det m; None when m is
+    singular."""
     n = len(m)
     r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    return (d, [row[n:] for row in r]) if pivots == list(range(n)) else None
+    if pivots != list(range(n)):
+        return None
+    s = 1 if d > 0 else -1
+    return s * d, [[s * x for x in row[n:]] for row in r]
 
 
 def int_mul(a: Mat, b: Mat) -> Mat:

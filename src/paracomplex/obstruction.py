@@ -91,11 +91,10 @@ def torsion_at(g: tuple, dth_at: tuple) -> tuple:
     reference.hitchin_connection at a point; the symmetric Levi-Civita part
     cancels.  For g = G / D given as (D, G) and the dTheta values
     dth_at = (F, {(i, j, k): v}), int_inv gives G A = d Id, so g^-1 = D A / d
-    and E = |d| F."""
+    and E = d F."""
     (den, gm), (dd, dth) = g, dth_at
     n = len(gm)
     full = _dth_full(dth)
     d, adj = int_inv(gm)
-    s = 1 if d > 0 else -1
-    return s * d * dd, [[[s * den * sum(adj[k][l] * full.get((i, j, l), 0) for l in range(n))
-                          for k in range(n)] for j in range(n)] for i in range(n)]
+    return d * dd, [[[den * sum(adj[k][l] * full.get((i, j, l), 0) for l in range(n))
+                      for k in range(n)] for j in range(n)] for i in range(n)]

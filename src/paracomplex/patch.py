@@ -1,13 +1,16 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
-coefficients: differential forms, bivector fields, the Courant bracket on
-1-jets, the checks that a descriptor's data define a structure, the
-generalized Nijenhuis tensor on frame pairs at a point (on integers), and the
-integrability criteria of each structure kind.
+coefficients: the Courant bracket on 1-jets, the checks that a descriptor's
+data define a structure, the generalized Nijenhuis tensor on frame pairs at a
+point (on integers), and the integrability criteria of each structure kind,
+with d omega, dTheta and the Poisson Jacobiator from one cyclic sum.
 
 A descriptor's data are one n x n matrix of RatFuncs per kind: the form
-omega(d_i, d_j), the bivector pi^{ij} or P.  A vector field is the list of its
-components, and a section X + alpha of T + T* is a `gpx.GenVector`; the
-commands build them at a point, with integer entries.
+omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
+`theorem --theta`) and a bivector are antisymmetric matrices, read above the
+diagonal; the sparse k-forms of `paracomplex.reference` are the oracle of
+their exterior derivative.  A vector field is the list of its components,
+and a section X + alpha of T + T* is a `gpx.GenVector`; the commands build
+them at a point, with integer entries.
 Sign convention: the Courant bracket is
 [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
@@ -18,85 +21,9 @@ import itertools
 
 from paracomplex.exact import RatFunc
 from paracomplex.gpx import GenVector
-from paracomplex.linalg import mat_eq, mat_mul, mat_neg, mat_vec, pfaffian, sparse_add, transpose
-
-
-def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted index tuple and permutation sign; None for repeated indices."""
-    if len(set(idx)) != len(idx):
-        return None
-    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-    return tuple(sorted(idx)), -1 if inversions % 2 else 1
-
-
-class KForm:
-    """Differential k-form; components stored on strictly increasing index
-    tuples (the empty tuple for functions)."""
-
-    def __init__(self, nvars: int, degree: int, comps: dict | None = None):
-        self.nvars = nvars
-        self.degree = degree
-        self.comps: dict[tuple[int, ...], RatFunc] = {}
-        if comps:
-            for idx, c in comps.items():
-                sorted_sign = _sort_index(tuple(idx))
-                if sorted_sign is None:
-                    continue
-                key, sign = sorted_sign
-                sparse_add(self.comps, key, c if sign > 0 else -c)
-
-    def get(self, idx: tuple[int, ...]) -> RatFunc:
-        sorted_sign = _sort_index(tuple(idx))
-        if sorted_sign is None:
-            return RatFunc.zero(self.nvars)
-        key, sign = sorted_sign
-        c = self.comps.get(key)
-        if c is None:
-            return RatFunc.zero(self.nvars)
-        return c if sign > 0 else -c
-
-    def __add__(self, other: KForm) -> KForm:
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        comps = dict(self.comps)
-        for k, c in other.comps.items():
-            sparse_add(comps, k, c)
-        out = KForm(self.nvars, self.degree)
-        out.comps = comps
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm) or self.degree != other.degree:
-            return NotImplemented
-        keys = set(self.comps) | set(other.comps)
-        return all(self.get(k) == other.get(k) for k in keys)
-
-    def __repr__(self):
-        return f"KForm(deg={self.degree}, {{{', '.join(f'{k}: {c.to_str()}' for k, c in sorted(self.comps.items()))}}})"
-
+from paracomplex.linalg import mat_eq, mat_mul, mat_neg, mat_vec, pfaffian, transpose
 
 GenSection = GenVector  # the name perfbench/tracer.py imports
-
-
-# -- exterior calculus ------------------------------------------------------------
-
-
-def ext_deriv(omega: KForm) -> KForm:
-    """Coordinate exterior derivative; d o d = 0."""
-    n = omega.nvars
-    out = KForm(n, omega.degree + 1)
-    for idx, c in omega.comps.items():
-        for i in range(n):
-            sorted_sign = _sort_index((i,) + idx)
-            if sorted_sign is None:
-                continue
-            key, sign = sorted_sign
-            dc = c.partial(i)
-            sparse_add(out.comps, key, dc if sign > 0 else -dc)
-    return out
 
 
 # -- 1-jets and the Courant bracket ---------------------------------------------------
@@ -193,45 +120,45 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
     return not witnesses, witnesses
 
 
-# -- Poisson condition ----------------------------------------------------------------
+# -- d omega, dTheta and the Jacobiator ----------------------------------------------------
 
 
-def poisson_jacobiator(pi: list) -> dict:
-    """Jacobiator components sum_l (pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki}
-    + pi^{lk} d_l pi^{ij}) for i < j < k of the antisymmetric matrix pi; empty
-    dict iff Poisson.  pi^{ij} is read above the diagonal, and
-    pi^{ji} = -pi^{ij}."""
-    n = len(pi)
-    p = [[pi[i][j] if i < j else -pi[j][i] for j in range(n)] for i in range(n)]
+def cyclic_sums(m: list, pi: list | None = None) -> dict:
+    """The nonzero sums X_c m_ab - X_b m_ac + X_a m_bc, keyed (a, b, c) for
+    a < b < c, of an antisymmetric n x n matrix m of RatFuncs, read above the
+    diagonal.  With X_i = d_i (pi None) they are the components of dm, for
+    the 2-form m(d_i, d_j); with X_i = sum_l pi^{li} d_l for the antisymmetric
+    matrix pi, also read above the diagonal, and m = pi, the Jacobiator
+    components sum_l (pi^{la} d_l pi^{bc} + pi^{lb} d_l pi^{ca} + pi^{lc} d_l pi^{ab}),
+    so none iff pi is Poisson.  A sum's printed form can depend on the order
+    of its terms when denominator factors share a factor, so the terms of dm
+    are added as reference.ext_deriv adds them for the entries in row order,
+    X_c m_ab first, and those of the Jacobiator l by l, each l's in the
+    order a, b, c."""
+    n = len(m)
+    if pi is not None:
+        pi = [[pi[i][j] if i < j else -pi[j][i] for j in range(n)] for i in range(n)]
     out = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        total = RatFunc.zero(n)
-        for l in range(n):
-            total = total + p[l][i] * p[j][k].partial(l)
-            total = total + p[l][j] * p[k][i].partial(l)
-            total = total + p[l][k] * p[i][j].partial(l)
-        if not total.is_zero():
-            out[(i, j, k)] = total
+    for a, b, c in itertools.combinations(range(n), 3):
+        terms = (a, m[b][c]), (b, -m[a][c]), (c, m[a][b])
+        if pi is None:
+            parts = [_partial(f, i) for i, f in reversed(terms)]
+        else:
+            parts = [pi[l][i] * _partial(f, l) for l in range(n) for i, f in terms if pi[l][i]]
+        total = sum(parts, RatFunc.zero(n))
+        if total:
+            out[(a, b, c)] = total
     return out
 
 
 # -- integrability dispatch ----------------------------------------------------------------
 
 
-class IntegrabilityReport:
-    """The verdict of a kind's criterion and its witness."""
-
-    __slots__ = ("kind", "integrable", "criterion", "witness")
-
-    def __init__(self, kind: str, integrable: bool, criterion: str, witness: dict | None):
-        self.kind, self.integrable, self.criterion = kind, integrable, criterion
-        self.witness = witness
-
-
-def integrability_report(kind: str, data: list, certified: bool = False) -> IntegrabilityReport:
-    """Closed-form integrability criterion per structure kind, decided as a
-    rational-function identity, for data that pass check_structure (with its
-    certified flag)."""
+def integrability_report(kind: str, data: list, certified: bool = False) -> tuple:
+    """(criterion, witness) of a kind's closed-form integrability criterion,
+    decided as a rational-function identity for data that pass
+    check_structure (with its certified flag); the witness is None iff the
+    structure is integrable."""
     check_structure(kind, data, certified)
     n = len(data)
     witness = None
@@ -239,11 +166,9 @@ def integrability_report(kind: str, data: list, certified: bool = False) -> Inte
         criterion = "trivial"
     elif kind in ("omega", "pi"):
         if kind == "omega":
-            criterion, key = "d_omega_zero", "d_omega_component"
-            comps = ext_deriv(KForm(n, 2, {(i, j): data[i][j] for i in range(n)
-                                           for j in range(i + 1, n)})).comps
+            criterion, key, comps = "d_omega_zero", "d_omega_component", cyclic_sums(data)
         else:
-            criterion, key, comps = "pi_poisson", "jacobiator_triple", poisson_jacobiator(data)
+            criterion, key, comps = "pi_poisson", "jacobiator_triple", cyclic_sums(data, data)
         if comps:
             idx, c = min(comps.items())
             witness = {key: [i + 1 for i in idx], "value": c.to_str()}
@@ -265,4 +190,4 @@ def integrability_report(kind: str, data: list, certified: bool = False) -> Inte
                 break
     else:
         raise ValueError(f"unknown structure kind {kind!r}")
-    return IntegrabilityReport(kind, witness is None, criterion, witness)
+    return criterion, witness

@@ -6,7 +6,9 @@ the Fraction oracle of the integer scalar tower (`FractionPoly` and
 `FractionRatFunc`, the polynomial and rational function with Fraction
 coefficients over monic factors that `poly` and `exact` replaced),
 `int_point` and `eval_at` between Fraction points and the integer points
-(D, X) of the commands, and the Fraction wrappers the commands no longer use: vectors and
+(D, X) of the commands, the sparse k-forms (`KForm`) and their exterior
+derivative (`ext_deriv`), the oracle of `patch.cyclic_sums`, and the
+Fraction wrappers the commands no longer use: vectors and
 matrices over the scalar tower (`frac_mat`, `int_mats`, `mat_inv`,
 `mat_rank`, `mat_jet`), bilinear forms (with
 Sylvester inertia, `signature`), endomorphisms, 2-vectors, the algebra of
@@ -52,18 +54,11 @@ from paracomplex.linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
-    sparse_add,
     transpose,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
 from paracomplex.para import validate_para
-from paracomplex.patch import (
-    KForm,
-    _partial,
-    _sort_index,
-    courant_on_jets,
-    ext_deriv,
-)
+from paracomplex.patch import _partial, courant_on_jets
 from paracomplex.poly import _term_key
 
 Vec = list
@@ -570,6 +565,93 @@ class FractionRatFunc:
 
     def __repr__(self) -> str:
         return f"FractionRatFunc({self.to_str()})"
+
+
+# -- sparse k-forms and the exterior derivative, the oracle of patch.cyclic_sums ---------
+
+
+def sparse_add(comps: dict, key, value) -> None:
+    """comps[key] += value in a dict of nonzero components; a zero sum drops key."""
+    if not value:
+        return
+    if key in comps:
+        value = comps[key] + value
+    if value:
+        comps[key] = value
+    else:
+        del comps[key]
+
+
+def _sort_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+    """Sorted index tuple and permutation sign; None for repeated indices."""
+    if len(set(idx)) != len(idx):
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
+
+
+class KForm:
+    """Differential k-form; components stored on strictly increasing index
+    tuples (the empty tuple for functions)."""
+
+    def __init__(self, nvars: int, degree: int, comps: dict | None = None):
+        self.nvars = nvars
+        self.degree = degree
+        self.comps: dict[tuple[int, ...], RatFunc] = {}
+        if comps:
+            for idx, c in comps.items():
+                sorted_sign = _sort_index(tuple(idx))
+                if sorted_sign is None:
+                    continue
+                key, sign = sorted_sign
+                sparse_add(self.comps, key, c if sign > 0 else -c)
+
+    def get(self, idx: tuple[int, ...]) -> RatFunc:
+        sorted_sign = _sort_index(tuple(idx))
+        if sorted_sign is None:
+            return RatFunc.zero(self.nvars)
+        key, sign = sorted_sign
+        c = self.comps.get(key)
+        if c is None:
+            return RatFunc.zero(self.nvars)
+        return c if sign > 0 else -c
+
+    def __add__(self, other: KForm) -> KForm:
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degree")
+        comps = dict(self.comps)
+        for k, c in other.comps.items():
+            sparse_add(comps, k, c)
+        out = KForm(self.nvars, self.degree)
+        out.comps = comps
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __eq__(self, other):
+        if not isinstance(other, KForm) or self.degree != other.degree:
+            return NotImplemented
+        keys = set(self.comps) | set(other.comps)
+        return all(self.get(k) == other.get(k) for k in keys)
+
+    def __repr__(self):
+        return f"KForm(deg={self.degree}, {{{', '.join(f'{k}: {c.to_str()}' for k, c in sorted(self.comps.items()))}}})"
+
+
+def ext_deriv(omega: KForm) -> KForm:
+    """Coordinate exterior derivative; d o d = 0."""
+    n = omega.nvars
+    out = KForm(n, omega.degree + 1)
+    for idx, c in omega.comps.items():
+        for i in range(n):
+            sorted_sign = _sort_index((i,) + idx)
+            if sorted_sign is None:
+                continue
+            key, sign = sorted_sign
+            dc = c.partial(i)
+            sparse_add(out.comps, key, dc if sign > 0 else -dc)
+    return out
 
 
 # -- the Fraction wrappers: vectors and matrices, forms, endomorphisms, 2-vectors, T + T* ------

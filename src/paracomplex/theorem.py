@@ -87,14 +87,15 @@ def rnd_vec2(rng, n=4) -> list:
     return [2 * rng.randint(-3, 3) // rng.randint(1, 2) for _ in range(n)]
 
 
-def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
+def theorem_verdict(model: MetricModel, dth: dict, component: str,
                     sample_points=None, seed: int = 0, jklr_samples: int = 40) -> dict:
     """Integrability of the dim-4 twistor structure on the given component:
     requires dTheta = 0 plus the curvature condition of the component
     (++ : anti-self-dual and Ricci flat; -- : self-dual and Ricci flat;
     +- / -+ : scalar curvature operator, constant sectional curvature).
     Evidence carries sub-condition results and seeded (j,l,r) spot checks.
-    theta None stands for Theta = 0."""
+    dth maps each (i, j, k), i < j < k, to its nonzero component of dTheta,
+    as patch.cyclic_sums gives them; {} for a closed Theta, or none."""
     if model.nvars != 4:
         raise ValueError("theorem verdicts require a 4-dimensional patch")
     if component not in ("++", "+-", "-+", "--"):
@@ -115,20 +116,14 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
         points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.int_g, onb))))
     if not points:
         raise DegenerateMetric("no usable sample points for the metric")
-    if theta is None:
-        d_theta_zero = True
-    else:
-        from paracomplex.patch import ext_deriv
-
-        dth = ext_deriv(theta)
-        d_theta_zero = dth.is_zero()
+    d_theta_zero = not dth
     evidence: dict = {
         "d_theta_zero": d_theta_zero,
         "points": [point_strings(p) for p, *_ in points],
     }
     if not d_theta_zero:
         evidence["d_theta_witness"] = {
-            f"{i+1},{j+1},{k+1}": c.to_str() for (i, j, k), c in sorted(dth.comps.items())
+            f"{i+1},{j+1},{k+1}": c.to_str() for (i, j, k), c in sorted(dth.items())
         }
         witness = _np_witness_search(dth, points, rng)
         if witness is not None:
@@ -172,19 +167,19 @@ def theorem_verdict(model: MetricModel, theta: KForm | None, component: str,
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
-def _np_witness_search(dth: KForm, points: list, rng, attempts: int = 60):
+def _np_witness_search(dth: dict, points: list, rng, attempts: int = 60):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
-    given the 3-form dTheta and theorem_verdict's per-point data; the sections
-    A and B are drawn as their stacked vectors X + alpha, each twice a
-    rnd_vec2 draw, so the residual of the integers A' = 2A and B' = 2B is
+    given the components of dTheta and theorem_verdict's per-point data; the
+    sections A and B are drawn as their stacked vectors X + alpha, each twice
+    a rnd_vec2 draw, so the residual of the integers A' = 2A and B' = 2B is
     four times A and B's."""
     from paracomplex.obstruction import np_residual_terms, torsion_at
 
     for p, op, onb, js in points:
-        ((dd, (values,)),) = int_jet([list(dth.comps.values())], p)
+        ((dd, (values,)),) = int_jet([list(dth.values())], p)
         if not any(values):
             continue
-        dth_at = (dd, dict(zip(dth.comps, values)))
+        dth_at = (dd, dict(zip(dth, values)))
         t_at = torsion_at(op.int_g, dth_at)
         for _ in range(attempts):
             o1 = +1 if rng.random() < 0.5 else -1

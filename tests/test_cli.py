@@ -8,7 +8,8 @@ import time
 import pytest
 
 from paracomplex.cli import main, parse_theta_expr
-from paracomplex.patch import KForm, ext_deriv
+from paracomplex.linalg import mat_is_zero
+from paracomplex.patch import cyclic_sums
 
 
 def run_cli(capsys, *argv):
@@ -774,6 +775,17 @@ def test_a_bad_value_with_a_leading_minus_exit_2_with_one_line(capsys, argv, mes
     assert_one_line_input_error(capsys, main(argv), message)
 
 
+@pytest.mark.parametrize("component,same_as", [("-+", "--component=-+"), ("--", "--component=mm")],
+                         ids=["-+", "--"])
+def test_a_component_with_a_leading_minus_reads_as_its_equals_form(capsys, component, same_as):
+    """The components -+ and --, given as the token after --component, are its
+    value, as in --component=-+ and the alias mm; argparse used to take them
+    for an option and for the end of options, and exit 2 with its usage text."""
+    spaced = run_cli(capsys, "theorem", "flat", "--component", component, "--samples", "2")
+    assert spaced == run_cli(capsys, "theorem", "flat", same_as, "--samples", "2")
+    assert spaced[0] == 0 and capsys.readouterr().err == ""
+
+
 def test_theorem_negative_samples_exit_2(capsys):
     code = main(["theorem", "flat", "--component", "++", "--samples", "-5"])
     captured = capsys.readouterr()
@@ -896,19 +908,28 @@ def test_theorem_requires_one_sectional_constant_over_the_points(tmp_path, capsy
 
 def test_parse_theta_expr_terms():
     theta = parse_theta_expr("3*dx1^dx2 - x1*dx2^dx3 + dx3^dx4")
-    assert theta.get((0, 1)).to_str() == "3"
-    assert theta.get((1, 2)).to_str() == "-x1"
-    assert theta.get((2, 3)).to_str() == "1"
+    assert theta[0][1].to_str() == "3" and theta[1][0].to_str() == "-3"
+    assert theta[1][2].to_str() == "-x1" and theta[2][1].to_str() == "x1"
+    assert theta[2][3].to_str() == "1" and theta[3][2].to_str() == "-1"
+    assert [theta[i][j] for i, j in ((0, 2), (0, 3), (1, 3))] == [0, 0, 0]
+    assert all(theta[i][i] == 0 for i in range(4))
 
 
 def test_parse_theta_expr_parenthesized_coeff():
     theta = parse_theta_expr("(1+x1)*dx1^dx3")
-    assert theta.get((0, 2)).to_str() == "x1 + 1"
+    assert theta[0][2].to_str() == "x1 + 1"
 
 
 def test_parse_theta_expr_leading_minus():
     theta = parse_theta_expr("-dx1^dx2")
-    assert theta.get((0, 1)).to_str() == "-1"
+    assert theta[0][1].to_str() == "-1"
+
+
+def test_parse_theta_expr_reversed_and_repeated_wedges():
+    """dxj^dxi = -dxi^dxj, and the terms of one wedge add up."""
+    theta = parse_theta_expr("x1*dx3^dx2 + 2*dx2^dx3 - x1*dx2^dx3 + dx4^dx1 - dx4^dx1")
+    assert theta[1][2].to_str() == "-2*x1 + 2" and theta[2][1].to_str() == "2*x1 - 2"
+    assert theta[0][3] == 0 and theta[3][0] == 0
 
 
 @pytest.mark.parametrize("theta,message", [
@@ -947,7 +968,7 @@ def test_an_empty_theta_is_zero(capsys):
     code, out = run_cli(capsys, "theorem", "flat", "--theta=", "--component=++",
                         "--samples", "3")
     assert code == 0 and json.loads(out)["evidence"]["d_theta_zero"] is True
-    assert parse_theta_expr("  ").is_zero()
+    assert mat_is_zero(parse_theta_expr("  "))
 
 
 def test_validate_accepts_single_point(tmp_path, capsys):
@@ -959,10 +980,24 @@ def test_validate_accepts_single_point(tmp_path, capsys):
     assert report["points"][0]["point"] == ["1", "2", "3", "4"]
 
 
+def test_the_order_of_theta_terms_leaves_the_report_unchanged(capsys):
+    """dTheta is summed from the matrix of Theta, entry (i, j) by entry, so
+    the order of the terms of --theta leaves every printed component as it
+    is.  A RatFunc's printed form depends on the order of a sum when its
+    denominator factors share a factor, (x1^2 - 1) with its square here, and
+    the component 1,2,4 used to print over ((x1^4 - 2*x1^2 + 1)) or over
+    ((x1^2 - 1)^2) as the terms came."""
+    terms = ["x2/(x1^2-1)*dx2^dx4", "x3*x4/(x1^2-1)^2*dx1^dx2"]
+    argv = ["theorem", "flat", "--component=++", "--samples=0", "--points=2,1,1,1"]
+    code, out = run_cli(capsys, *argv, "--theta=" + "+".join(terms))
+    assert (code, out) == run_cli(capsys, *argv, "--theta=" + "+".join(reversed(terms)))
+    witness = json.loads(out)["evidence"]["d_theta_witness"]
+    assert code == 1 and witness["1,2,4"] == "(-2*x1*x2 + x3)/((x1^2 - 1)^2)"
+
+
 def test_theta_expr_matches_module_level_forms():
-    theta = parse_theta_expr("x1*dx2^dx3")
-    d = ext_deriv(theta)
-    assert d.get((0, 1, 2)).to_str() == "1"
+    d = cyclic_sums(parse_theta_expr("x1*dx2^dx3"))
+    assert list(d) == [(0, 1, 2)] and d[(0, 1, 2)].to_str() == "1"
 
 
 # -- text format and console entry -----------------------------------------------------
@@ -976,7 +1011,7 @@ def test_text_format(capsys):
 
 
 def test_module_invocation_round_trip():
-    # the -- component needs the = form so argparse does not eat it
+    # --component=-- reaches argparse as its alias mm
     proc = subprocess.run(
         [sys.executable, "-m", "paracomplex", "theorem", "flat",
          "--component=--", "--samples", "3"],

@@ -25,7 +25,6 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.para import random_compatible_structure
-from paracomplex.patch import KForm, ext_deriv
 from paracomplex.curv import (
     DegenerateMetric,
     MetricModel,
@@ -48,11 +47,13 @@ from paracomplex.reference import (
     Connection,
     Endo,
     GenVector,
+    KForm,
     TwoVector,
     as_ints,
     basis_vec,
     curvature_endo,
     eval_at,
+    ext_deriv,
     frac_mat,
     gauss_jordan_inv,
     gen_metric,
@@ -1198,7 +1199,7 @@ def test_cond_two_forms_specialization():
 def test_theorem_flat_all_components():
     m = flat_metric()
     for comp in ("++", "+-", "-+", "--"):
-        out = theorem_verdict(m, THETA0, comp, seed=1, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, seed=1, jklr_samples=10)
         assert out["integrable"], comp
         assert out["evidence"]["jklr"]["nonzero"] == 0
 
@@ -1206,11 +1207,11 @@ def test_theorem_flat_all_components():
 def test_theorem_constcurv_components():
     m = constcurv_metric(1)
     for comp in ("+-", "-+"):
-        out = theorem_verdict(m, THETA0, comp, seed=2, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, seed=2, jklr_samples=10)
         assert out["integrable"], comp
         assert out["evidence"]["jklr"]["nonzero"] == 0
     for comp in ("++", "--"):
-        out = theorem_verdict(m, THETA0, comp, seed=3, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, seed=3, jklr_samples=10)
         assert not out["integrable"], comp
         assert not out["evidence"]["ricci_zero"]
         assert out["evidence"]["jklr"]["nonzero"] > 0
@@ -1218,10 +1219,10 @@ def test_theorem_constcurv_components():
 
 def test_theorem_ppwave_components():
     m = ppwave_metric(rf("x2^2"))
-    out = theorem_verdict(m, THETA0, "++", seed=4, jklr_samples=10)
+    out = theorem_verdict(m, {}, "++", seed=4, jklr_samples=10)
     assert out["integrable"]
     assert out["evidence"]["jklr"]["nonzero"] == 0
-    out_mixed = theorem_verdict(m, THETA0, "+-", seed=5, jklr_samples=10)
+    out_mixed = theorem_verdict(m, {}, "+-", seed=5, jklr_samples=10)
     assert not out_mixed["integrable"]
     assert out_mixed["evidence"]["sectional_constant"] is None
 
@@ -1229,7 +1230,7 @@ def test_theorem_ppwave_components():
 def test_theorem_dtheta_obstruction():
     m = flat_metric()
     theta = form2({(1, 2): "x1"})
-    out = theorem_verdict(m, theta, "++", seed=6, jklr_samples=5)
+    out = theorem_verdict(m, ext_deriv(theta).comps, "++", seed=6, jklr_samples=5)
     assert not out["integrable"]
     assert not out["evidence"]["d_theta_zero"]
     assert "np_residual_witness" in out["evidence"]

@@ -208,8 +208,10 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # symbolic structures, their frame sweep over rational functions and the
 # Gauss-Jordan inverse they use), the Fraction wrappers of forms,
 # endomorphisms, 2-vectors, structures on T + T* and generalized metrics with
-# the routines only they use (the commands pass integer pairs (D, M)), and
-# helpers that one test file keeps as a local reference
+# the routines only they use (the commands pass integer pairs (D, M)), the
+# sparse k-forms and their exterior derivative (a 2-form on the command paths is
+# an antisymmetric matrix, and patch.cyclic_sums gives its d and the Jacobiator),
+# and helpers that one test file keeps as a local reference
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -237,6 +239,7 @@ MOVED = [
     "ValidationReport", "_bilinear", "assemble_endo", "gen_metric", "is_compatible_endo",
     "is_g_skew", "mat_eval", "mat_from_columns", "mat_inv", "mat_jet", "mat_rank", "mat_zero",
     "signature", "vec_add", "vec_eq", "vec_scale",
+    "IntegrabilityReport", "KForm", "_sort_index", "ext_deriv", "poisson_jacobiator", "sparse_add",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "linalg", "para", "gpx", "patch", "curv", "theorem",
                    "obstruction"]
@@ -277,13 +280,10 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
 
 
 # defs of command modules that no pinned command enters: the number protocol of
-# Poly and RatFunc, which tests and paracomplex.reference use with int operands, and
-# the component reader and comparison of the one form type, which the oracles and
-# the tests use
+# Poly and RatFunc, which tests and paracomplex.reference use with int operands
 ENTRY_ALLOWLIST = {
     "poly.Poly.__bool__", "poly.Poly.__hash__", "poly.Poly.__rsub__",
     "exact.RatFunc.__hash__", "exact.RatFunc.__rtruediv__",
-    "patch.KForm.get", "patch.KForm.__eq__",
 }
 
 

@@ -10,6 +10,7 @@ from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import (
     SingularMatrix,
     bareiss,
+    int_inv,
     kernel_basis,
     lambda2_matrix,
     mat_eq,
@@ -490,6 +491,30 @@ def test_bareiss_inverse_is_the_adjugate_up_to_sign():
         [d * (i == j) for j in range(3)] for i in range(3)]
     with pytest.raises(SingularMatrix):
         mat_inv([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("m,det", [
+    ([[0, 2, 1], [3, 1, 0], [1, 1, 1]], -4),
+    ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 18),
+    ([[0, 1], [1, 0]], -1),
+    ([[-3]], -3),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -5, 0, 0]], 5),
+])
+def test_int_inv_gives_a_positive_denominator(m, det):
+    """int_inv(m) = (d, A) with d = |det m| > 0 and m A = d Id, for either
+    sign of the determinant, so its callers keep their denominators positive
+    without a sign of their own."""
+    d, a = int_inv(m)
+    n = len(m)
+    assert d == abs(det) > 0
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in m] == [
+        [d * (i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+def test_int_inv_of_a_singular_matrix_is_none(m):
+    assert int_inv(m) is None
 
 
 ENTRIES = st.one_of(

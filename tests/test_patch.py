@@ -1,6 +1,7 @@
 """Patch-level tensor calculus: brackets, exterior calculus, Courant bracket,
 Nijenhuis tensors, and the integrability dichotomies."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -18,22 +19,20 @@ from paracomplex.linalg import (
     mat_neg,
     mat_scale,
     mat_sub,
-    sparse_add,
     transpose,
 )
 from paracomplex.patch import (
-    KForm,
     courant_on_jets,
-    ext_deriv,
+    cyclic_sums,
     gen_nijenhuis_frame_sweep,
     integrability_report,
-    poisson_jacobiator,
 )
 from paracomplex.reference import (
     Bilinear,
     Endo,
     GenEndo,
     GenVector,
+    KForm,
     STRUCTURES,
     b_bracket_residual,
     b_conjugate,
@@ -43,6 +42,7 @@ from paracomplex.reference import (
     double_contract,
     endo_jet,
     eval_at,
+    ext_deriv,
     frac_mat,
     gen_nijenhuis,
     int_mats,
@@ -53,6 +53,7 @@ from paracomplex.reference import (
     omega_structure,
     pi_structure,
     product_structure,
+    sparse_add,
     symbolic_frame_sweep,
     trivial_structure,
     vec_add,
@@ -338,25 +339,96 @@ def test_classical_nijenhuis_tensorial():
     assert lhs == rhs
 
 
-# -- Poisson -------------------------------------------------------------------------
+# -- d omega and the Poisson condition: one cyclic sum ------------------------------
+
+
+# entries whose denominators share factors, (x1 - 1) with (x1^2 - 1) and its square: a
+# sum of such RatFuncs prints in a form that depends on the order of its terms
+SHARED_FACTOR_ENTRIES = ["x1", "1/(x1-1)", "x2/(x1^2-1)", "x3/(x1-1)^2", "1/(x1+1)", "x1*x2",
+                         "2", "x4^2", "x3/(x1^2-1)", "(x2+1)/(x1-1)", "0", "x2/(x2-1)",
+                         "x3*x4/(x1^2-1)^2", "x2*x3/(x1-1)"]
+
+
+def rnd_antisymmetric(rng):
+    """A seeded antisymmetric matrix of sums of SHARED_FACTOR_ENTRIES."""
+    return bivector(N, {(i, j): rf("+".join(rng.choice(SHARED_FACTOR_ENTRIES)
+                                            for _ in range(rng.randint(1, 3))))
+                        for i in range(N) for j in range(i + 1, N)})
+
+
+def jacobiator_loop(pi):
+    """The Jacobiator components sum_l (pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki}
+    + pi^{lk} d_l pi^{ij}) for i < j < k, summed l by l as the loop that
+    cyclic_sums replaced did: the reference for its terms and their order."""
+    n = len(pi)
+    p = [[pi[i][j] if i < j else -pi[j][i] for j in range(n)] for i in range(n)]
+    out = {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = RatFunc.zero(n)
+        for l in range(n):
+            total = total + p[l][i] * p[j][k].partial(l)
+            total = total + p[l][j] * p[k][i].partial(l)
+            total = total + p[l][k] * p[i][j].partial(l)
+        if not total.is_zero():
+            out[(i, j, k)] = total
+    return out
+
+
+def test_cyclic_sums_are_the_exterior_derivative_term_for_term():
+    """With X_i = d_i the sums are reference.ext_deriv of the sparse 2-form,
+    with the same keys and the same printed values, also where the
+    denominators share factors."""
+    rng = random.Random(38)
+    printed = 0
+    for _ in range(60):
+        m = rnd_antisymmetric(rng)
+        want = ext_deriv(KForm(N, 2, {(i, j): m[i][j] for i in range(N)
+                                      for j in range(i + 1, N)})).comps
+        got = cyclic_sums(m)
+        assert sorted(got) == sorted(want)
+        assert [got[k].to_str() for k in sorted(got)] == [want[k].to_str() for k in sorted(got)]
+        printed += len(got)
+    assert printed > 100
+
+
+def test_cyclic_sums_of_a_bivector_are_its_jacobiator_term_for_term():
+    """With X_i = sum_l pi^{li} d_l and m = pi the sums are the Jacobiator
+    loop's, with the same printed values."""
+    rng = random.Random(39)
+    printed = 0
+    for _ in range(30):
+        pi = rnd_antisymmetric(rng)
+        want, got = jacobiator_loop(pi), cyclic_sums(pi, pi)
+        assert sorted(got) == sorted(want)
+        assert [got[k].to_str() for k in sorted(got)] == [want[k].to_str() for k in sorted(got)]
+        printed += len(got)
+    assert printed > 50
+
+
+def test_cyclic_sums_read_only_entries_above_the_diagonal():
+    m = bivector(N, {(0, 1): rf("x3"), (1, 2): rf("x1*x4")})
+    below = [[c if i < j else RatFunc.zero(N) for j, c in enumerate(row)]
+             for i, row in enumerate(m)]
+    assert cyclic_sums(below) == cyclic_sums(m) == {(0, 1, 2): rf("x4+1"), (1, 2, 3): rf("x1")}
+    assert cyclic_sums(below, below) == cyclic_sums(m, m) == jacobiator_loop(m)
 
 
 def test_constant_bivector_poisson():
     pi = bivector(N, {(0, 1): rf("1"), (2, 3): rf("-2")})
-    assert not poisson_jacobiator(pi)
+    assert not cyclic_sums(pi, pi) and not jacobiator_loop(pi)
 
 
 def test_linear_x1_bivector_not_poisson():
     pi = bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
-    jac = poisson_jacobiator(pi)
-    assert (1, 2, 3) in jac
+    jac = cyclic_sums(pi, pi)
+    assert list(jac) == [(1, 2, 3)]
     assert jac[(1, 2, 3)] == rf("1")
-    assert poisson_jacobiator(pi)
+    assert jacobiator_loop(pi)
 
 
 def test_heisenberg_type_poisson():
     pi = bivector(N, {(1, 2): rf("x1")})
-    assert not poisson_jacobiator(pi)
+    assert not cyclic_sums(pi, pi) and not jacobiator_loop(pi)
 
 
 # -- B-transform bracket law ------------------------------------------------------------
@@ -398,27 +470,27 @@ def sweep_witnesses(kind, data):
 
 
 def test_report_trivial():
-    rep = integrability_report("trivial", data_matrix("trivial", N))
-    assert rep.integrable and sweep_witnesses("trivial", N) == {}
+    assert integrability_report("trivial", data_matrix("trivial", N)) == ("trivial", None)
+    assert sweep_witnesses("trivial", N) == {}
 
 
 def test_report_omega_cases():
     flat, open_ = form2({(0, 1): "1", (2, 3): "1"}), form2({(0, 1): "1", (2, 3): "x1"})
     good = integrability_report("omega", data_matrix("omega", flat))
-    assert good.integrable and sweep_witnesses("omega", flat) == {} and good.witness is None
-    bad = integrability_report("omega", data_matrix("omega", open_))
-    assert not bad.integrable and sweep_witnesses("omega", open_)
-    assert bad.witness is not None and bad.witness["d_omega_component"] == [1, 3, 4]
+    assert good == ("d_omega_zero", None) and sweep_witnesses("omega", flat) == {}
+    criterion, witness = integrability_report("omega", data_matrix("omega", open_))
+    assert criterion == "d_omega_zero" and sweep_witnesses("omega", open_)
+    assert witness == {"d_omega_component": [1, 3, 4], "value": "1"}
 
 
 def test_report_pi_cases():
     const = bivector(N, {(0, 1): rf("1")})
     linear = bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})
     good = integrability_report("pi", data_matrix("pi", const))
-    assert good.integrable and sweep_witnesses("pi", const) == {}
-    bad = integrability_report("pi", data_matrix("pi", linear))
-    assert not bad.integrable and sweep_witnesses("pi", linear)
-    assert bad.witness["jacobiator_triple"] == [2, 3, 4]
+    assert good == ("pi_poisson", None) and sweep_witnesses("pi", const) == {}
+    criterion, witness = integrability_report("pi", data_matrix("pi", linear))
+    assert criterion == "pi_poisson" and sweep_witnesses("pi", linear)
+    assert witness == {"jacobiator_triple": [2, 3, 4], "value": "1"}
 
 
 def test_report_product_cases():
@@ -426,12 +498,12 @@ def test_report_product_cases():
              [["0", "1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
     good = integrability_report("product", data_matrix("product", p_int))
-    assert good.integrable and sweep_witnesses("product", p_int) == {}
+    assert good == ("p_nijenhuis_zero", None) and sweep_witnesses("product", p_int) == {}
     p_bad = [[rf(c) for c in row] for row in
              [["0", "1", "0", "x1"], ["1", "0", "0-x1", "0"],
               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]]
-    bad = integrability_report("product", data_matrix("product", p_bad))
-    assert not bad.integrable and sweep_witnesses("product", p_bad)
+    criterion, witness = integrability_report("product", data_matrix("product", p_bad))
+    assert criterion == "p_nijenhuis_zero" and witness and sweep_witnesses("product", p_bad)
 
 
 def test_report_agreement_criterion_vs_sweep():
@@ -442,8 +514,8 @@ def test_report_agreement_criterion_vs_sweep():
         ("pi", bivector(N, {(0, 1): rf("1"), (2, 3): rf("x1")})),
     ]
     for kind, data in cases:
-        rep = integrability_report(kind, data_matrix(kind, data))
-        assert rep.integrable == (not sweep_witnesses(kind, data))
+        _, witness = integrability_report(kind, data_matrix(kind, data))
+        assert (witness is None) == (not sweep_witnesses(kind, data))
 
 
 def test_nijenhuis_tensoriality_for_courant_version():
@@ -813,6 +885,6 @@ def test_product_criterion_differentiates_each_entry_of_p_once(monkeypatch, p_ro
         return original(self, i)
 
     monkeypatch.setattr(RatFunc, "partial", counting)
-    rep = integrability_report("product", data_matrix("product", p))
-    assert rep.integrable == integrable and nonconstant
+    _, witness = integrability_report("product", data_matrix("product", p))
+    assert (witness is None) == integrable and nonconstant
     assert len(calls) <= N * nonconstant
