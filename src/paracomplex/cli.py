@@ -5,6 +5,8 @@ Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
 2 input error.  Reports are deterministic: identical inputs and seed produce
 identical bytes.
 
+Every input, argument or file, is read here.
+
 Each command imports the modules it runs inside its function, so a start
 loads (and, without cached bytecode, compiles) only those: `validate` and
 `integrability` load `gpx` and `patch` but not `curv`; `curvature` and
@@ -111,80 +113,119 @@ def parse_theta_expr(text: str, variables=VARS4) -> list:
     return theta
 
 
-def _component_map_to_matrix(data, variables, antisym=True):
-    """Accept either a full matrix of strings or a component map
-    {"i,j": "expr"} with 1-based indices."""
-    nvars = len(variables)
-    if isinstance(data, list):
-        if len(data) != nvars or any(not isinstance(row, list) or len(row) != nvars
-                                     for row in data):
-            raise ValueError("matrix has the wrong shape")
-        mat = [[parse_ratfunc(s, variables) for s in row] for row in data]
-        for i in range(nvars if antisym else 0):
-            for j in range(i, nvars):
+def matrix_reader(variables):
+    """read(value, name, antisym=False): the n x n RatFunc matrix of a full
+    matrix of literals or a component map {"i,j": literal} (1-based; with
+    antisym also -literal at (j, i)), each distinct literal parsed once."""
+    n = len(variables)
+    memo: dict = {}
+
+    def literal(text):
+        f = memo.get(text) if isinstance(text, str) else None
+        if f is None:
+            f = memo[text] = parse_ratfunc(text, variables)
+        return f
+
+    def read(value, name: str, antisym: bool = False) -> list:
+        if isinstance(value, dict):
+            mat = [[RatFunc.zero(n)] * n for _ in range(n)]
+            for key, expr in value.items():
+                try:
+                    i, j = (int(p) - 1 for p in key.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"bad component key {key!r}") from exc
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"component key {key!r} is outside 1..{n}")
+                if antisym and i == j:
+                    raise ValueError(f"component key {key!r} is diagonal")
+                f = literal(expr)
+                mat[i][j] = mat[i][j] + f
+                if antisym:
+                    mat[j][i] = mat[j][i] - f
+            return mat
+        if not (isinstance(value, list) and len(value) == n
+                and all(isinstance(row, list) and len(row) == n for row in value)):
+            raise ValueError(f"{name!r} must be a {n}x{n} matrix or a component map")
+        mat = [[literal(s) for s in row] for row in value]
+        for i in range(n if antisym else 0):
+            for j in range(i, n):
                 if not (mat[i][j] + mat[j][i]).is_zero():
                     raise ValueError(f"matrix is not antisymmetric at ({i + 1},{j + 1})")
         return mat
-    if isinstance(data, dict):
-        mat = [[RatFunc.zero(nvars) for _ in range(nvars)] for _ in range(nvars)]
-        for key, expr in data.items():
-            try:
-                i, j = (int(p) - 1 for p in key.split(","))
-            except ValueError as exc:
-                raise ValueError(f"bad component key {key!r}") from exc
-            if not (0 <= i < nvars and 0 <= j < nvars):
-                raise ValueError(f"component key {key!r} is outside 1..{nvars}")
-            if antisym and i == j:
-                raise ValueError(f"component key {key!r} is diagonal")
-            value = parse_ratfunc(expr, variables)
-            mat[i][j] = mat[i][j] + value
-            if antisym:
-                mat[j][i] = mat[j][i] - value
-        return mat
-    raise ValueError("expected a matrix or a component map")
+
+    return read
 
 
-def load_descriptor(path: str) -> dict:
+def load_input(path: str, what: str) -> tuple:
+    """The JSON object of an input file, its variables and its matrix_reader;
+    each fault in reading the object is a ValueError that names the file."""
     try:
         with open(path) as fh:
-            desc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read descriptor {path!r}: {exc}") from exc
-    if not isinstance(desc, dict):
-        raise ValueError(f"descriptor {path!r} is not a JSON object")
-    return desc
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path!r} is not a JSON object")
+    variables = check_variables(data.get("vars", VARS4))
+    return data, variables, matrix_reader(variables)
 
 
-def _descriptor_structure(desc: dict):
-    """The kind of a structure descriptor, its n x n matrix of rational
-    functions (the form omega(d_i, d_j), the bivector pi^{ij}, P, or zero for
-    trivial; for assembled the four matrices g, Theta, K1 and K2), and the
-    variables."""
+def _descriptor_structure(path: str):
+    """The kind of the structure descriptor at path, its n x n matrix of
+    rational functions (the form omega(d_i, d_j), the bivector pi^{ij}, P, or
+    zero for trivial; for assembled the four matrices g, Theta, K1 and K2),
+    and the variables."""
+    desc, variables, read = load_input(path, "descriptor")
     kind = desc.get("kind")
-    variables = check_variables(desc.get("vars", VARS4))
 
-    def field(name, antisym=True):
+    def field(name, antisym=False):
         if name not in desc:
             raise ValueError(f"a {kind!r} descriptor needs {name!r}")
-        return _component_map_to_matrix(desc[name], variables, antisym)
+        return read(desc[name], name, antisym)
 
     if kind == "trivial":
-        return kind, _component_map_to_matrix({}, variables), variables
+        return kind, read({}, kind), variables
     if kind in ("omega", "pi"):
-        return kind, field(kind), variables
+        return kind, field(kind, antisym=True), variables
     if kind == "product":
-        return kind, field("P", antisym=False), variables
+        return kind, field("P"), variables
     if kind == "assembled":
-        g = field("g", antisym=False)
-        theta = _component_map_to_matrix(desc.get("theta", {}), variables)
-        return kind, (g, theta, field("k1", antisym=False), field("k2", antisym=False)), variables
+        return kind, (field("g"), read(desc.get("theta", {}), "theta", antisym=True),
+                      field("k1"), field("k2")), variables
     raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def parse_metric_id(text: str):
+    """The curv.MetricModel of flat, constcurv:<c>, ppwave:<f> or file:<path>."""
+    from paracomplex.curv import MetricModel, constcurv_metric, flat_metric, ppwave_metric
+
+    if text == "flat":
+        return flat_metric()
+    arg = text.partition(":")[2]
+    if text.startswith("constcurv:"):
+        try:
+            den, num = parse_rational(arg)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {arg!r}") from None
+        return constcurv_metric(num, den)
+    if text.startswith("ppwave:"):
+        return ppwave_metric(parse_ratfunc(arg, VARS4))
+    if text.startswith("file:"):
+        data, variables, read = load_input(arg, "metric file")
+        if "g" not in data:
+            raise ValueError(f"metric file {arg!r} needs 'g'")
+        g = read(data["g"], "g")
+        if g != transpose(g):
+            raise ValueError("the metric field is not symmetric")
+        onb = data.get("onb")
+        return MetricModel(text, len(g), g, None if onb is None else read(onb, "onb"))
+    raise ValueError(f"unknown metric identifier {text!r}")
 
 
 # -- commands -------------------------------------------------------------------
 
 # failures that `validate` reports per point (exit 1) rather than as bad input
-_POINT_ERRORS = (ValueError, PoleAtPoint, ZeroDivisionError)
+_POINT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
 
 
 def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
@@ -227,8 +268,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     from paracomplex.gpx import validate_gen_para
     from paracomplex.patch import check_structure
 
-    desc = load_descriptor(args.descriptor)
-    kind, mat, variables = _descriptor_structure(desc)
+    kind, mat, variables = _descriptor_structure(args.descriptor)
     points = _points_from_args(args, len(variables), default_count=5)
     error, jets = None, [None] * len(points)
     if kind != "assembled":
@@ -261,8 +301,7 @@ def cmd_validate(args) -> tuple[dict, int]:
 def cmd_integrability(args) -> tuple[dict, int]:
     from paracomplex.patch import gen_nijenhuis_frame_sweep, integrability_report
 
-    desc = load_descriptor(args.descriptor)
-    kind, mat, variables = _descriptor_structure(desc)
+    kind, mat, variables = _descriptor_structure(args.descriptor)
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points_from_args(args, len(variables), default_count=3)
@@ -300,7 +339,7 @@ def cmd_integrability(args) -> tuple[dict, int]:
 
 def cmd_curvature(args) -> tuple[dict, int]:
     from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
-                                  parse_metric_id, sectional_constant_check)
+                                  sectional_constant_check)
 
     model = parse_metric_id(args.metric)
     point = parse_point(args.point, model.nvars)
@@ -333,7 +372,6 @@ MAX_SAMPLES = 100_000
 
 
 def cmd_theorem(args) -> tuple[dict, int]:
-    from paracomplex.curv import parse_metric_id
     from paracomplex.theorem import theorem_verdict
 
     if args.samples < 0:

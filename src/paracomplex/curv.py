@@ -7,7 +7,9 @@ value, and a value is printed by `poly.rat_str` from its pair.  The dim-4
 theorem verdict, with the (j,l,r) residual and the witness search, is in
 `paracomplex.theorem`, which only `theorem` loads, so `curvature` compiles
 neither it nor `paracomplex.para`.  The symbolic connections and the twistor
-and reflector Nijenhuis evaluators are in `paracomplex.reference`.
+and reflector Nijenhuis evaluators are in `paracomplex.reference`.  This
+module opens no file and parses no literal: `cli.parse_metric_id` builds the
+MetricModel of a metric identifier.
 
 Curvature sign convention.  The curvature tensor is
 R(X, Y) = D_{[X,Y]} - [D_X, D_Y] (opposite to the common one); with this
@@ -24,8 +26,7 @@ import itertools
 import math
 from operator import mul
 
-from paracomplex.exact import (VARS4, RatFunc, check_variables, parse_ratfunc, parse_rational,
-                               point_strings)
+from paracomplex.exact import RatFunc, point_strings
 from paracomplex.linalg import (
     ONB_GRAM,
     bareiss,
@@ -87,15 +88,10 @@ class MetricModel:
         return du, u
 
 
-def _const_mat(entries, nvars=4):
-    return [[RatFunc.const(nvars, v) for v in row] for row in entries]
-
-
-def flat_metric(nvars: int = 4) -> MetricModel:
-    g = _const_mat(ONB_GRAM, nvars)
-    onb = [[RatFunc.const(nvars, 1 if i == j else 0) for i in range(nvars)]
-           for j in range(nvars)]
-    return MetricModel("flat", nvars, g, onb)
+def flat_metric() -> MetricModel:
+    g = [[RatFunc.const(4, v) for v in row] for row in ONB_GRAM]
+    onb = [[RatFunc.const(4, int(i == j)) for i in range(4)] for j in range(4)]
+    return MetricModel("flat", 4, g, onb)
 
 
 def constcurv_metric(c: int, den: int = 1) -> MetricModel:
@@ -130,31 +126,6 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
         [z, o, -o / 2, z],
     ]
     return MetricModel("ppwave", n, g, onb)
-
-
-def metric_from_strings(rows: list, variables: list, onb_rows: list | None = None,
-                        name: str = "file") -> MetricModel:
-    """The metric of a file: matrices of literals, each distinct literal parsed
-    once for the file."""
-    n = len(variables)
-    memo: dict = {}
-
-    def literal(text):
-        f = memo.get(text) if isinstance(text, str) else None
-        if f is None:
-            f = memo[text] = parse_ratfunc(text, variables)
-        return f
-
-    def parse(mat, what):
-        if not (isinstance(mat, list) and len(mat) == n
-                and all(isinstance(row, list) and len(row) == n for row in mat)):
-            raise ValueError(f"{what} of {name} must be a {n}x{n} matrix")
-        return [[literal(s) for s in row] for row in mat]
-
-    g = parse(rows, "g")
-    if any(g[i][j] is not g[j][i] and g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("the metric field is not symmetric")
-    return MetricModel(name, n, g, None if onb_rows is None else parse(onb_rows, "onb"))
 
 
 def _is_square(den: int, num: int) -> tuple | None:
@@ -370,37 +341,3 @@ def sectional_constant_check(op: CurvOperator) -> tuple | None:
         g = math.gcd(c, den)
         return den // g, c // g
     return None
-
-
-# -- metric identifiers ---------------------------------------------------------------------------
-
-
-def parse_metric_id(text: str) -> MetricModel:
-    """Catalog identifiers: flat, constcurv:<c>, ppwave:<f>, file:<path>."""
-    import json
-
-    if text == "flat":
-        return flat_metric()
-    if text.startswith("constcurv:"):
-        c = text.split(":", 1)[1]
-        try:
-            den, num = parse_rational(c)
-        except ZeroDivisionError:
-            raise ValueError(f"division by zero in {c!r}") from None
-        return constcurv_metric(num, den)
-    if text.startswith("ppwave:"):
-        f = parse_ratfunc(text.split(":", 1)[1], VARS4)
-        return ppwave_metric(f)
-    if text.startswith("file:"):
-        path = text.split(":", 1)[1]
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read metric file {path!r}: {exc}") from exc
-        if not isinstance(data, dict) or "g" not in data:
-            raise ValueError(f"metric file {path!r} is not a JSON object with a \"g\" matrix")
-        variables = check_variables(data.get("vars", VARS4))
-        return metric_from_strings(data["g"], variables, data.get("onb"),
-                                   name=f"file:{path}")
-    raise ValueError(f"unknown metric identifier {text!r}")

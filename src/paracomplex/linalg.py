@@ -110,14 +110,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    out = []
-    for row in a:
-        s = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return out
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: Mat) -> Mat:

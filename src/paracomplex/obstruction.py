@@ -10,10 +10,9 @@ Only `theorem` with a non-closed `--theta` runs it (the witness search of
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from paracomplex.gpx import assemble
-from paracomplex.linalg import int_inv
+from paracomplex.linalg import int_inv, mat_vec
 
 
 def _torsion_vec(t_at: list, x: list, y: list) -> list:
@@ -58,9 +57,6 @@ def np_residual_terms(g: tuple, t_at: tuple, dth_at: tuple, s1: tuple, s2: tuple
     n = len(t)
     dp, p = assemble(g, (1, [[0] * n] * n), s1, s2)
 
-    def apply(v: list) -> list:
-        return [sum(map(mul, row, v)) for row in p]
-
     def terms(u: list, v: list) -> tuple:
         """T(X, Y) + beta(T(X, .)) - alpha(T(Y, .)), and dTheta(X, Y, .), for
         U = X + alpha and V = Y + beta."""
@@ -69,7 +65,7 @@ def np_residual_terms(g: tuple, t_at: tuple, dth_at: tuple, s1: tuple, s2: tuple
             _covector_alpha_iota(t, alpha, y), _covector_alpha_iota(t, beta, x))],
             _dtheta_covector(dth, x, y))
 
-    pa, pb = apply(a), apply(b)
+    pa, pb = mat_vec(p, a), mat_vec(p, b)
     (t1, d1), (t2, d2), (t3, d3), (t4, d4) = (terms(u, v) for u, v in
                                               ((a, b), (pa, pb), (pa, b), (a, pb)))
     # with A' = PA and B' = PB, N_P(A, B) is (-1, +1) (terms(A, B) + terms(A', B')) plus P of
@@ -77,10 +73,10 @@ def np_residual_terms(g: tuple, t_at: tuple, dth_at: tuple, s1: tuple, s2: tuple
     # cond_rhs = -dTheta(X,Y,.) - dTheta(X',Y',.) + P(dTheta(X',Y,.) + dTheta(X,Y',.)),
     # each over d^2 E or d^2 F
     sign = [-1] * n + [1] * n
-    inner = apply([-s * (u + v) for s, u, v in zip(sign, t3, t4)])
+    inner = mat_vec(p, [-s * (u + v) for s, u, v in zip(sign, t3, t4)])
     n_p = [s * (dp * dp * u + v) + w for s, u, v, w in zip(sign, t1, t2, inner)]
     zero = [0] * n
-    inner = apply(zero + [u + v for u, v in zip(d3, d4)])
+    inner = mat_vec(p, zero + [u + v for u, v in zip(d3, d4)])
     cond_rhs = [w - dp * dp * u - v for u, v, w in zip(zero + d1, zero + d2, inner)]
     den = math.lcm(dt, dd)
     return (dp * dp * den, [x * (den // dt) for x in n_p], [x * (den // dd) for x in cond_rhs])

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import random
-from operator import mul
 
 from paracomplex.curv import (WEDGE4, DegenerateMetric, curvature_operator, decompose,
                               sectional_constant_check)
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
-from paracomplex.linalg import int_jet, j_structures, mat_is_zero
+from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
 from paracomplex.para import hyperboloid_combination, hyperboloid_draw, random_compatible_structure
 from paracomplex.poly import rat_str
 
@@ -31,7 +30,7 @@ def _wedge_coords(pairs: list, u: list, v: list) -> dict:
 
 def _pm(den: int, k: list, v: list) -> tuple:
     """(den v + k v, den v - k v) for an integer matrix k and vector v."""
-    kv = [sum(map(mul, row, v)) for row in k]
+    kv = mat_vec(k, v)
     dv = [den * c for c in v]
     return [a + b for a, b in zip(dv, kv)], [a - b for a, b in zip(dv, kv)]
 
@@ -109,7 +108,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str,
         try:
             op = curvature_operator(model.g, p)
             onb = model.onb_at(p, g_at=op.int_g)
-        except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
+        except (PoleAtPoint, DegenerateMetric):
             if sample_points is not None:
                 raise
             continue
@@ -167,21 +166,29 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str,
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
-def _np_witness_search(dth: dict, points: list, rng, attempts: int = 60):
+# draws of the witness search at each point where dTheta is not zero
+WITNESS_ATTEMPTS = 60
+
+
+def _np_witness_search(dth: dict, points: list, rng):
     """Bounded seeded search for a nonzero horizontal obstruction residual,
-    given the components of dTheta and theorem_verdict's per-point data; the
-    sections A and B are drawn as their stacked vectors X + alpha, each twice
-    a rnd_vec2 draw, so the residual of the integers A' = 2A and B' = 2B is
-    four times A and B's."""
+    given the components of dTheta and theorem_verdict's per-point data; a
+    point where dTheta is zero or has a pole is skipped.  The sections A and B
+    are drawn as their stacked vectors X + alpha, each twice a rnd_vec2 draw,
+    so the residual of the integers A' = 2A and B' = 2B is four times A and
+    B's."""
     from paracomplex.obstruction import np_residual_terms, torsion_at
 
     for p, op, onb, js in points:
-        ((dd, (values,)),) = int_jet([list(dth.values())], p)
+        try:
+            ((dd, (values,)),) = int_jet([list(dth.values())], p)
+        except PoleAtPoint:
+            continue
         if not any(values):
             continue
         dth_at = (dd, dict(zip(dth, values)))
         t_at = torsion_at(op.int_g, dth_at)
-        for _ in range(attempts):
+        for _ in range(WITNESS_ATTEMPTS):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = random_compatible_structure(op.int_g, onb, rng, o1, js(o1))
             o2 = +1 if rng.random() < 0.5 else -1

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from paracomplex.cli import main, parse_theta_expr
+from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import mat_is_zero
 from paracomplex.patch import cyclic_sums
 
@@ -19,8 +20,11 @@ def run_cli(capsys, *argv):
 
 
 def write_desc(tmp_path, name, payload):
+    """The path of the file name holding payload as JSON, or as it is when it
+    is a string; no file is written for None."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if payload is not None:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -98,34 +102,89 @@ def assert_one_line_input_error(capsys, code, message):
     assert captured.err == f"error: {message}\n"
 
 
+# the same faults of a descriptor and of a metric file, and the same text for each
+NOT_JSON = "{not json"
+NOT_JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NO_FILE_ERROR = "[Errno 2] No such file or directory: {path!r}"
+
+
 @pytest.mark.parametrize("command", ["validate", "integrability"])
 @pytest.mark.parametrize("payload,message", [
+    (None, "cannot read descriptor {path!r}: " + NO_FILE_ERROR),
+    (NOT_JSON, "cannot read descriptor {path!r}: " + NOT_JSON_ERROR),
     ([{"kind": "trivial"}], "descriptor {path!r} is not a JSON object"),
     ({"kind": "omega"}, "a 'omega' descriptor needs 'omega'"),
     ({"kind": "pi", "vars": ["x1", "x2"]}, "a 'pi' descriptor needs 'pi'"),
     ({"kind": "omega", "omega": {"1,2": 5}}, "expected a string literal, got 5"),
-    ({"kind": "product", "P": [1, 2, 3, 4]}, "matrix has the wrong shape"),
+    ({"kind": "product", "P": [1, 2, 3, 4]}, "'P' must be a 4x4 matrix or a component map"),
+    ({"kind": "product", "P": [["1", "0"], ["0", "1"]]},
+     "'P' must be a 4x4 matrix or a component map"),
+    ({"kind": "omega", "omega": 5}, "'omega' must be a 4x4 matrix or a component map"),
     ({"kind": "omega", "omega": {"1,2": "1", "3,4": "x1/0"}}, "division by zero in 'x1/0'"),
-], ids=["list", "omega-missing", "pi-missing", "non-string", "rows-not-lists", "divide-by-zero"])
+], ids=["missing", "not-json", "list", "omega-missing", "pi-missing", "non-string",
+        "rows-not-lists", "wrong-shape", "omega-not-a-matrix", "divide-by-zero"])
 def test_malformed_descriptor_exit_2_with_one_line(tmp_path, capsys, command, payload, message):
-    path = write_desc(tmp_path, "desc.json", payload)
+    path = write_desc(tmp_path, "input.json", payload)
     assert_one_line_input_error(capsys, main([command, path]), message.format(path=path))
 
 
 @pytest.mark.parametrize("payload,message", [
-    (None, "cannot read metric file {path!r}: [Errno 2] No such file or directory: {path!r}"),
-    ({"g": 5}, "g of file:{path} must be a 4x4 matrix"),
-    ([["1"]], "metric file {path!r} is not a JSON object with a \"g\" matrix"),
-    ({"onb": []}, "metric file {path!r} is not a JSON object with a \"g\" matrix"),
-    ({"g": [["1", "0"], ["0", "1"]]}, "g of file:{path} must be a 4x4 matrix"),
+    (None, "cannot read metric file {path!r}: " + NO_FILE_ERROR),
+    (NOT_JSON, "cannot read metric file {path!r}: " + NOT_JSON_ERROR),
+    ({"g": 5}, "'g' must be a 4x4 matrix or a component map"),
+    ([["1"]], "metric file {path!r} is not a JSON object"),
+    ({"onb": []}, "metric file {path!r} needs 'g'"),
+    ({"g": [["1", "0"], ["0", "1"]]}, "'g' must be a 4x4 matrix or a component map"),
+    ({"g": {"1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}, "onb": [1, 2, 3, 4]},
+     "'onb' must be a 4x4 matrix or a component map"),
     ({"g": [["1/0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
             ["0", "0", "0", "-1"]]}, "division by zero in '1/0'"),
-], ids=["missing", "g-not-a-matrix", "list", "no-g", "wrong-shape", "divide-by-zero"])
+], ids=["missing", "not-json", "g-not-a-matrix", "list", "no-g", "wrong-shape",
+        "onb-not-a-matrix", "divide-by-zero"])
 def test_malformed_metric_file_exit_2_with_one_line(tmp_path, capsys, payload, message):
-    path = str(tmp_path / "nope.json") if payload is None else write_desc(tmp_path, "m.json",
-                                                                         payload)
+    path = write_desc(tmp_path, "input.json", payload)
     code = main(["curvature", f"file:{path}", "--point", "1,0,0,0"])
     assert_one_line_input_error(capsys, code, message.format(path=path))
+
+
+@pytest.mark.parametrize("argv,what", [(["validate", "{path}"], "descriptor"),
+                                       (["curvature", "file:{path}"], "metric file")],
+                         ids=["descriptor", "metric-file"])
+def test_json_nested_past_the_recursion_limit_exit_2_with_one_line(tmp_path, capsys, argv, what):
+    """json.load raises RecursionError on deep nesting; it is a fault in reading
+    the file like any other.  Its text varies with the interpreter."""
+    path = write_desc(tmp_path, "input.json", "[" * 100_000)
+    code = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot read {what} {path!r}: maximum recursion depth")
+
+
+def test_each_distinct_literal_of_an_input_file_is_parsed_once(tmp_path, capsys, monkeypatch):
+    """A descriptor and a metric file each parse a literal that repeats once,
+    and a metric file may give g as a component map, as a descriptor may."""
+    import paracomplex.cli as cli
+
+    parsed = []
+
+    def counting(text, variables):
+        parsed.append(text)
+        return parse_ratfunc(text, variables)
+
+    monkeypatch.setattr(cli, "parse_ratfunc", counting)
+    p = [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]]
+    path = write_desc(tmp_path, "p.json", {"kind": "product", "P": p})
+    assert run_cli(capsys, "validate", path)[0] == 0
+    assert sorted(parsed) == ["0", "1"]
+    parsed.clear()
+    g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    full = run_cli(capsys, "curvature", f"file:{write_desc(tmp_path, 'g.json', {'g': g})}")
+    assert sorted(parsed) == ["-1", "0", "1"]
+    parsed.clear()
+    as_map = {"1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}
+    path = write_desc(tmp_path, "g.json", {"g": as_map})
+    assert run_cli(capsys, "curvature", f"file:{path}") == full
+    assert sorted(parsed) == ["-1", "1"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -718,6 +777,18 @@ def test_theorem_theta_obstruction(capsys):
     report = json.loads(out)
     assert report["evidence"]["d_theta_zero"] is False
     assert "np_residual_witness" in report["evidence"]
+
+
+def test_a_pole_of_dtheta_at_a_sample_point_is_skipped(capsys):
+    """dTheta = x1/(x1 - 1) dx1^dx2^dx3 is not zero, which decides the verdict;
+    the witness search skips (0, 0, 0, 0), where dTheta is zero, and
+    (1, 0, 0, 0), where it has a pole, as theorem_verdict skips a default point
+    where g has one."""
+    code, out = run_cli(capsys, "theorem", "flat", "--component=++",
+                        "--theta", "x1*x3/(x1-1)*dx1^dx2")
+    evidence = json.loads(out)["evidence"]
+    assert code == 1 and evidence["d_theta_witness"] == {"1,2,3": "(x1)/((x1 - 1))"}
+    assert evidence["np_residual_witness"]["point"] == ["1/2", "-1/3", "1/5", "0"]
 
 
 def test_theorem_epsilon_never_integrable(capsys):

@@ -25,6 +25,7 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.para import random_compatible_structure
+from paracomplex.cli import matrix_reader, parse_metric_id
 from paracomplex.curv import (
     DegenerateMetric,
     MetricModel,
@@ -34,9 +35,7 @@ from paracomplex.curv import (
     decompose,
     duality_verdict,
     flat_metric,
-    metric_from_strings,
     onb_search,
-    parse_metric_id,
     ppwave_metric,
     sectional_constant_check,
     star_matrix,
@@ -788,8 +787,9 @@ def sheared_constcurv() -> MetricModel:
     metric is: every entry of g is nonzero, and the frame is phi S^-1."""
     g = [[-3, 2, -1, -1], [2, -1, 2, -1], [-1, 2, -2, 1], [-1, -1, 1, -1]]
     onb = [[1, -1, -3, -3], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    return metric_from_strings([[f"{v}/({SHEAR_PHI})^2" for v in row] for row in g], V,
-                               [[f"{v}*({SHEAR_PHI})" for v in col] for col in onb])
+    read = matrix_reader(V)
+    return MetricModel("file", 4, read([[f"{v}/({SHEAR_PHI})^2" for v in row] for row in g], "g"),
+                       read([[f"{v}*({SHEAR_PHI})" for v in col] for col in onb], "onb"))
 
 
 def jklr_models() -> list:

@@ -211,7 +211,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # the routines only they use (the commands pass integer pairs (D, M)), the
 # sparse k-forms and their exterior derivative (a 2-form on the command paths is
 # an antisymmetric matrix, and patch.cyclic_sums gives its d and the Jacobiator),
-# and helpers that one test file keeps as a local reference
+# helpers that one test file keeps as a local reference, and the second readers of
+# input files that cli.load_input and cli.matrix_reader replaced
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -240,6 +241,7 @@ MOVED = [
     "is_g_skew", "mat_eval", "mat_from_columns", "mat_inv", "mat_jet", "mat_rank", "mat_zero",
     "signature", "vec_add", "vec_eq", "vec_scale",
     "IntegrabilityReport", "KForm", "_sort_index", "ext_deriv", "poisson_jacobiator", "sparse_add",
+    "_component_map_to_matrix", "_const_mat", "load_descriptor", "metric_from_strings",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "linalg", "para", "gpx", "patch", "curv", "theorem",
                    "obstruction"]
@@ -277,6 +279,18 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
     holders = [m for m in COMMAND_MODULES
                if hasattr(importlib.import_module(f"paracomplex.{m}"), name)]
     assert holders == []
+
+
+@pytest.mark.parametrize("module", [m for m in COMMAND_MODULES if m != "cli"])
+def test_only_cli_reads_input(module):
+    """cli opens every input file, reads its JSON and parses its literals, with
+    load_input and matrix_reader; no other command module names open or json,
+    and none but exact, which defines them, names the literal parsers."""
+    with open(SRC / "paracomplex" / f"{module}.py") as fh:
+        names = {tok.string for tok in tokenize.generate_tokens(fh.readline)
+                 if tok.type == tokenize.NAME}
+    assert not {"open", "json"} & names
+    assert module == "exact" or not {"parse_ratfunc", "parse_rational"} & names
 
 
 # defs of command modules that no pinned command enters: the number protocol of
