@@ -4,7 +4,8 @@ the dim-4 theorem verdicts.
 Run with:  python3 demos/03_integrability_and_curvature.py
 """
 
-from paracomplex.exact import RatFunc, parse_ratfunc
+from paracomplex.exact import RatFunc
+from paracomplex.parse import parse_ratfunc
 from paracomplex.curv import (
     constcurv_metric,
     curvature_operator,

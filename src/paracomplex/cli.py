@@ -5,13 +5,14 @@ Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
 2 input error.  Reports are deterministic: identical inputs and seed produce
 identical bytes.
 
-Every input, argument or file, is read here.
+Every input file and every point is read here; `theorem` reads its own
+`--theta`.
 
-Each command imports the modules it runs inside its function, so a start
-loads (and, without cached bytecode, compiles) only those: `validate` and
-`integrability` load `gpx` and `patch` but not `curv`; `curvature` and
-`theorem` load `curv` but, without `--theta`, neither `gpx` nor `patch`; and
-`curvature` loads neither `theorem` nor `para`, which `theorem` runs.
+`main` imports the module of a command's body when it runs it (COMMANDS), so
+a start loads, and without cached bytecode compiles, only what it runs:
+`validate` and `integrability` load `structures`, with `gpx` and `patch` but
+not `curv`; `curvature` loads `curv` and runs `cmd_curvature` here; and
+`theorem` loads `theorem`, with `curv` and `para`, and for `--theta` `patch`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 
-from paracomplex.exact import (DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, check_variables,
-                               parse_ratfunc, parse_rational, point_strings)
-from paracomplex.linalg import SingularMatrix, int_jet, mat_to_strings, transpose
+from paracomplex.exact import DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, point_strings
+from paracomplex.linalg import SingularMatrix, mat_to_strings, transpose
+from paracomplex.parse import check_variables, parse_ratfunc, parse_rational
 from paracomplex.poly import rat_str
 
 
@@ -51,66 +51,14 @@ def parse_points_arg(text: str, nvars: int = 4) -> list:
     return points
 
 
-_WEDGE_RE = re.compile(r"^dx(\d+)\^dx(\d+)$")
-
-
-def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
-    """(separator, piece) pairs of text split on its top-level separator
-    characters, the first separator "+"; a piece is empty before a leading,
-    doubled or trailing separator."""
-    parts, depth, op, start = [], 0, "+", 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in seps:
-            parts.append((op, text[start:i]))
-            op, start = ch, i + 1
-    parts.append((op, text[start:]))
-    return parts
-
-
-def parse_theta_expr(text: str, variables=VARS4) -> list:
-    """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors (default 1).  Returns the
-    antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
-    assembled descriptor's "theta"; a term adds c to theta(d_i, d_j) and -c
-    to theta(d_j, d_i).  A run of signs before a term multiplies, and an
-    empty term or factor is bad input."""
-    nvars = len(variables)
-    theta = [[RatFunc.zero(nvars)] * nvars for _ in range(nvars)]
-    if not text.strip():
-        return theta
-    sign = "+"
-    for op, term in _split_top_level(text.replace(" ", ""), "+-"):
-        sign = "+" if (op == "-") == (sign == "-") else "-"
-        if not term:  # a sign of the next term
-            continue
-        factors = [f for _, f in _split_top_level(term, "*")]
-        if "" in factors:
-            raise ValueError(f"empty factor in term {term!r}")
-        match = _WEDGE_RE.match(factors[-1])
-        if match is None:
-            raise ValueError(f"term {term!r} must end with dxi^dxj")
-        i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
-        if not (0 <= i < nvars and 0 <= j < nvars) or i == j:
-            raise ValueError(f"bad wedge indices in {term!r}")
-        coeff_src = "*".join(factors[:-1]) or "1"
-        try:
-            coeff = parse_ratfunc(coeff_src, variables)
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient {coeff_src!r}: {exc}") from exc
-        if sign == "-":
-            coeff = -coeff
-        if i > j:  # dxj^dxi = -dxi^dxj
-            i, j, coeff = j, i, -coeff
-        theta[i][j] = theta[i][j] + coeff
-        theta[j][i] = -theta[i][j]
-        sign = "+"
-    if not term:
-        raise ValueError(f"empty term in theta expression {text!r}")
-    return theta
+def _points_from_args(args, nvars: int, default_count: int) -> list:
+    if args.points is not None:
+        return parse_points_arg(args.points, nvars)
+    if args.point is not None:
+        return [parse_point(args.point, nvars)]
+    if nvars != 4:
+        raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
+    return DEFAULT_POINTS[:default_count]
 
 
 def matrix_reader(variables):
@@ -222,119 +170,7 @@ def parse_metric_id(text: str):
     raise ValueError(f"unknown metric identifier {text!r}")
 
 
-# -- commands -------------------------------------------------------------------
-
-# failures that `validate` reports per point (exit 1) rather than as bad input
-_POINT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
-
-
-def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
-    """gpx.structure_jet of the kind's matrix at each point, or the
-    PoleAtPoint it raised there, and whether some point gave K(p): for omega,
-    det omega(p) != 0 there, which certifies that its Pfaffian is not zero
-    (patch.check_structure)."""
-    from paracomplex.gpx import structure_jet
-
-    jets = []
-    for p in points:
-        try:
-            jets.append(structure_jet(kind, mat, p, order))
-        except PoleAtPoint as exc:
-            jets.append(exc)
-    return jets, not all(isinstance(j, Exception) for j in jets)
-
-
-def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
-    """The checks of an assembled descriptor at a point, into entry: each
-    paracomplex factor once, then K and its compatibility with (g, Theta)."""
-    from paracomplex.gpx import assemble, is_compatible, validate_gen_para
-    from paracomplex.para import validate_para
-
-    g, theta, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
-    entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
-    if not all(all(c.values()) for c in checks):
-        return False
-    k = assemble(g, theta, k1, k2)
-    if g[1] != transpose(g[1]):
-        raise ValueError("g must be symmetric")
-    # no check that g is neutral: K1 passes and w_1 = K1^T g is invertible, so g is
-    # nondegenerate and the eigenspaces of K1, of dimension n/2, are g-isotropic
-    entry["structure"] = checks = validate_gen_para(*k)
-    entry["compatible"] = compatible = is_compatible(k, g, theta)
-    return all(checks.values()) and compatible
-
-
-def cmd_validate(args) -> tuple[dict, int]:
-    from paracomplex.gpx import validate_gen_para
-    from paracomplex.patch import check_structure
-
-    kind, mat, variables = _descriptor_structure(args.descriptor)
-    points = _points_from_args(args, len(variables), default_count=5)
-    error, jets = None, [None] * len(points)
-    if kind != "assembled":
-        jets, certified = _jets_at(kind, mat, points, 0)
-        try:
-            check_structure(kind, mat, certified)
-        except ValueError as exc:
-            error = exc  # reported at every point
-    results = []
-    for p, jet in zip(points, jets):
-        entry: dict = {"point": point_strings(p)}
-        try:
-            if kind == "assembled":
-                ok = _validate_assembled(mat, p, entry)
-            elif isinstance(error or jet, Exception):
-                raise error or jet
-            else:
-                entry["structure"] = checks = validate_gen_para(*jet[0])
-                ok = all(checks.values())
-        except _POINT_ERRORS as exc:
-            entry["error"] = str(exc)
-            ok = False
-        entry["ok"] = ok
-        results.append(entry)
-    report = {"schema": 1, "command": "validate", "kind": kind,
-              "points": results, "ok": all(e["ok"] for e in results)}
-    return report, 0 if report["ok"] else 1
-
-
-def cmd_integrability(args) -> tuple[dict, int]:
-    from paracomplex.patch import gen_nijenhuis_frame_sweep, integrability_report
-
-    kind, mat, variables = _descriptor_structure(args.descriptor)
-    if kind == "assembled":
-        raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
-    points = _points_from_args(args, len(variables), default_count=3)
-    jets, certified = _jets_at(kind, mat, points, 1)
-    criterion, witness = integrability_report(kind, mat, certified)
-    samples = []
-    for p, jet in zip(points, jets):
-        entry: dict = {"point": point_strings(p)}
-        if isinstance(jet, PoleAtPoint):
-            entry["error"] = str(jet)
-        else:
-            k, dk = jet
-            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
-            entry["nonzero_frame_pairs"] = len(witnesses)
-            entry["sample"] = None
-            if witnesses:
-                # the sweep gives 2 D0 D1 N for K(p) = K / D0 and dK(p) = dK / D1
-                pair = min(witnesses)
-                comp = next(c for c in witnesses[pair] if c)
-                entry["sample"] = {"frame_pair": list(pair),
-                                   "component": rat_str(2 * k[0] * dk[0], comp)}
-        samples.append(entry)
-    report = {
-        "schema": 1,
-        "command": "integrability",
-        "kind": kind,
-        "integrable": witness is None,
-        "criterion": criterion,
-        "nijenhuis_residual_samples": samples,
-    }
-    if witness is not None:
-        report["witness"] = witness
-    return report, 0 if witness is None else 1
+# -- the curvature command; COMMANDS names the modules of the others -----------------
 
 
 def cmd_curvature(args) -> tuple[dict, int]:
@@ -365,64 +201,6 @@ def cmd_curvature(args) -> tuple[dict, int]:
         "sectional_constant": rat_str(*const) if const is not None else None,
     }
     return report, 0
-
-
-# a (j,l,r) sample costs 25-80 us, so the largest count runs for at most about 8 s
-MAX_SAMPLES = 100_000
-
-
-def cmd_theorem(args) -> tuple[dict, int]:
-    from paracomplex.theorem import theorem_verdict
-
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    model = parse_metric_id(args.metric)
-    theta = parse_theta_expr(args.theta) if args.theta else None
-    points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
-    if args.epsilon != 1:
-        # the three Eells-Salamon-type structures are never integrable; the
-        # explicit mixed-term witness is nonzero at every point
-        report = {
-            "schema": 1,
-            "command": "theorem",
-            "metric": model.name,
-            "component": args.component,
-            "epsilon": args.epsilon,
-            "integrable": False,
-            "evidence": {"epsilon_never_integrable": True,
-                         "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
-        }
-        return report, 1
-    dth = {}
-    if theta is not None:
-        from paracomplex.patch import cyclic_sums
-
-        dth = cyclic_sums(theta)
-    out = theorem_verdict(model, dth, args.component, sample_points=points,
-                          seed=args.seed, jklr_samples=args.samples)
-    report = {
-        "schema": 1,
-        "command": "theorem",
-        "metric": model.name,
-        "component": out["component"],
-        "epsilon": 1,
-        "seed": args.seed,
-        "integrable": out["integrable"],
-        "evidence": out["evidence"],
-    }
-    return report, 0 if out["integrable"] else 1
-
-
-def _points_from_args(args, nvars: int, default_count: int) -> list:
-    if args.points is not None:
-        return parse_points_arg(args.points, nvars)
-    if args.point is not None:
-        return [parse_point(args.point, nvars)]
-    if nvars != 4:
-        raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
-    return DEFAULT_POINTS[:default_count]
 
 
 # -- rendering --------------------------------------------------------------------
@@ -500,11 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the module that holds each command's cmd_<command>; main imports it when the command
+# runs, by __import__ rather than importlib.import_module, which -X importtime does not list
 COMMANDS = {
-    "validate": cmd_validate,
-    "integrability": cmd_integrability,
-    "curvature": cmd_curvature,
-    "theorem": cmd_theorem,
+    "validate": "paracomplex.structures",
+    "integrability": "paracomplex.structures",
+    "curvature": __name__,
+    "theorem": "paracomplex.theorem",
 }
 
 
@@ -540,7 +320,8 @@ def main(argv=None) -> int:
     if getattr(args, "component", None) in _COMPONENT_ALIASES:
         args.component = _COMPONENT_ALIASES[args.component]
     try:
-        report, code = COMMANDS[args.command](args)
+        __import__(COMMANDS[args.command])
+        report, code = getattr(sys.modules[COMMANDS[args.command]], f"cmd_{args.command}")(args)
     except (ValueError, PoleAtPoint, SingularMatrix) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -34,14 +34,26 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
 # -- the hyperboloid model in dimension 4 ----------------------------------------------
 
 
+def _draw(bits, n: int, k: int) -> int:
+    """A draw from 0..n-1 for bits = rng.getrandbits and k = n.bit_length(),
+    as random.Random.randint(a, a + n - 1) takes it: bits(k), drawn again
+    while it is n or more.  So a + _draw(...) is that randint's value, from
+    the same stream, without its randrange and _randbelow calls."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def hyperboloid_draw(rng) -> tuple[int, int, int, int]:
     """(Y1, Y2, Y3, E): a random rational point (Y1, Y2, Y3) / E, E > 0, on the
     hyperboloid -y1^2 + y2^2 + y3^2 = 1: y1 = t, and (y2, y3) is the second
     point of the circle y2^2 + y3^2 = 1 + t^2 on the line of slope m through
     (1, t), for t = a/b and m = c/d drawn as ratios of small integers.  With
     P = c^2 + d^2 and Q = bd + ac: E = bP, Y1 = aP, Y2 = bP - 2Qd, Y3 = aP - 2Qc."""
-    a, b = rng.randint(-6, 6), rng.randint(1, 4)
-    c, d = rng.randint(-6, 6), rng.randint(1, 4)
+    bits = rng.getrandbits
+    a, b = _draw(bits, 13, 4) - 6, _draw(bits, 4, 3) + 1  # randint(-6, 6), randint(1, 4)
+    c, d = _draw(bits, 13, 4) - 6, _draw(bits, 4, 3) + 1
     p, q = c * c + d * d, b * d + a * c
     return a * p, b * p - 2 * q * d, a * p - 2 * q * c, b * p
 

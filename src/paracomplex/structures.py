@@ -1,0 +1,119 @@
+"""The `validate` and `integrability` commands on a structure descriptor.
+
+Only those two commands import this module, and it imports `gpx` and `patch`
+(and `para` for an `assembled` descriptor) but not `curv`.  `cli` reads the
+descriptor and the points.
+"""
+
+from __future__ import annotations
+
+from paracomplex.cli import _descriptor_structure, _points_from_args
+from paracomplex.exact import PoleAtPoint, point_strings
+from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
+from paracomplex.linalg import SingularMatrix, int_jet, transpose
+from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
+from paracomplex.poly import rat_str
+
+# failures that `validate` reports per point (exit 1) rather than as bad input
+_POINT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
+
+
+def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
+    """gpx.structure_jet of the kind's matrix at each point, or the
+    PoleAtPoint it raised there, and whether some point gave K(p): for omega,
+    det omega(p) != 0 there, which certifies that its Pfaffian is not zero
+    (patch.check_structure)."""
+    jets = []
+    for p in points:
+        try:
+            jets.append(structure_jet(kind, mat, p, order))
+        except PoleAtPoint as exc:
+            jets.append(exc)
+    return jets, not all(isinstance(j, Exception) for j in jets)
+
+
+def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
+    """The checks of an assembled descriptor at a point, into entry: each
+    paracomplex factor once, then K and its compatibility with (g, Theta)."""
+    from paracomplex.para import validate_para
+
+    g, theta, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
+    entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
+    if not all(all(c.values()) for c in checks):
+        return False
+    k = assemble(g, theta, k1, k2)
+    if g[1] != transpose(g[1]):
+        raise ValueError("g must be symmetric")
+    # no check that g is neutral: K1 passes and w_1 = K1^T g is invertible, so g is
+    # nondegenerate and the eigenspaces of K1, of dimension n/2, are g-isotropic
+    entry["structure"] = checks = validate_gen_para(*k)
+    entry["compatible"] = compatible = is_compatible(k, g, theta)
+    return all(checks.values()) and compatible
+
+
+def cmd_validate(args) -> tuple[dict, int]:
+    kind, mat, variables = _descriptor_structure(args.descriptor)
+    points = _points_from_args(args, len(variables), default_count=5)
+    error, jets = None, [None] * len(points)
+    if kind != "assembled":
+        jets, certified = _jets_at(kind, mat, points, 0)
+        try:
+            check_structure(kind, mat, certified)
+        except ValueError as exc:
+            error = exc  # reported at every point
+    results = []
+    for p, jet in zip(points, jets):
+        entry: dict = {"point": point_strings(p)}
+        try:
+            if kind == "assembled":
+                ok = _validate_assembled(mat, p, entry)
+            elif isinstance(error or jet, Exception):
+                raise error or jet
+            else:
+                entry["structure"] = checks = validate_gen_para(*jet[0])
+                ok = all(checks.values())
+        except _POINT_ERRORS as exc:
+            entry["error"] = str(exc)
+            ok = False
+        entry["ok"] = ok
+        results.append(entry)
+    report = {"schema": 1, "command": "validate", "kind": kind,
+              "points": results, "ok": all(e["ok"] for e in results)}
+    return report, 0 if report["ok"] else 1
+
+
+def cmd_integrability(args) -> tuple[dict, int]:
+    kind, mat, variables = _descriptor_structure(args.descriptor)
+    if kind == "assembled":
+        raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
+    points = _points_from_args(args, len(variables), default_count=3)
+    jets, certified = _jets_at(kind, mat, points, 1)
+    criterion, witness = integrability_report(kind, mat, certified)
+    samples = []
+    for p, jet in zip(points, jets):
+        entry: dict = {"point": point_strings(p)}
+        if isinstance(jet, PoleAtPoint):
+            entry["error"] = str(jet)
+        else:
+            k, dk = jet
+            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
+            entry["nonzero_frame_pairs"] = len(witnesses)
+            entry["sample"] = None
+            if witnesses:
+                # the sweep gives 2 D0 D1 N for K(p) = K / D0 and dK(p) = dK / D1
+                pair = min(witnesses)
+                comp = next(c for c in witnesses[pair] if c)
+                entry["sample"] = {"frame_pair": list(pair),
+                                   "component": rat_str(2 * k[0] * dk[0], comp)}
+        samples.append(entry)
+    report = {
+        "schema": 1,
+        "command": "integrability",
+        "kind": kind,
+        "integrable": witness is None,
+        "criterion": criterion,
+        "nijenhuis_residual_samples": samples,
+    }
+    if witness is not None:
+        report["witness"] = witness
+    return report, 0 if witness is None else 1

@@ -1,7 +1,8 @@
-"""The dim-4 integrability verdict of `theorem`: the curvature conditions of a
-fiber component at each sample point, the seeded (j,l,r) spot checks of the
-curvature identity, and, for a Theta that is not closed, the seeded search for
-a witness of the horizontal obstruction (`paracomplex.obstruction`).  Only the
+"""The `theorem` command and its dim-4 integrability verdict: the curvature
+conditions of a fiber component at each sample point, the seeded (j,l,r) spot
+checks of the curvature identity, and, for a Theta that is not closed, the
+seeded search for a witness of the horizontal obstruction
+(`paracomplex.obstruction`); the command reads its `--theta` here.  Only the
 `theorem` command imports this module; the curvature operator, its
 decomposition and the frames it reads are `paracomplex.curv`'s, and every
 value at a point is an integer pair, printed by `poly.rat_str`.
@@ -11,12 +12,16 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 
+from paracomplex.cli import parse_metric_id, parse_points_arg
 from paracomplex.curv import (WEDGE4, DegenerateMetric, curvature_operator, decompose,
                               sectional_constant_check)
-from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
+from paracomplex.exact import DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, point_strings
 from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
-from paracomplex.para import hyperboloid_combination, hyperboloid_draw, random_compatible_structure
+from paracomplex.para import (_draw, hyperboloid_combination, hyperboloid_draw,
+                              random_compatible_structure)
+from paracomplex.parse import parse_ratfunc
 from paracomplex.poly import rat_str
 
 
@@ -42,7 +47,7 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
     + g(R(K_j X ^ Y + X ^ K_l Y), K_r Z ^ U + Z ^ K_r U); the displayed
     curvature identity holds iff it vanishes.  The draws from rng are those
     of random_compatible_structure for K1 and K2 with the orientations
-    (o1, o2), then of randint(1, 2) for j, l, r, then of rnd_vec for X, Y, Z, U.
+    (o1, o2), then of randint(1, 2) for j, l, r, then of rnd_vec2 for X, Y, Z, U.
 
     The first arguments are A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y), and the
     second ones B1 +- B2 likewise, so the residual is
@@ -60,10 +65,11 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
         cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
         data.append((p, den_q, terms, rows, cols,
                      {o: js(o) for o in set(orientations)}))
+    bits = rng.getrandbits
     for t in range(samples):
         p, den_q, terms, rows, cols, jints = data[t % len(data)]
         ys = [hyperboloid_draw(rng) for _ in orientations]
-        j, l, r = (rng.randint(1, 2) for _ in range(3))
+        j, l, r = (_draw(bits, 2, 2) + 1 for _ in range(3))  # randint(1, 2)
         x, y, z, u = (rnd_vec2(rng) for _ in range(4))
         if not terms:
             yield p, (j, l, r), 0, 1
@@ -82,8 +88,11 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
 
 
 def rnd_vec2(rng, n=4) -> list:
-    """Twice a random vector of n entries in {-3, ..., 3} / {1, 2}, on integers."""
-    return [2 * rng.randint(-3, 3) // rng.randint(1, 2) for _ in range(n)]
+    """Twice a random vector of n entries in {-3, ..., 3} / {1, 2}, on integers:
+    each entry's numerator and denominator drawn as randint(-3, 3) and
+    randint(1, 2) would draw them."""
+    bits = rng.getrandbits
+    return [2 * (_draw(bits, 7, 3) - 3) // (_draw(bits, 2, 2) + 1) for _ in range(n)]
 
 
 def theorem_verdict(model: MetricModel, dth: dict, component: str,
@@ -202,3 +211,115 @@ def _np_witness_search(dth: dict, points: list, rng):
                         "residual_vector": [rat_str(4 * den, c) for c in res[:4]],
                         "residual_form": [rat_str(4 * den, c) for c in res[4:]]}
     return None
+
+
+# -- the command and its --theta ------------------------------------------------------------------
+
+
+_WEDGE_RE = re.compile(r"^dx(\d+)\^dx(\d+)$")
+
+
+def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
+    """(separator, piece) pairs of text split on its top-level separator
+    characters, the first separator "+"; a piece is empty before a leading,
+    doubled or trailing separator."""
+    parts, depth, op, start = [], 0, "+", 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in seps:
+            parts.append((op, text[start:i]))
+            op, start = ch, i + 1
+    parts.append((op, text[start:]))
+    return parts
+
+
+def parse_theta_expr(text: str, variables=VARS4) -> list:
+    """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
+    product of rational-function factors (default 1).  Returns the
+    antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
+    assembled descriptor's "theta"; a term adds c to theta(d_i, d_j) and -c
+    to theta(d_j, d_i).  A run of signs before a term multiplies, and an
+    empty term or factor is bad input."""
+    nvars = len(variables)
+    theta = [[RatFunc.zero(nvars)] * nvars for _ in range(nvars)]
+    if not text.strip():
+        return theta
+    sign = "+"
+    for op, term in _split_top_level(text.replace(" ", ""), "+-"):
+        sign = "+" if (op == "-") == (sign == "-") else "-"
+        if not term:  # a sign of the next term
+            continue
+        factors = [f for _, f in _split_top_level(term, "*")]
+        if "" in factors:
+            raise ValueError(f"empty factor in term {term!r}")
+        match = _WEDGE_RE.match(factors[-1])
+        if match is None:
+            raise ValueError(f"term {term!r} must end with dxi^dxj")
+        i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
+        if not (0 <= i < nvars and 0 <= j < nvars) or i == j:
+            raise ValueError(f"bad wedge indices in {term!r}")
+        coeff_src = "*".join(factors[:-1]) or "1"
+        try:
+            coeff = parse_ratfunc(coeff_src, variables)
+        except ValueError as exc:
+            raise ValueError(f"bad coefficient {coeff_src!r}: {exc}") from exc
+        if sign == "-":
+            coeff = -coeff
+        if i > j:  # dxj^dxi = -dxi^dxj
+            i, j, coeff = j, i, -coeff
+        theta[i][j] = theta[i][j] + coeff
+        theta[j][i] = -theta[i][j]
+        sign = "+"
+    if not term:
+        raise ValueError(f"empty term in theta expression {text!r}")
+    return theta
+
+
+# a (j,l,r) sample costs 10-55 us in process (7-11 us of it its 43 draws; Python 3.11.7,
+# 2 shared cores), so the largest count runs for at most about 6 s
+MAX_SAMPLES = 100_000
+
+
+def cmd_theorem(args) -> tuple[dict, int]:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+    model = parse_metric_id(args.metric)
+    theta = parse_theta_expr(args.theta) if args.theta else None
+    points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
+    if args.epsilon != 1:
+        # the three Eells-Salamon-type structures are never integrable; the
+        # explicit mixed-term witness is nonzero at every point
+        report = {
+            "schema": 1,
+            "command": "theorem",
+            "metric": model.name,
+            "component": args.component,
+            "epsilon": args.epsilon,
+            "integrable": False,
+            "evidence": {"epsilon_never_integrable": True,
+                         "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
+        }
+        return report, 1
+    dth = {}
+    if theta is not None:
+        from paracomplex.patch import cyclic_sums
+
+        dth = cyclic_sums(theta)
+    out = theorem_verdict(model, dth, args.component, sample_points=points,
+                          seed=args.seed, jklr_samples=args.samples)
+    report = {
+        "schema": 1,
+        "command": "theorem",
+        "metric": model.name,
+        "component": out["component"],
+        "epsilon": 1,
+        "seed": args.seed,
+        "integrable": out["integrable"],
+        "evidence": out["evidence"],
+    }
+    return report, 0 if out["integrable"] else 1

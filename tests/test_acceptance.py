@@ -21,7 +21,7 @@ from paracomplex.curv import (
     ppwave_metric,
     sectional_constant_check,
 )
-from paracomplex.exact import RatFunc, parse_ratfunc
+from paracomplex.exact import RatFunc
 from paracomplex.linalg import (
     mat_add,
     mat_eq,
@@ -31,6 +31,7 @@ from paracomplex.linalg import (
     transpose,
 )
 from paracomplex.para import random_compatible_structure, validate_para
+from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums, integrability_report
 from paracomplex.theorem import theorem_verdict
 from paracomplex.reference import (

@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from paracomplex.cli import main, parse_theta_expr
-from paracomplex.exact import parse_ratfunc
+from paracomplex.cli import main
 from paracomplex.linalg import mat_is_zero
+from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums
+from paracomplex.theorem import parse_theta_expr
 
 
 def run_cli(capsys, *argv):
@@ -224,7 +225,7 @@ def test_descriptor_vars_must_be_distinct_identifiers(tmp_path, capsys, command,
 @pytest.mark.parametrize("command", ["validate", "integrability", "curvature"])
 def test_more_than_max_vars_variables_exit_2_with_one_line(tmp_path, capsys, command):
     """A structure on n variables is swept over C(2n, 2) frame pairs, so "vars"
-    holds at most exact.MAX_VARS = 16 names, for descriptors and for file:
+    holds at most parse.MAX_VARS = 16 names, for descriptors and for file:
     metrics; 16 names still run."""
     names = [f"y{i}" for i in range(17)]
     if command == "curvature":

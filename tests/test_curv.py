@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, parse_ratfunc
+from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc
 from paracomplex.linalg import (
     int_jet,
     j_structures,
@@ -25,6 +25,7 @@ from paracomplex.linalg import (
     wedge_pairs,
 )
 from paracomplex.para import random_compatible_structure
+from paracomplex.parse import parse_ratfunc
 from paracomplex.cli import matrix_reader, parse_metric_id
 from paracomplex.curv import (
     DegenerateMetric,

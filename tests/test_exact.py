@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc, parse_rational
+from paracomplex.exact import PoleAtPoint, RatFunc
+from paracomplex.parse import parse_ratfunc, parse_rational
 from paracomplex.linalg import int_jet
 from paracomplex.poly import Poly, rat_str
 from paracomplex.reference import FractionPoly, FractionRatFunc, eval_at, int_point, mat_jet

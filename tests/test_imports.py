@@ -1,10 +1,13 @@
 """Start-up: each command loads only the modules it runs.
 
 A fresh interpreter without cached bytecode compiles every module it imports,
-and that compile time is paid on every start of the CLI.  `validate` and
-`integrability` never run `paracomplex.curv`, so they must not load it;
-`curvature` and `theorem` without `--theta` never run `gpx` or `patch`, so they
-must not load those; no command may load `dataclasses` (it pulls in `inspect`,
+and that compile time is paid on every start of the CLI.  `import
+paracomplex.cli` loads no command's body: `validate` and `integrability` load
+`paracomplex.structures`, and `theorem` loads `paracomplex.theorem`.
+`validate` and `integrability` never run `paracomplex.curv` or the theorem
+verdict, so they must not load them; `curvature` and `theorem` without
+`--theta` never run `gpx`, `patch` or `structures`, so they must not load
+those; no command may load `dataclasses` (it pulls in `inspect`,
 `ast`, `dis` and `tokenize`) or `fractions` (it pulls in `decimal` and
 `numbers`: every value on a command path is an integer pair), and none loads
 `paracomplex.reference`, the home of the closed forms and oracles that only
@@ -18,6 +21,9 @@ on CPython 3.11 it grows by 0.35-0.4 MB per 1,000 significant tokens of that
 module (2,680 tokens of one source add 1.26 MB to a bare start, 4,380 add
 2.02 MB and 7,070 add 2.75 MB), and CPython's parser doubles its token array
 at 8,192 tokens, so each module a command loads stays below 5,000 tokens.
+Tokens do not count the bytes of strings and docstrings, which the compile
+holds too, so each such module is also bounded by tracemalloc's peak while
+compile() runs on it.
 Every def of a module a command loads is entered by some pinned command of
 test_report_bytes, save a short allowlist; what only tests, demos or the
 oracles call lives in paracomplex.reference.
@@ -125,12 +131,14 @@ def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
 
 
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
-    """`import paracomplex.cli` loads poly, exact and linalg only: each command
+    """`import paracomplex.cli` loads poly, exact, parse and linalg only, and
+    neither module of command bodies, structures and theorem: each command
     imports the rest it runs."""
     _, imported, _, _ = probe()
     assert "paracomplex.cli" in imported
     assert {m for m in imported if m.startswith("paracomplex.")} == {
-        "paracomplex.cli", "paracomplex.poly", "paracomplex.exact", "paracomplex.linalg"}
+        "paracomplex.cli", "paracomplex.poly", "paracomplex.exact", "paracomplex.parse",
+        "paracomplex.linalg"}
     assert "dataclasses" not in imported
 
 
@@ -143,22 +151,25 @@ def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
 def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, loads):
     """`curvature`, and `theorem` without `--theta`, load neither `gpx` nor
     `patch`; a `--theta` brings in `patch` for dTheta, and one that is not
-    closed `gpx` and `obstruction` for the witness search.  The report is the one main
-    gives in process."""
+    closed `gpx` and `obstruction` for the witness search.  None of them loads
+    `structures`, the bodies of `validate` and `integrability`.  The report is
+    the one main gives in process."""
     code, _, ran, out = probe(*argv)
     assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"} & ran == loads
+    assert "paracomplex.structures" not in ran
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["validate", "integrability"])
 def test_structure_commands_load_no_curv(tmp_path, capsys, command):
     """A `validate` and an `integrability` run on an omega descriptor, in a
-    fresh process, load neither `curv` nor `dataclasses`, and print the
-    report that main gives in process."""
+    fresh process, load `structures` but neither `curv`, `theorem` nor
+    `dataclasses`, and print the report that main gives in process."""
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(OMEGA))
     code, _, ran, out = probe(command, str(path))
-    assert "paracomplex.curv" not in ran and "dataclasses" not in ran
+    assert "paracomplex.structures" in ran
+    assert {"paracomplex.curv", "paracomplex.theorem", "dataclasses"} & ran == set()
     assert (code, out) == (main([command, str(path)]), capsys.readouterr().out)
 
 
@@ -177,7 +188,8 @@ def test_theorem_loads_curv_and_gives_its_report(capsys):
 def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
     """`curvature` runs the operator and its decomposition from `curv`, and
     searches its frame with `curv.onb_search` when the metric gives none, so
-    it loads neither the theorem verdict nor the structures it samples."""
+    it loads neither the theorem verdict, the structures it samples, nor the
+    bodies of `validate` and `integrability`."""
     from test_report_bytes import NO_ONB
 
     path = tmp_path / NO_ONB[0]
@@ -185,7 +197,7 @@ def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
     argv = ["curvature", f"file:{path}", "--point", "1,1,0,0"]
     code, _, ran, out = probe(*argv)
     assert code == 0 and {"paracomplex.curv", "paracomplex.poly"} <= ran
-    assert {"paracomplex.theorem", "paracomplex.para"} & ran == set()
+    assert {"paracomplex.theorem", "paracomplex.para", "paracomplex.structures"} & ran == set()
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
@@ -243,8 +255,8 @@ MOVED = [
     "IntegrabilityReport", "KForm", "_sort_index", "ext_deriv", "poisson_jacobiator", "sparse_add",
     "_component_map_to_matrix", "_const_mat", "load_descriptor", "metric_from_strings",
 ]
-COMMAND_MODULES = ["cli", "poly", "exact", "linalg", "para", "gpx", "patch", "curv", "theorem",
-                   "obstruction"]
+COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
+                   "theorem", "structures", "obstruction"]
 
 
 def significant_tokens(path: Path) -> int:
@@ -271,6 +283,57 @@ def test_each_module_a_command_loads_is_below_8192_tokens(module):
     assert significant_tokens(SRC / "paracomplex" / f"{module}.py") < 8192
 
 
+# tracemalloc's peak, in MiB, while compile() runs in a fresh interpreter on exact.py
+# before the literal parser moved out of it to parse.py, the heaviest command module to
+# compile then: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 (cli.py read 0.01 MiB less)
+COMPILE_PEAK_MIB = {(3, 10): 1.935, (3, 11): 1.712, (3, 12): 1.997, (3, 13): 2.232}
+
+COMPILE_PEAK = """
+import sys, tracemalloc
+with open(sys.argv[1]) as fh:
+    source = fh.read()
+tracemalloc.start()
+compile(source, sys.argv[1], "exec")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES + ["__init__", "__main__"])
+def test_each_module_a_command_loads_compiles_below_the_old_exact_peak(module):
+    """The compile of a module holds its strings and docstrings as well as its
+    tokens, so two modules of one token count can differ in peak: `cli` with
+    309 fewer tokens than `exact` compiled as heavily.  Each module a command
+    loads compiles with a lower traced peak than `exact` did while it held the
+    parser.  The peak is deterministic for one interpreter, and a fresh
+    process reads it without the strings an earlier import interned."""
+    bound = COMPILE_PEAK_MIB.get(sys.version_info[:2])
+    if bound is None:
+        pytest.skip(f"no compile-peak bound measured for Python {sys.version_info[:2]}")
+    path = SRC / "paracomplex" / f"{module}.py"
+    proc = subprocess.run([sys.executable, "-c", COMPILE_PEAK, str(path)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 2 ** 20 < bound
+
+
+# what moved out of exact to parse, and out of cli to theorem and structures
+SPLIT = {
+    "exact": ["parse_rational", "_Tokens", "check_variables", "parse_ratfunc", "MAX_EXPONENT",
+              "MAX_POWER", "MAX_POWER_BITS", "MAX_TERM_PAIRS", "MAX_VARS"],
+    "cli": ["cmd_theorem", "parse_theta_expr", "_split_top_level", "_WEDGE_RE", "MAX_SAMPLES",
+            "cmd_validate", "cmd_integrability", "_jets_at", "_validate_assembled",
+            "_POINT_ERRORS"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(SPLIT))
+def test_split_leaves_no_alias(module):
+    """exact compiles without the parser and cli without the bodies of
+    theorem, validate and integrability, and neither imports them back."""
+    held = importlib.import_module(f"paracomplex.{module}")
+    assert [name for name in SPLIT[module] if hasattr(held, name)] == []
+
+
 @pytest.mark.parametrize("name", MOVED)
 def test_no_command_module_holds_a_function_only_tests_call(name):
     """A command compiles every module it imports, so a function that only the
@@ -285,12 +348,13 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
 def test_only_cli_reads_input(module):
     """cli opens every input file, reads its JSON and parses its literals, with
     load_input and matrix_reader; no other command module names open or json,
-    and none but exact, which defines them, names the literal parsers."""
+    and none but parse, which defines them, and theorem, which reads the
+    coefficients of --theta, names the literal parsers."""
     with open(SRC / "paracomplex" / f"{module}.py") as fh:
         names = {tok.string for tok in tokenize.generate_tokens(fh.readline)
                  if tok.type == tokenize.NAME}
     assert not {"open", "json"} & names
-    assert module == "exact" or not {"parse_ratfunc", "parse_rational"} & names
+    assert module in ("parse", "theorem") or not {"parse_ratfunc", "parse_rational"} & names
 
 
 # defs of command modules that no pinned command enters: the number protocol of

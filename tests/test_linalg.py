@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracomplex.exact import parse_ratfunc
 from paracomplex.linalg import (
     SingularMatrix,
     bareiss,
@@ -22,6 +21,7 @@ from paracomplex.linalg import (
     transpose,
     wedge_pairs,
 )
+from paracomplex.parse import parse_ratfunc
 from paracomplex.reference import (
     Bilinear,
     Endo,

@@ -12,6 +12,7 @@ from paracomplex.linalg import (
     mat_mul,
 )
 from paracomplex.para import (
+    _draw,
     hyperboloid_draw,
     random_compatible_structure,
     validate_para,
@@ -333,6 +334,20 @@ def test_hyperboloid_draw_is_the_line_through_1_t():
         j1, j2, j3 = j_triple(G, ONB, orientation)
         want = (j1.scale(y1) + j2.scale(y2) + j3.scale(y3)).scale(Fraction(1, e))
         assert Endo(frac_mat(*k)) == want
+
+
+@pytest.mark.parametrize("lo,hi", [(-3, 3), (1, 2), (-6, 6), (1, 4)])
+def test_draw_is_randint_on_the_same_stream(lo, hi):
+    """lo + _draw(getrandbits, n, n.bit_length()), n = hi - lo + 1, gives
+    randint(lo, hi)'s values and leaves the generator in randint's state, for
+    the ranges the theorem sampler and hyperboloid_draw read, so their seeded
+    draws, and the reports, are the ones randint gave."""
+    n = hi - lo + 1
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [lo + _draw(ours.getrandbits, n, n.bit_length()) for _ in range(200)]
+        assert got == [theirs.randint(lo, hi) for _ in range(200)]
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_hyperboloid_orientation_positive():

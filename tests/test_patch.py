@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from paracomplex.exact import PoleAtPoint, RatFunc, parse_ratfunc
+from paracomplex.exact import PoleAtPoint, RatFunc
 from paracomplex.gpx import assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
     int_jet,
@@ -21,6 +21,7 @@ from paracomplex.linalg import (
     mat_sub,
     transpose,
 )
+from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import (
     courant_on_jets,
     cyclic_sums,
