@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 
 from paracomplex.gpx import assemble, is_compatible
-from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
     Bilinear,
     GenEndo,
@@ -24,6 +23,7 @@ from paracomplex.reference import (
     is_compatible_endo,
     pi_structure,
     product_structure,
+    random_compatible_structure,
     standard_para_structure,
     trivial_structure,
     validate_structure,

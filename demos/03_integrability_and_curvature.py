@@ -58,7 +58,7 @@ origin = (1, (0, 0, 0, 0))
 print("\nconstcurv:1 at origin: g_11 =", rat_str(d0, g0[0][0]),
       "| d1 d1 g_11 =", rat_str(d2, ddg0[0][0][0][0]))
 op = curvature_operator(m.g, origin)
-dec = decompose(op, m.onb_at(origin))
+dec = decompose(op, m.onb_at(origin, op.int_g))
 print("constcurv:1 at origin: s =", rat_str(*dec.int_s),
       "| sectional constant =", rat_str(*sectional_constant_check(op)))
 print("traceless-Ricci part zero:", all(not c for row in dec.int_b[1] for c in row))
@@ -66,19 +66,20 @@ print("traceless-Ricci part zero:", all(not c for row in dec.int_b[1] for c in r
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
 w = ppwave_metric(rf("x2^2"))
 opw = curvature_operator(w.g, origin)
-print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin))))
+print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin, opw.int_g))))
 
 # Theorem verdicts per fiber component (seeded, deterministic).
 for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave")):
     verdicts = {}
     for comp in ("++", "+-"):
-        out = theorem_verdict(metric, {}, comp, seed=3, jklr_samples=8)
+        out = theorem_verdict(metric, {}, comp, sample_points=None, seed=3, jklr_samples=8)
         verdicts[comp] = out["integrable"]
     print(f"{name:12s} ++ integrable: {verdicts['++']!s:5s}  +- integrable: {verdicts['+-']}")
 
 # A non-closed potential obstructs every component; the verdict reads the
 # components of dTheta, here d(x1 dx2^dx3) = dx1^dx2^dx3.
 theta = antisymmetric({(1, 2): "x1"})
-out = theorem_verdict(flat_metric(), cyclic_sums(theta), "++", seed=3, jklr_samples=4)
+out = theorem_verdict(flat_metric(), cyclic_sums(theta), "++", sample_points=None, seed=3,
+                      jklr_samples=4)
 print("\nflat with Theta = x1 dx2^dx3, ++ integrable:", out["integrable"],
       "| dTheta zero:", out["evidence"]["d_theta_zero"])

@@ -2,8 +2,9 @@
 and curvature reports, and check the dim-4 theorem verdicts.
 
 Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
-2 input error.  Reports are deterministic: identical inputs and seed produce
-identical bytes.
+2 input error.  `main` alone decides them, and adds the envelope of every
+report, its schema and command; each command's body returns the rest.
+Reports are deterministic: identical inputs and seed produce identical bytes.
 
 Every input file and every point is read here; `theorem` reads its own
 `--theta`.
@@ -31,7 +32,7 @@ from paracomplex.poly import rat_str
 # -- small parsers ------------------------------------------------------------
 
 
-def parse_point(text: str, nvars: int = 4) -> tuple:
+def parse_point(text: str, nvars: int) -> tuple:
     """The point (D, X) of comma-separated Fraction literals, with D the least
     common denominator of the coordinates X / D."""
     try:
@@ -44,7 +45,7 @@ def parse_point(text: str, nvars: int = 4) -> tuple:
     return den, tuple(n * (den // d) for d, n in coords)
 
 
-def parse_points_arg(text: str, nvars: int = 4) -> list:
+def parse_points_arg(text: str, nvars: int) -> list:
     points = [parse_point(part, nvars) for part in text.split(";") if part.strip()]
     if not points:
         raise ValueError(f"no point given in {text!r}")
@@ -166,27 +167,25 @@ def parse_metric_id(text: str):
         if g != transpose(g):
             raise ValueError("the metric field is not symmetric")
         onb = data.get("onb")
-        return MetricModel(text, len(g), g, None if onb is None else read(onb, "onb"))
+        return MetricModel(text, g, None if onb is None else read(onb, "onb"))
     raise ValueError(f"unknown metric identifier {text!r}")
 
 
 # -- the curvature command; COMMANDS names the modules of the others -----------------
 
 
-def cmd_curvature(args) -> tuple[dict, int]:
+def cmd_curvature(args) -> dict:
     from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
                                   sectional_constant_check)
 
     model = parse_metric_id(args.metric)
-    point = parse_point(args.point, model.nvars)
+    point = parse_point(args.point, len(model.g))
     orientation = +1 if args.orientation == "+" else -1
     op = curvature_operator(model.g, point)
-    dec = decompose(op, model.onb_at(point, orientation, op.int_g))
+    dec = decompose(op, model.onb_at(point, op.int_g, orientation))
     verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
-    report = {
-        "schema": 1,
-        "command": "curvature",
+    return {
         "metric": model.name,
         "point": point_strings(point),
         "orientation": args.orientation,
@@ -200,7 +199,6 @@ def cmd_curvature(args) -> tuple[dict, int]:
         "conformally_flat": verdict["conformally_flat"],
         "sectional_constant": rat_str(*const) if const is not None else None,
     }
-    return report, 0
 
 
 # -- rendering --------------------------------------------------------------------
@@ -278,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the module that holds each command's cmd_<command>; main imports it when the command
-# runs, by __import__ rather than importlib.import_module, which -X importtime does not list
+# the module that holds each command's cmd_<command>, which returns the body of its
+# report; main imports it when the command runs, by __import__ rather than
+# importlib.import_module, which -X importtime does not list
 COMMANDS = {
     "validate": "paracomplex.structures",
     "integrability": "paracomplex.structures",
@@ -321,12 +320,13 @@ def main(argv=None) -> int:
         args.component = _COMPONENT_ALIASES[args.component]
     try:
         __import__(COMMANDS[args.command])
-        report, code = getattr(sys.modules[COMMANDS[args.command]], f"cmd_{args.command}")(args)
+        body = getattr(sys.modules[COMMANDS[args.command]], f"cmd_{args.command}")(args)
     except (ValueError, PoleAtPoint, SingularMatrix) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    sys.stdout.write(emit(report, args.format))
-    return code
+    sys.stdout.write(emit({"schema": 1, "command": args.command, **body}, args.format))
+    # the verdict: "ok" of validate, "integrable" of integrability and theorem; curvature has none
+    return 0 if body.get("ok", body.get("integrable", True)) else 1
 
 
 if __name__ == "__main__":

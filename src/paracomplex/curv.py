@@ -32,10 +32,10 @@ from paracomplex.linalg import (
     bareiss,
     int_inv,
     int_jet,
-    int_mul,
     kernel_basis,
     lambda2_matrix,
     mat_is_zero,
+    mat_mul,
     mat_vec,
     star_matrix,
     transpose,
@@ -58,25 +58,22 @@ class MetricModel:
     orthonormal frame onb (columns: four RatFunc vectors, norms 1, 1, -1, -1);
     the frame makes the Hodge machinery rational."""
 
-    __slots__ = ("name", "nvars", "g", "onb")
+    __slots__ = ("name", "g", "onb")
 
-    def __init__(self, name: str, nvars: int, g: list, onb: list | None = None):
-        self.name, self.nvars, self.g, self.onb = name, nvars, g, onb
+    def __init__(self, name: str, g: list, onb: list | None = None):
+        self.name, self.g, self.onb = name, g, onb
 
-    def onb_at(self, point, orientation: int = +1, g_at: tuple | None = None) -> tuple:
+    def onb_at(self, point, g_at: tuple, orientation: int = +1) -> tuple:
         """The oriented frame at the point on integers, (E, [U_1, ..., U_4]) with
-        the frame vectors U_a / E; g_at, when given, is g there as (D, G), the
+        the frame vectors U_a / E, for g_at = (D, G) the value of g there, the
         int_g of its curvature operator.  A supplied frame must pass
         U G U^T = E^2 D ONB_GRAM."""
-        if g_at is None:
-            ((den, gm),) = int_jet(self.g, point)
+        if self.onb is None:
+            du, u = onb_search(g_at)
         else:
             den, gm = g_at
-        if self.onb is None:
-            du, u = onb_search((den, gm))
-        else:
             ((du, u),) = int_jet(self.onb, point)
-            if int_mul(int_mul(u, gm), transpose(u)) != [[du * du * den * x for x in row]
+            if mat_mul(mat_mul(u, gm), transpose(u)) != [[du * du * den * x for x in row]
                                                          for row in ONB_GRAM]:
                 raise ValueError(f"the onb of {self.name} is not orthonormal with norms 1, 1, -1, -1 "
                                  f"at ({', '.join(point_strings(point))})")
@@ -91,7 +88,7 @@ class MetricModel:
 def flat_metric() -> MetricModel:
     g = [[RatFunc.const(4, v) for v in row] for row in ONB_GRAM]
     onb = [[RatFunc.const(4, int(i == j)) for i in range(4)] for j in range(4)]
-    return MetricModel("flat", 4, g, onb)
+    return MetricModel("flat", g, onb)
 
 
 def constcurv_metric(c: int, den: int = 1) -> MetricModel:
@@ -105,7 +102,7 @@ def constcurv_metric(c: int, den: int = 1) -> MetricModel:
     signs = [1, 1, -1, -1]
     g = [[inv2 * signs[i] if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
     onb = [[phi if i == j else RatFunc.zero(n) for i in range(n)] for j in range(n)]
-    return MetricModel(f"constcurv:{rat_str(den, c)}", n, g, onb)
+    return MetricModel(f"constcurv:{rat_str(den, c)}", g, onb)
 
 
 def ppwave_metric(f: RatFunc) -> MetricModel:
@@ -125,7 +122,7 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
         [o, z, z, -(1 + f) / 2],
         [z, o, -o / 2, z],
     ]
-    return MetricModel("ppwave", n, g, onb)
+    return MetricModel("ppwave", g, onb)
 
 
 def _is_square(den: int, num: int) -> tuple | None:
@@ -135,13 +132,6 @@ def _is_square(den: int, num: int) -> tuple | None:
     num, den = num // g, den // g
     rn, rd = math.isqrt(max(num, 0)), math.isqrt(den)
     return (rd, rn) if num >= 0 and rn * rn == num and rd * rd == den else None
-
-
-def _orthogonal_complement_basis(gm: list, span: list) -> tuple[int, list]:
-    """A basis of {w : g(v, w) = 0 for v in span} over Q, as kernel_basis gives
-    it, for an integer matrix gm, a positive multiple of g, and integer
-    vectors span, each a positive multiple of its vector."""
-    return kernel_basis([mat_vec(transpose(gm), v) for v in span], len(gm))
 
 
 def onb_search(g: tuple) -> tuple:
@@ -156,8 +146,9 @@ def onb_search(g: tuple) -> tuple:
     n = len(gm)
     found: list = []  # (e_a, U_a) for the vectors U_a / e_a
     for target in (1, 1, -1, -1):
-        e, comp = _orthogonal_complement_basis(gm, [u for _, u in found])
-        gram = int_mul(int_mul(comp, gm), transpose(comp))
+        # G is symmetric, so the complement {w : g(u, w) = 0} is the kernel of the rows G u
+        e, comp = kernel_basis([mat_vec(gm, u) for _, u in found], n)
+        gram = mat_mul(mat_mul(comp, gm), transpose(comp))
         pick = None
         for bound in (1, 2, 3, 4):
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(comp)):
@@ -270,12 +261,12 @@ def curvature_operator(g: list, point) -> CurvOperator:
         raise ValueError("curvature operator decomposition requires dim 4")
     den, gm, adj, det, dr, r = _riemann(g, point)
     ns = range(4)
-    q = [[m[k][l] for k, l in WEDGE4] for m in (int_mul(r[i][j], gm) for i, j in WEDGE4)]
+    q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r[i][j], gm) for i, j in WEDGE4)]
     red, _, d_l, _ = bareiss([row + [q[b][a] for b in range(6)]
                               for a, row in enumerate(lambda2_matrix(gm))])
     mat = _positive(dr * d_l, [[den * x for x in row[6:]] for row in red])
     ric = [[sum(r[i][k][j][k] for k in ns) for j in ns] for i in ns]
-    rho = det * dr, [[den * x for x in row] for row in int_mul(adj, ric)]
+    rho = det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
     return CurvOperator((den, gm), mat, (dr * den, q), (dr, ric), rho)
 
 
@@ -319,7 +310,7 @@ def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     w_pm = []
     for sign in (1, -1):
         proj = [[ds * (a == c) + sign * star[a][c] for c in range(6)] for a in range(6)]
-        w_pm.append((4 * ds * ds * lw, int_mul(int_mul(proj, w), proj)))
+        w_pm.append((4 * ds * ds * lw, mat_mul(mat_mul(proj, w), proj)))
     return CurvDecomposition((e, sigma), (4 * e, b), (lw, w), *w_pm)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from paracomplex.exact import PoleAtPoint
-from paracomplex.linalg import (SingularMatrix, bareiss, int_inv, int_jet, int_mul, mat_add,
+from paracomplex.linalg import (SingularMatrix, bareiss, int_inv, int_jet, mat_add, mat_mul,
                                 mat_neg, mat_scale, mat_sub, transpose)
 
 
@@ -69,7 +69,7 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
             raise PoleAtPoint(point)
         d, a = inv
         k = d0 * d, [z, mat_scale(d0 * d0, a), mat_scale(d, w), z]
-        dk = d * d * d1, [[z, mat_scale(-d0 * d0, int_mul(int_mul(a, dw), a)),
+        dk = d * d * d1, [[z, mat_scale(-d0 * d0, mat_mul(mat_mul(a, dw), a)),
                            mat_scale(d * d, dw), z] for dw in map(transpose, dv)]
     elif kind == "product":
         k = d0, [v, z, z, mat_neg(transpose(v))]
@@ -91,7 +91,7 @@ def validate_gen_para(den: int, m: list) -> dict[str, bool]:
     sm = m[n2 // 2:] + m[:n2 // 2]
     plus, minus = (len(bareiss(f(ident, m))[1]) for f in (mat_add, mat_sub))
     return {
-        "square_is_identity": int_mul(m, m) == mat_scale(den, ident),
+        "square_is_identity": mat_mul(m, m) == mat_scale(den, ident),
         "pairing_skew": sm == mat_neg(transpose(sm)),
         "equal_eigenranks": plus == n2 // 2 == minus,
     }
@@ -110,7 +110,7 @@ def is_compatible(k: tuple, g: tuple, theta: tuple) -> bool:
     n = len(gm)
     f = ([[dg * dt * (i == j) for j in range(n)] for i in range(n)]
          + mat_add(mat_scale(dt, transpose(gm)), mat_scale(dg, transpose(tm))))
-    return len(bareiss([row + kf for row, kf in zip(f, int_mul(km, f))])[1]) == n
+    return len(bareiss([row + kf for row, kf in zip(f, mat_mul(km, f))])[1]) == n
 
 
 def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
@@ -130,7 +130,7 @@ def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
     n = len(gm)
     e = math.lcm(e1, e2)
     a1, a2 = mat_scale(e // e1, a1), mat_scale(e // e2, a2)
-    ws = [int_mul(transpose(a), transpose(gm)) for a in (a1, a2)]
+    ws = [mat_mul(transpose(a), transpose(gm)) for a in (a1, a2)]
     invs = [int_inv(w) for w in ws]
     if None in invs:
         raise SingularMatrix("matrix is singular over the scalar field")
@@ -141,5 +141,5 @@ def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
                   mat_scale(dd, mat_sub(ws[1], ws[0])), mat_scale(-dg * dd, transpose(ksum)))
     eye = [[dt * (i == j) for j in range(n)] for i in range(n)]
     z, tt = [[0] * n] * n, transpose(tm)
-    k = int_mul(int_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
+    k = mat_mul(mat_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
     return 2 * f * dd * dt * dt, k

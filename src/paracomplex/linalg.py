@@ -6,8 +6,9 @@ Matrices are dense lists of lists.  At a point every command works on a pair
 fraction-free elimination (pivots, ranks, determinants, by `int_inv` inverses
 and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`) and
 J-triples (`j_structures`) are built on integers, and `mat_to_strings`
-prints such a pair.  The symbolic checks of a descriptor's data multiply
-matrices of RatFuncs (`mat_mul`, `pfaffian`).  The Fraction wrappers of
+prints such a pair.  `mat_mul` is the one matrix product: on integers at a
+point, and on RatFuncs in the symbolic checks of a descriptor's data, which
+also expand Pfaffians (`pfaffian`).  The Fraction wrappers of
 matrices, forms, endomorphisms and 2-vectors, and the routines only they
 use, are in `paracomplex.reference`.
 """
@@ -89,24 +90,10 @@ def int_inv(m: Mat) -> tuple[int, Mat] | None:
     return s * d, [[s * x for x in row[n:]] for row in r]
 
 
-def int_mul(a: Mat, b: Mat) -> Mat:
-    """The product of two integer matrices."""
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product of two matrices of integers, Fractions or RatFuncs."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for t in range(1, k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -217,10 +204,8 @@ def star_matrix(g: tuple, onb: tuple) -> tuple[int, Mat]:
     P^-1 = ONB_GRAM P^T g because P^T g P = ONB_GRAM, so no inverse is formed.
     Returns (D^2 E^4, D^2 E^4 *)."""
     (dg, gm), (du, u) = g, onb
-    if len(u) != 4:
-        raise ValueError("hodge star is implemented for dimension 4")
-    p_inv = int_mul(int_mul(ONB_GRAM, u), gm)
-    return dg * dg * du ** 4, int_mul(int_mul(lambda2_matrix(transpose(u)), _STAR_U),
+    p_inv = mat_mul(mat_mul(ONB_GRAM, u), gm)
+    return dg * dg * du ** 4, mat_mul(mat_mul(lambda2_matrix(transpose(u)), _STAR_U),
                                       lambda2_matrix(p_inv))
 
 
@@ -240,7 +225,7 @@ def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:
     for (a, b), (c, d), t in (((0, 1), (2, 3), s), ((0, 2), (1, 3), s), ((0, 3), (1, 2), -s)):
         minus_a = [[u[b][k] * u[a][l] - u[a][k] * u[b][l]
                     + t * (u[d][k] * u[c][l] - u[c][k] * u[d][l]) for l in ns] for k in ns]
-        out.append(int_mul(minus_a, gm))
+        out.append(mat_mul(minus_a, gm))
     return dg * du * du, out
 
 

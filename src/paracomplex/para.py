@@ -1,7 +1,8 @@
 """Paracomplex structures on a neutral vector space: validation, and the
-random compatible structures of the dim-4 hyperboloid model that the theorem
-sampler draws.  `validate` loads this module for an assembled descriptor and
-`theorem` for its samples; `curvature` does not load it.
+seeded draw of a compatible structure of the dim-4 hyperboloid model that
+the theorem's samples and witness search read.  `validate` loads this module
+for an assembled descriptor and `theorem` for its samples; `curvature` does
+not load it.
 
 A paracomplex structure is an endomorphism K with K^2 = Id whose +-1
 eigenspaces have equal dimension; compatibility with a metric g means
@@ -12,8 +13,7 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from paracomplex.linalg import (int_mul, j_structures, mat_add, mat_is_zero, mat_neg, mat_scale,
-                                transpose)
+from paracomplex.linalg import mat_add, mat_is_zero, mat_mul, mat_neg, mat_scale, transpose
 
 
 def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
@@ -24,10 +24,10 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
     n = len(km)
     ident = [[e * (i == j) for j in range(n)] for i in range(n)]
     return {
-        "square_is_identity": int_mul(km, km) == mat_scale(e, ident),
+        "square_is_identity": mat_mul(km, km) == mat_scale(e, ident),
         "not_plus_minus_identity": km not in (ident, mat_neg(ident)),
         "trace_zero": not sum(km[i][i] for i in range(n)),
-        "g_skew": mat_is_zero(mat_add(int_mul(transpose(km), gm), int_mul(gm, km))),
+        "g_skew": mat_is_zero(mat_add(mat_mul(transpose(km), gm), mat_mul(gm, km))),
     }
 
 
@@ -65,17 +65,3 @@ def hyperboloid_combination(point: tuple, triple: tuple) -> tuple[int, list]:
     (y1, y2, y3, e), (den, mats) = point, triple
     return e * den, [[y1 * a + y2 * b + y3 * c for a, b, c in zip(*rows)]
                      for rows in zip(*mats)]
-
-
-def random_compatible_structure(g: tuple, onb: tuple, rng, orientation: int = +1,
-                                js: tuple | None = None) -> tuple[int, list]:
-    """Random g-compatible paracomplex structure of the given orientation in
-    dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3),
-    for g and the frame on integers as j_structures takes them, as the pair
-    (e, K) of hyperboloid_combination.  A caller drawing many structures at
-    one point passes the J-triple j_structures(g, onb, orientation) as js; the
-    draws from rng are the same."""
-    point = hyperboloid_draw(rng)
-    if js is None:
-        js = j_structures(g, onb, +1 if orientation > 0 else -1)
-    return hyperboloid_combination(point, js)

@@ -154,11 +154,13 @@ def cyclic_sums(m: list, pi: list | None = None) -> dict:
 # -- integrability dispatch ----------------------------------------------------------------
 
 
-def integrability_report(kind: str, data: list, certified: bool = False) -> tuple:
+def integrability_report(kind: str, data: list, certified: bool = False,
+                         names: list | None = None) -> tuple:
     """(criterion, witness) of a kind's closed-form integrability criterion,
     decided as a rational-function identity for data that pass
     check_structure (with its certified flag); the witness is None iff the
-    structure is integrable."""
+    structure is integrable, and its values name the variables names
+    (x1, ..., xn by default)."""
     check_structure(kind, data, certified)
     n = len(data)
     witness = None
@@ -171,7 +173,7 @@ def integrability_report(kind: str, data: list, certified: bool = False) -> tupl
             criterion, key, comps = "pi_poisson", "jacobiator_triple", cyclic_sums(data, data)
         if comps:
             idx, c = min(comps.items())
-            witness = {key: [i + 1 for i in idx], "value": c.to_str()}
+            witness = {key: [i + 1 for i in idx], "value": c.to_str(names)}
     elif kind == "product":
         criterion = "p_nijenhuis_zero"
         # the classical N_P(d_i, d_j) = [X, Y] + P(d_j X - d_i Y) for the columns
@@ -186,7 +188,7 @@ def integrability_report(kind: str, data: list, certified: bool = False) -> tupl
                     if c:
                         nij = [s + c * f if f else s for s, f in zip(nij, col)]
             if any(nij):
-                witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str() for c in nij]}
+                witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str(names) for c in nij]}
                 break
     else:
         raise ValueError(f"unknown structure kind {kind!r}")

@@ -21,7 +21,8 @@ twistor Nijenhuis formulas on horizontal lifts (the gates of a total-space
 computation), the B-transform law of the Courant bracket and the classical
 Nijenhuis tensor, and the linear algebra of the fiber of compatible
 structures: adapted and null bases, tangent vectors, the fiber metric,
-orientation, the hyperboloid coordinates, and the extraction of a
+orientation, the hyperboloid coordinates and the seeded draw of a compatible
+structure (`random_compatible_structure`), and the extraction of a
 structure's paracomplex pair, with `mat_det` and `j_triple`.  Conventions
 are those of the module each routine builds on (`curv` for curvature signs,
 `gpx` for forms as maps, `patch` for the Courant bracket).
@@ -35,7 +36,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from paracomplex.curv import DegenerateMetric, _orthogonal_complement_basis, _riemann
+from paracomplex.curv import DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc, _factors_mul
 from paracomplex.gpx import GenVector as _GenVector
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
@@ -57,7 +58,7 @@ from paracomplex.linalg import (
     transpose,
 )
 from paracomplex.obstruction import np_residual_terms, torsion_at
-from paracomplex.para import validate_para
+from paracomplex.para import hyperboloid_combination, hyperboloid_draw, validate_para
 from paracomplex.patch import _partial, courant_on_jets
 from paracomplex.poly import _term_key
 
@@ -1236,10 +1237,12 @@ def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
 
 
 def orthogonal_complement(g: list, span: list) -> list:
-    """curv._orthogonal_complement_basis for a matrix and vectors of Fractions,
-    as Fraction vectors."""
-    return frac_mat(*_orthogonal_complement_basis(as_ints(g)[1],
-                                                  [as_ints([v])[1][0] for v in span]))
+    """A basis of {w : g(v, w) = 0 for v in span} over Q for a matrix and
+    vectors of Fractions, as Fraction vectors: the kernel_basis of the rows
+    g^T v on integers, as curv.onb_search reads it."""
+    gm = as_ints(g)[1]
+    return frac_mat(*kernel_basis([mat_vec(transpose(gm), as_ints([v])[1][0]) for v in span],
+                                  len(gm)))
 
 
 def adapted_basis(g: Bilinear, k: Endo) -> tuple[list, list]:
@@ -1399,6 +1402,21 @@ def hyperboloid_coords(g: Bilinear, onb: list, k: Endo) -> tuple:
         -fiber_metric(k, j2) / 2,
         -fiber_metric(k, j3) / 2,
     )
+
+
+def random_compatible_structure(g: tuple, onb: tuple, rng, orientation: int = +1,
+                                js: tuple | None = None) -> tuple[int, list]:
+    """Random g-compatible paracomplex structure of the given orientation in
+    dim 4: y1 J1 + y2 J2 + y3 J3 at the hyperboloid_draw point (y1, y2, y3),
+    for g and the frame on integers as j_structures takes them, as the pair
+    (e, K) of hyperboloid_combination.  It is the draw of the theorem's
+    witness search, hyperboloid_combination(hyperboloid_draw(rng), js) for
+    the J-triple js = j_structures(g, onb, orientation), which a caller may
+    pass; the draws from rng are the same either way."""
+    point = hyperboloid_draw(rng)
+    if js is None:
+        js = j_structures(g, onb, +1 if orientation > 0 else -1)
+    return hyperboloid_combination(point, js)
 
 
 def standard_para_structure(n: int) -> Endo:

@@ -51,7 +51,7 @@ def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
     return all(checks.values()) and compatible
 
 
-def cmd_validate(args) -> tuple[dict, int]:
+def cmd_validate(args) -> dict:
     kind, mat, variables = _descriptor_structure(args.descriptor)
     points = _points_from_args(args, len(variables), default_count=5)
     error, jets = None, [None] * len(points)
@@ -77,18 +77,16 @@ def cmd_validate(args) -> tuple[dict, int]:
             ok = False
         entry["ok"] = ok
         results.append(entry)
-    report = {"schema": 1, "command": "validate", "kind": kind,
-              "points": results, "ok": all(e["ok"] for e in results)}
-    return report, 0 if report["ok"] else 1
+    return {"kind": kind, "points": results, "ok": all(e["ok"] for e in results)}
 
 
-def cmd_integrability(args) -> tuple[dict, int]:
+def cmd_integrability(args) -> dict:
     kind, mat, variables = _descriptor_structure(args.descriptor)
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points_from_args(args, len(variables), default_count=3)
     jets, certified = _jets_at(kind, mat, points, 1)
-    criterion, witness = integrability_report(kind, mat, certified)
+    criterion, witness = integrability_report(kind, mat, certified, variables)
     samples = []
     for p, jet in zip(points, jets):
         entry: dict = {"point": point_strings(p)}
@@ -107,8 +105,6 @@ def cmd_integrability(args) -> tuple[dict, int]:
                                    "component": rat_str(2 * k[0] * dk[0], comp)}
         samples.append(entry)
     report = {
-        "schema": 1,
-        "command": "integrability",
         "kind": kind,
         "integrable": witness is None,
         "criterion": criterion,
@@ -116,4 +112,4 @@ def cmd_integrability(args) -> tuple[dict, int]:
     }
     if witness is not None:
         report["witness"] = witness
-    return report, 0 if witness is None else 1
+    return report

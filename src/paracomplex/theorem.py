@@ -15,12 +15,11 @@ import random
 import re
 
 from paracomplex.cli import parse_metric_id, parse_points_arg
-from paracomplex.curv import (WEDGE4, DegenerateMetric, curvature_operator, decompose,
-                              sectional_constant_check)
+from paracomplex.curv import (WEDGE4, DegenerateMetric, MetricModel, curvature_operator,
+                              decompose, sectional_constant_check)
 from paracomplex.exact import DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, point_strings
 from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
-from paracomplex.para import (_draw, hyperboloid_combination, hyperboloid_draw,
-                              random_compatible_structure)
+from paracomplex.para import _draw, hyperboloid_combination, hyperboloid_draw
 from paracomplex.parse import parse_ratfunc
 from paracomplex.poly import rat_str
 
@@ -46,8 +45,8 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
     g(R(X^Y + K_j X ^ K_l Y), Z^U + K_r Z ^ K_r U)
     + g(R(K_j X ^ Y + X ^ K_l Y), K_r Z ^ U + Z ^ K_r U); the displayed
     curvature identity holds iff it vanishes.  The draws from rng are those
-    of random_compatible_structure for K1 and K2 with the orientations
-    (o1, o2), then of randint(1, 2) for j, l, r, then of rnd_vec2 for X, Y, Z, U.
+    of hyperboloid_draw for K1 and K2 with the orientations (o1, o2), then
+    of randint(1, 2) for j, l, r, then of rnd_vec2 for X, Y, Z, U.
 
     The first arguments are A1 +- A2 = (X +- K_j X) ^ (Y +- K_l Y), and the
     second ones B1 +- B2 likewise, so the residual is
@@ -63,18 +62,17 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
         terms = [(a, b, c) for a, row in enumerate(q) for b, c in enumerate(row) if c]
         rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
         cols = [(b, WEDGE4[b]) for b in sorted({b for _, b, _ in terms})]
-        data.append((p, den_q, terms, rows, cols,
-                     {o: js(o) for o in set(orientations)}))
+        data.append((p, den_q, terms, rows, cols, js))
     bits = rng.getrandbits
     for t in range(samples):
-        p, den_q, terms, rows, cols, jints = data[t % len(data)]
+        p, den_q, terms, rows, cols, js = data[t % len(data)]
         ys = [hyperboloid_draw(rng) for _ in orientations]
         j, l, r = (_draw(bits, 2, 2) + 1 for _ in range(3))  # randint(1, 2)
         x, y, z, u = (rnd_vec2(rng) for _ in range(4))
         if not terms:
             yield p, (j, l, r), 0, 1
             continue
-        ks = {i: hyperboloid_combination(ys[i - 1], jints[orientations[i - 1]])
+        ks = {i: hyperboloid_combination(ys[i - 1], js(orientations[i - 1]))
               for i in {j, l, r}}
         (xp, xm), (yp, ym), (zp, zm), (up, um) = (
             _pm(*ks[i], v) for i, v in ((j, x), (l, y), (r, z), (r, u)))
@@ -95,19 +93,16 @@ def rnd_vec2(rng, n=4) -> list:
     return [2 * (_draw(bits, 7, 3) - 3) // (_draw(bits, 2, 2) + 1) for _ in range(n)]
 
 
-def theorem_verdict(model: MetricModel, dth: dict, component: str,
-                    sample_points=None, seed: int = 0, jklr_samples: int = 40) -> dict:
+def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points: list | None,
+                    seed: int, jklr_samples: int) -> dict:
     """Integrability of the dim-4 twistor structure on the given component:
     requires dTheta = 0 plus the curvature condition of the component
     (++ : anti-self-dual and Ricci flat; -- : self-dual and Ricci flat;
     +- / -+ : scalar curvature operator, constant sectional curvature).
     Evidence carries sub-condition results and seeded (j,l,r) spot checks.
     dth maps each (i, j, k), i < j < k, to its nonzero component of dTheta,
-    as patch.cyclic_sums gives them; {} for a closed Theta, or none."""
-    if model.nvars != 4:
-        raise ValueError("theorem verdicts require a 4-dimensional patch")
-    if component not in ("++", "+-", "-+", "--"):
-        raise ValueError(f"unknown component {component!r}")
+    as patch.cyclic_sums gives them; {} for a closed Theta, or none.  With
+    sample_points None the points are DEFAULT_POINTS."""
     rng = random.Random(seed)
     # each point's operator, frame and J-triples, once; a default point where g or the
     # frame has a pole or g degenerates is skipped, but a supplied frame that is not
@@ -116,7 +111,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str,
     for p in sample_points or DEFAULT_POINTS:
         try:
             op = curvature_operator(model.g, p)
-            onb = model.onb_at(p, g_at=op.int_g)
+            onb = model.onb_at(p, op.int_g)
         except (PoleAtPoint, DegenerateMetric):
             if sample_points is not None:
                 raise
@@ -188,7 +183,7 @@ def _np_witness_search(dth: dict, points: list, rng):
     B's."""
     from paracomplex.obstruction import np_residual_terms, torsion_at
 
-    for p, op, onb, js in points:
+    for p, op, _, js in points:
         try:
             ((dd, (values,)),) = int_jet([list(dth.values())], p)
         except PoleAtPoint:
@@ -199,9 +194,9 @@ def _np_witness_search(dth: dict, points: list, rng):
         t_at = torsion_at(op.int_g, dth_at)
         for _ in range(WITNESS_ATTEMPTS):
             o1 = +1 if rng.random() < 0.5 else -1
-            s1 = random_compatible_structure(op.int_g, onb, rng, o1, js(o1))
+            s1 = hyperboloid_combination(hyperboloid_draw(rng), js(o1))
             o2 = +1 if rng.random() < 0.5 else -1
-            s2 = random_compatible_structure(op.int_g, onb, rng, o2, js(o2))
+            s2 = hyperboloid_combination(hyperboloid_draw(rng), js(o2))
             a = rnd_vec2(rng) + rnd_vec2(rng)
             b = rnd_vec2(rng) + rnd_vec2(rng)
             den, n_p, cond_rhs = np_residual_terms(op.int_g, t_at, dth_at, s1, s2, a, b)
@@ -283,20 +278,18 @@ def parse_theta_expr(text: str, variables=VARS4) -> list:
 MAX_SAMPLES = 100_000
 
 
-def cmd_theorem(args) -> tuple[dict, int]:
+def cmd_theorem(args) -> dict:
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     model = parse_metric_id(args.metric)
     theta = parse_theta_expr(args.theta) if args.theta else None
-    points = parse_points_arg(args.points, model.nvars) if args.points is not None else None
+    points = parse_points_arg(args.points, len(model.g)) if args.points is not None else None
     if args.epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the
         # explicit mixed-term witness is nonzero at every point
-        report = {
-            "schema": 1,
-            "command": "theorem",
+        return {
             "metric": model.name,
             "component": args.component,
             "epsilon": args.epsilon,
@@ -304,22 +297,10 @@ def cmd_theorem(args) -> tuple[dict, int]:
             "evidence": {"epsilon_never_integrable": True,
                          "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
         }
-        return report, 1
     dth = {}
     if theta is not None:
         from paracomplex.patch import cyclic_sums
 
         dth = cyclic_sums(theta)
-    out = theorem_verdict(model, dth, args.component, sample_points=points,
-                          seed=args.seed, jklr_samples=args.samples)
-    report = {
-        "schema": 1,
-        "command": "theorem",
-        "metric": model.name,
-        "component": out["component"],
-        "epsilon": 1,
-        "seed": args.seed,
-        "integrable": out["integrable"],
-        "evidence": out["evidence"],
-    }
-    return report, 0 if out["integrable"] else 1
+    return {"metric": model.name, "epsilon": 1, "seed": args.seed,
+            **theorem_verdict(model, dth, args.component, points, args.seed, args.samples)}

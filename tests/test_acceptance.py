@@ -30,7 +30,7 @@ from paracomplex.linalg import (
     mat_scale,
     transpose,
 )
-from paracomplex.para import random_compatible_structure, validate_para
+from paracomplex.para import validate_para
 from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums, integrability_report
 from paracomplex.theorem import theorem_verdict
@@ -63,6 +63,7 @@ from paracomplex.reference import (
     mat_rank,
     mat_zero,
     metricity_residual,
+    random_compatible_structure,
     s_ij_endo,
     standard_para_structure,
     symbolic_frame_sweep,
@@ -72,7 +73,7 @@ from paracomplex.reference import (
 
 
 def random_endo(*args) -> Endo:
-    """para.random_compatible_structure as an Endo in Fractions."""
+    """reference.random_compatible_structure as an Endo in Fractions."""
     return Endo(frac_mat(*random_compatible_structure(*args)))
 
 
@@ -249,7 +250,7 @@ def test_acceptance_5_curvature_decomposition():
         rho_den, rho = op.int_rho
         assert Fraction(sum(rho[i][i] for i in range(4)), rho_den) == 12
         assert mat_eq(frac_mat(*op.int_ricci), mat_scale(Fraction(3), frac_mat(*op.int_g)))
-        dec = decompose(op, m.onb_at(int_point(p)))
+        dec = decompose(op, m.onb_at(int_point(p), op.int_g))
         assert mat_is_zero(dec.int_b[1])
         assert mat_is_zero(dec.int_w[1])
         assert sectional_constant_check(op) == (1, 1)
@@ -266,10 +267,10 @@ def test_acceptance_5_curvature_decomposition():
          [z, z, -(qs[2] * qs[2]), z],
          [z, z, z, -(qs[3] * qs[3])]]
     onb = [[RatFunc.one(4) / qs[i] if j == i else z for j in range(4)] for i in range(4)]
-    model = MetricModel("perturbation", 4, g, onb)
+    model = MetricModel("perturbation", g, onb)
     p = ORIGIN
     op2 = curvature_operator(g, int_point(p))
-    dec2 = decompose(op2, model.onb_at(int_point(p)))
+    dec2 = decompose(op2, model.onb_at(int_point(p), op2.int_g))
     assert mat_eq(parts_sum(dec2), frac_mat(*op2.int_mat))
     assert not mat_is_zero(op2.int_mat[1])
     report(5, "constant-curvature values pinned and parts re-sum exactly")
@@ -292,7 +293,7 @@ def perturbed_model():
         [z, z, RatFunc.one(4), z],
         [z, z, z, RatFunc.one(4) / q4],
     ]
-    return MetricModel("perturbed", 4, g, onb)
+    return MetricModel("perturbed", g, onb)
 
 
 PERTURBED_JSON = {
@@ -348,7 +349,7 @@ def test_acceptance_7_theorem_definite_component(capsys):
     out = theorem_verdict(m, {}, "++", sample_points=[int_point(p) for p in pts],
                           seed=107, jklr_samples=200)
     assert out["evidence"]["jklr"] == {"samples": 200, "nonzero": 0}
-    out = theorem_verdict(m, {}, "++", seed=7, jklr_samples=20)
+    out = theorem_verdict(m, {}, "++", sample_points=None, seed=7, jklr_samples=20)
     assert out["integrable"]
     assert out["evidence"]["jklr"]["nonzero"] == 0
     code, rep = run_cli(capsys, "theorem", "ppwave:x2^2", "--component", "++",
@@ -390,7 +391,7 @@ def test_acceptance_9_dtheta_obstruction():
     rng = random.Random(109)
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     closed = KForm(4, 2, {(0, 1): rf("5"), (1, 3): rf("-2")})
     assert ext_deriv(closed).is_zero()
     for _ in range(20):

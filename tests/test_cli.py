@@ -601,6 +601,22 @@ def test_integrability_trivial(tmp_path, capsys):
     assert json.loads(out)["integrable"]
 
 
+@pytest.mark.parametrize("payload,witness", [
+    ({"kind": "omega", "omega": {"1,2": "1+c^2", "3,4": "a", "1,3": "b*d", "2,4": "c"}},
+     {"d_omega_component": [1, 2, 3], "value": "2*c - d"}),
+    ({"kind": "product", "P": [["0", "c", "0", "0"], ["1/c", "0", "0", "0"],
+                               ["0", "0", "0", "1"], ["0", "0", "1", "0"]]},
+     {"frame_pair": [1, 3], "value": ["(-1)/((c))", "0", "0", "0"]}),
+], ids=["omega", "product"])
+def test_an_integrability_witness_names_the_descriptor_variables(tmp_path, capsys, payload,
+                                                                 witness):
+    """The witness value prints in the descriptor's "vars", a, b, c, d here,
+    not as x1..x4 (2*x3 - x4 for the d omega component)."""
+    path = write_desc(tmp_path, "named.json", {**payload, "vars": ["a", "b", "c", "d"]})
+    code, out = run_cli(capsys, "integrability", path, "--points", "1,1,1,1")
+    assert code == 1 and json.loads(out)["witness"] == witness
+
+
 @pytest.mark.parametrize("payload,code", [
     ({"kind": "trivial"}, 0),
     ({"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}}, 1),
@@ -749,6 +765,17 @@ def test_curvature_asymmetric_file_metric_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("command", [["curvature", "--point", "0,0,0"],
+                                     ["theorem", "--component=++"]], ids=["curvature", "theorem"])
+def test_a_three_variable_metric_file_exit_2_with_one_line(tmp_path, capsys, command):
+    """The curvature operator, which both commands build first, is the one
+    check that the patch has dimension 4."""
+    path = write_desc(tmp_path, "g3.json", {
+        "vars": ["x1", "x2", "x3"], "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]})
+    code = main([command[0], f"file:{path}"] + command[1:])
+    assert_one_line_input_error(capsys, code, "curvature operator decomposition requires dim 4")
+
+
 # -- theorem -----------------------------------------------------------------------
 
 
@@ -797,6 +824,43 @@ def test_theorem_epsilon_never_integrable(capsys):
                         "--epsilon", "2")
     assert code == 1
     assert json.loads(out)["evidence"]["epsilon_never_integrable"]
+
+
+def test_theorem_without_a_rational_frame_at_any_default_point_exit_2(tmp_path, capsys):
+    """diag(2, 3, -1, -1) has no rational orthonormal frame (det g = 6 is not a
+    square), so every default point is skipped."""
+    path = write_desc(tmp_path, "diag.json", {"g": [["2", "0", "0", "0"], ["0", "3", "0", "0"],
+                                                    ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
+    code = main(["theorem", f"file:{path}", "--component=++"])
+    assert_one_line_input_error(capsys, code, "no usable sample points for the metric")
+
+
+def test_theorem_skips_the_default_points_where_the_metric_has_a_pole(tmp_path, capsys):
+    """g = eta / (x1 - 1)^2 with the frame (x1 - 1) Id has constant sectional
+    curvature -1; the verdict reads only the three default points with x1 != 1."""
+    eta = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    path = write_desc(tmp_path, "hyperbolic.json", {
+        "g": [[f"{v}/(x1-1)^2" for v in row] for row in eta],
+        "onb": [["x1-1" if i == j else "0" for j in range(4)] for i in range(4)]})
+    code, out = run_cli(capsys, "theorem", f"file:{path}", "--component=+-")
+    evidence = json.loads(out)["evidence"]
+    assert code == 0 and evidence["sectional_constant"] == "-1"
+    assert evidence["points"] == [["0", "0", "0", "0"], ["0", "1", "0", "0"],
+                                  ["1/2", "-1/3", "1/5", "0"]]
+
+
+def test_theorem_on_a_ppwave_with_x3_and_x4_swapped_finds_w_plus(tmp_path, capsys):
+    """g = 2 dx1 dx3 + 2 dx2 dx4 + x2^2 dx1^2 is ppwave:x2^2 with x3 and x4
+    swapped, which reverses the coordinate orientation, so its Weyl curvature
+    sits in W+ for the frame onb_search finds: ++ fails, and -- holds."""
+    path = write_desc(tmp_path, "ppwave_swapped.json", {
+        "g": [["x2^2", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"],
+              ["0", "1", "0", "0"]]})
+    code, out = run_cli(capsys, "theorem", f"file:{path}", "--component=++")
+    evidence = json.loads(out)["evidence"]
+    assert code == 1 and evidence["ricci_zero"] and evidence["w_minus_zero"]
+    assert evidence["w_plus_zero"] is False
+    assert main(["theorem", f"file:{path}", "--component=--"]) == 0
 
 
 def test_theorem_deterministic_bytes(capsys):

@@ -24,7 +24,6 @@ from paracomplex.linalg import (
     transpose,
     wedge_pairs,
 )
-from paracomplex.para import random_compatible_structure
 from paracomplex.parse import parse_ratfunc
 from paracomplex.cli import matrix_reader, parse_metric_id
 from paracomplex.curv import (
@@ -75,6 +74,7 @@ from paracomplex.reference import (
     metricity_residual,
     omega_eps,
     orthogonal_complement,
+    random_compatible_structure,
     reflector_mixed_nijenhuis,
     reflector_nijenhuis,
     riemann_at,
@@ -89,7 +89,7 @@ from paracomplex.theorem import rnd_vec2, sample_jklr, theorem_verdict
 
 
 def random_endo(*args) -> Endo:
-    """para.random_compatible_structure as an Endo in Fractions."""
+    """reference.random_compatible_structure as an Endo in Fractions."""
     return Endo(frac_mat(*random_compatible_structure(*args)))
 
 
@@ -146,7 +146,7 @@ def perturbed_metric() -> MetricModel:
         [z, z, RatFunc.one(4), z],
         [z, z, z, RatFunc.one(4) / q4],
     ]
-    return MetricModel("perturbed", 4, g, onb)
+    return MetricModel("perturbed", g, onb)
 
 
 def riemann_oracle(conn: Connection) -> list:
@@ -535,7 +535,7 @@ def flat_pullback(maps: list) -> MetricModel:
     eta = flat_metric().g
     g = mat_mul(mat_mul(transpose(jac), eta), jac)
     inv = gauss_jordan_inv(jac)
-    return MetricModel("flat-pullback", 4, g, [[inv[i][a] for i in range(4)] for a in range(4)])
+    return MetricModel("flat-pullback", g, [[inv[i][a] for i in range(4)] for a in range(4)])
 
 
 def constcurv_shear(c: Fraction, a: int) -> MetricModel:
@@ -548,7 +548,7 @@ def constcurv_shear(c: Fraction, a: int) -> MetricModel:
     g = [[RatFunc.const(4, sum(shear[k][i] * eta[k] * shear[k][j] for k in range(4))) / (phi * phi)
           for j in range(4)] for i in range(4)]
     inv = [[1, 0, 0, 0], [0, 1, 0, 0], [-a, 0, 1, 0], [0, 0, 0, 1]]
-    return MetricModel(f"constcurv-shear:{c}", 4, g,
+    return MetricModel(f"constcurv-shear:{c}", g,
                        [[phi * inv[i][col] if inv[i][col] else z for i in range(4)]
                         for col in range(4)])
 
@@ -589,7 +589,7 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
             assert sectional_constant_check(op) == (
                 (c.denominator, c.numerator) if scalar else None)
             for orientation in (1, -1):
-                onb = model.onb_at(int_point(p), orientation, op.int_g)
+                onb = model.onb_at(int_point(p), op.int_g, orientation)
                 cols = [[Fraction(x, onb[0]) for x in v] for v in onb[1]]
                 assert cols == onb_reference(model, p, orientation)
                 dec, want = decompose(op, onb), decompose_reference(ref, cols)
@@ -611,7 +611,7 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
     op = curvature_operator(m.g, int_point(ORIGIN))
-    dec = decompose(op, m.onb_at(int_point(ORIGIN)))
+    dec = decompose(op, m.onb_at(int_point(ORIGIN), op.int_g))
     assert mat_is_zero(frac_mat(*dec.int_b))
     assert mat_is_zero(frac_mat(*dec.int_w))
     assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
@@ -621,7 +621,7 @@ def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    dec = decompose(op, m.onb_at(int_point(p)))
+    dec = decompose(op, m.onb_at(int_point(p), op.int_g))
     assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
     assert not mat_is_zero(frac_mat(*dec.int_b))
 
@@ -630,7 +630,7 @@ def test_b_part_swaps_chirality():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    onb = m.onb_at(int_point(p))
+    onb = m.onb_at(int_point(p), op.int_g)
     dec = decompose(op, onb)
     star = frac_mat(*star_matrix(op.int_g, onb))
     half = Fraction(1, 2)
@@ -646,12 +646,12 @@ def test_b_part_swaps_chirality():
 def test_duality_verdicts():
     flat = flat_metric()
     op = curvature_operator(flat.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, flat.onb_at(int_point(ORIGIN))))
+    v = duality_verdict(decompose(op, flat.onb_at(int_point(ORIGIN), op.int_g)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
     op = curvature_operator(cc.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, cc.onb_at(int_point(ORIGIN))))
+    v = duality_verdict(decompose(op, cc.onb_at(int_point(ORIGIN), op.int_g)))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
@@ -661,9 +661,9 @@ def test_ppwave_duality_and_orientation_reversal():
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
     op = curvature_operator(m.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN))))
+    v = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), op.int_g)))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
-    v_rev = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), orientation=-1)))
+    v_rev = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), op.int_g, -1)))
     assert v_rev["self_dual"] and not v_rev["anti_self_dual"]
 
 
@@ -706,7 +706,7 @@ def test_jklr_flat_always_zero():
     rng = random.Random(42)
     m = flat_metric()
     op = curvature_operator(m.g, int_point(ORIGIN))
-    onb = m.onb_at(int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN), op.int_g)
     for _ in range(10):
         k1 = random_endo(op.int_g, onb, rng, +1)
         k2 = random_endo(op.int_g, onb, rng, -1)
@@ -720,7 +720,7 @@ def test_jklr_constant_curvature_mixed_orientations():
     m = constcurv_metric(1)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
         op = curvature_operator(m.g, int_point(p))
-        onb = m.onb_at(int_point(p))
+        onb = m.onb_at(int_point(p), op.int_g)
         for _ in range(10):
             k1 = random_endo(op.int_g, onb, rng, +1)
             k2 = random_endo(op.int_g, onb, rng, -1)
@@ -737,7 +737,7 @@ def test_jklr_diagonal_matches_duality_verdict():
 
     def diag_samples_all_zero(model, p, n=15):
         op = curvature_operator(model.g, int_point(p))
-        onb = model.onb_at(int_point(p))
+        onb = model.onb_at(int_point(p), op.int_g)
         for _ in range(n):
             k = random_endo(op.int_g, onb, rng, +1)
             r = rng.randint(1, 2)
@@ -749,13 +749,13 @@ def test_jklr_diagonal_matches_duality_verdict():
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
         op = curvature_operator(model.g, int_point(p))
-        verdict = duality_verdict(decompose(op, model.onb_at(int_point(p))))
+        verdict = duality_verdict(decompose(op, model.onb_at(int_point(p), op.int_g)))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    assert not duality_verdict(decompose(op, m.onb_at(int_point(p))))["anti_self_dual"]
+    assert not duality_verdict(decompose(op, m.onb_at(int_point(p), op.int_g)))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
 
@@ -764,7 +764,7 @@ def test_jklr_perturbed_nonzero_witness():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    onb = m.onb_at(int_point(p))
+    onb = m.onb_at(int_point(p), op.int_g)
     found = False
     for _ in range(60):
         k1 = random_endo(op.int_g, onb, rng, +1)
@@ -789,7 +789,7 @@ def sheared_constcurv() -> MetricModel:
     g = [[-3, 2, -1, -1], [2, -1, 2, -1], [-1, 2, -2, 1], [-1, -1, 1, -1]]
     onb = [[1, -1, -3, -3], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
     read = matrix_reader(V)
-    return MetricModel("file", 4, read([[f"{v}/({SHEAR_PHI})^2" for v in row] for row in g], "g"),
+    return MetricModel("file", read([[f"{v}/({SHEAR_PHI})^2" for v in row] for row in g], "g"),
                        read([[f"{v}*({SHEAR_PHI})" for v in col] for col in onb], "onb"))
 
 
@@ -831,7 +831,7 @@ def test_jklr_residual_equals_the_lambda2_oracle():
         nonzero = 0
         for p in JKLR_POINTS:
             op = curvature_operator(model.g, int_point(p))
-            onb = model.onb_at(int_point(p))
+            onb = model.onb_at(int_point(p), op.int_g)
             for _ in range(14):
                 k1 = random_endo(op.int_g, onb, rng, rng.choice((1, -1)))
                 k2 = random_endo(op.int_g, onb, rng, rng.choice((1, -1)))
@@ -901,7 +901,8 @@ def test_integer_jklr_samples_equal_the_fraction_reference():
                                         for _ in range(4)) for _ in range(2)]
         points = []
         for p in pts:
-            op, onb = curvature_operator(model.g, int_point(p)), model.onb_at(int_point(p))
+            op = curvature_operator(model.g, int_point(p))
+            onb = model.onb_at(int_point(p), op.int_g)
             points.append((p, op, onb, functools.cache(functools.partial(j_structures,
                                                                          op.int_g, onb))))
         for orientations in product((1, -1), repeat=2):
@@ -948,7 +949,7 @@ def test_reflector_nijenhuis_output_vertical():
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(int_point(p))
+    onb = m.onb_at(int_point(p), as_ints(g_at.mat))
     q = random_endo(as_ints(g_at.mat), onb, rng, +1)
     for _ in range(4):
         x = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
@@ -1054,7 +1055,7 @@ def test_twistor_vertical_vanishes_on_mixed_component_constcurv():
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(int_point(p))
+    onb = m.onb_at(int_point(p), as_ints(g_at.mat))
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
     k1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     k2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
@@ -1087,7 +1088,7 @@ def test_twistor_vertical_output_vertical():
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     r_at = riemann_at(m.g, p)
     g_at = Bilinear(mat_eval(m.g, p))
-    onb = m.onb_at(int_point(p))
+    onb = m.onb_at(int_point(p), as_ints(g_at.mat))
     k1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     k2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
     e = gen_metric(g_at, Bilinear(mat_zero(4)))
@@ -1109,7 +1110,7 @@ def test_np_residual_zero_for_closed_theta():
     theta = form2({(0, 1): "2", (1, 2): "-1"})
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     for _ in range(20):
         s1 = random_endo(as_ints(g_at.mat), onb, rng,
                          +1 if rng.random() < 0.5 else -1)
@@ -1128,7 +1129,7 @@ def test_np_residual_witness_for_nonclosed_theta():
     theta = form2({(1, 2): "x1"})  # dTheta = dx1 ^ dx2 ^ dx3 != 0
     m = flat_metric()
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     found = False
     for _ in range(40):
         s1 = random_endo(as_ints(g_at.mat), onb, rng,
@@ -1170,7 +1171,7 @@ def test_cond_two_forms_specialization():
     den_t, (t_int,) = int_mats([[x for r1 in t_at for x in r1]])
     den_d, ((d_int,),) = int_mats([[list(dth_at.values())]])
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    onb = m.onb_at(int_point(ORIGIN))
+    onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     s1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     s2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
@@ -1200,7 +1201,7 @@ def test_cond_two_forms_specialization():
 def test_theorem_flat_all_components():
     m = flat_metric()
     for comp in ("++", "+-", "-+", "--"):
-        out = theorem_verdict(m, {}, comp, seed=1, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, sample_points=None, seed=1, jklr_samples=10)
         assert out["integrable"], comp
         assert out["evidence"]["jklr"]["nonzero"] == 0
 
@@ -1208,11 +1209,11 @@ def test_theorem_flat_all_components():
 def test_theorem_constcurv_components():
     m = constcurv_metric(1)
     for comp in ("+-", "-+"):
-        out = theorem_verdict(m, {}, comp, seed=2, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, sample_points=None, seed=2, jklr_samples=10)
         assert out["integrable"], comp
         assert out["evidence"]["jklr"]["nonzero"] == 0
     for comp in ("++", "--"):
-        out = theorem_verdict(m, {}, comp, seed=3, jklr_samples=10)
+        out = theorem_verdict(m, {}, comp, sample_points=None, seed=3, jklr_samples=10)
         assert not out["integrable"], comp
         assert not out["evidence"]["ricci_zero"]
         assert out["evidence"]["jklr"]["nonzero"] > 0
@@ -1220,10 +1221,10 @@ def test_theorem_constcurv_components():
 
 def test_theorem_ppwave_components():
     m = ppwave_metric(rf("x2^2"))
-    out = theorem_verdict(m, {}, "++", seed=4, jklr_samples=10)
+    out = theorem_verdict(m, {}, "++", sample_points=None, seed=4, jklr_samples=10)
     assert out["integrable"]
     assert out["evidence"]["jklr"]["nonzero"] == 0
-    out_mixed = theorem_verdict(m, {}, "+-", seed=5, jklr_samples=10)
+    out_mixed = theorem_verdict(m, {}, "+-", sample_points=None, seed=5, jklr_samples=10)
     assert not out_mixed["integrable"]
     assert out_mixed["evidence"]["sectional_constant"] is None
 
@@ -1231,7 +1232,8 @@ def test_theorem_ppwave_components():
 def test_theorem_dtheta_obstruction():
     m = flat_metric()
     theta = form2({(1, 2): "x1"})
-    out = theorem_verdict(m, ext_deriv(theta).comps, "++", seed=6, jklr_samples=5)
+    out = theorem_verdict(m, ext_deriv(theta).comps, "++", sample_points=None, seed=6,
+                          jklr_samples=5)
     assert not out["integrable"]
     assert not out["evidence"]["d_theta_zero"]
     assert "np_residual_witness" in out["evidence"]

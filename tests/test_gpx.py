@@ -20,7 +20,6 @@ from paracomplex.linalg import (
     transpose,
     wedge_pairs,
 )
-from paracomplex.para import random_compatible_structure
 from paracomplex.reference import (
     Bilinear,
     Endo,
@@ -49,6 +48,7 @@ from paracomplex.reference import (
     p_epsilon,
     pi_structure,
     product_structure,
+    random_compatible_structure,
     s_ij_endo,
     standard_para_structure,
     trivial_structure,
@@ -61,7 +61,7 @@ from paracomplex.reference import (
 
 
 def random_endo(*args) -> Endo:
-    """para.random_compatible_structure as an Endo in Fractions."""
+    """reference.random_compatible_structure as an Endo in Fractions."""
     return Endo(frac_mat(*random_compatible_structure(*args)))
 
 

@@ -29,6 +29,7 @@ test_report_bytes, save a short allowlist; what only tests, demos or the
 oracles call lives in paracomplex.reference.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -223,8 +224,11 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # the routines only they use (the commands pass integer pairs (D, M)), the
 # sparse k-forms and their exterior derivative (a 2-form on the command paths is
 # an antisymmetric matrix, and patch.cyclic_sums gives its d and the Jacobiator),
-# helpers that one test file keeps as a local reference, and the second readers of
-# input files that cli.load_input and cli.matrix_reader replaced
+# helpers that one test file keeps as a local reference, the second readers of
+# input files that cli.load_input and cli.matrix_reader replaced, and the copies of
+# one decision: the integer product that linalg.mat_mul now is, the draw of a
+# compatible structure that the witness search spells out, and the one-line wrapper
+# of kernel_basis that onb_search calls directly
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -254,6 +258,7 @@ MOVED = [
     "signature", "vec_add", "vec_eq", "vec_scale",
     "IntegrabilityReport", "KForm", "_sort_index", "ext_deriv", "poisson_jacobiator", "sparse_add",
     "_component_map_to_matrix", "_const_mat", "load_descriptor", "metric_from_strings",
+    "int_mul", "random_compatible_structure", "_orthogonal_complement_basis",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction"]
@@ -355,6 +360,22 @@ def test_only_cli_reads_input(module):
                  if tok.type == tokenize.NAME}
     assert not {"open", "json"} & names
     assert module in ("parse", "theorem") or not {"parse_ratfunc", "parse_rational"} & names
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_every_name_a_command_module_imports_is_used_there(module):
+    """A name that a command module imports, at the top or inside a function,
+    is read somewhere in that module: an import that a move or a deletion left
+    behind is a stale name, which every start still resolves and which points
+    a reader at code that no longer needs it."""
+    tree = ast.parse((SRC / "paracomplex" / f"{module}.py").read_text())
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []
 
 
 # defs of command modules that no pinned command enters: the number protocol of

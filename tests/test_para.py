@@ -14,7 +14,6 @@ from paracomplex.linalg import (
 from paracomplex.para import (
     _draw,
     hyperboloid_draw,
-    random_compatible_structure,
     validate_para,
 )
 from paracomplex.reference import (
@@ -37,6 +36,7 @@ from paracomplex.reference import (
     mat_zero,
     null_basis,
     orthogonal_complement,
+    random_compatible_structure,
     standard_para_structure,
     z_tangent_project,
 )
