@@ -6,7 +6,7 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 
 from fractions import Fraction
 
-from paracomplex.linalg import mat_eq, mat_mul
+from paracomplex.linalg import mat_mul
 from paracomplex.para import validate_para
 from paracomplex.parse import parse_ratfunc
 from paracomplex.poly import rat_str
@@ -19,6 +19,7 @@ from paracomplex.reference import (
     hyperboloid_structure,
     induced_orientation,
     j_triple,
+    mat_eq,
     mat_identity,
     null_basis,
     standard_para_structure,

@@ -28,6 +28,9 @@ from paracomplex.linalg import SingularMatrix, mat_to_strings, transpose
 from paracomplex.parse import check_variables, parse_ratfunc, parse_rational
 from paracomplex.poly import rat_str
 
+# the faults of an input: main exits 2 on them, and validate reports them per point
+INPUT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
+
 
 # -- small parsers ------------------------------------------------------------
 
@@ -167,7 +170,7 @@ def parse_metric_id(text: str):
         if g != transpose(g):
             raise ValueError("the metric field is not symmetric")
         onb = data.get("onb")
-        return MetricModel(text, g, None if onb is None else read(onb, "onb"))
+        return MetricModel(text, g, None if onb is None else read(onb, "onb"), variables)
     raise ValueError(f"unknown metric identifier {text!r}")
 
 
@@ -204,30 +207,23 @@ def cmd_curvature(args) -> dict:
 # -- rendering --------------------------------------------------------------------
 
 
-def _render_text(report: dict, lines=None, prefix="") -> str:
-    if lines is None:
-        lines = []
-        for key in sorted(report):
-            _render_text({key: report[key]}, lines)
-        return "\n".join(lines) + "\n"
-    for key, value in report.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            for sub in sorted(value):
-                _render_text({sub: value[sub]}, lines, prefix=label + ".")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for idx, item in enumerate(value):
-                for sub in sorted(item):
-                    _render_text({sub: item[sub]}, lines, prefix=f"{label}[{idx}].")
-        else:
-            lines.append(f"{label}: {value}")
-    return ""
+def _text_lines(value, label: str):
+    """The lines `label: leaf` of a report value: a dict's entries by sorted
+    key under label.key, and a list of dicts item by item under label[i]."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _text_lines(value[key], f"{label}.{key}" if label else key)
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for idx, item in enumerate(value):
+            yield from _text_lines(item, f"{label}[{idx}]")
+    else:
+        yield f"{label}: {value}"
 
 
 def emit(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    return _render_text(report)
+    return "\n".join(_text_lines(report, "")) + "\n"
 
 
 # -- entry point --------------------------------------------------------------------
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
     try:
         __import__(COMMANDS[args.command])
         body = getattr(sys.modules[COMMANDS[args.command]], f"cmd_{args.command}")(args)
-    except (ValueError, PoleAtPoint, SingularMatrix) as exc:
+    except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(emit({"schema": 1, "command": args.command, **body}, args.format))

@@ -26,7 +26,7 @@ import itertools
 import math
 from operator import mul
 
-from paracomplex.exact import RatFunc, point_strings
+from paracomplex.exact import VARS4, RatFunc, point_strings
 from paracomplex.linalg import (
     ONB_GRAM,
     bareiss,
@@ -55,13 +55,14 @@ class DegenerateMetric(ValueError):
 
 class MetricModel:
     """Metric field g (a RatFunc matrix) with an optional symbolic oriented
-    orthonormal frame onb (columns: four RatFunc vectors, norms 1, 1, -1, -1);
-    the frame makes the Hodge machinery rational."""
+    orthonormal frame onb (columns: four RatFunc vectors, norms 1, 1, -1, -1),
+    which makes the Hodge machinery rational, and the names of the patch's
+    variables, in which a field on the patch is read and printed."""
 
-    __slots__ = ("name", "g", "onb")
+    __slots__ = ("name", "g", "onb", "names")
 
-    def __init__(self, name: str, g: list, onb: list | None = None):
-        self.name, self.g, self.onb = name, g, onb
+    def __init__(self, name: str, g: list, onb: list | None = None, names: list = VARS4):
+        self.name, self.g, self.onb, self.names = name, g, onb, names
 
     def onb_at(self, point, g_at: tuple, orientation: int = +1) -> tuple:
         """The oriented frame at the point on integers, (E, [U_1, ..., U_4]) with
@@ -98,7 +99,7 @@ def constcurv_metric(c: int, den: int = 1) -> MetricModel:
     n = 4
     x = [RatFunc.var(i, n) for i in range(n)]
     phi = RatFunc.const(n, 1) + (x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2) * c / (4 * den)
-    inv2 = RatFunc.one(n) / (phi * phi)
+    inv2 = 1 / (phi * phi)
     signs = [1, 1, -1, -1]
     g = [[inv2 * signs[i] if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
     onb = [[phi if i == j else RatFunc.zero(n) for i in range(n)] for j in range(n)]
@@ -225,11 +226,6 @@ def _riemann(g: list, point) -> tuple:
     return den, gi, adj, det, dr // common, r
 
 
-def _positive(den: int, m: list) -> tuple:
-    """(den, m) with the sign moved into m, so that the denominator is positive."""
-    return (den, m) if den > 0 else (-den, [[-x for x in row] for row in m])
-
-
 class CurvOperator:
     """The curvature operator at a point, on integers.  Each of int_g, int_mat,
     int_lowered, int_ricci and int_rho is a pair (D, M) of a positive
@@ -247,10 +243,6 @@ class CurvOperator:
         self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
 
 
-def _trace(m: list) -> int:
-    return sum(m[i][i] for i in range(len(m)))
-
-
 def curvature_operator(g: list, point) -> CurvOperator:
     """The curvature operator at the point, from _riemann on integers: with
     r / E the curvature and q[(i, j)][(k, l)] = sum_m r[i][j][k][m] G[m][l],
@@ -264,7 +256,8 @@ def curvature_operator(g: list, point) -> CurvOperator:
     q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r[i][j], gm) for i, j in WEDGE4)]
     red, _, d_l, _ = bareiss([row + [q[b][a] for b in range(6)]
                               for a, row in enumerate(lambda2_matrix(gm))])
-    mat = _positive(dr * d_l, [[den * x for x in row[6:]] for row in red])
+    s = den if d_l > 0 else -den  # dr > 0, so the sign of dr d_l is that of d_l
+    mat = dr * abs(d_l), [[s * x for x in row[6:]] for row in red]
     ric = [[sum(r[i][k][j][k] for k in ns) for j in ns] for i in ns]
     rho = det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
     return CurvOperator((den, gm), mat, (dr * den, q), (dr, ric), rho)
@@ -297,7 +290,7 @@ def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     L = lcm(12 e, D) for mat = M / D; and for the star S / E of star_matrix,
     W_+- = (E Id +- S) W' (E Id +- S) / (4 E^2 L)."""
     e, rho = op.int_rho
-    sigma = _trace(rho)
+    sigma = sum(rho[i][i] for i in range(4))
     b = [[2 * (rho[k][i] * (l == j) - rho[l][i] * (k == j) + (k == i) * rho[l][j]
                - (l == i) * rho[k][j]) - sigma * (a == c)
           for c, (i, j) in enumerate(WEDGE4)] for a, (k, l) in enumerate(WEDGE4)]

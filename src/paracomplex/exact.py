@@ -52,7 +52,9 @@ class RatFunc:
     primitive integer factors with positive leading coefficients.
 
     Equality is decided by cross-multiplication; no gcd normalization is
-    required for correctness.  Trial exact division against the stored
+    required for correctness, and equal values can be stored with different
+    factors, so a RatFunc is not hashable.  Its operands are RatFuncs in as
+    many variables, ints and rationals, on either side.  Trial exact division against the stored
     factors keeps denominators reduced in the common power-of-one-factor
     workloads (conformal metrics and their derivatives).  A factor p stands
     for the monic p / lc(p), so the factors, multiplicities and printed form
@@ -119,8 +121,6 @@ class RatFunc:
     def _coerce(self, other) -> RatFunc | None:
         if isinstance(other, RatFunc):
             return other if other.nvars == self.nvars else None
-        if isinstance(other, Poly):
-            return RatFunc(other) if other.nvars == self.nvars else None
         try:
             return RatFunc.const(self.nvars, other)
         except AttributeError:  # not an int or a rational
@@ -135,7 +135,7 @@ class RatFunc:
         return self.num.is_zero() or (self.num.is_const() and not self.factors)
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -143,9 +143,6 @@ class RatFunc:
             return NotImplemented
         return ((self.num * o._den_poly()).scale(o.den)
                 == (o.num * self._den_poly()).scale(self.den))
-
-    def __hash__(self) -> int:
-        raise TypeError("RatFunc is not hashable (equality is semantic)")
 
     # -- arithmetic -----------------------------------------------------------
 

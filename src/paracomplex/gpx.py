@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 
 from paracomplex.exact import PoleAtPoint
-from paracomplex.linalg import (SingularMatrix, bareiss, int_inv, int_jet, mat_add, mat_mul,
-                                mat_neg, mat_scale, mat_sub, transpose)
+from paracomplex.linalg import (SingularMatrix, bareiss, identity, int_inv, int_jet, mat_add,
+                                mat_mul, mat_neg, mat_scale, mat_sub, transpose)
 
 
 class GenVector:
@@ -61,7 +61,6 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     (d0, v), *jet = int_jet(data, point, order)
     d1, dv = jet[0] if jet else (1, [])
     z = [[0] * n] * n
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     if kind == "omega":
         w = transpose(v)
         inv = int_inv(w)
@@ -75,7 +74,7 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
         k = d0, [v, z, z, mat_neg(transpose(v))]
         dk = d1, [[m, z, z, mat_neg(transpose(m))] for m in dv]
     else:
-        k = d0, [mat_scale(d0, eye), v, z, mat_scale(-d0, eye)]
+        k = d0, [identity(n, d0), v, z, identity(n, -d0)]
         dk = d1, [[z, m, z, z] for m in dv]
     return ((k[0], _blocks(*k[1])), (dk[0], [_blocks(*b) for b in dk[1]]))[:order + 1]
 
@@ -87,11 +86,11 @@ def validate_gen_para(den: int, m: list) -> dict[str, bool]:
     which swaps T and T*, so S m is m with its halves of rows swapped and must
     be antisymmetric; and the ranks of den Id + m and den Id - m by bareiss."""
     n2 = len(m)
-    ident = [[den * (i == j) for j in range(n2)] for i in range(n2)]
+    ident = identity(n2, den)
     sm = m[n2 // 2:] + m[:n2 // 2]
     plus, minus = (len(bareiss(f(ident, m))[1]) for f in (mat_add, mat_sub))
     return {
-        "square_is_identity": mat_mul(m, m) == mat_scale(den, ident),
+        "square_is_identity": mat_mul(m, m) == identity(n2, den * den),
         "pairing_skew": sm == mat_neg(transpose(sm)),
         "equal_eigenranks": plus == n2 // 2 == minus,
     }
@@ -108,8 +107,7 @@ def is_compatible(k: tuple, g: tuple, theta: tuple) -> bool:
     T -> T* by their transposes), of rank n, so [F | K F] must have rank n."""
     (_, km), (dg, gm), (dt, tm) = k, g, theta
     n = len(gm)
-    f = ([[dg * dt * (i == j) for j in range(n)] for i in range(n)]
-         + mat_add(mat_scale(dt, transpose(gm)), mat_scale(dg, transpose(tm))))
+    f = identity(n, dg * dt) + mat_add(mat_scale(dt, transpose(gm)), mat_scale(dg, transpose(tm)))
     return len(bareiss([row + kf for row, kf in zip(f, mat_mul(km, f))])[1]) == n
 
 
@@ -139,7 +137,7 @@ def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
     mid = _blocks(mat_scale(dg * dd, ksum),
                   mat_scale(f * f, mat_sub(mat_scale(d1, r2), mat_scale(d2, r1))),
                   mat_scale(dd, mat_sub(ws[1], ws[0])), mat_scale(-dg * dd, transpose(ksum)))
-    eye = [[dt * (i == j) for j in range(n)] for i in range(n)]
+    eye = identity(n, dt)
     z, tt = [[0] * n] * n, transpose(tm)
     k = mat_mul(mat_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
     return 2 * f * dd * dt * dt, k

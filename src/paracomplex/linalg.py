@@ -47,6 +47,11 @@ def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
+def identity(n: int, c) -> Mat:
+    """c Id, the n x n integer matrix with c on the diagonal."""
+    return [[c * (i == j) for j in range(n)] for i in range(n)]
+
+
 def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
     """(R, pivots, d, sign) for an integer matrix m of any shape, by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
@@ -83,7 +88,7 @@ def int_inv(m: Mat) -> tuple[int, Mat] | None:
     m, from bareiss on [m | Id], whose last pivot is +-det m; None when m is
     singular."""
     n = len(m)
-    r, pivots, d, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    r, pivots, d, _ = bareiss([row + eye for row, eye in zip(m, identity(n, 1))])
     if pivots != list(range(n)):
         return None
     s = 1 if d > 0 else -1
@@ -102,10 +107,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_is_zero(a: Mat) -> bool:

@@ -13,7 +13,7 @@ orientation are in `paracomplex.reference`.
 
 from __future__ import annotations
 
-from paracomplex.linalg import mat_add, mat_is_zero, mat_mul, mat_neg, mat_scale, transpose
+from paracomplex.linalg import identity, mat_add, mat_is_zero, mat_mul, mat_neg, transpose
 
 
 def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
@@ -22,9 +22,9 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
     K != +-E Id, trace K = 0 and K^T G + G K = 0."""
     (_, gm), (e, km) = g, k
     n = len(km)
-    ident = [[e * (i == j) for j in range(n)] for i in range(n)]
+    ident = identity(n, e)
     return {
-        "square_is_identity": mat_mul(km, km) == mat_scale(e, ident),
+        "square_is_identity": mat_mul(km, km) == identity(n, e * e),
         "not_plus_minus_identity": km not in (ident, mat_neg(ident)),
         "trace_zero": not sum(km[i][i] for i in range(n)),
         "g_skew": mat_is_zero(mat_add(mat_mul(transpose(km), gm), mat_mul(gm, km))),

@@ -21,7 +21,7 @@ import itertools
 
 from paracomplex.exact import RatFunc
 from paracomplex.gpx import GenVector
-from paracomplex.linalg import mat_eq, mat_mul, mat_neg, mat_vec, pfaffian, transpose
+from paracomplex.linalg import mat_mul, mat_neg, mat_vec, pfaffian, transpose
 
 GenSection = GenVector  # the name perfbench/tracer.py imports
 
@@ -84,9 +84,9 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
         n = len(data)
         ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)]
                  for i in range(n)]
-        if not mat_eq(mat_mul(data, data), ident):
+        if mat_mul(data, data) != ident:
             raise ValueError("P^2 != Id as a rational-function identity")
-        if mat_eq(data, ident) or mat_eq(data, mat_neg(ident)):
+        if data in (ident, mat_neg(ident)):
             raise ValueError("P = +-Id")
 
 
@@ -156,11 +156,12 @@ def cyclic_sums(m: list, pi: list | None = None) -> dict:
 
 def integrability_report(kind: str, data: list, certified: bool = False,
                          names: list | None = None) -> tuple:
-    """(criterion, witness) of a kind's closed-form integrability criterion,
-    decided as a rational-function identity for data that pass
-    check_structure (with its certified flag); the witness is None iff the
-    structure is integrable, and its values name the variables names
-    (x1, ..., xn by default)."""
+    """(criterion, witness) of the closed-form integrability criterion of the
+    kind trivial, omega, pi or product (cli._descriptor_structure refuses any
+    other kind, and cmd_integrability an assembled one), decided as a
+    rational-function identity for data that pass check_structure (with its
+    certified flag); the witness is None iff the structure is integrable, and
+    its values name the variables names (x1, ..., xn by default)."""
     check_structure(kind, data, certified)
     n = len(data)
     witness = None
@@ -174,7 +175,7 @@ def integrability_report(kind: str, data: list, certified: bool = False,
         if comps:
             idx, c = min(comps.items())
             witness = {key: [i + 1 for i in idx], "value": c.to_str(names)}
-    elif kind == "product":
+    else:  # product
         criterion = "p_nijenhuis_zero"
         # the classical N_P(d_i, d_j) = [X, Y] + P(d_j X - d_i Y) for the columns
         # X = P d_i and Y = P d_j, from one partial d[l][a] = d_l (P d_a) per entry
@@ -190,6 +191,4 @@ def integrability_report(kind: str, data: list, certified: bool = False,
             if any(nij):
                 witness = {"frame_pair": [i + 1, j + 1], "value": [c.to_str(names) for c in nij]}
                 break
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
     return criterion, witness

@@ -48,6 +48,8 @@ class Poly:
     """Multivariate polynomial with integer coefficients.
 
     Immutable by convention: no method mutates ``terms`` after construction.
+    It combines only with a Poly in as many variables, and it is not
+    hashable; ``key()`` is the hashable identity of a denominator factor.
     """
 
     __slots__ = ("nvars", "terms")
@@ -86,14 +88,9 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.key()))
 
     def key(self) -> tuple:
         """Canonical hashable identity of the polynomial, a tuple of integers."""
@@ -102,11 +99,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> Poly | None:
-        if isinstance(other, Poly):
-            return other if other.nvars == self.nvars else None
-        if isinstance(other, int):
-            return Poly.const(self.nvars, other)
-        return None
+        return other if isinstance(other, Poly) and other.nvars == self.nvars else None
 
     def __add__(self, other) -> Poly:
         o = self._coerce(other)
@@ -123,8 +116,6 @@ class Poly:
         p.terms = terms
         return p
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         p = Poly(self.nvars)
         p.terms = {e: -c for e, c in self.terms.items()}
@@ -135,12 +126,6 @@ class Poly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other) -> Poly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other) -> Poly:
         o = self._coerce(other)
@@ -158,8 +143,6 @@ class Poly:
         p = Poly(self.nvars)
         p.terms = terms
         return p
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:

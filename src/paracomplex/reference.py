@@ -48,7 +48,6 @@ from paracomplex.linalg import (
     j_structures,
     kernel_basis,
     mat_add,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -722,6 +721,12 @@ def mat_eval(a: Mat, point) -> Mat:
 
 def mat_from_columns(cols: list) -> Mat:
     return [list(row) for row in zip(*cols)]
+
+
+def mat_eq(a: Mat, b: Mat) -> bool:
+    """Entry-wise equality of two matrices of one shape; the commands compare
+    lists with ==, which calls each entry's __eq__ just so."""
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_inv(a: Mat) -> Mat:

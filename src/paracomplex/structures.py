@@ -7,15 +7,12 @@ descriptor and the points.
 
 from __future__ import annotations
 
-from paracomplex.cli import _descriptor_structure, _points_from_args
+from paracomplex.cli import INPUT_ERRORS, _descriptor_structure, _points_from_args
 from paracomplex.exact import PoleAtPoint, point_strings
 from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
-from paracomplex.linalg import SingularMatrix, int_jet, transpose
+from paracomplex.linalg import int_jet, transpose
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
-
-# failures that `validate` reports per point (exit 1) rather than as bad input
-_POINT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
 
 
 def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
@@ -72,7 +69,7 @@ def cmd_validate(args) -> dict:
             else:
                 entry["structure"] = checks = validate_gen_para(*jet[0])
                 ok = all(checks.values())
-        except _POINT_ERRORS as exc:
+        except INPUT_ERRORS as exc:
             entry["error"] = str(exc)
             ok = False
         entry["ok"] = ok

@@ -16,8 +16,8 @@ import re
 
 from paracomplex.cli import parse_metric_id, parse_points_arg
 from paracomplex.curv import (WEDGE4, DegenerateMetric, MetricModel, curvature_operator,
-                              decompose, sectional_constant_check)
-from paracomplex.exact import DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, point_strings
+                              decompose, duality_verdict, sectional_constant_check)
+from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, point_strings
 from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
 from paracomplex.para import _draw, hyperboloid_combination, hyperboloid_draw
 from paracomplex.parse import parse_ratfunc
@@ -126,35 +126,20 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     }
     if not d_theta_zero:
         evidence["d_theta_witness"] = {
-            f"{i+1},{j+1},{k+1}": c.to_str() for (i, j, k), c in sorted(dth.items())
+            f"{i+1},{j+1},{k+1}": c.to_str(model.names) for (i, j, k), c in sorted(dth.items())
         }
         witness = _np_witness_search(dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
-    ricci_ok = True
-    w_plus_ok = True
-    w_minus_ok = True
-    sectional: list = []
-    for p, op, onb, js in points:
-        dec = decompose(op, onb)
-        if not mat_is_zero(op.int_ricci[1]):
-            ricci_ok = False
-        if not mat_is_zero(dec.int_w_plus[1]):
-            w_plus_ok = False
-        if not mat_is_zero(dec.int_w_minus[1]):
-            w_minus_ok = False
-        sectional.append(sectional_constant_check(op))
-    evidence["ricci_zero"] = ricci_ok
-    evidence["w_plus_zero"] = w_plus_ok
-    evidence["w_minus_zero"] = w_minus_ok
-    const_ok = len(set(sectional)) == 1 and sectional[0] is not None
-    evidence["sectional_constant"] = rat_str(*sectional[0]) if const_ok else None
-    if component == "++":
-        curvature_ok = w_plus_ok and ricci_ok
-    elif component == "--":
-        curvature_ok = w_minus_ok and ricci_ok
-    else:
-        curvature_ok = const_ok
+    verdicts = [duality_verdict(decompose(op, onb)) for _, op, onb, _ in points]
+    evidence["ricci_zero"] = ricci_ok = all(mat_is_zero(op.int_ricci[1]) for _, op, *_ in points)
+    evidence["w_plus_zero"] = w_plus_ok = all(v["anti_self_dual"] for v in verdicts)
+    evidence["w_minus_zero"] = w_minus_ok = all(v["self_dual"] for v in verdicts)
+    sectional = {sectional_constant_check(op) for _, op, *_ in points}
+    const = sectional.pop() if len(sectional) == 1 else None
+    evidence["sectional_constant"] = None if const is None else rat_str(*const)
+    curvature_ok = {"++": w_plus_ok and ricci_ok, "--": w_minus_ok and ricci_ok}.get(
+        component, const is not None)
     integrable = d_theta_zero and curvature_ok
     orientations = tuple(+1 if c == "+" else -1 for c in component)
     nonzero, first_witness = 0, None
@@ -231,10 +216,10 @@ def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
     return parts
 
 
-def parse_theta_expr(text: str, variables=VARS4) -> list:
+def parse_theta_expr(text: str, variables: list) -> list:
     """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors (default 1).  Returns the
-    antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
+    product of rational-function factors in the variables, the metric's
+    (default 1).  Returns the antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
     assembled descriptor's "theta"; a term adds c to theta(d_i, d_j) and -c
     to theta(d_j, d_i).  A run of signs before a term multiplies, and an
     empty term or factor is bad input."""
@@ -284,7 +269,7 @@ def cmd_theorem(args) -> dict:
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     model = parse_metric_id(args.metric)
-    theta = parse_theta_expr(args.theta) if args.theta else None
+    theta = parse_theta_expr(args.theta, model.names) if args.theta else None
     points = parse_points_arg(args.points, len(model.g)) if args.points is not None else None
     if args.epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the

@@ -24,7 +24,6 @@ from paracomplex.curv import (
 from paracomplex.exact import RatFunc
 from paracomplex.linalg import (
     mat_add,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -57,6 +56,7 @@ from paracomplex.reference import (
     induced_orientation,
     int_point,
     is_compatible_endo,
+    mat_eq,
     mat_eval,
     mat_identity,
     mat_inv,

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from paracomplex.cli import main
+from paracomplex.exact import VARS4
 from paracomplex.linalg import mat_is_zero
 from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums
@@ -122,8 +123,14 @@ NO_FILE_ERROR = "[Errno 2] No such file or directory: {path!r}"
      "'P' must be a 4x4 matrix or a component map"),
     ({"kind": "omega", "omega": 5}, "'omega' must be a 4x4 matrix or a component map"),
     ({"kind": "omega", "omega": {"1,2": "1", "3,4": "x1/0"}}, "division by zero in 'x1/0'"),
+    ({"kind": "omega", "omega": {"a,b": "1"}}, "bad component key 'a,b'"),
+    ({"kind": "omega", "omega": {"1,2": "x1 $ 2"}}, "unexpected character '$'"),
+    ({"kind": "omega", "omega": {"1,2": "x1^x2"}},
+     "exponent must be a nonnegative integer, got 'x2'"),
+    ({"kind": "omega", "omega": {"1,2": "(x1 2)"}}, "missing closing parenthesis"),
 ], ids=["missing", "not-json", "list", "omega-missing", "pi-missing", "non-string",
-        "rows-not-lists", "wrong-shape", "omega-not-a-matrix", "divide-by-zero"])
+        "rows-not-lists", "wrong-shape", "omega-not-a-matrix", "divide-by-zero", "bad-key",
+        "bad-character", "variable-exponent", "unclosed-parenthesis"])
 def test_malformed_descriptor_exit_2_with_one_line(tmp_path, capsys, command, payload, message):
     path = write_desc(tmp_path, "input.json", payload)
     assert_one_line_input_error(capsys, main([command, path]), message.format(path=path))
@@ -819,6 +826,33 @@ def test_a_pole_of_dtheta_at_a_sample_point_is_skipped(capsys):
     assert evidence["np_residual_witness"]["point"] == ["1/2", "-1/3", "1/5", "0"]
 
 
+def test_a_theta_closed_at_every_supplied_point_leaves_no_np_witness(capsys):
+    """dTheta = 2 x1 dx1^dx2^dx3 is not zero, which decides the verdict, but it
+    vanishes at both supplied points, so the witness search skips each of them
+    and the evidence has no np_residual_witness."""
+    code, out = run_cli(capsys, "theorem", "constcurv:1", "--component=++",
+                        "--theta", "x1^2*dx2^dx3", "--points", "0,0,0,0;0,1,0,0")
+    evidence = json.loads(out)["evidence"]
+    assert code == 1 and evidence["d_theta_zero"] is False
+    assert evidence["d_theta_witness"] == {"1,2,3": "2*x1"}
+    assert "np_residual_witness" not in evidence
+
+
+@pytest.mark.parametrize("theta,witness", [("a*dx2^dx3", "1"), ("a*b*dx2^dx3", "b")])
+def test_theta_reads_and_prints_the_variables_of_a_metric_file(tmp_path, capsys, theta,
+                                                               witness):
+    """--theta is read over the "vars" of a file: metric, and its dTheta
+    witness printed in them."""
+    path = write_desc(tmp_path, "named.json", {
+        "vars": ["a", "b", "c", "d"],
+        "g": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+              ["0", "0", "0", "-1"]]})
+    code, out = run_cli(capsys, "theorem", f"file:{path}", "--component=++", "--theta", theta)
+    assert code == 1 and json.loads(out)["evidence"]["d_theta_witness"] == {"1,2,3": witness}
+    code = main(["theorem", f"file:{path}", "--component=++", "--theta", "x1*dx2^dx3"])
+    assert_one_line_input_error(capsys, code, "bad coefficient 'x1': unknown token 'x1'")
+
+
 def test_theorem_epsilon_never_integrable(capsys):
     code, out = run_cli(capsys, "theorem", "flat", "--component", "++",
                         "--epsilon", "2")
@@ -833,6 +867,16 @@ def test_theorem_without_a_rational_frame_at_any_default_point_exit_2(tmp_path, 
                                                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
     code = main(["theorem", f"file:{path}", "--component=++"])
     assert_one_line_input_error(capsys, code, "no usable sample points for the metric")
+
+
+def test_theorem_at_a_supplied_pole_of_the_metric_exit_2(tmp_path, capsys):
+    """A default point where g has a pole is skipped, but a supplied one is an
+    input error."""
+    path = write_desc(tmp_path, "pole.json", {
+        "g": [["1/(x1-1)", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+              ["0", "0", "0", "-1"]]})
+    code = main(["theorem", f"file:{path}", "--component=++", "--points", "1,0,0,0"])
+    assert_one_line_input_error(capsys, code, "denominator factor vanishes at (1, 0, 0, 0)")
 
 
 def test_theorem_skips_the_default_points_where_the_metric_has_a_pole(tmp_path, capsys):
@@ -1043,7 +1087,7 @@ def test_theorem_requires_one_sectional_constant_over_the_points(tmp_path, capsy
 
 
 def test_parse_theta_expr_terms():
-    theta = parse_theta_expr("3*dx1^dx2 - x1*dx2^dx3 + dx3^dx4")
+    theta = parse_theta_expr("3*dx1^dx2 - x1*dx2^dx3 + dx3^dx4", VARS4)
     assert theta[0][1].to_str() == "3" and theta[1][0].to_str() == "-3"
     assert theta[1][2].to_str() == "-x1" and theta[2][1].to_str() == "x1"
     assert theta[2][3].to_str() == "1" and theta[3][2].to_str() == "-1"
@@ -1052,18 +1096,18 @@ def test_parse_theta_expr_terms():
 
 
 def test_parse_theta_expr_parenthesized_coeff():
-    theta = parse_theta_expr("(1+x1)*dx1^dx3")
+    theta = parse_theta_expr("(1+x1)*dx1^dx3", VARS4)
     assert theta[0][2].to_str() == "x1 + 1"
 
 
 def test_parse_theta_expr_leading_minus():
-    theta = parse_theta_expr("-dx1^dx2")
+    theta = parse_theta_expr("-dx1^dx2", VARS4)
     assert theta[0][1].to_str() == "-1"
 
 
 def test_parse_theta_expr_reversed_and_repeated_wedges():
     """dxj^dxi = -dxi^dxj, and the terms of one wedge add up."""
-    theta = parse_theta_expr("x1*dx3^dx2 + 2*dx2^dx3 - x1*dx2^dx3 + dx4^dx1 - dx4^dx1")
+    theta = parse_theta_expr("x1*dx3^dx2 + 2*dx2^dx3 - x1*dx2^dx3 + dx4^dx1 - dx4^dx1", VARS4)
     assert theta[1][2].to_str() == "-2*x1 + 2" and theta[2][1].to_str() == "2*x1 - 2"
     assert theta[0][3] == 0 and theta[3][0] == 0
 
@@ -1097,14 +1141,14 @@ def test_an_empty_theta_term_or_factor_exit_2_with_one_line(capsys, theta, messa
 def test_a_run_of_theta_signs_multiplies(text, same_as):
     """Stacked signs before a term, as parse_ratfunc reads +- and --, give
     the product of the signs; -+ used to give +."""
-    assert parse_theta_expr(text) == parse_theta_expr(same_as)
+    assert parse_theta_expr(text, VARS4) == parse_theta_expr(same_as, VARS4)
 
 
 def test_an_empty_theta_is_zero(capsys):
     code, out = run_cli(capsys, "theorem", "flat", "--theta=", "--component=++",
                         "--samples", "3")
     assert code == 0 and json.loads(out)["evidence"]["d_theta_zero"] is True
-    assert mat_is_zero(parse_theta_expr("  "))
+    assert mat_is_zero(parse_theta_expr("  ", VARS4))
 
 
 def test_validate_accepts_single_point(tmp_path, capsys):
@@ -1132,7 +1176,7 @@ def test_the_order_of_theta_terms_leaves_the_report_unchanged(capsys):
 
 
 def test_theta_expr_matches_module_level_forms():
-    d = cyclic_sums(parse_theta_expr("x1*dx2^dx3"))
+    d = cyclic_sums(parse_theta_expr("x1*dx2^dx3", VARS4))
     assert list(d) == [(0, 1, 2)] and d[(0, 1, 2)].to_str() == "1"
 
 

@@ -15,7 +15,6 @@ from paracomplex.linalg import (
     j_structures,
     lambda2_matrix,
     mat_add,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -65,6 +64,7 @@ from paracomplex.reference import (
     is_fiber_tangent,
     lambda2_inner,
     levi_civita,
+    mat_eq,
     mat_eval,
     mat_from_columns,
     mat_identity,

@@ -254,6 +254,25 @@ def test_rf_not_equal():
     assert rf("x1") != rf("x2")
 
 
+def test_equal_ratfuncs_of_different_forms_are_unhashable():
+    """Equality is by cross-multiplication, so equal values can be stored with
+    different factors; RatFunc, like Poly, defines __eq__ and no __hash__, so
+    neither can be hashed."""
+    a, b = rf("1/(x1*x2)"), rf("1/x1") * rf("1/x2")
+    assert a == b and a.factors.keys() != b.factors.keys()
+    for value in (a, b, a.num):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_ratfunc_takes_int_operands_on_both_sides_and_poly_none():
+    f, p = rf("x1"), rf("x1").num
+    assert 1 - f == rf("1-x1") and 1 / f == rf("1/x1") and f * 2 == 2 * f == rf("2*x1")
+    assert p != 1
+    with pytest.raises(TypeError):
+        p + 1
+
+
 # -- arithmetic laws ------------------------------------------------------
 
 def terms_strategy(nvars=2, max_deg=3, max_size=5):

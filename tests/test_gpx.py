@@ -9,7 +9,6 @@ import pytest
 from paracomplex.linalg import (
     lambda2_matrix,
     mat_add,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -39,6 +38,7 @@ from paracomplex.reference import (
     gen_metric,
     gen_pairing,
     is_compatible_endo,
+    mat_eq,
     mat_from_columns,
     mat_identity,
     mat_inv,

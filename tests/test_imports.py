@@ -25,8 +25,9 @@ Tokens do not count the bytes of strings and docstrings, which the compile
 holds too, so each such module is also bounded by tracemalloc's peak while
 compile() runs on it.
 Every def of a module a command loads is entered by some pinned command of
-test_report_bytes, save a short allowlist; what only tests, demos or the
-oracles call lives in paracomplex.reference.
+test_report_bytes, with no exception but a __repr__; what only tests, demos
+or the oracles call lives in paracomplex.reference, and `Poly` and `RatFunc`
+keep no operand protocol that no command runs.
 """
 
 import ast
@@ -228,7 +229,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # input files that cli.load_input and cli.matrix_reader replaced, and the copies of
 # one decision: the integer product that linalg.mat_mul now is, the draw of a
 # compatible structure that the witness search spells out, and the one-line wrapper
-# of kernel_basis that onb_search calls directly
+# of kernel_basis that onb_search calls directly, and the entry-wise matrix equality
+# that == on lists of lists already is
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -259,6 +261,7 @@ MOVED = [
     "IntegrabilityReport", "KForm", "_sort_index", "ext_deriv", "poisson_jacobiator", "sparse_add",
     "_component_map_to_matrix", "_const_mat", "load_descriptor", "metric_from_strings",
     "int_mul", "random_compatible_structure", "_orthogonal_complement_basis",
+    "mat_eq",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction"]
@@ -378,14 +381,6 @@ def test_every_name_a_command_module_imports_is_used_there(module):
     assert sorted(imported - read) == []
 
 
-# defs of command modules that no pinned command enters: the number protocol of
-# Poly and RatFunc, which tests and paracomplex.reference use with int operands
-ENTRY_ALLOWLIST = {
-    "poly.Poly.__bool__", "poly.Poly.__hash__", "poly.Poly.__rsub__",
-    "exact.RatFunc.__hash__", "exact.RatFunc.__rtruediv__",
-}
-
-
 def _defs(code, prefix: str, out: dict) -> dict:
     """Map (name, first line) of every def compiled into code, nested ones and
     methods too, to its dotted name after prefix; a class body, a lambda and a
@@ -404,8 +399,8 @@ def test_every_def_of_a_command_module_is_entered_by_a_pinned_command(tmp_path, 
     """Every PINNED command of test_report_bytes runs in process under
     sys.setprofile.  A def of a command module that none of them enters is
     code that every start compiles for nothing, so it belongs in
-    paracomplex.reference or in the test that calls it, unless
-    ENTRY_ALLOWLIST names it; a __repr__ is allowed anywhere."""
+    paracomplex.reference or in the test that calls it; only a __repr__,
+    which a failing assertion or a debugger calls, is exempt."""
     from test_report_bytes import PINNED, _label
 
     monkeypatch.chdir(tmp_path)
@@ -434,6 +429,5 @@ def test_every_def_of_a_command_module_is_entered_by_a_pinned_command(tmp_path, 
         ran = {(c.co_name, c.co_firstlineno) for c in entered if c.co_filename == str(path)}
         defs = _defs(compile(path.read_text(), str(path), "exec"), f"{module}.", {})
         missed += [f"{name} (line {key[1]})" for key, name in sorted(defs.items(), key=str)
-                   if key not in ran and name not in ENTRY_ALLOWLIST
-                   and not name.endswith(".__repr__")]
+                   if key not in ran and not name.endswith(".__repr__")]
     assert missed == [], "\n".join(missed)

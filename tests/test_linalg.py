@@ -12,7 +12,6 @@ from paracomplex.linalg import (
     int_inv,
     kernel_basis,
     lambda2_matrix,
-    mat_eq,
     mat_mul,
     mat_neg,
     mat_vec,
@@ -33,6 +32,7 @@ from paracomplex.reference import (
     j_triple,
     lambda2_inner,
     mat_det,
+    mat_eq,
     mat_from_columns,
     mat_identity,
     mat_inv,

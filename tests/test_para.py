@@ -7,10 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from paracomplex.linalg import (
-    mat_eq,
-    mat_mul,
-)
+from paracomplex.linalg import mat_mul
 from paracomplex.para import (
     _draw,
     hyperboloid_draw,
@@ -32,6 +29,7 @@ from paracomplex.reference import (
     induced_orientation,
     is_fiber_tangent,
     j_triple,
+    mat_eq,
     mat_identity,
     mat_zero,
     null_basis,

@@ -13,7 +13,6 @@ from paracomplex.gpx import assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
     int_jet,
     mat_add,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_neg,
@@ -48,6 +47,7 @@ from paracomplex.reference import (
     gen_nijenhuis,
     int_mats,
     int_point,
+    mat_eq,
     mat_eval,
     mat_identity,
     mat_rank,
