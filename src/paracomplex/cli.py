@@ -7,7 +7,11 @@ report, its schema and command; each command's body returns the rest.
 Reports are deterministic: identical inputs and seed produce identical bytes.
 
 Every input file and every point is read here; `theorem` reads its own
-`--theta`.
+`--theta`.  The command line is read by `read_argv` from one table, COMMANDS,
+of each command's module, input and options, and CHOICES: a bad argv is a
+ValueError like any other input fault, so exit 2 with one `error:` line, and
+the usage that -h prints is made from the table.  No start loads argparse,
+which with gettext and locale cost each start about 4 ms and 0.4 MB.
 
 `main` imports the module of a command's body when it runs it (COMMANDS), so
 a start loads, and without cached bytecode compiles, only what it runs:
@@ -18,7 +22,6 @@ not `curv`; `curvature` loads `curv` and runs `cmd_curvature` here; and
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -55,11 +58,15 @@ def parse_points_arg(text: str, nvars: int) -> list:
     return points
 
 
-def _points_from_args(args, nvars: int, default_count: int) -> list:
-    if args.points is not None:
-        return parse_points_arg(args.points, nvars)
-    if args.point is not None:
-        return [parse_point(args.point, nvars)]
+def sample_points(point, points, nvars: int, default_count: int) -> list:
+    """The points of --point or --points, which exclude each other, else the
+    first default_count default points."""
+    if None not in (point, points):
+        raise ValueError("give --point or --points, not both")
+    if points is not None:
+        return parse_points_arg(points, nvars)
+    if point is not None:
+        return [parse_point(point, nvars)]
     if nvars != 4:
         raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
     return DEFAULT_POINTS[:default_count]
@@ -177,21 +184,20 @@ def parse_metric_id(text: str):
 # -- the curvature command; COMMANDS names the modules of the others -----------------
 
 
-def cmd_curvature(args) -> dict:
+def cmd_curvature(metric, point, orientation) -> dict:
     from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
                                   sectional_constant_check)
 
-    model = parse_metric_id(args.metric)
-    point = parse_point(args.point, len(model.g))
-    orientation = +1 if args.orientation == "+" else -1
-    op = curvature_operator(model.g, point)
-    dec = decompose(op, model.onb_at(point, op.int_g, orientation))
+    model = parse_metric_id(metric)
+    p = parse_point(point, len(model.g))
+    op = curvature_operator(model.g, p)
+    dec = decompose(op, model.onb_at(p, op.int_g, +1 if orientation == "+" else -1))
     verdict = duality_verdict(dec)
     const = sectional_constant_check(op)
     return {
         "metric": model.name,
-        "point": point_strings(point),
-        "orientation": args.orientation,
+        "point": point_strings(p),
+        "orientation": orientation,
         "s": rat_str(*dec.int_s),
         "ricci": mat_to_strings(*op.int_ricci),
         "b_part": mat_to_strings(*dec.int_b),
@@ -229,98 +235,100 @@ def emit(report: dict, fmt: str) -> str:
 # -- entry point --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="paracomplex",
-        description="Exact checks for paracomplex and generalized paracomplex "
-                    "structures over neutral-signature patches.")
-    sub = parser.add_subparsers(dest="command", required=True)
+HELP = ("-h", "--help")
+_STRUCTURE_OPTIONS = {"point": None, "points": None, "format": "json"}
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p_val = sub.add_parser("validate", help="validate a structure descriptor")
-    p_val.add_argument("descriptor")
-    p_val.add_argument("--point", help="single sample point c1,c2,c3,c4")
-    p_val.add_argument("--points", help="semicolon-separated sample points")
-    common(p_val)
-
-    p_int = sub.add_parser("integrability", help="integrability report")
-    p_int.add_argument("descriptor")
-    p_int.add_argument("--point")
-    p_int.add_argument("--points")
-    common(p_int)
-
-    p_cur = sub.add_parser("curvature", help="curvature decomposition report")
-    p_cur.add_argument("metric")
-    p_cur.add_argument("--point", default="0,0,0,0")
-    p_cur.add_argument("--orientation", choices=("+", "-"), default="+")
-    common(p_cur)
-
-    p_thm = sub.add_parser("theorem", help="dim-4 integrability verdict")
-    p_thm.add_argument("metric")
-    p_thm.add_argument("--theta", default="")
-    p_thm.add_argument("--component", required=True,
-                       choices=("++", "+-", "-+", "--", "pp", "pm", "mp", "mm"),
-                       help="fiber component; pp/pm/mp/mm are aliases for "
-                            "++/+-/-+/-- (shell-friendly)")
-    p_thm.add_argument("--points")
-    p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--samples", type=int, default=40)
-    p_thm.add_argument("--epsilon", type=int, choices=(1, 2, 3, 4), default=1)
-    common(p_thm)
-    return parser
-
-
-# the module that holds each command's cmd_<command>, which returns the body of its
-# report; main imports it when the command runs, by __import__ rather than
-# importlib.import_module, which -X importtime does not list
+# each command's module, which holds its cmd_<command> (main imports it when the command
+# runs, by __import__ rather than importlib.import_module, which -X importtime does not
+# list), the name of its one input, and the default of each of its options (`...` for one
+# that each run must give).  An option with an int default is read with int().  main
+# passes the input and every option but --format to cmd_<command> by name.
 COMMANDS = {
-    "validate": "paracomplex.structures",
-    "integrability": "paracomplex.structures",
-    "curvature": __name__,
-    "theorem": "paracomplex.theorem",
+    "validate": ("paracomplex.structures", "descriptor", _STRUCTURE_OPTIONS),
+    "integrability": ("paracomplex.structures", "descriptor", _STRUCTURE_OPTIONS),
+    "curvature": (__name__, "metric", {"point": "0,0,0,0", "orientation": "+", "format": "json"}),
+    "theorem": ("paracomplex.theorem", "metric", {
+        "component": ..., "theta": "", "points": None, "seed": 0, "samples": 40,
+        "epsilon": 1, "format": "json"}),
+}
+# the values an option takes, wherever it occurs, each mapped to the value it stands for;
+# the components' aliases pp, pm, mp and mm need no shell quoting
+CHOICES = {
+    "format": {"json": "json", "text": "text"},
+    "orientation": {"+": "+", "-": "-"},
+    "component": dict(zip("++ +- -+ -- pp pm mp mm".split(), "++ +- -+ --".split() * 2)),
+    "epsilon": {e: e for e in range(1, 5)},
 }
 
 
-_COMPONENT_ALIASES = {"pp": "++", "pm": "+-", "mp": "-+", "mm": "--"}
-
-# options whose value may begin with a minus sign: a point -1,0,0,0 or a Theta -x1*dx2^dx3
-_SIGNED_VALUE_OPTIONS = ("--point", "--points", "--theta")
-
-
-def _prepare_argv(argv: list) -> list:
-    """argv rewritten where argparse would misread it.  argparse takes a token
-    with a single leading "-" for an option, so such a token right after an
-    option of _SIGNED_VALUE_OPTIONS, and the component -+ or -- right after
-    --component, is joined to it by "=", as in --point=-1,0,0,0; and it
-    silently drops a literal "--" value (it marks end-of-options), so
-    --component=-- becomes its alias mm."""
-    out: list = []
-    for a in argv:
-        prev = out[-1] if out else None
-        if (prev in _SIGNED_VALUE_OPTIONS and a[:1] == "-" and a[:2] != "--"
-                or prev == "--component" and a in ("-+", "--")):
-            out[-1] = f"{prev}={a}"
+def read_argv(argv: list) -> tuple:
+    """The command that argv names and the values of its input and options by
+    name, the options not given at their defaults; or, for -h or --help, None
+    and the usage of that command, or of every command when no command comes
+    before it.  The input and the options --name=value or --name value come in
+    any order, the token after an option is its value whatever it begins with,
+    and the last of a repeated option wins.  Each fault is a ValueError that
+    names the command or the option."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in COMMANDS:
+        _, input_name, options = COMMANDS[command]
+        values = {input_name: ..., **options}
+        for token in tokens:
+            if token in HELP:
+                break
+            if not token.startswith("--"):
+                if values[input_name] is not ...:
+                    raise ValueError(f"{command} takes one {input_name}, not also {token!r}")
+                values[input_name] = token
+                continue
+            name, eq, text = token[2:].partition("=")
+            if name not in options:
+                raise ValueError(f"{command} has no option {'--' + name!r}")
+            text = text if eq else next(tokens, None)
+            if text is None:
+                raise ValueError(f"--{name} needs a value")
+            try:
+                value = int(text) if type(options[name]) is int else text
+                values[name] = CHOICES.get(name, {value: value})[value]
+            except (ValueError, KeyError):
+                raise ValueError(f"--{name} takes "
+                                 f"{' or '.join(map(str, CHOICES.get(name, ['an integer'])))}, "
+                                 f"not {text!r}") from None
         else:
-            out.append(a)
-    return ["--component=mm" if a == "--component=--" else a for a in out]
+            for name, value in values.items():
+                if value is ...:
+                    raise ValueError(f"{command} needs "
+                                     f"{'a ' if name == input_name else '--'}{name}")
+            return command, values
+    elif command not in HELP:
+        raise ValueError(f"{'no command' if command is None else f'unknown command {command!r}'}; "
+                         f"expected one of {', '.join(COMMANDS)}, or --help")
+    usage = ""
+    for each in COMMANDS if command in HELP else [command]:
+        _, input_name, options = COMMANDS[each]
+        usage += f"paracomplex {each} <{input_name}>"
+        for name in options:
+            word = f"--{name} {'|'.join(map(str, CHOICES.get(name, [name.upper()])))}"
+            usage += f" {word}" if options[name] is ... else f" [{word}]"
+        usage += "\n"
+    return None, usage
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_prepare_argv(argv))
-    if getattr(args, "component", None) in _COMPONENT_ALIASES:
-        args.component = _COMPONENT_ALIASES[args.component]
     try:
-        __import__(COMMANDS[args.command])
-        body = getattr(sys.modules[COMMANDS[args.command]], f"cmd_{args.command}")(args)
+        command, values = read_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(values)
+            return 0
+        fmt = values.pop("format")
+        # with a fromlist, __import__ returns the module itself, not its package
+        body = getattr(__import__(COMMANDS[command][0], fromlist=["cmd"]),
+                       f"cmd_{command}")(**values)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    sys.stdout.write(emit({"schema": 1, "command": args.command, **body}, args.format))
+    sys.stdout.write(emit({"schema": 1, "command": command, **body}, fmt))
     # the verdict: "ok" of validate, "integrable" of integrability and theorem; curvature has none
     return 0 if body.get("ok", body.get("integrable", True)) else 1
 

@@ -7,7 +7,7 @@ descriptor and the points.
 
 from __future__ import annotations
 
-from paracomplex.cli import INPUT_ERRORS, _descriptor_structure, _points_from_args
+from paracomplex.cli import INPUT_ERRORS, _descriptor_structure, sample_points
 from paracomplex.exact import PoleAtPoint, point_strings
 from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
 from paracomplex.linalg import int_jet, transpose
@@ -48,9 +48,9 @@ def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
     return all(checks.values()) and compatible
 
 
-def cmd_validate(args) -> dict:
-    kind, mat, variables = _descriptor_structure(args.descriptor)
-    points = _points_from_args(args, len(variables), default_count=5)
+def cmd_validate(descriptor, point, points) -> dict:
+    kind, mat, variables = _descriptor_structure(descriptor)
+    points = sample_points(point, points, len(variables), 5)
     error, jets = None, [None] * len(points)
     if kind != "assembled":
         jets, certified = _jets_at(kind, mat, points, 0)
@@ -77,11 +77,11 @@ def cmd_validate(args) -> dict:
     return {"kind": kind, "points": results, "ok": all(e["ok"] for e in results)}
 
 
-def cmd_integrability(args) -> dict:
-    kind, mat, variables = _descriptor_structure(args.descriptor)
+def cmd_integrability(descriptor, point, points) -> dict:
+    kind, mat, variables = _descriptor_structure(descriptor)
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
-    points = _points_from_args(args, len(variables), default_count=3)
+    points = sample_points(point, points, len(variables), 3)
     jets, certified = _jets_at(kind, mat, points, 1)
     criterion, witness = integrability_report(kind, mat, certified, variables)
     samples = []

@@ -263,21 +263,21 @@ def parse_theta_expr(text: str, variables: list) -> list:
 MAX_SAMPLES = 100_000
 
 
-def cmd_theorem(args) -> dict:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    model = parse_metric_id(args.metric)
-    theta = parse_theta_expr(args.theta, model.names) if args.theta else None
-    points = parse_points_arg(args.points, len(model.g)) if args.points is not None else None
-    if args.epsilon != 1:
+def cmd_theorem(metric, component, theta, points, seed, samples, epsilon) -> dict:
+    if samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
+    model = parse_metric_id(metric)
+    theta = parse_theta_expr(theta, model.names) if theta else None
+    points = parse_points_arg(points, len(model.g)) if points is not None else None
+    if epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the
         # explicit mixed-term witness is nonzero at every point
         return {
             "metric": model.name,
-            "component": args.component,
-            "epsilon": args.epsilon,
+            "component": component,
+            "epsilon": epsilon,
             "integrable": False,
             "evidence": {"epsilon_never_integrable": True,
                          "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
@@ -287,5 +287,5 @@ def cmd_theorem(args) -> dict:
         from paracomplex.patch import cyclic_sums
 
         dth = cyclic_sums(theta)
-    return {"metric": model.name, "epsilon": 1, "seed": args.seed,
-            **theorem_verdict(model, dth, args.component, points, args.seed, args.samples)}
+    return {"metric": model.name, "epsilon": 1, "seed": seed,
+            **theorem_verdict(model, dth, component, points, seed, samples)}

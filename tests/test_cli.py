@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -935,8 +936,8 @@ def test_theorem_bad_point_exit_2(capsys):
 def test_a_value_with_a_leading_minus_reads_as_its_equals_form(tmp_path, capsys, argv, option,
                                                                 value):
     """A point or Theta that begins with a minus sign, given as the token after
-    its option, is that option's value, as in the = form; argparse used to take
-    it for an option and exit 2 with its usage text."""
+    its option, is that option's value, as in the = form: the token after an
+    option is its value, whatever it begins with."""
     path = write_desc(tmp_path, "omega.json", {"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}})
     argv = [a.format(path=path) for a in argv]
     spaced = run_cli(capsys, *argv, option, value)
@@ -959,11 +960,111 @@ def test_a_bad_value_with_a_leading_minus_exit_2_with_one_line(capsys, argv, mes
                          ids=["-+", "--"])
 def test_a_component_with_a_leading_minus_reads_as_its_equals_form(capsys, component, same_as):
     """The components -+ and --, given as the token after --component, are its
-    value, as in --component=-+ and the alias mm; argparse used to take them
-    for an option and for the end of options, and exit 2 with its usage text."""
+    value, as in --component=-+ and the alias mm: the token after an option is
+    its value, whatever it begins with, so -- there marks no end of options."""
     spaced = run_cli(capsys, "theorem", "flat", "--component", component, "--samples", "2")
     assert spaced == run_cli(capsys, "theorem", "flat", same_as, "--samples", "2")
     assert spaced[0] == 0 and capsys.readouterr().err == ""
+
+
+# -- the command line ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["validate", "integrability"])
+def test_point_and_points_together_exit_2(tmp_path, capsys, command):
+    """--point and --points exclude each other; --points used to win in silence."""
+    path = write_desc(tmp_path, "omega.json", {"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}})
+    code = main([command, path, "--point", "1,2,3,4", "--points", "5,6,7,8"])
+    assert_one_line_input_error(capsys, code, "give --point or --points, not both")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "no command; expected one of validate, integrability, curvature, theorem, or --help"),
+    (["check", "flat"],
+     "unknown command 'check'; expected one of validate, integrability, curvature, theorem, "
+     "or --help"),
+    (["--format=text", "curvature", "flat"],
+     "unknown command '--format=text'; expected one of validate, integrability, curvature, "
+     "theorem, or --help"),
+    (["validate", "{path}", "--bogus", "1"], "validate has no option '--bogus'"),
+    (["theorem", "flat", "--comp=++"], "theorem has no option '--comp'"),
+    (["curvature", "flat", "--orient", "-"], "curvature has no option '--orient'"),
+    (["integrability", "{path}", "--theta", "x1*dx2^dx3"], "integrability has no option '--theta'"),
+    (["validate", "{path}", "--"], "validate has no option '--'"),
+    (["theorem", "flat", "--component=++", "--", "--seed", "1"], "theorem has no option '--'"),
+    (["curvature", "flat", "--point"], "--point needs a value"),
+    (["theorem", "flat", "--component"], "--component needs a value"),
+    (["theorem", "flat", "--component=+"], "--component takes ++ or +- or -+ or -- or pp or pm "
+                                           "or mp or mm, not '+'"),
+    (["curvature", "flat", "--orientation", "0"], "--orientation takes + or -, not '0'"),
+    (["integrability", "{path}", "--format", "xml"], "--format takes json or text, not 'xml'"),
+    (["theorem", "flat", "--component=++", "--epsilon", "5"],
+     "--epsilon takes 1 or 2 or 3 or 4, not '5'"),
+    (["theorem", "flat", "--component=++", "--epsilon=x"],
+     "--epsilon takes 1 or 2 or 3 or 4, not 'x'"),
+    (["theorem", "flat", "--component=++", "--seed", "x"], "--seed takes an integer, not 'x'"),
+    (["theorem", "flat", "--component=++", "--samples=1.5"],
+     "--samples takes an integer, not '1.5'"),
+    (["theorem", "flat"], "theorem needs --component"),
+    (["theorem", "flat", "--component", "++", "--epsilon", "2"], None),
+    (["validate"], "validate needs a descriptor"),
+    (["theorem", "--component=++"], "theorem needs a metric"),
+    (["curvature", "flat", "constcurv:1"], "curvature takes one metric, not also 'constcurv:1'"),
+    (["integrability", "{path}", "{path}"], "integrability takes one descriptor, not also '{path}'"),
+], ids=["no-command", "unknown-command", "option-first", "unknown-option", "abbreviation",
+        "abbreviation-spaced", "other-command-option", "bare-dashes", "bare-dashes-mid",
+        "no-value", "no-component-value", "component-choice", "orientation-choice",
+        "format-choice", "epsilon-choice", "epsilon-not-int", "seed-not-int", "samples-not-int",
+        "no-component", "epsilon-2-holds", "no-descriptor", "no-metric", "second-metric",
+        "second-descriptor"])
+def test_a_bad_command_line_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    """Each fault of the command line is an input fault: main returns 2 without
+    raising, prints no report and one `error:` line that names the command or
+    the option.  An argv that reads is the control."""
+    path = write_desc(tmp_path, "omega.json", {"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}})
+    code = main([a.format(path=path) for a in argv])
+    if message is None:
+        assert code == 1 and capsys.readouterr().err == ""
+    else:
+        assert_one_line_input_error(capsys, code, message.format(path=path))
+
+
+# every option of each command, as the usage names it
+OPTIONS = {
+    "validate": ["--point", "--points", "--format"],
+    "integrability": ["--point", "--points", "--format"],
+    "curvature": ["--point", "--orientation", "--format"],
+    "theorem": ["--component", "--theta", "--points", "--seed", "--samples", "--epsilon",
+                "--format"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("argv", [[], *([c] for c in OPTIONS), ["theorem", "flat", "--seed=2"]],
+                         ids=["top", *OPTIONS, "theorem-after-options"])
+def test_help_prints_the_usage_and_exits_0(capsys, argv, flag):
+    """-h and --help print the usage to stdout and exit 0: before a command, a
+    line for every command; after one, that command's line, which names each
+    of its options and its input."""
+    code = main(argv + [flag])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    commands = argv[:1] or list(OPTIONS)
+    lines = captured.out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["paracomplex", c] for c in commands]
+    for command, line in zip(commands, lines):
+        words = line.replace("[", " ").split()
+        assert [w for w in words if w.startswith("--")] == OPTIONS[command]
+        assert words[2] == ("<descriptor>" if command in ("validate", "integrability")
+                            else "<metric>")
+
+
+def test_the_readme_synopsis_is_the_help_output(capsys):
+    """README's CLI synopsis is what --help prints, so it names every option."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == synopsis
 
 
 def test_theorem_negative_samples_exit_2(capsys):
@@ -1191,7 +1292,7 @@ def test_text_format(capsys):
 
 
 def test_module_invocation_round_trip():
-    # --component=-- reaches argparse as its alias mm
+    # --component=-- names the component --, as its alias mm does
     proc = subprocess.run(
         [sys.executable, "-m", "paracomplex", "theorem", "flat",
          "--component=--", "--samples", "3"],

@@ -8,8 +8,10 @@ paracomplex.cli` loads no command's body: `validate` and `integrability` load
 verdict, so they must not load them; `curvature` and `theorem` without
 `--theta` never run `gpx`, `patch` or `structures`, so they must not load
 those; no command may load `dataclasses` (it pulls in `inspect`,
-`ast`, `dis` and `tokenize`) or `fractions` (it pulls in `decimal` and
-`numbers`: every value on a command path is an integer pair), and none loads
+`ast`, `dis` and `tokenize`), `fractions` (it pulls in `decimal` and
+`numbers`: every value on a command path is an integer pair) or `argparse`
+(it pulls in `gettext`, and its first message `locale`: `cli` reads the
+command line from its own table), and none loads
 `paracomplex.reference`, the home of the closed forms and oracles that only
 the tests and the demos call; `curvature` loads neither `paracomplex.theorem`
 nor `paracomplex.para`, which `theorem` runs.  Each check runs in its own
@@ -73,21 +75,27 @@ def probe(*argv):
     return info["code"], set(info["imported"]), set(info["ran"]), proc.stdout
 
 
+# the modules that no start may add to those that site already loaded: fractions (with
+# decimal and numbers: every value on a command path is an integer pair) and argparse
+# (with gettext and its locale: cli reads argv from its own table)
+NEVER_LOADED = ("fractions", "decimal", "numbers", "argparse", "gettext", "locale")
+
 # runs each command of the JSON list argv[1] with main in one process, and writes to
-# the file argv[2] the first command after which each of fractions, decimal and
-# numbers was loaded
+# the file argv[2] the first command after which each module of NEVER_LOADED that site
+# had not loaded was loaded
 NO_FRACTIONS = """
 import json, sys
+before = set(sys.modules)
 from paracomplex.cli import main
 first = {}
 for argv in json.loads(sys.argv[1]):
     main(argv)
-    for name in ("fractions", "decimal", "numbers"):
-        if name in sys.modules:
+    for name in %r:
+        if name in sys.modules and name not in before:
             first.setdefault(name, argv)
 with open(sys.argv[2], "w") as fh:
     json.dump(first, fh)
-"""
+""" % (NEVER_LOADED,)
 
 
 def _with_and_without_theta(argv: list) -> list:
@@ -103,9 +111,11 @@ def _with_and_without_theta(argv: list) -> list:
 
 def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
     """Every PINNED command of test_report_bytes, and each theorem among them
-    with and without --theta, run in one fresh process, loads none of
-    fractions, decimal and numbers: points, values, the frame search and the
-    witness search are integer pairs, and poly.rat_str prints them."""
+    with and without --theta, run in one fresh process, adds none of
+    NEVER_LOADED to the modules that site loaded: not fractions, decimal or
+    numbers, since points, values, the frame search and the witness search are
+    integer pairs and poly.rat_str prints them, and not argparse, gettext or
+    locale, since cli.read_argv reads the command line."""
     from test_report_bytes import PINNED, _label
 
     runs = []
@@ -135,13 +145,14 @@ def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
     """`import paracomplex.cli` loads poly, exact, parse and linalg only, and
     neither module of command bodies, structures and theorem: each command
-    imports the rest it runs."""
+    imports the rest it runs.  It adds none of NEVER_LOADED, nor dataclasses,
+    to the modules that site loaded."""
     _, imported, _, _ = probe()
     assert "paracomplex.cli" in imported
     assert {m for m in imported if m.startswith("paracomplex.")} == {
         "paracomplex.cli", "paracomplex.poly", "paracomplex.exact", "paracomplex.parse",
         "paracomplex.linalg"}
-    assert "dataclasses" not in imported
+    assert {"dataclasses", *NEVER_LOADED} & imported == set()
 
 
 @pytest.mark.parametrize("argv,loads", [
