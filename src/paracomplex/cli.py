@@ -6,18 +6,20 @@ Exit codes: 0 pass, 1 semantic failure (invalid structure / not integrable),
 report, its schema and command; each command's body returns the rest.
 Reports are deterministic: identical inputs and seed produce identical bytes.
 
-Every input file and every point is read here; `theorem` reads its own
-`--theta`.  The command line is read by `read_argv` from one table, COMMANDS,
-of each command's module, input and options, and CHOICES: a bad argv is a
-ValueError like any other input fault, so exit 2 with one `error:` line, and
-the usage that -h prints is made from the table.  No start loads argparse,
+`main` reads every input file and every point, and passes the parsed values
+to the command's body by name; `theorem` reads its own `--theta`.  No module
+of a command's body imports this one.  The command line is read by
+`read_argv` from one table, COMMANDS, of each command's module, input and
+options, and CHOICES: a bad argv is a ValueError like any other input fault,
+so exit 2 with one `error:` line, and the usage that -h prints is made from
+the table.  No start loads argparse,
 which with gettext and locale cost each start about 4 ms and 0.4 MB.
 
 `main` imports the module of a command's body when it runs it (COMMANDS), so
 a start loads, and without cached bytecode compiles, only what it runs:
 `validate` and `integrability` load `structures`, with `gpx` and `patch` but
-not `curv`; `curvature` loads `curv` and runs `cmd_curvature` here; and
-`theorem` loads `theorem`, with `curv` and `para`, and for `--theta` `patch`.
+not `curv`; `curvature` loads `curvature`, with `curv`; and `theorem` loads
+`theorem`, with `curv` and `para`, and for `--theta` `patch`.
 """
 
 from __future__ import annotations
@@ -26,13 +28,9 @@ import json
 import math
 import sys
 
-from paracomplex.exact import DEFAULT_POINTS, VARS4, PoleAtPoint, RatFunc, point_strings
-from paracomplex.linalg import SingularMatrix, mat_to_strings, transpose
+from paracomplex.exact import VARS4, RatFunc
+from paracomplex.linalg import INPUT_ERRORS, transpose
 from paracomplex.parse import check_variables, parse_ratfunc, parse_rational
-from paracomplex.poly import rat_str
-
-# the faults of an input: main exits 2 on them, and validate reports them per point
-INPUT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
 
 
 # -- small parsers ------------------------------------------------------------
@@ -56,20 +54,6 @@ def parse_points_arg(text: str, nvars: int) -> list:
     if not points:
         raise ValueError(f"no point given in {text!r}")
     return points
-
-
-def sample_points(point, points, nvars: int, default_count: int) -> list:
-    """The points of --point or --points, which exclude each other, else the
-    first default_count default points."""
-    if None not in (point, points):
-        raise ValueError("give --point or --points, not both")
-    if points is not None:
-        return parse_points_arg(points, nvars)
-    if point is not None:
-        return [parse_point(point, nvars)]
-    if nvars != 4:
-        raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
-    return DEFAULT_POINTS[:default_count]
 
 
 def matrix_reader(variables):
@@ -155,7 +139,8 @@ def _descriptor_structure(path: str):
 
 
 def parse_metric_id(text: str):
-    """The curv.MetricModel of flat, constcurv:<c>, ppwave:<f> or file:<path>."""
+    """The curv.MetricModel of flat, constcurv:<c>, ppwave:<f> or file:<path>;
+    every metric is on a patch of dimension 4."""
     from paracomplex.curv import MetricModel, constcurv_metric, flat_metric, ppwave_metric
 
     if text == "flat":
@@ -176,38 +161,11 @@ def parse_metric_id(text: str):
         g = read(data["g"], "g")
         if g != transpose(g):
             raise ValueError("the metric field is not symmetric")
+        if len(variables) != 4:
+            raise ValueError("curvature operator decomposition requires dim 4")
         onb = data.get("onb")
         return MetricModel(text, g, None if onb is None else read(onb, "onb"), variables)
     raise ValueError(f"unknown metric identifier {text!r}")
-
-
-# -- the curvature command; COMMANDS names the modules of the others -----------------
-
-
-def cmd_curvature(metric, point, orientation) -> dict:
-    from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
-                                  sectional_constant_check)
-
-    model = parse_metric_id(metric)
-    p = parse_point(point, len(model.g))
-    op = curvature_operator(model.g, p)
-    dec = decompose(op, model.onb_at(p, op.int_g, +1 if orientation == "+" else -1))
-    verdict = duality_verdict(dec)
-    const = sectional_constant_check(op)
-    return {
-        "metric": model.name,
-        "point": point_strings(p),
-        "orientation": orientation,
-        "s": rat_str(*dec.int_s),
-        "ricci": mat_to_strings(*op.int_ricci),
-        "b_part": mat_to_strings(*dec.int_b),
-        "w_plus": mat_to_strings(*dec.int_w_plus),
-        "w_minus": mat_to_strings(*dec.int_w_minus),
-        "self_dual": verdict["self_dual"],
-        "anti_self_dual": verdict["anti_self_dual"],
-        "conformally_flat": verdict["conformally_flat"],
-        "sectional_constant": rat_str(*const) if const is not None else None,
-    }
 
 
 # -- rendering --------------------------------------------------------------------
@@ -242,11 +200,13 @@ _STRUCTURE_OPTIONS = {"point": None, "points": None, "format": "json"}
 # runs, by __import__ rather than importlib.import_module, which -X importtime does not
 # list), the name of its one input, and the default of each of its options (`...` for one
 # that each run must give).  An option with an int default is read with int().  main
-# passes the input and every option but --format to cmd_<command> by name.
+# passes the input and every option but --format to cmd_<command> by name: the input,
+# --point and --points as it parsed them, the others as read_argv read them.
 COMMANDS = {
     "validate": ("paracomplex.structures", "descriptor", _STRUCTURE_OPTIONS),
     "integrability": ("paracomplex.structures", "descriptor", _STRUCTURE_OPTIONS),
-    "curvature": (__name__, "metric", {"point": "0,0,0,0", "orientation": "+", "format": "json"}),
+    "curvature": ("paracomplex.curvature", "metric",
+                  {"point": "0,0,0,0", "orientation": "+", "format": "json"}),
     "theorem": ("paracomplex.theorem", "metric", {
         "component": ..., "theta": "", "points": None, "seed": 0, "samples": 40,
         "epsilon": 1, "format": "json"}),
@@ -322,9 +282,21 @@ def main(argv=None) -> int:
             sys.stdout.write(values)
             return 0
         fmt = values.pop("format")
-        # with a fromlist, __import__ returns the module itself, not its package
-        body = getattr(__import__(COMMANDS[command][0], fromlist=["cmd"]),
-                       f"cmd_{command}")(**values)
+        # the body's module first, so that its compile does not hold the input; with a
+        # fromlist, __import__ returns the module itself, not its package
+        cmd = getattr(__import__(COMMANDS[command][0], fromlist=["cmd"]), f"cmd_{command}")
+        if "metric" in values:
+            values["metric"] = parse_metric_id(values["metric"])
+            nvars = 4  # the dimension of every metric's patch
+        else:
+            values["descriptor"] = descriptor = _descriptor_structure(values["descriptor"])
+            nvars = len(descriptor[2])
+        if None not in (values.get("point"), values.get("points")):
+            raise ValueError("give --point or --points, not both")
+        for name, parse in ("point", parse_point), ("points", parse_points_arg):
+            if values.get(name) is not None:
+                values[name] = parse(values[name], nvars)
+        body = cmd(**values)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

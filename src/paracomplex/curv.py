@@ -5,11 +5,12 @@ a point, from the point itself and the 2-jet to the decomposition, runs on
 integer pairs (D, M) of a positive denominator and an integer matrix, vector or
 value, and a value is printed by `poly.rat_str` from its pair.  The dim-4
 theorem verdict, with the (j,l,r) residual and the witness search, is in
-`paracomplex.theorem`, which only `theorem` loads, so `curvature` compiles
-neither it nor `paracomplex.para`.  The symbolic connections and the twistor
-and reflector Nijenhuis evaluators are in `paracomplex.reference`.  This
-module opens no file and parses no literal: `cli.parse_metric_id` builds the
-MetricModel of a metric identifier.
+`paracomplex.theorem`, which only `theorem` loads, so `curvature`, whose
+body is `paracomplex.curvature`, compiles neither it nor `paracomplex.para`.
+The symbolic connections and the twistor and reflector Nijenhuis evaluators
+are in `paracomplex.reference`.  This module opens no file and parses no
+literal: `cli.parse_metric_id` builds the MetricModel of a metric identifier,
+and is the one check that its patch has dimension 4.
 
 Curvature sign convention.  The curvature tensor is
 R(X, Y) = D_{[X,Y]} - [D_X, D_Y] (opposite to the common one); with this
@@ -249,8 +250,6 @@ def curvature_operator(g: list, point) -> CurvOperator:
     lowered = q / (E D); mat = L(g)^-1 lowered^T, with L(g) =
     lambda2_matrix(G) / D^2 the Lambda^2 Gram matrix, from one bareiss on
     [lambda2_matrix(G) | q^T]; Ricci over E, and rho = g^-1 Ricci over E det / D."""
-    if len(g) != 4:
-        raise ValueError("curvature operator decomposition requires dim 4")
     den, gm, adj, det, dr, r = _riemann(g, point)
     ns = range(4)
     q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r[i][j], gm) for i, j in WEDGE4)]

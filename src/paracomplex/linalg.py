@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
+from paracomplex.exact import PoleAtPoint
 from paracomplex.poly import rat_str
 
 Vec = list
@@ -26,6 +27,10 @@ Mat = list
 
 class SingularMatrix(ZeroDivisionError):
     """Exact inversion of a singular matrix was attempted."""
+
+
+# the faults of an input: cli.main exits 2 on them, and validate reports them per point
+INPUT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
 
 
 # -- matrices ----------------------------------------------------------------

@@ -2,17 +2,27 @@
 
 Only those two commands import this module, and it imports `gpx` and `patch`
 (and `para` for an `assembled` descriptor) but not `curv`.  `cli` reads the
-descriptor and the points.
+descriptor, as its kind, its matrix and its variables, and the points of
+`--point` or `--points`; without them a command samples the default points.
 """
 
 from __future__ import annotations
 
-from paracomplex.cli import INPUT_ERRORS, _descriptor_structure, sample_points
-from paracomplex.exact import PoleAtPoint, point_strings
+from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
 from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
-from paracomplex.linalg import int_jet, transpose
+from paracomplex.linalg import INPUT_ERRORS, int_jet, transpose
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
+
+
+def _points(point, points, nvars: int, count: int) -> list:
+    """The points that cli read, of --points or the one of --point, else the
+    first count default points."""
+    if points or point:
+        return points or [point]
+    if nvars != 4:
+        raise ValueError(f"the default points have 4 coordinates, not {nvars}; give --points")
+    return DEFAULT_POINTS[:count]
 
 
 def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
@@ -49,8 +59,8 @@ def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
 
 
 def cmd_validate(descriptor, point, points) -> dict:
-    kind, mat, variables = _descriptor_structure(descriptor)
-    points = sample_points(point, points, len(variables), 5)
+    kind, mat, variables = descriptor
+    points = _points(point, points, len(variables), 5)
     error, jets = None, [None] * len(points)
     if kind != "assembled":
         jets, certified = _jets_at(kind, mat, points, 0)
@@ -78,10 +88,10 @@ def cmd_validate(descriptor, point, points) -> dict:
 
 
 def cmd_integrability(descriptor, point, points) -> dict:
-    kind, mat, variables = _descriptor_structure(descriptor)
+    kind, mat, variables = descriptor
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
-    points = sample_points(point, points, len(variables), 3)
+    points = _points(point, points, len(variables), 3)
     jets, certified = _jets_at(kind, mat, points, 1)
     criterion, witness = integrability_report(kind, mat, certified, variables)
     samples = []

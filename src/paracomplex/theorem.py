@@ -2,10 +2,11 @@
 conditions of a fiber component at each sample point, the seeded (j,l,r) spot
 checks of the curvature identity, and, for a Theta that is not closed, the
 seeded search for a witness of the horizontal obstruction
-(`paracomplex.obstruction`); the command reads its `--theta` here.  Only the
-`theorem` command imports this module; the curvature operator, its
-decomposition and the frames it reads are `paracomplex.curv`'s, and every
-value at a point is an integer pair, printed by `poly.rat_str`.
+(`paracomplex.obstruction`).  `cli` reads the metric and `--points`, and
+the command reads its `--theta` here.  Only the `theorem` command imports
+this module; the curvature operator, its decomposition and the frames it
+reads are `paracomplex.curv`'s, and every value at a point is an integer
+pair, printed by `poly.rat_str`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import random
 import re
 
-from paracomplex.cli import parse_metric_id, parse_points_arg
 from paracomplex.curv import (WEDGE4, DegenerateMetric, MetricModel, curvature_operator,
                               decompose, duality_verdict, sectional_constant_check)
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, point_strings
@@ -142,16 +142,13 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
         component, const is not None)
     integrable = d_theta_zero and curvature_ok
     orientations = tuple(+1 if c == "+" else -1 for c in component)
-    nonzero, first_witness = 0, None
+    evidence["jklr"] = jklr = {"samples": jklr_samples, "nonzero": 0}
     for p, jlr, n, d in sample_jklr(points, orientations, rng, jklr_samples):
         if n:
-            nonzero += 1
-            if first_witness is None:
-                first_witness = {"point": point_strings(p), "jlr": list(jlr),
-                                 "residual": rat_str(d, n)}
-    evidence["jklr"] = {"samples": jklr_samples, "nonzero": nonzero}
-    if first_witness is not None:
-        evidence["jklr"]["witness"] = first_witness
+            jklr["nonzero"] += 1
+            if "witness" not in jklr:  # the first nonzero sample
+                jklr["witness"] = {"point": point_strings(p), "jlr": list(jlr),
+                                   "residual": rat_str(d, n)}
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
@@ -268,24 +265,18 @@ def cmd_theorem(metric, component, theta, points, seed, samples, epsilon) -> dic
         raise ValueError(f"--samples must be at least 0, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
-    model = parse_metric_id(metric)
-    theta = parse_theta_expr(theta, model.names) if theta else None
-    points = parse_points_arg(points, len(model.g)) if points is not None else None
+    theta = parse_theta_expr(theta, metric.names) if theta else None
+    report = {"metric": metric.name, "epsilon": epsilon}
     if epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the
         # explicit mixed-term witness is nonzero at every point
-        return {
-            "metric": model.name,
-            "component": component,
-            "epsilon": epsilon,
-            "integrable": False,
-            "evidence": {"epsilon_never_integrable": True,
-                         "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"},
-        }
+        return {**report, "component": component, "integrable": False,
+                "evidence": {"epsilon_never_integrable": True,
+                             "witness": "mixed vertical-horizontal Nijenhuis value 2*Q4''"}}
     dth = {}
-    if theta is not None:
+    if theta:
         from paracomplex.patch import cyclic_sums
 
         dth = cyclic_sums(theta)
-    return {"metric": model.name, "epsilon": 1, "seed": seed,
-            **theorem_verdict(model, dth, component, points, seed, samples)}
+    return {**report, "seed": seed,
+            **theorem_verdict(metric, dth, component, points, seed, samples)}

@@ -773,11 +773,19 @@ def test_curvature_asymmetric_file_metric_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("command", [["curvature", "--point", "0,0,0"],
-                                     ["theorem", "--component=++"]], ids=["curvature", "theorem"])
+@pytest.mark.parametrize("command", [
+    ["curvature", "--point", "0,0,0"],
+    ["curvature"],
+    ["theorem", "--component=++"],
+    ["theorem", "--component", "++", "--points", "1,2"],
+    ["theorem", "--component=++", "--epsilon", "2"],
+], ids=["curvature", "curvature-default-point", "theorem", "theorem-points", "theorem-epsilon"])
 def test_a_three_variable_metric_file_exit_2_with_one_line(tmp_path, capsys, command):
-    """The curvature operator, which both commands build first, is the one
-    check that the patch has dimension 4."""
+    """cli.parse_metric_id, which main runs before it reads a point, is the
+    one check that a metric's patch has dimension 4: a point is never read
+    against three variables, neither the default --point 0,0,0,0 that the
+    user did not type nor a --points of two coordinates, and a theorem with
+    epsilon 2, which computes no curvature, refuses the metric too."""
     path = write_desc(tmp_path, "g3.json", {
         "vars": ["x1", "x2", "x3"], "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]})
     code = main([command[0], f"file:{path}"] + command[1:])
@@ -1011,18 +1019,36 @@ def test_point_and_points_together_exit_2(tmp_path, capsys, command):
     (["theorem", "--component=++"], "theorem needs a metric"),
     (["curvature", "flat", "constcurv:1"], "curvature takes one metric, not also 'constcurv:1'"),
     (["integrability", "{path}", "{path}"], "integrability takes one descriptor, not also '{path}'"),
+    (["integrability", "{assembled}"],
+     "integrability reports cover kinds trivial/omega/pi/product"),
+    # two faults: main reads the input and the points before the body checks the rest
+    (["integrability", "{assembled}", "--points", "bad"], "bad point 'bad'"),
+    (["theorem", "nosuch", "--component", "++", "--samples", "-1"],
+     "unknown metric identifier 'nosuch'"),
+    (["theorem", "flat", "--component=++", "--samples", "-1", "--points", "bad"],
+     "bad point 'bad'"),
+    (["theorem", "flat", "--component=++", "--theta", "dx1", "--points", "bad"],
+     "bad point 'bad'"),
 ], ids=["no-command", "unknown-command", "option-first", "unknown-option", "abbreviation",
         "abbreviation-spaced", "other-command-option", "bare-dashes", "bare-dashes-mid",
         "no-value", "no-component-value", "component-choice", "orientation-choice",
         "format-choice", "epsilon-choice", "epsilon-not-int", "seed-not-int", "samples-not-int",
         "no-component", "epsilon-2-holds", "no-descriptor", "no-metric", "second-metric",
-        "second-descriptor"])
+        "second-descriptor", "integrability-assembled", "points-before-assembled",
+        "metric-before-samples", "points-before-samples", "points-before-theta"])
 def test_a_bad_command_line_exit_2_with_one_line(tmp_path, capsys, argv, message):
     """Each fault of the command line is an input fault: main returns 2 without
     raising, prints no report and one `error:` line that names the command or
-    the option.  An argv that reads is the control."""
+    the option.  An argv that reads is the control.  Of two faults, one that
+    main finds in reading the input or the points comes before one that the
+    command's body finds: --samples, --theta, or an assembled descriptor for
+    integrability."""
     path = write_desc(tmp_path, "omega.json", {"kind": "omega", "omega": {"1,2": "1", "3,4": "x1"}})
-    code = main([a.format(path=path) for a in argv])
+    k = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    assembled = write_desc(tmp_path, "assembled.json",
+                           {"kind": "assembled", "g": {"1,1": "1", "2,2": "1", "3,3": "-1",
+                                                       "4,4": "-1"}, "k1": k, "k2": k})
+    code = main([a.format(path=path, assembled=assembled) for a in argv])
     if message is None:
         assert code == 1 and capsys.readouterr().err == ""
     else:

@@ -3,7 +3,10 @@
 A fresh interpreter without cached bytecode compiles every module it imports,
 and that compile time is paid on every start of the CLI.  `import
 paracomplex.cli` loads no command's body: `validate` and `integrability` load
-`paracomplex.structures`, and `theorem` loads `paracomplex.theorem`.
+`paracomplex.structures`, `curvature` loads `paracomplex.curvature`, and
+`theorem` loads `paracomplex.theorem`.  Imports run one way: no module of a
+command's body imports `paracomplex.cli`, so `python -m paracomplex.cli`
+compiles `cli.py` once, as `__main__`.
 `validate` and `integrability` never run `paracomplex.curv` or the theorem
 verdict, so they must not load them; `curvature` and `theorem` without
 `--theta` never run `gpx`, `patch` or `structures`, so they must not load
@@ -144,9 +147,9 @@ def test_no_pinned_command_loads_fractions_decimal_or_numbers(tmp_path):
 
 def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
     """`import paracomplex.cli` loads poly, exact, parse and linalg only, and
-    neither module of command bodies, structures and theorem: each command
-    imports the rest it runs.  It adds none of NEVER_LOADED, nor dataclasses,
-    to the modules that site loaded."""
+    no module of command bodies, structures, curvature or theorem: each
+    command imports the rest it runs.  It adds none of NEVER_LOADED, nor
+    dataclasses, to the modules that site loaded."""
     _, imported, _, _ = probe()
     assert "paracomplex.cli" in imported
     assert {m for m in imported if m.startswith("paracomplex.")} == {
@@ -199,17 +202,18 @@ def test_theorem_loads_curv_and_gives_its_report(capsys):
 
 
 def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
-    """`curvature` runs the operator and its decomposition from `curv`, and
-    searches its frame with `curv.onb_search` when the metric gives none, so
-    it loads neither the theorem verdict, the structures it samples, nor the
-    bodies of `validate` and `integrability`."""
+    """`curvature` runs its body, `paracomplex.curvature`, and the operator and
+    its decomposition from `curv`, and searches its frame with
+    `curv.onb_search` when the metric gives none, so it loads neither the
+    theorem verdict, the structures it samples, nor the bodies of `validate`
+    and `integrability`."""
     from test_report_bytes import NO_ONB
 
     path = tmp_path / NO_ONB[0]
     path.write_text(json.dumps(NO_ONB[1]))
     argv = ["curvature", f"file:{path}", "--point", "1,1,0,0"]
     code, _, ran, out = probe(*argv)
-    assert code == 0 and {"paracomplex.curv", "paracomplex.poly"} <= ran
+    assert code == 0 and {"paracomplex.curvature", "paracomplex.curv", "paracomplex.poly"} <= ran
     assert {"paracomplex.theorem", "paracomplex.para", "paracomplex.structures"} & ran == set()
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
@@ -275,7 +279,7 @@ MOVED = [
     "mat_eq",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
-                   "theorem", "structures", "obstruction"]
+                   "theorem", "structures", "obstruction", "curvature"]
 
 
 def significant_tokens(path: Path) -> int:
@@ -335,20 +339,21 @@ def test_each_module_a_command_loads_compiles_below_the_old_exact_peak(module):
     assert int(proc.stdout) / 2 ** 20 < bound
 
 
-# what moved out of exact to parse, and out of cli to theorem and structures
+# what moved out of exact to parse, and out of cli to theorem, structures and curvature
 SPLIT = {
     "exact": ["parse_rational", "_Tokens", "check_variables", "parse_ratfunc", "MAX_EXPONENT",
               "MAX_POWER", "MAX_POWER_BITS", "MAX_TERM_PAIRS", "MAX_VARS"],
     "cli": ["cmd_theorem", "parse_theta_expr", "_split_top_level", "_WEDGE_RE", "MAX_SAMPLES",
             "cmd_validate", "cmd_integrability", "_jets_at", "_validate_assembled",
-            "_POINT_ERRORS"],
+            "_POINT_ERRORS", "cmd_curvature"],
 }
 
 
 @pytest.mark.parametrize("module", sorted(SPLIT))
 def test_split_leaves_no_alias(module):
     """exact compiles without the parser and cli without the bodies of
-    theorem, validate and integrability, and neither imports them back."""
+    theorem, validate, integrability and curvature, and neither imports them
+    back."""
     held = importlib.import_module(f"paracomplex.{module}")
     assert [name for name in SPLIT[module] if hasattr(held, name)] == []
 
@@ -374,6 +379,42 @@ def test_only_cli_reads_input(module):
                  if tok.type == tokenize.NAME}
     assert not {"open", "json"} & names
     assert module in ("parse", "theorem") or not {"parse_ratfunc", "parse_rational"} & names
+
+
+@pytest.mark.parametrize("module", [m for m in COMMAND_MODULES if m != "cli"] + ["__init__"])
+def test_no_command_module_imports_the_cli(module):
+    """cli reads every input and passes the parsed values to the command's
+    body, so imports run one way: no module a command loads imports
+    paracomplex.cli, at the top or inside a function, absolutely or
+    relatively, and only __main__ does."""
+    tree = ast.parse((SRC / "paracomplex" / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level 1) names a module of the package
+            source = ".".join(filter(None, ["paracomplex" if node.level else "", node.module]))
+            imported |= {source} | {f"{source}.{alias.name}" for alias in node.names}
+    assert "paracomplex.cli" not in imported
+
+
+def test_running_the_cli_module_compiles_it_once(tmp_path):
+    """`python -m paracomplex.cli validate <omega>` runs cli.py as __main__, and
+    no module it imports loads it again as paracomplex.cli: -X importtime,
+    which lists each module that an import statement loads, lists no
+    paracomplex.cli row, while it lists structures, the body's module."""
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(OMEGA))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "paracomplex.cli", "validate",
+                           str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+    rows = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+    assert "paracomplex.structures" in rows
+    assert "paracomplex.cli" not in rows
 
 
 @pytest.mark.parametrize("module", COMMAND_MODULES)
