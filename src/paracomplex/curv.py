@@ -177,27 +177,17 @@ def onb_search(g: tuple) -> tuple:
 # -- curvature ---------------------------------------------------------------------
 
 
-def _sym(n: int, entry) -> list:
-    """Symmetric n x n matrix with entry(i, j) computed once, for i <= j."""
-    m = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = entry(i, j)
-    return m
-
-
 def _riemann(g: list, point) -> tuple:
     """(D, G, adj, det, E, r) at the point, on integers from the metric's 2-jet
     int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D, d_m g(p) =
     H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det with
-    det = |det G| from int_inv, and
-    R(d_i, d_j) d_k = r[i][j][k][l] / E d_l in the convention
-    R(X, Y) = D_{[X,Y]} - [D_X, D_Y].  With G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
-    = A_lij / (2 D1) and d_m G_l,ij = B_mlij / (2 D2), the Christoffels
-    G^k_ij = g^kl G_l,ij are D gam / (2 det D1) for gam = adj A, and
-    d_m G^k_ij = g^kl (d_m G_l,ij - d_m g_lp G^p_ij) (by d(g^-1) = -g^-1 (dg) g^-1)
-    is D dgam / (2 D2 det^2 D1^2) for dgam = adj (det D1^2 B - D D2 H gam); so r
-    is over E = 4 D2 det^2 D1^2, and r and E are divided by their gcd."""
+    det = |det G| from int_inv, and g(R(d_i, d_j) d_k, d_l) = r[i][j][k][l] / E
+    in the convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], that is
+    -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
+    for the Christoffels of the first kind G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
+    = A_lij / (2 D1), with 2 (d_i G_l,jk - d_j G_l,ik) =
+    d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik.  So r is over
+    E = 4 D2 D1^2 det, and r and E are divided by their gcd."""
     (den, gi), (d1, di), (d2, ddi) = int_jet(g, point, 2)
     n = len(g)
     ns = range(n)
@@ -205,25 +195,23 @@ def _riemann(g: list, point) -> tuple:
     if inv is None:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(point_strings(point))})")
     det, adj = inv
-    gam = [_sym(n, lambda i, j: sum(
-        adj[k][l] * (di[i][l][j] + di[j][l][i] - di[l][i][j]) for l in ns)) for k in ns]
-    fb, fh = det * d1 * d1, den * d2
-    gdgam = [[_sym(n, lambda i, j: fb * (ddi[m][i][l][j] + ddi[m][j][l][i] - ddi[m][l][i][j])
-                   - fh * sum(di[m][l][p] * gam[p][i][j] for p in ns)) for l in ns] for m in ns]
-    dgam = [[_sym(n, lambda i, j: sum(adj[k][l] * gdgam[m][l][i][j] for l in ns))
-             for k in ns] for m in ns]
+    a = [[[di[i][l][j] + di[j][l][i] - di[l][i][j] for j in ns] for i in ns] for l in ns]
+    # adj A, so that G_p,il g^pq G_q,jk = D sum_q A_qil ga[q][j][k] / (4 det D1^2)
+    ga = [[[sum(adj[q][p] * a[p][j][k] for p in ns) for k in ns] for j in ns] for q in ns]
+    fk, fa = -2 * det * d1 * d1, den * d2
     r = [[[[0] * n for _ in ns] for _ in ns] for _ in ns]
     for i in ns:
         for j in range(i + 1, n):
             for k in ns:
                 for l in ns:
-                    # -(d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
-                    v = den * (2 * (dgam[j][l][i][k] - dgam[i][l][j][k]) - fh * sum(
-                        gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in ns))
+                    # -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
+                    v = fk * (ddi[i][k][j][l] - ddi[i][l][j][k] - ddi[j][k][i][l]
+                              + ddi[j][l][i][k]) + fa * sum(
+                        a[q][i][l] * ga[q][j][k] - a[q][j][l] * ga[q][i][k] for q in ns)
                     r[i][j][k][l], r[j][i][k][l] = v, -v
-    dr = 4 * d2 * det * det * d1 * d1
-    common = math.gcd(dr, *(x for a in r for b in a for c in b for x in c))
-    r = [[[[x // common for x in c] for c in b] for b in a] for a in r]
+    dr = 4 * d2 * det * d1 * d1
+    common = math.gcd(dr, *(x for u in r for v in u for w in v for x in w))
+    r = [[[[x // common for x in w] for w in v] for v in u] for u in r]
     return den, gi, adj, det, dr // common, r
 
 
@@ -246,20 +234,20 @@ class CurvOperator:
 
 def curvature_operator(g: list, point) -> CurvOperator:
     """The curvature operator at the point, from _riemann on integers: with
-    r / E the curvature and q[(i, j)][(k, l)] = sum_m r[i][j][k][m] G[m][l],
-    lowered = q / (E D); mat = L(g)^-1 lowered^T, with L(g) =
-    lambda2_matrix(G) / D^2 the Lambda^2 Gram matrix, from one bareiss on
-    [lambda2_matrix(G) | q^T]; Ricci over E, and rho = g^-1 Ricci over E det / D."""
+    r / E the lowered curvature, lowered = q / E for q[(i, j)][(k, l)] = r[i][j][k][l];
+    mat = L(g)^-1 lowered^T, with L(g) = lambda2_matrix(G) / D^2 the Lambda^2
+    Gram matrix, from one bareiss on [lambda2_matrix(G) | q^T]; Ricci_ij =
+    g^kl r[i][k][j][l] / E over E det, and rho = g^-1 Ricci over E det^2."""
     den, gm, adj, det, dr, r = _riemann(g, point)
     ns = range(4)
-    q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r[i][j], gm) for i, j in WEDGE4)]
+    q = [[r[i][j][k][l] for k, l in WEDGE4] for i, j in WEDGE4]
     red, _, d_l, _ = bareiss([row + [q[b][a] for b in range(6)]
                               for a, row in enumerate(lambda2_matrix(gm))])
-    s = den if d_l > 0 else -den  # dr > 0, so the sign of dr d_l is that of d_l
+    s = den * den if d_l > 0 else -den * den  # dr > 0, so the sign of dr d_l is that of d_l
     mat = dr * abs(d_l), [[s * x for x in row[6:]] for row in red]
-    ric = [[sum(r[i][k][j][k] for k in ns) for j in ns] for i in ns]
-    rho = det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
-    return CurvOperator((den, gm), mat, (dr * den, q), (dr, ric), rho)
+    ric = [[den * sum(adj[k][l] * r[i][k][j][l] for k in ns for l in ns) for j in ns] for i in ns]
+    rho = det * det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
+    return CurvOperator((den, gm), mat, (dr, q), (det * dr, ric), rho)
 
 
 # -- decomposition -----------------------------------------------------------------------

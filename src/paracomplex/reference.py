@@ -56,7 +56,7 @@ from paracomplex.linalg import (
     mat_vec,
     transpose,
 )
-from paracomplex.obstruction import np_residual_terms, torsion_at
+from paracomplex.obstruction import np_residual_terms, point_data
 from paracomplex.para import hyperboloid_combination, hyperboloid_draw, validate_para
 from paracomplex.patch import _partial, courant_on_jets
 from paracomplex.poly import _term_key
@@ -1728,9 +1728,12 @@ def metricity_residual(conn: Connection, g: list) -> bool:
 def riemann_at(g: list, point) -> list:
     """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
     convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet,
-    at a point of Fractions."""
-    *_, den, r = _riemann(g, int_point(point))
-    return [[[[Fraction(x, den) for x in c] for c in b] for b in a] for a in r]
+    at a point of Fractions: _riemann's lowered tensor with its last index
+    raised by g^-1 = D adj / det."""
+    den, _, adj, det, e, r = _riemann(g, int_point(point))
+    ns = range(len(adj))
+    return [[[[Fraction(den * sum(c[l] * adj[l][m] for l in ns), det * e) for m in ns]
+              for c in b] for b in a] for a in r]
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:
@@ -1842,7 +1845,7 @@ def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
     dth_at = (dd, dict(zip(comps, values)))
     (g_at,) = int_jet(g, point)
     (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
-    den, n_p, cond_rhs = np_residual_terms(g_at, torsion_at(g_at, dth_at), dth_at,
-                                           as_ints(s1.mat), as_ints(s2.mat), ia, ib)
+    den, n_p, cond_rhs = np_residual_terms(point_data(g_at, dth_at), as_ints(s1.mat),
+                                           as_ints(s2.mat), ia, ib)
     res = [Fraction(u - v, den * da * db) for u, v in zip(n_p, cond_rhs)]
     return GenVector(res[:len(g)], res[len(g):])

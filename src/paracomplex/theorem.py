@@ -107,18 +107,19 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     # each point's operator, frame and J-triples, once; a default point where g or the
     # frame has a pole or g degenerates is skipped, but a supplied frame that is not
     # orthonormal there is an input error
-    points = []
+    points, skipped = [], []
     for p in sample_points or DEFAULT_POINTS:
         try:
             op = curvature_operator(model.g, p)
             onb = model.onb_at(p, op.int_g)
-        except (PoleAtPoint, DegenerateMetric):
+        except (PoleAtPoint, DegenerateMetric) as exc:
             if sample_points is not None:
                 raise
+            skipped.append(exc)
             continue
         points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.int_g, onb))))
     if not points:
-        raise DegenerateMetric("no usable sample points for the metric")
+        raise DegenerateMetric(f"no usable sample points for the metric: {skipped[0]}")
     d_theta_zero = not dth
     evidence: dict = {
         "d_theta_zero": d_theta_zero,
@@ -163,7 +164,7 @@ def _np_witness_search(dth: dict, points: list, rng):
     are drawn as their stacked vectors X + alpha, each twice a rnd_vec2 draw,
     so the residual of the integers A' = 2A and B' = 2B is four times A and
     B's."""
-    from paracomplex.obstruction import np_residual_terms, torsion_at
+    from paracomplex.obstruction import np_residual_terms, point_data
 
     for p, op, _, js in points:
         try:
@@ -172,8 +173,7 @@ def _np_witness_search(dth: dict, points: list, rng):
             continue
         if not any(values):
             continue
-        dth_at = (dd, dict(zip(dth, values)))
-        t_at = torsion_at(op.int_g, dth_at)
+        at = point_data(op.int_g, (dd, dict(zip(dth, values))))
         for _ in range(WITNESS_ATTEMPTS):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = hyperboloid_combination(hyperboloid_draw(rng), js(o1))
@@ -181,7 +181,7 @@ def _np_witness_search(dth: dict, points: list, rng):
             s2 = hyperboloid_combination(hyperboloid_draw(rng), js(o2))
             a = rnd_vec2(rng) + rnd_vec2(rng)
             b = rnd_vec2(rng) + rnd_vec2(rng)
-            den, n_p, cond_rhs = np_residual_terms(op.int_g, t_at, dth_at, s1, s2, a, b)
+            den, n_p, cond_rhs = np_residual_terms(at, s1, s2, a, b)
             res = [u - v for u, v in zip(n_p, cond_rhs)]
             if any(res):
                 return {"point": point_strings(p),

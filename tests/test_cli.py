@@ -875,7 +875,19 @@ def test_theorem_without_a_rational_frame_at_any_default_point_exit_2(tmp_path, 
     path = write_desc(tmp_path, "diag.json", {"g": [["2", "0", "0", "0"], ["0", "3", "0", "0"],
                                                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
     code = main(["theorem", f"file:{path}", "--component=++"])
-    assert_one_line_input_error(capsys, code, "no usable sample points for the metric")
+    assert_one_line_input_error(capsys, code, "no usable sample points for the metric: "
+                                "no rational orthonormal basis found; supply one")
+
+
+def test_theorem_with_a_pole_at_every_default_point_exit_2(tmp_path, capsys):
+    """x4 (2 x4 - 1) vanishes at each default point, so every one is skipped,
+    and the error names the pole at the first."""
+    path = write_desc(tmp_path, "poles.json", {
+        "g": [["1/(x4*(2*x4-1))", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+              ["0", "0", "0", "-1"]]})
+    code = main(["theorem", f"file:{path}", "--component=++"])
+    assert_one_line_input_error(capsys, code, "no usable sample points for the metric: "
+                                "denominator factor vanishes at (0, 0, 0, 0)")
 
 
 def test_theorem_at_a_supplied_pole_of_the_metric_exit_2(tmp_path, capsys):

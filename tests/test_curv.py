@@ -39,7 +39,7 @@ from paracomplex.curv import (
     sectional_constant_check,
     star_matrix,
 )
-from paracomplex.obstruction import _dtheta_covector, np_residual_terms, torsion_at
+from paracomplex.obstruction import contract, np_residual_terms, point_data
 from paracomplex.reference import (
     Bilinear,
     Connection,
@@ -1147,30 +1147,34 @@ def test_np_residual_witness_for_nonclosed_theta():
 
 
 def test_torsion_at_equals_hitchin_torsion():
+    """The torsion of reference.hitchin_connection at a point is
+    T(d_i, d_j) = g^-1 dTheta(d_i, d_j, .), from point_data's g^-1 and dTheta
+    table and contract on basis vectors."""
     theta = form2({(0, 1): "x3*x4", (1, 2): "x1^2", (0, 3): "x2/2"})
     m = perturbed_metric()
     _, torsion = hitchin_connection(m.g, theta)
     dth = ext_deriv(theta)
+    basis = [[int(i == j) for j in range(4)] for i in range(4)]
     for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
         ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
         want = [[[eval_at(c, p) for c in r2] for r2 in r1] for r1 in torsion.t]
-        den, t = torsion_at(int_jet(m.g, int_point(p))[0], (dd, dict(zip(dth.comps, values))))
-        assert den > 0 and frac_mat(den, [x for r1 in t for x in r1]) == [
-            x for r1 in want for x in r1]
+        _, (d, ginv), (df, full) = point_data(int_jet(m.g, int_point(p))[0],
+                                              (dd, dict(zip(dth.comps, values))))
+        assert d > 0 and df > 0 and [
+            frac_mat(d * df, [mat_vec(ginv, contract(full, x, y)) for y in basis])
+            for x in basis] == want
 
 
 def test_cond_two_forms_specialization():
     rng = random.Random(52)
     theta = form2({(1, 2): "x1"})
     m = flat_metric()
-    _, torsion = hitchin_connection(m.g, theta)
-    t_at = [[[eval_at(c, ORIGIN) for c in r2] for r2 in r1] for r1 in torsion.t]
     dth = ext_deriv(theta)
     dth_at = {idx: eval_at(c, ORIGIN) for idx, c in dth.comps.items()}
-    # the torsion and dTheta values as integer pairs over their least common denominators
-    den_t, (t_int,) = int_mats([[x for r1 in t_at for x in r1]])
+    # the dTheta values as an integer pair over their least common denominator
     den_d, ((d_int,),) = int_mats([[list(dth_at.values())]])
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
+    at = point_data(as_ints(g_at.mat), (den_d, dict(zip(dth_at, d_int))))
     onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     s1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     s2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
@@ -1181,9 +1185,7 @@ def test_cond_two_forms_specialization():
     a = [Fraction(0)] * 4 + gx
     b = [Fraction(0)] * 4 + gy
     (da, ((a_int,),)), (db, ((b_int,),)) = int_mats([[a]]), int_mats([[b]])
-    den, _, cond = np_residual_terms(
-        as_ints(g_at.mat), (den_t, [t_int[4 * i:4 * i + 4] for i in range(4)]),
-        (den_d, dict(zip(dth_at, d_int))), as_ints(s1.mat), as_ints(s2.mat), a_int, b_int)
+    den, _, cond = np_residual_terms(at, as_ints(s1.mat), as_ints(s2.mat), a_int, b_int)
     cond_rhs = [Fraction(c, den * da * db) for c in cond]
     s1x = s1.apply(x)
     s2x = s2.apply(x)
@@ -1191,7 +1193,7 @@ def test_cond_two_forms_specialization():
     s2y = s2.apply(y)
     dx = [c1 - c2 for c1, c2 in zip(s1x, s2x)]
     dy = [c1 - c2 for c1, c2 in zip(s1y, s2y)]
-    expected = [Fraction(-1, 4) * c for c in _dtheta_covector(dth_at, dx, dy)]
+    expected = [Fraction(-1, 4 * den_d) * c for c in contract(at[2][1], dx, dy)]
     assert cond_rhs == [Fraction(0)] * 4 + expected
 
 

@@ -245,7 +245,10 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # one decision: the integer product that linalg.mat_mul now is, the draw of a
 # compatible structure that the witness search spells out, and the one-line wrapper
 # of kernel_basis that onb_search calls directly, and the entry-wise matrix equality
-# that == on lists of lists already is
+# that == on lists of lists already is; and the second curvature and torsion paths that
+# the lowered Riemann formula and the dTheta contractions through g^-1 replaced: the
+# Christoffel-derivative helper, the torsion tensor and its contractions, and the dTheta
+# table rebuilt per contraction
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -277,6 +280,7 @@ MOVED = [
     "_component_map_to_matrix", "_const_mat", "load_descriptor", "metric_from_strings",
     "int_mul", "random_compatible_structure", "_orthogonal_complement_basis",
     "mat_eq",
+    "_sym", "torsion_at", "_torsion_vec", "_covector_alpha_iota", "_dth_full", "_dtheta_covector",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction", "curvature"]

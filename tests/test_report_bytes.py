@@ -31,7 +31,10 @@ The three `theorem --samples 300` digests were recorded before the (j,l,r)
 residual moved from Lambda^2 inner products of 2-vectors to a contraction of
 wedge coordinates with the lowered curvature operator: a pp-wave with a
 nonzero witness, constcurv:-1/2 at two given points with 81 nonzero samples,
-and a `file:` metric with every entry of g nonzero.  A `curvature` run on a
+and a `file:` metric with every entry of g nonzero.  A non-closed `--theta`
+on that metric, where g^-1 is neither the identity nor diagonal, was recorded
+before the obstruction read its torsion from dTheta through g^-1 instead of
+building the torsion tensor.  A `curvature` run on a
 `file:` metric without a frame, whose denominator is negative at the point,
 was recorded before `onb_search` moved from Fraction wrappers to integer
 pairs.  A tuple in argv is such
@@ -104,6 +107,9 @@ PINNED = [
      1, "8cb024fa6e8d03d7a6ab706f4a97cb6a0c7fc857de50efcb234e1d9752a80caf"),
     (['theorem', DENSE, '--component', '++', '--samples', '300', '--seed', '9'],
      1, "26bc233f552fcbf0db836143c776b35fef7f244da0aa95254edd55c99731a2f2"),
+    (['theorem', DENSE, '--component=+-', '--theta', 'x1*dx2^dx3 + x3*x4*dx1^dx4',
+      '--samples', '30'],
+     1, "8e955da70ea012a1e26c210688f3d2913dc7234bfc527da5759b261de623acd2"),
     (['validate', {'kind': 'trivial'}],
      0, "44995c4b46e9f007e91a1e34cc4a2cad09b1cfb788dd8b70b413b40b90507b28"),
     (['integrability', {'kind': 'trivial'}],
