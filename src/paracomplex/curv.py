@@ -3,10 +3,15 @@ catalog, the rational orthonormal frame, and the curvature operator with its
 scalar/traceless-Ricci/Weyl decomposition and duality verdicts.  Everything at
 a point, from the point itself and the 2-jet to the decomposition, runs on
 integer pairs (D, M) of a positive denominator and an integer matrix, vector or
-value, and a value is printed by `poly.rat_str` from its pair.  The dim-4
-theorem verdict, with the (j,l,r) residual and the witness search, is in
-`paracomplex.theorem`, which only `theorem` loads, so `curvature`, whose
-body is `paracomplex.curvature`, compiles neither it nor `paracomplex.para`.
+value, and a value is printed by `poly.rat_str` from its pair.  Curvature is
+read on Lambda^2 alone: `_riemann` computes the 21 entries of the symmetric
+lowered operator q on the wedge pairs, `curvature_operator` inverts the
+Lambda^2 Gram matrix as D^2 lambda2_matrix(adj) / det^2 and reads Ricci from
+q, and `decompose` takes W_+- = P_+- W with the Hodge star det P eps
+lambda2_matrix(g) of `linalg.star_matrix`.  The dim-4 theorem verdict, with
+the (j,l,r) residual and the witness search, is in `paracomplex.theorem`,
+which only `theorem` loads, so `curvature`, whose body is
+`paracomplex.curvature`, compiles neither it nor `paracomplex.para`.
 The symbolic connections and the twistor and reflector Nijenhuis evaluators
 are in `paracomplex.reference`.  This module opens no file and parses no
 literal: `cli.parse_metric_id` builds the MetricModel of a metric identifier,
@@ -178,19 +183,21 @@ def onb_search(g: tuple) -> tuple:
 
 
 def _riemann(g: list, point) -> tuple:
-    """(D, G, adj, det, E, r) at the point, on integers from the metric's 2-jet
+    """(D, G, adj, det, E, q) at the point, on integers from the metric's 2-jet
     int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D, d_m g(p) =
     H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det with
-    det = |det G| from int_inv, and g(R(d_i, d_j) d_k, d_l) = r[i][j][k][l] / E
-    in the convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], that is
+    det = |det G| from int_inv, and the lowered curvature operator
+    q[(i, j)][(k, l)] / E = g(R(d_i, d_j) d_k, d_l) on the WEDGE4 pairs, in the
+    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], that is
     -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
     for the Christoffels of the first kind G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
     = A_lij / (2 D1), with 2 (d_i G_l,jk - d_j G_l,ik) =
-    d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik.  So r is over
-    E = 4 D2 D1^2 det, and r and E are divided by their gcd."""
+    d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik.  The formula is
+    symmetric under (i, j) <-> (k, l) on the integer jets, so q is symmetric and
+    each of its 21 entries on or above the diagonal is computed once.  q is over
+    E = 4 D2 D1^2 det, and q and E are divided by their gcd."""
     (den, gi), (d1, di), (d2, ddi) = int_jet(g, point, 2)
-    n = len(g)
-    ns = range(n)
+    ns = range(len(g))
     inv = int_inv(gi)
     if inv is None:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(point_strings(point))})")
@@ -199,20 +206,22 @@ def _riemann(g: list, point) -> tuple:
     # adj A, so that G_p,il g^pq G_q,jk = D sum_q A_qil ga[q][j][k] / (4 det D1^2)
     ga = [[[sum(adj[q][p] * a[p][j][k] for p in ns) for k in ns] for j in ns] for q in ns]
     fk, fa = -2 * det * d1 * d1, den * d2
-    r = [[[[0] * n for _ in ns] for _ in ns] for _ in ns]
-    for i in ns:
-        for j in range(i + 1, n):
-            for k in ns:
-                for l in ns:
-                    # -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
-                    v = fk * (ddi[i][k][j][l] - ddi[i][l][j][k] - ddi[j][k][i][l]
-                              + ddi[j][l][i][k]) + fa * sum(
-                        a[q][i][l] * ga[q][j][k] - a[q][j][l] * ga[q][i][k] for q in ns)
-                    r[i][j][k][l], r[j][i][k][l] = v, -v
+    q = [[0] * 6 for _ in range(6)]
+    for x, (i, j) in enumerate(WEDGE4):
+        for y in range(x, 6):
+            k, l = WEDGE4[y]
+            # -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
+            q[x][y] = q[y][x] = fk * (ddi[i][k][j][l] - ddi[i][l][j][k] - ddi[j][k][i][l]
+                                      + ddi[j][l][i][k]) + fa * sum(
+                a[p][i][l] * ga[p][j][k] - a[p][j][l] * ga[p][i][k] for p in ns)
     dr = 4 * d2 * det * d1 * d1
-    common = math.gcd(dr, *(x for u in r for v in u for w in v for x in w))
-    r = [[[[x // common for x in w] for w in v] for v in u] for u in r]
-    return den, gi, adj, det, dr // common, r
+    common = math.gcd(dr, *(x for row in q for x in row))
+    return den, gi, adj, det, dr // common, [[x // common for x in row] for row in q]
+
+
+# for each index i, the (k, a, s) with e_i ^ e_k = s w_a for the wedge basis w_a = WEDGE4[a]
+_ORDERED = [[(k, WEDGE4.index((min(i, k), max(i, k))), 1 if i < k else -1)
+             for k in range(4) if k != i] for i in range(4)]
 
 
 class CurvOperator:
@@ -233,19 +242,18 @@ class CurvOperator:
 
 
 def curvature_operator(g: list, point) -> CurvOperator:
-    """The curvature operator at the point, from _riemann on integers: with
-    r / E the lowered curvature, lowered = q / E for q[(i, j)][(k, l)] = r[i][j][k][l];
-    mat = L(g)^-1 lowered^T, with L(g) = lambda2_matrix(G) / D^2 the Lambda^2
-    Gram matrix, from one bareiss on [lambda2_matrix(G) | q^T]; Ricci_ij =
-    g^kl r[i][k][j][l] / E over E det, and rho = g^-1 Ricci over E det^2."""
-    den, gm, adj, det, dr, r = _riemann(g, point)
+    """The curvature operator at the point, from _riemann's q / E on integers:
+    mat = L(g)^-1 q with L(g) = lambda2_matrix(G) / D^2 the Lambda^2 Gram
+    matrix, whose inverse is D^2 lambda2_matrix(adj) / det^2 because
+    lambda2_matrix(G) lambda2_matrix(adj) = lambda2_matrix(det Id) = det^2 Id;
+    Ricci_ij = g^kl g(R(d_i, d_k) d_j, d_l) over E det, read from q with the
+    sign of each pair's order, and rho = g^-1 Ricci over E det^2."""
+    den, gm, adj, det, dr, q = _riemann(g, point)
     ns = range(4)
-    q = [[r[i][j][k][l] for k, l in WEDGE4] for i, j in WEDGE4]
-    red, _, d_l, _ = bareiss([row + [q[b][a] for b in range(6)]
-                              for a, row in enumerate(lambda2_matrix(gm))])
-    s = den * den if d_l > 0 else -den * den  # dr > 0, so the sign of dr d_l is that of d_l
-    mat = dr * abs(d_l), [[s * x for x in row[6:]] for row in red]
-    ric = [[den * sum(adj[k][l] * r[i][k][j][l] for k in ns for l in ns) for j in ns] for i in ns]
+    mat = det * det * dr, [[den * den * x for x in row] for row in mat_mul(lambda2_matrix(adj), q)]
+    ric = [[den * sum(s * t * adj[k][l] * q[a][b]
+                      for k, a, s in _ORDERED[i] for l, b, t in _ORDERED[j])
+            for j in ns] for i in ns]
     rho = det * det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
     return CurvOperator((den, gm), mat, (dr, q), (det * dr, ric), rho)
 
@@ -269,13 +277,14 @@ class CurvDecomposition:
 def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     """R = (s/12) Id + B + W with B from the traceless Ricci part,
     B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2, and W split into its
-    self-dual and anti-self-dual blocks W_+- = P_+- W P_+- by the projections
+    self-dual and anti-self-dual blocks W_+- = P_+- W by the projections
     P_+- = (Id +- *) / 2 of the Hodge star of the oriented orthonormal frame onb
-    (as onb_at gives it).  On integers: with rho = P / e and s = sigma / e,
-    B = B' / (4 e), whose column for e_i ^ e_j holds the wedge coordinates of
+    (as onb_at gives it); W commutes with *, so P_+- W P_+- = P_+- W.  On
+    integers: with rho = P / e and s = sigma / e, B = B' / (4 e), whose column
+    for e_i ^ e_j holds the wedge coordinates of
     2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j; W = W' / L with
     L = lcm(12 e, D) for mat = M / D; and for the star S / E of star_matrix,
-    W_+- = (E Id +- S) W' (E Id +- S) / (4 E^2 L)."""
+    W_+- = (E Id +- S) W' / (2 E L)."""
     e, rho = op.int_rho
     sigma = sum(rho[i][i] for i in range(4))
     b = [[2 * (rho[k][i] * (l == j) - rho[l][i] * (k == j) + (k == i) * rho[l][j]
@@ -290,7 +299,7 @@ def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     w_pm = []
     for sign in (1, -1):
         proj = [[ds * (a == c) + sign * star[a][c] for c in range(6)] for a in range(6)]
-        w_pm.append((4 * ds * ds * lw, mat_mul(mat_mul(proj, w), proj)))
+        w_pm.append((2 * ds * lw, mat_mul(proj, w)))
     return CurvDecomposition((e, sigma), (4 * e, b), (lw, w), *w_pm)
 
 

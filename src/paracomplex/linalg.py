@@ -4,13 +4,14 @@ Matrices are dense lists of lists.  At a point every command works on a pair
 (D, M) of a positive denominator and an integer matrix, standing for M / D:
 `int_jet` reads a field's value and partials there, `bareiss` is the one
 fraction-free elimination (pivots, ranks, determinants, by `int_inv` inverses
-and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`) and
-J-triples (`j_structures`) are built on integers, and `mat_to_strings`
-prints such a pair.  `mat_mul` is the one matrix product: on integers at a
-point, and on RatFuncs in the symbolic checks of a descriptor's data, which
-also expand Pfaffians (`pfaffian`).  The Fraction wrappers of
-matrices, forms, endomorphisms and 2-vectors, and the routines only they
-use, are in `paracomplex.reference`.
+and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`,
+det P eps lambda2_matrix(g), where the frame P enters only by its
+determinant and no inverse is formed) and J-triples (`j_structures`) are
+built on integers, and `mat_to_strings` prints such a pair.  `mat_mul` is
+the one matrix product: on integers at a point, and on RatFuncs in the
+symbolic checks of a descriptor's data, which also expand Pfaffians
+(`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
+2-vectors, and the routines only they use, are in `paracomplex.reference`.
 """
 
 from __future__ import annotations
@@ -193,12 +194,7 @@ def lambda2_matrix(q: Mat) -> Mat:
     return [[q[i][k] * q[j][l] - q[i][l] * q[j][k] for k, l in pairs] for i, j in pairs]
 
 
-# the Hodge star on wedge coordinates of an oriented orthonormal basis with
-# norms (1, 1, -1, -1):  *(u1^u2) = u3^u4, *(u1^u3) = u2^u4, *(u1^u4) = -u2^u3,
-# extended as an involution; rows and columns in wedge_pairs(4) order
-_STAR_U = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0],
-           [0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
-# the Gram matrix P^T g P of such a basis P
+# the Gram matrix P^T g P of an oriented orthonormal basis P with norms (1, 1, -1, -1)
 ONB_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
 
@@ -206,13 +202,17 @@ def star_matrix(g: tuple, onb: tuple) -> tuple[int, Mat]:
     """The Hodge star on reference wedge coordinates for the oriented
     orthonormal basis with norms (1, 1, -1, -1), on integers: for g = G / D and
     the frame vectors U_a / E (g = (D, G), onb = (E, [U_1, ..., U_4])), with P
-    the frame's columns, * = L(P) *_u L(P^-1) for L = lambda2_matrix, and
-    P^-1 = ONB_GRAM P^T g because P^T g P = ONB_GRAM, so no inverse is formed.
+    the frame's columns, * = det P eps lambda2_matrix(g).  Here eps is the
+    wedge pairing, a ^ b = (a^T eps b) e_1^e_2^e_3^e_4, antidiagonal with the
+    signs (1, -1, 1, 1, -1, 1) in wedge_pairs(4) order: the star of the frame
+    is eps lambda2_matrix(ONB_GRAM) and L(P) eps L(P^T) = det P eps, so the
+    frame enters only by det P = det U / E^4, and no inverse is formed.
     Returns (D^2 E^4, D^2 E^4 *)."""
     (dg, gm), (du, u) = g, onb
-    p_inv = mat_mul(mat_mul(ONB_GRAM, u), gm)
-    return dg * dg * du ** 4, mat_mul(mat_mul(lambda2_matrix(transpose(u)), _STAR_U),
-                                      lambda2_matrix(p_inv))
+    _, _, d, sign = bareiss(u)
+    l2 = lambda2_matrix(gm)
+    return dg * dg * du ** 4, [[sign * d * s * x for x in l2[5 - a]]
+                               for a, s in enumerate((1, -1, 1, 1, -1, 1))]
 
 
 def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from paracomplex.curv import DegenerateMetric, _riemann
+from paracomplex.curv import _ORDERED, DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc, _factors_mul
 from paracomplex.gpx import GenVector as _GenVector
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
@@ -1728,12 +1728,21 @@ def metricity_residual(conn: Connection, g: list) -> bool:
 def riemann_at(g: list, point) -> list:
     """r[i][j][k][l] at the point: R(d_i, d_j) d_k = r[i][j][k][l] d_l in the
     convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet,
-    at a point of Fractions: _riemann's lowered tensor with its last index
-    raised by g^-1 = D adj / det."""
-    den, _, adj, det, e, r = _riemann(g, int_point(point))
+    at a point of Fractions: _riemann's lowered operator q spread over every
+    order of its index pairs, with e_j ^ e_i = -e_i ^ e_j and 0 on a repeated
+    index, and its last index raised by g^-1 = D adj / det."""
+    den, _, adj, det, e, q = _riemann(g, int_point(point))
     ns = range(len(adj))
-    return [[[[Fraction(den * sum(c[l] * adj[l][m] for l in ns), det * e) for m in ns]
-              for c in b] for b in a] for a in r]
+    pairs = {(i, k): (a, s) for i in ns for k, a, s in _ORDERED[i]}
+
+    def lowered(i, j, k, l):
+        if i == j or k == l:
+            return 0
+        (a, s), (b, t) = pairs[i, j], pairs[k, l]
+        return s * t * q[a][b]
+
+    return [[[[Fraction(den * sum(lowered(i, j, k, l) * adj[l][m] for l in ns), det * e)
+               for m in ns] for k in ns] for j in ns] for i in ns]
 
 
 def curvature_endo(r_at: list, x: list, y: list) -> Endo:

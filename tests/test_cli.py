@@ -1127,8 +1127,8 @@ def test_theorem_samples_above_the_bound_exit_2_at_once(capsys):
 def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
     """The (j,l,r) samples contract wedge coordinates with the lowered
     operator: the Lambda^2 inner product runs at most for the 36 Gram entries
-    at each point, however many samples are drawn (the Gram matrix is
-    lambda2_matrix of g(p), so none at all)."""
+    at each point, however many samples are drawn (the operator reads the
+    Gram matrix's inverse as lambda2_matrix of adj g(p), so none at all)."""
     import paracomplex.curv
     import paracomplex.reference
 
@@ -1152,23 +1152,32 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
 def test_theorem_inverts_no_matrix(capsys, monkeypatch):
     """No matrix is inverted in Fractions in `theorem` (no command module has
     a Fraction inverse, test_imports.MOVED), and on integers only g(p), once
-    per point in the Riemann kernel, by int_inv: the Lambda^2 Gram matrix is
-    eliminated once per point by the bareiss on [L(g) | q^T] that gives the
-    operator, the Hodge star reads the frame's inverse as ONB_GRAM P^T g, and
-    the J-triples need no inverse (S_a = -A g)."""
+    per point in the Riemann kernel, by int_inv: the Lambda^2 Gram matrix
+    L(g) is not eliminated, because L(g)^-1 = D^2 L(adj) / det^2, so the
+    only elimination curv runs itself is the 4 x 4 one of each frame's
+    orientation in onb_at; the Hodge star reads the frame only through
+    det P (star_matrix is det P eps L(g)), and the J-triples need no inverse
+    (S_a = -A g)."""
     import paracomplex.curv
 
     original = paracomplex.curv.int_inv
-    sizes = []
+    original_bareiss = paracomplex.curv.bareiss
+    sizes, eliminations = [], []
 
     def counting(a):
         sizes.append(len(a))
         return original(a)
 
+    def counting_bareiss(m):
+        eliminations.append((len(m), len(m[0])))
+        return original_bareiss(m)
+
     monkeypatch.setattr(paracomplex.curv, "int_inv", counting)
+    monkeypatch.setattr(paracomplex.curv, "bareiss", counting_bareiss)
     code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
     assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
     assert sizes == [4] * 5
+    assert eliminations and set(eliminations) == {(4, 4)}
 
 
 def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):

@@ -502,8 +502,10 @@ def mat_det_reference(m: list) -> Fraction:
 
 
 def decompose_reference(ref: dict, onb: list) -> dict:
-    """(s/12) Id, B, W, W+ and W- in Fractions, with B from TwoVector wedges and
-    the Hodge star with the frame inverted: the reference for decompose."""
+    """(s/12) Id, B, W, W+ and W- in Fractions, with B from TwoVector wedges,
+    the Hodge star as L(P) *_u L(P^-1) with the frame inverted, and
+    W+- = P+- W P+- with both projections: the reference for decompose, which
+    reads the star as det P eps L(g) and W+- as P+- W."""
     s, rho = ref["s"], Endo(ref["rho"])
     s_part = mat_scale(s / 12, mat_identity(6))
     b_cols = []

@@ -248,7 +248,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # that == on lists of lists already is; and the second curvature and torsion paths that
 # the lowered Riemann formula and the dTheta contractions through g^-1 replaced: the
 # Christoffel-derivative helper, the torsion tensor and its contractions, and the dTheta
-# table rebuilt per contraction
+# table rebuilt per contraction; and the fixed star of the frame that the Hodge star was
+# conjugated from before it became det P eps L(g)
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -281,6 +282,7 @@ MOVED = [
     "int_mul", "random_compatible_structure", "_orthogonal_complement_basis",
     "mat_eq",
     "_sym", "torsion_at", "_torsion_vec", "_covector_alpha_iota", "_dth_full", "_dtheta_covector",
+    "_STAR_U",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction", "curvature"]

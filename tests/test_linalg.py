@@ -263,10 +263,11 @@ def random_neutral_frame(rng) -> tuple:
 
 
 def test_integer_star_and_j_triples_equal_the_fraction_references():
-    """star_matrix reads P^-1 = ONB_GRAM P^T g on integers, and j_structures
-    forms -A g on integers: both equal their Fraction references, with the
-    frame inverted and S_a of each self-dual 2-vector, for seeded neutral
-    metrics and frames of either orientation sign."""
+    """star_matrix forms det P eps lambda2_matrix(g) on integers, with no
+    inverse, and j_structures forms -A g on integers: both equal their
+    Fraction references, the star as L(P) *_u L(P^-1) with the frame
+    inverted and S_a of each self-dual 2-vector, for seeded neutral metrics
+    and frames of either orientation sign."""
     rng = random.Random(1907)
     for _ in range(12):
         g, onb = random_neutral_frame(rng)

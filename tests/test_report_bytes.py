@@ -37,7 +37,13 @@ before the obstruction read its torsion from dTheta through g^-1 instead of
 building the torsion tensor.  A `curvature` run on a
 `file:` metric without a frame, whose denominator is negative at the point,
 was recorded before `onb_search` moved from Fraction wrappers to integer
-pairs.  A tuple in argv is such
+pairs.  Two `curvature` runs on ppwave:x1*x2^3 pulled back by a linear map,
+with every entry of g nonzero, one per orientation, were recorded before
+curvature moved to Lambda^2 alone (the 21-entry kernel, the Hodge star
+det P eps L(g) and W+- = P+- W): the W+ of one and the W- of the other
+have 36 nonzero entries each, where the W+- pinned before came from
+pp-waves, whose star is sparse, or from conformally flat metrics, where
+W = 0.  A tuple in argv is such
 a metric file, written under its name to the working directory, so that the
 report names it by a relative path.
 """
@@ -75,6 +81,19 @@ NO_ONB = ("no_onb.json", {
     "g": [["x2^2/(x1-2)", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "1", "0", "0"],
           ["1", "0", "0", "0"]]})
 
+# ppwave:x1*x2^3 pulled back by y = A x, A with rows (1,1,0,1), (1,2,1,0), (0,1,1,1) and
+# (1,0,1,2): g = A^T g_y(A x) A = C + f a a^T for a = (1,1,0,1), every entry nonzero, and the
+# frame A^-1 P of the pp-wave's frame P, whose f part is -f/2 A^-1 e_4 = f (-1/4, 1/4, -1/4, 0)
+F_PULL = "(x1+x2+x4)*(x1+2*x2+x3)^3"
+PPWAVE_PULLBACK = ("ppwave_pullback.json", {
+    "g": [[f"{c}+{a * b}*{F_PULL}" for c, b in zip(row, (1, 1, 0, 1))]
+          for row, a in zip([[2, 2, 2, 4], [2, 4, 4, 4], [2, 4, 2, 2], [4, 4, 2, 4]], (1, 1, 0, 1))],
+    "onb": [[f"{c}+({b})*{F_PULL}" for c, b in zip(col, ("-1/4", "1/4", "-1/4", "0"))]
+            if shift else col for col, shift in
+            [(["1/4", "1/4", "-3/4", "1/2"], True), (["0", "1/4", "1/2", "-1/4"], False),
+             (["-1/4", "3/4", "-5/4", "1/2"], True), (["1", "-1/4", "1/2", "-3/4"], False)]],
+})
+
 PINNED = [
     (['curvature', 'constcurv:1', '--point', '0,0,0,0'],
      0, "4489fb542e84cff7eaf07dd348a2ae48eda1f1581dc561e81d3be11b6095947b"),
@@ -86,6 +105,10 @@ PINNED = [
      0, "1b0f88f21b70951663864cc2d2ea8df66eccf56796f22f51b1347ebba4fc6144"),
     (['curvature', NO_ONB, '--point', '1,1,0,0'],
      0, "133a136734e231bf94cc1c02282b8a03f93dffda09b719e59279cad77aaf7fe8"),
+    (['curvature', PPWAVE_PULLBACK, '--point', '1,1/2,0,-1', '--orientation', '+'],
+     0, "6d26d3a654e157733cb19779a2762303d2765bf24fc8baaa68b2e35e7828ebe0"),
+    (['curvature', PPWAVE_PULLBACK, '--point', '1,1/2,0,-1', '--orientation', '-'],
+     0, "258140c3a1181c0fe0389aa88a3a5a03990d600752b18bd4e761264ffda3c5b2"),
     (['theorem', 'constcurv:1', '--component', '+-'],
      0, "4fe8fcd6454c5ebc72c63da7d340b329852ed47f5842cc21d6de4871e81a1597"),
     (['theorem', 'constcurv:1', '--component', '++', '--seed', '3'],
