@@ -58,15 +58,16 @@ origin = (1, (0, 0, 0, 0))
 print("\nconstcurv:1 at origin: g_11 =", rat_str(d0, g0[0][0]),
       "| d1 d1 g_11 =", rat_str(d2, ddg0[0][0][0][0]))
 op = curvature_operator(m.g, origin)
-dec = decompose(op, m.onb_at(origin, op.int_g))
+dec = decompose(op, +1)
 print("constcurv:1 at origin: s =", rat_str(*dec.int_s),
       "| sectional constant =", rat_str(*sectional_constant_check(op)))
 print("traceless-Ricci part zero:", all(not c for row in dec.int_b[1] for c in row))
 
-# The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.
+# The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.  The split
+# W = W+ + W- depends only on g and the orientation, +1 for the coordinates'.
 w = ppwave_metric(rf("x2^2"))
 opw = curvature_operator(w.g, origin)
-print("\nppwave duality:", duality_verdict(decompose(opw, w.onb_at(origin, opw.int_g))))
+print("\nppwave duality:", duality_verdict(decompose(opw, +1)))
 
 # Theorem verdicts per fiber component (seeded, deterministic).
 for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave")):

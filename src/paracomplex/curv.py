@@ -5,10 +5,14 @@ a point, from the point itself and the 2-jet to the decomposition, runs on
 integer pairs (D, M) of a positive denominator and an integer matrix, vector or
 value, and a value is printed by `poly.rat_str` from its pair.  Curvature is
 read on Lambda^2 alone: `_riemann` computes the 21 entries of the symmetric
-lowered operator q on the wedge pairs, `curvature_operator` inverts the
-Lambda^2 Gram matrix as D^2 lambda2_matrix(adj) / det^2 and reads Ricci from
-q, and `decompose` takes W_+- = P_+- W with the Hodge star det P eps
-lambda2_matrix(g) of `linalg.star_matrix`.  The dim-4 theorem verdict, with
+lowered operator q on the wedge pairs and g^-1 = D adj / det once,
+`curvature_operator` inverts the Lambda^2 Gram matrix as lambda2_matrix of
+g^-1 and reads Ricci from q, and `decompose` takes W_+- = P_+- W with the
+Hodge star o eps lambda2_matrix(G) / sqrt(det G) of `linalg.star_matrix`,
+which reads g and the orientation o and no frame.  The frame of `onb_at`
+serves the J-triples of `theorem` and the input contract of `curvature`: a
+point with no rational frame, or a supplied frame that is not orthonormal,
+is refused.  The dim-4 theorem verdict, with
 the (j,l,r) residual and the witness search, is in `paracomplex.theorem`,
 which only `theorem` loads, so `curvature`, whose body is
 `paracomplex.curvature`, compiles neither it nor `paracomplex.para`.
@@ -70,11 +74,11 @@ class MetricModel:
     def __init__(self, name: str, g: list, onb: list | None = None, names: list = VARS4):
         self.name, self.g, self.onb, self.names = name, g, onb, names
 
-    def onb_at(self, point, g_at: tuple, orientation: int = +1) -> tuple:
-        """The oriented frame at the point on integers, (E, [U_1, ..., U_4]) with
-        the frame vectors U_a / E, for g_at = (D, G) the value of g there, the
-        int_g of its curvature operator.  A supplied frame must pass
-        U G U^T = E^2 D ONB_GRAM."""
+    def onb_at(self, point, g_at: tuple) -> tuple:
+        """The frame at the point on integers, (E, [U_1, ..., U_4]) with the
+        frame vectors U_a / E, oriented as the coordinates (det U > 0), for
+        g_at = (D, G) the value of g there, the int_g of its curvature operator.
+        A supplied frame must pass U G U^T = E^2 D ONB_GRAM."""
         if self.onb is None:
             du, u = onb_search(g_at)
         else:
@@ -87,8 +91,6 @@ class MetricModel:
         _, _, det, sign = bareiss(u)
         if sign * det < 0:
             u = [u[0], u[1], u[2], [-x for x in u[3]]]
-        if orientation < 0:
-            u = [u[0], u[1], u[3], u[2]]
         return du, u
 
 
@@ -183,10 +185,10 @@ def onb_search(g: tuple) -> tuple:
 
 
 def _riemann(g: list, point) -> tuple:
-    """(D, G, adj, det, E, q) at the point, on integers from the metric's 2-jet
-    int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D, d_m g(p) =
-    H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = D adj / det with
-    det = |det G| from int_inv, and the lowered curvature operator
+    """((D, G), (det, M), E, q) at the point, on integers from the metric's
+    2-jet int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D,
+    d_m g(p) = H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = M / det with
+    M = D adj and det = |det G| from int_inv, and the lowered curvature operator
     q[(i, j)][(k, l)] / E = g(R(d_i, d_j) d_k, d_l) on the WEDGE4 pairs, in the
     convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], that is
     -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
@@ -202,21 +204,22 @@ def _riemann(g: list, point) -> tuple:
     if inv is None:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(point_strings(point))})")
     det, adj = inv
+    ginv = [[den * x for x in row] for row in adj]
     a = [[[di[i][l][j] + di[j][l][i] - di[l][i][j] for j in ns] for i in ns] for l in ns]
-    # adj A, so that G_p,il g^pq G_q,jk = D sum_q A_qil ga[q][j][k] / (4 det D1^2)
-    ga = [[[sum(adj[q][p] * a[p][j][k] for p in ns) for k in ns] for j in ns] for q in ns]
-    fk, fa = -2 * det * d1 * d1, den * d2
+    # M A, so that G_p,il g^pq G_q,jk = sum_q A_qil ga[q][j][k] / (4 det D1^2)
+    ga = [[[sum(ginv[q][p] * a[p][j][k] for p in ns) for k in ns] for j in ns] for q in ns]
+    fk = -2 * det * d1 * d1
     q = [[0] * 6 for _ in range(6)]
     for x, (i, j) in enumerate(WEDGE4):
         for y in range(x, 6):
             k, l = WEDGE4[y]
             # -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
             q[x][y] = q[y][x] = fk * (ddi[i][k][j][l] - ddi[i][l][j][k] - ddi[j][k][i][l]
-                                      + ddi[j][l][i][k]) + fa * sum(
+                                      + ddi[j][l][i][k]) + d2 * sum(
                 a[p][i][l] * ga[p][j][k] - a[p][j][l] * ga[p][i][k] for p in ns)
     dr = 4 * d2 * det * d1 * d1
     common = math.gcd(dr, *(x for row in q for x in row))
-    return den, gi, adj, det, dr // common, [[x // common for x in row] for row in q]
+    return (den, gi), (det, ginv), dr // common, [[x // common for x in row] for row in q]
 
 
 # for each index i, the (k, a, s) with e_i ^ e_k = s w_a for the wedge basis w_a = WEDGE4[a]
@@ -225,37 +228,36 @@ _ORDERED = [[(k, WEDGE4.index((min(i, k), max(i, k))), 1 if i < k else -1)
 
 
 class CurvOperator:
-    """The curvature operator at a point, on integers.  Each of int_g, int_mat,
-    int_lowered, int_ricci and int_rho is a pair (D, M) of a positive
-    denominator and an integer matrix, standing for M / D: g(p); the
-    self-adjoint operator on the wedge basis {e_i ^ e_j} (i < j) with
+    """The curvature operator at a point, on integers.  Each of int_g, int_ginv,
+    int_mat, int_lowered, int_ricci and int_rho is a pair (D, M) of a positive
+    denominator and an integer matrix, standing for M / D: g(p); g(p)^-1, whose
+    denominator is |det G| for g(p) = G / D; the self-adjoint operator on the
+    wedge basis {e_i ^ e_j} (i < j) with
     g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form, lowered[a][b] =
     g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); and rho with
     g(rho(X), Y) = Ricci(X, Y)."""
 
-    __slots__ = ("int_g", "int_mat", "int_lowered", "int_ricci", "int_rho")
+    __slots__ = ("int_g", "int_ginv", "int_mat", "int_lowered", "int_ricci", "int_rho")
 
-    def __init__(self, int_g: tuple, int_mat: tuple, int_lowered: tuple, int_ricci: tuple,
-                 int_rho: tuple):
-        self.int_g, self.int_mat = int_g, int_mat
+    def __init__(self, int_g: tuple, int_ginv: tuple, int_mat: tuple, int_lowered: tuple,
+                 int_ricci: tuple, int_rho: tuple):
+        self.int_g, self.int_ginv, self.int_mat = int_g, int_ginv, int_mat
         self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
 
 
 def curvature_operator(g: list, point) -> CurvOperator:
-    """The curvature operator at the point, from _riemann's q / E on integers:
-    mat = L(g)^-1 q with L(g) = lambda2_matrix(G) / D^2 the Lambda^2 Gram
-    matrix, whose inverse is D^2 lambda2_matrix(adj) / det^2 because
-    lambda2_matrix(G) lambda2_matrix(adj) = lambda2_matrix(det Id) = det^2 Id;
+    """The curvature operator at the point, from _riemann's q / E and
+    g^-1 = M / det on integers: mat = L(g)^-1 q with L(g) the Lambda^2 Gram
+    matrix, whose inverse is lambda2_matrix(M) / det^2 because
+    lambda2_matrix(g) lambda2_matrix(g^-1) = lambda2_matrix(Id) = Id;
     Ricci_ij = g^kl g(R(d_i, d_k) d_j, d_l) over E det, read from q with the
     sign of each pair's order, and rho = g^-1 Ricci over E det^2."""
-    den, gm, adj, det, dr, q = _riemann(g, point)
+    g_at, (det, ginv), dr, q = _riemann(g, point)
     ns = range(4)
-    mat = det * det * dr, [[den * den * x for x in row] for row in mat_mul(lambda2_matrix(adj), q)]
-    ric = [[den * sum(s * t * adj[k][l] * q[a][b]
-                      for k, a, s in _ORDERED[i] for l, b, t in _ORDERED[j])
+    ric = [[sum(s * t * ginv[k][l] * q[a][b] for k, a, s in _ORDERED[i] for l, b, t in _ORDERED[j])
             for j in ns] for i in ns]
-    rho = det * det * dr, [[den * x for x in row] for row in mat_mul(adj, ric)]
-    return CurvOperator((den, gm), mat, (dr, q), (det * dr, ric), rho)
+    return CurvOperator(g_at, (det, ginv), (det * det * dr, mat_mul(lambda2_matrix(ginv), q)),
+                        (dr, q), (det * dr, ric), (det * det * dr, mat_mul(ginv, ric)))
 
 
 # -- decomposition -----------------------------------------------------------------------
@@ -274,12 +276,14 @@ class CurvDecomposition:
         self.int_w_plus, self.int_w_minus = int_w_plus, int_w_minus
 
 
-def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
+def decompose(op: CurvOperator, orientation: int) -> CurvDecomposition:
     """R = (s/12) Id + B + W with B from the traceless Ricci part,
     B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2, and W split into its
     self-dual and anti-self-dual blocks W_+- = P_+- W by the projections
-    P_+- = (Id +- *) / 2 of the Hodge star of the oriented orthonormal frame onb
-    (as onb_at gives it); W commutes with *, so P_+- W P_+- = P_+- W.  On
+    P_+- = (Id +- *) / 2 of the Hodge star of g for the orientation +-1 of the
+    coordinates; W commutes with *, so P_+- W P_+- = P_+- W.  The star is
+    star_matrix's, with sqrt(det G) read from the denominator of int_ginv, so
+    det G must be a positive square, as it is wherever onb_at finds a frame.  On
     integers: with rho = P / e and s = sigma / e, B = B' / (4 e), whose column
     for e_i ^ e_j holds the wedge coordinates of
     2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j; W = W' / L with
@@ -295,7 +299,7 @@ def decompose(op: CurvOperator, onb: tuple) -> CurvDecomposition:
     fm, fs = lw // dm, lw // (12 * e)
     w = [[fm * m[a][c] - fs * (sigma * (a == c) + 3 * b[a][c]) for c in range(6)]
          for a in range(6)]
-    ds, star = star_matrix(op.int_g, onb)
+    ds, star = star_matrix(op.int_g[1], math.isqrt(op.int_ginv[0]), orientation)
     w_pm = []
     for sign in (1, -1):
         proj = [[ds * (a == c) + sign * star[a][c] for c in range(6)] for a in range(6)]

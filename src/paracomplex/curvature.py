@@ -1,7 +1,9 @@
 """The `curvature` command: the curvature operator of a metric at a point, its
-scalar/traceless-Ricci/Weyl decomposition in the oriented frame, and its
+scalar/traceless-Ricci/Weyl decomposition for the orientation, and its
 duality verdicts.  Only `curvature` imports this module; `cli` reads the
-metric and the point, and `curv` computes.
+metric and the point, and `curv` computes.  The decomposition reads no
+frame, but the point must have one: a point with no rational orthonormal
+frame, or a supplied frame that is not orthonormal there, is refused.
 """
 
 from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
@@ -13,7 +15,8 @@ from paracomplex.poly import rat_str
 
 def cmd_curvature(metric, point, orientation) -> dict:
     op = curvature_operator(metric.g, point)
-    dec = decompose(op, metric.onb_at(point, op.int_g, +1 if orientation == "+" else -1))
+    metric.onb_at(point, op.int_g)  # a rational frame there, orthonormal if supplied
+    dec = decompose(op, +1 if orientation == "+" else -1)
     const = sectional_constant_check(op)
     return {
         "metric": metric.name,

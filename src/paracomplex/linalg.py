@@ -5,9 +5,9 @@ Matrices are dense lists of lists.  At a point every command works on a pair
 `int_jet` reads a field's value and partials there, `bareiss` is the one
 fraction-free elimination (pivots, ranks, determinants, by `int_inv` inverses
 and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`,
-det P eps lambda2_matrix(g), where the frame P enters only by its
-determinant and no inverse is formed) and J-triples (`j_structures`) are
-built on integers, and `mat_to_strings` prints such a pair.  `mat_mul` is
+o eps lambda2_matrix(G) / sqrt(det G) from g = G / D and the orientation o,
+with no frame and no elimination) and J-triples (`j_structures`) are built
+on integers, and `mat_to_strings` prints such a pair.  `mat_mul` is
 the one matrix product: on integers at a point, and on RatFuncs in the
 symbolic checks of a descriptor's data, which also expand Pfaffians
 (`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
@@ -198,21 +198,20 @@ def lambda2_matrix(q: Mat) -> Mat:
 ONB_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
 
-def star_matrix(g: tuple, onb: tuple) -> tuple[int, Mat]:
-    """The Hodge star on reference wedge coordinates for the oriented
-    orthonormal basis with norms (1, 1, -1, -1), on integers: for g = G / D and
-    the frame vectors U_a / E (g = (D, G), onb = (E, [U_1, ..., U_4])), with P
-    the frame's columns, * = det P eps lambda2_matrix(g).  Here eps is the
-    wedge pairing, a ^ b = (a^T eps b) e_1^e_2^e_3^e_4, antidiagonal with the
-    signs (1, -1, 1, 1, -1, 1) in wedge_pairs(4) order: the star of the frame
-    is eps lambda2_matrix(ONB_GRAM) and L(P) eps L(P^T) = det P eps, so the
-    frame enters only by det P = det U / E^4, and no inverse is formed.
-    Returns (D^2 E^4, D^2 E^4 *)."""
-    (dg, gm), (du, u) = g, onb
-    _, _, d, sign = bareiss(u)
+def star_matrix(gm: Mat, root: int, orientation: int) -> tuple[int, Mat]:
+    """The Hodge star of g = G / D for the orientation o = +-1 on reference
+    wedge coordinates, on integers from G and root = sqrt(det G):
+    * = o eps lambda2_matrix(G) / root.  Here eps is the wedge pairing,
+    a ^ b = (a^T eps b) e_1^e_2^e_3^e_4, antidiagonal with the signs
+    (1, -1, 1, 1, -1, 1) in wedge_pairs(4) order.  For an orthonormal frame P
+    with norms (1, 1, -1, -1) and det P of the sign o, the star is
+    eps lambda2_matrix(ONB_GRAM) on the frame, and L(P) eps L(P^T) = det P eps
+    gives det P eps lambda2_matrix(g); det P^2 det g = 1, so det P = o D^2 / root
+    and D cancels.  det G is thus a positive square wherever such a rational
+    frame exists.  Returns (root, o eps lambda2_matrix(G))."""
     l2 = lambda2_matrix(gm)
-    return dg * dg * du ** 4, [[sign * d * s * x for x in l2[5 - a]]
-                               for a, s in enumerate((1, -1, 1, 1, -1, 1))]
+    return root, [[orientation * s * x for x in l2[5 - a]]
+                  for a, s in enumerate((1, -1, 1, 1, -1, 1))]
 
 
 def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:
@@ -220,8 +219,9 @@ def j_structures(g: tuple, onb: tuple, sign: int = +1) -> tuple[int, list]:
     sigma_1 = u1^u2 + s u3^u4, sigma_2 = u1^u3 + s u2^u4, sigma_3 = u1^u4 - s u2^u3
     (norms +-2, s the sign), where S_a = -A g for the antisymmetric matrix A of
     the 2-vector a (so g(S_a u, v) = <a, u ^ v>, with no inverse of g).  On
-    integers: for g = (D, G) and onb = (E, [U_1, ..., U_4]) as in star_matrix,
-    the triple (D E^2, [D E^2 J_1, D E^2 J_2, D E^2 J_3]), the form
+    integers: for g = (D, G) and the frame vectors U_a / E of an oriented
+    orthonormal basis, onb = (E, [U_1, ..., U_4]) as curv.MetricModel.onb_at
+    gives it, the triple (D E^2, [D E^2 J_1, D E^2 J_2, D E^2 J_3]), the form
     para.hyperboloid_combination reads.  With sign=+1 they satisfy J1^2 = -Id,
     J2^2 = J3^2 = Id and J3 = J2 J1."""
     (dg, gm), (du, u) = g, onb

@@ -4,7 +4,8 @@ the obstruction identity for the generalized structure assembled from
 are integer pairs (D, M), and sections X + alpha of T + T* are stacked integer
 vectors.  The torsion of the Hitchin connection is read from dTheta itself,
 T(X, Y) = g^-1 dTheta(X, Y, .) and beta(T(X, .)) = dTheta(g^-1 beta, X, .),
-so no torsion tensor is built.  Only `theorem` with a non-closed `--theta`
+so no torsion tensor is built, and g^-1 is the one the curvature operator
+of the point already holds.  Only `theorem` with a non-closed `--theta`
 runs it (the witness search of `theorem.theorem_verdict`), so no other command
 loads or compiles this module.
 """
@@ -12,22 +13,22 @@ loads or compiles this module.
 from __future__ import annotations
 
 from paracomplex.gpx import assemble
-from paracomplex.linalg import int_inv, mat_vec
+from paracomplex.linalg import mat_vec
 
 
-def point_data(g: tuple, dth_at: tuple) -> tuple:
-    """(g, (d, M), (F, full)) at a point, for g = G / D given as (D, G) and the
-    dTheta values dth_at = (F, {(i, j, k): v}): g^-1 = M / d, from int_inv's
-    G A = d Id and M = D A, and full[i][j][k] / F = dTheta(d_i, d_j, d_k) on
-    every ordering of the indices."""
-    (den, gm), (dd, dth) = g, dth_at
-    n = len(gm)
-    d, adj = int_inv(gm)
+def point_data(g: tuple, ginv: tuple, dth_at: tuple) -> tuple:
+    """(g, ginv, (F, full)) at a point, for g = G / D and g^-1 = M / d given
+    as (D, G) and (d, M), the int_g and int_ginv of the point's curvature
+    operator, and the dTheta values dth_at = (F, {(i, j, k): v}):
+    full[i][j][k] / F = dTheta(d_i, d_j, d_k) on every ordering of the
+    indices."""
+    dd, dth = dth_at
+    n = len(ginv[1])
     full = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (a, b, c), v in dth.items():
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
             full[i][j][k], full[j][i][k] = v, -v
-    return g, (d, [[den * x for x in row] for row in adj]), (dd, full)
+    return g, ginv, (dd, full)
 
 
 def contract(full: list, x: list, y: list) -> list:
@@ -39,8 +40,8 @@ def contract(full: list, x: list, y: list) -> list:
 def np_residual_terms(at: tuple, s1: tuple, s2: tuple, a: list, b: list) -> tuple[int, list, list]:
     """(den, N, C) with N_P(A, B) = N / den and cond_rhs = C / den for the
     generalized structure P assembled from (g, Theta = 0, S1, S2) at a point,
-    with at = point_data(g, dth_at) and integer stacked vectors A and B.  The
-    obstruction residual is (N - C) / den.  With P = M / d, P A is M A / d,
+    with at = point_data(g, ginv, dth_at) and integer stacked vectors A and
+    B.  The obstruction residual is (N - C) / den.  With P = M / d, P A is M A / d,
     and each term carries the d of every P in it."""
     g, (d, ginv), (dd, full) = at
     n = len(ginv)

@@ -1043,7 +1043,7 @@ def _bilinear(form: KForm) -> Bilinear:
 def as_ints(m: list) -> tuple:
     """(D, D m) for a matrix m of Fractions (a metric, or a frame as its list of
     vectors) with D the least common denominator: the integer form that
-    j_structures, star_matrix, random_compatible_structure, validate_para,
+    j_structures, random_compatible_structure, validate_para,
     assemble and is_compatible read."""
     den, (out,) = int_mats([m])
     return den, out
@@ -1730,9 +1730,9 @@ def riemann_at(g: list, point) -> list:
     convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], in Q from the metric's 2-jet,
     at a point of Fractions: _riemann's lowered operator q spread over every
     order of its index pairs, with e_j ^ e_i = -e_i ^ e_j and 0 on a repeated
-    index, and its last index raised by g^-1 = D adj / det."""
-    den, _, adj, det, e, q = _riemann(g, int_point(point))
-    ns = range(len(adj))
+    index, and its last index raised by g^-1 = M / det."""
+    _, (det, ginv), e, q = _riemann(g, int_point(point))
+    ns = range(len(ginv))
     pairs = {(i, k): (a, s) for i in ns for k, a, s in _ORDERED[i]}
 
     def lowered(i, j, k, l):
@@ -1741,7 +1741,7 @@ def riemann_at(g: list, point) -> list:
         (a, s), (b, t) = pairs[i, j], pairs[k, l]
         return s * t * q[a][b]
 
-    return [[[[Fraction(den * sum(lowered(i, j, k, l) * adj[l][m] for l in ns), det * e)
+    return [[[[Fraction(sum(lowered(i, j, k, l) * ginv[l][m] for l in ns), det * e)
                for m in ns] for k in ns] for j in ns] for i in ns]
 
 
@@ -1853,8 +1853,10 @@ def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
     ((dd, (values,)),) = int_jet([list(comps.values())], point)
     dth_at = (dd, dict(zip(comps, values)))
     (g_at,) = int_jet(g, point)
+    d, adj = int_inv(g_at[1])
+    ginv = d, [[g_at[0] * x for x in row] for row in adj]
     (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
-    den, n_p, cond_rhs = np_residual_terms(point_data(g_at, dth_at), as_ints(s1.mat),
+    den, n_p, cond_rhs = np_residual_terms(point_data(g_at, ginv, dth_at), as_ints(s1.mat),
                                            as_ints(s2.mat), ia, ib)
     res = [Fraction(u - v, den * da * db) for u, v in zip(n_p, cond_rhs)]
     return GenVector(res[:len(g)], res[len(g):])

@@ -4,9 +4,9 @@ checks of the curvature identity, and, for a Theta that is not closed, the
 seeded search for a witness of the horizontal obstruction
 (`paracomplex.obstruction`).  `cli` reads the metric and `--points`, and
 the command reads its `--theta` here.  Only the `theorem` command imports
-this module; the curvature operator, its decomposition and the frames it
-reads are `paracomplex.curv`'s, and every value at a point is an integer
-pair, printed by `poly.rat_str`.
+this module; the curvature operator, its decomposition and the frames the
+J-triples read are `paracomplex.curv`'s, and every value at a point is an
+integer pair, printed by `poly.rat_str`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
     K = (Y1 J'1 + Y2 J'2 + Y3 J'3) / e with e = E D_J, and X = 2 x by rnd_vec2,
     so x +- K x = (e X +- K' X) / (2 e) and d = 2 D_q 16 e_j e_l e_r^2."""
     data = []
-    for p, op, _, js in points[:samples]:
+    for p, op, js in points[:samples]:
         den_q, q = op.int_lowered
         terms = [(a, b, c) for a, row in enumerate(q) for b, c in enumerate(row) if c]
         rows = [(a, WEDGE4[a]) for a in sorted({a for a, _, _ in terms})]
@@ -104,20 +104,20 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     as patch.cyclic_sums gives them; {} for a closed Theta, or none.  With
     sample_points None the points are DEFAULT_POINTS."""
     rng = random.Random(seed)
-    # each point's operator, frame and J-triples, once; a default point where g or the
-    # frame has a pole or g degenerates is skipped, but a supplied frame that is not
+    # each point's operator and the J-triples of its frame, once; a default point where g
+    # or the frame has a pole or g degenerates is skipped, but a supplied frame that is not
     # orthonormal there is an input error
     points, skipped = [], []
     for p in sample_points or DEFAULT_POINTS:
         try:
             op = curvature_operator(model.g, p)
-            onb = model.onb_at(p, op.int_g)
+            js = functools.partial(j_structures, op.int_g, model.onb_at(p, op.int_g))
         except (PoleAtPoint, DegenerateMetric) as exc:
             if sample_points is not None:
                 raise
             skipped.append(exc)
             continue
-        points.append((p, op, onb, functools.cache(functools.partial(j_structures, op.int_g, onb))))
+        points.append((p, op, functools.cache(js)))
     if not points:
         raise DegenerateMetric(f"no usable sample points for the metric: {skipped[0]}")
     d_theta_zero = not dth
@@ -132,7 +132,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
         witness = _np_witness_search(dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
-    verdicts = [duality_verdict(decompose(op, onb)) for _, op, onb, _ in points]
+    verdicts = [duality_verdict(decompose(op, +1)) for _, op, _ in points]
     evidence["ricci_zero"] = ricci_ok = all(mat_is_zero(op.int_ricci[1]) for _, op, *_ in points)
     evidence["w_plus_zero"] = w_plus_ok = all(v["anti_self_dual"] for v in verdicts)
     evidence["w_minus_zero"] = w_minus_ok = all(v["self_dual"] for v in verdicts)
@@ -166,14 +166,14 @@ def _np_witness_search(dth: dict, points: list, rng):
     B's."""
     from paracomplex.obstruction import np_residual_terms, point_data
 
-    for p, op, _, js in points:
+    for p, op, js in points:
         try:
             ((dd, (values,)),) = int_jet([list(dth.values())], p)
         except PoleAtPoint:
             continue
         if not any(values):
             continue
-        at = point_data(op.int_g, (dd, dict(zip(dth, values))))
+        at = point_data(op.int_g, op.int_ginv, (dd, dict(zip(dth, values))))
         for _ in range(WITNESS_ATTEMPTS):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = hyperboloid_combination(hyperboloid_draw(rng), js(o1))

@@ -250,7 +250,7 @@ def test_acceptance_5_curvature_decomposition():
         rho_den, rho = op.int_rho
         assert Fraction(sum(rho[i][i] for i in range(4)), rho_den) == 12
         assert mat_eq(frac_mat(*op.int_ricci), mat_scale(Fraction(3), frac_mat(*op.int_g)))
-        dec = decompose(op, m.onb_at(int_point(p), op.int_g))
+        dec = decompose(op, +1)
         assert mat_is_zero(dec.int_b[1])
         assert mat_is_zero(dec.int_w[1])
         assert sectional_constant_check(op) == (1, 1)
@@ -270,7 +270,8 @@ def test_acceptance_5_curvature_decomposition():
     model = MetricModel("perturbation", g, onb)
     p = ORIGIN
     op2 = curvature_operator(g, int_point(p))
-    dec2 = decompose(op2, model.onb_at(int_point(p), op2.int_g))
+    model.onb_at(int_point(p), op2.int_g)  # a rational frame, so det G is a square
+    dec2 = decompose(op2, +1)
     assert mat_eq(parts_sum(dec2), frac_mat(*op2.int_mat))
     assert not mat_is_zero(op2.int_mat[1])
     report(5, "constant-curvature values pinned and parts re-sum exactly")

@@ -1151,17 +1151,22 @@ def test_theorem_pairs_lambda2_only_for_the_gram(capsys, monkeypatch):
 
 def test_theorem_inverts_no_matrix(capsys, monkeypatch):
     """No matrix is inverted in Fractions in `theorem` (no command module has
-    a Fraction inverse, test_imports.MOVED), and on integers only g(p), once
-    per point in the Riemann kernel, by int_inv: the Lambda^2 Gram matrix
-    L(g) is not eliminated, because L(g)^-1 = D^2 L(adj) / det^2, so the
-    only elimination curv runs itself is the 4 x 4 one of each frame's
-    orientation in onb_at; the Hodge star reads the frame only through
-    det P (star_matrix is det P eps L(g)), and the J-triples need no inverse
-    (S_a = -A g)."""
+    a Fraction inverse, test_imports.MOVED), and on integers each point runs
+    one inversion of g(p) and one 4 x 4 elimination, with or without a
+    non-closed --theta.  The inversion is int_inv in the Riemann kernel; the
+    curvature operator keeps its g^-1, which the Lambda^2 Gram inverse
+    (L(g)^-1 = L(g^-1)), rho and the witness search's point_data read, so
+    obstruction inverts nothing.  The elimination is the one bareiss of
+    onb_at, which orients the frame for the J-triples; the Hodge star reads
+    g and the orientation alone (star_matrix is o eps L(G) / sqrt(det G),
+    with sqrt(det G) from the operator's g^-1), and the J-triples need no
+    inverse (S_a = -A g).  gpx.assemble's inverses in the witness search
+    are of w_s, not of g, and are not counted."""
     import paracomplex.curv
+    import paracomplex.linalg
+    import paracomplex.obstruction
 
-    original = paracomplex.curv.int_inv
-    original_bareiss = paracomplex.curv.bareiss
+    original, original_bareiss = paracomplex.linalg.int_inv, paracomplex.linalg.bareiss
     sizes, eliminations = [], []
 
     def counting(a):
@@ -1172,12 +1177,21 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
         eliminations.append((len(m), len(m[0])))
         return original_bareiss(m)
 
-    monkeypatch.setattr(paracomplex.curv, "int_inv", counting)
-    monkeypatch.setattr(paracomplex.curv, "bareiss", counting_bareiss)
-    code, out = run_cli(capsys, "theorem", "constcurv:1", "--component", "+-")
-    assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
-    assert sizes == [4] * 5
-    assert eliminations and set(eliminations) == {(4, 4)}
+    for module in (paracomplex.curv, paracomplex.obstruction):
+        monkeypatch.setattr(module, "int_inv", counting, raising=False)
+    for module in (paracomplex.curv, paracomplex.linalg):
+        monkeypatch.setattr(module, "bareiss", counting_bareiss)
+    for theta in ([], ["--theta", "x1*dx2^dx3"]):
+        sizes.clear()
+        eliminations.clear()
+        code, out = run_cli(capsys, "theorem", "constcurv:1", "--component=+-", *theta)
+        report = json.loads(out)
+        assert code == (1 if theta else 0) and len(report["evidence"]["points"]) == 5
+        assert ("np_residual_witness" in report["evidence"]) == bool(theta)
+        assert sizes == [4] * 5
+        assert eliminations.count((4, 4)) == 5
+        # every other elimination is int_inv's [g | Id]: none of the Lambda^2 Gram matrix
+        assert set(eliminations) == {(4, 4), (4, 8)}
 
 
 def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):

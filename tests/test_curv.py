@@ -471,13 +471,15 @@ def operator_reference(g: list, point) -> dict:
     before it ran on integers: the reference for every field of CurvOperator.
     From riemann_at (checked against the symbolic oracle above): lowered
     q[(i, j)][(k, l)] = g(R(e_i, e_j) e_k, e_l), mat = L(g)^-1 q^T with the
-    Gram matrix inverted, Ricci, rho = g^-1 Ricci and s = trace(rho)."""
+    Gram matrix inverted, g^-1, Ricci, rho = g^-1 Ricci and s = trace(rho)."""
     g_at = mat_eval(g, point)
     r_at = riemann_at(g, point)
     q = [[m[k][l] for k, l in WEDGE4] for m in (mat_mul(r_at[i][j], g_at) for i, j in WEDGE4)]
     ric = [[sum(r_at[i][k][j][k] for k in range(4)) for j in range(4)] for i in range(4)]
-    rho = mat_mul(mat_inv(g_at), ric)
-    return {"g_at": g_at, "lowered": q, "mat": mat_mul(mat_inv(lambda2_matrix(g_at)), transpose(q)),
+    ginv = mat_inv(g_at)
+    rho = mat_mul(ginv, ric)
+    return {"g_at": g_at, "ginv": ginv, "lowered": q,
+            "mat": mat_mul(mat_inv(lambda2_matrix(g_at)), transpose(q)),
             "ricci": ric, "rho": rho, "s": sum(rho[i][i] for i in range(4))}
 
 
@@ -503,9 +505,10 @@ def mat_det_reference(m: list) -> Fraction:
 
 def decompose_reference(ref: dict, onb: list) -> dict:
     """(s/12) Id, B, W, W+ and W- in Fractions, with B from TwoVector wedges,
-    the Hodge star as L(P) *_u L(P^-1) with the frame inverted, and
-    W+- = P+- W P+- with both projections: the reference for decompose, which
-    reads the star as det P eps L(g) and W+- as P+- W."""
+    the Hodge star as L(P) *_u L(P^-1) with the frame P of the orientation
+    (onb_reference) inverted, and W+- = P+- W P+- with both projections: the
+    reference for decompose, which reads the star from g and the orientation
+    alone, as o eps L(G) / sqrt(det G), and W+- as P+- W."""
     s, rho = ref["s"], Endo(ref["rho"])
     s_part = mat_scale(s / 12, mat_identity(6))
     b_cols = []
@@ -570,8 +573,10 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
     run on integers; at seeded rational points of flat, constcurv:c,
     ppwave:f (the counterexample among them), the perturbed metric and both
     dense pullback shapes, every field equals the Fraction reference exactly:
-    g(p), mat, lowered, ricci, rho, s, the frame, (s/12) Id, B, W, W+, W-, the
-    sectional constant and the duality flags."""
+    g(p), g(p)^-1, mat, lowered, ricci, rho, s, the frame, (s/12) Id, B, W,
+    W+, W-, the sectional constant and the duality flags.  decompose reads no
+    frame; its reference, for each orientation, inverts the frame of that
+    orientation, the last two vectors of the oriented frame swapped for -1."""
     rng = random.Random(1931)
     for model in reference_models():
         compared = 0
@@ -583,6 +588,7 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
                 continue
             op = curvature_operator(model.g, int_point(p))
             assert frac_mat(*op.int_g) == ref["g_at"] and frac_mat(*op.int_mat) == ref["mat"]
+            assert frac_mat(*op.int_ginv) == ref["ginv"]
             assert frac_mat(*op.int_lowered) == ref["lowered"]
             assert frac_mat(*op.int_ricci) == ref["ricci"]
             assert frac_mat(*op.int_rho) == ref["rho"] and s_of(op) == ref["s"]
@@ -590,11 +596,12 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
             c = ref["mat"][0][0]
             assert sectional_constant_check(op) == (
                 (c.denominator, c.numerator) if scalar else None)
+            onb = model.onb_at(int_point(p), op.int_g)
+            assert [[Fraction(x, onb[0]) for x in v] for v in onb[1]] == \
+                onb_reference(model, p, +1)
             for orientation in (1, -1):
-                onb = model.onb_at(int_point(p), op.int_g, orientation)
-                cols = [[Fraction(x, onb[0]) for x in v] for v in onb[1]]
-                assert cols == onb_reference(model, p, orientation)
-                dec, want = decompose(op, onb), decompose_reference(ref, cols)
+                dec = decompose(op, orientation)
+                want = decompose_reference(ref, onb_reference(model, p, orientation))
                 assert frac(dec.int_s) == ref["s"] and parts_sum(dec) == ref["mat"]
                 assert mat_scale(frac(dec.int_s) / 12, mat_identity(6)) == want.pop("s_part")
                 views = {"b_part": dec.int_b, "w_part": dec.int_w,
@@ -613,7 +620,7 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
     op = curvature_operator(m.g, int_point(ORIGIN))
-    dec = decompose(op, m.onb_at(int_point(ORIGIN), op.int_g))
+    dec = decompose(op, +1)
     assert mat_is_zero(frac_mat(*dec.int_b))
     assert mat_is_zero(frac_mat(*dec.int_w))
     assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
@@ -623,7 +630,7 @@ def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    dec = decompose(op, m.onb_at(int_point(p), op.int_g))
+    dec = decompose(op, +1)
     assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
     assert not mat_is_zero(frac_mat(*dec.int_b))
 
@@ -632,9 +639,8 @@ def test_b_part_swaps_chirality():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    onb = m.onb_at(int_point(p), op.int_g)
-    dec = decompose(op, onb)
-    star = frac_mat(*star_matrix(op.int_g, onb))
+    dec = decompose(op, +1)
+    star = frac_mat(*star_matrix(op.int_g[1], math.isqrt(op.int_ginv[0]), +1))
     half = Fraction(1, 2)
     p_plus = mat_scale(half, [[x + y for x, y in zip(r1, r2)]
                               for r1, r2 in zip(mat_identity(6), star)])
@@ -648,12 +654,12 @@ def test_b_part_swaps_chirality():
 def test_duality_verdicts():
     flat = flat_metric()
     op = curvature_operator(flat.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, flat.onb_at(int_point(ORIGIN), op.int_g)))
+    v = duality_verdict(decompose(op, +1))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
     op = curvature_operator(cc.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, cc.onb_at(int_point(ORIGIN), op.int_g)))
+    v = duality_verdict(decompose(op, +1))
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
@@ -663,9 +669,9 @@ def test_ppwave_duality_and_orientation_reversal():
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
     op = curvature_operator(m.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), op.int_g)))
+    v = duality_verdict(decompose(op, +1))
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
-    v_rev = duality_verdict(decompose(op, m.onb_at(int_point(ORIGIN), op.int_g, -1)))
+    v_rev = duality_verdict(decompose(op, -1))
     assert v_rev["self_dual"] and not v_rev["anti_self_dual"]
 
 
@@ -751,13 +757,13 @@ def test_jklr_diagonal_matches_duality_verdict():
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
         op = curvature_operator(model.g, int_point(p))
-        verdict = duality_verdict(decompose(op, model.onb_at(int_point(p), op.int_g)))
+        verdict = duality_verdict(decompose(op, +1))
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
     op = curvature_operator(m.g, int_point(p))
-    assert not duality_verdict(decompose(op, m.onb_at(int_point(p), op.int_g)))["anti_self_dual"]
+    assert not duality_verdict(decompose(op, +1))["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
 
@@ -879,7 +885,8 @@ def test_lambda2_gram_is_the_lambda2_inner_table():
 def jklr_reference(points, orientations, rng, samples):
     """The (j,l,r) samples in Fractions: random_compatible_structure for both
     orientations, then (j, l, r), then four rnd_vec vectors, and
-    jklr_residual of each sample."""
+    jklr_residual of each sample, at points (p, op, onb, js), where
+    sample_jklr reads (p, op, js)."""
     out = []
     for t in range(samples):
         p, op, onb, js = points[t % len(points)]
@@ -911,7 +918,8 @@ def test_integer_jklr_samples_equal_the_fraction_reference():
             seed = rng.getrandbits(32)
             ours, theirs = random.Random(seed), random.Random(seed)
             got = [(p, jlr, Fraction(n, d))
-                   for p, jlr, n, d in sample_jklr(points, orientations, ours, 24)]
+                   for p, jlr, n, d in sample_jklr([(p, op, js) for p, op, _, js in points],
+                                                   orientations, ours, 24)]
             assert got == jklr_reference(points, orientations, theirs, 24)
             assert ours.getstate() == theirs.getstate()
             nonzero[model.name] = nonzero.get(model.name, 0) + sum(res != 0 for *_, res in got)
@@ -1160,7 +1168,8 @@ def test_torsion_at_equals_hitchin_torsion():
     for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
         ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
         want = [[[eval_at(c, p) for c in r2] for r2 in r1] for r1 in torsion.t]
-        _, (d, ginv), (df, full) = point_data(int_jet(m.g, int_point(p))[0],
+        op = curvature_operator(m.g, int_point(p))
+        _, (d, ginv), (df, full) = point_data(op.int_g, op.int_ginv,
                                               (dd, dict(zip(dth.comps, values))))
         assert d > 0 and df > 0 and [
             frac_mat(d * df, [mat_vec(ginv, contract(full, x, y)) for y in basis])
@@ -1176,7 +1185,8 @@ def test_cond_two_forms_specialization():
     # the dTheta values as an integer pair over their least common denominator
     den_d, ((d_int,),) = int_mats([[list(dth_at.values())]])
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    at = point_data(as_ints(g_at.mat), (den_d, dict(zip(dth_at, d_int))))
+    at = point_data(as_ints(g_at.mat), as_ints(mat_inv(g_at.mat)),
+                    (den_d, dict(zip(dth_at, d_int))))
     onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     s1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     s2 = random_endo(as_ints(g_at.mat), onb, rng, -1)

@@ -423,12 +423,9 @@ def test_running_the_cli_module_compiles_it_once(tmp_path):
     assert "paracomplex.cli" not in rows
 
 
-@pytest.mark.parametrize("module", COMMAND_MODULES)
-def test_every_name_a_command_module_imports_is_used_there(module):
-    """A name that a command module imports, at the top or inside a function,
-    is read somewhere in that module: an import that a move or a deletion left
-    behind is a stale name, which every start still resolves and which points
-    a reader at code that no longer needs it."""
+def unread_imports(module: str) -> list:
+    """The names that a module of the package imports, at the top or inside a
+    function, and never reads as a name."""
     tree = ast.parse((SRC / "paracomplex" / f"{module}.py").read_text())
     imported = {(alias.asname or alias.name).partition(".")[0]
                 for node in ast.walk(tree)
@@ -436,7 +433,28 @@ def test_every_name_a_command_module_imports_is_used_there(module):
                 or isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - read) == []
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_every_name_a_command_module_imports_is_used_there(module):
+    """A name that a command module imports, at the top or inside a function,
+    is read somewhere in that module: an import that a move or a deletion left
+    behind is a stale name, which every start still resolves and which points
+    a reader at code that no longer needs it."""
+    assert unread_imports(module) == []
+
+
+def test_every_module_of_the_package_reads_what_it_imports():
+    """The same holds for every module of the package, paracomplex.reference
+    and __main__ among them, which no start compiles but whose stale imports
+    point a reader at code as wrongly; __init__'s imports are read by name
+    only through __all__, which exempts them."""
+    modules = sorted(path.stem for path in (SRC / "paracomplex").glob("*.py"))
+    assert set(COMMAND_MODULES) < set(modules)
+    unread = {module: unread_imports(module) for module in modules}
+    assert set(unread.pop("__init__")) <= set(paracomplex.__all__)
+    assert {module: names for module, names in unread.items() if names} == {}
 
 
 def _defs(code, prefix: str, out: dict) -> dict:

@@ -1,5 +1,6 @@
 """Neutral-signature linear algebra: inertia, Lambda^2, Hodge machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -160,13 +161,22 @@ def star_reference(onb) -> list:
     return mat_mul(lambda2_matrix(p), mat_mul(star_u, lambda2_matrix(mat_inv(p))))
 
 
+def frame_star(g: Bilinear, onb) -> list:
+    """star_matrix in Fractions for the orientation of the orthonormal frame
+    onb of g = G / D: the sign of det P for the frame's columns P, and
+    sqrt(det G), which is an integer because det P^2 det g = 1."""
+    _, gm = as_ints(g.mat)
+    root = math.isqrt(int(mat_det(gm)))
+    assert root * root == mat_det(gm)
+    return frac_mat(*star_matrix(gm, root, 1 if mat_det(mat_from_columns(onb)) > 0 else -1))
+
+
 def hodge_star(onb, a: TwoVector, g: Bilinear = G_DIAG) -> TwoVector:
     """The 2-vector *a for the oriented orthonormal basis onb of g (see star_matrix)."""
     if a.dim != 4:
         raise ValueError("hodge star is implemented for dimension 4")
     pairs = wedge_pairs(4)
-    coords = mat_vec(frac_mat(*star_matrix(as_ints(g.mat), as_ints(onb))),
-                     [a.get(i, j) for i, j in pairs])
+    coords = mat_vec(frame_star(g, onb), [a.get(i, j) for i, j in pairs])
     return TwoVector(4, dict(zip(pairs, coords)))
 
 
@@ -263,16 +273,17 @@ def random_neutral_frame(rng) -> tuple:
 
 
 def test_integer_star_and_j_triples_equal_the_fraction_references():
-    """star_matrix forms det P eps lambda2_matrix(g) on integers, with no
-    inverse, and j_structures forms -A g on integers: both equal their
-    Fraction references, the star as L(P) *_u L(P^-1) with the frame
-    inverted and S_a of each self-dual 2-vector, for seeded neutral metrics
-    and frames of either orientation sign."""
+    """star_matrix forms o eps lambda2_matrix(G) / sqrt(det G) on integers
+    from g and the orientation o alone, with no frame and no inverse, and
+    j_structures forms -A g on integers: both equal their Fraction
+    references, the star as L(P) *_u L(P^-1) with the frame inverted, o the
+    sign of det P, and S_a of each self-dual 2-vector, for seeded neutral
+    metrics and frames of either orientation sign."""
     rng = random.Random(1907)
     for _ in range(12):
         g, onb = random_neutral_frame(rng)
         assert mat_mul(mat_mul(onb, g.mat), transpose(onb)) == G_DIAG.mat
-        assert frac_mat(*star_matrix(as_ints(g.mat), as_ints(onb))) == star_reference(onb)
+        assert frame_star(g, onb) == star_reference(onb)
         for sign in (1, -1):
             assert j_triple(g, onb, sign) == [endo_from_2vector(g, a) for a in sd_basis(onb, sign)]
 

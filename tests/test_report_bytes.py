@@ -43,7 +43,12 @@ curvature moved to Lambda^2 alone (the 21-entry kernel, the Hodge star
 det P eps L(g) and W+- = P+- W): the W+ of one and the W- of the other
 have 36 nonzero entries each, where the W+- pinned before came from
 pp-waves, whose star is sparse, or from conformally flat metrics, where
-W = 0.  A tuple in argv is such
+W = 0.  The `-` twins of the pinned `curvature ppwave:x1*x2^3` and
+`curvature file:no_onb.json` runs, both self-dual with W+ nonzero, were
+recorded before the Hodge star became o eps L(G) / sqrt(det G) for the
+orientation o, with no frame: each frame, the catalog's and a searched
+one, has a negative raw determinant, where every `-` run pinned before was
+conformally flat or had a frame of positive determinant.  A tuple in argv is such
 a metric file, written under its name to the working directory, so that the
 report names it by a relative path.
 """
@@ -105,6 +110,10 @@ PINNED = [
      0, "1b0f88f21b70951663864cc2d2ea8df66eccf56796f22f51b1347ebba4fc6144"),
     (['curvature', NO_ONB, '--point', '1,1,0,0'],
      0, "133a136734e231bf94cc1c02282b8a03f93dffda09b719e59279cad77aaf7fe8"),
+    (['curvature', 'ppwave:x1*x2^3', '--point', '1,2,0,0', '--orientation', '-'],
+     0, "1cd58dd10c5cd32986f317b2407d26104810c5cee8086df6267ce53c1d61a3f8"),
+    (['curvature', NO_ONB, '--point', '1,1,0,0', '--orientation', '-'],
+     0, "26f679cc04220dc1ca078e26b8a43421195467a620c49b6ed5440b41196bfc66"),
     (['curvature', PPWAVE_PULLBACK, '--point', '1,1/2,0,-1', '--orientation', '+'],
      0, "6d26d3a654e157733cb19779a2762303d2765bf24fc8baaa68b2e35e7828ebe0"),
     (['curvature', PPWAVE_PULLBACK, '--point', '1,1/2,0,-1', '--orientation', '-'],
