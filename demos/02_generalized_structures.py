@@ -7,12 +7,12 @@ Run with:  python3 demos/02_generalized_structures.py
 import random
 from fractions import Fraction
 
-from paracomplex.gpx import assemble, is_compatible
 from paracomplex.reference import (
     Bilinear,
-    GenEndo,
+    Endo,
     TwoVector,
     as_ints,
+    assemble_endo,
     b_conjugate,
     basis_vec,
     check_pi_conditions,
@@ -52,14 +52,13 @@ theta = Bilinear([[Fraction(0), Fraction(2), Fraction(0), Fraction(0)],
                   [Fraction(0), Fraction(0), Fraction(-1), Fraction(0)]])
 # The commands work on integer pairs (D, M) standing for M / D:
 # random_compatible_structure reads g and the frame as (D, D g) and gives K_s as
-# such a pair, and assemble takes the pairs and gives K as (D, K).
-g_ints, theta_ints = as_ints(g.mat), as_ints(theta.mat)
-k1 = random_compatible_structure(g_ints, as_ints(onb), rng, +1)
-k2 = random_compatible_structure(g_ints, as_ints(onb), rng, -1)
-den, km = assemble(g_ints, theta_ints, k1, k2)
-print("\nassembled K compatible with E:", is_compatible((den, km), g_ints, theta_ints))
+# such a pair.  gpx.assemble builds K of (g, K1, K2) from g, g^-1 and the pairs,
+# and assemble_endo conjugates it by e^Theta.
+k1 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, +1)
+k2 = random_compatible_structure(as_ints(g.mat), as_ints(onb), rng, -1)
+k = assemble_endo(g, theta, Endo(frac_mat(*k1)), Endo(frac_mat(*k2)))
 e_theta = gen_metric(g, theta)
-k = GenEndo.from_matrix(frac_mat(den, km))
+print("\nassembled K compatible with E:", is_compatible_endo(k, e_theta))
 r1, r2 = extract_pair(k, e_theta)
 print("round trip recovers K1, K2:", r1.mat == frac_mat(*k1) and r2.mat == frac_mat(*k2))
 print("component of (K1, K2):", classify_component(k, e_theta))

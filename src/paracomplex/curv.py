@@ -131,7 +131,7 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
         [o, z, z, -(1 + f) / 2],
         [z, o, -o / 2, z],
     ]
-    return MetricModel("ppwave", g, onb)
+    return MetricModel(f"ppwave:{f.to_str()}", g, onb)
 
 
 def _is_square(den: int, num: int) -> tuple | None:

@@ -2,11 +2,15 @@
 structures at a point on integers, as pairs (D, K) of a positive denominator
 and a 2n x 2n integer matrix standing for K / D: the structure of a descriptor
 kind and its partials, their validation, compatibility with the generalized
-metric of (g, Theta), and the assembly of a structure from (g, Theta) and a
-pair of paracomplex structures.  The Fraction wrappers `GenEndo` and
-`GeneralizedMetric`, the symbolic constructor of each kind, B-transforms, the
-extraction of the pair and the fiber of compatible structures are in
-`paracomplex.reference`.
+metric of g, and the closed-form assembly of a structure from g, g^-1 and a
+pair of paracomplex structures.  Theta enters neither: the structure and the
+metric of (g, Theta) are the B-transforms by e^Theta of those of g, and a
+B-transform keeps K^2 = Id, pairing-skewness, the eigenranks and
+compatibility, so `validate` and the witness search work at Theta = 0.  The
+Fraction wrappers `GenEndo` and `GeneralizedMetric`, the symbolic
+constructor of each kind, B-transforms (which `reference.assemble_endo` and
+`reference.is_compatible_endo` apply for a Theta), the extraction of the pair
+and the fiber of compatible structures are in `paracomplex.reference`.
 
 Conventions.  A bilinear form phi acts as a map T -> T* by
 phi(X)(Y) = phi(X, Y); in coordinates the map matrix is the transpose of the
@@ -20,8 +24,8 @@ from __future__ import annotations
 import math
 
 from paracomplex.exact import PoleAtPoint
-from paracomplex.linalg import (SingularMatrix, bareiss, identity, int_inv, int_jet, mat_add,
-                                mat_mul, mat_neg, mat_scale, mat_sub, transpose)
+from paracomplex.linalg import (bareiss, identity, int_inv, int_jet, mat_add, mat_mul, mat_neg,
+                                mat_scale, mat_sub, transpose)
 
 
 class GenVector:
@@ -96,48 +100,40 @@ def validate_gen_para(den: int, m: list) -> dict[str, bool]:
     }
 
 
-# -- generalized metrics and the assembly of K from (g, Theta, K1, K2) ------------------
+# -- generalized metrics and the assembly of K from (g, K1, K2) -----------------------------
 
 
-def is_compatible(k: tuple, g: tuple, theta: tuple) -> bool:
-    """K preserves the generalized metric of (g, Theta), whose E' is spanned by
-    the frame X + g(X) + Theta(X), iff the images of that frame stay in its
-    span.  On integers, for K = K / D, g = G / D_g and Theta = T / D_t: the
-    frame is F = [[D_g D_t Id], [D_t G^T + D_g T^T]] (forms act as maps
-    T -> T* by their transposes), of rank n, so [F | K F] must have rank n."""
-    (_, km), (dg, gm), (dt, tm) = k, g, theta
-    n = len(gm)
-    f = identity(n, dg * dt) + mat_add(mat_scale(dt, transpose(gm)), mat_scale(dg, transpose(tm)))
-    return len(bareiss([row + kf for row, kf in zip(f, mat_mul(km, f))])[1]) == n
+def is_compatible(k: tuple, g: tuple) -> bool:
+    """K preserves the generalized metric of g, whose E' is spanned by the
+    frame X + g(X), iff the images of that frame stay in its span.  On
+    integers, for K = K / D and g = G / D_g: the frame is F = [[D_g Id], [G^T]]
+    (forms act as maps T -> T* by their transposes), and a stacked vector
+    (p, q) is in its span iff D_g q = G^T p, so with P and Q the vector rows
+    and form rows of K F, K is compatible iff D_g Q = G^T P, which is the rank
+    test rank [F | K F] = n for any K."""
+    (_, km), (dg, gm) = k, g
+    n, gt = len(gm), transpose(gm)
+    kf = mat_mul(km, identity(n, dg) + gt)
+    return mat_scale(dg, kf[n:]) == mat_mul(gt, kf[:n])
 
 
-def assemble(g: tuple, theta: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
-    """The compatible generalized paracomplex structure of (g, Theta, K1, K2),
-    for factors that pass para.validate_para, as (D, K) with K / D the matrix
+def assemble(g: tuple, ginv: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
+    """The generalized paracomplex structure of (g, K1, K2) compatible with
+    the generalized metric of g, for factors that pass para.validate_para, as
+    (D, K) with K / D the matrix
 
-        1/2 [[I, 0], [Th, I]] [[K1+K2, -w1^-1 + w2^-1],
-                               [-w1 + w2, -K1* - K2*]] [[I, 0], [-Th, I]]
+        1/2 [[K1 + K2, -w1^-1 + w2^-1], [-w1 + w2, -K1* - K2*]]
+          = 1/2 [[K1 + K2, g^-T (K2 - K1)^T], [(K2 - K1)^T g^T, -(K1 + K2)^T]]
 
-    with w_s(X, Y) = g(X, K_s Y) and all forms acting as maps T -> T*.  On
-    integers, for g = G / D_g, Theta = T / D_t and K_s = A_s / E over one E:
-    w_s = W_s / (E D_g) with W_s = A_s^T G^T, and int_inv gives W_s R_s = d_s Id,
-    so w_s^-1 = E D_g R_s / d_s; the middle matrix is M / L over
-    L = E D_g d_1 d_2, and the B-transforms are [[D_t I, 0], [+-T^T, D_t I]] / D_t.
-    SingularMatrix where some w_s is singular."""
-    (dg, gm), (dt, tm), (e1, a1), (e2, a2) = g, theta, k1, k2
-    n = len(gm)
+    with w_s(X, Y) = g(X, K_s Y), whose map T -> T* is K_s^T g^T, and all forms
+    acting as maps T -> T*: K_s^2 = Id gives w_s^-1 = g^-T K_s^T, so nothing
+    is inverted here.  The structure of (g, Theta, K1, K2) is e^Theta K e^-Theta.
+    On integers, for g = G / D_g, g^-1 = M / d and K_s = A_s / E over one E:
+    K = [[d D_g S, D_g M^T T], [d T G^T, -d D_g S^T]] over D = 2 E d D_g, with
+    S = A1 + A2 and T = (A2 - A1)^T."""
+    (dg, gm), (d, im), (e1, a1), (e2, a2) = g, ginv, k1, k2
     e = math.lcm(e1, e2)
     a1, a2 = mat_scale(e // e1, a1), mat_scale(e // e2, a2)
-    ws = [mat_mul(transpose(a), transpose(gm)) for a in (a1, a2)]
-    invs = [int_inv(w) for w in ws]
-    if None in invs:
-        raise SingularMatrix("matrix is singular over the scalar field")
-    (d1, r1), (d2, r2) = invs
-    f, dd, ksum = e * dg, d1 * d2, mat_add(a1, a2)
-    mid = _blocks(mat_scale(dg * dd, ksum),
-                  mat_scale(f * f, mat_sub(mat_scale(d1, r2), mat_scale(d2, r1))),
-                  mat_scale(dd, mat_sub(ws[1], ws[0])), mat_scale(-dg * dd, transpose(ksum)))
-    eye = identity(n, dt)
-    z, tt = [[0] * n] * n, transpose(tm)
-    k = mat_mul(mat_mul(_blocks(eye, z, tt, eye), mid), _blocks(eye, z, mat_neg(tt), eye))
-    return 2 * f * dd * dt * dt, k
+    s, t = mat_scale(d * dg, mat_add(a1, a2)), transpose(mat_sub(a2, a1))
+    return 2 * e * d * dg, _blocks(s, mat_scale(dg, mat_mul(transpose(im), t)),
+                                   mat_scale(d, mat_mul(t, transpose(gm))), mat_neg(transpose(s)))

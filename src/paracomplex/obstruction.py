@@ -1,13 +1,15 @@
 """The horizontal obstruction of a potential Theta at a point: the residual of
 the obstruction identity for the generalized structure assembled from
-(g, Theta = 0, S1, S2), on integers: g, g^-1, S1, S2 and the values of dTheta
-are integer pairs (D, M), and sections X + alpha of T + T* are stacked integer
-vectors.  The torsion of the Hitchin connection is read from dTheta itself,
+(g, S1, S2) by `gpx.assemble`, on integers: g, g^-1, S1, S2 and the values of
+dTheta are integer pairs (D, M), and sections X + alpha of T + T* are stacked
+integer vectors.  Theta enters only through dTheta, and the torsion of the
+Hitchin connection is read from dTheta itself,
 T(X, Y) = g^-1 dTheta(X, Y, .) and beta(T(X, .)) = dTheta(g^-1 beta, X, .),
-so no torsion tensor is built, and g^-1 is the one the curvature operator
-of the point already holds.  Only `theorem` with a non-closed `--theta`
-runs it (the witness search of `theorem.theorem_verdict`), so no other command
-loads or compiles this module.
+so no torsion tensor is built.  g^-1 is the one the curvature operator of the
+point already holds, and both the torsion and the closed-form assembly read
+it, so a witness draw runs no elimination.  Only `theorem` with a non-closed
+`--theta` runs it (the witness search of `theorem.theorem_verdict`), so no
+other command loads or compiles this module.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ def contract(full: list, x: list, y: list) -> list:
 
 def np_residual_terms(at: tuple, s1: tuple, s2: tuple, a: list, b: list) -> tuple[int, list, list]:
     """(den, N, C) with N_P(A, B) = N / den and cond_rhs = C / den for the
-    generalized structure P assembled from (g, Theta = 0, S1, S2) at a point,
-    with at = point_data(g, ginv, dth_at) and integer stacked vectors A and
-    B.  The obstruction residual is (N - C) / den.  With P = M / d, P A is M A / d,
-    and each term carries the d of every P in it."""
+    generalized structure P that gpx.assemble builds from (g, g^-1, S1, S2)
+    at a point, with at = point_data(g, ginv, dth_at) and integer stacked
+    vectors A and B.  The obstruction residual is (N - C) / den.  With
+    P = M / dp, P A is M A / dp, and each term carries the dp of every P in
+    it."""
     g, (d, ginv), (dd, full) = at
     n = len(ginv)
-    dp, p = assemble(g, (1, [[0] * n] * n), s1, s2)
+    dp, p = assemble(g, at[1], s1, s2)
 
     def terms(u: list, v: list) -> tuple:
         """T(X, Y) + beta(T(X, .)) - alpha(T(Y, .)) over d F, and

@@ -1050,14 +1050,17 @@ def as_ints(m: list) -> tuple:
 
 
 def assemble_endo(g: Bilinear, theta: Bilinear, k1: Endo, k2: Endo) -> GenEndo:
-    """gpx.assemble of (g, Theta, K1, K2) over Q, on their integers."""
-    return GenEndo.from_matrix(frac_mat(*assemble(*(as_ints(m.mat) for m in (g, theta, k1, k2)))))
+    """The structure of (g, Theta, K1, K2) over Q: e^Theta K e^-Theta for the
+    K that gpx.assemble builds on the integers of g, g^-1, K1 and K2."""
+    k = assemble(*(as_ints(m) for m in (g.mat, mat_inv(g.mat), k1.mat, k2.mat)))
+    return b_conjugate(theta, GenEndo.from_matrix(frac_mat(*k)))
 
 
 def is_compatible_endo(k: GenEndo, e: GeneralizedMetric) -> bool:
-    """gpx.is_compatible of a structure and a generalized metric over Q, on
-    their integers."""
-    return is_compatible(as_ints(k.as_matrix()), as_ints(e.g.mat), as_ints(e.theta.mat))
+    """Whether a structure preserves the generalized metric of (g, Theta) over
+    Q: gpx.is_compatible of e^-Theta K e^Theta and g, on their integers."""
+    untwisted = b_conjugate(Bilinear(mat_neg(e.theta.mat)), k)
+    return is_compatible(as_ints(untwisted.as_matrix()), as_ints(e.g.mat))
 
 
 # -- the symbolic structures: one constructor per kind, over Q or rational functions ------

@@ -4,13 +4,15 @@ Only those two commands import this module, and it imports `gpx` and `patch`
 (and `para` for an `assembled` descriptor) but not `curv`.  `cli` reads the
 descriptor, as its kind, its matrix and its variables, and the points of
 `--point` or `--points`; without them a command samples the default points.
+An `assembled` descriptor is checked at Theta = 0, with one inverse of g(p)
+per point (`gpx`).
 """
 
 from __future__ import annotations
 
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
 from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
-from paracomplex.linalg import INPUT_ERRORS, int_jet, transpose
+from paracomplex.linalg import INPUT_ERRORS, SingularMatrix, int_inv, int_jet, mat_scale, transpose
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
 
@@ -41,20 +43,27 @@ def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool
 
 def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
     """The checks of an assembled descriptor at a point, into entry: each
-    paracomplex factor once, then K and its compatibility with (g, Theta)."""
+    paracomplex factor once, then K of (g, K1, K2), from the one inverse of
+    g(p), and its compatibility with g.  Theta(p) is evaluated only so that a
+    pole of Theta is reported: every check of (g, Theta, K1, K2) is that of
+    (g, K1, K2), since e^Theta keeps them (gpx)."""
     from paracomplex.para import validate_para
 
-    g, theta, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
+    g, _, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
     entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
     if not all(all(c.values()) for c in checks):
         return False
-    k = assemble(g, theta, k1, k2)
+    # w_s = K_s^T g is singular iff g is, since K_s^2 = Id
+    inv = int_inv(g[1])
+    if inv is None:
+        raise SingularMatrix("matrix is singular over the scalar field")
     if g[1] != transpose(g[1]):
         raise ValueError("g must be symmetric")
-    # no check that g is neutral: K1 passes and w_1 = K1^T g is invertible, so g is
-    # nondegenerate and the eigenspaces of K1, of dimension n/2, are g-isotropic
+    # no check that g is neutral: K1 passes and g is invertible, so g is nondegenerate
+    # and the eigenspaces of K1, of dimension n/2, are g-isotropic
+    k = assemble(g, (inv[0], mat_scale(g[0], inv[1])), k1, k2)
     entry["structure"] = checks = validate_gen_para(*k)
-    entry["compatible"] = compatible = is_compatible(k, g, theta)
+    entry["compatible"] = compatible = is_compatible(k, g)
     return all(checks.values()) and compatible
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: descriptors, reports, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from paracomplex.cli import main
 from paracomplex.exact import VARS4
-from paracomplex.linalg import mat_is_zero
+from paracomplex.linalg import mat_is_zero, mat_mul, transpose
 from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums
 from paracomplex.theorem import parse_theta_expr
@@ -528,6 +529,124 @@ def test_validate_checks_each_assembled_factor_once_per_point(tmp_path, capsys, 
     assert code == 0 and len(calls) == 4
 
 
+def _elementary(n, i, j, c):
+    """Id + c e_ij, and its inverse Id - c e_ij, for i != j."""
+    m = [[c if (r, s) == (i, j) else int(r == s) for s in range(n)] for r in range(n)]
+    inv = [[-c if (r, s) == (i, j) else int(r == s) for s in range(n)] for r in range(n)]
+    return m, inv
+
+
+def _gauge_descriptor(rng, n, fault):
+    """A seeded `assembled` descriptor of dimension n as (g, K1, K2) in
+    strings, with variables x1..xn: g = phi S^T T^T (g0 + a) T S and
+    K_s = +-S^-1 T_s^-1 D T_s S for g0 = [[0, Id], [Id, 0]] and
+    D = diag(Id, -Id), a unipotent polynomial S, integer g0-isometries T_s,
+    a polynomial phi (g is singular where it vanishes, x1 = 1 for some) and
+    an antisymmetric a = [[0, M], [-M^T, 0]], zero but for fault "asymmetric"
+    (which sets T_2 = T_1 and phi = 1, so both factors stay g-skew and g
+    invertible); fault "factor" adds one to an entry of K1 and fault "zero"
+    makes g zero."""
+    h, names = n // 2, [f"x{i + 1}" for i in range(n)]
+    one = parse_ratfunc("1", names)
+
+    def poly():
+        return parse_ratfunc(rng.choice(["{c}*x{i}", "{c}*x{i}*x{j}", "{c}"]).format(
+            c=rng.choice([-2, -1, 1, 3]), i=rng.randint(1, n), j=rng.randint(1, n)), names)
+
+    s = [[one * int(i == j) for j in range(n)] for i in range(n)]
+    s_inv = [row[:] for row in s]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        e, e_inv = _elementary(n, max(i, j), min(i, j), poly())
+        s, s_inv = mat_mul(e, s), mat_mul(s_inv, e_inv)
+
+    def isometry():
+        t = [[int(i == j) for j in range(n)] for i in range(n)]
+        t_inv = [row[:] for row in t]
+        for _ in range(2 if h > 1 else 0):
+            i, j = rng.sample(range(h), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            if rng.random() < 0.5:  # [[A, 0], [0, A^-T]] for A = Id + c e_ij
+                e, e_inv = _elementary(n, i, j, c)
+                e[h + j][h + i], e_inv[h + j][h + i] = -c, c
+            else:  # [[Id, B], [0, Id]] for B = c (e_ij - e_ji)
+                e, e_inv = _elementary(n, i, h + j, c)
+                e[j][h + i], e_inv[j][h + i] = -c, c
+            t, t_inv = mat_mul(e, t), mat_mul(t_inv, e_inv)
+        return t, t_inv
+
+    t1 = isometry()
+    t2 = t1 if fault == "asymmetric" else isometry()
+    d = [[(1 if i < h else -1) * int(i == j) for j in range(n)] for i in range(n)]
+    g0 = [[int(abs(i - j) == h) for j in range(n)] for i in range(n)]
+    phi = rng.choice([one, one, parse_ratfunc("x1 - 1", names), poly()])
+    if fault == "asymmetric":  # M = 2 e_11, so g0 + a = [[0, Id + M], [Id - M^T, 0]] is invertible
+        g0[0][h], g0[h][0], phi = 3, -1, one
+    g = [[phi * x for x in row] for row in
+         mat_mul(transpose(s), mat_mul(transpose(t1[0]), mat_mul(g0, mat_mul(t1[0], s))))]
+    ks = [mat_mul(s_inv, mat_mul(t[1], mat_mul(d, mat_mul(t[0], s)))) for t in (t1, t2)]
+    sign = rng.choice([1, -1])
+    ks[1] = [[sign * x for x in row] for row in ks[1]]
+    if fault == "factor":
+        i, j = rng.randrange(n), rng.randrange(n)
+        ks[0][i][j] = ks[0][i][j] + 1
+    if fault == "zero":
+        g = [[0 * x for x in row] for row in g]
+    return names, (g, *ks)
+
+
+def _theta(rng, names, closed):
+    """Theta = d alpha for a random polynomial 1-form alpha when closed, else
+    random entries, one of them 1/(x1 - 1) at times."""
+    n = len(names)
+    if closed:
+        alpha = [parse_ratfunc(f"{rng.randint(-2, 2)}*x{rng.randint(1, n)}^2*x{i + 1}", names)
+                 for i in range(n)]
+        return {f"{i + 1},{j + 1}": (alpha[j].partial(i) - alpha[i].partial(j)).to_str(names)
+                for i in range(n) for j in range(i + 1, n)}
+    theta = {f"{i + 1},{j + 1}": f"{rng.randint(-3, 3)}*x{rng.randint(1, n)}*x{rng.randint(1, n)}"
+             for i in range(n) for j in range(i + 1, n)}
+    if rng.random() < 0.5:
+        theta["1,2"] = "1/(x1 - 1)"
+    return theta
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_theta_is_a_gauge_for_validate(tmp_path, capsys, n):
+    """The structure and the metric of (g, Theta) are e^Theta K e^-Theta and
+    the B-transform of g's, and a B-transform keeps K^2 = Id, skewness, the
+    eigenranks and compatibility: at every point where Theta has no pole, the
+    `validate` entry of a descriptor with a closed or a non-closed Theta is
+    the entry without "theta", on seeded descriptors that pass,
+    that have a factor that fails, an asymmetric g, a zero g, or a g that is
+    singular at some points."""
+    rng = random.Random(400 + n)
+    seen = set()
+    for trial in range(8):
+        fault = [None, None, None, "factor", "asymmetric", "zero", None, None][trial]
+        names, (g, k1, k2) = _gauge_descriptor(rng, n, fault)
+        desc = {"kind": "assembled", "vars": names,
+                **{key: [[x.to_str(names) for x in row] for row in m]
+                   for key, m in (("g", g), ("k1", k1), ("k2", k2))}}
+        # the first point has x1 = 1, a pole of 1/(x1 - 1) and a zero of phi = x1 - 1
+        points = [["1"] + [rng.choice(["0", "2", "-1/2", "3/2"]) for _ in range(n - 1)]]
+        points += [[str(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2)]
+        argv = ["--points", ";".join(map(",".join, points))]
+        code, out = run_cli(capsys, "validate", write_desc(tmp_path, "gauge.json", desc), *argv)
+        bare = json.loads(out)["points"]
+        for closed in (True, False):
+            theta = _theta(rng, names, closed)
+            path = write_desc(tmp_path, "gauge.json", dict(desc, theta=theta))
+            code_theta, out = run_cli(capsys, "validate", path, *argv)
+            entries = json.loads(out)["points"]
+            poles = [theta.get("1,2") == "1/(x1 - 1)" and p[0] == "1" for p in points]
+            assert [e for e, pole in zip(entries, poles) if not pole] == \
+                   [e for e, pole in zip(bare, poles) if not pole], (trial, closed)
+            assert code_theta == code or any(poles)
+            seen.update(entry.get("error", entry["ok"]) for entry in bare)
+    assert seen == {True, False, "g must be symmetric", "matrix is singular over the scalar field"}
+
+
 @pytest.mark.parametrize("sign", ["1", "-1"])
 def test_product_plus_minus_identity_is_rejected(tmp_path, capsys, sign):
     p = [[sign if i == j else "0" for j in range(4)] for i in range(4)]
@@ -739,6 +858,22 @@ def test_curvature_ppwave_orientation_swap(capsys):
                         "--orientation", "-")
     report_rev = json.loads(out)
     assert report_rev["self_dual"] and not report_rev["anti_self_dual"]
+
+
+def test_a_ppwave_report_names_its_profile(capsys):
+    """A pp-wave's report names it ppwave:<f> with f in canonical form, as
+    constcurv:<c> names its c: two profiles give two names, and the name read
+    back as a metric id gives the same report, byte for byte."""
+    names = set()
+    for metric in ("ppwave:x2^2", "ppwave:x1*(x1-1)*(x2^3+x2^2)/2"):
+        for argv in (["curvature", metric, "--point", "1,2,0,0"],
+                     ["theorem", metric, "--component", "--", "--samples", "20"]):
+            code, out = run_cli(capsys, *argv)
+            name = json.loads(out)["metric"]
+            names.add(name)
+            assert run_cli(capsys, argv[0], name, *argv[2:]) == (code, out)
+    assert names == {"ppwave:x2^2",
+                     "ppwave:1/2*x1^2*x2^3 + 1/2*x1^2*x2^2 - 1/2*x1*x2^3 - 1/2*x1*x2^2"}
 
 
 def test_curvature_pole_exit_2(capsys):
@@ -1153,16 +1288,17 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
     """No matrix is inverted in Fractions in `theorem` (no command module has
     a Fraction inverse, test_imports.MOVED), and on integers each point runs
     one inversion of g(p) and one 4 x 4 elimination, with or without a
-    non-closed --theta.  The inversion is int_inv in the Riemann kernel; the
-    curvature operator keeps its g^-1, which the Lambda^2 Gram inverse
-    (L(g)^-1 = L(g^-1)), rho and the witness search's point_data read, so
-    obstruction inverts nothing.  The elimination is the one bareiss of
-    onb_at, which orients the frame for the J-triples; the Hodge star reads
-    g and the orientation alone (star_matrix is o eps L(G) / sqrt(det G),
-    with sqrt(det G) from the operator's g^-1), and the J-triples need no
-    inverse (S_a = -A g).  gpx.assemble's inverses in the witness search
-    are of w_s, not of g, and are not counted."""
+    non-closed --theta: these are every bareiss call of the run.  The
+    inversion is int_inv in the Riemann kernel; the curvature operator keeps
+    its g^-1, which the Lambda^2 Gram inverse (L(g)^-1 = L(g^-1)), rho and
+    the witness search's point_data read, so obstruction inverts nothing: its
+    torsion and gpx.assemble's closed form, w_s^-1 = g^-T K_s^T, read that
+    g^-1.  The elimination is the one bareiss of onb_at, which orients the
+    frame for the J-triples; the Hodge star reads g and the orientation alone
+    (star_matrix is o eps L(G) / sqrt(det G), with sqrt(det G) from the
+    operator's g^-1), and the J-triples need no inverse (S_a = -A g)."""
     import paracomplex.curv
+    import paracomplex.gpx
     import paracomplex.linalg
     import paracomplex.obstruction
 
@@ -1177,9 +1313,9 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
         eliminations.append((len(m), len(m[0])))
         return original_bareiss(m)
 
-    for module in (paracomplex.curv, paracomplex.obstruction):
+    for module in (paracomplex.curv, paracomplex.gpx, paracomplex.obstruction):
         monkeypatch.setattr(module, "int_inv", counting, raising=False)
-    for module in (paracomplex.curv, paracomplex.linalg):
+    for module in (paracomplex.curv, paracomplex.gpx, paracomplex.linalg):
         monkeypatch.setattr(module, "bareiss", counting_bareiss)
     for theta in ([], ["--theta", "x1*dx2^dx3"]):
         sizes.clear()
@@ -1189,9 +1325,38 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
         assert code == (1 if theta else 0) and len(report["evidence"]["points"]) == 5
         assert ("np_residual_witness" in report["evidence"]) == bool(theta)
         assert sizes == [4] * 5
-        assert eliminations.count((4, 4)) == 5
-        # every other elimination is int_inv's [g | Id]: none of the Lambda^2 Gram matrix
-        assert set(eliminations) == {(4, 4), (4, 8)}
+        # int_inv's [g | Id] five times and onb_at's frame five times: none of the Lambda^2
+        # Gram matrix, and none of gpx.assemble's w_s
+        assert sorted(eliminations) == [(4, 4)] * 5 + [(4, 8)] * 5
+
+
+def test_validate_assembled_runs_one_inversion_and_two_ranks_per_point(tmp_path, capsys,
+                                                                       monkeypatch):
+    """`validate` on an `assembled` descriptor runs, at each point, one
+    inversion of g(p) ([g | Id], 4 x 8) and the two ranks of D Id +- K
+    (8 x 8) in validate_gen_para: gpx.assemble inverts no w_s, and
+    gpx.is_compatible is an identity of matrix products with no rank of
+    [F | K F]."""
+    import paracomplex.gpx
+    import paracomplex.linalg
+    import paracomplex.structures
+
+    original = paracomplex.linalg.bareiss
+    eliminations = []
+
+    def counting(m):
+        eliminations.append((len(m), len(m[0])))
+        return original(m)
+
+    for module in (paracomplex.gpx, paracomplex.linalg, paracomplex.structures):
+        monkeypatch.setattr(module, "bareiss", counting, raising=False)
+    k_std = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    path = write_desc(tmp_path, "asm.json", {"kind": "assembled", "g": g, "theta": {"1,2": "3"},
+                                             "k1": k_std, "k2": k_std})
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 0 and len(json.loads(out)["points"]) == 5
+    assert eliminations == [(4, 8), (8, 8), (8, 8)] * 5
 
 
 def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):

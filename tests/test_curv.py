@@ -1259,7 +1259,7 @@ def test_theorem_dtheta_obstruction():
 def test_parse_metric_ids(tmp_path):
     assert parse_metric_id("flat").name == "flat"
     assert parse_metric_id("constcurv:1").name == "constcurv:1"
-    assert parse_metric_id("ppwave:x2^2").name == "ppwave"
+    assert parse_metric_id("ppwave:x2^2").name == "ppwave:x2^2"
     import json
 
     path = tmp_path / "metric.json"

@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from paracomplex.gpx import is_compatible
 from paracomplex.linalg import (
+    bareiss,
+    identity,
     lambda2_matrix,
     mat_add,
     mat_is_zero,
@@ -390,6 +394,55 @@ def test_omega_darboux_compatible():
     g = Bilinear([[Fraction(x) for x in row] for row in g.mat])
     k = omega_structure(omega)
     assert is_compatible_endo(k, gen_metric(g, THETA0))
+
+
+@st.composite
+def compatibility_inputs(draw):
+    """(K, g) on integers, n = 1..4: g = G / D_g with G = B^T C for r x n
+    integer matrices B and C, r = 0..n, and C = diag(+-1) B when G is to be
+    symmetric, so G is singular when r < n; K a 2n x 2n integer matrix,
+    arbitrary, compatible with g (its block c solved from the identity, over
+    D_g^2), or compatible with one entry changed."""
+    n, dg = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    r = draw(st.sampled_from([n, n, *range(n)]))
+    b = [[draw(small) for _ in range(n)] for _ in range(r)]
+    if draw(st.booleans()):
+        signs = [draw(st.sampled_from([1, -1])) for _ in b]
+        c = [[s * x for x in row] for s, row in zip(signs, b)]
+    else:
+        c = [[draw(small) for _ in range(n)] for _ in range(r)]
+    gm = mat_mul(transpose(b), c) if r else [[0] * n for _ in range(n)]
+    km = [[draw(small) for _ in range(2 * n)] for _ in range(2 * n)]
+    kind = draw(st.sampled_from(["arbitrary", "compatible", "perturbed"]))
+    if kind != "arbitrary":
+        # K F = [[P], [Q]] with P = D_g a + b G^T and Q = D_g c + d G^T; D_g Q = G^T P
+        # holds for c = (G^T P - D_g d G^T) / D_g^2, so scale a, b, d by D_g^2
+        a, bb, d = ([row[i:i + n] for row in km[j:j + n]] for j, i in ((0, 0), (0, n), (n, n)))
+        gt = transpose(gm)
+        p = mat_add(mat_scale(dg, a), mat_mul(bb, gt))
+        c = mat_sub(mat_mul(gt, p), mat_scale(dg, mat_mul(d, gt)))
+        top = [mat_scale(dg * dg, x) for x in (a, bb)]
+        km = ([ra + rb for ra, rb in zip(*top)]
+              + [rc + rd for rc, rd in zip(c, mat_scale(dg * dg, d))])
+        if kind == "perturbed":
+            i, j = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+            km[i][j] += draw(st.sampled_from([-1, 1, 2]))
+    return (draw(st.integers(1, 5)), km), (dg, gm)
+
+
+@given(compatibility_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_is_compatible_identity_is_the_rank_criterion(inputs):
+    """gpx.is_compatible's identity D_g Q = G^T P on the rows of K F equals
+    the rank criterion rank [F | K F] = n for F = [[D_g Id], [G^T]], the frame
+    of E' = {X + g(X)}, for any integer K, not only involutions, and for G
+    symmetric or not, singular or not."""
+    (den, km), (dg, gm) = inputs
+    n = len(gm)
+    f = identity(n, dg) + transpose(gm)
+    rank = len(bareiss([row + kf for row, kf in zip(f, mat_mul(km, f))])[1])
+    assert is_compatible((den, km), (dg, gm)) == (rank == n)
 
 
 # -- extract / assemble -------------------------------------------------------------------

@@ -457,6 +457,36 @@ def test_every_module_of_the_package_reads_what_it_imports():
     assert {module: names for module, names in unread.items() if names} == {}
 
 
+def unread_parameters(module: str) -> list:
+    """The parameters of the defs and lambdas of a module of the package,
+    nested ones and methods too, that their bodies never read, as
+    "name (line) parameter"; a method's self is exempt."""
+    tree = ast.parse((SRC / "paracomplex" / f"{module}.py").read_text())
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name} (line {node.lineno}) {p}" for p in params
+                   if p != "self" and p not in read]
+    return unread
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_every_parameter_a_command_module_takes_is_read(module):
+    """Every parameter of every def and lambda in a command module is read in
+    its body: a parameter that a change left behind (a Theta that a closed
+    form no longer needs) makes every caller build and pass a value for
+    nothing, and tells a reader that the result depends on it."""
+    assert unread_parameters(module) == []
+
+
 def _defs(code, prefix: str, out: dict) -> dict:
     """Map (name, first line) of every def compiled into code, nested ones and
     methods too, to its dotted name after prefix; a class body, a lambda and a

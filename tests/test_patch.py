@@ -11,6 +11,7 @@ import pytest
 from paracomplex.exact import PoleAtPoint, RatFunc
 from paracomplex.gpx import assemble, structure_jet, validate_gen_para
 from paracomplex.linalg import (
+    int_inv,
     int_jet,
     mat_add,
     mat_is_zero,
@@ -34,6 +35,7 @@ from paracomplex.reference import (
     GenVector,
     KForm,
     STRUCTURES,
+    assemble_endo,
     b_bracket_residual,
     b_conjugate,
     basis_vec,
@@ -828,15 +830,21 @@ ASSEMBLED = {
 @pytest.mark.parametrize("key", ASSEMBLED, ids=[f"{n}-{r}" for n, r in ASSEMBLED])
 def test_assembled_k_at_a_point_equals_its_symbolic_reduction(key):
     """The K(p) that `validate` feeds to validate_gen_para for an `assembled`
-    descriptor, assemble on the integers of the data's values at p,
-    equals the symbolic structure it reduces to (no integer dK(p) is built
-    for assembled, which `integrability` refuses)."""
+    descriptor, assemble on the integers of g(p), g(p)^-1, K1(p) and K2(p),
+    conjugated by e^Theta(p), equals the symbolic structure it reduces to and
+    reference.assemble_endo, and has the flags of its conjugate (no integer
+    dK(p) is built for assembled, which `integrability` refuses)."""
     n = key[0]
     data, symbolic = ASSEMBLED[key]
     for pt in regular_points(random.Random(41), n, 3):
-        den, m = assemble(*(int_jet(x, int_point(pt))[0] for x in data))
-        k = GenEndo.from_matrix(frac_mat(den, m))
+        g, th, k1, k2 = (int_jet(x, int_point(pt))[0] for x in data)
+        d, adj = int_inv(g[1])
+        den, m = assemble(g, (d, mat_scale(g[0], adj)), k1, k2)
+        theta = Bilinear(frac_mat(*th))
+        k = b_conjugate(theta, GenEndo.from_matrix(frac_mat(den, m)))
         assert k.as_matrix() == mat_eval(symbolic.as_matrix(), pt), pt
+        assert k == assemble_endo(Bilinear(frac_mat(*g)), theta, *(Endo(frac_mat(*x))
+                                                                   for x in (k1, k2)))
         assert validate_gen_para(den, m) == fraction_validate_gen_para(k) == dict.fromkeys(
             ["square_is_identity", "pairing_skew", "equal_eigenranks"], True)
 

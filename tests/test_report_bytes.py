@@ -50,7 +50,9 @@ orientation o, with no frame: each frame, the catalog's and a searched
 one, has a negative raw determinant, where every `-` run pinned before was
 conformally flat or had a frame of positive determinant.  A tuple in argv is such
 a metric file, written under its name to the working directory, so that the
-report names it by a relative path.
+report names it by a relative path.  The five `ppwave:<f>` digests were
+re-recorded when a pp-wave's report began to name its profile,
+"metric": "ppwave:x2^2" where it said "ppwave"; every other byte is the same.
 """
 
 import hashlib
@@ -105,13 +107,13 @@ PINNED = [
     (['curvature', 'constcurv:-2/3', '--point', '1,1/2,0,-1', '--orientation', '-'],
      0, "f37d276c757e1fb6f72a9425daa778a76d93ce0929bb06870425adc0aff4956e"),
     (['curvature', 'ppwave:x1*x2^3', '--point', '1,2,0,0'],
-     0, "1dfbc8f1df5444c88356f0ddd28332ac0ec732cf5122e63cb2ab9113358b4954"),
+     0, "f51287e2b5379f9f763eed383b46120b1c967638d642c9cf8c5a3126f5f7fe42"),
     (['curvature', 'flat', '--point', '1,2,3,4', '--orientation', '-', '--format', 'text'],
      0, "1b0f88f21b70951663864cc2d2ea8df66eccf56796f22f51b1347ebba4fc6144"),
     (['curvature', NO_ONB, '--point', '1,1,0,0'],
      0, "133a136734e231bf94cc1c02282b8a03f93dffda09b719e59279cad77aaf7fe8"),
     (['curvature', 'ppwave:x1*x2^3', '--point', '1,2,0,0', '--orientation', '-'],
-     0, "1cd58dd10c5cd32986f317b2407d26104810c5cee8086df6267ce53c1d61a3f8"),
+     0, "3fe496e323598c2043166262a03ee24f9f9be66c90c69c2fd3cfa2caaeb92b7b"),
     (['curvature', NO_ONB, '--point', '1,1,0,0', '--orientation', '-'],
      0, "26f679cc04220dc1ca078e26b8a43421195467a620c49b6ed5440b41196bfc66"),
     (['curvature', PPWAVE_PULLBACK, '--point', '1,1/2,0,-1', '--orientation', '+'],
@@ -123,9 +125,9 @@ PINNED = [
     (['theorem', 'constcurv:1', '--component', '++', '--seed', '3'],
      1, "069be91de2dddd3590138c42c9d25dc5782efbe433e55a3accb169b97c04e095"),
     (['theorem', 'ppwave:x2^2', '--component', '++', '--points', '0,0,0,0;1,1/2,0,2'],
-     0, "b2c21cc123edb4851751fbe43f8833569caadecd1a3b7e10a3dd2747090793f2"),
+     0, "a75b4317c8f358ff51f33cf56d4384864ea9f08b311697de9410e512f1fbab75"),
     (['theorem', 'ppwave:x1*x2^3', '--component=--', '--samples', '60', '--seed', '2'],
-     1, "95f7a6861c13ebb9a5546b22373980c7b4403ef89245d762d0b04956c47e6a2f"),
+     1, "81ccb0c424038b8c56268629011edfde001540370220a2f23b0071a63798b86e"),
     (['theorem', 'flat', '--theta', 'x1*dx2^dx3', '--component', '++'],
      1, "8e6a443c25e8abfd21cb09832724ed675418a462fd87fe66b5c7a302182ccd21"),
     (['theorem', 'constcurv:1', '--theta', 'x1*x2*dx3^dx4', '--component=-+', '--seed', '5'],
@@ -133,7 +135,7 @@ PINNED = [
     (['theorem', 'constcurv:-2/3', '--component', 'mp', '--points', '1,0,0,0;0,1/2,1,0', '--samples', '30'],
      0, "58e3b9aa57a5d6300289f9039ba138ec79c6aca32aaac810004f6b4e6560a2ca"),
     (['theorem', 'ppwave:x2^2', '--component', '+-', '--samples', '300'],
-     1, "96d558e1d6320fb4c6db95b306861877dfe7be53b8870db4764c3e963ded4f24"),
+     1, "2bf0317767e779685fabd2e6c5c0f8c285a32249eee3c058d833cef0614a70fd"),
     (['theorem', 'constcurv:-1/2', '--component=--', '--samples', '300', '--seed', '745',
       '--points=-1,1,1,1;0,-2/3,-1,-3/2'],
      1, "8cb024fa6e8d03d7a6ab706f4a97cb6a0c7fc857de50efcb234e1d9752a80caf"),
