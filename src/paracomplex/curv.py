@@ -288,7 +288,7 @@ def decompose(op: CurvOperator, orientation: int) -> CurvDecomposition:
     for e_i ^ e_j holds the wedge coordinates of
     2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j; W = W' / L with
     L = lcm(12 e, D) for mat = M / D; and for the star S / E of star_matrix,
-    W_+- = (E Id +- S) W' / (2 E L)."""
+    W_+- = (E W' +- S W') / (2 E L), from the one product S W'."""
     e, rho = op.int_rho
     sigma = sum(rho[i][i] for i in range(4))
     b = [[2 * (rho[k][i] * (l == j) - rho[l][i] * (k == j) + (k == i) * rho[l][j]
@@ -300,10 +300,9 @@ def decompose(op: CurvOperator, orientation: int) -> CurvDecomposition:
     w = [[fm * m[a][c] - fs * (sigma * (a == c) + 3 * b[a][c]) for c in range(6)]
          for a in range(6)]
     ds, star = star_matrix(op.int_g[1], math.isqrt(op.int_ginv[0]), orientation)
-    w_pm = []
-    for sign in (1, -1):
-        proj = [[ds * (a == c) + sign * star[a][c] for c in range(6)] for a in range(6)]
-        w_pm.append((2 * ds * lw, mat_mul(proj, w)))
+    sw = mat_mul(star, w)
+    w_pm = [(2 * ds * lw, [[ds * x + sign * y for x, y in zip(rw, rs)] for rw, rs in zip(w, sw)])
+            for sign in (1, -1)]
     return CurvDecomposition((e, sigma), (4 * e, b), (lw, w), *w_pm)
 
 

@@ -1,16 +1,18 @@
-"""The double space T + T*: its sections, and generalized paracomplex
-structures at a point on integers, as pairs (D, K) of a positive denominator
-and a 2n x 2n integer matrix standing for K / D: the structure of a descriptor
-kind and its partials, their validation, compatibility with the generalized
-metric of g, and the closed-form assembly of a structure from g, g^-1 and a
-pair of paracomplex structures.  Theta enters neither: the structure and the
-metric of (g, Theta) are the B-transforms by e^Theta of those of g, and a
-B-transform keeps K^2 = Id, pairing-skewness, the eigenranks and
-compatibility, so `validate` and the witness search work at Theta = 0.  The
-Fraction wrappers `GenEndo` and `GeneralizedMetric`, the symbolic
-constructor of each kind, B-transforms (which `reference.assemble_endo` and
-`reference.is_compatible_endo` apply for a Theta), the extraction of the pair
-and the fiber of compatible structures are in `paracomplex.reference`.
+"""The double space T + T*: generalized paracomplex structures at a point on
+integers, as pairs (D, K) of a positive denominator and a 2n x 2n integer
+matrix standing for K / D, which acts on the stacked list X + alpha of a
+section: the structure of a descriptor kind and its partials, their
+validation (matrix identities, with no elimination), compatibility with the
+generalized metric of g, and the closed-form assembly of a structure from
+g, g^-1 and a pair of paracomplex structures.  Theta enters neither: the
+structure and the metric of (g, Theta) are the B-transforms by e^Theta of
+those of g, and a B-transform keeps K^2 = Id, pairing-skewness, the
+eigenranks and compatibility, so `validate` and the witness search work at
+Theta = 0.  The Fraction wrappers `GenVector`, `GenEndo` and
+`GeneralizedMetric`, the symbolic constructor of each kind, B-transforms
+(which `reference.assemble_endo` and `reference.is_compatible_endo` apply
+for a Theta), the extraction of the pair and the fiber of compatible
+structures are in `paracomplex.reference`.
 
 Conventions.  A bilinear form phi acts as a map T -> T* by
 phi(X)(Y) = phi(X, Y); in coordinates the map matrix is the transpose of the
@@ -24,22 +26,8 @@ from __future__ import annotations
 import math
 
 from paracomplex.exact import PoleAtPoint
-from paracomplex.linalg import (bareiss, identity, int_inv, int_jet, mat_add, mat_mul, mat_neg,
-                                mat_scale, mat_sub, transpose)
-
-
-class GenVector:
-    """Element X + alpha of T + T*, with X and alpha lists of the same
-    scalars; the frame sweep builds them from the columns of K and dK, and
-    `reference.GenVector` adds the algebra the oracles use."""
-
-    __slots__ = ("x", "alpha")
-
-    def __init__(self, x: list, alpha: list):
-        self.x, self.alpha = x, alpha
-
-    def stacked(self) -> list:
-        return list(self.x) + list(self.alpha)
+from paracomplex.linalg import (identity, int_inv, int_jet, mat_add, mat_mul, mat_neg, mat_scale,
+                                mat_sub, transpose)
 
 
 # -- structures at a point, on integers ------------------------------------------
@@ -85,18 +73,20 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
 
 def validate_gen_para(den: int, m: list) -> dict[str, bool]:
     """Each check of K^2 = Id, skewness for the canonical pairing, and that
-    both eigenspaces have dimension 2n (half the dimension of T + T*), on
-    integers for K = m / den: m^2 = den^2 Id; m^T S + S m = 0 for S = 2<,>,
-    which swaps T and T*, so S m is m with its halves of rows swapped and must
-    be antisymmetric; and the ranks of den Id + m and den Id - m by bareiss."""
+    both eigenspaces have half the dimension of T + T*, on integers for
+    K = m / den: m^2 = den^2 Id; m^T S + S m = 0 for S = 2<,>, which swaps T
+    and T*, so S m is m with its halves of rows swapped and must be
+    antisymmetric; and m^2 = den^2 Id with trace m = 0.  For any m that is the
+    rank test rank(den Id + m) = rank(den Id - m) = len(m) / 2: each says that
+    K is diagonalizable with eigenvalues +-1, and then trace K = r+ - r- for
+    the eigenranks r+ + r- = len(m)."""
     n2 = len(m)
-    ident = identity(n2, den)
     sm = m[n2 // 2:] + m[:n2 // 2]
-    plus, minus = (len(bareiss(f(ident, m))[1]) for f in (mat_add, mat_sub))
+    square = mat_mul(m, m) == identity(n2, den * den)
     return {
-        "square_is_identity": mat_mul(m, m) == identity(n2, den * den),
+        "square_is_identity": square,
         "pairing_skew": sm == mat_neg(transpose(sm)),
-        "equal_eigenranks": plus == n2 // 2 == minus,
+        "equal_eigenranks": square and not sum(m[i][i] for i in range(n2)),
     }
 
 

@@ -3,15 +3,18 @@
 Matrices are dense lists of lists.  At a point every command works on a pair
 (D, M) of a positive denominator and an integer matrix, standing for M / D:
 `int_jet` reads a field's value and partials there, `bareiss` is the one
-fraction-free elimination (pivots, ranks, determinants, by `int_inv` inverses
-and by `kernel_basis` kernels), the dim-4 Hodge star (`star_matrix`,
+fraction-free elimination, which `int_inv` (inverses), `kernel_basis`
+(kernels) and the orientation of a frame in `curv.MetricModel.onb_at` (a
+determinant) read, the dim-4 Hodge star (`star_matrix`,
 o eps lambda2_matrix(G) / sqrt(det G) from g = G / D and the orientation o,
 with no frame and no elimination) and J-triples (`j_structures`) are built
 on integers, and `mat_to_strings` prints such a pair.  `mat_mul` is
 the one matrix product: on integers at a point, and on RatFuncs in the
 symbolic checks of a descriptor's data, which also expand Pfaffians
 (`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
-2-vectors, and the routines only they use, are in `paracomplex.reference`.
+2-vectors, and the routines only they use, are in `paracomplex.reference`,
+with `SingularMatrix`, which its Fraction inverses raise; `INPUT_ERRORS`
+names the two exceptions of a fault in the input.
 """
 
 from __future__ import annotations
@@ -26,12 +29,8 @@ Vec = list
 Mat = list
 
 
-class SingularMatrix(ZeroDivisionError):
-    """Exact inversion of a singular matrix was attempted."""
-
-
 # the faults of an input: cli.main exits 2 on them, and validate reports them per point
-INPUT_ERRORS = (ValueError, PoleAtPoint, SingularMatrix)
+INPUT_ERRORS = (ValueError, PoleAtPoint)
 
 
 # -- matrices ----------------------------------------------------------------

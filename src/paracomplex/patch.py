@@ -9,8 +9,10 @@ omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
 `theorem --theta`) and a bivector are antisymmetric matrices, read above the
 diagonal; the sparse k-forms of `paracomplex.reference` are the oracle of
 their exterior derivative.  A vector field is the list of its components,
-and a section X + alpha of T + T* is a `gpx.GenVector`; the commands build
-them at a point, with integer entries.
+and a section X + alpha of T + T* is the stacked list of its 2n components,
+X and then alpha: the frame sweep takes the columns of K(p) and d_i K(p) as
+they are, with integer entries, and `reference.GenVector` wraps a stacked
+list in the algebra of sections for the oracles.
 Sign convention: the Courant bracket is
 [X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2.
 """
@@ -20,10 +22,9 @@ from __future__ import annotations
 import itertools
 
 from paracomplex.exact import RatFunc
-from paracomplex.gpx import GenVector
 from paracomplex.linalg import mat_mul, mat_neg, mat_vec, pfaffian, transpose
 
-GenSection = GenVector  # the name perfbench/tracer.py imports
+GenSection = list  # the name perfbench/tracer.py imports
 
 
 # -- 1-jets and the Courant bracket ---------------------------------------------------
@@ -34,39 +35,39 @@ def _partial(c: RatFunc, i: int) -> RatFunc:
     return RatFunc.zero(c.nvars) if c.is_const() else c.partial(i)
 
 
-def courant_on_jets(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
+def courant_on_jets(a: list, da: list, b: list, db: list) -> list:
     """Twice the Courant bracket, 2[A, B], of A = X + alpha and B = Y + beta
-    from their 1-jets: the values a, b and the partials da[i] = d_i A,
-    db[i] = d_i B.  The entries are RatFuncs, Fractions, or the integers of
-    jets over common denominators at a point, which the doubling keeps
-    integers:
+    from their 1-jets, as stacked lists X + alpha: the values a, b and the
+    partials da[i] = d_i A, db[i] = d_i B.  The entries are RatFuncs,
+    Fractions, or the integers of jets over common denominators at a point,
+    which the doubling keeps integers:
 
         [X,Y]^k = X^i d_i Y^k - Y^i d_i X^k
         form_k  = X^i d_i beta_k + beta_i d_k X^i - Y^i d_i alpha_k - alpha_i d_k Y^i
                   - d_k(X^i beta_i - Y^i alpha_i) / 2
     """
-    x, alpha, y, beta = a.x, a.alpha, b.x, b.alpha
-    n = len(x)
+    n = len(a) // 2
+    x, alpha, y, beta = a[:n], a[n:], b[:n], b[n:]
     zero = 0 * x[0]  # a zero of the entries' type
     # 2 form_k = 2 lie_k + sym_k with lie_k the d_i terms and sym_k the d_k terms
     vec, lie, sym = [zero] * n, [zero] * n, [zero] * n
     terms = []  # (coefficient, target, its factor at each k), nonzero coefficients only
     for i in range(n):
         if x[i]:
-            terms += [(x[i], vec, db[i].x), (x[i], lie, db[i].alpha),
-                      (-x[i], sym, [d.alpha[i] for d in db])]
+            terms += [(x[i], vec, db[i][:n]), (x[i], lie, db[i][n:]),
+                      (-x[i], sym, [d[n + i] for d in db])]
         if y[i]:
-            terms += [(-y[i], vec, da[i].x), (-y[i], lie, da[i].alpha),
-                      (y[i], sym, [d.alpha[i] for d in da])]
+            terms += [(-y[i], vec, da[i][:n]), (-y[i], lie, da[i][n:]),
+                      (y[i], sym, [d[n + i] for d in da])]
         if alpha[i]:
-            terms.append((-alpha[i], sym, [d.x[i] for d in db]))
+            terms.append((-alpha[i], sym, [d[i] for d in db]))
         if beta[i]:
-            terms.append((beta[i], sym, [d.x[i] for d in da]))
+            terms.append((beta[i], sym, [d[i] for d in da]))
     for c, target, factors in terms:
         for k, f in enumerate(factors):
             if f:
                 target[k] = target[k] + c * f
-    return GenVector([v + v for v in vec], [l + l + s for l, s in zip(lie, sym)])
+    return [v + v for v in vec] + [l + l + s for l, s in zip(lie, sym)]
 
 
 # -- the data that define a structure ------------------------------------------------
@@ -107,13 +108,13 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
     the X entries and then the alpha entries."""
     (_, m), (_, dm) = k, dk
     n = len(m) // 2
-    cols = [[GenVector(c[:n], c[n:]) for c in transpose(e)] for e in [m] + dm]
+    cols = [transpose(e) for e in [m] + dm]
     jets = list(zip(*cols[1:]))
-    t = [[[-2 * x for x in d[j].x] + [d[i].alpha[j] - 2 * c for i, c in enumerate(d[j].alpha)]
-          for j in range(n)] + [[0] * n + [e.x[j] for e in d] for j in range(n)] for d in jets]
+    t = [[[-2 * x for x in d[j][:n]] + [d[i][n + j] - 2 * c for i, c in enumerate(d[j][n:])]
+          for j in range(n)] + [[0] * n + [e[j] for e in d] for j in range(n)] for d in jets]
     witnesses = {}
     for a, b in itertools.combinations(range(2 * n), 2):
-        twice = courant_on_jets(cols[0][a], jets[a], cols[0][b], jets[b]).stacked()
+        twice = courant_on_jets(cols[0][a], jets[a], cols[0][b], jets[b])
         nij = [x - y for x, y in zip(twice, mat_vec(m, [u - v for u, v in zip(t[a][b], t[b][a])]))]
         if any(nij):
             witnesses[(a, b)] = nij

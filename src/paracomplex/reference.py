@@ -10,12 +10,13 @@ coefficients over monic factors that `poly` and `exact` replaced),
 derivative (`ext_deriv`), the oracle of `patch.cyclic_sums`, and the
 Fraction wrappers the commands no longer use: vectors and
 matrices over the scalar tower (`frac_mat`, `int_mats`, `mat_inv`,
-`mat_rank`, `mat_jet`), bilinear forms (with
-Sylvester inertia, `signature`), endomorphisms, 2-vectors, the algebra of
-sections (`GenVector`), structures on T + T* (`GenEndo`) and generalized
-metrics (`gen_metric`), with the entries that convert them to the integer
-pairs of the one implementation of each check (`as_ints`, `assemble_endo`,
-`is_compatible_endo`, `validate_structure`).  It holds the Levi-Civita and
+`mat_rank`, `mat_jet`, and `SingularMatrix`, which the inverses raise),
+bilinear forms (with Sylvester inertia, `signature`), endomorphisms,
+2-vectors, the algebra of sections (`GenVector`, the oracles' section type;
+the commands use the stacked list X + alpha), structures on T + T*
+(`GenEndo`) and generalized metrics (`gen_metric`), with the entries that
+convert them to the integer pairs of the one implementation of each check
+(`as_ints`, `assemble_endo`, `is_compatible_endo`, `validate_structure`).  It holds the Levi-Civita and
 Hitchin connections over rational functions, the pointwise reflector and
 twistor Nijenhuis formulas on horizontal lifts (the gates of a total-space
 computation), the B-transform law of the Courant bracket and the classical
@@ -38,10 +39,8 @@ from typing import Sequence
 
 from paracomplex.curv import _ORDERED, DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc, _factors_mul
-from paracomplex.gpx import GenVector as _GenVector
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
 from paracomplex.linalg import (
-    SingularMatrix,
     bareiss,
     int_inv,
     int_jet,
@@ -657,6 +656,10 @@ def ext_deriv(omega: KForm) -> KForm:
 # -- the Fraction wrappers: vectors and matrices, forms, endomorphisms, 2-vectors, T + T* ------
 
 
+class SingularMatrix(ZeroDivisionError):
+    """Exact inversion of a singular matrix was attempted."""
+
+
 def zero_like(x):
     return RatFunc.zero(x.nvars) if isinstance(x, RatFunc) else Fraction(0)
 
@@ -925,12 +928,19 @@ def signature(b: Bilinear) -> tuple[int, int, int]:
     return pos, neg, null
 
 
-class GenVector(_GenVector):
-    """gpx.GenVector with the algebra of sections that the oracles and the
-    tests use; patch.courant_on_jets returns a gpx.GenVector, which
-    _bracket wraps."""
+class GenVector:
+    """Element X + alpha of T + T*, with X and alpha lists of the same
+    scalars, and the algebra of sections that the oracles and the tests use;
+    the commands work on the stacked list X + alpha, which `stacked` gives
+    and patch.courant_on_jets takes and returns."""
 
-    __slots__ = ()
+    __slots__ = ("x", "alpha")
+
+    def __init__(self, x: list, alpha: list):
+        self.x, self.alpha = x, alpha
+
+    def stacked(self) -> list:
+        return list(self.x) + list(self.alpha)
 
     def __add__(self, other: GenVector) -> GenVector:
         return GenVector(vec_add(self.x, other.x), vec_add(self.alpha, other.alpha))
@@ -954,14 +964,15 @@ class GenVector(_GenVector):
         return all(not c for c in self.x) and all(not c for c in self.alpha)
 
     def __eq__(self, other):
-        return (isinstance(other, _GenVector)
+        return (isinstance(other, GenVector)
                 and list(self.x) == list(other.x) and list(self.alpha) == list(other.alpha))
 
 
 def _bracket(a: GenVector, da: list, b: GenVector, db: list) -> GenVector:
-    """patch.courant_on_jets, as a GenVector with its algebra."""
-    twice = courant_on_jets(a, da, b, db)
-    return GenVector(twice.x, twice.alpha)
+    """patch.courant_on_jets of the stacked sections, as a GenVector."""
+    twice = courant_on_jets(a.stacked(), [d.stacked() for d in da],
+                            b.stacked(), [d.stacked() for d in db])
+    return GenVector(twice[:len(a.x)], twice[len(a.x):])
 
 
 class GenEndo:

@@ -5,14 +5,16 @@ Only those two commands import this module, and it imports `gpx` and `patch`
 descriptor, as its kind, its matrix and its variables, and the points of
 `--point` or `--points`; without them a command samples the default points.
 An `assembled` descriptor is checked at Theta = 0, with one inverse of g(p)
-per point (`gpx`).
+per point (`gpx`), the one elimination of its point; a singular g(p) is a
+ValueError, which the point's "error" shows.  No other kind runs an
+elimination but omega, for omega(p)^-1 in `gpx.structure_jet`.
 """
 
 from __future__ import annotations
 
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
 from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
-from paracomplex.linalg import INPUT_ERRORS, SingularMatrix, int_inv, int_jet, mat_scale, transpose
+from paracomplex.linalg import INPUT_ERRORS, int_inv, int_jet, mat_scale, transpose
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
 
@@ -56,7 +58,7 @@ def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
     # w_s = K_s^T g is singular iff g is, since K_s^2 = Id
     inv = int_inv(g[1])
     if inv is None:
-        raise SingularMatrix("matrix is singular over the scalar field")
+        raise ValueError("matrix is singular over the scalar field")
     if g[1] != transpose(g[1]):
         raise ValueError("g must be symmetric")
     # no check that g is neutral: K1 passes and g is invertible, so g is nondegenerate

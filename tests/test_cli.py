@@ -1315,7 +1315,7 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
 
     for module in (paracomplex.curv, paracomplex.gpx, paracomplex.obstruction):
         monkeypatch.setattr(module, "int_inv", counting, raising=False)
-    for module in (paracomplex.curv, paracomplex.gpx, paracomplex.linalg):
+    for module in (paracomplex.curv, paracomplex.linalg):
         monkeypatch.setattr(module, "bareiss", counting_bareiss)
     for theta in ([], ["--theta", "x1*dx2^dx3"]):
         sizes.clear()
@@ -1330,15 +1330,12 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
         assert sorted(eliminations) == [(4, 4)] * 5 + [(4, 8)] * 5
 
 
-def test_validate_assembled_runs_one_inversion_and_two_ranks_per_point(tmp_path, capsys,
-                                                                       monkeypatch):
-    """`validate` on an `assembled` descriptor runs, at each point, one
-    inversion of g(p) ([g | Id], 4 x 8) and the two ranks of D Id +- K
-    (8 x 8) in validate_gen_para: gpx.assemble inverts no w_s, and
-    gpx.is_compatible is an identity of matrix products with no rank of
-    [F | K F]."""
-    import paracomplex.gpx
+def count_eliminations(monkeypatch) -> list:
+    """The (rows, columns) of every linalg.bareiss call from here on: the
+    wrapper replaces it in every loaded module of the package that holds it,
+    once `validate`'s modules, para among them, are loaded."""
     import paracomplex.linalg
+    import paracomplex.para
     import paracomplex.structures
 
     original = paracomplex.linalg.bareiss
@@ -1348,15 +1345,47 @@ def test_validate_assembled_runs_one_inversion_and_two_ranks_per_point(tmp_path,
         eliminations.append((len(m), len(m[0])))
         return original(m)
 
-    for module in (paracomplex.gpx, paracomplex.linalg, paracomplex.structures):
-        monkeypatch.setattr(module, "bareiss", counting, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paracomplex") and getattr(module, "bareiss", None) is original:
+            monkeypatch.setattr(module, "bareiss", counting)
+    return eliminations
+
+
+def test_validate_assembled_runs_one_inversion_per_point(tmp_path, capsys, monkeypatch):
+    """`validate` on an `assembled` descriptor runs, at each point, exactly
+    one elimination, the inversion of g(p) ([g | Id], 4 x 8):
+    gpx.assemble inverts no w_s, gpx.is_compatible is an identity of matrix
+    products with no rank of [F | K F], and validate_gen_para reads equal
+    eigenranks from K^2 and trace K with no rank of D Id +- K."""
+    eliminations = count_eliminations(monkeypatch)
     k_std = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
     g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
     path = write_desc(tmp_path, "asm.json", {"kind": "assembled", "g": g, "theta": {"1,2": "3"},
                                              "k1": k_std, "k2": k_std})
     code, out = run_cli(capsys, "validate", path)
     assert code == 0 and len(json.loads(out)["points"]) == 5
-    assert eliminations == [(4, 8), (8, 8), (8, 8)] * 5
+    assert eliminations == [(4, 8)] * 5
+
+
+@pytest.mark.parametrize("desc, per_point", [
+    ({"kind": "omega", "omega": {"1,2": "1 + x3^2", "3,4": "x1", "1,3": "x2*x4", "2,4": "x3"}},
+     [(4, 8)]),
+    ({"kind": "pi", "pi": {"1,2": "x3", "1,3": "x2*x4", "2,4": "x1^2", "3,4": "1/(1 + x2^2)"}}, []),
+    ({"kind": "product", "P": [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"],
+                               ["0", "0", "1", "0"]]}, []),
+    ({"kind": "trivial"}, []),
+], ids=["omega", "pi", "product", "trivial"])
+def test_validate_runs_an_elimination_only_to_invert_omega(tmp_path, capsys, monkeypatch, desc,
+                                                          per_point):
+    """`validate` on the other kinds runs one elimination per point only for
+    omega, the inversion of omega(p) ([omega | Id], n x 2n) in
+    gpx.structure_jet, whether or not it is singular there; K_pi, K_P and
+    the trivial structure are built with no elimination, and
+    validate_gen_para runs none."""
+    eliminations = count_eliminations(monkeypatch)
+    code, out = run_cli(capsys, "validate", write_desc(tmp_path, "desc.json", desc))
+    assert code in (0, 1) and len(json.loads(out)["points"]) == 5
+    assert eliminations == per_point * 5
 
 
 def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatch):

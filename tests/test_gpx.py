@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracomplex.gpx import is_compatible
+from paracomplex.gpx import is_compatible, validate_gen_para
 from paracomplex.linalg import (
     bareiss,
     identity,
+    int_inv,
     lambda2_matrix,
     mat_add,
     mat_is_zero,
@@ -443,6 +444,50 @@ def test_is_compatible_identity_is_the_rank_criterion(inputs):
     f = identity(n, dg) + transpose(gm)
     rank = len(bareiss([row + kf for row, kf in zip(f, mat_mul(km, f))])[1])
     assert is_compatible((den, km), (dg, gm)) == (rank == n)
+
+
+@st.composite
+def eigenrank_inputs(draw):
+    """(D, K, expected) on integers, n = 1..4 and D = 1..3, for the 2n x 2n
+    matrix K / D: K arbitrary (expected None), an involution S diag(+-1) S^-1
+    with p signs +1, p = 0..2n, as the pair (D d, D S diag(+-1) A) for
+    S A = d Id (expected p == n), or such an involution with one entry
+    changed (expected None).  S = L U for a unit lower triangular L and an
+    upper triangular U with diagonal entries +-1 and +-2, so it is
+    invertible."""
+    n, den = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    m, small = 2 * n, st.integers(-2, 2)
+    kind = draw(st.sampled_from(["arbitrary", "involution", "perturbed"]))
+    if kind == "arbitrary":
+        return den, [[draw(small) for _ in range(m)] for _ in range(m)], None
+    low = [[draw(small) if j < i else int(i == j) for j in range(m)] for i in range(m)]
+    up = [[draw(small) if j > i else draw(st.sampled_from([1, -1, 2, -2])) if i == j else 0
+           for j in range(m)] for i in range(m)]
+    s = mat_mul(low, up)
+    d, a = int_inv(s)
+    plus = draw(st.integers(0, m))
+    sigma = [[(1 if i < plus else -1) * (i == j) for j in range(m)] for i in range(m)]
+    km = mat_scale(den, mat_mul(mat_mul(s, sigma), a))
+    if kind == "involution":
+        return den * d, km, plus == n
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    km[i][j] += draw(st.sampled_from([-1, 1, 2]))
+    return den * d, km, None
+
+
+@given(eigenrank_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_eigenrank_identity_is_the_rank_criterion(inputs):
+    """validate_gen_para's equal_eigenranks, K^2 = D^2 Id and trace K = 0,
+    equals the rank criterion rank(D Id + K) = rank(D Id - K) = n for any
+    2n x 2n integer K, not only the structures of the descriptor kinds; an
+    involution passes iff half of its signs are +1."""
+    den, km, expected = inputs
+    m = len(km)
+    ranks = [len(bareiss(f(identity(m, den), km))[1]) for f in (mat_add, mat_sub)]
+    flag = validate_gen_para(den, km)["equal_eigenranks"]
+    assert flag == (ranks == [m // 2] * 2)
+    assert expected is None or flag == expected
 
 
 # -- extract / assemble -------------------------------------------------------------------

@@ -249,7 +249,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # the lowered Riemann formula and the dTheta contractions through g^-1 replaced: the
 # Christoffel-derivative helper, the torsion tensor and its contractions, and the dTheta
 # table rebuilt per contraction; and the fixed star of the frame that the Hodge star was
-# conjugated from before it became det P eps L(g)
+# conjugated from before it became det P eps L(g); and the section type that the sweep wrapped
+# its stacked columns in, and the exception of the Fraction inverses, which g(p) no longer raises
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -283,6 +284,7 @@ MOVED = [
     "mat_eq",
     "_sym", "torsion_at", "_torsion_vec", "_covector_alpha_iota", "_dth_full", "_dtheta_covector",
     "_STAR_U",
+    "GenVector", "SingularMatrix",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction", "curvature"]
@@ -537,3 +539,40 @@ def test_every_def_of_a_command_module_is_entered_by_a_pinned_command(tmp_path, 
         missed += [f"{name} (line {key[1]})" for key, name in sorted(defs.items(), key=str)
                    if key not in ran and not name.endswith(".__repr__")]
     assert missed == [], "\n".join(missed)
+
+
+TRACER = SRC.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_table(tree, name: str) -> list:
+    """The literal list that perfbench/tracer.py assigns to name."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]]
+    return ast.literal_eval(value)
+
+
+def test_the_benchmark_tracer_finds_what_it_imports():
+    """perfbench/tracer.py, which the traced benchmark run loads, is read
+    here and not imported: every `from paracomplex.<m> import <names>` in it
+    resolves, every module its SPANS and COUNTED tables name imports (a
+    listed function the program no longer has is left out on purpose), and
+    gen_nijenhuis_frame_sweep returns a pair whose second item has a len, which
+    the tracer's hook on that span reads.  Without this a rename such as
+    patch.GenSection shows only when the traced run starts."""
+    from paracomplex.gpx import structure_jet
+    from paracomplex.parse import parse_ratfunc
+    from paracomplex.patch import gen_nijenhuis_frame_sweep
+
+    tree = ast.parse(TRACER.read_text())
+    missing = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paracomplex.")
+               for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
+    tables = _tracer_table(tree, "SPANS") + _tracer_table(tree, "COUNTED")
+    assert tables
+    for mod in sorted({mod for _, mod, _ in tables}):
+        importlib.import_module(f"paracomplex.{mod}")
+    data = [[parse_ratfunc(c, ["x1", "x2"]) for c in row] for row in [["0", "x2"], ["0-x2", "0"]]]
+    res = gen_nijenhuis_frame_sweep(*structure_jet("omega", data, (1, (1, 1)), 1))
+    assert len(res) == 2 and len(res[1]) == 0  # a 2-form on two variables is closed

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paracomplex.linalg import (
-    SingularMatrix,
     bareiss,
     int_inv,
     kernel_basis,
@@ -25,6 +24,7 @@ from paracomplex.parse import parse_ratfunc
 from paracomplex.reference import (
     Bilinear,
     Endo,
+    SingularMatrix,
     TwoVector,
     as_ints,
     basis_vec,

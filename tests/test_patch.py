@@ -598,15 +598,15 @@ def test_courant_bracket_matches_the_cartan_oracle():
                            pt) for i in range(N)]
 
     for a, b in pairs[:3]:
-        want = section_at(courant_bracket(a, b), pt).scale(Fraction(2))
-        values, partials = [section_at(a, pt), section_at(b, pt)], jet_at(a) + jet_at(b)
+        want = section_at(courant_bracket(a, b), pt).scale(Fraction(2)).stacked()
+        values, partials = ([s.stacked() for s in ss] for ss in
+                            ([section_at(a, pt), section_at(b, pt)], jet_at(a) + jet_at(b)))
         assert courant_on_jets(values[0], partials[:N], values[1], partials[N:]) == want
         # on the integers of values V / D and partials dV / E it gives 2 D E [A, B]
-        (d, vi), (e, pi) = (int_mats([[s.stacked() for s in ss]]) for ss in (values, partials))
-        vi, pi = ([GenVector(r[:N], r[N:]) for r in m] for m in (vi[0], pi[0]))
+        (d, (vi,)), (e, (pi,)) = int_mats([values]), int_mats([partials])
         twice = courant_on_jets(vi[0], pi[:N], vi[1], pi[N:])
-        assert all(isinstance(c, int) for c in twice.stacked())
-        assert [Fraction(c, d * e) for c in twice.stacked()] == want.stacked()
+        assert all(isinstance(c, int) for c in twice)
+        assert [Fraction(c, d * e) for c in twice] == want
 
 
 SWEEP_FIXTURES = {
