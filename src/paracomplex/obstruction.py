@@ -1,15 +1,20 @@
-"""The horizontal obstruction of a potential Theta at a point: the residual of
-the obstruction identity for the generalized structure assembled from
-(g, S1, S2) by `gpx.assemble`, on integers: g, g^-1, S1, S2 and the values of
-dTheta are integer pairs (D, M), and sections X + alpha of T + T* are stacked
-integer vectors.  Theta enters only through dTheta, and the torsion of the
-Hitchin connection is read from dTheta itself,
-T(X, Y) = g^-1 dTheta(X, Y, .) and beta(T(X, .)) = dTheta(g^-1 beta, X, .),
-so no torsion tensor is built.  g^-1 is the one the curvature operator of the
-point already holds, and both the torsion and the closed-form assembly read
-it, so a witness draw runs no elimination.  Only `theorem` with a non-closed
-`--theta` runs it (the witness search of `theorem.theorem_verdict`), so no
-other command loads or compiles this module.
+"""The horizontal obstruction of a potential Theta at a point: one residual
+R, N_P(A, B) minus the right-hand side of the obstruction identity, for the
+generalized structure assembled from (g, S1, S2) by `gpx.assemble`, computed
+in one pass on integers: g, g^-1, S1, S2 and the values of dTheta are
+integer pairs (D, M), and sections X + alpha of T + T* are stacked integer
+vectors.  Theta enters only through dTheta: the torsion of the Hitchin
+connection is read from dTheta itself, T(X, Y) = g^-1 dTheta(X, Y, .) and
+beta(T(X, .)) = dTheta(g^-1 beta, X, .), so no torsion tensor is built, and
+the right-hand side of the identity enters as the H-twist dTheta(X, Y, .) on
+the form half of each bracket term.  g^-1 is the one the curvature operator
+of the point already holds, and both the torsion and the closed-form
+assembly read it, so a witness draw runs no elimination.  Only `theorem` with
+a non-closed `--theta` runs it (the witness search of
+`theorem.theorem_verdict`), so no other command loads or compiles this
+module; its oracle, `reference.horizontal_np_residual`, computes R in
+Fractions from the Hitchin connection's torsion and imports nothing from
+here.
 """
 
 from __future__ import annotations
@@ -39,36 +44,30 @@ def contract(full: list, x: list, y: list) -> list:
     return [sum(x[i] * y[j] * full[i][j][z] for i in ns if x[i] for j in ns) for z in ns]
 
 
-def np_residual_terms(at: tuple, s1: tuple, s2: tuple, a: list, b: list) -> tuple[int, list, list]:
-    """(den, N, C) with N_P(A, B) = N / den and cond_rhs = C / den for the
-    generalized structure P that gpx.assemble builds from (g, g^-1, S1, S2)
-    at a point, with at = point_data(g, ginv, dth_at) and integer stacked
-    vectors A and B.  The obstruction residual is (N - C) / den.  With
-    P = M / dp, P A is M A / dp, and each term carries the dp of every P in
-    it."""
+def np_residual(at: tuple, s1: tuple, s2: tuple, a: list, b: list) -> tuple[int, list]:
+    """(den, R) with R / den the obstruction residual, N_P(A, B) minus the
+    right-hand side of the obstruction identity, for the generalized
+    structure P that gpx.assemble builds from (g, g^-1, S1, S2) at a point,
+    with at = point_data(g, ginv, dth_at) and integer stacked vectors A and
+    B.  With C(U, V) = (T(X, Y), beta(T(X, .)) - alpha(T(Y, .)) + dTheta(X, Y, .))
+    for U = X + alpha and V = Y + beta, and s = -1 on the vector half and +1
+    on the form half, R is s (C(A, B) + C(PA, PB)) - P s (C(PA, B) + C(A, PB));
+    the form term dTheta(X, Y, .) is the H-twist i_Y i_X H with H = dTheta.
+    With P = M / dp, P A is M A / dp, and each term carries the dp of every P
+    in it, so den = dp^2 d F."""
     g, (d, ginv), (dd, full) = at
     n = len(ginv)
     dp, p = assemble(g, at[1], s1, s2)
 
-    def terms(u: list, v: list) -> tuple:
-        """T(X, Y) + beta(T(X, .)) - alpha(T(Y, .)) over d F, and
-        dTheta(X, Y, .) over F, for U = X + alpha and V = Y + beta."""
+    def terms(u: list, v: list) -> list:
+        """C(U, V) over d F, for U = X + alpha and V = Y + beta."""
         x, alpha, y, beta = u[:n], u[n:], v[:n], v[n:]
         c = contract(full, x, y)
-        return (mat_vec(ginv, c) + [f - e for e, f in zip(
-            contract(full, mat_vec(ginv, alpha), y), contract(full, mat_vec(ginv, beta), x))], c)
+        return mat_vec(ginv, c) + [f - e + d * h for e, f, h in zip(
+            contract(full, mat_vec(ginv, alpha), y), contract(full, mat_vec(ginv, beta), x), c)]
 
     pa, pb = mat_vec(p, a), mat_vec(p, b)
-    (t1, d1), (t2, d2), (t3, d3), (t4, d4) = (terms(u, v) for u, v in
-                                              ((a, b), (pa, pb), (pa, b), (a, pb)))
-    # with A' = PA and B' = PB, N_P(A, B) is (-1, +1) (terms(A, B) + terms(A', B')) plus P of
-    # (+1, -1) (terms(A', B) + terms(A, B')) on the (vector, form) parts, and
-    # cond_rhs = -dTheta(X,Y,.) - dTheta(X',Y',.) + P(dTheta(X',Y,.) + dTheta(X,Y',.)),
-    # each over dp^2 d F or dp^2 F
+    t1, t2, t3, t4 = (terms(u, v) for u, v in ((a, b), (pa, pb), (pa, b), (a, pb)))
     sign = [-1] * n + [1] * n
-    inner = mat_vec(p, [-s * (u + v) for s, u, v in zip(sign, t3, t4)])
-    n_p = [s * (dp * dp * u + v) + w for s, u, v, w in zip(sign, t1, t2, inner)]
-    zero = [0] * n
-    inner = mat_vec(p, zero + [u + v for u, v in zip(d3, d4)])
-    cond_rhs = [d * (w - dp * dp * u - v) for u, v, w in zip(zero + d1, zero + d2, inner)]
-    return dp * dp * d * dd, n_p, cond_rhs
+    inner = mat_vec(p, [s * (u + v) for s, u, v in zip(sign, t3, t4)])
+    return dp * dp * d * dd, [s * (dp * dp * u + v) - w for s, u, v, w in zip(sign, t1, t2, inner)]

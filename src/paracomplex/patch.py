@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import mat_mul, mat_neg, mat_vec, pfaffian, transpose
+from paracomplex.linalg import mat_is_zero, mat_mul, mat_neg, mat_sub, mat_vec, pfaffian, transpose
 
 GenSection = list  # the name perfbench/tracer.py imports
 
@@ -82,13 +82,21 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
     if kind == "omega" and not certified and not pfaffian(data, tuple(range(len(data))), {}):
         raise ValueError("omega field is degenerate")
     if kind == "product":
-        n = len(data)
-        ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)]
-                 for i in range(n)]
-        if mat_mul(data, data) != ident:
+        square, plus_minus = involution_checks(data)
+        if not mat_is_zero(square):
             raise ValueError("P^2 != Id as a rational-function identity")
-        if data in (ident, mat_neg(ident)):
+        if plus_minus:
             raise ValueError("P = +-Id")
+
+
+def involution_checks(p: list) -> tuple[list, bool]:
+    """(P^2 - Id, whether P = +-Id) for an n x n matrix P of RatFuncs on n
+    variables: P is an involution other than +-Id iff the first is zero and
+    the second false, as rational-function identities.  check_structure
+    reads them for P, and assembled.validate_identities for K1 and K2."""
+    n = len(p)
+    ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
+    return mat_sub(mat_mul(p, p), ident), p in (ident, mat_neg(ident))
 
 
 # -- the generalized Nijenhuis tensor at a point -----------------------------------------

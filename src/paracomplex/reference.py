@@ -17,7 +17,10 @@ the commands use the stacked list X + alpha), structures on T + T*
 (`GenEndo`) and generalized metrics (`gen_metric`), with the entries that
 convert them to the integer pairs of the one implementation of each check
 (`as_ints`, `assemble_endo`, `is_compatible_endo`, `validate_structure`).  It holds the Levi-Civita and
-Hitchin connections over rational functions, the pointwise reflector and
+Hitchin connections over rational functions, the oracle of the horizontal
+obstruction residual (`horizontal_np_residual`, in Fractions from the
+Hitchin torsion, dTheta and `assemble_endo`, with nothing imported from
+`obstruction`), the pointwise reflector and
 twistor Nijenhuis formulas on horizontal lifts (the gates of a total-space
 computation), the B-transform law of the Courant bracket and the classical
 Nijenhuis tensor, and the linear algebra of the fiber of compatible
@@ -55,7 +58,6 @@ from paracomplex.linalg import (
     mat_vec,
     transpose,
 )
-from paracomplex.obstruction import np_residual_terms, point_data
 from paracomplex.para import hyperboloid_combination, hyperboloid_draw, validate_para
 from paracomplex.patch import _partial, courant_on_jets
 from paracomplex.poly import _term_key
@@ -1860,17 +1862,40 @@ def vertical_pair_basis(g_at: Bilinear, kpair: tuple[Endo, Endo]) -> list:
 
 def horizontal_np_residual(g: list, theta: KForm, s1: Endo, s2: Endo,
                            a: GenVector, b: GenVector, point) -> GenVector:
-    """N_P(A, B) minus the right-hand side of the obstruction identity;
-    identically zero at the point for all inputs iff dTheta vanishes there;
-    the point, the sections and S1, S2 in Fractions."""
-    point, comps = int_point(point), ext_deriv(theta).comps
-    ((dd, (values,)),) = int_jet([list(comps.values())], point)
-    dth_at = (dd, dict(zip(comps, values)))
-    (g_at,) = int_jet(g, point)
-    d, adj = int_inv(g_at[1])
-    ginv = d, [[g_at[0] * x for x in row] for row in adj]
-    (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
-    den, n_p, cond_rhs = np_residual_terms(point_data(g_at, ginv, dth_at), as_ints(s1.mat),
-                                           as_ints(s2.mat), ia, ib)
-    res = [Fraction(u - v, den * da * db) for u, v in zip(n_p, cond_rhs)]
-    return GenVector(res[:len(g)], res[len(g):])
+    """N_P(A, B) minus the right-hand side of the obstruction identity at the
+    point, in Fractions, computed apart from `paracomplex.obstruction`: T is
+    the torsion of hitchin_connection(g, Theta) and H = dTheta (ext_deriv),
+    both at the point, P the structure assemble_endo builds from g, S1 and
+    S2 with Theta = 0 (Theta enters only through dTheta), and, for
+    U = X + alpha and V = Y + beta,
+    C(U, V) = (T(X, Y), beta(T(X, .)) - alpha(T(Y, .)) + H(X, Y, .));
+    the residual is s (C(A, B) + C(PA, PB)) - P s (C(PA, B) + C(A, PB)) with
+    s = -1 on the vector half and +1 on the form half.  Identically zero at
+    the point for all inputs iff dTheta vanishes there; the point, the
+    sections and S1, S2 in Fractions."""
+    n = len(g)
+    _, torsion = hitchin_connection(g, theta)
+    ns = range(n)
+    h = ext_deriv(theta)
+    pairs = [(i, j) for i in ns for j in ns]
+    # T(d_i, d_j)^k and H(d_i, d_j, d_k) at the point, as their nonzero (i, j, k, value)
+    t_at, h_at = ([(i, j, k, v) for (i, j), row in zip(pairs, rows) for k, v in enumerate(row) if v]
+                  for rows in (mat_eval([torsion.t[i][j] for i, j in pairs], point),
+                               mat_eval([[h.get((i, j, k)) for k in ns] for i, j in pairs], point)))
+    p = assemble_endo(Bilinear(mat_eval(g, point)), Bilinear(mat_zero(n)), s1, s2)
+
+    def c(u: GenVector, v: GenVector) -> GenVector:
+        (x, alpha), (y, beta) = (u.x, u.alpha), (v.x, v.alpha)
+        vec, form = [Fraction(0)] * n, [Fraction(0)] * n
+        for i, j, k, t in t_at:
+            vec[k] += x[i] * y[j] * t
+            form[j] += (beta[k] * x[i] - alpha[k] * y[i]) * t
+        for i, j, k, w in h_at:
+            form[k] += x[i] * y[j] * w
+        return GenVector(vec, form)
+
+    def signed(w: GenVector) -> GenVector:
+        return GenVector(vec_scale(-1, w.x), w.alpha)
+
+    pa, pb = p.apply(a), p.apply(b)
+    return signed(c(a, b) + c(pa, pb)) - p.apply(signed(c(pa, b) + c(a, pb)))

@@ -1,20 +1,19 @@
 """The `validate` and `integrability` commands on a structure descriptor.
 
 Only those two commands import this module, and it imports `gpx` and `patch`
-(and `para` for an `assembled` descriptor) but not `curv`.  `cli` reads the
+but not `curv`; `validate` on an `assembled` descriptor imports
+`paracomplex.assembled`, which holds that kind's checks.  `cli` reads the
 descriptor, as its kind, its matrix and its variables, and the points of
 `--point` or `--points`; without them a command samples the default points.
-An `assembled` descriptor is checked at Theta = 0, with one inverse of g(p)
-per point (`gpx`), the one elimination of its point; a singular g(p) is a
-ValueError, which the point's "error" shows.  No other kind runs an
-elimination but omega, for omega(p)^-1 in `gpx.structure_jet`.
+No kind but assembled, for g(p)^-1, and omega, for omega(p)^-1 in
+`gpx.structure_jet`, runs an elimination.
 """
 
 from __future__ import annotations
 
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
-from paracomplex.gpx import assemble, is_compatible, structure_jet, validate_gen_para
-from paracomplex.linalg import INPUT_ERRORS, int_inv, int_jet, mat_scale, transpose
+from paracomplex.gpx import structure_jet, validate_gen_para
+from paracomplex.linalg import INPUT_ERRORS
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
 
@@ -43,37 +42,13 @@ def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool
     return jets, not all(isinstance(j, Exception) for j in jets)
 
 
-def _validate_assembled(mat: tuple, p: tuple, entry: dict) -> bool:
-    """The checks of an assembled descriptor at a point, into entry: each
-    paracomplex factor once, then K of (g, K1, K2), from the one inverse of
-    g(p), and its compatibility with g.  Theta(p) is evaluated only so that a
-    pole of Theta is reported: every check of (g, Theta, K1, K2) is that of
-    (g, K1, K2), since e^Theta keeps them (gpx)."""
-    from paracomplex.para import validate_para
-
-    g, _, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
-    entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
-    if not all(all(c.values()) for c in checks):
-        return False
-    # w_s = K_s^T g is singular iff g is, since K_s^2 = Id
-    inv = int_inv(g[1])
-    if inv is None:
-        raise ValueError("matrix is singular over the scalar field")
-    if g[1] != transpose(g[1]):
-        raise ValueError("g must be symmetric")
-    # no check that g is neutral: K1 passes and g is invertible, so g is nondegenerate
-    # and the eigenspaces of K1, of dimension n/2, are g-isotropic
-    k = assemble(g, (inv[0], mat_scale(g[0], inv[1])), k1, k2)
-    entry["structure"] = checks = validate_gen_para(*k)
-    entry["compatible"] = compatible = is_compatible(k, g)
-    return all(checks.values()) and compatible
-
-
 def cmd_validate(descriptor, point, points) -> dict:
     kind, mat, variables = descriptor
     points = _points(point, points, len(variables), 5)
     error, jets = None, [None] * len(points)
-    if kind != "assembled":
+    if kind == "assembled":
+        from paracomplex.assembled import validate_at, validate_identities
+    else:
         jets, certified = _jets_at(kind, mat, points, 0)
         try:
             check_structure(kind, mat, certified)
@@ -84,7 +59,7 @@ def cmd_validate(descriptor, point, points) -> dict:
         entry: dict = {"point": point_strings(p)}
         try:
             if kind == "assembled":
-                ok = _validate_assembled(mat, p, entry)
+                ok = validate_at(mat, p, entry)
             elif isinstance(error or jet, Exception):
                 raise error or jet
             else:
@@ -95,6 +70,8 @@ def cmd_validate(descriptor, point, points) -> dict:
             ok = False
         entry["ok"] = ok
         results.append(entry)
+    if kind == "assembled":
+        validate_identities(descriptor, results)
     return {"kind": kind, "points": results, "ok": all(e["ok"] for e in results)}
 
 

@@ -1,12 +1,12 @@
 """The `theorem` command and its dim-4 integrability verdict: the curvature
 conditions of a fiber component at each sample point, the seeded (j,l,r) spot
 checks of the curvature identity, and, for a Theta that is not closed, the
-seeded search for a witness of the horizontal obstruction
-(`paracomplex.obstruction`).  `cli` reads the metric and `--points`, and
-the command reads its `--theta` here.  Only the `theorem` command imports
-this module; the curvature operator, its decomposition and the frames the
-J-triples read are `paracomplex.curv`'s, and every value at a point is an
-integer pair, printed by `poly.rat_str`.
+seeded search for a witness of the horizontal obstruction, which reads the
+one residual of `paracomplex.obstruction.np_residual` per draw.  `cli`
+reads the metric and `--points`, and the command reads its `--theta` here.
+Only the `theorem` command imports this module; the curvature operator, its
+decomposition and the frames the J-triples read are `paracomplex.curv`'s,
+and every value at a point is an integer pair, printed by `poly.rat_str`.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _np_witness_search(dth: dict, points: list, rng):
     are drawn as their stacked vectors X + alpha, each twice a rnd_vec2 draw,
     so the residual of the integers A' = 2A and B' = 2B is four times A and
     B's."""
-    from paracomplex.obstruction import np_residual_terms, point_data
+    from paracomplex.obstruction import np_residual, point_data
 
     for p, op, js in points:
         try:
@@ -181,8 +181,7 @@ def _np_witness_search(dth: dict, points: list, rng):
             s2 = hyperboloid_combination(hyperboloid_draw(rng), js(o2))
             a = rnd_vec2(rng) + rnd_vec2(rng)
             b = rnd_vec2(rng) + rnd_vec2(rng)
-            den, n_p, cond_rhs = np_residual_terms(at, s1, s2, a, b)
-            res = [u - v for u, v in zip(n_p, cond_rhs)]
+            den, res = np_residual(at, s1, s2, a, b)
             if any(res):
                 return {"point": point_strings(p),
                         "residual_vector": [rat_str(4 * den, c) for c in res[:4]],

@@ -507,6 +507,48 @@ def test_validate_assembled(tmp_path, capsys):
     assert all(entry["compatible"] for entry in report["points"])
 
 
+# ROADMAP item 26: factors that pass validate_para at the five default points and fail off
+# them, where f = x4 (2 x4 - 1) is not zero; g0 = [[0, Id], [Id, 0]] and D = diag(1, 1, -1, -1)
+F_26 = "x4*(2*x4-1)"
+G0 = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+D_STD = {"1,1": "1", "2,2": "1", "3,3": "-1", "4,4": "-1"}
+K_STD = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+
+
+@pytest.mark.parametrize("desc,error", [
+    # K1 = diag(1 + f, 1, -1 - f, -1): g0-skew and of trace zero, and K1^2 = Id only where f = 0
+    ({"g": G0, "k1": {"1,1": f"1+{F_26}", "2,2": "1", "3,3": f"-1-{F_26}", "4,4": "-1"},
+      "k2": D_STD},
+     "k1: K^2 = Id fails as a rational-function identity: "
+     "(K^2 - Id)[1,1] is 4*x4^4 - 4*x4^3 + 5*x4^2 - 2*x4"),
+    # K2 = D + f e_13: an involution of trace zero, and g0-skew only where f = 0
+    ({"g": G0, "k1": D_STD, "k2": {**D_STD, "1,3": F_26}},
+     "k2: K^T g + g K = 0 fails as a rational-function identity: "
+     "(K^T g + g K)[3,3] is 4*x4^2 - 2*x4"),
+    # g = diag(1, 1, -1, -1) + f (e_12 - e_34), symmetric only where f = 0, and K_STD is g-skew
+    ({"g": {**D_STD, "1,2": F_26, "3,4": f"-{F_26}"}, "k1": K_STD, "k2": K_STD},
+     "g: g = g^T fails as a rational-function identity: (g - g^T)[1,2] is 2*x4^2 - x4"),
+], ids=["k1-square", "k2-skew", "g-symmetric"])
+def test_validate_assembled_decides_identities_not_points(tmp_path, capsys, desc, error):
+    """An `assembled` descriptor whose factors pass every check at the five
+    default points, and fail one off them, exits 1: once every point has
+    passed, each check is decided as a rational-function identity, and the
+    first that fails is the "error" of every point, with "ok" false there,
+    while the point's own checks read true.  Off the zero set of f the point
+    fails by its own checks."""
+    path = write_desc(tmp_path, "asm.json", {"kind": "assembled", **desc})
+    code, out = run_cli(capsys, "validate", path)
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and len(report["points"]) == 5
+    for entry in report["points"]:
+        assert entry["error"] == error and entry["ok"] is False
+        checks = [entry["k1"], entry["k2"], entry["structure"]]
+        assert entry["compatible"] and all(all(c.values()) for c in checks)
+    code, out = run_cli(capsys, "validate", path, "--point", "0,0,0,1")
+    (entry,) = json.loads(out)["points"]
+    assert code == 1 and entry["ok"] is False and entry.get("error") != error
+
+
 def test_validate_checks_each_assembled_factor_once_per_point(tmp_path, capsys, monkeypatch):
     """`validate` runs validate_para once on K1 and once on K2 at each point;
     gpx.assemble takes the checked factors and checks none again."""
@@ -956,6 +998,29 @@ def test_theorem_theta_obstruction(capsys):
     report = json.loads(out)
     assert report["evidence"]["d_theta_zero"] is False
     assert "np_residual_witness" in report["evidence"]
+
+
+# ROADMAP item 1's counterexample: d2^2 f = x1 (x1 - 1) (3 x2 + 1) vanishes at every default
+# point, so the curvature conditions of +-, -+ and -- hold there and nowhere near them; its
+# twin, with (x1 + 1/7) and (x2 + 1/5) substituted, is the same metric translated off them
+PPWAVE_COUNTEREXAMPLE = "ppwave:x1*(x1-1)*(x2^3+x2^2)/2"
+PPWAVE_TWIN = "ppwave:(x1+1/7)*((x1+1/7)-1)*((x2+1/5)^3+(x2+1/5)^2)/2"
+ITEM_1 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: theorem decides the curvature conditions at the five "
+                        "default points only, which all lie where d2^2 f vanishes")
+
+
+@pytest.mark.parametrize("component,code", [
+    ("++", 0), pytest.param("+-", 1, marks=ITEM_1), pytest.param("-+", 1, marks=ITEM_1),
+    pytest.param("--", 1, marks=ITEM_1)])
+def test_item_1_counterexample_gives_its_translated_twins_verdict(capsys, component, code):
+    """The translated twin is integrable on ++ only (Ricci flat and
+    anti-self-dual, and no constant sectional curvature), and a translation
+    changes no verdict, so the counterexample must exit as its twin does on
+    each component.  On +-, -+ and -- it exits 0 today (item 1)."""
+    assert main(["theorem", PPWAVE_TWIN, f"--component={component}"]) == code
+    assert main(["theorem", PPWAVE_COUNTEREXAMPLE, f"--component={component}"]) == code
+    capsys.readouterr()
 
 
 def test_a_pole_of_dtheta_at_a_sample_point_is_skipped(capsys):

@@ -39,7 +39,7 @@ from paracomplex.curv import (
     sectional_constant_check,
     star_matrix,
 )
-from paracomplex.obstruction import contract, np_residual_terms, point_data
+from paracomplex.obstruction import contract, np_residual, point_data
 from paracomplex.reference import (
     Bilinear,
     Connection,
@@ -1176,37 +1176,77 @@ def test_torsion_at_equals_hitchin_torsion():
             for x in basis] == want
 
 
-def test_cond_two_forms_specialization():
+def np_residual_at(g: list, theta: KForm, s1: Endo, s2: Endo, a: GenVector, b: GenVector,
+                   point) -> list:
+    """R / den of obstruction.np_residual in Fractions, for the Fraction inputs
+    of reference.horizontal_np_residual: point_data from g(p), g(p)^-1 and the
+    values of dTheta over their least common denominator, and the stacked
+    sections as integers over theirs."""
+    comps = ext_deriv(theta).comps
+    ((dd, (values,)),) = int_jet([list(comps.values())], int_point(point))
+    g_at = mat_eval(g, point)
+    at = point_data(as_ints(g_at), as_ints(mat_inv(g_at)), (dd, dict(zip(comps, values))))
+    (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
+    den, res = np_residual(at, as_ints(s1.mat), as_ints(s2.mat), ia, ib)
+    return [Fraction(c, den * da * db) for c in res]
+
+
+def test_np_residual_of_form_sections_equals_the_oracle():
+    """Form-only sections A = gX and B = gY at the origin of flat space, with
+    dTheta = dx1 ^ dx2 ^ dx3: the integer residual equals the Fraction oracle,
+    and is not zero there."""
     rng = random.Random(52)
     theta = form2({(1, 2): "x1"})
     m = flat_metric()
-    dth = ext_deriv(theta)
-    dth_at = {idx: eval_at(c, ORIGIN) for idx, c in dth.comps.items()}
-    # the dTheta values as an integer pair over their least common denominator
-    den_d, ((d_int,),) = int_mats([[list(dth_at.values())]])
     g_at = Bilinear(mat_eval(m.g, ORIGIN))
-    at = point_data(as_ints(g_at.mat), as_ints(mat_inv(g_at.mat)),
-                    (den_d, dict(zip(dth_at, d_int))))
     onb = m.onb_at(int_point(ORIGIN), as_ints(g_at.mat))
     s1 = random_endo(as_ints(g_at.mat), onb, rng, +1)
     s2 = random_endo(as_ints(g_at.mat), onb, rng, -1)
-    x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    y = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    gx = [sum(g_at.mat[i][j] * x[j] for j in range(4)) for i in range(4)]
-    gy = [sum(g_at.mat[i][j] * y[j] for j in range(4)) for i in range(4)]
-    a = [Fraction(0)] * 4 + gx
-    b = [Fraction(0)] * 4 + gy
-    (da, ((a_int,),)), (db, ((b_int,),)) = int_mats([[a]]), int_mats([[b]])
-    den, _, cond = np_residual_terms(at, as_ints(s1.mat), as_ints(s2.mat), a_int, b_int)
-    cond_rhs = [Fraction(c, den * da * db) for c in cond]
-    s1x = s1.apply(x)
-    s2x = s2.apply(x)
-    s1y = s1.apply(y)
-    s2y = s2.apply(y)
-    dx = [c1 - c2 for c1, c2 in zip(s1x, s2x)]
-    dy = [c1 - c2 for c1, c2 in zip(s1y, s2y)]
-    expected = [Fraction(-1, 4 * den_d) * c for c in contract(at[2][1], dx, dy)]
-    assert cond_rhs == [Fraction(0)] * 4 + expected
+    x, y = ([Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(2))
+    a, b = (GenVector([Fraction(0)] * 4, mat_vec(g_at.mat, v)) for v in (x, y))
+    res = np_residual_at(m.g, theta, s1, s2, a, b, ORIGIN)
+    assert res == horizontal_np_residual(m.g, theta, s1, s2, a, b, ORIGIN).stacked()
+    assert any(res)
+
+
+def random_theta(rng, closed: bool) -> KForm:
+    """A 2-form of small polynomial entries: for closed, d alpha of a random
+    polynomial 1-form alpha plus a constant 2-form; else random quadratic
+    entries, dTheta not zero for most draws."""
+    def mono():
+        return f"{rng.randint(-2, 2)}*x{rng.randint(1, 4)}*x{rng.randint(1, 4)}"
+
+    if closed:
+        alpha = KForm(4, 1, {(i,): rf(mono()) for i in range(4)})
+        return ext_deriv(alpha) + form2({(0, 2): str(rng.randint(-3, 3))})
+    return form2({pair: mono() for pair in [(0, 1), (1, 2), (0, 3), (2, 3)]})
+
+
+@pytest.mark.parametrize("metric", [flat_metric, functools.partial(constcurv_metric, 1),
+                                    perturbed_metric], ids=["flat", "constcurv:1", "perturbed"])
+def test_np_residual_equals_the_fraction_oracle(metric):
+    """obstruction.np_residual equals reference.horizontal_np_residual, which
+    computes the residual in Fractions from the Hitchin torsion, dTheta and
+    assemble_endo, on 70 seeded draws per metric (210 over the three): a
+    closed or a non-closed Theta, a point, S1 and S2 of either orientation
+    and sections A and B.  For a closed Theta the residual is zero."""
+    rng = random.Random(53)
+    m = metric()
+    points = [ORIGIN, (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)),
+              (Fraction(-1, 3), Fraction(1), Fraction(1, 2), Fraction(0))]
+    nonzero = 0
+    for draw in range(70):
+        closed = draw % 2 == 0
+        theta, p = random_theta(rng, closed), rng.choice(points)
+        g_at = as_ints(mat_eval(m.g, p))
+        onb = m.onb_at(int_point(p), g_at)
+        s1, s2 = (random_endo(g_at, onb, rng, rng.choice([1, -1])) for _ in range(2))
+        a, b = (GenVector(rnd_vec(rng), rnd_vec(rng)) for _ in range(2))
+        res = np_residual_at(m.g, theta, s1, s2, a, b, p)
+        assert res == horizontal_np_residual(m.g, theta, s1, s2, a, b, p).stacked(), draw
+        assert not (closed and any(res)), draw
+        nonzero += any(res)
+    assert nonzero > 20
 
 
 # -- theorem verdicts -----------------------------------------------------------------------------

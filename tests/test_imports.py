@@ -168,11 +168,12 @@ def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, load
     """`curvature`, and `theorem` without `--theta`, load neither `gpx` nor
     `patch`; a `--theta` brings in `patch` for dTheta, and one that is not
     closed `gpx` and `obstruction` for the witness search.  None of them loads
-    `structures`, the bodies of `validate` and `integrability`.  The report is
-    the one main gives in process."""
+    `structures`, the bodies of `validate` and `integrability`, or `assembled`,
+    the identity checks of an assembled descriptor.  The report is the one
+    main gives in process."""
     code, _, ran, out = probe(*argv)
     assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"} & ran == loads
-    assert "paracomplex.structures" not in ran
+    assert {"paracomplex.structures", "paracomplex.assembled"} & ran == set()
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
@@ -180,12 +181,14 @@ def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, load
 def test_structure_commands_load_no_curv(tmp_path, capsys, command):
     """A `validate` and an `integrability` run on an omega descriptor, in a
     fresh process, load `structures` but neither `curv`, `theorem` nor
-    `dataclasses`, and print the report that main gives in process."""
+    `dataclasses`, nor `para` and `assembled`, which only an assembled
+    descriptor runs, and print the report that main gives in process."""
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(OMEGA))
     code, _, ran, out = probe(command, str(path))
     assert "paracomplex.structures" in ran
-    assert {"paracomplex.curv", "paracomplex.theorem", "dataclasses"} & ran == set()
+    assert {"paracomplex.curv", "paracomplex.theorem", "paracomplex.para", "paracomplex.assembled",
+            "dataclasses"} & ran == set()
     assert (code, out) == (main([command, str(path)]), capsys.readouterr().out)
 
 
@@ -287,7 +290,7 @@ MOVED = [
     "GenVector", "SingularMatrix",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
-                   "theorem", "structures", "obstruction", "curvature"]
+                   "theorem", "structures", "obstruction", "curvature", "assembled"]
 
 
 def significant_tokens(path: Path) -> int:
@@ -423,6 +426,23 @@ def test_running_the_cli_module_compiles_it_once(tmp_path):
             if line.startswith("import time:")}
     assert "paracomplex.structures" in rows
     assert "paracomplex.cli" not in rows
+
+
+def test_the_obstruction_oracle_imports_nothing_from_obstruction():
+    """reference.horizontal_np_residual is the oracle of
+    obstruction.np_residual, computed apart from it in Fractions (from the
+    Hitchin torsion, ext_deriv and assemble_endo): paracomplex.reference
+    imports nothing from paracomplex.obstruction, at the top or inside a
+    function, so the integer residual is not checked against itself."""
+    tree = ast.parse((SRC / "paracomplex" / "reference.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ["paracomplex" if node.level else "", node.module]))
+            imported |= {source} | {f"{source}.{alias.name}" for alias in node.names}
+    assert "paracomplex.obstruction" not in imported
 
 
 def unread_imports(module: str) -> list:
