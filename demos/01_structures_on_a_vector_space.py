@@ -6,8 +6,8 @@ Run with:  python3 demos/01_structures_on_a_vector_space.py
 
 from fractions import Fraction
 
+from paracomplex.assembled import validate_para
 from paracomplex.linalg import mat_mul
-from paracomplex.para import validate_para
 from paracomplex.parse import parse_ratfunc
 from paracomplex.poly import rat_str
 from paracomplex.reference import (

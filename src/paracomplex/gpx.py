@@ -109,8 +109,8 @@ def is_compatible(k: tuple, g: tuple) -> bool:
 
 def assemble(g: tuple, ginv: tuple, k1: tuple, k2: tuple) -> tuple[int, list]:
     """The generalized paracomplex structure of (g, K1, K2) compatible with
-    the generalized metric of g, for factors that pass para.validate_para, as
-    (D, K) with K / D the matrix
+    the generalized metric of g, for factors that pass
+    assembled.validate_para, as (D, K) with K / D the matrix
 
         1/2 [[K1 + K2, -w1^-1 + w2^-1], [-w1 + w2, -K1* - K2*]]
           = 1/2 [[K1 + K2, g^-T (K2 - K1)^T], [(K2 - K1)^T g^T, -(K1 + K2)^T]]

@@ -1,8 +1,7 @@
-"""Paracomplex structures on a neutral vector space: validation, and the
-seeded draw of a compatible structure of the dim-4 hyperboloid model that
-the theorem's samples and witness search read.  `validate` loads this module
-for an assembled descriptor and `theorem` for its samples; `curvature` does
-not load it.
+"""The dim-4 hyperboloid model of paracomplex structures: the seeded draw of
+a compatible structure that the theorem's samples and witness search read.
+Only `theorem` loads this module; `curvature` does not, and `validate` on an
+`assembled` descriptor checks its factors in `paracomplex.assembled`.
 
 A paracomplex structure is an endomorphism K with K^2 = Id whose +-1
 eigenspaces have equal dimension; compatibility with a metric g means
@@ -12,26 +11,6 @@ orientation are in `paracomplex.reference`.
 """
 
 from __future__ import annotations
-
-from paracomplex.linalg import identity, mat_add, mat_is_zero, mat_mul, mat_neg, transpose
-
-
-def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
-    """Each check of {k^2 = Id, k != +-Id, trace = 0, g-skew}, on integers for
-    g = G / D and k = K / E given as (D, G) and (E, K): K^2 = E^2 Id,
-    K != +-E Id, trace K = 0 and K^T G + G K = 0."""
-    (_, gm), (e, km) = g, k
-    n = len(km)
-    ident = identity(n, e)
-    return {
-        "square_is_identity": mat_mul(km, km) == identity(n, e * e),
-        "not_plus_minus_identity": km not in (ident, mat_neg(ident)),
-        "trace_zero": not sum(km[i][i] for i in range(n)),
-        "g_skew": mat_is_zero(mat_add(mat_mul(transpose(km), gm), mat_mul(gm, km))),
-    }
-
-
-# -- the hyperboloid model in dimension 4 ----------------------------------------------
 
 
 def _draw(bits, n: int, k: int) -> int:

@@ -1,8 +1,10 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
 coefficients: the Courant bracket on 1-jets, the checks that a descriptor's
-data define a structure, the generalized Nijenhuis tensor on frame pairs at a
-point (on integers), and the integrability criteria of each structure kind,
-with d omega, dTheta and the Poisson Jacobiator from one cyclic sum.
+data define a structure (with involution_checks, the one K^2 - Id, which
+`assembled` also reads for the factors K1 and K2), the generalized Nijenhuis
+tensor on frame pairs at a point (on integers), and the integrability
+criteria of each structure kind, with d omega, dTheta and the Poisson
+Jacobiator from one cyclic sum.  This module imports no `gpx`.
 
 A descriptor's data are one n x n matrix of RatFuncs per kind: the form
 omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
@@ -22,7 +24,8 @@ from __future__ import annotations
 import itertools
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import mat_is_zero, mat_mul, mat_neg, mat_sub, mat_vec, pfaffian, transpose
+from paracomplex.linalg import (identity, mat_is_zero, mat_mul, mat_neg, mat_sub, mat_vec, pfaffian,
+                                transpose)
 
 GenSection = list  # the name perfbench/tracer.py imports
 
@@ -82,21 +85,22 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
     if kind == "omega" and not certified and not pfaffian(data, tuple(range(len(data))), {}):
         raise ValueError("omega field is degenerate")
     if kind == "product":
-        square, plus_minus = involution_checks(data)
+        square, plus_minus = involution_checks((1, data))
         if not mat_is_zero(square):
             raise ValueError("P^2 != Id as a rational-function identity")
         if plus_minus:
             raise ValueError("P = +-Id")
 
 
-def involution_checks(p: list) -> tuple[list, bool]:
-    """(P^2 - Id, whether P = +-Id) for an n x n matrix P of RatFuncs on n
-    variables: P is an involution other than +-Id iff the first is zero and
-    the second false, as rational-function identities.  check_structure
-    reads them for P, and assembled.validate_identities for K1 and K2."""
-    n = len(p)
-    ident = [[RatFunc.one(n) if i == j else RatFunc.zero(n) for j in range(n)] for i in range(n)]
-    return mat_sub(mat_mul(p, p), ident), p in (ident, mat_neg(ident))
+def involution_checks(k: tuple) -> tuple[list, bool]:
+    """(P^2 - E^2 Id, whether P = +-E Id) for P / E given as k = (E, P): P / E
+    is an involution other than +-Id iff the first is zero and the second
+    false.  check_structure reads them for a matrix P of RatFuncs over E = 1,
+    as rational-function identities, and assembled.factor_residuals for K1
+    and K2, on the integers of a point and on RatFuncs."""
+    e, p = k
+    ident = identity(len(p), e)
+    return mat_sub(mat_mul(p, p), identity(len(p), e * e)), p in (ident, mat_neg(ident))
 
 
 # -- the generalized Nijenhuis tensor at a point -----------------------------------------
@@ -163,15 +167,13 @@ def cyclic_sums(m: list, pi: list | None = None) -> dict:
 # -- integrability dispatch ----------------------------------------------------------------
 
 
-def integrability_report(kind: str, data: list, certified: bool = False,
-                         names: list | None = None) -> tuple:
+def integrability_report(kind: str, data: list, names: list | None = None) -> tuple:
     """(criterion, witness) of the closed-form integrability criterion of the
     kind trivial, omega, pi or product (cli._descriptor_structure refuses any
     other kind, and cmd_integrability an assembled one), decided as a
-    rational-function identity for data that pass check_structure (with its
-    certified flag); the witness is None iff the structure is integrable, and
-    its values name the variables names (x1, ..., xn by default)."""
-    check_structure(kind, data, certified)
+    rational-function identity for data that pass check_structure, which the
+    caller runs; the witness is None iff the structure is integrable, and its
+    values name the variables names (x1, ..., xn by default)."""
     n = len(data)
     witness = None
     if kind == "trivial":

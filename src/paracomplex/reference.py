@@ -40,6 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from paracomplex.assembled import validate_para
 from paracomplex.curv import _ORDERED, DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc, _factors_mul
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
@@ -58,7 +59,7 @@ from paracomplex.linalg import (
     mat_vec,
     transpose,
 )
-from paracomplex.para import hyperboloid_combination, hyperboloid_draw, validate_para
+from paracomplex.para import hyperboloid_combination, hyperboloid_draw
 from paracomplex.patch import _partial, courant_on_jets
 from paracomplex.poly import _term_key
 

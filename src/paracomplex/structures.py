@@ -2,9 +2,11 @@
 
 Only those two commands import this module, and it imports `gpx` and `patch`
 but not `curv`; `validate` on an `assembled` descriptor imports
-`paracomplex.assembled`, which holds that kind's checks.  `cli` reads the
-descriptor, as its kind, its matrix and its variables, and the points of
-`--point` or `--points`; without them a command samples the default points.
+`paracomplex.assembled`, which holds that kind's checks, and not `para`.
+Each command runs patch.check_structure once, before anything that reads
+the structure's data as valid.  `cli` reads the descriptor, as its kind,
+its matrix and its variables, and the points of `--point` or `--points`;
+without them a command samples the default points.
 No kind but assembled, for g(p)^-1, and omega, for omega(p)^-1 in
 `gpx.structure_jet`, runs an elimination.
 """
@@ -81,7 +83,8 @@ def cmd_integrability(descriptor, point, points) -> dict:
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points(point, points, len(variables), 3)
     jets, certified = _jets_at(kind, mat, points, 1)
-    criterion, witness = integrability_report(kind, mat, certified, variables)
+    check_structure(kind, mat, certified)
+    criterion, witness = integrability_report(kind, mat, variables)
     samples = []
     for p, jet in zip(points, jets):
         entry: dict = {"point": point_strings(p)}

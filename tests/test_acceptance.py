@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from paracomplex.assembled import validate_para
 from paracomplex.cli import main as cli_main
 from paracomplex.curv import (
     MetricModel,
@@ -29,7 +30,6 @@ from paracomplex.linalg import (
     mat_scale,
     transpose,
 )
-from paracomplex.para import validate_para
 from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums, integrability_report
 from paracomplex.theorem import theorem_verdict

@@ -1,10 +1,12 @@
 """Command-line interface: descriptors, reports, exit codes, determinism."""
 
 import json
+import math
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -552,10 +554,10 @@ def test_validate_assembled_decides_identities_not_points(tmp_path, capsys, desc
 def test_validate_checks_each_assembled_factor_once_per_point(tmp_path, capsys, monkeypatch):
     """`validate` runs validate_para once on K1 and once on K2 at each point;
     gpx.assemble takes the checked factors and checks none again."""
-    import paracomplex.para
+    import paracomplex.assembled
 
     calls = []
-    original = paracomplex.para.validate_para
+    original = paracomplex.assembled.validate_para
 
     def counting(g, k):
         calls.append(k)
@@ -687,6 +689,82 @@ def test_theta_is_a_gauge_for_validate(tmp_path, capsys, n):
             assert code_theta == code or any(poles)
             seen.update(entry.get("error", entry["ok"]) for entry in bare)
     assert seen == {True, False, "g must be symmetric", "matrix is singular over the scalar field"}
+
+
+def _fraction_value(f, point):
+    """A RatFunc at a point of Fractions, from its terms and its factors."""
+    def poly(p):
+        return sum(c * math.prod(x ** e for x, e in zip(point, exps)) for exps, c in p.terms.items())
+
+    return Fraction(poly(f.num)) / (f.den * math.prod(poly(p) ** m for p, m in f.factors.values()))
+
+
+def _first_failing_identity(g, k1, k2, points):
+    """The identity that `validate` on the assembled descriptor (g, K1, K2)
+    names first, in its order (K^2 = Id, trace K = 0 and K^T g + g K = 0 for
+    K1 and then K2, then g = g^T), found as the first of them that is not
+    zero at one of points, in Fractions; None when all are zero there.  It
+    calls nothing from assembled, para or patch."""
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    def residuals(gp, k):
+        n, square = len(k), mul(k, k)
+        skew = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(mul(list(zip(*k)), gp), mul(gp, k))]
+        return [("K^2 = Id", [square[i][j] - (i == j) for i in range(n) for j in range(n)]),
+                ("trace K = 0", [sum(k[i][i] for i in range(n))]),
+                ("K^T g + g K = 0", [x for row in skew for x in row])]
+
+    table = []  # per point, each identity's name and whether it fails there
+    for p in points:
+        gp, *kps = [[[_fraction_value(x, p) for x in row] for row in m] for m in (g, k1, k2)]
+        row = [(f"{name}: {check}", any(values))
+               for name, kp in zip(("k1", "k2"), kps) for check, values in residuals(gp, kp)]
+        row.append(("g: g = g^T", any(a != b for ra, rb in zip(gp, zip(*gp)) for a, b in zip(ra, rb))))
+        table.append(row)
+    return next((col[0][0] for col in zip(*table) if any(fails for _, fails in col)), None)
+
+
+def test_validate_assembled_identities_equal_a_fraction_reference(tmp_path, capsys):
+    """On 100 seeded `assembled` descriptors (random.Random(426)) whose five
+    default points all pass their checks, `validate` exits 0 iff a Fraction
+    reference finds every identity zero at three seeded rational points with
+    x4 not in {0, 1/2}, and its "error" names the identity that the reference
+    finds failing first.  The descriptors are those of _gauge_descriptor with
+    no fault or with f e_ij, for f = x4 (2 x4 - 1), which vanishes at every
+    default point, added to K1 only, to K2 only, or to g's (1,2) entry only."""
+    rng = random.Random(426)
+    names = VARS4
+    f = parse_ratfunc("x4*(2*x4-1)", names)
+    kept, seen = 0, set()
+    while kept < 100:
+        _, (g, k1, k2) = _gauge_descriptor(rng, 4, None)
+        fault = rng.choice([None, "k1", "k2", "g"])
+        i, j = (0, 1) if fault == "g" else (rng.randrange(4), rng.randrange(4))
+        if fault:
+            target = {"k1": k1, "k2": k2, "g": g}[fault]
+            target[i][j] = target[i][j] + f
+        desc = {"kind": "assembled", "vars": names,
+                **{key: [[x.to_str(names) for x in row] for row in m]
+                   for key, m in (("g", g), ("k1", k1), ("k2", k2))}}
+        code, out = run_cli(capsys, "validate", write_desc(tmp_path, "asm.json", desc))
+        entries = json.loads(out)["points"]
+        if not all(all(all(e.get(key, {"": False}).values()) for key in ("k1", "k2", "structure"))
+                   and e.get("compatible") for e in entries):
+            continue  # a default point fails its own checks
+        kept += 1
+        points = []
+        while len(points) < 3:
+            p = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
+            if p[3] not in (0, Fraction(1, 2)):
+                points.append(tuple(p))
+        expected = _first_failing_identity(g, k1, k2, points)
+        errors = {e.get("error", "").partition(" fails as a rational-function identity")[0]
+                  for e in entries}
+        assert (code, errors) == ((1, {expected}) if expected else (0, {""})), (kept, fault)
+        seen.add((fault, expected))
+    assert {fault for fault, expected in seen if expected} == {"k1", "k2", "g"}
+    assert (None, None) in seen
 
 
 @pytest.mark.parametrize("sign", ["1", "-1"])

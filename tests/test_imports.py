@@ -161,16 +161,17 @@ def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
 @pytest.mark.parametrize("argv,loads", [
     (["curvature", "constcurv:1", "--point", "0,0,0,0"], set()),
     (["theorem", "constcurv:1", "--component=+-"], set()),
+    (["theorem", "constcurv:1", "--component=+-", "--theta", "dx1^dx2"], {"paracomplex.patch"}),
     (["theorem", "constcurv:1", "--component=+-", "--theta", "x1*dx2^dx3"],
      {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"}),
-], ids=["curvature", "theorem", "theorem-theta"])
+], ids=["curvature", "theorem", "theorem-closed-theta", "theorem-theta"])
 def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, loads):
     """`curvature`, and `theorem` without `--theta`, load neither `gpx` nor
-    `patch`; a `--theta` brings in `patch` for dTheta, and one that is not
-    closed `gpx` and `obstruction` for the witness search.  None of them loads
-    `structures`, the bodies of `validate` and `integrability`, or `assembled`,
-    the identity checks of an assembled descriptor.  The report is the one
-    main gives in process."""
+    `patch`; a `--theta` brings in `patch` for dTheta, a closed one nothing
+    more, and one that is not closed `gpx` and `obstruction` for the witness
+    search (patch imports no gpx).  None of them loads `structures`, the
+    bodies of `validate` and `integrability`, or `assembled`, the checks of
+    an assembled descriptor.  The report is the one main gives in process."""
     code, _, ran, out = probe(*argv)
     assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"} & ran == loads
     assert {"paracomplex.structures", "paracomplex.assembled"} & ran == set()
@@ -190,6 +191,21 @@ def test_structure_commands_load_no_curv(tmp_path, capsys, command):
     assert {"paracomplex.curv", "paracomplex.theorem", "paracomplex.para", "paracomplex.assembled",
             "dataclasses"} & ran == set()
     assert (code, out) == (main([command, str(path)]), capsys.readouterr().out)
+
+
+def test_validate_on_an_assembled_descriptor_loads_assembled_but_not_para(tmp_path, capsys):
+    """`validate` on an assembled descriptor loads `assembled`, which checks
+    its factors, and not `para`, which holds only the hyperboloid model that
+    `theorem` draws from; its report in a fresh process is the one main
+    gives in process."""
+    k = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    path = tmp_path / "assembled.json"
+    path.write_text(json.dumps({"kind": "assembled", "g": g, "theta": {"1,2": "3"}, "k1": k, "k2": k}))
+    code, _, ran, out = probe("validate", str(path))
+    assert code == 0 and {"paracomplex.structures", "paracomplex.assembled"} <= ran
+    assert {"paracomplex.para", "paracomplex.curv", "paracomplex.theorem"} & ran == set()
+    assert (code, out) == (main(["validate", str(path)]), capsys.readouterr().out)
 
 
 def test_theorem_loads_curv_and_gives_its_report(capsys):
@@ -350,21 +366,23 @@ def test_each_module_a_command_loads_compiles_below_the_old_exact_peak(module):
     assert int(proc.stdout) / 2 ** 20 < bound
 
 
-# what moved out of exact to parse, and out of cli to theorem, structures and curvature
+# what moved out of exact to parse, out of cli to theorem, structures and curvature, and
+# out of para to assembled
 SPLIT = {
     "exact": ["parse_rational", "_Tokens", "check_variables", "parse_ratfunc", "MAX_EXPONENT",
               "MAX_POWER", "MAX_POWER_BITS", "MAX_TERM_PAIRS", "MAX_VARS"],
     "cli": ["cmd_theorem", "parse_theta_expr", "_split_top_level", "_WEDGE_RE", "MAX_SAMPLES",
             "cmd_validate", "cmd_integrability", "_jets_at", "_validate_assembled",
             "_POINT_ERRORS", "cmd_curvature"],
+    "para": ["validate_para"],
 }
 
 
 @pytest.mark.parametrize("module", sorted(SPLIT))
 def test_split_leaves_no_alias(module):
-    """exact compiles without the parser and cli without the bodies of
-    theorem, validate, integrability and curvature, and neither imports them
-    back."""
+    """exact compiles without the parser, cli without the bodies of theorem,
+    validate, integrability and curvature, and para without the factor
+    checks of an assembled descriptor, and none imports them back."""
     held = importlib.import_module(f"paracomplex.{module}")
     assert [name for name in SPLIT[module] if hasattr(held, name)] == []
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from paracomplex.assembled import validate_para
 from paracomplex.linalg import mat_mul
 from paracomplex.para import (
     _draw,
     hyperboloid_draw,
-    validate_para,
 )
 from paracomplex.reference import (
     Bilinear,
