@@ -12,8 +12,7 @@ only the hyperboloid model that `theorem` draws from.
 from __future__ import annotations
 
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
-from paracomplex.linalg import (int_inv, int_jet, mat_add, mat_is_zero, mat_mul, mat_scale, mat_sub,
-                                transpose)
+from paracomplex.linalg import int_inv, int_jet, mat_add, mat_is_zero, mat_mul, mat_sub, transpose
 from paracomplex.patch import involution_checks
 
 
@@ -40,25 +39,25 @@ def validate_para(g: tuple, k: tuple) -> dict[str, bool]:
 
 def validate_at(mat: tuple, p: tuple, entry: dict) -> bool:
     """The checks of an assembled descriptor at a point, into entry: each
-    paracomplex factor once, then K of (g, K1, K2), from the one inverse of
-    g(p), the one elimination of the point (a singular g(p) is a ValueError,
-    which the point's "error" shows), and its compatibility with g.  Theta(p)
-    is evaluated only so that a pole of Theta is reported: every check of
-    (g, Theta, K1, K2) is that of (g, K1, K2), since e^Theta keeps them
-    (gpx)."""
+    paracomplex factor once, then K of (g, K1, K2), from the pair of g(p)^-1
+    that int_inv gives, the one elimination of the point (a singular g(p) is
+    a ValueError, which the point's "error" shows), and its compatibility
+    with g.  Theta(p) is evaluated only so that a pole of Theta is reported:
+    every check of (g, Theta, K1, K2) is that of (g, K1, K2), since e^Theta
+    keeps them (gpx)."""
     g, _, k1, k2 = [int_jet(m, p)[0] for m in mat]  # a pole in any of them comes first
     entry["k1"], entry["k2"] = checks = [validate_para(g, k) for k in (k1, k2)]
     if not all(all(c.values()) for c in checks):
         return False
     # w_s = K_s^T g is singular iff g is, since K_s^2 = Id
-    inv = int_inv(g[1])
+    inv = int_inv(g)
     if inv is None:
         raise ValueError("matrix is singular over the scalar field")
     if g[1] != transpose(g[1]):
         raise ValueError("g must be symmetric")
     # no check that g is neutral: K1 passes and g is invertible, so g is nondegenerate
     # and the eigenspaces of K1, of dimension n/2, are g-isotropic
-    k = assemble(g, (inv[0], mat_scale(g[0], inv[1])), k1, k2)
+    k = assemble(g, inv, k1, k2)
     entry["structure"] = checks = validate_gen_para(*k)
     entry["compatible"] = compatible = is_compatible(k, g)
     return all(checks.values()) and compatible

@@ -5,7 +5,7 @@ a point, from the point itself and the 2-jet to the decomposition, runs on
 integer pairs (D, M) of a positive denominator and an integer matrix, vector or
 value, and a value is printed by `poly.rat_str` from its pair.  Curvature is
 read on Lambda^2 alone: `_riemann` computes the 21 entries of the symmetric
-lowered operator q on the wedge pairs and g^-1 = D adj / det once,
+lowered operator q on the wedge pairs and the pair of g^-1 once,
 `curvature_operator` inverts the Lambda^2 Gram matrix as lambda2_matrix of
 g^-1 and reads Ricci from q, and `decompose` takes W_+- = P_+- W with the
 Hodge star o eps lambda2_matrix(G) / sqrt(det G) of `linalg.star_matrix`,
@@ -47,6 +47,7 @@ from paracomplex.linalg import (
     mat_is_zero,
     mat_mul,
     mat_vec,
+    reduced,
     star_matrix,
     transpose,
     wedge_pairs,
@@ -176,9 +177,7 @@ def onb_search(g: tuple) -> tuple:
             raise DegenerateMetric("no rational orthonormal basis found; supply one")
         found.append(pick)
     top = math.lcm(*(e for e, _ in found))
-    frame = [[x * (top // e) for x in u] for e, u in found]
-    common = math.gcd(top, *(x for u in frame for x in u))
-    return top // common, [[x // common for x in u] for u in frame]
+    return reduced(top, [[x * (top // e) for x in u] for e, u in found])
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -187,24 +186,24 @@ def onb_search(g: tuple) -> tuple:
 def _riemann(g: list, point) -> tuple:
     """((D, G), (det, M), E, q) at the point, on integers from the metric's
     2-jet int_jet(g, p, 2) = ((D, G), (D1, H), (D2, K)), g(p) = G / D,
-    d_m g(p) = H_m / D1 and d_m d_p g(p) = K_mp / D2: g(p)^-1 = M / det with
-    M = D adj and det = |det G| from int_inv, and the lowered curvature operator
-    q[(i, j)][(k, l)] / E = g(R(d_i, d_j) d_k, d_l) on the WEDGE4 pairs, in the
-    convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y], that is
+    d_m g(p) = H_m / D1 and d_m d_p g(p) = K_mp / D2: the pair (det, M) of
+    g(p)^-1 = M / det that int_inv((D, G)) gives, with det = |det G|, and the
+    lowered curvature operator q[(i, j)][(k, l)] / E = g(R(d_i, d_j) d_k, d_l)
+    on the WEDGE4 pairs, in the convention R(X, Y) = D_{[X,Y]} - [D_X, D_Y],
+    that is
     -(d_i G_l,jk - d_j G_l,ik) + G_p,il g^pq G_q,jk - G_p,jl g^pq G_q,ik
     for the Christoffels of the first kind G_l,ij = (d_i g_lj + d_j g_li - d_l g_ij) / 2
     = A_lij / (2 D1), with 2 (d_i G_l,jk - d_j G_l,ik) =
     d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik.  The formula is
     symmetric under (i, j) <-> (k, l) on the integer jets, so q is symmetric and
     each of its 21 entries on or above the diagonal is computed once.  q is over
-    E = 4 D2 D1^2 det, and q and E are divided by their gcd."""
+    E = 4 D2 D1^2 det, and linalg.reduced takes (E, q) to lowest terms."""
     (den, gi), (d1, di), (d2, ddi) = int_jet(g, point, 2)
     ns = range(len(g))
-    inv = int_inv(gi)
+    inv = int_inv((den, gi))
     if inv is None:
         raise DegenerateMetric(f"metric is degenerate at ({', '.join(point_strings(point))})")
-    det, adj = inv
-    ginv = [[den * x for x in row] for row in adj]
+    det, ginv = inv
     a = [[[di[i][l][j] + di[j][l][i] - di[l][i][j] for j in ns] for i in ns] for l in ns]
     # M A, so that G_p,il g^pq G_q,jk = sum_q A_qil ga[q][j][k] / (4 det D1^2)
     ga = [[[sum(ginv[q][p] * a[p][j][k] for p in ns) for k in ns] for j in ns] for q in ns]
@@ -217,9 +216,7 @@ def _riemann(g: list, point) -> tuple:
             q[x][y] = q[y][x] = fk * (ddi[i][k][j][l] - ddi[i][l][j][k] - ddi[j][k][i][l]
                                       + ddi[j][l][i][k]) + d2 * sum(
                 a[p][i][l] * ga[p][j][k] - a[p][j][l] * ga[p][i][k] for p in ns)
-    dr = 4 * d2 * det * d1 * d1
-    common = math.gcd(dr, *(x for row in q for x in row))
-    return (den, gi), (det, ginv), dr // common, [[x // common for x in row] for row in q]
+    return ((den, gi), inv, *reduced(4 * d2 * det * d1 * d1, q))
 
 
 # for each index i, the (k, a, s) with e_i ^ e_k = s w_a for the wedge basis w_a = WEDGE4[a]

@@ -46,7 +46,7 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     rational functions: the form omega(d_i, d_j), the bivector pi^{ij}, P, or
     the zero matrix for trivial, which is K_pi for pi = 0.  K_omega has the
     blocks omega^-1 and omega, as maps T* -> T and T -> T*: for the map W / D0
-    at p, int_inv gives W A = d Id, so omega(p)^-1 = D0 A / d, and
+    at p, int_inv gives omega(p)^-1 = A / d as the pair (d, A), and
     d(omega^-1) = -omega^-1 (d omega) omega^-1.  PoleAtPoint where the data
     has a pole or det omega(p) = 0."""
     n = len(data)
@@ -55,13 +55,13 @@ def structure_jet(kind: str, data: list, point, order: int = 0) -> tuple:
     z = [[0] * n] * n
     if kind == "omega":
         w = transpose(v)
-        inv = int_inv(w)
+        inv = int_inv((d0, w))
         if inv is None:
             raise PoleAtPoint(point)
         d, a = inv
-        k = d0 * d, [z, mat_scale(d0 * d0, a), mat_scale(d, w), z]
-        dk = d * d * d1, [[z, mat_scale(-d0 * d0, mat_mul(mat_mul(a, dw), a)),
-                           mat_scale(d * d, dw), z] for dw in map(transpose, dv)]
+        k = d0 * d, [z, mat_scale(d0, a), mat_scale(d, w), z]
+        dk = d * d * d1, [[z, mat_neg(mat_mul(mat_mul(a, dw), a)), mat_scale(d * d, dw), z]
+                          for dw in map(transpose, dv)]
     elif kind == "product":
         k = d0, [v, z, z, mat_neg(transpose(v))]
         dk = d1, [[m, z, z, mat_neg(transpose(m))] for m in dv]

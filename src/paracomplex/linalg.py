@@ -2,14 +2,15 @@
 
 Matrices are dense lists of lists.  At a point every command works on a pair
 (D, M) of a positive denominator and an integer matrix, standing for M / D:
-`int_jet` reads a field's value and partials there, `bareiss` is the one
-fraction-free elimination, which `int_inv` (inverses), `kernel_basis`
-(kernels) and the orientation of a frame in `curv.MetricModel.onb_at` (a
-determinant) read, the dim-4 Hodge star (`star_matrix`,
-o eps lambda2_matrix(G) / sqrt(det G) from g = G / D and the orientation o,
-with no frame and no elimination) and J-triples (`j_structures`) are built
-on integers, and `mat_to_strings` prints such a pair.  `mat_mul` is
-the one matrix product: on integers at a point, and on RatFuncs in the
+`int_jet` reads a field's value and partials there, `reduced` is the one
+division of a pair by its gcd (int_jet's and curv's), `bareiss` is the one
+fraction-free elimination, which `int_inv` (the inverse of a pair, as a
+pair), `kernel_basis` (kernels) and the orientation of a frame in
+`curv.MetricModel.onb_at` (a determinant) read, the dim-4 Hodge star
+(`star_matrix`, o eps lambda2_matrix(G) / sqrt(det G) from g = G / D and the
+orientation o, with no frame and no elimination) and J-triples
+(`j_structures`) are built on integers, and `mat_to_strings` prints such a
+pair.  `mat_mul` is the one matrix product: on integers at a point, and on RatFuncs in the
 symbolic checks of a descriptor's data, which also expand Pfaffians
 (`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
 2-vectors, and the routines only they use, are in `paracomplex.reference`,
@@ -88,16 +89,17 @@ def bareiss(m: Mat) -> tuple[Mat, list, int, int]:
     return work, pivots, d, sign
 
 
-def int_inv(m: Mat) -> tuple[int, Mat] | None:
-    """(d, A) with m A = d Id and d = |det m| > 0 for a square integer matrix
-    m, from bareiss on [m | Id], whose last pivot is +-det m; None when m is
-    singular."""
+def int_inv(pair: tuple) -> tuple[int, Mat] | None:
+    """The inverse of M / D as a pair (d, D A), for the pair (D, M) of a
+    square integer matrix M: M A = d Id with d = |det M| > 0, from bareiss on
+    [M | Id], whose last pivot is +-det M; None when M is singular."""
+    den, m = pair
     n = len(m)
     r, pivots, d, _ = bareiss([row + eye for row, eye in zip(m, identity(n, 1))])
     if pivots != list(range(n)):
         return None
-    s = 1 if d > 0 else -1
-    return s * d, [[s * x for x in row[n:]] for row in r]
+    s = den if d > 0 else -den
+    return abs(d), [[s * x for x in row[n:]] for row in r]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -134,10 +136,10 @@ def int_jet(a: Mat, point: tuple, order: int = 0) -> tuple:
         parts.append([[[f * j[1][i] for f, j in row] for row in jets] for i in ns])
     if order > 1:
         parts.append([[[[f * j[2][i][k] for f, j in row] for row in jets] for k in ns] for i in ns])
-    return tuple(_reduced(den, part, depth) for depth, part in enumerate(parts))
+    return tuple(reduced(den, part, depth) for depth, part in enumerate(parts))
 
 
-def _reduced(den: int, part: list, depth: int) -> tuple:
+def reduced(den: int, part: list, depth: int = 0) -> tuple:
     """(den, part) divided by the gcd of den and every integer of part, an
     integer matrix nested in depth levels of lists; the rows change in place."""
     rows = part

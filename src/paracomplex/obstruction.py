@@ -1,9 +1,12 @@
 """The horizontal obstruction of a potential Theta at a point: one residual
 R, N_P(A, B) minus the right-hand side of the obstruction identity, for the
 generalized structure assembled from (g, S1, S2) by `gpx.assemble`, computed
-in one pass on integers: g, g^-1, S1, S2 and the values of dTheta are
-integer pairs (D, M), and sections X + alpha of T + T* are stacked integer
-vectors.  Theta enters only through dTheta: the torsion of the Hitchin
+in one pass on integers: g, g^-1, S1 and S2 are integer pairs (D, M),
+dTheta is the pair (F, {(a, b, c): v}) of its components a < b < c over one
+F, as `theorem` evaluates them, and sections X + alpha of T + T* are
+stacked integer vectors.  `contract` reads each component's three cyclic
+terms, so no table of dTheta over every index order is built.  Theta
+enters only through dTheta: the torsion of the Hitchin
 connection is read from dTheta itself, T(X, Y) = g^-1 dTheta(X, Y, .) and
 beta(T(X, .)) = dTheta(g^-1 beta, X, .), so no torsion tensor is built, and
 the right-hand side of the identity enters as the H-twist dTheta(X, Y, .) on
@@ -23,48 +26,43 @@ from paracomplex.gpx import assemble
 from paracomplex.linalg import mat_vec
 
 
-def point_data(g: tuple, ginv: tuple, dth_at: tuple) -> tuple:
-    """(g, ginv, (F, full)) at a point, for g = G / D and g^-1 = M / d given
-    as (D, G) and (d, M), the int_g and int_ginv of the point's curvature
-    operator, and the dTheta values dth_at = (F, {(i, j, k): v}):
-    full[i][j][k] / F = dTheta(d_i, d_j, d_k) on every ordering of the
-    indices."""
-    dd, dth = dth_at
-    n = len(ginv[1])
-    full = [[[0] * n for _ in range(n)] for _ in range(n)]
+def contract(dth: dict, x: list, y: list) -> list:
+    """The 1-form Z -> dTheta(X, Y, Z) over F, for the components
+    {(a, b, c): v}, a < b < c, of dTheta at a point: each adds
+    v (dx^a ^ dx^b ^ dx^c)(X, Y, .), whose Z_c coefficient is
+    v (X_a Y_b - X_b Y_a), and likewise on the cyclic orders (b, c, a) and
+    (c, a, b)."""
+    out = [0] * len(x)
     for (a, b, c), v in dth.items():
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            full[i][j][k], full[j][i][k] = v, -v
-    return g, ginv, (dd, full)
+            out[k] += v * (x[i] * y[j] - x[j] * y[i])
+    return out
 
 
-def contract(full: list, x: list, y: list) -> list:
-    """The 1-form Z -> dTheta(X, Y, Z) from point_data's table, over its F."""
-    ns = range(len(full))
-    return [sum(x[i] * y[j] * full[i][j][z] for i in ns if x[i] for j in ns) for z in ns]
-
-
-def np_residual(at: tuple, s1: tuple, s2: tuple, a: list, b: list) -> tuple[int, list]:
+def np_residual(g: tuple, ginv: tuple, dth_at: tuple, s1: tuple, s2: tuple, a: list,
+                b: list) -> tuple[int, list]:
     """(den, R) with R / den the obstruction residual, N_P(A, B) minus the
     right-hand side of the obstruction identity, for the generalized
     structure P that gpx.assemble builds from (g, g^-1, S1, S2) at a point,
-    with at = point_data(g, ginv, dth_at) and integer stacked vectors A and
-    B.  With C(U, V) = (T(X, Y), beta(T(X, .)) - alpha(T(Y, .)) + dTheta(X, Y, .))
+    with g = G / D and g^-1 = M / d given as (D, G) and (d, M), the int_g
+    and int_ginv of the point's curvature operator, dTheta as the pair
+    dth_at = (F, {(a, b, c): v}) of contract, and integer stacked vectors A
+    and B.  With C(U, V) = (T(X, Y), beta(T(X, .)) - alpha(T(Y, .)) + dTheta(X, Y, .))
     for U = X + alpha and V = Y + beta, and s = -1 on the vector half and +1
     on the form half, R is s (C(A, B) + C(PA, PB)) - P s (C(PA, B) + C(A, PB));
     the form term dTheta(X, Y, .) is the H-twist i_Y i_X H with H = dTheta.
     With P = M / dp, P A is M A / dp, and each term carries the dp of every P
     in it, so den = dp^2 d F."""
-    g, (d, ginv), (dd, full) = at
-    n = len(ginv)
-    dp, p = assemble(g, at[1], s1, s2)
+    (d, im), (dd, dth) = ginv, dth_at
+    n = len(im)
+    dp, p = assemble(g, ginv, s1, s2)
 
     def terms(u: list, v: list) -> list:
         """C(U, V) over d F, for U = X + alpha and V = Y + beta."""
         x, alpha, y, beta = u[:n], u[n:], v[:n], v[n:]
-        c = contract(full, x, y)
-        return mat_vec(ginv, c) + [f - e + d * h for e, f, h in zip(
-            contract(full, mat_vec(ginv, alpha), y), contract(full, mat_vec(ginv, beta), x), c)]
+        c = contract(dth, x, y)
+        return mat_vec(im, c) + [f - e + d * h for e, f, h in zip(
+            contract(dth, mat_vec(im, alpha), y), contract(dth, mat_vec(im, beta), x), c)]
 
     pa, pb = mat_vec(p, a), mat_vec(p, b)
     t1, t2, t3, t4 = (terms(u, v) for u, v in ((a, b), (pa, pb), (pa, b), (a, pb)))

@@ -737,12 +737,12 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 def mat_inv(a: Mat) -> Mat:
     """Exact inverse over Q, raising SingularMatrix when det = 0: it reads
-    linalg.int_inv of D a."""
+    linalg.int_inv of the pair (D, D a)."""
     den, (m,) = int_mats([a])
-    inv = int_inv(m)
+    inv = int_inv((den, m))
     if inv is None:
         raise SingularMatrix("matrix is singular over the scalar field")
-    return [[Fraction(den * x, inv[0]) for x in row] for row in inv[1]]
+    return [[Fraction(x, inv[0]) for x in row] for row in inv[1]]
 
 
 def mat_rank(a: Mat) -> int:

@@ -164,7 +164,7 @@ def _np_witness_search(dth: dict, points: list, rng):
     are drawn as their stacked vectors X + alpha, each twice a rnd_vec2 draw,
     so the residual of the integers A' = 2A and B' = 2B is four times A and
     B's."""
-    from paracomplex.obstruction import np_residual, point_data
+    from paracomplex.obstruction import np_residual
 
     for p, op, js in points:
         try:
@@ -173,7 +173,7 @@ def _np_witness_search(dth: dict, points: list, rng):
             continue
         if not any(values):
             continue
-        at = point_data(op.int_g, op.int_ginv, (dd, dict(zip(dth, values))))
+        dth_at = dd, dict(zip(dth, values))
         for _ in range(WITNESS_ATTEMPTS):
             o1 = +1 if rng.random() < 0.5 else -1
             s1 = hyperboloid_combination(hyperboloid_draw(rng), js(o1))
@@ -181,7 +181,7 @@ def _np_witness_search(dth: dict, points: list, rng):
             s2 = hyperboloid_combination(hyperboloid_draw(rng), js(o2))
             a = rnd_vec2(rng) + rnd_vec2(rng)
             b = rnd_vec2(rng) + rnd_vec2(rng)
-            den, res = np_residual(at, s1, s2, a, b)
+            den, res = np_residual(op.int_g, op.int_ginv, dth_at, s1, s2, a, b)
             if any(res):
                 return {"point": point_strings(p),
                         "residual_vector": [rat_str(4 * den, c) for c in res[:4]],

@@ -1434,7 +1434,7 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
     non-closed --theta: these are every bareiss call of the run.  The
     inversion is int_inv in the Riemann kernel; the curvature operator keeps
     its g^-1, which the Lambda^2 Gram inverse (L(g)^-1 = L(g^-1)), rho and
-    the witness search's point_data read, so obstruction inverts nothing: its
+    the witness search's np_residual read, so obstruction inverts nothing: its
     torsion and gpx.assemble's closed form, w_s^-1 = g^-T K_s^T, read that
     g^-1.  The elimination is the one bareiss of onb_at, which orients the
     frame for the J-triples; the Hodge star reads g and the orientation alone
@@ -1448,9 +1448,9 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
     original, original_bareiss = paracomplex.linalg.int_inv, paracomplex.linalg.bareiss
     sizes, eliminations = [], []
 
-    def counting(a):
-        sizes.append(len(a))
-        return original(a)
+    def counting(pair):
+        sizes.append(len(pair[1]))
+        return original(pair)
 
     def counting_bareiss(m):
         eliminations.append((len(m), len(m[0])))
@@ -1476,9 +1476,8 @@ def test_theorem_inverts_no_matrix(capsys, monkeypatch):
 def count_eliminations(monkeypatch) -> list:
     """The (rows, columns) of every linalg.bareiss call from here on: the
     wrapper replaces it in every loaded module of the package that holds it,
-    once `validate`'s modules, para among them, are loaded."""
+    once `validate`'s modules are loaded."""
     import paracomplex.linalg
-    import paracomplex.para
     import paracomplex.structures
 
     original = paracomplex.linalg.bareiss

@@ -28,8 +28,9 @@ def weighted(good, bad, weight):
     return st.sampled_from([(v, False) for v in good] * weight + [(v, True) for v in bad])
 
 
-# a bad atom or exponent makes every literal that holds it malformed
-ATOMS = weighted(["0", "1", "2", "7", "x1", "x2", "x3", "x4"], ["y1", ""], 8)
+# a bad atom or exponent makes every literal that holds it malformed; "()" is malformed in
+# every position, unlike an empty atom, which "" - b turns into the valid unary minus -b
+ATOMS = weighted(["0", "1", "2", "7", "x1", "x2", "x3", "x4"], ["y1", "()"], 8)
 EXPONENTS = weighted(["0", "1", "2", "4", "16"], ["17", "99999999999", "x1", "-1"], 6)
 
 
@@ -43,8 +44,9 @@ def _compound(children):
 
 
 LITERALS = st.recursive(ATOMS, _compound, max_leaves=4)
-# a literal, or now and then a value that is not a string
-ENTRIES = st.tuples(st.integers(0, 15), LITERALS).map(lambda t: (5, True) if t[0] == 15 else t[1])
+# a literal, or now and then an empty string or a value that is not a string
+ENTRIES = st.tuples(st.integers(0, 15), LITERALS).map(
+    lambda t: {14: ("", True), 15: (5, True)}.get(t[0], t[1]))
 
 # degenerate data: zero, rank-2 and pointwise degenerate forms, the zero matrix, -Id
 DEGENERATE = st.sampled_from([

@@ -29,6 +29,7 @@ from paracomplex.curv import (
     DegenerateMetric,
     MetricModel,
     _is_square,
+    _riemann,
     constcurv_metric,
     curvature_operator,
     decompose,
@@ -40,7 +41,7 @@ from paracomplex.curv import (
     star_matrix,
 )
 from paracomplex import reference
-from paracomplex.obstruction import contract, np_residual, point_data
+from paracomplex.obstruction import contract, np_residual
 from paracomplex.reference import (
     Bilinear,
     Connection,
@@ -51,6 +52,7 @@ from paracomplex.reference import (
     as_ints,
     basis_vec,
     curvature_endo,
+    double_contract,
     eval_at,
     ext_deriv,
     frac_mat,
@@ -1159,8 +1161,8 @@ def test_np_residual_witness_for_nonclosed_theta():
 
 def test_torsion_at_equals_hitchin_torsion():
     """The torsion of reference.hitchin_connection at a point is
-    T(d_i, d_j) = g^-1 dTheta(d_i, d_j, .), from point_data's g^-1 and dTheta
-    table and contract on basis vectors."""
+    T(d_i, d_j) = g^-1 dTheta(d_i, d_j, .), from the curvature operator's
+    g^-1 and contract of dTheta's components on basis vectors."""
     theta = form2({(0, 1): "x3*x4", (1, 2): "x1^2", (0, 3): "x2/2"})
     m = perturbed_metric()
     _, torsion = hitchin_connection(m.g, theta)
@@ -1169,26 +1171,46 @@ def test_torsion_at_equals_hitchin_torsion():
     for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
         ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
         want = [[[eval_at(c, p) for c in r2] for r2 in r1] for r1 in torsion.t]
-        op = curvature_operator(m.g, int_point(p))
-        _, (d, ginv), (df, full) = point_data(op.int_g, op.int_ginv,
-                                              (dd, dict(zip(dth.comps, values))))
-        assert d > 0 and df > 0 and [
-            frac_mat(d * df, [mat_vec(ginv, contract(full, x, y)) for y in basis])
+        d, ginv = curvature_operator(m.g, int_point(p)).int_ginv
+        comps = dict(zip(dth.comps, values))
+        assert d > 0 and dd > 0 and [
+            frac_mat(d * dd, [mat_vec(ginv, contract(comps, x, y)) for y in basis])
             for x in basis] == want
+
+
+def test_contract_off_the_basis_equals_double_contract():
+    """contract of dTheta's components at a point equals
+    reference.double_contract(dTheta, Y, X) = dTheta(X, Y, .) evaluated there,
+    for seeded integer X and Y off the basis and closed and non-closed Theta
+    of random_theta: contract adds three cyclic terms per unordered
+    component, and only vectors with several nonzero entries test the sign of
+    each."""
+    rng = random.Random(54)
+    points = [ORIGIN, (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)),
+              (Fraction(-1, 3), Fraction(1), Fraction(1, 2), Fraction(0))]
+    nonzero = 0
+    for draw in range(60):
+        dth, p = ext_deriv(random_theta(rng, draw % 2 == 0)), rng.choice(points)
+        ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
+        x, y = ([rng.randint(-3, 3) for _ in range(4)] for _ in range(2))
+        got = [Fraction(c, dd) for c in contract(dict(zip(dth.comps, values)), x, y)]
+        assert dd > 0 and got == [eval_at(c, p) for c in double_contract(dth, y, x)], draw
+        nonzero += any(got)
+    assert nonzero > 10
 
 
 def np_residual_at(g: list, theta: KForm, s1: Endo, s2: Endo, a: GenVector, b: GenVector,
                    point) -> list:
     """R / den of obstruction.np_residual in Fractions, for the Fraction inputs
-    of reference.horizontal_np_residual: point_data from g(p), g(p)^-1 and the
-    values of dTheta over their least common denominator, and the stacked
-    sections as integers over theirs."""
+    of reference.horizontal_np_residual: g(p), g(p)^-1 and the components of
+    dTheta over their least common denominator, and the stacked sections as
+    integers over theirs."""
     comps = ext_deriv(theta).comps
     ((dd, (values,)),) = int_jet([list(comps.values())], int_point(point))
     g_at = mat_eval(g, point)
-    at = point_data(as_ints(g_at), as_ints(mat_inv(g_at)), (dd, dict(zip(comps, values))))
     (da, ((ia,),)), (db, ((ib,),)) = int_mats([[a.stacked()]]), int_mats([[b.stacked()]])
-    den, res = np_residual(at, as_ints(s1.mat), as_ints(s2.mat), ia, ib)
+    den, res = np_residual(as_ints(g_at), as_ints(mat_inv(g_at)), (dd, dict(zip(comps, values))),
+                           as_ints(s1.mat), as_ints(s2.mat), ia, ib)
     return [Fraction(c, den * da * db) for c in res]
 
 
@@ -1421,8 +1443,9 @@ def dense_riemann_oracle(model: MetricModel, oracle: list, p) -> list:
 def test_riemann_at_equals_symbolic_oracle_at_64_bit_points():
     """The integer kernel of riemann_at at seeded points with 64-bit
     numerators and denominators equals the symbolic tensor evaluated there
-    (for DENSE_G through the shear, see dense_riemann_oracle); a degenerate
-    point keeps its message."""
+    (for DENSE_G through the shear, see dense_riemann_oracle), and the (E, q)
+    of _riemann there is in lowest terms with E > 0; a degenerate point keeps
+    its message."""
     rng = random.Random(1201)
     metrics = [constcurv_metric(1).g, ppwave_metric(rf("x1*(x1-1)*(x2^3+x2^2)/2")).g]
     oracles = [riemann_oracle(levi_civita(g)) for g in metrics]
@@ -1434,6 +1457,9 @@ def test_riemann_at_equals_symbolic_oracle_at_64_bit_points():
             assert riemann_at(g, p) == [[[[eval_at(c, p) for c in d] for d in b] for b in a]
                                         for a in oracle]
         assert riemann_at(DENSE_G, p) == dense_riemann_oracle(sheared, sheared_oracle, p)
+        for g in metrics + [DENSE_G]:
+            _, _, e, q = _riemann(g, int_point(p))
+            assert e > 0 and math.gcd(e, *(x for row in q for x in row)) == 1
     g = [row[:] for row in flat_metric().g]
     g[0][0] = rf("x1 - 1/3")
     with pytest.raises(DegenerateMetric, match=r"^metric is degenerate at \(1/3, 2, 0, 0\)$"):

@@ -464,7 +464,7 @@ def eigenrank_inputs(draw):
     up = [[draw(small) if j > i else draw(st.sampled_from([1, -1, 2, -2])) if i == j else 0
            for j in range(m)] for i in range(m)]
     s = mat_mul(low, up)
-    d, a = int_inv(s)
+    d, a = int_inv((1, s))
     plus = draw(st.integers(0, m))
     sigma = [[(1 if i < plus else -1) * (i == j) for j in range(m)] for i in range(m)]
     km = mat_scale(den, mat_mul(mat_mul(s, sigma), a))

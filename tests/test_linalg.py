@@ -514,19 +514,21 @@ def test_bareiss_inverse_is_the_adjugate_up_to_sign():
     ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -5, 0, 0]], 5),
 ])
 def test_int_inv_gives_a_positive_denominator(m, det):
-    """int_inv(m) = (d, A) with d = |det m| > 0 and m A = d Id, for either
-    sign of the determinant, so its callers keep their denominators positive
-    without a sign of their own."""
-    d, a = int_inv(m)
+    """int_inv((D, m)) = (d, A) with d = |det m| > 0 and (m / D)(A / d) = Id,
+    for either sign of the determinant and for D = 1 and D > 1, so its
+    callers keep their denominators positive and scale by no D of their
+    own."""
     n = len(m)
-    assert d == abs(det) > 0
-    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in m] == [
-        [d * (i == j) for j in range(n)] for i in range(n)]
+    for den in (1, 6):
+        d, a = int_inv((den, m))
+        assert d == abs(det) > 0
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in m] == [
+            [den * d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
 def test_int_inv_of_a_singular_matrix_is_none(m):
-    assert int_inv(m) is None
+    assert int_inv((1, m)) is None and int_inv((4, m)) is None
 
 
 ENTRIES = st.one_of(

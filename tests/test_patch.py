@@ -838,8 +838,7 @@ def test_assembled_k_at_a_point_equals_its_symbolic_reduction(key):
     data, symbolic = ASSEMBLED[key]
     for pt in regular_points(random.Random(41), n, 3):
         g, th, k1, k2 = (int_jet(x, int_point(pt))[0] for x in data)
-        d, adj = int_inv(g[1])
-        den, m = assemble(g, (d, mat_scale(g[0], adj)), k1, k2)
+        den, m = assemble(g, int_inv(g), k1, k2)
         theta = Bilinear(frac_mat(*th))
         k = b_conjugate(theta, GenEndo.from_matrix(frac_mat(den, m)))
         assert k.as_matrix() == mat_eval(symbolic.as_matrix(), pt), pt
