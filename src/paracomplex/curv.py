@@ -65,10 +65,9 @@ class DegenerateMetric(ValueError):
 
 
 class MetricModel:
-    """Metric field g (a RatFunc matrix) with an optional symbolic oriented
-    orthonormal frame onb (columns: four RatFunc vectors, norms 1, 1, -1, -1),
-    which makes the Hodge machinery rational, and the names of the patch's
-    variables, in which a field on the patch is read and printed."""
+    """Metric field g (a RatFunc matrix), an optional symbolic orthonormal
+    frame onb (one frame vector per inner list, norms 1, 1, -1, -1), and the
+    names of the patch's variables, in which a field is read and printed."""
 
     __slots__ = ("name", "g", "onb", "names")
 

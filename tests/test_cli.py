@@ -876,6 +876,7 @@ def test_integrability_sweeps_the_frame_once(tmp_path, capsys, monkeypatch, payl
     once per sample point, on the integers of K(p) and dK(p) over their
     denominators."""
     import paracomplex.patch as patch
+    import paracomplex.structures  # noqa: F401 (imported before the patch, it binds the original)
 
     original = patch.gen_nijenhuis_frame_sweep
     calls = []
@@ -939,7 +940,7 @@ def test_curvature_file_metric_nonzero_weyl(tmp_path, capsys):
     assert not report["conformally_flat"]
 
 
-# g of ppwave:x2^2 and its catalog frame, as columns with norms 1, 1, -1, -1
+# g of ppwave:x2^2 and its catalog frame, one vector per inner list, norms 1, 1, -1, -1
 PPWAVE_G = [["x2^2", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"]]
 PPWAVE_ONB = [["1", "0", "0", "1/2 - x2^2/2"], ["0", "1", "1/2", "0"],
               ["1", "0", "0", "-1/2 - x2^2/2"], ["0", "1", "-1/2", "0"]]
@@ -952,7 +953,7 @@ PPWAVE_ONB = [["1", "0", "0", "1/2 - x2^2/2"], ["0", "1", "1/2", "0"],
     ([0, 1, 2, 3], "(1+x1)", "(1, 0, 0, 0)"),
 ], ids=["norms-1-1-1-1", "not-unit-off-the-origin"])
 def test_a_supplied_frame_must_be_orthonormal(tmp_path, capsys, command, order, scale, where):
-    """The frame's columns must have norms 1, 1, -1, -1 at every point used:
+    """The frame's vectors must have norms 1, 1, -1, -1 at every point used:
     reordered to norms 1, -1, 1, -1, the frame of ppwave:x2^2 used to give
     `w_plus_zero: false`.  theorem does not skip a default point where the
     frame fails (the second frame is orthonormal only where x1 = 0)."""
@@ -967,6 +968,20 @@ def test_a_supplied_frame_must_be_orthonormal(tmp_path, capsys, command, order, 
     code = main([command[0], f"file:{path}"] + command[1:])
     assert_one_line_input_error(capsys, code, f"the onb of file:{path} is not orthonormal with "
                                               f"norms 1, 1, -1, -1 at {where}")
+
+
+def test_a_frame_is_read_one_vector_per_inner_list(tmp_path, capsys):
+    """A metric file's "onb" lists the frame vectors, one per inner list: the
+    catalog frame of ppwave:x2^2 written so passes at (1, 2, 3, 4), and its
+    transpose, the same vectors as columns, is refused there."""
+    path = write_desc(tmp_path, "rows.json", {"g": PPWAVE_G, "onb": PPWAVE_ONB})
+    assert main(["curvature", f"file:{path}", "--point", "1,2,3,4"]) == 0
+    capsys.readouterr()
+    columns = [list(column) for column in zip(*PPWAVE_ONB)]
+    path = write_desc(tmp_path, "columns.json", {"g": PPWAVE_G, "onb": columns})
+    code = main(["curvature", f"file:{path}", "--point", "1,2,3,4"])
+    assert_one_line_input_error(capsys, code, f"the onb of file:{path} is not orthonormal with "
+                                              "norms 1, 1, -1, -1 at (1, 2, 3, 4)")
 
 
 def test_curvature_ppwave_orientation_swap(capsys):
