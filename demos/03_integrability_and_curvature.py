@@ -9,11 +9,9 @@ from paracomplex.parse import parse_ratfunc
 from paracomplex.curv import (
     constcurv_metric,
     curvature_operator,
-    decompose,
     duality_verdict,
     flat_metric,
     ppwave_metric,
-    sectional_constant_check,
 )
 from paracomplex.linalg import int_jet
 from paracomplex.patch import cyclic_sums, integrability_report
@@ -57,17 +55,16 @@ origin = (1, (0, 0, 0, 0))
 (d0, g0), (d1, dg0), (d2, ddg0) = int_jet(m.g, origin, 2)
 print("\nconstcurv:1 at origin: g_11 =", rat_str(d0, g0[0][0]),
       "| d1 d1 g_11 =", rat_str(d2, ddg0[0][0][0][0]))
-op = curvature_operator(m.g, origin)
-dec = decompose(op, +1)
-print("constcurv:1 at origin: s =", rat_str(*dec.int_s),
-      "| sectional constant =", rat_str(*sectional_constant_check(op)))
-print("traceless-Ricci part zero:", all(not c for row in dec.int_b[1] for c in row))
+op = curvature_operator(m.g, origin, +1)
+print("constcurv:1 at origin: s =", rat_str(*op.int_s),
+      "| sectional constant =", rat_str(*op.sectional))
+print("traceless-Ricci part zero:", all(not c for row in op.int_b[1] for c in row))
 
 # The pp-wave fixture is Ricci flat with W+ = 0 but W- != 0.  The split
 # W = W+ + W- depends only on g and the orientation, +1 for the coordinates'.
 w = ppwave_metric(rf("x2^2"))
-opw = curvature_operator(w.g, origin)
-print("\nppwave duality:", duality_verdict(decompose(opw, +1)))
+opw = curvature_operator(w.g, origin, +1)
+print("\nppwave duality:", duality_verdict(opw))
 
 # Theorem verdicts per fiber component (seeded, deterministic).
 for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave")):

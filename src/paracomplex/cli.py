@@ -29,7 +29,7 @@ import math
 import sys
 
 from paracomplex.exact import VARS4, RatFunc
-from paracomplex.linalg import INPUT_ERRORS, transpose
+from paracomplex.linalg import transpose
 from paracomplex.parse import check_variables, parse_ratfunc, parse_rational
 
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
             if values.get(name) is not None:
                 values[name] = parse(values[name], nvars)
         body = cmd(**values)
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(emit({"schema": 1, "command": command, **body}, fmt))

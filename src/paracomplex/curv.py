@@ -7,9 +7,10 @@ value, and a value is printed by `poly.rat_str` from its pair.  Curvature is
 read on Lambda^2 alone: `_riemann` computes the 21 entries of the symmetric
 lowered operator q on the wedge pairs and the pair of g^-1 once,
 `curvature_operator` inverts the Lambda^2 Gram matrix as lambda2_matrix of
-g^-1 and reads Ricci from q, and `decompose` takes W_+- = P_+- W with the
+g^-1, reads Ricci from q, and gives one record per point and orientation o,
+with the decomposition and the sectional constant: W_+- = P_+- W with the
 Hodge star o eps lambda2_matrix(G) / sqrt(det G) of `linalg.star_matrix`,
-which reads g and the orientation o and no frame.  The frame of `onb_at`
+which reads g and o and no frame.  The frame of `onb_at`
 serves the J-triples of `theorem` and the input contract of `curvature`: a
 point with no rational frame, or a supplied frame that is not orthonormal,
 is refused.  The dim-4 theorem verdict, with
@@ -224,99 +225,70 @@ _ORDERED = [[(k, WEDGE4.index((min(i, k), max(i, k))), 1 if i < k else -1)
 
 
 class CurvOperator:
-    """The curvature operator at a point, on integers.  Each of int_g, int_ginv,
-    int_mat, int_lowered, int_ricci and int_rho is a pair (D, M) of a positive
-    denominator and an integer matrix, standing for M / D: g(p); g(p)^-1, whose
-    denominator is |det G| for g(p) = G / D; the self-adjoint operator on the
-    wedge basis {e_i ^ e_j} (i < j) with
-    g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form, lowered[a][b] =
-    g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); and rho with
-    g(rho(X), Y) = Ricci(X, Y)."""
+    """The curvature at a point for an orientation of the coordinates, on
+    integers: R = (s/12) Id + B + W with W = W_+ + W_-.  Each of int_g,
+    int_ginv, int_mat, int_lowered, int_ricci, int_rho, int_b, int_w, int_w_plus
+    and int_w_minus is a pair (D, M) of a positive denominator and an integer
+    matrix, standing for M / D: g(p); g(p)^-1, whose denominator is |det G| for
+    g(p) = G / D; the self-adjoint operator on the wedge basis {e_i ^ e_j}
+    (i < j) with g(R(X^Y), Z^T) = g(R(X,Y)Z, T); its lowered form,
+    lowered[a][b] = g(R(e_a), e_b); Ricci(X, Y) = trace(Z -> R(X, Z) Y); rho
+    with g(rho(X), Y) = Ricci(X, Y); B; W; and W_+ and W_-, which are None where
+    |det G| is not a square, so that the star of g is not rational there and no
+    rational frame exists.  int_s = (e, sigma) for s = sigma / e, and sectional
+    is c with R = c Id as a pair (d, n) in lowest terms for c = n / d, or None."""
 
-    __slots__ = ("int_g", "int_ginv", "int_mat", "int_lowered", "int_ricci", "int_rho")
+    __slots__ = ("int_g", "int_ginv", "int_mat", "int_lowered", "int_ricci", "int_rho", "int_s",
+                 "int_b", "int_w", "int_w_plus", "int_w_minus", "sectional")
 
-    def __init__(self, int_g: tuple, int_ginv: tuple, int_mat: tuple, int_lowered: tuple,
-                 int_ricci: tuple, int_rho: tuple):
-        self.int_g, self.int_ginv, self.int_mat = int_g, int_ginv, int_mat
-        self.int_lowered, self.int_ricci, self.int_rho = int_lowered, int_ricci, int_rho
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
 
-def curvature_operator(g: list, point) -> CurvOperator:
-    """The curvature operator at the point, from _riemann's q / E and
-    g^-1 = M / det on integers: mat = L(g)^-1 q with L(g) the Lambda^2 Gram
-    matrix, whose inverse is lambda2_matrix(M) / det^2 because
-    lambda2_matrix(g) lambda2_matrix(g^-1) = lambda2_matrix(Id) = Id;
+def curvature_operator(g: list, point, orientation: int) -> CurvOperator:
+    """The curvature at the point for the orientation +-1 of the coordinates,
+    from _riemann's q / E and g^-1 = M / det on integers: mat = L(g)^-1 q with
+    L(g) the Lambda^2 Gram matrix, whose inverse is lambda2_matrix(M) / det^2
+    because lambda2_matrix(g) lambda2_matrix(g^-1) = lambda2_matrix(Id) = Id;
     Ricci_ij = g^kl g(R(d_i, d_k) d_j, d_l) over E det, read from q with the
-    sign of each pair's order, and rho = g^-1 Ricci over E det^2."""
+    sign of each pair's order, and rho = g^-1 Ricci over e = E det^2, the
+    denominator of mat too.  Then R = (s/12) Id + B + W with B from the
+    traceless Ricci part, B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2,
+    and W split into its self-dual and anti-self-dual blocks W_+- = P_+- W by
+    the projections P_+- = (Id +- *) / 2 of the Hodge star of g; W commutes
+    with *, so P_+- W P_+- = P_+- W.  The star is star_matrix's, with
+    r = sqrt(det G) the root of det, when det is a square.  On integers: with
+    rho = P / e and s = sigma / e, B = B' / (4 e), whose column for e_i ^ e_j
+    holds the wedge coordinates of 2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j;
+    W = W' / (12 e) for mat = M' / e; and for the star S / r,
+    W_+- = (r W' +- S W') / (24 r e), from the one product S W'.  R = c Id
+    exactly when B = 0 and W = 0, with c = s / 12."""
     g_at, (det, ginv), dr, q = _riemann(g, point)
     ns = range(4)
     ric = [[sum(s * t * ginv[k][l] * q[a][b] for k, a, s in _ORDERED[i] for l, b, t in _ORDERED[j])
             for j in ns] for i in ns]
-    return CurvOperator(g_at, (det, ginv), (det * det * dr, mat_mul(lambda2_matrix(ginv), q)),
-                        (dr, q), (det * dr, ric), (det * det * dr, mat_mul(ginv, ric)))
-
-
-# -- decomposition -----------------------------------------------------------------------
-
-
-class CurvDecomposition:
-    """R = (s/12) Id + B + W with W = W_+ + W_-, on integers: int_s = (e, sigma)
-    for s = sigma / e, and int_b, int_w, int_w_plus and int_w_minus pairs (D, M)
-    as in CurvOperator."""
-
-    __slots__ = ("int_s", "int_b", "int_w", "int_w_plus", "int_w_minus")
-
-    def __init__(self, int_s: tuple, int_b: tuple, int_w: tuple, int_w_plus: tuple,
-                 int_w_minus: tuple):
-        self.int_s, self.int_b, self.int_w = int_s, int_b, int_w
-        self.int_w_plus, self.int_w_minus = int_w_plus, int_w_minus
-
-
-def decompose(op: CurvOperator, orientation: int) -> CurvDecomposition:
-    """R = (s/12) Id + B + W with B from the traceless Ricci part,
-    B(X ^ Y) = [rho(X) ^ Y + X ^ rho(Y) - (s/2) X ^ Y] / 2, and W split into its
-    self-dual and anti-self-dual blocks W_+- = P_+- W by the projections
-    P_+- = (Id +- *) / 2 of the Hodge star of g for the orientation +-1 of the
-    coordinates; W commutes with *, so P_+- W P_+- = P_+- W.  The star is
-    star_matrix's, with sqrt(det G) read from the denominator of int_ginv, so
-    det G must be a positive square, as it is wherever onb_at finds a frame.  On
-    integers: with rho = P / e and s = sigma / e, B = B' / (4 e), whose column
-    for e_i ^ e_j holds the wedge coordinates of
-    2 (P e_i ^ e_j + e_i ^ P e_j) - sigma e_i ^ e_j; W = W' / L with
-    L = lcm(12 e, D) for mat = M / D; and for the star S / E of star_matrix,
-    W_+- = (E W' +- S W') / (2 E L), from the one product S W'."""
-    e, rho = op.int_rho
-    sigma = sum(rho[i][i] for i in range(4))
+    e, m, rho = det * det * dr, mat_mul(lambda2_matrix(ginv), q), mat_mul(ginv, ric)
+    sigma = sum(rho[i][i] for i in ns)
     b = [[2 * (rho[k][i] * (l == j) - rho[l][i] * (k == j) + (k == i) * rho[l][j]
                - (l == i) * rho[k][j]) - sigma * (a == c)
           for c, (i, j) in enumerate(WEDGE4)] for a, (k, l) in enumerate(WEDGE4)]
-    dm, m = op.int_mat
-    lw = math.lcm(12 * e, dm)
-    fm, fs = lw // dm, lw // (12 * e)
-    w = [[fm * m[a][c] - fs * (sigma * (a == c) + 3 * b[a][c]) for c in range(6)]
-         for a in range(6)]
-    ds, star = star_matrix(op.int_g[1], math.isqrt(op.int_ginv[0]), orientation)
-    sw = mat_mul(star, w)
-    w_pm = [(2 * ds * lw, [[ds * x + sign * y for x, y in zip(rw, rs)] for rw, rs in zip(w, sw)])
-            for sign in (1, -1)]
-    return CurvDecomposition((e, sigma), (4 * e, b), (lw, w), *w_pm)
+    w = [[12 * m[a][c] - sigma * (a == c) - 3 * b[a][c] for c in range(6)] for a in range(6)]
+    r, w_pm = math.isqrt(det), (None, None)
+    if r * r == det:
+        sw = mat_mul(star_matrix(g_at[1], r, orientation)[1], w)
+        w_pm = [(24 * r * e, [[r * x + sign * y for x, y in zip(rw, rs)] for rw, rs in zip(w, sw)])
+                for sign in (1, -1)]
+    c = math.gcd(sigma, 12 * e)
+    return CurvOperator(g_at, (det, ginv), (e, m), (dr, q), (det * dr, ric), (e, rho), (e, sigma),
+                        (4 * e, b), (12 * e, w), *w_pm,
+                        (12 * e // c, sigma // c) if mat_is_zero(b + w) else None)
 
 
-def duality_verdict(dec: CurvDecomposition) -> dict:
+def duality_verdict(op: CurvOperator) -> dict:
     """Self-dual: W_- = 0; anti-self-dual: W_+ = 0; conformally flat: W = 0."""
     return {
-        "self_dual": mat_is_zero(dec.int_w_minus[1]),
-        "anti_self_dual": mat_is_zero(dec.int_w_plus[1]),
-        "conformally_flat": mat_is_zero(dec.int_w[1]),
+        "self_dual": mat_is_zero(op.int_w_minus[1]),
+        "anti_self_dual": mat_is_zero(op.int_w_plus[1]),
+        "conformally_flat": mat_is_zero(op.int_w[1]),
     }
-
-
-def sectional_constant_check(op: CurvOperator) -> tuple | None:
-    """c with R = c Id = (s/12) Id exactly, when the operator is scalar, as a
-    pair (d, n) in lowest terms for c = n / d."""
-    den, m = op.int_mat
-    c = m[0][0]
-    if all(x == (c if a == b else 0) for a, row in enumerate(m) for b, x in enumerate(row)):
-        g = math.gcd(c, den)
-        return den // g, c // g
-    return None

@@ -6,27 +6,24 @@ frame, but the point must have one: a point with no rational orthonormal
 frame, or a supplied frame that is not orthonormal there, is refused.
 """
 
-from paracomplex.curv import (curvature_operator, decompose, duality_verdict,
-                              sectional_constant_check)
+from paracomplex.curv import curvature_operator, duality_verdict
 from paracomplex.exact import point_strings
 from paracomplex.linalg import mat_to_strings
 from paracomplex.poly import rat_str
 
 
 def cmd_curvature(metric, point, orientation) -> dict:
-    op = curvature_operator(metric.g, point)
+    op = curvature_operator(metric.g, point, +1 if orientation == "+" else -1)
     metric.onb_at(point, op.int_g)  # a rational frame there, orthonormal if supplied
-    dec = decompose(op, +1 if orientation == "+" else -1)
-    const = sectional_constant_check(op)
     return {
         "metric": metric.name,
         "point": point_strings(point),
         "orientation": orientation,
-        "s": rat_str(*dec.int_s),
+        "s": rat_str(*op.int_s),
         "ricci": mat_to_strings(*op.int_ricci),
-        "b_part": mat_to_strings(*dec.int_b),
-        "w_plus": mat_to_strings(*dec.int_w_plus),
-        "w_minus": mat_to_strings(*dec.int_w_minus),
-        **duality_verdict(dec),
-        "sectional_constant": rat_str(*const) if const is not None else None,
+        "b_part": mat_to_strings(*op.int_b),
+        "w_plus": mat_to_strings(*op.int_w_plus),
+        "w_minus": mat_to_strings(*op.int_w_minus),
+        **duality_verdict(op),
+        "sectional_constant": op.sectional and rat_str(*op.sectional),
     }

@@ -29,8 +29,8 @@ def point_strings(point: tuple) -> list[str]:
     return [rat_str(den, x) for x in xs]
 
 
-class PoleAtPoint(ArithmeticError):
-    """A denominator vanished at the evaluation point."""
+class PoleAtPoint(ValueError):
+    """A denominator vanished at the evaluation point: bad input, like any other fault."""
 
     def __init__(self, point):
         super().__init__(f"denominator factor vanishes at ({', '.join(point_strings(point))})")

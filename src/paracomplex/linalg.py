@@ -14,8 +14,7 @@ pair.  `mat_mul` is the one matrix product: on integers at a point, and on RatFu
 symbolic checks of a descriptor's data, which also expand Pfaffians
 (`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
 2-vectors, and the routines only they use, are in `paracomplex.reference`,
-with `SingularMatrix`, which its Fraction inverses raise; `INPUT_ERRORS`
-names the two exceptions of a fault in the input.
+with `SingularMatrix`, which its Fraction inverses raise.
 """
 
 from __future__ import annotations
@@ -23,15 +22,10 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from paracomplex.exact import PoleAtPoint
 from paracomplex.poly import rat_str
 
 Vec = list
 Mat = list
-
-
-# the faults of an input: cli.main exits 2 on them, and validate reports them per point
-INPUT_ERRORS = (ValueError, PoleAtPoint)
 
 
 # -- matrices ----------------------------------------------------------------

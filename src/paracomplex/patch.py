@@ -115,10 +115,10 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
     where [e_a, Ke_b] = -[Ke_b, e_a] and 2[Ke_a, e_b] reads the partials of
     Ke_a = X + alpha only: (-2 d_j X, -2 d_j alpha + d alpha_j) for e_b = d_j,
     and (0, d X^j) for e_b = dx^j.  So the doubled brackets on these integers
-    give 2 D0 D1 N.  Returns (all_zero, witnesses), where witnesses maps each
+    give 2 D0 D1 N.  Returns (2 D0 D1, witnesses), where witnesses maps each
     pair a < b with N(e_a, e_b) != 0 to the integers of 2 D0 D1 N(e_a, e_b),
     the X entries and then the alpha entries."""
-    (_, m), (_, dm) = k, dk
+    (d0, m), (d1, dm) = k, dk
     n = len(m) // 2
     cols = [transpose(e) for e in [m] + dm]
     jets = list(zip(*cols[1:]))
@@ -129,8 +129,8 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
         twice = courant_on_jets(cols[0][a], jets[a], cols[0][b], jets[b])
         nij = [x - y for x, y in zip(twice, mat_vec(m, [u - v for u, v in zip(t[a][b], t[b][a])]))]
         if any(nij):
-            witnesses[(a, b)] = nij
-    return not witnesses, witnesses
+            witnesses[a, b] = nij
+    return 2 * d0 * d1, witnesses
 
 
 # -- d omega, dTheta and the Jacobiator ----------------------------------------------------
@@ -160,7 +160,7 @@ def cyclic_sums(m: list, pi: list | None = None) -> dict:
             parts = [pi[l][i] * _partial(f, l) for l in range(n) for i, f in terms if pi[l][i]]
         total = sum(parts, RatFunc.zero(n))
         if total:
-            out[(a, b, c)] = total
+            out[a, b, c] = total
     return out
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
 from paracomplex.gpx import structure_jet, validate_gen_para
-from paracomplex.linalg import INPUT_ERRORS
 from paracomplex.patch import check_structure, gen_nijenhuis_frame_sweep, integrability_report
 from paracomplex.poly import rat_str
 
@@ -67,7 +66,7 @@ def cmd_validate(descriptor, point, points) -> dict:
             else:
                 entry["structure"] = checks = validate_gen_para(*jet[0])
                 ok = all(checks.values())
-        except INPUT_ERRORS as exc:
+        except ValueError as exc:
             entry["error"] = str(exc)
             ok = False
         entry["ok"] = ok
@@ -91,16 +90,13 @@ def cmd_integrability(descriptor, point, points) -> dict:
         if isinstance(jet, PoleAtPoint):
             entry["error"] = str(jet)
         else:
-            k, dk = jet
-            _, witnesses = gen_nijenhuis_frame_sweep(k, dk)
+            scale, witnesses = gen_nijenhuis_frame_sweep(*jet)
             entry["nonzero_frame_pairs"] = len(witnesses)
             entry["sample"] = None
             if witnesses:
-                # the sweep gives 2 D0 D1 N for K(p) = K / D0 and dK(p) = dK / D1
                 pair = min(witnesses)
                 comp = next(c for c in witnesses[pair] if c)
-                entry["sample"] = {"frame_pair": list(pair),
-                                   "component": rat_str(2 * k[0] * dk[0], comp)}
+                entry["sample"] = {"frame_pair": list(pair), "component": rat_str(scale, comp)}
         samples.append(entry)
     report = {
         "kind": kind,

@@ -16,7 +16,7 @@ import random
 import re
 
 from paracomplex.curv import (WEDGE4, DegenerateMetric, MetricModel, curvature_operator,
-                              decompose, duality_verdict, sectional_constant_check)
+                              duality_verdict)
 from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, point_strings
 from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
 from paracomplex.para import _draw, hyperboloid_combination, hyperboloid_draw
@@ -110,7 +110,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     points, skipped = [], []
     for p in sample_points or DEFAULT_POINTS:
         try:
-            op = curvature_operator(model.g, p)
+            op = curvature_operator(model.g, p, +1)
             js = functools.partial(j_structures, op.int_g, model.onb_at(p, op.int_g))
         except (PoleAtPoint, DegenerateMetric) as exc:
             if sample_points is not None:
@@ -132,11 +132,11 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
         witness = _np_witness_search(dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
-    verdicts = [duality_verdict(decompose(op, +1)) for _, op, _ in points]
+    verdicts = [duality_verdict(op) for _, op, _ in points]
     evidence["ricci_zero"] = ricci_ok = all(mat_is_zero(op.int_ricci[1]) for _, op, *_ in points)
     evidence["w_plus_zero"] = w_plus_ok = all(v["anti_self_dual"] for v in verdicts)
     evidence["w_minus_zero"] = w_minus_ok = all(v["self_dual"] for v in verdicts)
-    sectional = {sectional_constant_check(op) for _, op, *_ in points}
+    sectional = {op.sectional for _, op, _ in points}
     const = sectional.pop() if len(sectional) == 1 else None
     evidence["sectional_constant"] = None if const is None else rat_str(*const)
     curvature_ok = {"++": w_plus_ok and ricci_ok, "--": w_minus_ok and ricci_ok}.get(

@@ -17,10 +17,8 @@ from paracomplex.curv import (
     MetricModel,
     constcurv_metric,
     curvature_operator,
-    decompose,
     flat_metric,
     ppwave_metric,
-    sectional_constant_check,
 )
 from paracomplex.exact import RatFunc
 from paracomplex.linalg import (
@@ -86,11 +84,11 @@ def bivector(n: int, comps: dict) -> list:
     return pi
 
 
-def parts_sum(dec) -> list:
-    """(s/12) Id + B + W of a curvature decomposition, in Fractions."""
-    s = Fraction(dec.int_s[1], dec.int_s[0])
-    return mat_add(mat_add(mat_scale(s / 12, mat_identity(6)), frac_mat(*dec.int_b)),
-                   frac_mat(*dec.int_w))
+def parts_sum(op) -> list:
+    """(s/12) Id + B + W of a curvature operator's decomposition, in Fractions."""
+    s = Fraction(op.int_s[1], op.int_s[0])
+    return mat_add(mat_add(mat_scale(s / 12, mat_identity(6)), frac_mat(*op.int_b)),
+                   frac_mat(*op.int_w))
 
 
 V = ["x1", "x2", "x3", "x4"]
@@ -246,15 +244,14 @@ def test_acceptance_5_curvature_decomposition():
            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
            (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2))]
     for p in pts:
-        op = curvature_operator(m.g, int_point(p))
+        op = curvature_operator(m.g, int_point(p), +1)
         rho_den, rho = op.int_rho
         assert Fraction(sum(rho[i][i] for i in range(4)), rho_den) == 12
         assert mat_eq(frac_mat(*op.int_ricci), mat_scale(Fraction(3), frac_mat(*op.int_g)))
-        dec = decompose(op, +1)
-        assert mat_is_zero(dec.int_b[1])
-        assert mat_is_zero(dec.int_w[1])
-        assert sectional_constant_check(op) == (1, 1)
-        assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
+        assert mat_is_zero(op.int_b[1])
+        assert mat_is_zero(op.int_w[1])
+        assert op.sectional == (1, 1)
+        assert mat_eq(parts_sum(op), frac_mat(*op.int_mat))
     # seeded random square-diagonal perturbation: parts still re-sum exactly
     rng = random.Random(105)
     qs = []
@@ -269,10 +266,9 @@ def test_acceptance_5_curvature_decomposition():
     onb = [[RatFunc.one(4) / qs[i] if j == i else z for j in range(4)] for i in range(4)]
     model = MetricModel("perturbation", g, onb)
     p = ORIGIN
-    op2 = curvature_operator(g, int_point(p))
+    op2 = curvature_operator(g, int_point(p), +1)
     model.onb_at(int_point(p), op2.int_g)  # a rational frame, so det G is a square
-    dec2 = decompose(op2, +1)
-    assert mat_eq(parts_sum(dec2), frac_mat(*op2.int_mat))
+    assert mat_eq(parts_sum(op2), frac_mat(*op2.int_mat))
     assert not mat_is_zero(op2.int_mat[1])
     report(5, "constant-curvature values pinned and parts re-sum exactly")
 

@@ -1569,6 +1569,22 @@ def test_theorem_reads_each_point_jet_once_and_scales_nothing(capsys, monkeypatc
     assert not hasattr(paracomplex.curv, "int_mats") and sorted(jets) == [0] * 5 + [2] * 5
 
 
+def test_theorem_builds_the_hodge_star_once_per_usable_point(capsys, monkeypatch):
+    """curvature_operator carries W_+- for its orientation, so theorem reads
+    the duality flags and the sectional constant from one record per point:
+    on constcurv:1's five default points, all usable, star_matrix runs 5
+    times."""
+    import paracomplex.curv
+
+    calls = []
+    original = paracomplex.curv.star_matrix
+    monkeypatch.setattr(paracomplex.curv, "star_matrix",
+                        lambda *args: calls.append(args) or original(*args))
+    code, out = run_cli(capsys, "theorem", "constcurv:1", "--component=+-")
+    assert code == 0 and len(json.loads(out)["evidence"]["points"]) == 5
+    assert len(calls) == 5
+
+
 PHI = "(x1^4/12 - x1^3/3 + 1)"
 
 

@@ -26,18 +26,17 @@ from paracomplex.linalg import (
 from paracomplex.parse import parse_ratfunc
 from paracomplex.cli import matrix_reader, parse_metric_id
 from paracomplex.curv import (
+    CurvOperator,
     DegenerateMetric,
     MetricModel,
     _is_square,
     _riemann,
     constcurv_metric,
     curvature_operator,
-    decompose,
     duality_verdict,
     flat_metric,
     onb_search,
     ppwave_metric,
-    sectional_constant_check,
     star_matrix,
 )
 from paracomplex import reference
@@ -127,10 +126,10 @@ def rnd_vec(rng, n=4) -> list:
     return [Fraction(v, 2) for v in rnd_vec2(rng, n)]
 
 
-def parts_sum(dec) -> list:
-    """(s/12) Id + B + W of a curvature decomposition, in Fractions."""
-    return mat_add(mat_add(mat_scale(frac(dec.int_s) / 12, mat_identity(6)), frac_mat(*dec.int_b)),
-                   frac_mat(*dec.int_w))
+def parts_sum(op) -> list:
+    """(s/12) Id + B + W of a curvature operator's decomposition, in Fractions."""
+    return mat_add(mat_add(mat_scale(frac(op.int_s) / 12, mat_identity(6)), frac_mat(*op.int_b)),
+                   frac_mat(*op.int_w))
 
 
 def perturbed_metric() -> MetricModel:
@@ -436,22 +435,22 @@ def test_sign_pinning_sectional_oracle():
 
 def test_constant_curvature_operator_is_identity():
     m = constcurv_metric(1)
-    op = curvature_operator(m.g, int_point(ORIGIN))
+    op = curvature_operator(m.g, int_point(ORIGIN), +1)
     assert mat_eq(frac_mat(*op.int_mat), mat_identity(6))
     assert s_of(op) == 12
-    assert sectional_constant_check(op) == (1, 1)
+    assert op.sectional == (1, 1)
 
 
 def test_ricci_values():
     m = constcurv_metric(1)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(m.g, int_point(p))
+        op = curvature_operator(m.g, int_point(p), +1)
         ric, s = frac_mat(*op.int_ricci), s_of(op)
         g_at = Bilinear(mat_eval(m.g, p))
         assert s == 12
         assert mat_eq(ric, mat_scale(Fraction(3), g_at.mat))
         assert ric == transpose(ric)
-    op = curvature_operator(flat_metric().g, int_point(ORIGIN))
+    op = curvature_operator(flat_metric().g, int_point(ORIGIN), +1)
     ric, s = frac_mat(*op.int_ricci), s_of(op)
     assert s == 0 and mat_is_zero(ric)
 
@@ -459,7 +458,7 @@ def test_ricci_values():
 def test_curvature_operator_self_adjoint():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
+    op = curvature_operator(m.g, int_point(p), +1)
     gram = lambda2_matrix(frac_mat(*op.int_g))
     # self-adjoint w.r.t. the Lambda^2 pairing: gram * M symmetric
     gm = mat_mul(gram, frac_mat(*op.int_mat))
@@ -510,8 +509,8 @@ def decompose_reference(ref: dict, onb: list) -> dict:
     """(s/12) Id, B, W, W+ and W- in Fractions, with B from TwoVector wedges,
     the Hodge star as L(P) *_u L(P^-1) with the frame P of the orientation
     (onb_reference) inverted, and W+- = P+- W P+- with both projections: the
-    reference for decompose, which reads the star from g and the orientation
-    alone, as o eps L(G) / sqrt(det G), and W+- as P+- W."""
+    reference for curvature_operator's decomposition, which reads the star from
+    g and the orientation alone, as o eps L(G) / sqrt(det G), and W+- as P+- W."""
     s, rho = ref["s"], Endo(ref["rho"])
     s_part = mat_scale(s / 12, mat_identity(6))
     b_cols = []
@@ -572,12 +571,12 @@ def reference_models() -> list:
 
 
 def test_integer_operator_and_decomposition_equal_the_fraction_reference():
-    """curvature_operator, onb_at, decompose and the verdicts read from them
-    run on integers; at seeded rational points of flat, constcurv:c,
-    ppwave:f (the counterexample among them), the perturbed metric and both
-    dense pullback shapes, every field equals the Fraction reference exactly:
-    g(p), g(p)^-1, mat, lowered, ricci, rho, s, the frame, (s/12) Id, B, W,
-    W+, W-, the sectional constant and the duality flags.  decompose reads no
+    """curvature_operator, onb_at and the verdicts read from them run on
+    integers; at seeded rational points of flat, constcurv:c, ppwave:f (the
+    counterexample among them), the perturbed metric and both dense pullback
+    shapes, every field equals the Fraction reference exactly: g(p), g(p)^-1,
+    mat, lowered, ricci, rho, s, the frame, (s/12) Id, B, W, W+, W-, the
+    sectional constant and the duality flags.  The decomposition reads no
     frame; its reference, for each orientation, inverts the frame of that
     orientation, the last two vectors of the oriented frame swapped for -1."""
     rng = random.Random(1931)
@@ -589,7 +588,7 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
                 ref = operator_reference(model.g, p)
             except (PoleAtPoint, ZeroDivisionError, DegenerateMetric):
                 continue
-            op = curvature_operator(model.g, int_point(p))
+            op = curvature_operator(model.g, int_point(p), +1)
             assert frac_mat(*op.int_g) == ref["g_at"] and frac_mat(*op.int_mat) == ref["mat"]
             assert frac_mat(*op.int_ginv) == ref["ginv"]
             assert frac_mat(*op.int_lowered) == ref["lowered"]
@@ -597,13 +596,13 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
             assert frac_mat(*op.int_rho) == ref["rho"] and s_of(op) == ref["s"]
             scalar = mat_eq(ref["mat"], mat_scale(ref["mat"][0][0], mat_identity(6)))
             c = ref["mat"][0][0]
-            assert sectional_constant_check(op) == (
+            assert op.sectional == (
                 (c.denominator, c.numerator) if scalar else None)
             onb = model.onb_at(int_point(p), op.int_g)
             assert [[Fraction(x, onb[0]) for x in v] for v in onb[1]] == \
                 onb_reference(model, p, +1)
             for orientation in (1, -1):
-                dec = decompose(op, orientation)
+                dec = curvature_operator(model.g, int_point(p), orientation)
                 want = decompose_reference(ref, onb_reference(model, p, orientation))
                 assert frac(dec.int_s) == ref["s"] and parts_sum(dec) == ref["mat"]
                 assert mat_scale(frac(dec.int_s) / 12, mat_identity(6)) == want.pop("s_part")
@@ -622,47 +621,44 @@ def test_integer_operator_and_decomposition_equal_the_fraction_reference():
 
 def test_decompose_constant_curvature():
     m = constcurv_metric(1)
-    op = curvature_operator(m.g, int_point(ORIGIN))
-    dec = decompose(op, +1)
-    assert mat_is_zero(frac_mat(*dec.int_b))
-    assert mat_is_zero(frac_mat(*dec.int_w))
-    assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
+    op = curvature_operator(m.g, int_point(ORIGIN), +1)
+    assert mat_is_zero(frac_mat(*op.int_b))
+    assert mat_is_zero(frac_mat(*op.int_w))
+    assert mat_eq(parts_sum(op), frac_mat(*op.int_mat))
 
 
 def test_decompose_parts_resum_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
-    dec = decompose(op, +1)
-    assert mat_eq(parts_sum(dec), frac_mat(*op.int_mat))
-    assert not mat_is_zero(frac_mat(*dec.int_b))
+    op = curvature_operator(m.g, int_point(p), +1)
+    assert mat_eq(parts_sum(op), frac_mat(*op.int_mat))
+    assert not mat_is_zero(frac_mat(*op.int_b))
 
 
 def test_b_part_swaps_chirality():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
-    dec = decompose(op, +1)
+    op = curvature_operator(m.g, int_point(p), +1)
     star = frac_mat(*star_matrix(op.int_g[1], math.isqrt(op.int_ginv[0]), +1))
     half = Fraction(1, 2)
     p_plus = mat_scale(half, [[x + y for x, y in zip(r1, r2)]
                               for r1, r2 in zip(mat_identity(6), star)])
     p_minus = mat_scale(half, [[x - y for x, y in zip(r1, r2)]
                                for r1, r2 in zip(mat_identity(6), star)])
-    assert mat_is_zero(mat_mul(p_plus, mat_mul(frac_mat(*dec.int_b), p_plus)))
-    assert mat_is_zero(mat_mul(p_minus, mat_mul(frac_mat(*dec.int_b), p_minus)))
-    assert not mat_is_zero(frac_mat(*dec.int_b))
+    assert mat_is_zero(mat_mul(p_plus, mat_mul(frac_mat(*op.int_b), p_plus)))
+    assert mat_is_zero(mat_mul(p_minus, mat_mul(frac_mat(*op.int_b), p_minus)))
+    assert not mat_is_zero(frac_mat(*op.int_b))
 
 
 def test_duality_verdicts():
     flat = flat_metric()
-    op = curvature_operator(flat.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, +1))
+    op = curvature_operator(flat.g, int_point(ORIGIN), +1)
+    v = duality_verdict(op)
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
     cc = constcurv_metric(1)
-    op = curvature_operator(cc.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, +1))
+    op = curvature_operator(cc.g, int_point(ORIGIN), +1)
+    v = duality_verdict(op)
     assert v["self_dual"] and v["anti_self_dual"] and v["conformally_flat"]
 
 
@@ -671,21 +667,115 @@ def test_ppwave_duality_and_orientation_reversal():
     r = riemann_oracle(levi_civita(m.g))
     assert all((r[i][0][j][0] + r[i][1][j][1] + r[i][2][j][2] + r[i][3][j][3]).is_zero()
                for i in range(4) for j in range(4))
-    op = curvature_operator(m.g, int_point(ORIGIN))
-    v = duality_verdict(decompose(op, +1))
+    op = curvature_operator(m.g, int_point(ORIGIN), +1)
+    v = duality_verdict(op)
     assert v["anti_self_dual"] and not v["self_dual"] and not v["conformally_flat"]
-    v_rev = duality_verdict(decompose(op, -1))
+    v_rev = duality_verdict(curvature_operator(m.g, int_point(ORIGIN), -1))
     assert v_rev["self_dual"] and not v_rev["anti_self_dual"]
 
 
 def test_sectional_constant_absent_for_perturbed():
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
-    assert sectional_constant_check(op) is None
+    op = curvature_operator(m.g, int_point(p), +1)
+    assert op.sectional is None
     flat = flat_metric()
-    op0 = curvature_operator(flat.g, int_point(ORIGIN))
-    assert sectional_constant_check(op0) == (1, 0)
+    op0 = curvature_operator(flat.g, int_point(ORIGIN), +1)
+    assert op0.sectional == (1, 0)
+
+
+def seeded_operators(ids: list, rng, count: int):
+    """(metric, point, operator of orientation +1) at count seeded rational
+    points of each catalog id and of perturbed_metric(); a point where g has a
+    pole or degenerates is drawn again."""
+    for model in [parse_metric_id(i) for i in ids] + [perturbed_metric()]:
+        found = 0
+        while found < count:
+            p = int_point(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)))
+            try:
+                op = curvature_operator(model.g, p, +1)
+            except (PoleAtPoint, DegenerateMetric):
+                continue
+            found += 1
+            yield model, p, op
+
+
+def test_orientation_minus_one_swaps_w_plus_and_w_minus():
+    """The record of orientation -1 holds orientation +1's W_- as its W_+ and
+    its W_+ as its W_-, as integer pairs, and every other field unchanged; the
+    self-dual and anti-self-dual flags swap.  Checked where det G is a square,
+    at seeded points of the catalog metrics and the perturbed metric, some of
+    which have W_+ != W_-."""
+    ids = ["flat", "constcurv:1", "constcurv:-2/3", "ppwave:x2^2", "ppwave:x1*x2^3",
+           f"ppwave:{COUNTEREXAMPLE}"]
+    chiral = 0
+    for model, p, plus in seeded_operators(ids, random.Random(4701), 3):
+        minus = curvature_operator(model.g, p, -1)
+        assert plus.int_w_plus is not None and plus.int_w_minus is not None, model.name
+        assert (minus.int_w_plus, minus.int_w_minus) == (plus.int_w_minus, plus.int_w_plus)
+        for name in CurvOperator.__slots__:
+            if name not in ("int_w_plus", "int_w_minus"):
+                assert getattr(minus, name) == getattr(plus, name), name
+        v_plus, v_minus = duality_verdict(plus), duality_verdict(minus)
+        assert v_minus == {"self_dual": v_plus["anti_self_dual"],
+                           "anti_self_dual": v_plus["self_dual"],
+                           "conformally_flat": v_plus["conformally_flat"]}
+        chiral += v_plus["self_dual"] != v_plus["anti_self_dual"]
+    assert chiral >= 3
+
+
+def test_w_plus_and_w_minus_are_none_where_det_g_is_not_a_square(tmp_path, capsys):
+    """diag(2, 3, -1, -1) has det 6, so sqrt(det G) is irrational, the star is
+    not rational and no rational frame exists: W_+- are None at every default
+    point for both orientations, while W is there.  theorem and curvature on
+    that metric still exit 2 with one error line."""
+    import json
+
+    from paracomplex.cli import main
+
+    rows = [["2", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "-1", "0"],
+            ["0", "0", "0", "-1"]]
+    g = [[RatFunc.const(4, int(c)) for c in row] for row in rows]
+    for p in DEFAULT_POINTS:
+        for orientation in (1, -1):
+            op = curvature_operator(g, p, orientation)
+            assert op.int_ginv[0] == 6
+            assert (op.int_w_plus, op.int_w_minus) == (None, None)
+            assert op.int_w is not None and mat_is_zero(op.int_w[1])
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"g": rows}))
+    no_frame = "no rational orthonormal basis found; supply one"
+    for argv, message in [
+            (["theorem", f"file:{path}", "--component=+-"],
+             f"no usable sample points for the metric: {no_frame}"),
+            (["curvature", f"file:{path}"], no_frame),
+            (["curvature", f"file:{path}", "--point", "1,2,3,4", "--orientation", "-"], no_frame)]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def sectional_from_mat(op) -> tuple | None:
+    """c with R = c Id, read off int_mat, as a pair (d, n) in lowest terms for
+    c = n / d, or None: the rule that op.sectional replaced."""
+    den, m = op.int_mat
+    c = m[0][0]
+    if all(x == (c if a == b else 0) for a, row in enumerate(m) for b, x in enumerate(row)):
+        g = math.gcd(c, den)
+        return den // g, c // g
+    return None
+
+
+def test_the_sectional_constant_is_the_scalar_operator():
+    """op.sectional, read from B = 0 and W = 0 with c = s / 12, equals c with
+    R = c Id read off the operator itself, at seeded points of flat,
+    constcurv:c for c in {1, -2, 3/5}, a pp-wave and the perturbed metric."""
+    ids = ["flat", "constcurv:1", "constcurv:-2", "constcurv:3/5", "ppwave:x1*x2^3"]
+    seen = set()
+    for model, p, op in seeded_operators(ids, random.Random(4702), 3):
+        assert op.sectional == sectional_from_mat(op), (model.name, p)
+        seen.add(op.sectional)
+    assert {None, (1, 0), (1, 1), (1, -2), (5, 3)} <= seen
 
 
 # -- jklr residual -----------------------------------------------------------------------
@@ -716,7 +806,7 @@ def jklr_residual(op, k1: Endo, k2: Endo, j: int, l: int, r: int, x, y, z, u) ->
 def test_jklr_flat_always_zero():
     rng = random.Random(42)
     m = flat_metric()
-    op = curvature_operator(m.g, int_point(ORIGIN))
+    op = curvature_operator(m.g, int_point(ORIGIN), +1)
     onb = m.onb_at(int_point(ORIGIN), op.int_g)
     for _ in range(10):
         k1 = random_endo(op.int_g, onb, rng, +1)
@@ -730,7 +820,7 @@ def test_jklr_constant_curvature_mixed_orientations():
     rng = random.Random(43)
     m = constcurv_metric(1)
     for p in (ORIGIN, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
-        op = curvature_operator(m.g, int_point(p))
+        op = curvature_operator(m.g, int_point(p), +1)
         onb = m.onb_at(int_point(p), op.int_g)
         for _ in range(10):
             k1 = random_endo(op.int_g, onb, rng, +1)
@@ -747,7 +837,7 @@ def test_jklr_diagonal_matches_duality_verdict():
     rng = random.Random(53)
 
     def diag_samples_all_zero(model, p, n=15):
-        op = curvature_operator(model.g, int_point(p))
+        op = curvature_operator(model.g, int_point(p), +1)
         onb = model.onb_at(int_point(p), op.int_g)
         for _ in range(n):
             k = random_endo(op.int_g, onb, rng, +1)
@@ -759,14 +849,14 @@ def test_jklr_diagonal_matches_duality_verdict():
 
     for model, p in ((flat_metric(), ORIGIN), (constcurv_metric(1), ORIGIN),
                      (ppwave_metric(rf("x2^2")), ORIGIN)):
-        op = curvature_operator(model.g, int_point(p))
-        verdict = duality_verdict(decompose(op, +1))
+        op = curvature_operator(model.g, int_point(p), +1)
+        verdict = duality_verdict(op)
         assert verdict["anti_self_dual"]
         assert diag_samples_all_zero(model, p)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
-    assert not duality_verdict(decompose(op, +1))["anti_self_dual"]
+    op = curvature_operator(m.g, int_point(p), +1)
+    assert not duality_verdict(op)["anti_self_dual"]
     assert not diag_samples_all_zero(m, p, n=40)
 
 
@@ -774,7 +864,7 @@ def test_jklr_perturbed_nonzero_witness():
     rng = random.Random(44)
     m = perturbed_metric()
     p = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
-    op = curvature_operator(m.g, int_point(p))
+    op = curvature_operator(m.g, int_point(p), +1)
     onb = m.onb_at(int_point(p), op.int_g)
     found = False
     for _ in range(60):
@@ -841,7 +931,7 @@ def test_jklr_residual_equals_the_lambda2_oracle():
     for model in jklr_models():
         nonzero = 0
         for p in JKLR_POINTS:
-            op = curvature_operator(model.g, int_point(p))
+            op = curvature_operator(model.g, int_point(p), +1)
             onb = model.onb_at(int_point(p), op.int_g)
             for _ in range(14):
                 k1 = random_endo(op.int_g, onb, rng, rng.choice((1, -1)))
@@ -860,7 +950,7 @@ def test_lowered_operator_is_the_lambda2_pairing():
     basis = [TwoVector.basis(i, k, 4) for (i, k) in WEDGE4]
     for model in jklr_models():
         for p in JKLR_POINTS:
-            op = curvature_operator(model.g, int_point(p))
+            op = curvature_operator(model.g, int_point(p), +1)
             g = Bilinear(frac_mat(*op.int_g))
             assert frac_mat(*op.int_lowered) == [
                 [lambda2_inner(g, r_of(op, ea), eb) for eb in basis] for ea in basis]
@@ -913,7 +1003,7 @@ def test_integer_jklr_samples_equal_the_fraction_reference():
                                         for _ in range(4)) for _ in range(2)]
         points = []
         for p in pts:
-            op = curvature_operator(model.g, int_point(p))
+            op = curvature_operator(model.g, int_point(p), +1)
             onb = model.onb_at(int_point(p), op.int_g)
             points.append((p, op, onb, functools.cache(functools.partial(j_structures,
                                                                          op.int_g, onb))))
@@ -1171,7 +1261,7 @@ def test_torsion_at_equals_hitchin_torsion():
     for p in [(Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)), ORIGIN]:
         ((dd, (values,)),) = int_jet([list(dth.comps.values())], int_point(p))
         want = [[[eval_at(c, p) for c in r2] for r2 in r1] for r1 in torsion.t]
-        d, ginv = curvature_operator(m.g, int_point(p)).int_ginv
+        d, ginv = curvature_operator(m.g, int_point(p), +1).int_ginv
         comps = dict(zip(dth.comps, values))
         assert d > 0 and dd > 0 and [
             frac_mat(d * dd, [mat_vec(ginv, contract(comps, x, y)) for y in basis])

@@ -304,6 +304,7 @@ MOVED = [
     "_sym", "torsion_at", "_torsion_vec", "_covector_alpha_iota", "_dth_full", "_dtheta_covector",
     "_STAR_U",
     "GenVector", "SingularMatrix",
+    "CurvDecomposition", "decompose", "sectional_constant_check", "INPUT_ERRORS",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction", "curvature", "assembled"]

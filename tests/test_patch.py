@@ -760,8 +760,8 @@ def test_mat_jet_of_k_equals_the_evaluated_endo_jet(key):
 
 @pytest.mark.parametrize("key", [key for key in POINTWISE if not key.startswith("trivial")])
 def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
-    """N is a tensor: the integer sweep on K(p) and dK(p) gives 2 D0 D1 N, and
-    divided by 2 D0 D1 it equals the symbolic sweep's sections over rational
+    """N is a tensor: the integer sweep on K(p) and dK(p) gives 2 D0 D1 N and
+    its scale 2 D0 D1, and divided by it equals the symbolic sweep's sections over rational
     functions evaluated at p, pair by pair, at seeded regular points.  On two
     variables every structure of these kinds is integrable, so N = 0 there."""
     kind, n, data = POINTWISE[key]
@@ -773,11 +773,11 @@ def test_the_sweep_on_a_jet_at_a_point_equals_the_symbolic_sweep_there(key):
     for pt in points:
         expected = {pair: section_at(s, pt).stacked() for pair, s in symbolic.items()}
         (d0, k_at), (d1, dk_at) = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
-        ok, at = gen_nijenhuis_frame_sweep((d0, k_at), (d1, dk_at))
+        scale, at = gen_nijenhuis_frame_sweep((d0, k_at), (d1, dk_at))
+        assert scale == 2 * d0 * d1
         assert all(isinstance(c, int) for n_ab in at.values() for c in n_ab)
-        assert {pair: [Fraction(c, 2 * d0 * d1) for c in n_ab] for pair, n_ab in at.items()} == {
+        assert {pair: [Fraction(c, scale) for c in n_ab] for pair, n_ab in at.items()} == {
             pair: n_ab for pair, n_ab in expected.items() if any(n_ab)}, pt
-        assert ok == (not at)
 
 
 def test_the_integer_sweep_of_an_integrable_structure_is_zero():
@@ -785,7 +785,7 @@ def test_the_integer_sweep_of_an_integrable_structure_is_zero():
                        ("pi", bivector(N, {(1, 2): rf("x1")}))]:
         pt = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 7))
         jet = structure_jet(kind, data_matrix(kind, data), int_point(pt), 1)
-        assert gen_nijenhuis_frame_sweep(*jet) == (True, {})
+        assert gen_nijenhuis_frame_sweep(*jet) == (2 * jet[0][0] * jet[1][0], {})
 
 
 # structures (g, Theta, K1, K2) in the two reductions of assemble: K1 = K2 = P
