@@ -1,5 +1,5 @@
 """Curvature on a patch, in Q at a point from the metric's 2-jet: the metric
-catalog, the rational orthonormal frame, and the curvature operator with its
+catalog, the frame at a point, and the curvature operator with its
 scalar/traceless-Ricci/Weyl decomposition and duality verdicts.  Everything at
 a point, from the point itself and the 2-jet to the decomposition, runs on
 integer pairs (D, M) of a positive denominator and an integer matrix, vector or
@@ -13,10 +13,12 @@ Hodge star o eps lambda2_matrix(G) / sqrt(det G) of `linalg.star_matrix`,
 which reads g and o and no frame.  The frame of `onb_at`
 serves the J-triples of `theorem` and the input contract of `curvature`: a
 point with no rational frame, or a supplied frame that is not orthonormal,
-is refused.  The dim-4 theorem verdict, with
-the (j,l,r) residual and the witness search, is in `paracomplex.theorem`,
-which only `theorem` loads, so `curvature`, whose body is
-`paracomplex.curvature`, compiles neither it nor `paracomplex.para`.
+is refused.  For a metric given without a frame, `onb_at` imports the
+search in `paracomplex.frame`, so a start on a metric with one compiles
+none of it.  The dim-4 theorem verdict, with the (j,l,r) residual, is in
+`paracomplex.theorem`, which only `theorem` loads, so `curvature`, whose
+body is `paracomplex.curvature`, compiles neither it nor
+`paracomplex.para`.
 The symbolic connections and the twistor and reflector Nijenhuis evaluators
 are in `paracomplex.reference`.  This module opens no file and parses no
 literal: `cli.parse_metric_id` builds the MetricModel of a metric identifier,
@@ -33,9 +35,7 @@ the test suite pins these signs.
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import mul
 
 from paracomplex.exact import VARS4, RatFunc, point_strings
 from paracomplex.linalg import (
@@ -43,11 +43,9 @@ from paracomplex.linalg import (
     bareiss,
     int_inv,
     int_jet,
-    kernel_basis,
     lambda2_matrix,
     mat_is_zero,
     mat_mul,
-    mat_vec,
     reduced,
     star_matrix,
     transpose,
@@ -81,6 +79,8 @@ class MetricModel:
         g_at = (D, G) the value of g there, the int_g of its curvature operator.
         A supplied frame must pass U G U^T = E^2 D ONB_GRAM."""
         if self.onb is None:
+            from paracomplex.frame import onb_search
+
             du, u = onb_search(g_at)
         else:
             den, gm = g_at
@@ -133,51 +133,6 @@ def ppwave_metric(f: RatFunc) -> MetricModel:
         [z, o, -o / 2, z],
     ]
     return MetricModel(f"ppwave:{f.to_str()}", g, onb)
-
-
-def _is_square(den: int, num: int) -> tuple | None:
-    """The square root of num / den, den > 0, as a pair (d, n) in lowest
-    terms, when it is rational."""
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    rn, rd = math.isqrt(max(num, 0)), math.isqrt(den)
-    return (rd, rn) if num >= 0 and rn * rn == num and rd * rd == den else None
-
-
-def onb_search(g: tuple) -> tuple:
-    """Search for a rational orthonormal basis with norms (1, 1, -1, -1) of
-    g = G / D, given as (D, G); the frame (E, [U_1, ..., U_4]) with the vectors
-    U_a / E over their least common denominator.  Works when unit vectors
-    exist over Q; otherwise raises DegenerateMetric (supply an onb with the
-    metric in that case).  The candidates are small integer combinations c of
-    the complement basis V / e of the vectors found so far, whose norm is
-    c^T M c / (e^2 D) for M = V G V^T, and only the accepted vector is built."""
-    den, gm = g
-    n = len(gm)
-    found: list = []  # (e_a, U_a) for the vectors U_a / e_a
-    for target in (1, 1, -1, -1):
-        # G is symmetric, so the complement {w : g(u, w) = 0} is the kernel of the rows G u
-        e, comp = kernel_basis([mat_vec(gm, u) for _, u in found], n)
-        gram = mat_mul(mat_mul(comp, gm), transpose(comp))
-        pick = None
-        for bound in (1, 2, 3, 4):
-            for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(comp)):
-                if not any(coeffs) or max(abs(c) for c in coeffs) != bound:
-                    continue
-                q = target * sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in gram]))
-                root = q > 0 and _is_square(e * e * den, q)
-                if root:
-                    # (sum c_k V_k / e) / (n / d)
-                    pick = (e * root[1], [root[0] * sum(c * b[i] for c, b in zip(coeffs, comp))
-                                          for i in range(n)])
-                    break
-            if pick is not None:
-                break
-        if pick is None:
-            raise DegenerateMetric("no rational orthonormal basis found; supply one")
-        found.append(pick)
-    top = math.lcm(*(e for e, _ in found))
-    return reduced(top, [[x * (top // e) for x in u] for e, u in found])
 
 
 # -- curvature ---------------------------------------------------------------------

@@ -5,16 +5,17 @@ Matrices are dense lists of lists.  At a point every command works on a pair
 `int_jet` reads a field's value and partials there, `reduced` is the one
 division of a pair by its gcd (int_jet's and curv's), `bareiss` is the one
 fraction-free elimination, which `int_inv` (the inverse of a pair, as a
-pair), `kernel_basis` (kernels) and the orientation of a frame in
-`curv.MetricModel.onb_at` (a determinant) read, the dim-4 Hodge star
-(`star_matrix`, o eps lambda2_matrix(G) / sqrt(det G) from g = G / D and the
-orientation o, with no frame and no elimination) and J-triples
-(`j_structures`) are built on integers, and `mat_to_strings` prints such a
-pair.  `mat_mul` is the one matrix product: on integers at a point, and on RatFuncs in the
-symbolic checks of a descriptor's data, which also expand Pfaffians
-(`pfaffian`).  The Fraction wrappers of matrices, forms, endomorphisms and
-2-vectors, and the routines only they use, are in `paracomplex.reference`,
-with `SingularMatrix`, which its Fraction inverses raise.
+pair), the orientation of a frame in `curv.MetricModel.onb_at` (a
+determinant) and the kernels of the frame search in `paracomplex.frame`
+read, the dim-4 Hodge star (`star_matrix`, o eps lambda2_matrix(G) /
+sqrt(det G) from g = G / D and the orientation o, with no frame and no
+elimination) and J-triples (`j_structures`) are built on integers, and
+`mat_to_strings` prints such a pair.  `mat_mul` is the one matrix product:
+on integers at a point, and on RatFuncs in the symbolic checks of a
+descriptor's data.  The Fraction wrappers of matrices, forms,
+endomorphisms and 2-vectors, and the routines only they use, are in
+`paracomplex.reference`, with `SingularMatrix`, which its Fraction
+inverses raise.
 """
 
 from __future__ import annotations
@@ -144,38 +145,6 @@ def reduced(den: int, part: list, depth: int = 0) -> tuple:
         for row in rows:
             row[:] = [x // g for x in row]
     return den // g, part
-
-
-def pfaffian(m: Mat, rows: tuple, memo: dict):
-    """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
-    expanded along the first index, so 0 for an odd count, with no division;
-    memo maps each index tuple met to its Pfaffian."""
-    if not rows:
-        return 1
-    if rows not in memo:
-        i, rest = rows[0], rows[1:]
-        memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
-                          for t, j in enumerate(rest) if m[i][j]), 0)
-    return memo[rows]
-
-
-def kernel_basis(rows: Mat, ncols: int | None = None) -> tuple[int, list]:
-    """A basis of the right kernel {v : rows v = 0} over Q of an integer
-    matrix, one vector per free column of the reduced row echelon form R / d
-    of bareiss: 1 there and -R[i][fc] / d at the pivot of row i.  As an
-    integer pair (|d|, [V_1, ...]) with the vectors V_k / |d|; ncols gives
-    the width of an empty row list."""
-    n = len(rows[0]) if rows else ncols or 0
-    r, pivots, d, _ = bareiss(rows)
-    s = 1 if d > 0 else -1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = s * d
-        for row, pc in zip(r, pivots):
-            v[pc] = -s * row[fc]
-        basis.append(v)
-    return s * d, basis
 
 
 def wedge_pairs(n: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """The dim-4 hyperboloid model of paracomplex structures: the seeded draw of
-a compatible structure that the theorem's samples and witness search read.
+a compatible structure that the theorem's samples and witness search read,
+and the seeded draw of the vectors they evaluate it on.
 Only `theorem` loads this module; `curvature` does not, and `validate` on an
 `assembled` descriptor checks its factors in `paracomplex.assembled`.
 
@@ -22,6 +23,14 @@ def _draw(bits, n: int, k: int) -> int:
     while r >= n:
         r = bits(k)
     return r
+
+
+def rnd_vec2(rng, n=4) -> list:
+    """Twice a random vector of n entries in {-3, ..., 3} / {1, 2}, on integers:
+    each entry's numerator and denominator drawn as randint(-3, 3) and
+    randint(1, 2) would draw them."""
+    bits = rng.getrandbits
+    return [2 * (_draw(bits, 7, 3) - 3) // (_draw(bits, 2, 2) + 1) for _ in range(n)]
 
 
 def hyperboloid_draw(rng) -> tuple[int, int, int, int]:

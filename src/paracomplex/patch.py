@@ -1,10 +1,10 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
 coefficients: the Courant bracket on 1-jets, the checks that a descriptor's
-data define a structure (with involution_checks, the one K^2 - Id, which
-`assembled` also reads for the factors K1 and K2), the generalized Nijenhuis
-tensor on frame pairs at a point (on integers), and the integrability
-criteria of each structure kind, with d omega, dTheta and the Poisson
-Jacobiator from one cyclic sum.  This module imports no `gpx`.
+data define a structure (with the Pfaffian of an omega, and
+involution_checks, the one K^2 - Id, which `assembled` also reads for the
+factors K1 and K2), the generalized Nijenhuis tensor on frame pairs at a
+point (on integers), and the integrability criteria of each structure kind,
+with d omega, dTheta and the Poisson Jacobiator from one cyclic sum.  This module imports no `gpx`.
 
 A descriptor's data are one n x n matrix of RatFuncs per kind: the form
 omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from paracomplex.exact import RatFunc
-from paracomplex.linalg import (identity, mat_is_zero, mat_mul, mat_neg, mat_sub, mat_vec, pfaffian,
+from paracomplex.linalg import (identity, mat_is_zero, mat_mul, mat_neg, mat_sub, mat_vec,
                                 transpose)
 
 GenSection = list  # the name perfbench/tracer.py imports
@@ -90,6 +90,19 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
             raise ValueError("P^2 != Id as a rational-function identity")
         if plus_minus:
             raise ValueError("P = +-Id")
+
+
+def pfaffian(m: list, rows: tuple, memo: dict):
+    """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
+    expanded along the first index, so 0 for an odd count, with no division;
+    memo maps each index tuple met to its Pfaffian."""
+    if not rows:
+        return 1
+    if rows not in memo:
+        i, rest = rows[0], rows[1:]
+        memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
+                          for t, j in enumerate(rest) if m[i][j]), 0)
+    return memo[rows]
 
 
 def involution_checks(k: tuple) -> tuple[list, bool]:

@@ -43,13 +43,13 @@ from typing import Sequence
 from paracomplex.assembled import validate_para
 from paracomplex.curv import _ORDERED, DegenerateMetric, _riemann
 from paracomplex.exact import RatFunc, _factors_mul
+from paracomplex.frame import kernel_basis
 from paracomplex.gpx import assemble, is_compatible, validate_gen_para
 from paracomplex.linalg import (
     bareiss,
     int_inv,
     int_jet,
     j_structures,
-    kernel_basis,
     mat_add,
     mat_is_zero,
     mat_mul,
@@ -1261,7 +1261,7 @@ def _positive_norm_vector(g: Bilinear, basis: list) -> list | None:
 def orthogonal_complement(g: list, span: list) -> list:
     """A basis of {w : g(v, w) = 0 for v in span} over Q for a matrix and
     vectors of Fractions, as Fraction vectors: the kernel_basis of the rows
-    g^T v on integers, as curv.onb_search reads it."""
+    g^T v on integers, as frame.onb_search reads it."""
     gm = as_ints(g)[1]
     return frac_mat(*kernel_basis([mat_vec(transpose(gm), as_ints([v])[1][0]) for v in span],
                                   len(gm)))

@@ -1,26 +1,25 @@
 """The `theorem` command and its dim-4 integrability verdict: the curvature
 conditions of a fiber component at each sample point, the seeded (j,l,r) spot
-checks of the curvature identity, and, for a Theta that is not closed, the
-seeded search for a witness of the horizontal obstruction, which reads the
-one residual of `paracomplex.obstruction.np_residual` per draw.  `cli`
-reads the metric and `--points`, and the command reads its `--theta` here.
-Only the `theorem` command imports this module; the curvature operator, its
-decomposition and the frames the J-triples read are `paracomplex.curv`'s,
-and every value at a point is an integer pair, printed by `poly.rat_str`.
+checks of the curvature identity.  `cli` reads the metric and `--points`;
+the reader of `--theta` and, for a Theta that is not closed, the seeded
+search for a witness of the horizontal obstruction are
+`paracomplex.obstruction`'s, which the command imports only for a
+`--theta`.  Only the `theorem` command imports this module; the curvature
+operator, its decomposition and the frames the J-triples read are
+`paracomplex.curv`'s, and every value at a point is an integer pair, printed
+by `poly.rat_str`.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-import re
 
 from paracomplex.curv import (WEDGE4, DegenerateMetric, MetricModel, curvature_operator,
                               duality_verdict)
-from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, RatFunc, point_strings
-from paracomplex.linalg import int_jet, j_structures, mat_is_zero, mat_vec
-from paracomplex.para import _draw, hyperboloid_combination, hyperboloid_draw
-from paracomplex.parse import parse_ratfunc
+from paracomplex.exact import DEFAULT_POINTS, PoleAtPoint, point_strings
+from paracomplex.linalg import j_structures, mat_is_zero, mat_vec
+from paracomplex.para import _draw, hyperboloid_combination, hyperboloid_draw, rnd_vec2
 from paracomplex.poly import rat_str
 
 
@@ -85,14 +84,6 @@ def sample_jklr(points: list, orientations: tuple, rng, samples: int):
 # -- theorem verdicts -----------------------------------------------------------------------------
 
 
-def rnd_vec2(rng, n=4) -> list:
-    """Twice a random vector of n entries in {-3, ..., 3} / {1, 2}, on integers:
-    each entry's numerator and denominator drawn as randint(-3, 3) and
-    randint(1, 2) would draw them."""
-    bits = rng.getrandbits
-    return [2 * (_draw(bits, 7, 3) - 3) // (_draw(bits, 2, 2) + 1) for _ in range(n)]
-
-
 def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points: list | None,
                     seed: int, jklr_samples: int) -> dict:
     """Integrability of the dim-4 twistor structure on the given component:
@@ -129,6 +120,8 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
         evidence["d_theta_witness"] = {
             f"{i+1},{j+1},{k+1}": c.to_str(model.names) for (i, j, k), c in sorted(dth.items())
         }
+        from paracomplex.obstruction import _np_witness_search
+
         witness = _np_witness_search(dth, points, rng)
         if witness is not None:
             evidence["np_residual_witness"] = witness
@@ -153,105 +146,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     return {"component": component, "integrable": integrable, "evidence": evidence}
 
 
-# draws of the witness search at each point where dTheta is not zero
-WITNESS_ATTEMPTS = 60
-
-
-def _np_witness_search(dth: dict, points: list, rng):
-    """Bounded seeded search for a nonzero horizontal obstruction residual,
-    given the components of dTheta and theorem_verdict's per-point data; a
-    point where dTheta is zero or has a pole is skipped.  The sections A and B
-    are drawn as their stacked vectors X + alpha, each twice a rnd_vec2 draw,
-    so the residual of the integers A' = 2A and B' = 2B is four times A and
-    B's."""
-    from paracomplex.obstruction import np_residual
-
-    for p, op, js in points:
-        try:
-            ((dd, (values,)),) = int_jet([list(dth.values())], p)
-        except PoleAtPoint:
-            continue
-        if not any(values):
-            continue
-        dth_at = dd, dict(zip(dth, values))
-        for _ in range(WITNESS_ATTEMPTS):
-            o1 = +1 if rng.random() < 0.5 else -1
-            s1 = hyperboloid_combination(hyperboloid_draw(rng), js(o1))
-            o2 = +1 if rng.random() < 0.5 else -1
-            s2 = hyperboloid_combination(hyperboloid_draw(rng), js(o2))
-            a = rnd_vec2(rng) + rnd_vec2(rng)
-            b = rnd_vec2(rng) + rnd_vec2(rng)
-            den, res = np_residual(op.int_g, op.int_ginv, dth_at, s1, s2, a, b)
-            if any(res):
-                return {"point": point_strings(p),
-                        "residual_vector": [rat_str(4 * den, c) for c in res[:4]],
-                        "residual_form": [rat_str(4 * den, c) for c in res[4:]]}
-    return None
-
-
-# -- the command and its --theta ------------------------------------------------------------------
-
-
-_WEDGE_RE = re.compile(r"^dx(\d+)\^dx(\d+)$")
-
-
-def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
-    """(separator, piece) pairs of text split on its top-level separator
-    characters, the first separator "+"; a piece is empty before a leading,
-    doubled or trailing separator."""
-    parts, depth, op, start = [], 0, "+", 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in seps:
-            parts.append((op, text[start:i]))
-            op, start = ch, i + 1
-    parts.append((op, text[start:]))
-    return parts
-
-
-def parse_theta_expr(text: str, variables: list) -> list:
-    """Tiny 2-form grammar: terms `c*dxi^dxj` joined by + / -, with c a
-    product of rational-function factors in the variables, the metric's
-    (default 1).  Returns the antisymmetric n x n matrix theta(d_i, d_j) of RatFuncs, the form of an
-    assembled descriptor's "theta"; a term adds c to theta(d_i, d_j) and -c
-    to theta(d_j, d_i).  A run of signs before a term multiplies, and an
-    empty term or factor is bad input."""
-    nvars = len(variables)
-    theta = [[RatFunc.zero(nvars)] * nvars for _ in range(nvars)]
-    if not text.strip():
-        return theta
-    sign = "+"
-    for op, term in _split_top_level(text.replace(" ", ""), "+-"):
-        sign = "+" if (op == "-") == (sign == "-") else "-"
-        if not term:  # a sign of the next term
-            continue
-        factors = [f for _, f in _split_top_level(term, "*")]
-        if "" in factors:
-            raise ValueError(f"empty factor in term {term!r}")
-        match = _WEDGE_RE.match(factors[-1])
-        if match is None:
-            raise ValueError(f"term {term!r} must end with dxi^dxj")
-        i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
-        if not (0 <= i < nvars and 0 <= j < nvars) or i == j:
-            raise ValueError(f"bad wedge indices in {term!r}")
-        coeff_src = "*".join(factors[:-1]) or "1"
-        try:
-            coeff = parse_ratfunc(coeff_src, variables)
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient {coeff_src!r}: {exc}") from exc
-        if sign == "-":
-            coeff = -coeff
-        if i > j:  # dxj^dxi = -dxi^dxj
-            i, j, coeff = j, i, -coeff
-        theta[i][j] = theta[i][j] + coeff
-        theta[j][i] = -theta[i][j]
-        sign = "+"
-    if not term:
-        raise ValueError(f"empty term in theta expression {text!r}")
-    return theta
+# -- the command ----------------------------------------------------------------------------------
 
 
 # a (j,l,r) sample costs 10-55 us in process (7-11 us of it its 43 draws; Python 3.11.7,
@@ -264,7 +159,10 @@ def cmd_theorem(metric, component, theta, points, seed, samples, epsilon) -> dic
         raise ValueError(f"--samples must be at least 0, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
-    theta = parse_theta_expr(theta, metric.names) if theta else None
+    if theta:
+        from paracomplex.obstruction import parse_theta_expr
+
+        theta = parse_theta_expr(theta, metric.names)
     report = {"metric": metric.name, "epsilon": epsilon}
     if epsilon != 1:
         # the three Eells-Salamon-type structures are never integrable; the

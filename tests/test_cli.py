@@ -16,7 +16,7 @@ from paracomplex.exact import VARS4
 from paracomplex.linalg import mat_is_zero, mat_mul, transpose
 from paracomplex.parse import parse_ratfunc
 from paracomplex.patch import cyclic_sums
-from paracomplex.theorem import parse_theta_expr
+from paracomplex.obstruction import parse_theta_expr
 
 
 def run_cli(capsys, *argv):

@@ -29,17 +29,16 @@ from paracomplex.curv import (
     CurvOperator,
     DegenerateMetric,
     MetricModel,
-    _is_square,
     _riemann,
     constcurv_metric,
     curvature_operator,
     duality_verdict,
     flat_metric,
-    onb_search,
     ppwave_metric,
     star_matrix,
 )
 from paracomplex import reference
+from paracomplex.frame import _is_square, onb_search
 from paracomplex.obstruction import contract, np_residual
 from paracomplex.reference import (
     Bilinear,
@@ -87,7 +86,8 @@ from paracomplex.reference import (
     vertical_endo,
     vertical_pair_basis,
 )
-from paracomplex.theorem import rnd_vec2, sample_jklr, theorem_verdict
+from paracomplex.para import rnd_vec2
+from paracomplex.theorem import sample_jklr, theorem_verdict
 
 
 def random_endo(*args) -> Endo:

@@ -17,7 +17,12 @@ those; no command may load `dataclasses` (it pulls in `inspect`,
 command line from its own table), and none loads
 `paracomplex.reference`, the home of the closed forms and oracles that only
 the tests and the demos call; `curvature` loads neither `paracomplex.theorem`
-nor `paracomplex.para`, which `theorem` runs.  Each check runs in its own
+nor `paracomplex.para`, which `theorem` runs.  Two parts of `theorem` and
+`curvature` run only on some inputs, and only those starts load them:
+`paracomplex.obstruction`, the reader of `--theta` and the witness search of
+a Theta that is not closed, loads only with `--theta` (and `gpx` only where
+dTheta is not zero), and `paracomplex.frame`, the rational frame search, only
+for a metric without "onb".  Each check runs in its own
 subprocess with PYTHONDONTWRITEBYTECODE=1 and compares the modules loaded
 before and after.
 
@@ -161,19 +166,23 @@ def test_importing_the_cli_loads_neither_curv_nor_dataclasses():
 @pytest.mark.parametrize("argv,loads", [
     (["curvature", "constcurv:1", "--point", "0,0,0,0"], set()),
     (["theorem", "constcurv:1", "--component=+-"], set()),
-    (["theorem", "constcurv:1", "--component=+-", "--theta", "dx1^dx2"], {"paracomplex.patch"}),
+    (["theorem", "constcurv:1", "--component=+-", "--theta", "dx1^dx2"],
+     {"paracomplex.patch", "paracomplex.obstruction"}),
     (["theorem", "constcurv:1", "--component=+-", "--theta", "x1*dx2^dx3"],
      {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"}),
 ], ids=["curvature", "theorem", "theorem-closed-theta", "theorem-theta"])
 def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, loads):
-    """`curvature`, and `theorem` without `--theta`, load neither `gpx` nor
-    `patch`; a `--theta` brings in `patch` for dTheta, a closed one nothing
-    more, and one that is not closed `gpx` and `obstruction` for the witness
-    search (patch imports no gpx).  None of them loads `structures`, the
-    bodies of `validate` and `integrability`, or `assembled`, the checks of
-    an assembled descriptor.  The report is the one main gives in process."""
+    """`curvature`, and `theorem` without `--theta`, load neither `gpx`,
+    `patch` nor `obstruction`; a `--theta` brings in `obstruction` for its
+    reader and `patch` for dTheta, a closed one nothing more, and one that
+    is not closed `gpx` too, for the witness search (patch and obstruction
+    import no gpx at the top).  None of them loads `frame` on a catalog
+    metric, which has a frame, nor `structures`, the bodies of `validate`
+    and `integrability`, or `assembled`, the checks of an assembled
+    descriptor.  The report is the one main gives in process."""
     code, _, ran, out = probe(*argv)
-    assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction"} & ran == loads
+    assert {"paracomplex.gpx", "paracomplex.patch", "paracomplex.obstruction",
+            "paracomplex.frame"} & ran == loads
     assert {"paracomplex.structures", "paracomplex.assembled"} & ran == set()
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
@@ -181,14 +190,16 @@ def test_curvature_commands_load_gpx_and_patch_only_for_theta(capsys, argv, load
 @pytest.mark.parametrize("command", ["validate", "integrability"])
 def test_structure_commands_load_no_curv(tmp_path, capsys, command):
     """A `validate` and an `integrability` run on an omega descriptor, in a
-    fresh process, load `structures` but neither `curv`, `theorem` nor
-    `dataclasses`, nor `para` and `assembled`, which only an assembled
-    descriptor runs, and print the report that main gives in process."""
+    fresh process, load `structures` but neither `curv`, `theorem`,
+    `obstruction`, `frame` nor `dataclasses`, nor `para` and `assembled`,
+    which only an assembled descriptor runs, and print the report that main
+    gives in process."""
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(OMEGA))
     code, _, ran, out = probe(command, str(path))
     assert "paracomplex.structures" in ran
-    assert {"paracomplex.curv", "paracomplex.theorem", "paracomplex.para", "paracomplex.assembled",
+    assert {"paracomplex.curv", "paracomplex.theorem", "paracomplex.obstruction",
+            "paracomplex.frame", "paracomplex.para", "paracomplex.assembled",
             "dataclasses"} & ran == set()
     assert (code, out) == (main([command, str(path)]), capsys.readouterr().out)
 
@@ -196,15 +207,17 @@ def test_structure_commands_load_no_curv(tmp_path, capsys, command):
 def test_validate_on_an_assembled_descriptor_loads_assembled_but_not_para(tmp_path, capsys):
     """`validate` on an assembled descriptor loads `assembled`, which checks
     its factors, and not `para`, which holds only the hyperboloid model that
-    `theorem` draws from; its report in a fresh process is the one main
-    gives in process."""
+    `theorem` draws from, nor `obstruction` or `frame`, though its Theta and
+    g are those of `theorem --theta` and a metric; its report in a fresh
+    process is the one main gives in process."""
     k = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
     g = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
     path = tmp_path / "assembled.json"
     path.write_text(json.dumps({"kind": "assembled", "g": g, "theta": {"1,2": "3"}, "k1": k, "k2": k}))
     code, _, ran, out = probe("validate", str(path))
     assert code == 0 and {"paracomplex.structures", "paracomplex.assembled"} <= ran
-    assert {"paracomplex.para", "paracomplex.curv", "paracomplex.theorem"} & ran == set()
+    assert {"paracomplex.para", "paracomplex.curv", "paracomplex.theorem",
+            "paracomplex.obstruction", "paracomplex.frame"} & ran == set()
     assert (code, out) == (main(["validate", str(path)]), capsys.readouterr().out)
 
 
@@ -223,7 +236,7 @@ def test_theorem_loads_curv_and_gives_its_report(capsys):
 def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
     """`curvature` runs its body, `paracomplex.curvature`, and the operator and
     its decomposition from `curv`, and searches its frame with
-    `curv.onb_search` when the metric gives none, so it loads neither the
+    `frame.onb_search` when the metric gives none, so it loads neither the
     theorem verdict, the structures it samples, nor the bodies of `validate`
     and `integrability`."""
     from test_report_bytes import NO_ONB
@@ -234,6 +247,36 @@ def test_curvature_loads_neither_theorem_nor_para(tmp_path, capsys):
     code, _, ran, out = probe(*argv)
     assert code == 0 and {"paracomplex.curvature", "paracomplex.curv", "paracomplex.poly"} <= ran
     assert {"paracomplex.theorem", "paracomplex.para", "paracomplex.structures"} & ran == set()
+    assert (code, out) == (main(argv), capsys.readouterr().out)
+
+
+# a metric whose value at the origin is diag(1, 1, -1, -1), so that the frame search finds a
+# frame there and the identity frame is orthonormal there
+FRAME_G = [["1+x3^2", "x1", "0", "0"], ["x1", "1", "0", "0"], ["0", "0", "-1", "x2"],
+           ["0", "0", "x2", "-1"]]
+
+
+@pytest.mark.parametrize("onb", [False, True], ids=["no-onb", "onb"])
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--point", "0,0,0,0"],
+    ["theorem", "--component=++", "--points", "0,0,0,0"],
+], ids=lambda argv: argv[0])
+def test_only_a_metric_without_a_frame_loads_the_frame_search(tmp_path, capsys, argv, onb):
+    """`curvature` and `theorem` on a metric file load `paracomplex.frame`,
+    the rational frame search, exactly when the file gives no "onb": the
+    same g with the identity frame, orthonormal at the origin, loads no
+    `frame`.  Neither loads `obstruction` without `--theta`, and the report
+    is the one main gives in process."""
+    metric = {"g": FRAME_G}
+    if onb:
+        metric["onb"] = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(metric))
+    argv = [argv[0], f"file:{path}", *argv[1:]]
+    code, _, ran, out = probe(*argv)
+    assert code in (0, 1)
+    assert ("paracomplex.frame" in ran) == (not onb)
+    assert "paracomplex.obstruction" not in ran
     assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
@@ -307,7 +350,7 @@ MOVED = [
     "CurvDecomposition", "decompose", "sectional_constant_check", "INPUT_ERRORS",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
-                   "theorem", "structures", "obstruction", "curvature", "assembled"]
+                   "theorem", "structures", "obstruction", "curvature", "assembled", "frame"]
 
 
 def significant_tokens(path: Path) -> int:
@@ -367,8 +410,10 @@ def test_each_module_a_command_loads_compiles_below_the_old_exact_peak(module):
     assert int(proc.stdout) / 2 ** 20 < bound
 
 
-# what moved out of exact to parse, out of cli to theorem, structures and curvature, and
-# out of para to assembled
+# what moved out of exact to parse, out of cli to theorem, structures and curvature, out of
+# para to assembled, out of theorem to obstruction (what --theta adds), out of curv and linalg
+# to frame (the frame search of a metric without "onb"), and out of linalg to patch (the
+# Pfaffian, its one caller's)
 SPLIT = {
     "exact": ["parse_rational", "_Tokens", "check_variables", "parse_ratfunc", "MAX_EXPONENT",
               "MAX_POWER", "MAX_POWER_BITS", "MAX_TERM_PAIRS", "MAX_VARS"],
@@ -376,14 +421,20 @@ SPLIT = {
             "cmd_validate", "cmd_integrability", "_jets_at", "_validate_assembled",
             "_POINT_ERRORS", "cmd_curvature"],
     "para": ["validate_para"],
+    "theorem": ["parse_theta_expr", "_split_top_level", "_WEDGE_RE", "_np_witness_search",
+                "WITNESS_ATTEMPTS"],
+    "curv": ["onb_search", "_is_square", "kernel_basis"],
+    "linalg": ["kernel_basis", "pfaffian"],
 }
 
 
 @pytest.mark.parametrize("module", sorted(SPLIT))
 def test_split_leaves_no_alias(module):
     """exact compiles without the parser, cli without the bodies of theorem,
-    validate, integrability and curvature, and para without the factor
-    checks of an assembled descriptor, and none imports them back."""
+    validate, integrability and curvature, para without the factor checks of
+    an assembled descriptor, theorem without what --theta adds, and curv and
+    linalg without the frame search of a metric with no frame, and none
+    imports them back."""
     held = importlib.import_module(f"paracomplex.{module}")
     assert [name for name in SPLIT[module] if hasattr(held, name)] == []
 
@@ -402,13 +453,13 @@ def test_no_command_module_holds_a_function_only_tests_call(name):
 def test_only_cli_reads_input(module):
     """cli opens every input file, reads its JSON and parses its literals, with
     load_input and matrix_reader; no other command module names open or json,
-    and none but parse, which defines them, and theorem, which reads the
+    and none but parse, which defines them, and obstruction, which reads the
     coefficients of --theta, names the literal parsers."""
     with open(SRC / "paracomplex" / f"{module}.py") as fh:
         names = {tok.string for tok in tokenize.generate_tokens(fh.readline)
                  if tok.type == tokenize.NAME}
     assert not {"open", "json"} & names
-    assert module in ("parse", "theorem") or not {"parse_ratfunc", "parse_rational"} & names
+    assert module in ("parse", "obstruction") or not {"parse_ratfunc", "parse_rational"} & names
 
 
 @pytest.mark.parametrize("module", [m for m in COMMAND_MODULES if m != "cli"] + ["__init__"])

@@ -10,17 +10,17 @@ from hypothesis import given, settings, strategies as st
 from paracomplex.linalg import (
     bareiss,
     int_inv,
-    kernel_basis,
     lambda2_matrix,
     mat_mul,
     mat_neg,
     mat_vec,
-    pfaffian,
     star_matrix,
     transpose,
     wedge_pairs,
 )
+from paracomplex.frame import kernel_basis
 from paracomplex.parse import parse_ratfunc
+from paracomplex.patch import pfaffian
 from paracomplex.reference import (
     Bilinear,
     Endo,

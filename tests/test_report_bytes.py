@@ -25,7 +25,11 @@ the 1/x1 case at (0,1,1,1)) were re-recorded when the Nijenhuis samples moved
 from symbolic sections evaluated at each point to the frame sweep on K(p) and
 dK(p): such a point used to count the sections without a pole there and skip
 the rest in silence; it now reports the pole as its "error".  Every non-pole
-sample is byte for byte the same.
+sample is byte for byte the same.  An omega whose literal
+x3*(x1^2-1)/(x1-1) cancels its factor x1 - 1, so that RatFunc's trial
+division of the numerator by a denominator factor succeeds, shows that the
+cancelled factor prints reduced: its d omega witness is "x1 + 1".  No
+other pinned report runs that division.
 
 The three `theorem --samples 300` digests were recorded before the (j,l,r)
 residual moved from Lambda^2 inner products of 2-vectors to a contraction of
@@ -156,6 +160,9 @@ PINNED = [
      1, "a31023b4cbab6bbc396c52091f36c076077cc8c177a9cb6e2fa27597d1a7ab61"),
     (['integrability', {'kind': 'omega', 'omega': {'1,2': 'x2', '1,3': 'x4', '3,4': '1/x1'}}, '--points', '0,1,1,1;1,1,1,1;2,-1,3,1/2'],
      1, "01729c6f88029ad8a0adf27e73dd8a4df9c670640b7a42927d4874db7c619b18"),
+    (['integrability', {'kind': 'omega', 'omega': {'1,2': 'x3*(x1^2-1)/(x1-1)', '3,4': '1'}},
+      '--points', '2,1,1,1'],
+     1, "8e95d15c71556a0e307d19bd4b8af01071e7f9294a95429467544173e1784fec"),
     (['validate', {'kind': 'omega', 'omega': {'1,2': '1'}}, '--point', '1,1,1,1'],
      1, "0e9df3e854e0e05c0b8de96078aea1bf242a1c920b8a55bc816e2a1c69fc1599"),
     (['validate', {'kind': 'omega', 'omega': {'1,2': '1/x1', '3,4': '1'}}, '--points', '0,0,0,0;1,1,1,1'],
