@@ -18,8 +18,11 @@ which with gettext and locale cost each start about 4 ms and 0.4 MB.
 `main` imports the module of a command's body when it runs it (COMMANDS), so
 a start loads, and without cached bytecode compiles, only what it runs:
 `validate` and `integrability` load `structures`, with `gpx` and `patch` but
-not `curv`; `curvature` loads `curvature`, with `curv`; and `theorem` loads
-`theorem`, with `curv` and `para`, and for `--theta` `patch`.
+not `curv`, and `validate` on an `assembled` descriptor `assembled`;
+`curvature` loads `curvature`, with `curv`; and `theorem` loads `theorem`,
+with `curv` and `para`, for `--theta` `obstruction` and `patch`, and `gpx`
+for a Theta that is not closed.  `curvature` and `theorem` on a metric
+without "onb" load `frame`, the frame search.
 """
 
 from __future__ import annotations

@@ -1,10 +1,22 @@
 """Symbolic tensor calculus on a coordinate patch with rational-function
 coefficients: the Courant bracket on 1-jets, the checks that a descriptor's
-data define a structure (with the Pfaffian of an omega, and
-involution_checks, the one K^2 - Id, which `assembled` also reads for the
-factors K1 and K2), the generalized Nijenhuis tensor on frame pairs at a
-point (on integers), and the integrability criteria of each structure kind,
-with d omega, dTheta and the Poisson Jacobiator from one cyclic sum.  This module imports no `gpx`.
+data define a structure (involution_checks, the one K^2 - Id, which
+`assembled` also reads for the factors K1 and K2), the generalized Nijenhuis
+tensor on frame pairs at a point (on integers), and the integrability
+criteria of each structure kind, with d omega, dTheta and the Poisson
+Jacobiator from one cyclic sum.  This module imports no `gpx`.
+
+An omega is nondegenerate iff its Pfaffian is not zero, and that is decided
+by evaluation alone: omega passes iff det omega(p) != 0 at a given point or
+at one of two fixed points with 64-bit coordinates (structures._jets_at),
+so every omega that passes is certified exactly by a nonsingular point.  A
+nondegenerate omega is refused only if Pf(omega) Q^2, Q the product of the
+entries' denominators, vanishes at every given point and at both fixed
+points; were those two drawn uniformly from [0, 2^64)^n, that would have
+probability at most (D / 2^64)^2, D the degree of that polynomial, by the
+Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
+The points are fixed, so the bound is over their choice, not per input.
+`reference.pfaffian`, the expansion of the Pfaffian, is the oracle.
 
 A descriptor's data are one n x n matrix of RatFuncs per kind: the form
 omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
@@ -76,13 +88,12 @@ def courant_on_jets(a: list, da: list, b: list, db: list) -> list:
 # -- the data that define a structure ------------------------------------------------
 
 
-def check_structure(kind: str, data: list, certified: bool = False) -> None:
-    """ValueError where a kind's patch data define no structure, decided as
-    rational-function identities: an omega whose Pfaffian is zero (always on
-    an odd number of variables), P^2 != Id, or P = +-Id.  certified says that
-    det omega(p) != 0 at some point p; then Pf(omega)(p)^2 != 0, so the
-    Pfaffian is not zero and is not expanded."""
-    if kind == "omega" and not certified and not pfaffian(data, tuple(range(len(data))), {}):
+def check_structure(kind: str, data: list, certified: bool) -> None:
+    """ValueError where a kind's patch data define no structure: an omega
+    that no point certified, P^2 != Id as a rational-function identity, or
+    P = +-Id.  certified says that det omega(p) != 0 at some point p, given
+    or fixed (structures._jets_at), so Pf(omega)(p)^2 != 0."""
+    if kind == "omega" and not certified:
         raise ValueError("omega field is degenerate")
     if kind == "product":
         square, plus_minus = involution_checks((1, data))
@@ -90,19 +101,6 @@ def check_structure(kind: str, data: list, certified: bool = False) -> None:
             raise ValueError("P^2 != Id as a rational-function identity")
         if plus_minus:
             raise ValueError("P = +-Id")
-
-
-def pfaffian(m: list, rows: tuple, memo: dict):
-    """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
-    expanded along the first index, so 0 for an odd count, with no division;
-    memo maps each index tuple met to its Pfaffian."""
-    if not rows:
-        return 1
-    if rows not in memo:
-        i, rest = rows[0], rows[1:]
-        memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
-                          for t, j in enumerate(rest) if m[i][j]), 0)
-    return memo[rows]
 
 
 def involution_checks(k: tuple) -> tuple[list, bool]:

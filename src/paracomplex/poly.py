@@ -5,9 +5,9 @@ A polynomial is a dict mapping exponent tuples (one entry per variable) to
 nonzero integer coefficients; the zero polynomial has an empty term dict.
 `Poly.to_str` prints a coefficient over a denominator with `rat_str`, which
 prints an integer pair (d, n) exactly as str(Fraction(n, d)) does; the
-rational functions over these polynomials, the jets and the parser are in
-`paracomplex.exact`, and `paracomplex.reference` keeps the Fraction
-polynomial as the test oracle.
+rational functions over these polynomials and the jets are in
+`paracomplex.exact`, the parser is in `paracomplex.parse`, and
+`paracomplex.reference` keeps the Fraction polynomial as the test oracle.
 """
 
 from __future__ import annotations

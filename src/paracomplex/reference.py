@@ -1084,7 +1084,7 @@ def gauss_jordan_inv(a: list) -> list:
     """Exact inverse by Gauss-Jordan elimination with division, over Q or over
     rational functions, raising SingularMatrix when det = 0.  Over rational
     functions its entries stay smaller than fraction-free ones; no command
-    inverts such a matrix (linalg.mat_inv is the integer inverse over Q)."""
+    inverts such a matrix (mat_inv is the inverse over Q, on linalg.int_inv)."""
     n = len(a)
     work = [list(row) for row in a]
     inv = mat_identity(n, like=a[0][0])
@@ -1103,6 +1103,21 @@ def gauss_jordan_inv(a: list) -> list:
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
+
+
+def pfaffian(m: list, rows: tuple, memo: dict):
+    """The Pfaffian of the antisymmetric matrix m on the index tuple rows,
+    expanded along the first index, so 0 for an odd count, with no division;
+    memo maps each index tuple met to its Pfaffian.  Up to (n-1)!! terms: the
+    oracle of the commands' decision by evaluation that an omega is
+    nondegenerate (patch.check_structure)."""
+    if not rows:
+        return 1
+    if rows not in memo:
+        i, rest = rows[0], rows[1:]
+        memo[rows] = sum(((-1) ** t * m[i][j] * pfaffian(m, rest[:t] + rest[t + 1:], memo)
+                          for t, j in enumerate(rest) if m[i][j]), 0)
+    return memo[rows]
 
 
 def trivial_structure(n: int, like=Fraction(1)) -> GenEndo:

@@ -29,18 +29,34 @@ def _points(point, points, nvars: int, count: int) -> list:
     return DEFAULT_POINTS[:count]
 
 
+def _jet_or_pole(kind: str, mat: list, point, order: int):
+    """gpx.structure_jet of the kind's matrix at the point, or the
+    PoleAtPoint it raised there."""
+    try:
+        return structure_jet(kind, mat, point, order)
+    except PoleAtPoint as exc:
+        return exc
+
+
 def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
-    """gpx.structure_jet of the kind's matrix at each point, or the
-    PoleAtPoint it raised there, and whether some point gave K(p): for omega,
-    det omega(p) != 0 there, which certifies that its Pfaffian is not zero
-    (patch.check_structure)."""
-    jets = []
-    for p in points:
-        try:
-            jets.append(structure_jet(kind, mat, p, order))
-        except PoleAtPoint as exc:
-            jets.append(exc)
-    return jets, not all(isinstance(j, Exception) for j in jets)
+    """_jet_or_pole at each point, and whether some point gave K(p): for
+    omega, det omega(p) != 0 there, which certifies that its Pfaffian is not
+    zero (patch.check_structure).  Where no given point does, omega is
+    evaluated at two fixed points, the 64-bit words k * 0x9E3779B97F4A7C15
+    mod 2^64 for k = 16, 17, ... and k = 32, 33, ..., and is degenerate only
+    if it gives no K(p) at both.  A nondegenerate omega gives none at a point
+    only where Pf(omega) Q^2 vanishes, Q the product of the entries'
+    denominators, a nonzero polynomial of some degree D, so for two points
+    drawn uniformly from [0, 2^64)^n the chance of both is at most
+    (D / 2^64)^2 (Schwartz-Zippel).  The points are constants, not draws: the
+    bound is over their choice, and no report depends on a generator."""
+    jets = [_jet_or_pole(kind, mat, p, order) for p in points]
+    certified = not all(isinstance(j, Exception) for j in jets)
+    if kind == "omega" and not certified:
+        fixed = [(1, tuple(k * 0x9E3779B97F4A7C15 % 2 ** 64 for k in range(s, s + len(mat))))
+                 for s in (16, 32)]
+        certified = not all(isinstance(_jet_or_pole(kind, mat, p, 0), Exception) for p in fixed)
+    return jets, certified
 
 
 def cmd_validate(descriptor, point, points) -> dict:

@@ -292,9 +292,10 @@ def test_a_point_where_det_omega_vanishes_keeps_the_pole_text(tmp_path, capsys):
 ], ids=["rank-2", "three-variables", "six-variables-rank-4"])
 def test_an_omega_with_zero_pfaffian_is_degenerate_at_every_point(tmp_path, capsys, variables,
                                                                  omega, point):
-    """omega's degeneracy is decided by its symbolic Pfaffian (zero on an odd
-    number of variables): validate reports it at every point and exits 1,
-    integrability exits 2."""
+    """An omega whose Pfaffian is zero (always on an odd number of variables)
+    is singular at every given point and at both fixed points, so it is
+    degenerate: validate reports it at every point and exits 1, integrability
+    exits 2."""
     desc = {"kind": "omega", "omega": omega}
     if variables:
         desc["vars"] = variables
@@ -326,20 +327,86 @@ OMEGA16 = {f"{i},{j}": f"y{(3 * i + 5 * j) % 16 + 1} + {(i + 2 * j) % 5 + 1}"
 def test_a_dense_sixteen_variable_omega_is_certified_at_a_point(tmp_path, capsys, monkeypatch):
     """A point where det omega(p) != 0 certifies that the Pfaffian is not
     zero, so validate and integrability on a dense omega over 16 variables at
-    two points never expand it, and each finishes within 5 s."""
-    import paracomplex.patch
+    two points never evaluate it at the fixed points, and each finishes
+    within 5 s."""
+    import paracomplex.structures
 
-    def expanded(*args):
-        raise AssertionError("the Pfaffian was expanded")
-
-    monkeypatch.setattr(paracomplex.patch, "pfaffian", expanded)
-    path = write_desc(tmp_path, "omega16.json", {"kind": "omega", "vars": VARS16, "omega": OMEGA16})
     points = ";".join(",".join(str(k * s % 7 - 3) for k in range(1, 17)) for s in (1, 2))
+    given = [(1, tuple(map(int, p.split(",")))) for p in points.split(";")]
+    jet_or_pole = paracomplex.structures._jet_or_pole
+
+    def at_given_points(kind, mat, point, order):
+        assert point in given, "omega was evaluated at a fixed point"
+        return jet_or_pole(kind, mat, point, order)
+
+    monkeypatch.setattr(paracomplex.structures, "_jet_or_pole", at_given_points)
+    path = write_desc(tmp_path, "omega16.json", {"kind": "omega", "vars": VARS16, "omega": OMEGA16})
     for command, want in (("validate", 0), ("integrability", 1)):
         start = time.perf_counter()
         code, out = run_cli(capsys, command, path, f"--points={points}")
         assert time.perf_counter() - start < 5
         assert code == want and "error" not in out
+
+
+def _seeded_omega(seed):
+    """(kind, variables, component map, points, whether every point is
+    singular by construction) of a seeded omega = f sum_{k<r} a_k ^ b_k on
+    n <= 8 variables, with 1-forms of coefficients y_m + c: rank-deficient
+    (r < n/2), nondegenerate (r = n/2, f = 1; on even seeds b_0(p) = a_0(p)
+    and b_1(q) = a_1(q) at the two points p and q, so both are singular), or
+    f omega_0 with f = y1 - c zero at both points."""
+    rng = random.Random(seed)
+    kind = ("rank-deficient", "nondegenerate", "vanishing-factor")[seed % 3]
+    n = rng.choice([4, 5, 6, 7, 8] if kind == "rank-deficient" else [4, 6, 8])
+    r = rng.randint(1, (n - 1) // 2) if kind == "rank-deficient" else n // 2
+    points = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+    c = points[0][0] = points[1][0]
+    forms = [[(rng.randrange(n), rng.randint(-4, 4)) for _ in range(n)] for _ in range(2 * r)]
+    singular = kind != "nondegenerate" or seed % 2 == 0
+    if kind == "nondegenerate" and singular:
+        for k, p in enumerate(points):  # b_k(p) = a_k(p) in each coefficient, with other y_m
+            forms[2 * k + 1] = [((m + 1) % n, p[m] + e - p[(m + 1) % n]) for m, e in forms[2 * k]]
+    lit = [[f"y{m + 1} + ({e})" for m, e in form] for form in forms]
+    factor = f"(y1 - ({c}))*" if kind == "vanishing-factor" else ""
+    omega = {f"{i + 1},{j + 1}": factor + "(" + " + ".join(
+        f"({a[i]})*({b[j]}) - ({a[j]})*({b[i]})" for a, b in zip(lit[::2], lit[1::2])) + ")"
+        for i in range(n) for j in range(i + 1, n)}
+    return kind, [f"y{m}" for m in range(1, n + 1)], omega, points, singular
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_omega_is_accepted_exactly_when_its_pfaffian_is_not_zero(tmp_path, capsys, seed):
+    """validate and integrability accept an omega, decided at the given and
+    the fixed points, exactly when reference.pfaffian, the expansion over
+    rational functions, is not zero: on rank-deficient omega, nondegenerate
+    omega and f omega_0 with f zero at every given point, each kind with
+    every given point singular on some seeds."""
+    from paracomplex.exact import PoleAtPoint, RatFunc
+    from paracomplex.gpx import structure_jet
+    from paracomplex.reference import pfaffian
+
+    kind, variables, omega, points, singular = _seeded_omega(seed)
+    n = len(variables)
+    mat = [[RatFunc.zero(n)] * n for _ in range(n)]
+    for key, text in omega.items():
+        i, j = (int(k) - 1 for k in key.split(","))
+        mat[i][j] = parse_ratfunc(text, variables)
+        mat[j][i] = -mat[i][j]
+    for p in points if singular else ():
+        with pytest.raises(PoleAtPoint):
+            structure_jet("omega", mat, (1, tuple(p)), 0)
+    nondegenerate = bool(pfaffian(mat, tuple(range(n)), {}))
+    assert nondegenerate == (kind != "rank-deficient")
+    path = write_desc(tmp_path, "omega.json", {"kind": "omega", "vars": variables, "omega": omega})
+    arg = ";".join(",".join(map(str, p)) for p in points)
+    code, out = run_cli(capsys, "validate", path, "--points", arg)
+    errors = [p.get("error") for p in json.loads(out)["points"]]
+    assert (errors == ["omega field is degenerate"] * 2) == (not nondegenerate)
+    assert code == 1 or nondegenerate
+    code = main(["integrability", path, "--points", arg])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "error: omega field is degenerate\n") or (
+        nondegenerate and code in (0, 1))
 
 
 def test_metric_file_vars_must_be_a_list(tmp_path, capsys):

@@ -15,10 +15,16 @@ is drawn with a flag that says whether it is certainly malformed.
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paracomplex
 from paracomplex.cli import main
 
 
@@ -246,3 +252,41 @@ def test_degenerate_structures_keep_the_contract(tmp_path, desc, command, code):
     got = run([command, str(path)])
     assert_contract(*got)
     assert got[0] == code
+
+
+# a child that caps its own CPU seconds before it runs main, so that an input which
+# expands without bound dies of SIGXCPU instead of holding the suite
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+from paracomplex.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("command,code", [("validate", 1), ("integrability", 2)])
+def test_an_omega_singular_at_every_point_is_refused_within_5_cpu_seconds(tmp_path, n,
+                                                                        command, code):
+    """The extreme shape of a degenerate omega: a seeded sum of (n - 2) / 2
+    wedges a_k ^ b_k of 1-forms with coefficients y_m + c, of rank n - 2
+    everywhere, so that no point certifies it, on 12 and 16 variables.  Both
+    commands refuse it with the one message, in a child that may spend 5 CPU
+    seconds; expanding its Pfaffian takes minutes at 12 variables."""
+    rng = random.Random(n)
+    forms = [[f"y{rng.randrange(1, n + 1)} + {rng.randrange(1, 6)}" for _ in range(n)]
+             for _ in range(n - 2)]
+    omega = {f"{i + 1},{j + 1}": " + ".join(f"({a[i]})*({b[j]}) - ({a[j]})*({b[i]})"
+                                            for a, b in zip(forms[::2], forms[1::2]))
+             for i in range(n) for j in range(i + 1, n)}
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"kind": "omega", "vars": [f"y{m}" for m in range(1, n + 1)],
+                                "omega": omega}))
+    src = str(Path(paracomplex.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    points = ";".join(",".join(str((k * s) % 5 - 2) for k in range(n)) for s in (1, 2))
+    proc = subprocess.run([sys.executable, "-c", CAPPED, command, str(path), "--points", points],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert "omega field is degenerate" in (proc.stdout if code == 1 else proc.stderr)

@@ -312,7 +312,8 @@ def test_no_command_loads_the_reference_module(tmp_path, argv):
 # Christoffel-derivative helper, the torsion tensor and its contractions, and the dTheta
 # table rebuilt per contraction; and the fixed star of the frame that the Hodge star was
 # conjugated from before it became det P eps L(g); and the section type that the sweep wrapped
-# its stacked columns in, and the exception of the Fraction inverses, which g(p) no longer raises
+# its stacked columns in, and the exception of the Fraction inverses, which g(p) no longer raises;
+# and the expansion of omega's Pfaffian, which its evaluation at fixed points replaced
 MOVED = [
     "Rational", "Scalar", "basis_vec", "eval_at", "frac_mat", "int_mats", "int_point",
     "mat_identity", "one_like", "rnd_vec", "zero_like",
@@ -348,6 +349,7 @@ MOVED = [
     "_STAR_U",
     "GenVector", "SingularMatrix",
     "CurvDecomposition", "decompose", "sectional_constant_check", "INPUT_ERRORS",
+    "pfaffian",
 ]
 COMMAND_MODULES = ["cli", "poly", "exact", "parse", "linalg", "para", "gpx", "patch", "curv",
                    "theorem", "structures", "obstruction", "curvature", "assembled", "frame"]
@@ -412,8 +414,9 @@ def test_each_module_a_command_loads_compiles_below_the_old_exact_peak(module):
 
 # what moved out of exact to parse, out of cli to theorem, structures and curvature, out of
 # para to assembled, out of theorem to obstruction (what --theta adds), out of curv and linalg
-# to frame (the frame search of a metric without "onb"), and out of linalg to patch (the
-# Pfaffian, its one caller's)
+# to frame (the frame search of a metric without "onb"), and out of linalg to patch and
+# out of patch to reference (the Pfaffian: omega's nondegeneracy is decided by evaluation,
+# and its expansion is the oracle)
 SPLIT = {
     "exact": ["parse_rational", "_Tokens", "check_variables", "parse_ratfunc", "MAX_EXPONENT",
               "MAX_POWER", "MAX_POWER_BITS", "MAX_TERM_PAIRS", "MAX_VARS"],
@@ -425,6 +428,7 @@ SPLIT = {
                 "WITNESS_ATTEMPTS"],
     "curv": ["onb_search", "_is_square", "kernel_basis"],
     "linalg": ["kernel_basis", "pfaffian"],
+    "patch": ["pfaffian"],
 }
 
 
@@ -432,9 +436,9 @@ SPLIT = {
 def test_split_leaves_no_alias(module):
     """exact compiles without the parser, cli without the bodies of theorem,
     validate, integrability and curvature, para without the factor checks of
-    an assembled descriptor, theorem without what --theta adds, and curv and
-    linalg without the frame search of a metric with no frame, and none
-    imports them back."""
+    an assembled descriptor, theorem without what --theta adds, curv and
+    linalg without the frame search of a metric with no frame, and linalg
+    and patch without the Pfaffian, and none imports them back."""
     held = importlib.import_module(f"paracomplex.{module}")
     assert [name for name in SPLIT[module] if hasattr(held, name)] == []
 

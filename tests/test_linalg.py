@@ -20,7 +20,6 @@ from paracomplex.linalg import (
 )
 from paracomplex.frame import kernel_basis
 from paracomplex.parse import parse_ratfunc
-from paracomplex.patch import pfaffian
 from paracomplex.reference import (
     Bilinear,
     Endo,
@@ -39,6 +38,7 @@ from paracomplex.reference import (
     mat_inv,
     mat_rank,
     mat_zero,
+    pfaffian,
     signature,
 )
 

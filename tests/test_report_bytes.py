@@ -29,7 +29,14 @@ sample is byte for byte the same.  An omega whose literal
 x3*(x1^2-1)/(x1-1) cancels its factor x1 - 1, so that RatFunc's trial
 division of the numerator by a denominator factor succeeds, shows that the
 cancelled factor prints reduced: its d omega witness is "x1 + 1".  No
-other pinned report runs that division.
+other pinned report runs that division.  An omega whose entries share the
+denominator factor x1 + 1 gives the d omega witness
+"(-x4)/((x2 - 3)*(x1 + 1)^2)": its sum merges a shared factor, and its
+partials run the quotient rule over two factors, which no other pinned
+report does (patch.cyclic_sums notes that the printed form of such a sum
+depends on the order of its terms).  The degenerate omega {"1,2": "1"},
+singular everywhere, is refused at the fixed points of
+structures._jets_at, where its Pfaffian was expanded before.
 
 The three `theorem --samples 300` digests were recorded before the (j,l,r)
 residual moved from Lambda^2 inner products of 2-vectors to a contraction of
@@ -57,6 +64,11 @@ a metric file, written under its name to the working directory, so that the
 report names it by a relative path.  The five `ppwave:<f>` digests were
 re-recorded when a pp-wave's report began to name its profile,
 "metric": "ppwave:x2^2" where it said "ppwave"; every other byte is the same.
+Two `theorem` runs that no other pinned command covers were recorded before
+omega's Pfaffian left the command path: `--epsilon 2` on constcurv:1, the
+fixed witness of an epsilon = 2 component, and constcurv:-4 with
+`--samples 2`, whose g has a pole at the default points (1,0,0,0) and
+(0,1,0,0), which the verdict drops without a word.
 """
 
 import hashlib
@@ -136,6 +148,10 @@ PINNED = [
      1, "8e6a443c25e8abfd21cb09832724ed675418a462fd87fe66b5c7a302182ccd21"),
     (['theorem', 'constcurv:1', '--theta', 'x1*x2*dx3^dx4', '--component=-+', '--seed', '5'],
      1, "072e2816b7e499705660c7d394e40e717a92c7e77b821cf7a88c8f765b9d57bb"),
+    (['theorem', 'constcurv:1', '--component=++', '--epsilon', '2'],
+     1, "993dc5427ebec17ff7ae1f5b18ad2ac33108c05f00f1e974d97f28b33031f3a0"),
+    (['theorem', 'constcurv:-4', '--component=+-', '--samples', '2'],
+     0, "36c4ad44b91c587460dfb5b0196932d8a7f78726d216d5389db396b7567cbf69"),
     (['theorem', 'constcurv:-2/3', '--component', 'mp', '--points', '1,0,0,0;0,1/2,1,0', '--samples', '30'],
      0, "58e3b9aa57a5d6300289f9039ba138ec79c6aca32aaac810004f6b4e6560a2ca"),
     (['theorem', 'ppwave:x2^2', '--component', '+-', '--samples', '300'],
@@ -163,6 +179,10 @@ PINNED = [
     (['integrability', {'kind': 'omega', 'omega': {'1,2': 'x3*(x1^2-1)/(x1-1)', '3,4': '1'}},
       '--points', '2,1,1,1'],
      1, "8e95d15c71556a0e307d19bd4b8af01071e7f9294a95429467544173e1784fec"),
+    (['integrability', {'kind': 'omega', 'omega': {'1,2': 'x3/(x1+1)', '1,3': 'x2/(x1+1)',
+                                                   '2,3': 'x4/(x1+1)/(x2-3)', '3,4': '1'}},
+      '--points', '1,2,1,1'],
+     1, "a9a1db682484259f2344ea195b24f5489611af22d9288e04ece1c2ef29823ea6"),
     (['validate', {'kind': 'omega', 'omega': {'1,2': '1'}}, '--point', '1,1,1,1'],
      1, "0e9df3e854e0e05c0b8de96078aea1bf242a1c920b8a55bc816e2a1c69fc1599"),
     (['validate', {'kind': 'omega', 'omega': {'1,2': '1/x1', '3,4': '1'}}, '--points', '0,0,0,0;1,1,1,1'],
