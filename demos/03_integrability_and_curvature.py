@@ -77,7 +77,7 @@ for metric, name in ((flat_metric(), "flat"), (m, "constcurv:1"), (w, "ppwave"))
 # A non-closed potential obstructs every component; the verdict reads the
 # components of dTheta, here d(x1 dx2^dx3) = dx1^dx2^dx3.
 theta = antisymmetric({(1, 2): "x1"})
-out = theorem_verdict(flat_metric(), cyclic_sums(theta), "++", sample_points=None, seed=3,
-                      jklr_samples=4)
+out = theorem_verdict(flat_metric(), dict(cyclic_sums(theta)), "++", sample_points=None,
+                      seed=3, jklr_samples=4)
 print("\nflat with Theta = x1 dx2^dx3, ++ integrable:", out["integrable"],
       "| dTheta zero:", out["evidence"]["d_theta_zero"])

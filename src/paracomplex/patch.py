@@ -6,18 +6,6 @@ tensor on frame pairs at a point (on integers), and the integrability
 criteria of each structure kind, with d omega, dTheta and the Poisson
 Jacobiator from one cyclic sum.  This module imports no `gpx`.
 
-An omega is nondegenerate iff its Pfaffian is not zero, and that is decided
-by evaluation alone: omega passes iff det omega(p) != 0 at a given point or
-at one of two fixed points with 64-bit coordinates (structures._jets_at),
-so every omega that passes is certified exactly by a nonsingular point.  A
-nondegenerate omega is refused only if Pf(omega) Q^2, Q the product of the
-entries' denominators, vanishes at every given point and at both fixed
-points; were those two drawn uniformly from [0, 2^64)^n, that would have
-probability at most (D / 2^64)^2, D the degree of that polynomial, by the
-Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
-The points are fixed, so the bound is over their choice, not per input.
-`reference.pfaffian`, the expansion of the Pfaffian, is the oracle.
-
 A descriptor's data are one n x n matrix of RatFuncs per kind: the form
 omega(d_i, d_j), the bivector pi^{ij} or P.  A 2-form (omega, or the Theta of
 `theorem --theta`) and a bivector are antisymmetric matrices, read above the
@@ -88,13 +76,10 @@ def courant_on_jets(a: list, da: list, b: list, db: list) -> list:
 # -- the data that define a structure ------------------------------------------------
 
 
-def check_structure(kind: str, data: list, certified: bool) -> None:
-    """ValueError where a kind's patch data define no structure: an omega
-    that no point certified, P^2 != Id as a rational-function identity, or
-    P = +-Id.  certified says that det omega(p) != 0 at some point p, given
-    or fixed (structures._jets_at), so Pf(omega)(p)^2 != 0."""
-    if kind == "omega" and not certified:
-        raise ValueError("omega field is degenerate")
+def check_structure(kind: str, data: list) -> None:
+    """ValueError where a product's data define no structure: P^2 != Id as a
+    rational-function identity, or P = +-Id.  Whether an omega is
+    nondegenerate is decided at points, by structures._jets_at."""
     if kind == "product":
         square, plus_minus = involution_checks((1, data))
         if not mat_is_zero(square):
@@ -147,22 +132,23 @@ def gen_nijenhuis_frame_sweep(k: tuple, dk: tuple):
 # -- d omega, dTheta and the Jacobiator ----------------------------------------------------
 
 
-def cyclic_sums(m: list, pi: list | None = None) -> dict:
-    """The nonzero sums X_c m_ab - X_b m_ac + X_a m_bc, keyed (a, b, c) for
-    a < b < c, of an antisymmetric n x n matrix m of RatFuncs, read above the
-    diagonal.  With X_i = d_i (pi None) they are the components of dm, for
-    the 2-form m(d_i, d_j); with X_i = sum_l pi^{li} d_l for the antisymmetric
-    matrix pi, also read above the diagonal, and m = pi, the Jacobiator
-    components sum_l (pi^{la} d_l pi^{bc} + pi^{lb} d_l pi^{ca} + pi^{lc} d_l pi^{ab}),
-    so none iff pi is Poisson.  A sum's printed form can depend on the order
-    of its terms when denominator factors share a factor, so the terms of dm
-    are added as reference.ext_deriv adds them for the entries in row order,
-    X_c m_ab first, and those of the Jacobiator l by l, each l's in the
-    order a, b, c."""
+def cyclic_sums(m: list, pi: list | None = None):
+    """Yields ((a, b, c), sum) for the nonzero sums X_c m_ab - X_b m_ac +
+    X_a m_bc, a < b < c in itertools.combinations order, of an antisymmetric
+    n x n matrix m of RatFuncs, read above the diagonal.  With X_i = d_i (pi
+    None) they are the components of dm, for the 2-form m(d_i, d_j); with
+    X_i = sum_l pi^{li} d_l for the antisymmetric matrix pi, also read above
+    the diagonal, and m = pi, the Jacobiator components
+    sum_l (pi^{la} d_l pi^{bc} + pi^{lb} d_l pi^{ca} + pi^{lc} d_l pi^{ab}),
+    so none iff pi is Poisson.  A sum is computed only when the caller asks
+    for it, so one that stops at the first computes no later sum.  A sum's
+    printed form can depend on the order of its terms when denominator
+    factors share a factor, so the terms of dm are added as
+    reference.ext_deriv adds them for the entries in row order, X_c m_ab
+    first, and those of the Jacobiator l by l, each l's in the order a, b, c."""
     n = len(m)
     if pi is not None:
         pi = [[pi[i][j] if i < j else -pi[j][i] for j in range(n)] for i in range(n)]
-    out = {}
     for a, b, c in itertools.combinations(range(n), 3):
         terms = (a, m[b][c]), (b, -m[a][c]), (c, m[a][b])
         if pi is None:
@@ -171,8 +157,7 @@ def cyclic_sums(m: list, pi: list | None = None) -> dict:
             parts = [pi[l][i] * _partial(f, l) for l in range(n) for i, f in terms if pi[l][i]]
         total = sum(parts, RatFunc.zero(n))
         if total:
-            out[a, b, c] = total
-    return out
+            yield (a, b, c), total
 
 
 # -- integrability dispatch ----------------------------------------------------------------
@@ -194,9 +179,9 @@ def integrability_report(kind: str, data: list, names: list | None = None) -> tu
             criterion, key, comps = "d_omega_zero", "d_omega_component", cyclic_sums(data)
         else:
             criterion, key, comps = "pi_poisson", "jacobiator_triple", cyclic_sums(data, data)
-        if comps:
-            idx, c = min(comps.items())
+        for idx, c in comps:  # the first nonzero component only
             witness = {key: [i + 1 for i in idx], "value": c.to_str(names)}
+            break
     else:  # product
         criterion = "p_nijenhuis_zero"
         # the classical N_P(d_i, d_j) = [X, Y] + P(d_j X - d_i Y) for the columns

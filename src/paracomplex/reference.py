@@ -1110,7 +1110,7 @@ def pfaffian(m: list, rows: tuple, memo: dict):
     expanded along the first index, so 0 for an odd count, with no division;
     memo maps each index tuple met to its Pfaffian.  Up to (n-1)!! terms: the
     oracle of the commands' decision by evaluation that an omega is
-    nondegenerate (patch.check_structure)."""
+    nondegenerate (structures._jets_at)."""
     if not rows:
         return 1
     if rows not in memo:

@@ -3,10 +3,11 @@
 Only those two commands import this module, and it imports `gpx` and `patch`
 but not `curv`; `validate` on an `assembled` descriptor imports
 `paracomplex.assembled`, which holds that kind's checks, and not `para`.
-Each command runs patch.check_structure once, before anything that reads
-the structure's data as valid.  `cli` reads the descriptor, as its kind,
-its matrix and its variables, and the points of `--point` or `--points`;
-without them a command samples the default points.
+Each command runs _jets_at, which refuses a degenerate omega, and
+patch.check_structure once, before anything that reads the structure's data
+as valid.  `cli` reads the descriptor, as its kind, its matrix and its
+variables, and the points of `--point` or `--points`; without them a command
+samples the default points.
 No kind but assembled, for g(p)^-1, and omega, for omega(p)^-1 in
 `gpx.structure_jet`, runs an elimination.
 """
@@ -38,25 +39,27 @@ def _jet_or_pole(kind: str, mat: list, point, order: int):
         return exc
 
 
-def _jets_at(kind: str, mat: list, points: list, order: int) -> tuple[list, bool]:
-    """_jet_or_pole at each point, and whether some point gave K(p): for
-    omega, det omega(p) != 0 there, which certifies that its Pfaffian is not
-    zero (patch.check_structure).  Where no given point does, omega is
-    evaluated at two fixed points, the 64-bit words k * 0x9E3779B97F4A7C15
-    mod 2^64 for k = 16, 17, ... and k = 32, 33, ..., and is degenerate only
-    if it gives no K(p) at both.  A nondegenerate omega gives none at a point
-    only where Pf(omega) Q^2 vanishes, Q the product of the entries'
-    denominators, a nonzero polynomial of some degree D, so for two points
-    drawn uniformly from [0, 2^64)^n the chance of both is at most
-    (D / 2^64)^2 (Schwartz-Zippel).  The points are constants, not draws: the
-    bound is over their choice, and no report depends on a generator."""
+def _jets_at(kind: str, mat: list, points: list, order: int) -> list:
+    """_jet_or_pole at each point.  An omega is nondegenerate iff its
+    Pfaffian is not zero, and this is where that is decided, by evaluation
+    alone: a point where omega gives K(p), det omega(p) != 0, certifies it
+    exactly.  Where no given point does, omega is evaluated at two fixed
+    points, the 64-bit words k * 0x9E3779B97F4A7C15 mod 2^64 for
+    k = 16, 17, ... and k = 32, 33, ..., and is refused as degenerate, a
+    ValueError, only if it gives no K(p) at both.  A nondegenerate omega gives
+    none at a point only where Pf(omega) Q^2 vanishes, Q the product of the
+    entries' denominators, a nonzero polynomial of some degree D, so for two
+    points drawn uniformly from [0, 2^64)^n the chance of both is at most
+    (D / 2^64)^2 (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).  The
+    points are constants, not draws: the bound is over their choice, and no
+    report depends on a generator.  reference.pfaffian is the oracle."""
     jets = [_jet_or_pole(kind, mat, p, order) for p in points]
-    certified = not all(isinstance(j, Exception) for j in jets)
-    if kind == "omega" and not certified:
+    if kind == "omega" and all(isinstance(j, Exception) for j in jets):
         fixed = [(1, tuple(k * 0x9E3779B97F4A7C15 % 2 ** 64 for k in range(s, s + len(mat))))
                  for s in (16, 32)]
-        certified = not all(isinstance(_jet_or_pole(kind, mat, p, 0), Exception) for p in fixed)
-    return jets, certified
+        if all(isinstance(_jet_or_pole(kind, mat, p, 0), Exception) for p in fixed):
+            raise ValueError("omega field is degenerate")
+    return jets
 
 
 def cmd_validate(descriptor, point, points) -> dict:
@@ -66,9 +69,9 @@ def cmd_validate(descriptor, point, points) -> dict:
     if kind == "assembled":
         from paracomplex.assembled import validate_at, validate_identities
     else:
-        jets, certified = _jets_at(kind, mat, points, 0)
         try:
-            check_structure(kind, mat, certified)
+            jets = _jets_at(kind, mat, points, 0)
+            check_structure(kind, mat)
         except ValueError as exc:
             error = exc  # reported at every point
     results = []
@@ -97,8 +100,8 @@ def cmd_integrability(descriptor, point, points) -> dict:
     if kind == "assembled":
         raise ValueError("integrability reports cover kinds trivial/omega/pi/product")
     points = _points(point, points, len(variables), 3)
-    jets, certified = _jets_at(kind, mat, points, 1)
-    check_structure(kind, mat, certified)
+    jets = _jets_at(kind, mat, points, 1)
+    check_structure(kind, mat)
     criterion, witness = integrability_report(kind, mat, variables)
     samples = []
     for p, jet in zip(points, jets):

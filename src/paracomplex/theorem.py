@@ -92,7 +92,7 @@ def theorem_verdict(model: MetricModel, dth: dict, component: str, sample_points
     +- / -+ : scalar curvature operator, constant sectional curvature).
     Evidence carries sub-condition results and seeded (j,l,r) spot checks.
     dth maps each (i, j, k), i < j < k, to its nonzero component of dTheta,
-    as patch.cyclic_sums gives them; {} for a closed Theta, or none.  With
+    as patch.cyclic_sums yields them; {} for a closed Theta, or none.  With
     sample_points None the points are DEFAULT_POINTS."""
     rng = random.Random(seed)
     # each point's operator and the J-triples of its frame, once; a default point where g
@@ -174,6 +174,6 @@ def cmd_theorem(metric, component, theta, points, seed, samples, epsilon) -> dic
     if theta:
         from paracomplex.patch import cyclic_sums
 
-        dth = cyclic_sums(theta)
+        dth = dict(cyclic_sums(theta))
     return {**report, "seed": seed,
             **theorem_verdict(metric, dth, component, points, seed, samples)}

@@ -209,7 +209,7 @@ def test_acceptance_3_integrability_dichotomies():
         assert ok == expected, (kind, expected)
     # closed-form criteria agree with their oracles
     assert ext_deriv(omega_flat).is_zero() and not ext_deriv(omega_bad).is_zero()
-    assert not cyclic_sums(pi_const, pi_const) and cyclic_sums(pi_bad, pi_bad)
+    assert not dict(cyclic_sums(pi_const, pi_const)) and dict(cyclic_sums(pi_bad, pi_bad))
     d1, d3 = (basis_vec(i, 4, RatFunc.one(4)) for i in (0, 2))
     assert not any(classical_nijenhuis(p_int, d1, d3))
     assert any(classical_nijenhuis(p_bad, d1, d3))

@@ -1772,7 +1772,7 @@ def test_the_order_of_theta_terms_leaves_the_report_unchanged(capsys):
 
 
 def test_theta_expr_matches_module_level_forms():
-    d = cyclic_sums(parse_theta_expr("x1*dx2^dx3", VARS4))
+    d = dict(cyclic_sums(parse_theta_expr("x1*dx2^dx3", VARS4)))
     assert list(d) == [(0, 1, 2)] and d[(0, 1, 2)].to_str() == "1"
 
 

@@ -264,6 +264,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def run_capped(*argv):
+    """The completed CAPPED child on argv, with this package's source first on
+    its PYTHONPATH."""
+    src = str(Path(paracomplex.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", CAPPED, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("command,code", [("validate", 1), ("integrability", 2)])
 def test_an_omega_singular_at_every_point_is_refused_within_5_cpu_seconds(tmp_path, n,
@@ -282,11 +292,30 @@ def test_an_omega_singular_at_every_point_is_refused_within_5_cpu_seconds(tmp_pa
     path = tmp_path / "omega.json"
     path.write_text(json.dumps({"kind": "omega", "vars": [f"y{m}" for m in range(1, n + 1)],
                                 "omega": omega}))
-    src = str(Path(paracomplex.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     points = ";".join(",".join(str((k * s) % 5 - 2) for k in range(n)) for s in (1, 2))
-    proc = subprocess.run([sys.executable, "-c", CAPPED, command, str(path), "--points", points],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_capped(command, str(path), "--points", points)
     assert proc.returncode == code
     assert "omega field is degenerate" in (proc.stdout if code == 1 else proc.stderr)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_a_dense_pi_that_is_not_poisson_gets_its_witness_within_5_cpu_seconds(tmp_path, n):
+    """A dense rational pi on 12 and 16 variables, every entry above the
+    diagonal (y_a + c)/(y_b + d) with a, b, c and d drawn by a seeded
+    generator, is not Poisson.  integrability prints its first nonzero
+    Jacobiator component, in a child that may spend 5 CPU seconds;
+    computing all C(n, 3) components takes more than 40 s at 16 variables."""
+    rng = random.Random(7)
+    pi = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b, c, d = rng.randrange(n), rng.randrange(n), rng.randint(1, 5), rng.randint(1, 5)
+            pi[f"{i + 1},{j + 1}"] = f"(y{a + 1} + {c})/(y{b + 1} + {d})"
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"kind": "pi", "vars": [f"y{m}" for m in range(1, n + 1)],
+                                "pi": pi}))
+    point = ",".join(str(2 + k % 8) for k in range(n))
+    proc = run_capped("integrability", str(path), "--point", point)
+    assert proc.returncode == 1
+    witness = json.loads(proc.stdout)["witness"]
+    assert witness["jacobiator_triple"] == [1, 2, 3] and witness["value"] != "0"

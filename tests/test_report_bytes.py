@@ -36,7 +36,11 @@ partials run the quotient rule over two factors, which no other pinned
 report does (patch.cyclic_sums notes that the printed form of such a sum
 depends on the order of its terms).  The degenerate omega {"1,2": "1"},
 singular everywhere, is refused at the fixed points of
-structures._jets_at, where its Pfaffian was expanded before.
+structures._jets_at, where its Pfaffian was expanded before.  A pi with
+three nonzero Jacobiator components, (1,2,4), (1,3,4) and (2,3,4), was
+recorded before patch.cyclic_sums yielded its components one at a time and
+integrability stopped at the first: its witness is the first in (i, j, k)
+order, as the d omega witness of the x3/(x1+1) omega is the first of two.
 
 The three `theorem --samples 300` digests were recorded before the (j,l,r)
 residual moved from Lambda^2 inner products of 2-vectors to a contraction of
@@ -191,6 +195,9 @@ PINNED = [
      0, "6c87084ff48cfceba733e7db05176df30227232546c527da4721b2513918e07f"),
     (['integrability', {'kind': 'pi', 'pi': {'1,2': '1', '3,4': 'x1'}}, '--format', 'text'],
      1, "20b883927a1a28ac9bf1b5e698708bfb06cd46ee6fd0a984516c982b1e014319"),
+    (['integrability', {'kind': 'pi', 'pi': {'1,3': 'x2', '2,4': 'x1*x3', '3,4': '1'}},
+      '--point', '1,1,1,1'],
+     1, "3ed7d1150760331a1de8bfdc6e5e199330cc20e089db5899404300a9a7564542"),
     (['integrability', {'kind': 'product', 'P': P_INT}],
      0, "aad725af312adcfd2ea3cbdcd93a7968cc76d52b4ce40eeec637d49936fcf850"),
     (['integrability', {'kind': 'product', 'P': P_BAD}],
